@@ -26,7 +26,7 @@ EXIT_BUDGET = 3
 
 def _emit(obj, out: str | None) -> None:
     obj = {"schema": SCHEMA, **obj}
-    text = json.dumps(obj, indent=2)
+    text = json.dumps(obj, indent=2, allow_nan=False)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -109,7 +109,7 @@ def cmd_search(args) -> int:
     obj = json.loads(result.to_json())
     obj.update({"mode": args.mode, "seed": args.seed, "tree": args.tree,
                 "invariant": args.invariant, "p": args.p})
-    line = json.dumps({"schema": SCHEMA, **obj})
+    line = json.dumps({"schema": SCHEMA, **obj}, allow_nan=False)
     if args.out:
         with open(args.out, "a") as fh:
             fh.write(line + "\n")
@@ -258,11 +258,15 @@ def main(argv=None) -> int:
     try:
         return _HANDLERS[args.command](args)
     except search.BudgetExceeded as exc:
-        print(json.dumps({"schema": SCHEMA, "error": str(exc)}), file=sys.stderr)
-        return EXIT_BUDGET
+        return _fail(exc, EXIT_BUDGET)
     except (ValueError, OSError, KeyError) as exc:
-        print(json.dumps({"schema": SCHEMA, "error": str(exc)}), file=sys.stderr)
-        return EXIT_VALIDATION
+        return _fail(exc, EXIT_VALIDATION)
+
+
+def _fail(exc: Exception, code: int) -> int:
+    print(json.dumps({"schema": SCHEMA, "error": str(exc)}, allow_nan=False),
+          file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

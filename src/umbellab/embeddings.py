@@ -9,8 +9,8 @@ import numpy as np
 from scipy import integrate
 
 from .invariants import TreeMap, distance_matrices
-from .spaces import LpSpace
-from .trees import TreeSpec, INCREASING, vertices
+from .spaces import LpSpace, lp_norm
+from .trees import TreeSpec, INCREASING, tree_graph, vertices
 
 
 class EmbeddingError(ValueError):
@@ -19,6 +19,41 @@ class EmbeddingError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Bourgain-style embedding
+
+
+class BourgainMap(TreeMap):
+    """The map built by bourgain_embed.  The image distance of u and v
+    depends only on a = |u|, b = |v| and c = lcp(u, v), so the image table is
+    a gather from the table of those (h+1)^3 values; the dense assignment
+    stays for everything that reads points."""
+
+    def image_distances(self) -> np.ndarray:
+        graph, _ = tree_graph(self.spec)
+        depth = np.array([len(v) for v in self._verts])
+        lcp = ((np.add.outer(depth, depth) - graph.dist) / 2).astype(np.intp)
+        table = _bourgain_profile(self.spec.height, self.target.p)
+        return table[depth[:, None], depth[None, :], lcp]
+
+
+def _bourgain_profile(height: int, p: float) -> np.ndarray:
+    """T[a, b, c]: the lp distance between the images of two vertices of
+    depths a and b with a common prefix of length c (c <= min(a, b); other
+    entries are nan).  Coordinates of the shared prefixes carry the weight
+    differences, the rest one image's weights alone."""
+    q = 1.0 if p == math.inf else math.inf if p == 1 else p / (p - 1)
+
+    def weight(m):
+        return m ** (1.0 / q)
+
+    T = np.full((height + 1,) * 3, np.nan)
+    for a in range(height + 1):
+        for b in range(a, height + 1):
+            for c in range(a + 1):
+                diff = [weight(a - i + 1) - weight(b - i + 1) for i in range(c + 1)]
+                diff += [weight(m) for m in range(1, a - c + 1)]
+                diff += [weight(m) for m in range(1, b - c + 1)]
+                T[a, b, c] = T[b, a, c] = lp_norm(diff, p)
+    return T
 
 
 def bourgain_embed(spec: TreeSpec, p: float = 2.0, variant: str = "lp") -> TreeMap:
@@ -51,7 +86,7 @@ def bourgain_embed(spec: TreeSpec, p: float = 2.0, variant: str = "lp") -> TreeM
         for i in range(j + 1):
             vec[coord[v[:i]]] = (j - i + 1) ** (1.0 / q)
         assignment[v] = tuple(vec)
-    return TreeMap(spec, target, assignment)
+    return BourgainMap(spec, target, assignment)
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,10 @@ class TreeMap:
     def dist(self, u: Vertex, v: Vertex) -> float:
         return self.target.distance(self.assignment[u], self.assignment[v])
 
+    def image_distances(self) -> np.ndarray:
+        """Image distances between all vertex pairs, in vertex order."""
+        return _pairwise(self.target, [self.assignment[v] for v in self._verts])
+
     @classmethod
     def identity(cls, spec: TreeSpec) -> "TreeMap":
         graph, index = tree_graph(spec)
@@ -141,12 +145,8 @@ def named_map(name: str, spec: TreeSpec, target=None) -> TreeMap:
 
 def distance_matrices(f: TreeMap) -> tuple[np.ndarray, np.ndarray]:
     """(tree distances, image distances) over the full vertex list."""
-    verts = f._verts
-    graph, index = tree_graph(f.spec)
-    dtree = graph.dist
-    pts = [f.assignment[v] for v in verts]
-    dimg = _pairwise(f.target, pts)
-    return dtree, dimg
+    graph, _ = tree_graph(f.spec)
+    return graph.dist, f.image_distances()
 
 
 def _pairwise(target, pts) -> np.ndarray:
@@ -154,7 +154,7 @@ def _pairwise(target, pts) -> np.ndarray:
     if isinstance(target, (FiniteMatrixSpace, GraphMetricSpace)):
         idx = np.asarray(pts, dtype=int)
         mat = target.matrix if isinstance(target, FiniteMatrixSpace) else target.graph.dist
-        return mat[np.ix_(idx, idx)].astype(float)
+        return mat[np.ix_(idx, idx)].astype(float, copy=False)
     if isinstance(target, LpSpace):
         arr = np.asarray(pts, dtype=float)
         metric = "chebyshev" if target.p == math.inf else "minkowski"
@@ -168,15 +168,15 @@ def _pairwise(target, pts) -> np.ndarray:
 
 def lipschitz_constant(f: TreeMap, with_flag: bool = False):
     """max over vertex pairs of d_Y(f(u), f(v)) / d_tree(u, v).  The edge
-    maximum is computed as well; for true-metric targets the two agree, and
-    the larger is reported (flagged when they differ beyond tolerance)."""
+    maximum is read from the same table; for true-metric targets the two
+    agree, and the larger is reported (flagged when they differ beyond
+    tolerance)."""
     dtree, dimg = distance_matrices(f)
-    mask = dtree > 0
-    pair_lip = float(np.max(dimg[mask] / dtree[mask])) if mask.any() else 0.0
-    edge = 0.0
-    for level in range(1, f.spec.height + 1):
-        for u, v in trees.level_edges(f.spec, level):
-            edge = max(edge, f.dist(u, v))
+    ratio = np.zeros_like(dimg)
+    np.divide(dimg, dtree, out=ratio, where=dtree > 0)
+    pair_lip = float(ratio.max())
+    edges = np.array(tree_graph(f.spec)[0].edges, dtype=np.intp).reshape(-1, 2)
+    edge = float(dimg[edges[:, 0], edges[:, 1]].max(initial=0.0))
     value = max(pair_lip, edge)
     if with_flag:
         return value, not sp.close(pair_lip, edge)

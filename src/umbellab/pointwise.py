@@ -56,6 +56,20 @@ FOUR_POINT = (
     InequalityId.MIDPOINT_CURVATURE,
 )
 
+# inequalities that read more than the metric, and the space they need
+SPACE_NEEDED = {
+    InequalityId.P_UNIFORM_CONVEXITY: LpSpace,
+    InequalityId.HEISENBERG_PARALLELOGRAM: sp.HeisenbergMetricSpace,
+}
+
+
+def check_space(space, ineq: InequalityId) -> None:
+    """Raise PointwiseError unless `ineq` can be evaluated on `space`."""
+    need = SPACE_NEEDED.get(ineq)
+    if need is not None and not isinstance(space, need):
+        raise PointwiseError(
+            f"{ineq.value} needs a {need.__name__}, not a {type(space).__name__}")
+
 
 @dataclass(frozen=True)
 class InequalityConfig:
@@ -165,8 +179,7 @@ def check_inequality(ineq: InequalityId, cfg: InequalityConfig, points, space) -
     elif ineq is InequalityId.P_UNIFORM_CONVEXITY:
         if len(points) != 2:
             raise PointwiseError("uniform convexity takes 2 vectors")
-        if not isinstance(space, LpSpace):
-            raise PointwiseError("uniform convexity needs a normed space")
+        check_space(space, ineq)
         x = np.asarray(points[0], float)
         y = np.asarray(points[1], float)
         p = cfg.exponent
@@ -175,6 +188,7 @@ def check_inequality(ineq: InequalityId, cfg: InequalityConfig, points, space) -
     elif ineq is InequalityId.HEISENBERG_PARALLELOGRAM:
         if len(points) != 2:
             raise PointwiseError("parallelogram takes 2 HPoints")
+        check_space(space, ineq)
         return check_parallelogram(space.space, cfg.exponent, cfg.C,
                                    points[0], points[1], slack=cfg.slack)
     else:  # pragma: no cover
@@ -242,6 +256,7 @@ def certify(space, ineq: InequalityId, cfg: InequalityConfig, sampler,
     evaluation order."""
     if n < 1:
         raise PointwiseError("n must be >= 1")
+    check_space(space, ineq)
     chunks = (n + _CHUNK - 1) // _CHUNK
     seeds = np.random.SeedSequence(seed).spawn(chunks)
     violations = 0

@@ -56,12 +56,13 @@ class SearchResult:
     best_ratio: float
 
     def to_json(self) -> str:
-        obj = {"feasible": self.feasible, "best_ratio": self.best_ratio}
+        ratio = self.best_ratio if math.isfinite(self.best_ratio) else None
+        obj = {"feasible": self.feasible, "best_ratio": ratio}
         if self.best_map is not None:
             obj["assignment"] = [[list(v), p] for v, p in
                                  sorted(self.best_map.assignment.items(),
                                         key=lambda kv: (len(kv[0]), kv[0]))]
-        return json.dumps(obj)
+        return json.dumps(obj, allow_nan=False)
 
 
 NO_FEASIBLE = SearchResult(False, None, -math.inf)

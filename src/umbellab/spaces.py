@@ -322,6 +322,10 @@ def _parse_exponent(text: str) -> float:
     return math.inf if text == "inf" else float(text)
 
 
+def _fields(text: str) -> dict:
+    return dict(kv.split("=", 1) for kv in text.split(",") if kv)
+
+
 def parse_space(text: str):
     """Parse descriptors like "l2:dim=3", "lp:p=1.5,dim=4",
     "heis:dim=2,metric=koranyi,p=inf,lambda=1", "graph:file=g.json",
@@ -330,10 +334,13 @@ def parse_space(text: str):
         head, *parts = text.split(";")
         if not parts:
             raise SpaceError("product needs components")
-        p = _parse_exponent(head.split("p=", 1)[1])
+        try:
+            p = _parse_exponent(_fields(head[len("prod:"):])["p"])
+        except (KeyError, ValueError) as exc:
+            raise SpaceError(f"bad product exponent in {text!r}") from exc
         return ProductSpace(tuple(parse_space(c) for c in parts), p)
     head, _, rest = text.partition(":")
-    fields = dict(kv.split("=", 1) for kv in rest.split(",") if kv)
+    fields = _fields(rest)
     try:
         if head == "l2":
             return LpSpace(int(fields["dim"]), 2.0)

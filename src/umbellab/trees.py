@@ -225,6 +225,7 @@ class GraphSpace:
 
 
 def _apsp(n: int, edges) -> np.ndarray:
+    """Shortest paths of a general graph; trees take tree_graph's closed form."""
     rows = [e[0] for e in edges] + [e[1] for e in edges]
     cols = [e[1] for e in edges] + [e[0] for e in edges]
     data = np.ones(len(rows))
@@ -232,40 +233,43 @@ def _apsp(n: int, edges) -> np.ndarray:
     return shortest_path(adj, method="D", unweighted=True)
 
 
-def apsp_bfs(n: int, edges) -> np.ndarray:
-    """Independent all-pairs shortest paths by repeated BFS (test oracle)."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    out = np.full((n, n), np.inf)
-    for src in range(n):
-        out[src, src] = 0
-        frontier = [src]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if not np.isfinite(out[src, w]):
-                        out[src, w] = d
-                        nxt.append(w)
-            frontier = nxt
-    return out
-
-
 @functools.lru_cache(maxsize=64)
 def tree_graph(spec: TreeSpec) -> tuple[GraphSpace, dict[Vertex, int]]:
-    """The tree itself as a GraphSpace, with its vertex index mapping."""
+    """The tree itself as a GraphSpace, with its vertex index mapping.
+
+    The distance table is depth(u) + depth(v) - 2 lcp(u, v), filled in place:
+    lcp is counted by one equality pass per level over the ancestor indices
+    of each vertex, so no shortest-path search runs."""
     verts = vertices(spec)
     index = {v: i for i, v in enumerate(verts)}
-    edges = tuple(
-        (index[v[:-1]], index[v])
-        for v in verts
-        if v
-    )
-    return GraphSpace(len(verts), edges), index
+    parents = np.array([index[v[:-1]] for v in verts[1:]], dtype=np.intp)
+    edges = tuple(zip(parents.tolist(), range(1, len(verts))))
+    return GraphSpace(len(verts), edges, _tree_distances(verts, parents)), index
+
+
+def _tree_distances(verts: list[Vertex], parents: np.ndarray) -> np.ndarray:
+    """Path distances of a tree whose vertices are listed by height, with
+    parents[i - 1] the index of the parent of vertex i."""
+    n = len(verts)
+    depth = np.array([len(v) for v in verts])
+    height = int(depth.max())
+    # anc[i, l]: index of the length-l prefix of vertex i, for l <= depth(i)
+    anc = np.zeros((n, height + 1), dtype=np.intp)
+    for level in range(1, height + 1):
+        rows = np.flatnonzero(depth == level)
+        anc[rows, :level] = anc[parents[rows - 1], :level]
+        anc[rows, level] = rows
+    fdepth = depth.astype(float)
+    dist = np.add.outer(fdepth, fdepth)
+    same = np.empty((n, n), dtype=bool)
+    for level in range(1, height + 1):
+        # the vertices of depth >= level are a suffix of the list
+        s = int(np.searchsorted(depth, level))
+        col = anc[s:, level]
+        block = same[:n - s, :n - s]
+        np.equal(col[:, None], col[None, :], out=block)
+        np.subtract(dist[s:, s:], 2.0, out=dist[s:, s:], where=block)
+    return dist
 
 
 def _replace_edges(n: int, edges, block) -> tuple[int, list[tuple[int, int]]]:

@@ -154,3 +154,35 @@ def test_validation_exit_two(capsys):
     assert main(["certify", "--space", "l2:dim=3", "--inequality",
                  "tripod"]) == 2  # missing --samples
     capsys.readouterr()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def test_infeasible_search_is_strict_json(tmp_path, capsys):
+    # an all-zero target makes every rhs zero: no feasible assignment
+    target = tmp_path / "zero.json"
+    target.write_text(json.dumps({"n": 2, "d": [[0.0, 0.0], [0.0, 0.0]]}))
+    code, out = run(capsys, "search", "--tree", "bin:h=2",
+                    "--invariant", "markov-directed", "--p", "2",
+                    "--target-file", str(target), "--mode", "exhaustive")
+    assert code == 0
+    obj = json.loads(out, parse_constant=_reject_constant)
+    assert obj["feasible"] is False
+    assert obj["best_ratio"] is None
+
+
+@pytest.mark.parametrize("space,inequality", [
+    ("l2:dim=2", "parallelogram"),       # needs a Heisenberg group
+    ("prod:q=2;l2:dim=2", "tripod"),      # product exponent misspelt
+    ("prod:p=2;l2:dim=2", "p-uniform-convexity"),  # needs an lp space
+])
+def test_certify_bad_input_exit_two(capsys, space, inequality):
+    code = main(["certify", "--space", space, "--inequality", inequality,
+                 "--samples", "10"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    err = json.loads(captured.err, parse_constant=_reject_constant)
+    assert err["schema"] == SCHEMA and err["error"]

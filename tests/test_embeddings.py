@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import umbellab as U
-from umbellab.embeddings import EmbeddingError
+from umbellab.embeddings import BourgainMap, EmbeddingError
+from umbellab.invariants import TreeMap, _pairwise
+from umbellab.trees import tree_graph
 
 
 def test_bourgain_root_edge_norm():
@@ -39,6 +41,62 @@ def test_distortion_rejects_constant_map():
     f = U.named_map("constant", spec, U.LpSpace(2, 2.0))
     with pytest.raises(EmbeddingError):
         U.distortion(f)
+
+
+# closed-form Bourgain geometry against the dense vectors
+
+H8_DISTORTION = 2.3452976362042404
+BOURGAIN_CASES = ([(h, p, "lp") for h in (1, 2, 4, 8) for p in (1.5, 2.0, 3.0)]
+                  + [(h, 1.0, "l1") for h in (1, 2, 4, 8)]
+                  + [(h, math.inf, "linf") for h in (1, 2, 4, 8)])
+
+
+def dense_copy(f: TreeMap) -> TreeMap:
+    """The same points as a plain TreeMap: image distances by cdist."""
+    return TreeMap(f.spec, f.target, f.assignment)
+
+
+def triple_representatives(spec) -> np.ndarray:
+    """Indices of one vertex pair per realised (depth, depth, lcp) triple."""
+    dist = tree_graph(spec)[0].dist
+    depth = np.array([len(v) for v in U.vertices(spec)])
+    lcp = ((np.add.outer(depth, depth) - dist) / 2).astype(int)
+    key = (depth[:, None] * 100 + depth[None, :]) * 100 + lcp
+    _, first = np.unique(key, return_index=True)
+    return np.stack(np.unravel_index(first, key.shape), axis=1)
+
+
+@pytest.mark.parametrize("h,p,variant", BOURGAIN_CASES)
+def test_bourgain_closed_form_matches_dense(h, p, variant):
+    spec = U.parse_tree_spec(f"inc:h={h},b={h + 2}")
+    f = U.bourgain_embed(spec, p, variant=variant)
+    assert isinstance(f, BourgainMap)
+    closed = f.image_distances()
+    if h == 8 and p not in (1.0, 2.0, math.inf):
+        # cdist at a generic p over 1013 coordinates takes ~10 s here, so
+        # the dense oracle checks one pair of every (depth, depth, lcp)
+        # triple; the gather itself is checked in full by the other cases
+        verts = U.vertices(spec)
+        for i, j in triple_representatives(spec):
+            dense = _pairwise(f.target, [f.point(verts[i]), f.point(verts[j])])
+            assert closed[i, j] == pytest.approx(dense[0, 1], rel=1e-12, abs=0)
+        return
+    dense = dense_copy(f).image_distances()
+    np.testing.assert_allclose(closed, dense, rtol=1e-12, atol=0)
+    assert np.array_equal(closed, closed.T)
+
+
+def test_bourgain_closed_form_distortion_and_moduli_h8():
+    f = U.bourgain_embed(U.parse_tree_spec("inc:h=8,b=10"), p=2.0)
+    dense = dense_copy(f)
+    assert U.distortion(f)[2] == pytest.approx(H8_DISTORTION, rel=1e-12, abs=0)
+    np.testing.assert_allclose(U.distortion(f), U.distortion(dense),
+                               rtol=1e-12, atol=0)
+    for fast, slow in zip(U.moduli(f), U.moduli(dense)):
+        np.testing.assert_allclose(fast.breakpoints, slow.breakpoints,
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(fast.values, slow.values,
+                                   rtol=1e-12, atol=0)
 
 
 # moduli curves

@@ -7,6 +7,7 @@ import pytest
 import umbellab as U
 from umbellab.invariants import (InvariantError, _min_branch_pair,
                                  distance_matrices)
+from umbellab.spaces import close
 
 L3 = U.LpSpace(3, 2.0)
 
@@ -228,6 +229,28 @@ def test_lipschitz_pair_vs_edge_flag():
     value, flag = U.lipschitz_constant(f, with_flag=True)
     assert value > 0
     assert not flag
+
+
+@pytest.mark.parametrize("target", ["l2", "heisenberg"])
+def test_lipschitz_edge_maximum_matches_edge_walk(target):
+    # the edge maximum is a gather from the image table; walking the edges
+    # through f.dist is its oracle (the Heisenberg table comes from the
+    # generic per-pair loop, the l2 one from cdist)
+    spec = U.parse_tree_spec("bin:h=3")
+    rng = np.random.default_rng(4)
+    if target == "l2":
+        f = rand_map(spec, rng)
+    else:
+        space = U.parse_space("heis:dim=2,p=inf")
+        f = U.TreeMap(spec, space, {v: space.sample(rng) for v in U.vertices(spec)})
+    walked = max(f.dist(u, v) for level in range(1, spec.height + 1)
+                 for u, v in U.level_edges(spec, level))
+    dtree, dimg = distance_matrices(f)
+    pair = max(dimg[i, j] / dtree[i, j] for i in range(len(dtree))
+               for j in range(len(dtree)) if dtree[i, j] > 0)
+    value, flag = U.lipschitz_constant(f, with_flag=True)
+    assert value == pytest.approx(max(pair, walked), rel=1e-12)
+    assert flag == (not close(pair, walked))
 
 
 def test_report_json():

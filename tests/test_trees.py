@@ -6,8 +6,31 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import umbellab as U
-from umbellab.trees import (apsp_bfs, format_tree_spec, tree_graph,
+from umbellab.trees import (_apsp, format_tree_spec, tree_graph,
                             BINARY, INCREASING, TreeSpecError)
+
+
+def apsp_bfs(n: int, edges) -> np.ndarray:
+    """Independent all-pairs shortest paths by repeated BFS (test oracle)."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    out = np.full((n, n), np.inf)
+    for src in range(n):
+        out[src, src] = 0
+        frontier = [src]
+        d = 0
+        while frontier:
+            d += 1
+            nxt = []
+            for u in frontier:
+                for w in adj[u]:
+                    if not np.isfinite(out[src, w]):
+                        out[src, w] = d
+                        nxt.append(w)
+            frontier = nxt
+    return out
 
 
 def test_parse_binary_spec():
@@ -164,6 +187,27 @@ def test_tree_graph_distances():
     graph, index = tree_graph(spec)
     for u, v in itertools.combinations(U.vertices(spec), 2):
         assert graph.dist[index[u], index[v]] == U.tree_distance(u, v)
+
+
+SMALL_TREES = ([f"bin:h={h}" for h in range(7)]
+               + [f"inc:h={h},b={b}" for h in range(5) for b in range(h, 8)])
+
+
+@pytest.mark.parametrize("desc", SMALL_TREES)
+def test_tree_graph_exact_against_search_oracles(desc):
+    # the depth/lcp table must equal both shortest-path searches bit for bit
+    graph, _ = tree_graph(U.parse_tree_spec(desc))
+    assert graph.dist.dtype == np.float64
+    assert np.array_equal(graph.dist, apsp_bfs(graph.n, graph.edges))
+    assert np.array_equal(graph.dist, _apsp(graph.n, graph.edges))
+
+
+def test_tree_graph_edge_cases_are_covered():
+    assert {"bin:h=0", "inc:h=0,b=1", "inc:h=3,b=3"} <= set(SMALL_TREES)
+    for desc in ("bin:h=0", "inc:h=0,b=1"):
+        graph, index = tree_graph(U.parse_tree_spec(desc))
+        assert graph.n == 1 and graph.edges == () and index == {(): 0}
+        assert graph.dist.tolist() == [[0.0]]
 
 
 def test_diamond_graph_grows():
