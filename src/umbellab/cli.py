@@ -174,9 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", default=None)
-        p.add_argument("--slack", type=float, default=0.0)
 
     p = sub.add_parser("invariant")
     common(p)
@@ -197,6 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", type=float, default=1.0)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--xs-count", type=int, default=4)
+    p.add_argument("--slack", type=float, default=0.0)
 
     p = sub.add_parser("embed")
     common(p)
@@ -259,7 +258,7 @@ def main(argv=None) -> int:
         return _HANDLERS[args.command](args)
     except search.BudgetExceeded as exc:
         return _fail(exc, EXIT_BUDGET)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, ArithmeticError) as exc:
         return _fail(exc, EXIT_VALIDATION)
 
 

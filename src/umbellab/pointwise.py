@@ -11,6 +11,7 @@ certification).
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import json
 import math
@@ -211,16 +212,20 @@ def parallelogram_constants(p: float, C: float) -> tuple[float, float]:
     return K, lam
 
 
+def _parallelogram_setup(hsp, p: float, C: float) -> tuple[float, float]:
+    if p < 2:
+        raise PointwiseError("p must be >= 2")
+    if hsp.operator_norm() > 1 + sp.REL_TOL:
+        raise PointwiseError("omega operator norm must be <= 1 (rescale the form)")
+    return parallelogram_constants(p, C)
+
+
 def check_parallelogram(hsp, p: float, C: float, a: HPoint, b: HPoint,
                         slack: float = 0.0) -> CheckReport:
     """Parallelogram inequality on a Heisenberg group: with N = N_{p,lambda},
     N(d_half_b)^{2p} + K^{-2p} N((d_half_b)^{ -1} a)^{2p}
       <= (N(a)^{2p} + N(b^{-1} a)^{2p}) / 2."""
-    if p < 2:
-        raise PointwiseError("p must be >= 2")
-    if hsp.operator_norm() > 1 + sp.REL_TOL:
-        raise PointwiseError("omega operator norm must be <= 1 (rescale the form)")
-    K, lam = parallelogram_constants(p, C)
+    K, lam = _parallelogram_setup(hsp, p, C)
     n = lambda pt: koranyi_norm(hsp, pt, p, lam)
     half_b = h_dilate(0.5, b)
     lhs = n(half_b) ** (2 * p) + n(h_mul(hsp, h_inv(half_b), a)) ** (2 * p) / K ** (2 * p)
@@ -230,49 +235,150 @@ def check_parallelogram(hsp, p: float, C: float, a: HPoint, b: HPoint,
 
 
 # ---------------------------------------------------------------------------
+# Batched evaluation
+#
+# Each inequality as a function of the configuration array of one chunk:
+# pts[:, i] holds point i of every configuration, as the space's
+# sample_batch lays it out.  The operations follow check_inequality term by
+# term, so the margins equal its margins up to the rounding of the array
+# power.
+
+
+def _umbel_margins(ineq, p, K, d, count):
+    if count < 1:
+        raise PointwiseError("umbel family needs a nonempty xs list")
+    xs = range(2, 2 + count)                   # points w, z, x_1 .. x_count
+    first = functools.reduce(np.minimum, (d(0, x) for x in xs)) / 2 ** p
+    sep = 0.0
+    if count >= 2:
+        pairs = itertools.combinations(xs, 2)
+        sep = functools.reduce(np.minimum, (d(a, b) for a, b in pairs))
+    lhs = first + sep / K ** p
+    dw = d(1, 0)
+    dmax = functools.reduce(np.maximum, (d(1, x) for x in xs))
+    if ineq is InequalityId.P_UMBEL:
+        rhs = 0.5 * dw + 0.5 * dmax
+    else:
+        rhs = np.maximum(dw, dmax)
+    return rhs - lhs
+
+
+def batch_margins(ineq: InequalityId, cfg: InequalityConfig, space,
+                  pts: np.ndarray) -> np.ndarray:
+    """Margins RHS - LHS of every configuration in `pts`."""
+    q, K = cfg.exponent, cfg.K
+
+    def d(i, j, e=q):
+        return space.distance_rows(pts[:, i], pts[:, j]) ** e
+
+    if ineq in UMBEL_FAMILY:
+        return _umbel_margins(ineq, q, K, d, pts.shape[1] - 2)
+    if ineq is InequalityId.HEISENBERG_PARALLELOGRAM:
+        K, lam = _parallelogram_setup(space.space, q, cfg.C)
+        n = lambda v: sp.koranyi_norm_rows(v, q, lam) ** (2 * q)
+        a, b = pts[:, 0], pts[:, 1]
+        half_b = sp.h_dilate_rows(0.5, b)
+        lhs = n(half_b) + n(sp.h_mul_rows(space.space, -half_b, a)) / K ** (2 * q)
+        rhs = 0.5 * n(a) + 0.5 * n(sp.h_mul_rows(space.space, -b, a))
+    elif ineq is InequalityId.P_UNIFORM_CONVEXITY:
+        n = lambda v: space.norm_rows(v) ** q
+        x, y = pts[:, 0], pts[:, 1]
+        lhs = n(x) + n(y) / K ** q
+        rhs = (n(x + y) + n(x - y)) / 2
+    elif ineq is InequalityId.MIDPOINT_CURVATURE:   # points x, y, z, m
+        lhs = d(2, 0, 2) + d(2, 1, 2)
+        rhs = 2 * d(2, 3, 2) + d(0, 1, 2) / 2
+    elif ineq is InequalityId.Q_TRIPOD:             # points w, x, y, z
+        lhs = (d(0, 1) + d(0, 2)) / 2 ** (q + 1) + d(1, 2) / (4 * K) ** q
+        rhs = 0.5 * d(3, 0) + 0.25 * d(3, 1) + 0.25 * d(3, 2)
+    else:                                           # the forks: w, x, y, z
+        lhs = np.minimum(d(0, 1), d(0, 2)) / 2 ** q + d(1, 2) / (4 ** q * K ** q)
+        if ineq is InequalityId.Q_FORK:
+            rhs = 0.5 * d(3, 0) + 0.5 * np.maximum(d(3, 1), d(3, 2))
+        else:
+            rhs = np.maximum(np.maximum(d(3, 0), d(3, 1)), d(3, 2))
+    return rhs - lhs
+
+
+# ---------------------------------------------------------------------------
 # Certification campaigns
 
 _CHUNK = 4096
 
 
+def _points_per_config(ineq: InequalityId, xs_count: int) -> int:
+    if ineq in UMBEL_FAMILY:
+        return 2 + max(xs_count, 0)
+    if ineq in FOUR_POINT:
+        return 4
+    return 2
+
+
 def ball_sampler(space, ineq: InequalityId, xs_count: int = 4):
-    """Default configuration sampler drawing points from the space's ball."""
+    """Default configuration sampler drawing points from the space's ball.
+
+    When the space has `sample_batch`, the sampler also carries
+    `batch(rng, m)`: the same m configurations that m successive calls
+    `draw(rng)` return, as one array for `batch_margins`."""
+    k = _points_per_config(ineq, xs_count)
+
     def draw(rng):
         if ineq in UMBEL_FAMILY:
             return (space.sample(rng), space.sample(rng),
                     tuple(space.sample(rng) for _ in range(xs_count)))
-        if ineq is InequalityId.HEISENBERG_PARALLELOGRAM:
-            return (space.sample(rng), space.sample(rng))
-        if ineq is InequalityId.P_UNIFORM_CONVEXITY:
-            return (space.sample(rng), space.sample(rng))
-        return tuple(space.sample(rng) for _ in range(4))
+        return tuple(space.sample(rng) for _ in range(k))
+
+    if hasattr(space, "sample_batch"):
+        draw.batch = lambda rng, m: space.sample_batch(rng, m, k)
     return draw
+
+
+def _witness(ineq: InequalityId, space, row: np.ndarray) -> tuple:
+    """One configuration of a batch, in the form `draw` returns it."""
+    pts = [space.point(v) for v in row]
+    if ineq in UMBEL_FAMILY:
+        return (pts[0], pts[1], tuple(pts[2:]))
+    return tuple(pts)
 
 
 def certify(space, ineq: InequalityId, cfg: InequalityConfig, sampler,
             n: int, seed: int) -> CampaignReport:
     """Seeded campaign over n sampled configurations.  Sampling is chunked
     with independently derived substreams, so the aggregate is independent of
-    evaluation order."""
+    evaluation order.
+
+    A sampler with a `batch` attribute (see ball_sampler) has each chunk
+    drawn as one array and evaluated by `batch_margins`; any other sampler is
+    called once per configuration and checked by `check_inequality`.  Both
+    count a violation when not margin >= -slack (so a NaN margin counts) and
+    report the first strict minimum of the margins."""
     if n < 1:
         raise PointwiseError("n must be >= 1")
     check_space(space, ineq)
+    batch = getattr(sampler, "batch", None)
     chunks = (n + _CHUNK - 1) // _CHUNK
     seeds = np.random.SeedSequence(seed).spawn(chunks)
     violations = 0
     worst = math.inf
     witness: tuple = ()
-    done = 0
     for ci in range(chunks):
         rng = np.random.default_rng(seeds[ci])
-        for _ in range(min(_CHUNK, n - done)):
-            pts = sampler(rng)
-            rep = check_inequality(ineq, cfg, pts, space)
-            if not rep.holds:
-                violations += 1
-            if rep.margin < worst:
-                worst, witness = rep.margin, rep.witness
-        done += min(_CHUNK, n - done)
+        size = min(_CHUNK, n - ci * _CHUNK)
+        if batch is None:
+            for _ in range(size):
+                rep = check_inequality(ineq, cfg, sampler(rng), space)
+                if not rep.holds:
+                    violations += 1
+                if rep.margin < worst:
+                    worst, witness = rep.margin, rep.witness
+            continue
+        pts = batch(rng, size)
+        with np.errstate(over="raise", divide="raise"):
+            margins = batch_margins(ineq, cfg, space, pts)
+        violations += int(np.count_nonzero(~(margins >= -cfg.slack)))
+        i = int(np.argmin(np.where(np.isnan(margins), np.inf, margins)))
+        if margins[i] < worst:
+            worst, witness = float(margins[i]), _witness(ineq, space, pts[i])
     return CampaignReport(ineq.value,
                           {"exponent": cfg.exponent, "K": cfg.K, "C": cfg.C,
                            "slack": cfg.slack},

@@ -31,15 +31,19 @@ def close(a: float, b: float) -> bool:
 # lp norms
 
 
-def lp_norm(x, p: float) -> float:
-    v = np.asarray(x, dtype=float)
+def lp_norm_rows(v: np.ndarray, p: float) -> np.ndarray:
+    """The lp norm of every vector along the last axis of `v`."""
     if p == math.inf:
-        return float(np.max(np.abs(v))) if v.size else 0.0
+        return np.abs(v).max(axis=-1, initial=0.0)
     if p == 1:
-        return float(np.sum(np.abs(v)))
+        return np.abs(v).sum(axis=-1)
     if p == 2:
-        return float(np.sqrt(np.sum(v * v)))
-    return float(np.sum(np.abs(v) ** p) ** (1.0 / p))
+        return np.sqrt((v * v).sum(axis=-1))
+    return (np.abs(v) ** p).sum(axis=-1) ** (1.0 / p)
+
+
+def lp_norm(x, p: float) -> float:
+    return float(lp_norm_rows(np.asarray(x, dtype=float), p))
 
 
 @dataclass(frozen=True)
@@ -66,12 +70,24 @@ class LpSpace:
             raise SpaceError("dimension mismatch")
         return lp_norm(av - bv, self.p)
 
-    def sample(self, rng: np.random.Generator):
-        x = rng.uniform(-1.0, 1.0, self.dim)
-        n = self.norm(x)
-        if n > 1.0:
-            x = x / n
-        return tuple(x)
+    def norm_rows(self, x: np.ndarray) -> np.ndarray:
+        return lp_norm_rows(x, self.p)
+
+    def distance_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return lp_norm_rows(a - b, self.p)
+
+    def sample_batch(self, rng: np.random.Generator, m: int, k: int) -> np.ndarray:
+        """m configurations of k points of the unit ball, shape (m, k, dim):
+        a uniform draw from the cube, scaled onto the sphere when outside."""
+        x = rng.uniform(-1.0, 1.0, (m, k, self.dim))
+        x /= np.maximum(self.norm_rows(x), 1.0)[..., None]
+        return x
+
+    def point(self, row: np.ndarray) -> tuple:
+        return tuple(row.tolist())
+
+    def sample(self, rng: np.random.Generator) -> tuple:
+        return self.point(self.sample_batch(rng, 1, 1)[0, 0])
 
     def describe(self) -> str:
         if self.p == 2:
@@ -80,8 +96,25 @@ class LpSpace:
         return f"lp:p={p},dim={self.dim}"
 
 
+class _TableSpace:
+    """Sampling and row-wise distances of a finite space whose points are the
+    indices 0..n-1 of a distance table."""
+
+    def distance_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self.table[a, b]
+
+    def sample_batch(self, rng: np.random.Generator, m: int, k: int) -> np.ndarray:
+        return rng.integers(self.n, size=(m, k))
+
+    def point(self, i) -> int:
+        return int(i)
+
+    def sample(self, rng: np.random.Generator) -> int:
+        return self.point(self.sample_batch(rng, 1, 1)[0, 0])
+
+
 @dataclass(frozen=True)
-class FiniteMatrixSpace:
+class FiniteMatrixSpace(_TableSpace):
     """A finite metric space given by its distance matrix; points are indices."""
 
     matrix: np.ndarray = field(repr=False)
@@ -92,6 +125,8 @@ class FiniteMatrixSpace:
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise SpaceError("matrix must be square")
+        if not np.isfinite(m).all():
+            raise SpaceError("distances must be finite")
         if not np.allclose(m, m.T, rtol=REL_TOL, atol=ABS_TOL):
             raise SpaceError("matrix must be symmetric")
         if np.abs(np.diagonal(m)).max(initial=0.0) > ABS_TOL:
@@ -100,20 +135,23 @@ class FiniteMatrixSpace:
             raise SpaceError("distances must be nonnegative")
         n = m.shape[0]
         slack = REL_TOL * (m.max(initial=0.0) + 1.0)
-        for mid in range(n):
-            via = m[:, mid][:, None] + m[mid, :][None, :]
-            if (m > via + slack).any():
-                raise SpaceError("triangle inequality fails")
+        # a path sum past the float range is inf, which no entry exceeds
+        with np.errstate(over="ignore"):
+            for mid in range(n):
+                via = m[:, mid][:, None] + m[mid, :][None, :]
+                if (m > via + slack).any():
+                    raise SpaceError("triangle inequality fails")
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
 
+    @property
+    def table(self) -> np.ndarray:
+        return self.matrix
+
     def distance(self, a: int, b: int) -> float:
         return float(self.matrix[a, b])
-
-    def sample(self, rng: np.random.Generator) -> int:
-        return int(rng.integers(self.n))
 
     @classmethod
     def from_json(cls, text: str) -> "FiniteMatrixSpace":
@@ -131,17 +169,22 @@ class FiniteMatrixSpace:
 
 
 @dataclass(frozen=True)
-class GraphMetricSpace:
+class GraphMetricSpace(_TableSpace):
     """Path metric of a GraphSpace; points are vertex ids."""
 
     graph: GraphSpace
     quasi_constant: float = 1.0
 
+    @property
+    def n(self) -> int:
+        return self.graph.n
+
+    @property
+    def table(self) -> np.ndarray:
+        return self.graph.dist
+
     def distance(self, a: int, b: int) -> float:
         return self.graph.distance(a, b)
-
-    def sample(self, rng: np.random.Generator) -> int:
-        return int(rng.integers(self.graph.n))
 
     def describe(self) -> str:
         return f"graph:n={self.graph.n}"
@@ -253,6 +296,34 @@ def koranyi_dist(sp: HeisenbergSpace, a: HPoint, b: HPoint, p: float, lam: float
     return koranyi_norm(sp, h_mul(sp, h_inv(b), a), p, lam)
 
 
+# Row-wise forms of the above on arrays whose last axis holds (x, s); the
+# inverse of such a row is its negation.
+
+
+def h_mul_rows(sp: HeisenbergSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = a + b
+    out[..., -1] += ((a[..., :-1] @ sp.omega_matrix) * b[..., :-1]).sum(axis=-1)
+    return out
+
+
+def h_dilate_rows(t, a: np.ndarray) -> np.ndarray:
+    """Dilate each row of `a` by the matching entry of `t` (or by scalar t)."""
+    t = np.asarray(t, dtype=float)[..., None]
+    out = a * t
+    out[..., -1:] = a[..., -1:] * (t * t)
+    return out
+
+
+def koranyi_norm_rows(a: np.ndarray, p: float, lam: float) -> np.ndarray:
+    if lam <= 0:
+        raise SpaceError("lambda must be positive")
+    xn = lp_norm_rows(a[..., :-1], 2)
+    s = np.abs(a[..., -1])
+    if p == math.inf:
+        return np.maximum(xn, lam * np.sqrt(s))
+    return (xn ** (2 * p) + lam * s ** p) ** (1.0 / (2 * p))
+
+
 @dataclass(frozen=True)
 class HeisenbergMetricSpace:
     """Heisenberg group with a Koranyi quasi-metric d_{p,lambda}."""
@@ -268,13 +339,24 @@ class HeisenbergMetricSpace:
     def norm(self, a: HPoint) -> float:
         return koranyi_norm(self.space, a, self.p, self.lam)
 
+    def norm_rows(self, a: np.ndarray) -> np.ndarray:
+        return koranyi_norm_rows(a, self.p, self.lam)
+
+    def distance_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self.norm_rows(h_mul_rows(self.space, -b, a))
+
+    def sample_batch(self, rng: np.random.Generator, m: int, k: int) -> np.ndarray:
+        """m configurations of k points of the unit ball as (x, s) rows, shape
+        (m, k, dim + 1): a uniform draw from the cube, dilated onto the
+        sphere when outside."""
+        pts = rng.uniform(-1.0, 1.0, (m, k, self.space.dim + 1))
+        return h_dilate_rows(1.0 / np.maximum(self.norm_rows(pts), 1.0), pts)
+
+    def point(self, row: np.ndarray) -> HPoint:
+        return HPoint(tuple(row[:-1].tolist()), float(row[-1]))
+
     def sample(self, rng: np.random.Generator) -> HPoint:
-        x = tuple(rng.uniform(-1.0, 1.0, self.space.dim))
-        pt = HPoint(x, float(rng.uniform(-1.0, 1.0)))
-        n = self.norm(pt)
-        if n > 1.0:
-            pt = h_dilate(1.0 / n, pt)
-        return pt
+        return self.point(self.sample_batch(rng, 1, 1)[0, 0])
 
     def describe(self) -> str:
         p = "inf" if self.p == math.inf else f"{self.p:g}"

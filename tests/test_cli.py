@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -186,3 +187,47 @@ def test_certify_bad_input_exit_two(capsys, space, inequality):
     assert captured.out == ""
     err = json.loads(captured.err, parse_constant=_reject_constant)
     assert err["schema"] == SCHEMA and err["error"]
+
+
+@pytest.mark.parametrize("d,message", [
+    (1e308, "overflow"),         # d ** q overflows in the tripod kernel
+    (math.inf, "finite"),        # rejected when the space is read
+])
+def test_certify_bad_matrix_exit_two(tmp_path, capsys, d, message):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 2, "d": [[0.0, d], [d, 0.0]]}))
+    code = main(["certify", "--space", f"matrix:file={path}",
+                 "--inequality", "tripod", "--samples", "10"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    err = json.loads(captured.err, parse_constant=_reject_constant)
+    assert message in err["error"]
+
+
+def test_slack_belongs_to_certify(tmp_path, capsys):
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps({"n": 4, "d": [
+        [0.0, 2.0, 2.0, 1.0], [2.0, 0.0, 2.0, 1.0],
+        [2.0, 2.0, 0.0, 1.0], [1.0, 1.0, 1.0, 0.0]]}))
+    # the star's worst tripod margin is -0.25: a slack of 0.3 absorbs it
+    argv = ["certify", "--space", f"matrix:file={path}", "--inequality",
+            "tripod", "--samples", "500", "--seed", "1"]
+    code, out = run(capsys, *argv)
+    assert code == 1 and json.loads(out)["worst_margin"] == -0.25
+    code, out = run(capsys, *argv, "--slack", "0.3")
+    assert code == 0
+    assert json.loads(out)["config"]["slack"] == 0.3
+    for extra in (["--slack", "0.1"], ["--threads", "2"]):
+        assert main(["invariant", "--tree", "bin:h=2", "--invariant",
+                     "fork-cotype", "--p", "2", *extra]) == 2
+        capsys.readouterr()
+
+
+def test_certify_large_xs_count(capsys):
+    code, out = run(capsys, "certify", "--space", "l2:dim=3", "--inequality",
+                    "relaxed-p-umbel", "--K", "4", "--xs-count", "100",
+                    "--samples", "300", "--seed", "2")
+    obj = json.loads(out)
+    assert (code == 1) == (obj["violations"] > 0)
+    assert len(obj["worst_witness"][2]) == 100

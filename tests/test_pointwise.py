@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import umbellab as U
-from umbellab.pointwise import NoSolution
+from umbellab import pointwise
+from umbellab.pointwise import NoSolution, SPACE_NEEDED
 
 L2 = U.LpSpace(3, 2.0)
 unit = st.floats(min_value=-1, max_value=1, allow_nan=False)
@@ -110,6 +112,134 @@ def test_min_feasible_K_tripod():
     rep = U.certify(L2, U.InequalityId.Q_TRIPOD, cfg(exponent=2.0, K=K),
                     U.ball_sampler(L2, U.InequalityId.Q_TRIPOD), n=2000, seed=7)
     assert rep.violations == 0
+
+
+# batched certification against the per-sample loop
+
+STAR_GRAPH = {"n": 6, "edges": [[0, 1], [0, 2], [0, 3], [3, 4], [4, 5]]}
+
+# name -> (descriptor, space type); {dir} holds the matrix and graph files
+BATCHED_SPACES = {
+    "l2": ("l2:dim=3", U.LpSpace),
+    "l3": ("lp:p=3,dim=3", U.LpSpace),
+    "l1": ("lp:p=1,dim=3", U.LpSpace),
+    "linf": ("lp:p=inf,dim=2", U.LpSpace),
+    "star": ("matrix:file={dir}/star.json", U.FiniteMatrixSpace),
+    "graph": ("graph:file={dir}/graph.json", U.GraphMetricSpace),
+    "heis-p2": ("heis:dim=2,p=2", U.HeisenbergMetricSpace),
+    "heis-pinf": ("heis:dim=2,p=inf", U.HeisenbergMetricSpace),
+}
+BATCHED_PAIRS = [(ineq, name) for ineq in U.InequalityId
+                 for name, (_, kind) in BATCHED_SPACES.items()
+                 if issubclass(kind, SPACE_NEEDED.get(ineq, object))]
+
+
+@pytest.fixture(scope="module")
+def space_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("spaces")
+    (d / "star.json").write_text(json.dumps({"n": 4, "d": STAR4.matrix.tolist()}))
+    (d / "graph.json").write_text(json.dumps(STAR_GRAPH))
+    return d
+
+
+def per_sample(sampler):
+    """The same draws without the `batch` attribute: certify then checks one
+    configuration at a time with check_inequality."""
+    return lambda rng: sampler(rng)
+
+
+def assert_same_campaign(fast, slow):
+    assert fast.violations == slow.violations
+    # repr tells floats apart bit for bit, and ints from numpy integers
+    assert repr(fast.worst_witness) == repr(slow.worst_witness)
+    assert abs(fast.worst_margin - slow.worst_margin) <= 1e-12
+
+
+@pytest.mark.parametrize("ineq,name", BATCHED_PAIRS,
+                         ids=[f"{i.value}-{n}" for i, n in BATCHED_PAIRS])
+def test_batched_certify_matches_per_sample(ineq, name, space_dir, monkeypatch):
+    space = U.parse_space(BATCHED_SPACES[name][0].format(dir=space_dir))
+    c = cfg(exponent=3.0 if name == "l3" else 2.0, K=1.0, slack=1e-3)
+    sampler = U.ball_sampler(space, ineq)
+    assert hasattr(sampler, "batch")
+    # smaller chunks make 600 samples cross two chunk boundaries
+    monkeypatch.setattr(pointwise, "_CHUNK", 256)
+    for seed in (1, 2):
+        assert_same_campaign(U.certify(space, ineq, c, sampler, 600, seed),
+                             U.certify(space, ineq, c, per_sample(sampler),
+                                       600, seed))
+
+
+@pytest.mark.parametrize("name", ["l2", "star"])
+def test_batched_certify_crosses_chunk(name, space_dir):
+    space = U.parse_space(BATCHED_SPACES[name][0].format(dir=space_dir))
+    ineq = U.InequalityId.Q_TRIPOD
+    c = cfg(exponent=2.0, K=1.0, slack=1e-3)
+    sampler = U.ball_sampler(space, ineq)
+    for seed in (4, 5):
+        assert_same_campaign(U.certify(space, ineq, c, sampler, 5000, seed),
+                             U.certify(space, ineq, c, per_sample(sampler),
+                                       5000, seed))
+
+
+def test_per_sample_fallback_for_custom_samplers_and_products():
+    ineq = U.InequalityId.Q_TRIPOD
+    c = cfg(exponent=2.0, K=1.0, slack=1e-3)
+    prod = U.parse_space("prod:p=2;l2:dim=2;lp:p=inf,dim=2")
+    prod_sampler = U.ball_sampler(prod, ineq)
+    assert not hasattr(prod_sampler, "batch")
+    custom = lambda rng: tuple(tuple(rng.normal(size=3)) for _ in range(4))
+    for space, sampler in ((prod, prod_sampler), (L2, custom)):
+        # the per-sample loop written out
+        violations, worst, witness = 0, math.inf, ()
+        rng = np.random.default_rng(np.random.SeedSequence(8).spawn(1)[0])
+        for _ in range(300):
+            rep = U.check_inequality(ineq, c, sampler(rng), space)
+            violations += not rep.holds
+            if rep.margin < worst:
+                worst, witness = rep.margin, rep.witness
+        got = U.certify(space, ineq, c, sampler, 300, 8)
+        assert (got.violations, got.worst_margin) == (violations, worst)
+        assert repr(got.worst_witness) == repr(witness)
+
+
+def test_wrapped_ball_sampler_keeps_batch():
+    sampler = U.ball_sampler(L2, U.InequalityId.Q_TRIPOD)
+
+    @functools.wraps(sampler)
+    def traced(rng):
+        return sampler(rng)
+
+    assert traced.batch is sampler.batch
+    c = cfg()
+    assert_same_campaign(U.certify(L2, U.InequalityId.Q_TRIPOD, c, traced, 300, 2),
+                         U.certify(L2, U.InequalityId.Q_TRIPOD, c,
+                                   per_sample(sampler), 300, 2))
+
+
+def test_batched_umbel_large_xs_count():
+    ineq = U.InequalityId.P_UMBEL
+    sampler = U.ball_sampler(L2, ineq, xs_count=40)
+    assert sampler.batch(np.random.default_rng(0), 5).shape == (5, 42, 3)
+    c = cfg(exponent=2.0, K=4.0, slack=1e-3)
+    fast = U.certify(L2, ineq, c, sampler, 60, 3)
+    assert len(fast.worst_witness[2]) == 40
+    assert_same_campaign(fast, U.certify(L2, ineq, c, per_sample(sampler), 60, 3))
+
+
+def test_batched_umbel_needs_xs():
+    sampler = U.ball_sampler(L2, U.InequalityId.P_UMBEL, xs_count=0)
+    with pytest.raises(pointwise.PointwiseError, match="nonempty"):
+        U.certify(L2, U.InequalityId.P_UMBEL, cfg(), sampler, 10, 0)
+
+
+def test_min_feasible_K_batched_matches_per_sample():
+    ineq = U.InequalityId.Q_TRIPOD
+    sampler = U.ball_sampler(L2, ineq)
+    Ks = [U.min_feasible_K(L2, ineq, cfg(exponent=2.0), s, n=300, seed=7,
+                           bracket=(0.5, 64.0))
+          for s in (sampler, per_sample(sampler))]
+    assert Ks[0] == pytest.approx(Ks[1], rel=1e-6)
 
 
 # Heisenberg parallelogram

@@ -63,6 +63,9 @@ def test_finite_matrix_space_validation():
             [0.0, 1.0, 9.0],
             [1.0, 0.0, 1.0],
             [9.0, 1.0, 0.0]]))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(SpaceError, match="finite"):
+            U.FiniteMatrixSpace(np.array([[0.0, bad], [bad, 0.0]]))
 
 
 def test_finite_matrix_json_round_trip():
@@ -155,3 +158,40 @@ def test_horizontal_length_of_horizontal_segment():
     length, defect = U.horizontal_length(h, pts)
     assert length == pytest.approx(1.0, rel=1e-9)
     assert defect <= 1e-12
+
+
+@pytest.mark.parametrize("space", [
+    U.LpSpace(3, 2.0), U.LpSpace(3, 3.0), U.LpSpace(2, 1.0),
+    U.LpSpace(2, math.inf),
+    U.FiniteMatrixSpace(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0],
+                                  [2.0, 1.0, 0.0]])),
+    U.GraphMetricSpace(U.GraphSpace(4, ((0, 1), (1, 2), (1, 3)))),
+    U.HeisenbergMetricSpace(U.standard_symplectic(2), p=2.0),
+    U.HeisenbergMetricSpace(U.standard_symplectic(4), p=math.inf, lam=0.5),
+], ids=lambda sp: sp.describe())
+def test_sample_batch_equals_successive_samples(space):
+    # the batch holds bit for bit what m * k successive sample calls return
+    m, k = 7, 3
+    rng = np.random.default_rng(11)
+    one_by_one = [space.sample(rng) for _ in range(m * k)]
+    batch = space.sample_batch(np.random.default_rng(11), m, k)
+    assert batch.shape[:2] == (m, k)
+    rows = [space.point(v) for v in batch.reshape(m * k, *batch.shape[2:])]
+    assert repr(rows) == repr(one_by_one)
+    # and every point lies in the unit ball
+    if not isinstance(space, (U.FiniteMatrixSpace, U.GraphMetricSpace)):
+        assert (space.norm_rows(batch) <= 1.0 + 1e-12).all()
+
+
+def test_row_wise_heisenberg_ops_match_scalar():
+    h = U.standard_symplectic(4)
+    rng = np.random.default_rng(3)
+    rows = rng.uniform(-1, 1, (50, 2, 5))
+    prods = U.spaces.h_mul_rows(h, -rows[:, 1], rows[:, 0])
+    norms = U.spaces.koranyi_norm_rows(prods, 3.0, 0.7)
+    for (a, b), ab, n in zip(rows, prods, norms):
+        pa = U.HPoint(tuple(a[:-1]), a[-1])
+        pb = U.HPoint(tuple(b[:-1]), b[-1])
+        want = U.h_mul(h, U.h_inv(pb), pa)
+        assert np.allclose(ab, want.x + (want.s,), rtol=0, atol=1e-15)
+        assert n == pytest.approx(U.koranyi_norm(h, want, 3.0, 0.7), rel=1e-14)
