@@ -27,12 +27,14 @@ class BourgainMap(TreeMap):
     a gather from the table of those (h+1)^3 values; the dense assignment
     stays for everything that reads points."""
 
-    def image_distances(self) -> np.ndarray:
+    def pair_distances(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         graph, _ = tree_graph(self.spec)
-        depth = np.array([len(v) for v in self._verts])
-        lcp = ((np.add.outer(depth, depth) - graph.dist) / 2).astype(np.intp)
         table = _bourgain_profile(self.spec.height, self.target.p)
-        return table[depth[:, None], depth[None, :], lcp]
+        return table[graph.depth[u], graph.depth[v], graph.lcp(u, v)]
+
+    def _image_table(self, pts: tuple) -> np.ndarray:
+        i = np.arange(len(pts))
+        return self.pair_distances(i[:, None], i[None, :])
 
 
 def _bourgain_profile(height: int, p: float) -> np.ndarray:

@@ -12,6 +12,13 @@ over all admissible branch labels j distinct from the compared branch (an
 optional j_min knob restricts the range further).  This lower-bounds the
 countably-branching value, which is the conservative direction for
 certifying lower bounds on the invariants.
+
+Every side of every functional is compiled once per (invariant, tree,
+j_min) into a Plan: vertex-pair index arrays cut into min, max or weighted
+sum segments, grouped and scaled.  `evaluate` is the one kernel: a gather of
+pair distances, a reduceat per segment and the weighted combination of the
+groups.  The right-hand sides of the cotype and tessera functionals are
+Lipschitz constants, read from the image table.
 """
 
 from __future__ import annotations
@@ -25,10 +32,8 @@ from typing import Optional
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from . import trees
-from .trees import (BINARY, INCREASING, TreeSpec, Vertex,
-                    parse_tree_spec, format_tree_spec, tree_graph,
-                    vertices, vertices_at_height)
+from .trees import (BINARY, INCREASING, TreeGraph, TreeSpec, Vertex,
+                    parse_tree_spec, format_tree_spec, tree_graph, vertices)
 from . import spaces as sp
 from .spaces import (FiniteMatrixSpace, GraphMetricSpace, HPoint, LpSpace,
                      parse_space)
@@ -52,6 +57,7 @@ _INCREASING_IDS = (InvariantId.UMBEL_CONVEXITY, InvariantId.RELAXED_UMBEL,
                    InvariantId.UMBEL_COTYPE)
 _COTYPE_IDS = (InvariantId.UMBEL_COTYPE, InvariantId.RELAXED_UMBEL,
                InvariantId.FORK_COTYPE)
+_LIPSCHITZ_IDS = _COTYPE_IDS + (InvariantId.TESSERA,)
 
 
 @dataclass(eq=False)
@@ -68,16 +74,40 @@ class TreeMap:
         if missing:
             raise InvariantError(f"assignment misses {len(missing)} vertices")
         self._verts = verts
+        self._image = None  # (the points it was computed from, image table)
 
     def point(self, v: Vertex):
         return self.assignment[v]
+
+    def points(self) -> tuple:
+        """The assigned points in vertex order."""
+        return tuple(self.assignment[v] for v in self._verts)
 
     def dist(self, u: Vertex, v: Vertex) -> float:
         return self.target.distance(self.assignment[u], self.assignment[v])
 
     def image_distances(self) -> np.ndarray:
-        """Image distances between all vertex pairs, in vertex order."""
-        return _pairwise(self.target, [self.assignment[v] for v in self._verts])
+        """Image distances between all vertex pairs, in vertex order.  The
+        table is computed once and kept until the assignment changes."""
+        pts = self.points()
+        if self._image is None or self._image[0] != pts:
+            self._image = (pts, self._image_table(pts))
+        return self._image[1]
+
+    def _image_table(self, pts: tuple) -> np.ndarray:
+        return _pairwise(self.target, pts)
+
+    def pair_distances(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """d(f(u[i]), f(v[i])) for vertex-order index arrays u and v.  Targets
+        with row-wise distances (table, lp and Heisenberg spaces) compute just
+        these pairs, a table target by a gather through the assignment
+        array; other targets gather from the image table."""
+        rows = getattr(self.target, "rows", None)
+        if rows is None:
+            return self.image_distances()[u, v]
+        r = rows(self.points())
+        return self.target.distance_rows(np.take(r, u, axis=0),
+                                         np.take(r, v, axis=0))
 
     @classmethod
     def identity(cls, spec: TreeSpec) -> "TreeMap":
@@ -152,9 +182,14 @@ def distance_matrices(f: TreeMap) -> tuple[np.ndarray, np.ndarray]:
 def _pairwise(target, pts) -> np.ndarray:
     n = len(pts)
     if isinstance(target, (FiniteMatrixSpace, GraphMetricSpace)):
-        idx = np.asarray(pts, dtype=int)
-        mat = target.matrix if isinstance(target, FiniteMatrixSpace) else target.graph.dist
-        return mat[np.ix_(idx, idx)].astype(float, copy=False)
+        idx = np.asarray(pts, dtype=np.intp)
+        mat = target.table
+        if n == len(mat) and (idx == np.arange(n)).all():
+            # the identity assignment: the table itself, shared read-only
+            view = mat.view()
+            view.flags.writeable = False
+            return view
+        return mat[np.ix_(idx, idx)]
     if isinstance(target, LpSpace):
         arr = np.asarray(pts, dtype=float)
         metric = "chebyshev" if target.p == math.inf else "minkowski"
@@ -166,20 +201,39 @@ def _pairwise(target, pts) -> np.ndarray:
     return out
 
 
+_LIPSCHITZ_BLOCK = 1 << 20  # ratio entries per row block
+
+
+def _lipschitz_pair_edge(dimg: np.ndarray, graph: TreeGraph):
+    """(max over vertex pairs of dimg / d_tree, max over edges of dimg) for
+    image tables dimg of shape (..., n, n).  The pair maximum is taken in row
+    blocks, so no n x n ratio buffer is allocated."""
+    dtree = graph.dist
+    n = len(dtree)
+    rows = int(np.prod(dimg.shape[:-2]))
+    step = max(1, _LIPSCHITZ_BLOCK // (rows * n))
+    pair = np.zeros(dimg.shape[:-2])
+    for lo in range(0, n, step):
+        dt = dtree[lo:lo + step]
+        ratio = np.zeros(dimg.shape[:-2] + dt.shape)
+        np.divide(dimg[..., lo:lo + step, :], dt, out=ratio, where=dt > 0)
+        np.maximum(pair, ratio.max(axis=(-2, -1)), out=pair)
+    child = np.arange(1, n)
+    parent = graph.anc[child, graph.depth[child] - 1]
+    edge = dimg[..., parent, child].max(axis=-1, initial=0.0)
+    return pair, edge
+
+
 def lipschitz_constant(f: TreeMap, with_flag: bool = False):
     """max over vertex pairs of d_Y(f(u), f(v)) / d_tree(u, v).  The edge
     maximum is read from the same table; for true-metric targets the two
     agree, and the larger is reported (flagged when they differ beyond
     tolerance)."""
-    dtree, dimg = distance_matrices(f)
-    ratio = np.zeros_like(dimg)
-    np.divide(dimg, dtree, out=ratio, where=dtree > 0)
-    pair_lip = float(ratio.max())
-    edges = np.array(tree_graph(f.spec)[0].edges, dtype=np.intp).reshape(-1, 2)
-    edge = float(dimg[edges[:, 0], edges[:, 1]].max(initial=0.0))
-    value = max(pair_lip, edge)
+    pair, edge = _lipschitz_pair_edge(f.image_distances(), tree_graph(f.spec)[0])
+    pair, edge = float(pair), float(edge)
+    value = max(pair, edge)
     if with_flag:
-        return value, not sp.close(pair_lip, edge)
+        return value, not sp.close(pair, edge)
     return value
 
 
@@ -203,91 +257,248 @@ def _validate(inv: InvariantId, spec: TreeSpec) -> int:
     return k
 
 
+def _check_exponent(p: float) -> None:
+    if not (math.isfinite(p) and p > 0):
+        raise InvariantError(f"exponent must be finite and positive, got {p}")
+
+
 # ---------------------------------------------------------------------------
-# Minima over branching configurations
+# Plans
 
 
-def _min_branch_pair(f: TreeMap, height: int, lcp: int, p: float,
-                     j_min: Optional[int] = None) -> float:
-    """Minimum of d(f(u), f(v))^p over pairs of height-`height` vertices whose
-    longest common prefix has length exactly `lcp`.  With j_min set, one of
-    the two diverging labels must be >= j_min (the liminf tail knob)."""
-    groups: dict[Vertex, list[Vertex]] = {}
-    for v in vertices_at_height(f.spec, height):
-        groups.setdefault(v[:lcp], []).append(v)
-    best = math.inf
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        labels = np.array([v[lcp] for v in members])
-        admissible = labels[:, None] != labels[None, :]
-        if j_min is not None:
-            admissible &= np.maximum(labels[:, None], labels[None, :]) >= j_min
-        admissible &= np.triu(np.ones_like(admissible), k=1).astype(bool)
-        if not admissible.any():
-            continue
-        dmat = _pairwise(f.target, [f.assignment[v] for v in members])
-        best = min(best, float(np.min(dmat[admissible]) ** p))
-    if best is math.inf:
+@dataclass(frozen=True, eq=False)
+class Plan:
+    """One side of a functional as data over vertex pairs.
+
+    The pairs (u[i], v[i]) are vertex-order indices, cut into segments at
+    `starts`.  A segment reduces its pair distances d by `reduce`: "min" and
+    "max" take the extreme distance and then its p-th power, as the displays
+    do; "sum" adds weights * d^p.  Consecutive segments form groups
+    (`groups` holds each group's segment range), joined by `outer` ("sum"
+    or "min"); group g is divided by blocks[g] and by 2^(scales[g] p), and
+    the groups are added in order."""
+
+    u: np.ndarray
+    v: np.ndarray
+    starts: np.ndarray
+    reduce: str
+    weights: Optional[np.ndarray]
+    outer: str
+    groups: tuple
+    blocks: tuple
+    scales: tuple
+
+
+def _pow(x: np.ndarray, p: float) -> np.ndarray:
+    """x ** p by the scalar power, whose last bit numpy's vectorised power
+    does not always reproduce."""
+    return np.array([a ** p for a in x.ravel().tolist()]).reshape(x.shape)
+
+
+def evaluate(plan: Plan, d: np.ndarray, p: float) -> np.ndarray:
+    """The functional for each row of pair distances d (shape rows x pairs,
+    columns in plan order)."""
+    if plan.reduce == "sum":
+        seg = np.add.reduceat(plan.weights * d ** p, plan.starts, axis=1)
+    else:
+        extreme = np.minimum if plan.reduce == "min" else np.maximum
+        seg = _pow(extreme.reduceat(d, plan.starts, axis=1), p)
+    join = np.minimum if plan.outer == "min" else np.add
+    total = np.zeros(len(d))
+    for (lo, hi), blocks, s in zip(plan.groups, plan.blocks, plan.scales):
+        acc = seg[:, lo]
+        for c in range(lo + 1, hi):
+            acc = join(acc, seg[:, c])
+        total = total + acc / blocks / 2 ** (s * p)
+    return total
+
+
+def _build(reduce: str, outer: str, groups) -> Plan:
+    """groups: (segments, blocks, scale) triples, each segment a (u, v,
+    weights) triple."""
+    segs = [seg for segments, _, _ in groups for seg in segments]
+    sizes = [len(u) for u, _, _ in segs]
+    bounds = np.cumsum([0] + [len(segments) for segments, _, _ in groups])
+    return Plan(np.concatenate([u for u, _, _ in segs]),
+                np.concatenate([v for _, v, _ in segs]),
+                np.cumsum([0] + sizes[:-1]), reduce,
+                np.concatenate([w for _, _, w in segs]) if reduce == "sum" else None,
+                outer, tuple(zip(bounds[:-1].tolist(), bounds[1:].tolist())),
+                tuple(blocks for _, blocks, _ in groups),
+                tuple(scale for _, _, scale in groups))
+
+
+def _height_range(tg: TreeGraph, h: int) -> tuple[int, int]:
+    return (int(np.searchsorted(tg.depth, h)),
+            int(np.searchsorted(tg.depth, h, side="right")))
+
+
+def _prefix_pairs(tg: TreeGraph, h: int, length: int):
+    """All pairs i < j of height-h vertices whose length-`length` prefixes
+    agree, as vertex-order index arrays, with their common prefix lengths.
+    Vertices sharing a prefix are consecutive, so each vertex pairs with the
+    rest of its run."""
+    lo, hi = _height_range(tg, h)
+    key = tg.anc[lo:hi, length]
+    local = np.arange(hi - lo)
+    counts = np.searchsorted(key, key, side="right") - local - 1
+    i = np.repeat(local, counts)
+    j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
+    u, v = i + lo, j + lo
+    return u, v, tg.lcp(u, v)
+
+
+def _branch_pairs(tg: TreeGraph, h: int, lcp: int, j_min: Optional[int] = None):
+    """The pairs of height-h vertices whose longest common prefix has length
+    exactly `lcp`; with j_min set, one of the two diverging labels must be
+    >= j_min (the liminf tail knob)."""
+    u, v, common = _prefix_pairs(tg, h, lcp)
+    keep = common == lcp
+    if j_min is not None:
+        keep &= np.maximum(tg.label[tg.anc[u, lcp + 1]],
+                           tg.label[tg.anc[v, lcp + 1]]) >= j_min
+    if not keep.any():
         raise InvariantError("no admissible configuration (branching too small)")
-    return best
+    return u[keep], v[keep], None
+
+
+def _walk_pairs(tg: TreeGraph, window: int, t: int):
+    """The weighted pairs of E[d(f(W_t), f(W'_t))^q] for the directed walk
+    and a copy branching `window` steps before time t: every pair of
+    height-t vertices that agree before the branch time, weighted
+    P(diverge at step l) 2^-l times the uniform 2^-c over the common prefix
+    and 4^-(window - l) over the two tails, which is 2^(1 - window - t) for
+    every divergence step l."""
+    u, v, _ = _prefix_pairs(tg, t, t - window)
+    return u, v, np.full(len(u), 2.0 ** (1 - window - t))
+
+
+def _edge_pairs(tg: TreeGraph, level: int, weight: Optional[float] = None):
+    """The (parent, child) pairs of the edges between heights level-1 and
+    level."""
+    lo, hi = _height_range(tg, level)
+    child = np.arange(lo, hi)
+    w = None if weight is None else np.full(hi - lo, weight)
+    return tg.anc[child, level - 1], child, w
+
+
+def _compile_lhs(inv: InvariantId, tg: TreeGraph, k: int,
+                 j_min: Optional[int]) -> Plan:
+    if inv in (InvariantId.UMBEL_COTYPE, InvariantId.RELAXED_UMBEL):
+        return _build("min", "sum", [
+            ([_branch_pairs(tg, 2 ** k, 2 ** k - 2 ** s, j_min)], 1, s)
+            for s in range(1, k)])
+    if inv is InvariantId.FORK_COTYPE:
+        return _build("min", "min", [
+            ([_branch_pairs(tg, h, h - 2 ** s)
+              for h in range(2 ** s, 2 ** k + 1)], 1, s)
+            for s in range(1, k)])
+    if inv in (InvariantId.UMBEL_CONVEXITY, InvariantId.FORK_CONVEXITY):
+        groups = []
+        for s in range(1, k):
+            blocks = 2 ** (k - 1 - s)
+            heights = [t * 2 ** (s + 1) for t in range(1, blocks + 1)]
+            groups.append(([_branch_pairs(tg, h, h - 2 ** s, j_min)
+                            for h in heights], blocks, s))
+        return _build("min", "sum", groups)
+    if inv is InvariantId.TESSERA:
+        # each term averages d^q over the ordered pairs of 2^w-vertex blocks
+        # sharing a length-ell prefix (the diagonal is 0): weight 2 on each
+        # unordered pair
+        groups = []
+        for s in range(0, k):
+            w = 2 ** s
+            segments = []
+            for ell in range(w + 1, 2 ** k - w + 1):
+                u, v, _ = _prefix_pairs(tg, ell + w, ell)
+                segments.append((u, v, np.full(len(u), 2.0 ** (1 - ell - 2 * w))))
+            if segments:  # an empty index range makes the term vacuous
+                groups.append((segments, 1, s))
+        return _build("sum", "min", groups)
+    if inv is InvariantId.MARKOV_DIRECTED:
+        return _build("sum", "sum", [
+            ([_walk_pairs(tg, min(2 ** s, t), t)
+              for t in range(1, 2 ** k + 1)], 1, s)
+            for s in range(0, k + 1)])
+    raise InvariantError(f"unknown invariant {inv}")  # pragma: no cover
+
+
+def _compile_rhs(inv: InvariantId, tg: TreeGraph, k: int,
+                 j_min: Optional[int]) -> Optional[Plan]:
+    if inv in _LIPSCHITZ_IDS:
+        return None
+    if inv in (InvariantId.UMBEL_CONVEXITY, InvariantId.FORK_CONVEXITY):
+        return _build("max", "sum", [
+            ([_edge_pairs(tg, level) for level in range(1, 2 ** k + 1)],
+             2 ** k, 0)])
+    if inv is InvariantId.MARKOV_DIRECTED:
+        return _build("sum", "sum", [
+            ([_edge_pairs(tg, t, 2.0 ** -t) for t in range(1, 2 ** k + 1)],
+             1, 0)])
+    raise InvariantError(f"unknown invariant {inv}")  # pragma: no cover
+
+
+def compile_plan(inv: InvariantId, spec: TreeSpec, side: str,
+                 j_min: Optional[int] = None) -> Optional[Plan]:
+    """The plan of one side ("lhs" or "rhs") of a functional on a tree, or
+    None for a Lipschitz right-hand side.  Plans are compiled once and kept
+    on tree_graph's cached entry for the tree, so clearing that cache drops
+    them too.  j_min only enters the umbel left-hand sides."""
+    k = _validate(inv, spec)
+    if side == "rhs" or inv not in _INCREASING_IDS:
+        j_min = None
+    tg, _ = tree_graph(spec)
+    key = (inv, side, j_min)
+    if key not in tg.plans:
+        compile_side = _compile_lhs if side == "lhs" else _compile_rhs
+        tg.plans[key] = compile_side(inv, tg, k, j_min)
+    return tg.plans[key]
+
+
+def table_sides(inv: InvariantId, spec: TreeSpec, target, A: np.ndarray,
+                p: float) -> tuple[np.ndarray, np.ndarray]:
+    """(lhs, rhs) for a batch of maps into one finite table space: row r of
+    the int array A assigns point A[r, i] to vertex i (vertex order)."""
+    _check_exponent(p)
+    left_plan = compile_plan(inv, spec, "lhs")
+    right_plan = compile_plan(inv, spec, "rhs")
+    gather = target.distance_rows
+    left = evaluate(left_plan, gather(A[:, left_plan.u], A[:, left_plan.v]), p)
+    if right_plan is None:
+        dimg = gather(A[:, :, None], A[:, None, :])
+        right = _pow(np.maximum(*_lipschitz_pair_edge(dimg, tree_graph(spec)[0])), p)
+    else:
+        right = evaluate(right_plan, gather(A[:, right_plan.u], A[:, right_plan.v]), p)
+    return left, right
 
 
 # ---------------------------------------------------------------------------
 # LHS / RHS
 
 
+def _evaluate_map(plan: Plan, f: TreeMap, p: float) -> float:
+    return float(evaluate(plan, f.pair_distances(plan.u, plan.v)[None], p)[0])
+
+
 def lhs(inv: InvariantId, f: TreeMap, p: float,
         j_min: Optional[int] = None) -> float:
-    k = _validate(inv, f.spec)
-    if inv in (InvariantId.UMBEL_COTYPE, InvariantId.RELAXED_UMBEL):
-        return sum(
-            _min_branch_pair(f, 2 ** k, 2 ** k - 2 ** s, p, j_min) / 2 ** (s * p)
-            for s in range(1, k)
-        )
-    if inv is InvariantId.FORK_COTYPE:
-        total = 0.0
-        for s in range(1, k):
-            best = min(
-                _min_branch_pair(f, h, h - 2 ** s, p)
-                for h in range(2 ** s, 2 ** k + 1)
-            )
-            total += best / 2 ** (s * p)
-        return total
-    if inv in (InvariantId.UMBEL_CONVEXITY, InvariantId.FORK_CONVEXITY):
-        jm = j_min if inv is InvariantId.UMBEL_CONVEXITY else None
-        total = 0.0
-        for s in range(1, k):
-            blocks = 2 ** (k - 1 - s)
-            acc = 0.0
-            for t in range(1, blocks + 1):
-                h = t * 2 ** (s + 1)
-                acc += _min_branch_pair(f, h, h - 2 ** s, p, jm)
-            total += acc / blocks / 2 ** (s * p)
-        return total
-    if inv is InvariantId.TESSERA:
-        return _tessera_lhs(f, k, p)
-    if inv is InvariantId.MARKOV_DIRECTED:
-        return _markov_lhs(f, k, p)
-    raise InvariantError(f"unknown invariant {inv}")  # pragma: no cover
+    _check_exponent(p)
+    return _evaluate_map(compile_plan(inv, f.spec, "lhs", j_min), f, p)
+
+
+def _rhs(inv: InvariantId, f: TreeMap, p: float) -> tuple[float, Optional[bool]]:
+    """The right-hand side and, when it is a Lipschitz constant, whether its
+    pair and edge maxima disagree."""
+    _check_exponent(p)
+    plan = compile_plan(inv, f.spec, "rhs")
+    if plan is None:
+        lip, flag = lipschitz_constant(f, with_flag=True)
+        return lip ** p, flag
+    return _evaluate_map(plan, f, p), None
 
 
 def rhs(inv: InvariantId, f: TreeMap, p: float) -> float:
-    k = _validate(inv, f.spec)
-    if inv in _COTYPE_IDS or inv is InvariantId.TESSERA:
-        return lipschitz_constant(f) ** p
-    if inv in (InvariantId.UMBEL_CONVEXITY, InvariantId.FORK_CONVEXITY):
-        total = 0.0
-        for level in range(1, 2 ** k + 1):
-            total += max(f.dist(u, v) ** p for u, v in trees.level_edges(f.spec, level))
-        return total / 2 ** k
-    if inv is InvariantId.MARKOV_DIRECTED:
-        total = 0.0
-        for t in range(1, 2 ** k + 1):
-            verts = vertices_at_height(f.spec, t)
-            total += sum(f.dist(v[:-1], v) ** p for v in verts) / len(verts)
-        return total
-    raise InvariantError(f"unknown invariant {inv}")  # pragma: no cover
+    return _rhs(inv, f, p)[0]
 
 
 @dataclass(frozen=True)
@@ -298,10 +509,12 @@ class InvariantReport:
     rhs: float
     ratio_root: Optional[float]
     params: dict
+    lipschitz_flag: Optional[bool] = None
 
     def to_json(self) -> str:
         obj = {"invariant": self.invariant, "exponent": self.exponent,
-               "lhs": self.lhs, "rhs": self.rhs, "params": self.params}
+               "lhs": self.lhs, "rhs": self.rhs, "params": self.params,
+               "lipschitz_flag": self.lipschitz_flag}
         if self.ratio_root is not None:
             obj["ratio_root"] = self.ratio_root
         return json.dumps(obj)
@@ -310,102 +523,31 @@ class InvariantReport:
 def report(inv: InvariantId, f: TreeMap, p: float,
            j_min: Optional[int] = None) -> InvariantReport:
     k = _validate(inv, f.spec)
-    left = lhs(inv, f, p, j_min) if inv in _INCREASING_IDS else lhs(inv, f, p)
-    right = rhs(inv, f, p)
+    left = lhs(inv, f, p, j_min)
+    right, flag = _rhs(inv, f, p)
     ratio_root = (left / right) ** (1 / p) if right > 0 else None
     params = {"k": k, "height": f.spec.height, "liminf_j_min": j_min,
               "chain": "directed" if inv is InvariantId.MARKOV_DIRECTED else None}
     if f.spec.kind == INCREASING:
         params["b"] = f.spec.branching
-    return InvariantReport(inv.value, p, left, right, ratio_root, params)
-
-
-# ---------------------------------------------------------------------------
-# Tessera
-
-
-def _height_index(v: Vertex) -> int:
-    idx = 0
-    for c in v:
-        idx = 2 * idx + (c + 1) // 2
-    return idx
-
-
-def _height_matrix(f: TreeMap, h: int) -> np.ndarray:
-    """Image distances between all pairs of height-h binary vertices, indexed
-    in lexicographic (-1 < 1) order."""
-    verts = vertices_at_height(f.spec, h)
-    pts = [f.assignment[v] for v in verts]
-    return _pairwise(f.target, pts)
-
-
-def _tessera_lhs(f: TreeMap, k: int, q: float) -> float:
-    total = 0.0
-    for s in range(0, k):
-        lo, hi = 2 ** s, 2 ** k - 2 ** s
-        candidates = range(lo + 1, hi + 1)
-        if not candidates:
-            continue  # empty index range: the term is vacuous
-        best = math.inf
-        w = 2 ** s
-        for ell in candidates:
-            mat = _height_matrix(f, ell + w) ** q
-            block = 2 ** w
-            acc = 0.0
-            for z in range(2 ** ell):
-                sl = slice(z * block, (z + 1) * block)
-                acc += mat[sl, sl].sum()
-            val = acc / 2 ** ell / block ** 2
-            best = min(best, val)
-        if best is not math.inf:
-            total += best / 2 ** (s * q)
-    return total
+    return InvariantReport(inv.value, p, left, right, ratio_root, params, flag)
 
 
 # ---------------------------------------------------------------------------
 # Directed Markov walk
 
 
-def _branch_expectation(f: TreeMap, window: int, t: int, q: float) -> float:
-    """E[d(f(W_t), f(W'_t))^q] for the directed walk and an independent copy
-    branching `window` steps before time t (window = t when the branch time
-    is at or before the root).
-
-    Decomposes over the first step at which the walks diverge.  Conditional
-    on divergence at step l of the window, the walks sit at (z, -1, delta)
-    and (z, +1, delta') for a uniform common prefix z and independent uniform
-    tails; the no-divergence event contributes 0.
-    """
-    if window == 0:
-        return 0.0
-    mat = _height_matrix(f, t) ** q
-    base = t - window
-    total = 0.0
-    for l in range(1, window + 1):
-        tail = window - l
-        c = base + l - 1  # common prefix height
-        block = 2 ** tail
-        acc = 0.0
-        for z in range(2 ** c):
-            row = slice(z * 2 * block, z * 2 * block + block)
-            col = slice(z * 2 * block + block, (z + 1) * 2 * block)
-            acc += mat[row, col].sum()
-        # P(diverge at step l) = 2^{-l}; prefix uniform over 2^c; tails
-        # uniform over block^2 ordered pairs (both divergence orders agree
-        # by symmetry of the double tail sum).
-        total += 2.0 ** (-l) * acc / 2 ** c / block ** 2
-    return total
-
-
 def markov_pair_expectation_exact(f: TreeMap, s: int, t: int, q: float) -> float:
     """Exact E[d(f(W_t), f(W~_t(t - 2^s)))^q] for the directed random walk on
     a binary tree of height 2^k and its copy branching at time t - 2^s."""
     k = _validate(InvariantId.MARKOV_DIRECTED, f.spec)
+    _check_exponent(q)
     if not 0 <= s <= k:
         raise InvariantError("s out of range")
     if not 2 ** s <= t <= 2 ** k:
         raise InvariantError("t out of range")
-    return _branch_expectation(f, 2 ** s, t, q)
+    u, v, w = _walk_pairs(tree_graph(f.spec)[0], 2 ** s, t)
+    return float(w @ f.pair_distances(u, v) ** q)
 
 
 def markov_pair_expectation_mc(f: TreeMap, s: int, t: int, q: float,
@@ -413,6 +555,7 @@ def markov_pair_expectation_mc(f: TreeMap, s: int, t: int, q: float,
     """Monte Carlo oracle for markov_pair_expectation_exact over n coupled
     walk pairs; returns (estimate, standard error)."""
     k = _validate(InvariantId.MARKOV_DIRECTED, f.spec)
+    _check_exponent(q)
     if n < 1:
         raise InvariantError("n must be >= 1")
     if not (0 <= s <= k and 2 ** s <= t <= 2 ** k):
@@ -425,19 +568,10 @@ def markov_pair_expectation_mc(f: TreeMap, s: int, t: int, q: float,
     weights_shared = 2 ** np.arange(t - 1, window - 1, -1) if t > window else np.zeros(0, int)
     weights_tail = 2 ** np.arange(window - 1, -1, -1)
     base = shared @ weights_shared if t > window else np.zeros(n, int)
-    ui = base + a_tail @ weights_tail
-    vi = base + b_tail @ weights_tail
-    mat = _height_matrix(f, t)
-    vals = mat[ui, vi] ** q
+    # height-t vertices sit in lexicographic (-1 < +1) order from `first`
+    first, _ = _height_range(tree_graph(f.spec)[0], t)
+    vals = f.pair_distances(first + base + a_tail @ weights_tail,
+                            first + base + b_tail @ weights_tail) ** q
     est = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return est, se
-
-
-def _markov_lhs(f: TreeMap, k: int, p: float) -> float:
-    total = 0.0
-    for s in range(0, k + 1):
-        for t in range(1, 2 ** k + 1):
-            window = min(2 ** s, t)
-            total += _branch_expectation(f, window, t, p) / 2 ** (s * p)
-    return total

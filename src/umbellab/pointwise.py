@@ -81,8 +81,8 @@ class InequalityConfig:
     xs_count: int = 4
 
     def __post_init__(self):
-        if self.exponent <= 0:
-            raise PointwiseError("exponent must be positive")
+        if not (math.isfinite(self.exponent) and self.exponent > 0):
+            raise PointwiseError("exponent must be finite and positive")
         if self.K <= 0 or self.C <= 0:
             raise PointwiseError("constants must be positive")
         if self.slack < 0:
@@ -113,7 +113,9 @@ class CampaignReport:
             "n": self.n,
             "seed": self.seed,
             "violations": self.violations,
-            "worst_margin": self.worst_margin,
+            # a nan margin (a violation) or an empty run has no number
+            "worst_margin": (self.worst_margin
+                             if math.isfinite(self.worst_margin) else None),
             "worst_witness": _jsonable(self.worst_witness),
         })
 
@@ -351,7 +353,8 @@ def certify(space, ineq: InequalityId, cfg: InequalityConfig, sampler,
     drawn as one array and evaluated by `batch_margins`; any other sampler is
     called once per configuration and checked by `check_inequality`.  Both
     count a violation when not margin >= -slack (so a NaN margin counts) and
-    report the first strict minimum of the margins."""
+    report the first strict minimum of the margins, where the first NaN
+    margin ranks below every number."""
     if n < 1:
         raise PointwiseError("n must be >= 1")
     check_space(space, ineq)
@@ -369,20 +372,27 @@ def certify(space, ineq: InequalityId, cfg: InequalityConfig, sampler,
                 rep = check_inequality(ineq, cfg, sampler(rng), space)
                 if not rep.holds:
                     violations += 1
-                if rep.margin < worst:
+                if _worse(rep.margin, worst):
                     worst, witness = rep.margin, rep.witness
             continue
         pts = batch(rng, size)
         with np.errstate(over="raise", divide="raise"):
             margins = batch_margins(ineq, cfg, space, pts)
         violations += int(np.count_nonzero(~(margins >= -cfg.slack)))
-        i = int(np.argmin(np.where(np.isnan(margins), np.inf, margins)))
-        if margins[i] < worst:
+        nan = np.isnan(margins)
+        i = int(np.argmax(nan) if nan.any() else np.argmin(margins))
+        if _worse(float(margins[i]), worst):
             worst, witness = float(margins[i]), _witness(ineq, space, pts[i])
     return CampaignReport(ineq.value,
                           {"exponent": cfg.exponent, "K": cfg.K, "C": cfg.C,
                            "slack": cfg.slack},
                           n, seed, violations, worst, witness)
+
+
+def _worse(margin: float, worst: float) -> bool:
+    """Whether `margin` replaces `worst`: a strictly smaller number, or the
+    first NaN."""
+    return margin < worst or (math.isnan(margin) and not math.isnan(worst))
 
 
 def min_feasible_K(space, ineq: InequalityId, cfg: InequalityConfig, sampler,

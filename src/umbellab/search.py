@@ -1,9 +1,12 @@
 """Extremal-constant search: maximize lhs/rhs of a tree functional over
-assignments of tree vertices to points of a finite target space."""
+assignments of tree vertices to points of a finite target space.
+
+Assignments are int arrays in vertex order, scored in batches through the
+functional's compiled plans (invariants.table_sides)."""
 
 from __future__ import annotations
 
-import itertools
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -11,12 +14,13 @@ from typing import Optional
 
 import numpy as np
 
-from .invariants import (InvariantId, InvariantReport,
-                         TreeMap, lhs, rhs, report)
+from .invariants import (InvariantId, InvariantReport, TreeMap, report,
+                         table_sides)
 from .spaces import FiniteMatrixSpace
-from .trees import TreeSpec, Vertex, vertices
+from .trees import TreeSpec, Vertex, tree_graph, vertices
 
 _EXHAUSTIVE_BUDGET = 10 ** 7
+_BATCH = 1 << 20  # gathered distances per scored batch
 
 
 class SearchError(ValueError):
@@ -54,10 +58,14 @@ class SearchResult:
     feasible: bool
     best_map: Optional[TreeMap]
     best_ratio: float
+    evaluations: int = 0           # assignments scored
+    feasible_evaluations: int = 0  # of which rhs > 0
 
     def to_json(self) -> str:
         ratio = self.best_ratio if math.isfinite(self.best_ratio) else None
-        obj = {"feasible": self.feasible, "best_ratio": ratio}
+        obj = {"feasible": self.feasible, "best_ratio": ratio,
+               "evaluations": self.evaluations,
+               "feasible_evaluations": self.feasible_evaluations}
         if self.best_map is not None:
             obj["assignment"] = [[list(v), p] for v, p in
                                  sorted(self.best_map.assignment.items(),
@@ -68,30 +76,64 @@ class SearchResult:
 NO_FEASIBLE = SearchResult(False, None, -math.inf)
 
 
-def _ratio(problem: SearchProblem, assignment: dict) -> Optional[float]:
-    f = TreeMap(problem.spec, problem.target, assignment)
-    denom = rhs(problem.invariant, f, problem.exponent)
-    if denom <= 0:
-        return None
-    return lhs(problem.invariant, f, problem.exponent) / denom
+class _Scorer:
+    """lhs/rhs ratios of batches of assignment arrays (rows of A), nan where
+    rhs <= 0."""
+
+    def __init__(self, problem: SearchProblem):
+        self.problem = problem
+        graph, index = tree_graph(problem.spec)
+        self.index = index
+        self.verts = list(index)
+        self.rows = max(1, _BATCH // graph.n ** 2)
+
+    def __call__(self, A: np.ndarray) -> np.ndarray:
+        pr = self.problem
+        out = np.empty(len(A))
+        for lo in range(0, len(A), self.rows):
+            left, right = table_sides(pr.invariant, pr.spec, pr.target,
+                                      A[lo:lo + self.rows], pr.exponent)
+            ok = right > 0
+            out[lo:lo + self.rows] = np.where(ok, left / np.where(ok, right, 1.0),
+                                              np.nan)
+        return out
+
+    def array(self, assignment: dict) -> np.ndarray:
+        return np.array([assignment[v] for v in self.verts], dtype=np.intp)
+
+    def result(self, a: np.ndarray, ratio: float) -> SearchResult:
+        return SearchResult(True, TreeMap(self.problem.spec, self.problem.target,
+                                          dict(zip(self.verts, a.tolist()))),
+                            ratio)
 
 
 def exhaustive_max(problem: SearchProblem,
                    budget: int = _EXHAUSTIVE_BUDGET) -> SearchResult:
-    """Global maximum of lhs/rhs over all assignments of the free vertices."""
+    """Global maximum of lhs/rhs over all assignments of the free vertices,
+    the first maximum in itertools.product order."""
     free = problem.free_vertices()
-    total = problem.target.n ** len(free)
+    n = problem.target.n
+    total = n ** len(free)
     if total > budget:
         raise BudgetExceeded(f"{total} assignments exceed the exhaustive budget")
-    best = NO_FEASIBLE
-    for combo in itertools.product(range(problem.target.n), repeat=len(free)):
-        assignment = dict(problem.pins)
-        assignment.update(zip(free, combo))
-        r = _ratio(problem, assignment)
-        if r is not None and r > best.best_ratio:
-            best = SearchResult(True, TreeMap(problem.spec, problem.target,
-                                              assignment), r)
-    return best
+    score = _Scorer(problem)
+    base = score.array({**dict.fromkeys(score.verts, 0), **problem.pins})
+    cols = [score.index[v] for v in free]
+    best, feasible = NO_FEASIBLE, 0
+    for lo in range(0, total, score.rows):
+        combos = np.arange(lo, min(lo + score.rows, total))
+        A = np.repeat(base[None], len(combos), axis=0)
+        if cols:
+            A[:, cols] = np.stack(np.unravel_index(combos, (n,) * len(cols)), axis=1)
+        ratios = score(A)
+        ok = ~np.isnan(ratios)
+        feasible += int(ok.sum())
+        if ok.any():
+            i = int(np.argmax(np.where(ok, ratios, -math.inf)))
+            if ratios[i] > best.best_ratio:
+                best = score.result(A[i], float(ratios[i]))
+    return dataclasses.replace(best, evaluations=total,
+                               feasible_evaluations=feasible)
 
 
 def canonical_start(problem: SearchProblem) -> dict:
@@ -112,46 +154,60 @@ def local_search_max(problem: SearchProblem, restarts: int, steps: int,
                      seed: int) -> SearchResult:
     """Hill-climbing over single-vertex reassignments with random restarts.
     The first start is the canonical pin-propagated map; later starts draw
-    the free vertices uniformly."""
-    free = problem.free_vertices()
-    rng = np.random.default_rng(seed)
-    best = NO_FEASIBLE
+    the free vertices uniformly.
 
-    def climb(assignment: dict) -> None:
-        nonlocal best
-        current = _ratio(problem, assignment)
-        if current is not None and current > best.best_ratio:
-            best = SearchResult(True, TreeMap(problem.spec, problem.target,
-                                              dict(assignment)), current)
+    The n reassignments of one vertex differ from the current map only at
+    that vertex, so they are scored in one batch and then accepted in point
+    order, each when it beats the current ratio by more than 1e-15."""
+    free = problem.free_vertices()
+    n = problem.target.n
+    rng = np.random.default_rng(seed)
+    score = _Scorer(problem)
+    cols = [score.index[v] for v in free]
+    best = NO_FEASIBLE
+    evaluations = feasible = 0
+
+    def climb(a: np.ndarray) -> None:
+        nonlocal best, evaluations, feasible
+        r = float(score(a[None])[0])
+        evaluations += 1
+        current = None if math.isnan(r) else r
+        if current is not None:
+            feasible += 1
+            if current > best.best_ratio:
+                best = score.result(a, current)
         for _ in range(steps):
             improved = False
-            for v in free:
-                old = assignment[v]
-                for pt in range(problem.target.n):
+            for i in cols:
+                candidates = np.repeat(a[None], n, axis=0)
+                candidates[:, i] = np.arange(n)
+                ratios = score(candidates).tolist()
+                old = int(a[i])
+                for pt, r in enumerate(ratios):
                     if pt == old:
                         continue
-                    assignment[v] = pt
-                    r = _ratio(problem, assignment)
-                    if r is not None and (current is None or r > current + 1e-15):
+                    evaluations += 1
+                    if math.isnan(r):
+                        continue
+                    feasible += 1
+                    if current is None or r > current + 1e-15:
                         current = r
                         old = pt
                         improved = True
-                    else:
-                        assignment[v] = old
-                assignment[v] = old
+                a[i] = old
             if current is not None and current > best.best_ratio:
-                best = SearchResult(True, TreeMap(problem.spec, problem.target,
-                                                  dict(assignment)), current)
+                best = score.result(a, current)
             if not improved:
                 break
 
-    climb(canonical_start(problem))
+    climb(score.array(canonical_start(problem)))
     for _ in range(restarts):
         assignment = dict(problem.pins)
         for v in free:
-            assignment[v] = int(rng.integers(problem.target.n))
-        climb(assignment)
-    return best
+            assignment[v] = int(rng.integers(n))
+        climb(score.array(assignment))
+    return dataclasses.replace(best, evaluations=evaluations,
+                               feasible_evaluations=feasible)
 
 
 def identity_report(spec: TreeSpec, invariant: InvariantId,

@@ -54,7 +54,7 @@ class LpSpace:
     p: float
 
     def __post_init__(self):
-        if self.p < 1:
+        if not self.p >= 1:  # also rejects nan
             raise SpaceError("p must be >= 1")
         if self.dim < 1:
             raise SpaceError("dim must be >= 1")
@@ -86,6 +86,10 @@ class LpSpace:
     def point(self, row: np.ndarray) -> tuple:
         return tuple(row.tolist())
 
+    def rows(self, points) -> np.ndarray:
+        """The inverse of `point`: one row per point."""
+        return np.asarray(points, dtype=float)
+
     def sample(self, rng: np.random.Generator) -> tuple:
         return self.point(self.sample_batch(rng, 1, 1)[0, 0])
 
@@ -108,6 +112,9 @@ class _TableSpace:
 
     def point(self, i) -> int:
         return int(i)
+
+    def rows(self, points) -> np.ndarray:
+        return np.asarray(points, dtype=np.intp)
 
     def sample(self, rng: np.random.Generator) -> int:
         return self.point(self.sample_batch(rng, 1, 1)[0, 0])
@@ -186,6 +193,9 @@ class GraphMetricSpace(_TableSpace):
     def distance(self, a: int, b: int) -> float:
         return self.graph.distance(a, b)
 
+    def distance_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self.graph.distance_rows(a, b)
+
     def describe(self) -> str:
         return f"graph:n={self.graph.n}"
 
@@ -198,7 +208,7 @@ class ProductSpace:
     p: float
 
     def __post_init__(self):
-        if self.p < 1:
+        if not self.p >= 1:  # also rejects nan
             raise SpaceError("p must be >= 1")
 
     @property
@@ -354,6 +364,9 @@ class HeisenbergMetricSpace:
 
     def point(self, row: np.ndarray) -> HPoint:
         return HPoint(tuple(row[:-1].tolist()), float(row[-1]))
+
+    def rows(self, points) -> np.ndarray:
+        return np.array([p.x + (p.s,) for p in points], dtype=float)
 
     def sample(self, rng: np.random.Generator) -> HPoint:
         return self.point(self.sample_batch(rng, 1, 1)[0, 0])

@@ -214,14 +214,20 @@ class GraphSpace:
     def __post_init__(self):
         if self.dist is None:
             object.__setattr__(self, "dist", _apsp(self.n, self.edges))
-        d = self.dist
-        if not np.isfinite(d).all():
-            raise TreeSpecError("graph is not connected")
-        if not np.array_equal(d, d.T) or np.diagonal(d).any():
-            raise TreeSpecError("invalid distance table")
+        _check_table(self.dist)
 
     def distance(self, i: int, j: int) -> float:
         return float(self.dist[i, j])
+
+    def distance_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self.dist[a, b]
+
+
+def _check_table(d: np.ndarray) -> None:
+    if not np.isfinite(d).all():
+        raise TreeSpecError("graph is not connected")
+    if not np.array_equal(d, d.T) or np.diagonal(d).any():
+        raise TreeSpecError("invalid distance table")
 
 
 def _apsp(n: int, edges) -> np.ndarray:
@@ -233,32 +239,78 @@ def _apsp(n: int, edges) -> np.ndarray:
     return shortest_path(adj, method="D", unweighted=True)
 
 
-@functools.lru_cache(maxsize=64)
-def tree_graph(spec: TreeSpec) -> tuple[GraphSpace, dict[Vertex, int]]:
-    """The tree itself as a GraphSpace, with its vertex index mapping.
+class TreeGraph(GraphSpace):
+    """A tree as a GraphSpace, with its vertices listed by height.
 
-    The distance table is depth(u) + depth(v) - 2 lcp(u, v), filled in place:
-    lcp is counted by one equality pass per level over the ancestor indices
-    of each vertex, so no shortest-path search runs."""
+    depth[i] is the height of vertex i, anc[i, l] the index of its length-l
+    prefix (for l <= depth[i]) and label[i] its last label (0 at the root).
+    The distance table is built on first use: invariant plans and pair
+    distances need only depths and ancestors.  `plans` holds what is compiled
+    over this tree, so it lives exactly as long as tree_graph's cache
+    entry."""
+
+    def __init__(self, n: int, edges, depth: np.ndarray, anc: np.ndarray,
+                 label: np.ndarray):
+        for name, value in (("n", n), ("edges", edges), ("depth", depth),
+                            ("anc", anc), ("label", label), ("plans", {}),
+                            ("_dist", None)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def dist(self) -> np.ndarray:
+        # symmetric with a zero diagonal by construction: no table check
+        if self._dist is None:
+            object.__setattr__(self, "_dist", _tree_distances(self.depth, self.anc))
+        return self._dist
+
+    def lcp(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Common prefix lengths of the vertices u and v (index arrays,
+        broadcast against each other): the levels at which their ancestors
+        agree, an ancestor index being 0 only at the root level."""
+        out = np.zeros(np.broadcast_shapes(np.shape(u), np.shape(v)), dtype=np.intp)
+        for level in range(1, self.anc.shape[1]):
+            au = self.anc[u, level]
+            out += (au == self.anc[v, level]) & (au != 0)
+        return out
+
+    def distance_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Tree distances of index arrays a and b without the table."""
+        return (self.depth[a] + self.depth[b] - 2 * self.lcp(a, b)).astype(float)
+
+
+@functools.lru_cache(maxsize=64)
+def tree_graph(spec: TreeSpec) -> tuple[TreeGraph, dict[Vertex, int]]:
+    """The tree itself as a TreeGraph, with its vertex index mapping.
+
+    The distance table is depth(u) + depth(v) - 2 lcp(u, v), filled in place
+    when first read: lcp is counted by one equality pass per level over the
+    ancestor indices of each vertex, so no shortest-path search runs."""
     verts = vertices(spec)
     index = {v: i for i, v in enumerate(verts)}
     parents = np.array([index[v[:-1]] for v in verts[1:]], dtype=np.intp)
     edges = tuple(zip(parents.tolist(), range(1, len(verts))))
-    return GraphSpace(len(verts), edges, _tree_distances(verts, parents)), index
-
-
-def _tree_distances(verts: list[Vertex], parents: np.ndarray) -> np.ndarray:
-    """Path distances of a tree whose vertices are listed by height, with
-    parents[i - 1] the index of the parent of vertex i."""
-    n = len(verts)
     depth = np.array([len(v) for v in verts])
+    anc = _ancestors(depth, parents)
+    label = np.array([v[-1] if v else 0 for v in verts])
+    return TreeGraph(len(verts), edges, depth, anc, label), index
+
+
+def _ancestors(depth: np.ndarray, parents: np.ndarray) -> np.ndarray:
+    """anc[i, l]: index of the length-l prefix of vertex i, for l <= depth(i),
+    of a tree whose vertices are listed by height with parents[i - 1] the
+    index of the parent of vertex i."""
     height = int(depth.max())
-    # anc[i, l]: index of the length-l prefix of vertex i, for l <= depth(i)
-    anc = np.zeros((n, height + 1), dtype=np.intp)
+    anc = np.zeros((len(depth), height + 1), dtype=np.intp)
     for level in range(1, height + 1):
         rows = np.flatnonzero(depth == level)
         anc[rows, :level] = anc[parents[rows - 1], :level]
         anc[rows, level] = rows
+    return anc
+
+
+def _tree_distances(depth: np.ndarray, anc: np.ndarray) -> np.ndarray:
+    """Path distances of a tree from its depths and ancestor indices."""
+    n, height = len(depth), anc.shape[1] - 1
     fdepth = depth.astype(float)
     dist = np.add.outer(fdepth, fdepth)
     same = np.empty((n, n), dtype=bool)

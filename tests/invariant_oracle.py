@@ -1,0 +1,173 @@
+"""The per-invariant loops that evaluated every functional before the
+library compiled them into plans (see umbellab.invariants).  They walk the
+displays of each functional directly and serve as the test oracle for the
+compiled plans; nothing in the library imports them."""
+
+from __future__ import annotations
+
+import math
+from typing import Optional
+
+import numpy as np
+
+from umbellab import trees
+from umbellab.invariants import (InvariantError, InvariantId, TreeMap,
+                                 _COTYPE_IDS, _pairwise, _validate)
+from umbellab.trees import Vertex, tree_graph, vertices_at_height
+from umbellab import spaces as sp
+
+
+def lipschitz_constant(f: TreeMap, with_flag: bool = False):
+    """Pair maximum over one full n x n ratio buffer, edge maximum by
+    walking the edges through f.dist."""
+    graph, index = tree_graph(f.spec)
+    dtree, dimg = graph.dist, _pairwise(f.target, [f.assignment[v] for v in index])
+    ratio = np.zeros_like(dimg)
+    np.divide(dimg, dtree, out=ratio, where=dtree > 0)
+    pair_lip = float(ratio.max())
+    edge = max((f.dist(u, v) for level in range(1, f.spec.height + 1)
+                for u, v in trees.level_edges(f.spec, level)), default=0.0)
+    value = max(pair_lip, edge)
+    if with_flag:
+        return value, not sp.close(pair_lip, edge)
+    return value
+
+
+def _min_branch_pair(f: TreeMap, height: int, lcp: int, p: float,
+                     j_min: Optional[int] = None) -> float:
+    """Minimum of d(f(u), f(v))^p over pairs of height-`height` vertices whose
+    longest common prefix has length exactly `lcp`.  With j_min set, one of
+    the two diverging labels must be >= j_min (the liminf tail knob)."""
+    groups: dict[Vertex, list[Vertex]] = {}
+    for v in vertices_at_height(f.spec, height):
+        groups.setdefault(v[:lcp], []).append(v)
+    best = math.inf
+    for members in groups.values():
+        if len(members) < 2:
+            continue
+        labels = np.array([v[lcp] for v in members])
+        admissible = labels[:, None] != labels[None, :]
+        if j_min is not None:
+            admissible &= np.maximum(labels[:, None], labels[None, :]) >= j_min
+        admissible &= np.triu(np.ones_like(admissible), k=1).astype(bool)
+        if not admissible.any():
+            continue
+        dmat = _pairwise(f.target, [f.assignment[v] for v in members])
+        best = min(best, float(np.min(dmat[admissible]) ** p))
+    if best is math.inf:
+        raise InvariantError("no admissible configuration (branching too small)")
+    return best
+
+
+def lhs(inv: InvariantId, f: TreeMap, p: float,
+        j_min: Optional[int] = None) -> float:
+    k = _validate(inv, f.spec)
+    if inv in (InvariantId.UMBEL_COTYPE, InvariantId.RELAXED_UMBEL):
+        return sum(
+            _min_branch_pair(f, 2 ** k, 2 ** k - 2 ** s, p, j_min) / 2 ** (s * p)
+            for s in range(1, k)
+        )
+    if inv is InvariantId.FORK_COTYPE:
+        total = 0.0
+        for s in range(1, k):
+            best = min(
+                _min_branch_pair(f, h, h - 2 ** s, p)
+                for h in range(2 ** s, 2 ** k + 1)
+            )
+            total += best / 2 ** (s * p)
+        return total
+    if inv in (InvariantId.UMBEL_CONVEXITY, InvariantId.FORK_CONVEXITY):
+        jm = j_min if inv is InvariantId.UMBEL_CONVEXITY else None
+        total = 0.0
+        for s in range(1, k):
+            blocks = 2 ** (k - 1 - s)
+            acc = 0.0
+            for t in range(1, blocks + 1):
+                h = t * 2 ** (s + 1)
+                acc += _min_branch_pair(f, h, h - 2 ** s, p, jm)
+            total += acc / blocks / 2 ** (s * p)
+        return total
+    if inv is InvariantId.TESSERA:
+        return _tessera_lhs(f, k, p)
+    if inv is InvariantId.MARKOV_DIRECTED:
+        return _markov_lhs(f, k, p)
+    raise InvariantError(f"unknown invariant {inv}")  # pragma: no cover
+
+
+def rhs(inv: InvariantId, f: TreeMap, p: float) -> float:
+    k = _validate(inv, f.spec)
+    if inv in _COTYPE_IDS or inv is InvariantId.TESSERA:
+        return lipschitz_constant(f) ** p
+    if inv in (InvariantId.UMBEL_CONVEXITY, InvariantId.FORK_CONVEXITY):
+        total = 0.0
+        for level in range(1, 2 ** k + 1):
+            total += max(f.dist(u, v) ** p for u, v in trees.level_edges(f.spec, level))
+        return total / 2 ** k
+    if inv is InvariantId.MARKOV_DIRECTED:
+        total = 0.0
+        for t in range(1, 2 ** k + 1):
+            verts = vertices_at_height(f.spec, t)
+            total += sum(f.dist(v[:-1], v) ** p for v in verts) / len(verts)
+        return total
+    raise InvariantError(f"unknown invariant {inv}")  # pragma: no cover
+
+
+def _height_matrix(f: TreeMap, h: int) -> np.ndarray:
+    """Image distances between all pairs of height-h binary vertices, indexed
+    in lexicographic (-1 < 1) order."""
+    verts = vertices_at_height(f.spec, h)
+    return _pairwise(f.target, [f.assignment[v] for v in verts])
+
+
+def _tessera_lhs(f: TreeMap, k: int, q: float) -> float:
+    total = 0.0
+    for s in range(0, k):
+        lo, hi = 2 ** s, 2 ** k - 2 ** s
+        candidates = range(lo + 1, hi + 1)
+        if not candidates:
+            continue  # empty index range: the term is vacuous
+        best = math.inf
+        w = 2 ** s
+        for ell in candidates:
+            mat = _height_matrix(f, ell + w) ** q
+            block = 2 ** w
+            acc = 0.0
+            for z in range(2 ** ell):
+                sl = slice(z * block, (z + 1) * block)
+                acc += mat[sl, sl].sum()
+            val = acc / 2 ** ell / block ** 2
+            best = min(best, val)
+        if best is not math.inf:
+            total += best / 2 ** (s * q)
+    return total
+
+
+def branch_expectation(f: TreeMap, window: int, t: int, q: float) -> float:
+    """E[d(f(W_t), f(W'_t))^q] for the directed walk and an independent copy
+    branching `window` steps before time t, by decomposing over the first
+    step at which the walks diverge (no divergence contributes 0)."""
+    if window == 0:
+        return 0.0
+    mat = _height_matrix(f, t) ** q
+    base = t - window
+    total = 0.0
+    for l in range(1, window + 1):
+        tail = window - l
+        c = base + l - 1  # common prefix height
+        block = 2 ** tail
+        acc = 0.0
+        for z in range(2 ** c):
+            row = slice(z * 2 * block, z * 2 * block + block)
+            col = slice(z * 2 * block + block, (z + 1) * 2 * block)
+            acc += mat[row, col].sum()
+        total += 2.0 ** (-l) * acc / 2 ** c / block ** 2
+    return total
+
+
+def _markov_lhs(f: TreeMap, k: int, p: float) -> float:
+    total = 0.0
+    for s in range(0, k + 1):
+        for t in range(1, 2 ** k + 1):
+            window = min(2 ** s, t)
+            total += branch_expectation(f, window, t, p) / 2 ** (s * p)
+    return total

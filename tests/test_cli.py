@@ -231,3 +231,68 @@ def test_certify_large_xs_count(capsys):
     obj = json.loads(out)
     assert (code == 1) == (obj["violations"] > 0)
     assert len(obj["worst_witness"][2]) == 100
+
+
+def run_strict(capsys, *argv):
+    """Exit code, stdout and the stderr JSON error of a run in which any
+    warning is an error."""
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(list(argv))
+    captured = capsys.readouterr()
+    err = json.loads(captured.err, parse_constant=_reject_constant) \
+        if captured.err else None
+    return code, captured.out, err
+
+
+@pytest.mark.parametrize("p", ["nan", "inf", "-1", "0"])
+def test_invariant_bad_exponent_exit_two(capsys, p):
+    code, out, err = run_strict(capsys, "invariant", "--tree", "bin:h=4",
+                                "--invariant", "fork-cotype", "--p", p)
+    assert code == 2 and out == ""
+    assert "exponent" in err["error"]
+
+
+def test_certify_infinite_exponent_exit_two(capsys):
+    code, out, err = run_strict(capsys, "certify", "--space", "l2:dim=2",
+                                "--inequality", "tripod", "--q", "inf",
+                                "--samples", "10")
+    assert code == 2 and out == ""
+    assert "exponent" in err["error"]
+
+
+def test_certify_nan_lp_exponent_exit_two(capsys):
+    code, out, err = run_strict(capsys, "certify", "--space",
+                                "lp:p=nan,dim=2", "--inequality", "tripod",
+                                "--samples", "10")
+    assert code == 2 and out == ""
+    assert "p must be" in err["error"]
+
+
+def test_invariant_document_lipschitz_flag(capsys):
+    for inv, flag in (("umbel-cotype", False), ("umbel-convexity", None)):
+        code, out, _ = run_strict(capsys, "invariant", "--tree", "inc:h=4,b=6",
+                                  "--invariant", inv, "--p", "2")
+        assert code == 0
+        assert json.loads(out)["lipschitz_flag"] is flag
+
+
+def test_search_document_counts_evaluations(tmp_path, capsys):
+    target = tmp_path / "path.json"
+    target.write_text(json.dumps({"n": 3, "d": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}))
+    pins = tmp_path / "pins.json"
+    pins.write_text(json.dumps({"pins": [[[], 0]]}))
+    common = ["search", "--tree", "bin:h=2", "--invariant", "markov-directed",
+              "--p", "2", "--target-file", str(target),
+              "--pins-file", str(pins)]
+    code, out, _ = run_strict(capsys, *common, "--mode", "exhaustive")
+    obj = json.loads(out)
+    assert code == 0
+    assert obj["evaluations"] == 3 ** 6
+    assert 0 < obj["feasible_evaluations"] < obj["evaluations"]
+    code, out, _ = run_strict(capsys, *common, "--mode", "local",
+                              "--restarts", "2", "--steps", "3")
+    obj = json.loads(out)
+    assert code == 0
+    assert 0 < obj["feasible_evaluations"] <= obj["evaluations"]

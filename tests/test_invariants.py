@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import umbellab as U
-from umbellab.invariants import (InvariantError, _min_branch_pair,
-                                 distance_matrices)
+from umbellab.invariants import InvariantError, distance_matrices
 from umbellab.spaces import close
+
+from invariant_oracle import _min_branch_pair
 
 L3 = U.LpSpace(3, 2.0)
 
@@ -90,6 +91,13 @@ def test_min_branch_pair_requires_admissible_pairs():
     f = U.TreeMap.identity(spec)
     with pytest.raises(InvariantError):
         _min_branch_pair(f, 2, 0, 2.0, j_min=99)
+    # the compiled plans raise the same error for an empty configuration set
+    f = U.TreeMap.identity(U.parse_tree_spec("inc:h=4,b=6"))
+    for inv in (U.InvariantId.UMBEL_COTYPE, U.InvariantId.UMBEL_CONVEXITY):
+        with pytest.raises(InvariantError, match="no admissible configuration"):
+            U.lhs(inv, f, 2.0, j_min=99)
+        with pytest.raises(InvariantError, match="no admissible configuration"):
+            U.report(inv, f, 2.0, j_min=99)
 
 
 def test_validation_rejects_wrong_kind_and_small_b():
@@ -259,3 +267,23 @@ def test_report_json():
     obj = json.loads(rep.to_json())
     assert obj["invariant"] == "fork-cotype"
     assert obj["lhs"] == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -1.0, 0.0])
+def test_exponent_must_be_finite_and_positive(p):
+    f = U.TreeMap.identity(U.parse_tree_spec("bin:h=4"))
+    inv = U.InvariantId.FORK_COTYPE
+    for call in (U.lhs, U.rhs, U.report):
+        with pytest.raises(InvariantError, match="exponent"):
+            call(inv, f, p)
+    with pytest.raises(InvariantError, match="exponent"):
+        U.markov_pair_expectation_exact(f, 0, 1, p)
+
+
+def test_report_json_carries_lipschitz_flag():
+    spec = U.parse_tree_spec("bin:h=4")
+    ident = U.TreeMap.identity(spec)
+    obj = json.loads(U.report(U.InvariantId.FORK_COTYPE, ident, 2.0).to_json())
+    assert obj["lipschitz_flag"] is False
+    obj = json.loads(U.report(U.InvariantId.MARKOV_DIRECTED, ident, 2.0).to_json())
+    assert obj["lipschitz_flag"] is None

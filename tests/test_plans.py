@@ -1,0 +1,319 @@
+"""Compiled invariant plans against the per-invariant loops they replaced
+(tests/invariant_oracle.py), and search through plans against a search
+that scores every assignment through the oracle."""
+
+import itertools
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import umbellab as U
+from umbellab import trees
+from umbellab.invariants import (InvariantError, InvariantId, compile_plan,
+                                 distance_matrices)
+from umbellab.search import canonical_start
+
+import invariant_oracle as oracle
+
+BINARY_IDS = [InvariantId.FORK_CONVEXITY, InvariantId.FORK_COTYPE,
+              InvariantId.TESSERA, InvariantId.MARKOV_DIRECTED]
+INCREASING_IDS = [InvariantId.UMBEL_CONVEXITY, InvariantId.RELAXED_UMBEL,
+                  InvariantId.UMBEL_COTYPE]
+# sides whose inner reductions are minima or maxima: equal bit for bit
+EXTREME_LHS = {InvariantId.FORK_CONVEXITY, InvariantId.FORK_COTYPE,
+               *INCREASING_IDS}
+# targets whose row-wise distances are the oracle's distances bit for bit
+EXACT_TARGETS = {"table", "identity", "l1", "l2", "linf"}
+TREES = ["bin:h=2", "bin:h=4", "bin:h=8"] + \
+        [f"inc:h=4,b={b}" for b in range(5, 13)] + \
+        [f"inc:h=8,b={b}" for b in range(9, 13)]
+
+
+def random_map(kind: str, spec, rng):
+    verts = U.vertices(spec)
+    if kind == "identity":
+        return U.TreeMap.identity(spec)
+    if kind == "table":
+        pts = rng.normal(size=(7, 3))
+        d = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1))
+        return U.TreeMap(spec, U.FiniteMatrixSpace(d),
+                         {v: int(rng.integers(7)) for v in verts})
+    if kind == "heis":
+        space = U.parse_space("heis:dim=2,p=2")
+        return U.TreeMap(spec, space, {v: space.sample(rng) for v in verts})
+    p = {"l1": 1.0, "l2": 2.0, "linf": math.inf, "l3": 3.0}[kind]
+    return U.TreeMap(spec, U.LpSpace(3, p),
+                     {v: tuple(rng.uniform(-1, 1, 3)) for v in verts})
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InvariantError as exc:
+        return f"error: {exc}"
+
+
+def assert_agree(got, want, exact):
+    if isinstance(want, str) or exact:
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_plans_match_oracle(data):
+    tree = data.draw(st.sampled_from(TREES), label="tree")
+    spec = U.parse_tree_spec(tree)
+    ids = BINARY_IDS if spec.kind == trees.BINARY else INCREASING_IDS
+    inv = data.draw(st.sampled_from(ids), label="invariant")
+    # the oracle's dense tables are slow on big trees: a loop for
+    # Heisenberg targets, cdist over every vertex pair for lp ones
+    kinds = ["table", "identity", "l2"]
+    if spec.vertex_count() <= 600:
+        kinds += ["l1", "linf", "l3"]
+    if spec.vertex_count() <= 200:
+        kinds.append("heis")
+    kind = data.draw(st.sampled_from(kinds), label="map")
+    p = data.draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]), label="p")
+    j_min = None
+    if spec.kind == trees.INCREASING:
+        j_min = data.draw(st.one_of(st.none(),
+                                    st.integers(1, spec.branching + 1)),
+                          label="j_min")
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    f = random_map(kind, spec, np.random.default_rng(seed))
+    exact = kind in EXACT_TARGETS
+    assert_agree(outcome(U.lhs, inv, f, p, j_min),
+                 outcome(oracle.lhs, inv, f, p, j_min),
+                 exact and inv in EXTREME_LHS)
+    assert_agree(outcome(U.rhs, inv, f, p), outcome(oracle.rhs, inv, f, p),
+                 kind in ("table", "identity")
+                 and inv is not InvariantId.MARKOV_DIRECTED)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_markov_expectation_matches_branch_decomposition(k):
+    spec = U.parse_tree_spec(f"bin:h={2 ** k}")
+    f = random_map("l2", spec, np.random.default_rng(k))
+    for s in range(k + 1):
+        for t in range(2 ** s, 2 ** k + 1):
+            assert U.markov_pair_expectation_exact(f, s, t, 1.5) == \
+                pytest.approx(oracle.branch_expectation(f, 2 ** s, t, 1.5),
+                              rel=1e-12)
+
+
+def test_plans_live_on_the_tree_graph_cache():
+    spec = U.parse_tree_spec("bin:h=4")
+    plan = compile_plan(InvariantId.FORK_COTYPE, spec, "lhs")
+    assert compile_plan(InvariantId.FORK_COTYPE, spec, "lhs") is plan
+    assert trees.tree_graph(spec)[0].plans
+    trees.tree_graph.cache_clear()
+    assert not trees.tree_graph(spec)[0].plans
+    assert compile_plan(InvariantId.FORK_COTYPE, spec, "lhs") is not plan
+
+
+def test_plan_compilation_needs_no_distance_table():
+    # an increasing tree of 31931 vertices: its distance table would take
+    # 7.6 GB, its plan only the pairs of the display
+    trees.tree_graph.cache_clear()
+    spec = U.parse_tree_spec("inc:h=4,b=30")
+    f = random_map("l2", spec, np.random.default_rng(0))
+    assert U.lhs(InvariantId.UMBEL_COTYPE, f, 2.0) > 0
+    assert trees.tree_graph(spec)[0]._dist is None
+    trees.tree_graph.cache_clear()
+
+
+def test_image_table_follows_the_assignment():
+    spec = U.parse_tree_spec("bin:h=2")
+    rng = np.random.default_rng(3)
+    f = random_map("l2", spec, rng)
+    first = f.image_distances()
+    assert f.image_distances() is first
+    f.assignment[(1, 1)] = (5.0, 5.0, 5.0)
+    second = f.image_distances()
+    assert second is not first
+    _, dense = distance_matrices(U.TreeMap(spec, f.target, dict(f.assignment)))
+    assert np.array_equal(second, dense)
+    f.assignment = {v: (0.0, 0.0, 0.0) for v in U.vertices(spec)}
+    assert not f.image_distances().any()
+
+
+def test_identity_image_is_the_tree_table():
+    spec = U.parse_tree_spec("inc:h=4,b=6")
+    dtree, dimg = distance_matrices(U.TreeMap.identity(spec))
+    assert np.shares_memory(dtree, dimg)
+    assert not dimg.flags.writeable
+    assert np.array_equal(dtree, dimg)
+
+
+class Squared:
+    """(a - b)^2 on the line: a target with a plain `distance` and no
+    row-wise form, so pair distances come from the image table; not a
+    metric, so its pair and edge Lipschitz constants differ."""
+
+    def distance(self, a, b):
+        return float((a - b) ** 2)
+
+
+@pytest.mark.parametrize("block", [50, 1 << 20])
+def test_lipschitz_in_row_blocks_matches_full_buffer(block, monkeypatch):
+    monkeypatch.setattr(U.invariants, "_LIPSCHITZ_BLOCK", block)
+    spec = U.parse_tree_spec("bin:h=3")
+    squared = U.TreeMap(spec, Squared(), {v: sum(v) for v in U.vertices(spec)})
+    maps = [random_map(kind, U.parse_tree_spec(tree), np.random.default_rng(8))
+            for tree, kind in [("bin:h=3", "l2"), ("bin:h=3", "table"),
+                               ("inc:h=4,b=6", "identity"),
+                               ("inc:h=4,b=6", "l3")]]
+    for f in maps + [squared]:
+        got = U.lipschitz_constant(f, with_flag=True)
+        graph, _ = trees.tree_graph(f.spec)
+        dimg = f.image_distances()
+        ratio = np.zeros_like(dimg)
+        np.divide(dimg, graph.dist, out=ratio, where=graph.dist > 0)
+        edges = np.array(graph.edges).reshape(-1, 2)
+        pair, edge = float(ratio.max()), float(dimg[edges[:, 0], edges[:, 1]].max())
+        assert got == (max(pair, edge), not U.spaces.close(pair, edge))
+    assert U.lipschitz_constant(squared, with_flag=True)[1]
+
+
+def test_lipschitz_allocates_no_table_sized_buffer():
+    f = U.TreeMap.identity(U.parse_tree_spec("inc:h=8,b=12"))
+    table = f.image_distances()
+    tracemalloc.start()
+    try:
+        assert U.lipschitz_constant(f) == 1.0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < table.nbytes / 4
+
+
+# search through plans against search through the oracle
+
+
+def oracle_ratio(problem, assignment):
+    f = U.TreeMap(problem.spec, problem.target, assignment)
+    denom = oracle.rhs(problem.invariant, f, problem.exponent)
+    if denom <= 0:
+        return None
+    return oracle.lhs(problem.invariant, f, problem.exponent) / denom
+
+
+def oracle_exhaustive(problem):
+    free = problem.free_vertices()
+    best = -math.inf
+    for combo in itertools.product(range(problem.target.n), repeat=len(free)):
+        assignment = dict(problem.pins)
+        assignment.update(zip(free, combo))
+        r = oracle_ratio(problem, assignment)
+        if r is not None and r > best:
+            best = r
+    return best
+
+
+def oracle_local(problem, restarts, steps, seed):
+    """The hill climb of search.local_search_max, one oracle call per
+    candidate."""
+    free = problem.free_vertices()
+    rng = np.random.default_rng(seed)
+    best = -math.inf
+
+    def climb(assignment):
+        nonlocal best
+        current = oracle_ratio(problem, assignment)
+        if current is not None:
+            best = max(best, current)
+        for _ in range(steps):
+            improved = False
+            for v in free:
+                old = assignment[v]
+                for pt in range(problem.target.n):
+                    if pt == old:
+                        continue
+                    assignment[v] = pt
+                    r = oracle_ratio(problem, assignment)
+                    if r is not None and (current is None or r > current + 1e-15):
+                        current, old, improved = r, pt, True
+                    else:
+                        assignment[v] = old
+                assignment[v] = old
+            if current is not None:
+                best = max(best, current)
+            if not improved:
+                break
+
+    climb(canonical_start(problem))
+    for _ in range(restarts):
+        assignment = dict(problem.pins)
+        for v in free:
+            assignment[v] = int(rng.integers(problem.target.n))
+        climb(assignment)
+    return best
+
+
+def seeded_problem(inv, seed, free_count=None):
+    rng = np.random.default_rng(seed)
+    spec = U.parse_tree_spec("bin:h=4")
+    pts = rng.normal(size=(3, 2))
+    target = U.FiniteMatrixSpace(
+        np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1)))
+    verts = U.vertices(spec)
+    pins = {(): 0}
+    if free_count is not None:
+        free = set(rng.choice(len(verts) - 1, free_count, replace=False) + 1)
+        pins = {v: int(rng.integers(3)) for i, v in enumerate(verts)
+                if i not in free}
+        pins[()] = 0
+    return U.SearchProblem(spec, target, inv, 2.0, pins)
+
+
+@pytest.mark.parametrize("inv", BINARY_IDS, ids=lambda i: i.value)
+def test_search_matches_oracle_search(inv):
+    for seed in range(10):
+        problem = seeded_problem(inv, seed, free_count=4)
+        res = U.exhaustive_max(problem)
+        want = oracle_exhaustive(problem)
+        assert res.feasible == (want > -math.inf)
+        if res.feasible:
+            assert res.best_ratio == pytest.approx(want, rel=1e-12)
+        assert res.evaluations == 3 ** len(problem.free_vertices())
+
+        problem = seeded_problem(inv, seed)
+        res = U.local_search_max(problem, restarts=2, steps=2, seed=seed)
+        want = oracle_local(problem, restarts=2, steps=2, seed=seed)
+        assert res.best_ratio == pytest.approx(want, rel=1e-12)
+        assert res.feasible_evaluations <= res.evaluations
+
+
+@pytest.mark.parametrize("tree,inv", [("bin:h=4", i) for i in BINARY_IDS]
+                         + [("inc:h=4,b=6", i) for i in INCREASING_IDS],
+                         ids=lambda x: getattr(x, "value", x))
+@pytest.mark.parametrize("kind", ["table", "identity", "l1", "l2", "linf",
+                                  "l3", "heis"])
+def test_plans_match_oracle_on_every_target(tree, inv, kind):
+    f = random_map(kind, U.parse_tree_spec(tree), np.random.default_rng(11))
+    exact = kind in EXACT_TARGETS
+    for p in (1.0, 1.5, 3.0):
+        assert_agree(U.lhs(inv, f, p), oracle.lhs(inv, f, p),
+                     exact and inv in EXTREME_LHS)
+        assert_agree(U.rhs(inv, f, p), oracle.rhs(inv, f, p),
+                     kind in ("table", "identity")
+                     and inv is not InvariantId.MARKOV_DIRECTED)
+
+
+def test_generic_target_uses_image_table_and_flags_lipschitz():
+    spec = U.parse_tree_spec("bin:h=4")
+    f = U.TreeMap(spec, Squared(), {v: len(v) for v in U.vertices(spec)})
+    for inv in BINARY_IDS:
+        assert U.lhs(inv, f, 2.0) == pytest.approx(oracle.lhs(inv, f, 2.0),
+                                                   rel=1e-12)
+        assert U.rhs(inv, f, 2.0) == pytest.approx(oracle.rhs(inv, f, 2.0),
+                                                   rel=1e-12)
+    rep = U.report(InvariantId.FORK_COTYPE, f, 2.0)
+    assert rep.lipschitz_flag is True
+    assert rep.rhs == 4.0 ** 2   # root to leaf: 16 over tree distance 4
+    assert U.report(InvariantId.FORK_CONVEXITY, f, 2.0).lipschitz_flag is None

@@ -339,3 +339,46 @@ def test_ramsey_refine_finds_monochromatic_clique():
     idx = U.ramsey_refine(pts, p=2.0, K=2.0, N=4, m=3, space=U.LpSpace(2, 2.0))
     assert len(idx) == 3
     assert len(set(idx)) == 3
+
+
+@pytest.mark.parametrize("q", [math.inf, math.nan, 0.0, -2.0])
+def test_config_exponent_must_be_finite_and_positive(q):
+    with pytest.raises(pointwise.PointwiseError, match="exponent"):
+        U.InequalityConfig(q)
+
+
+def test_nan_margin_is_a_violation_with_witness_batched(monkeypatch):
+    ineq = U.InequalityId.Q_TRIPOD
+    draw = U.ball_sampler(L2, ineq)
+    real = pointwise.batch_margins
+
+    def with_nan(*args):
+        margins = real(*args)
+        margins[[3, 7]] = np.nan
+        return margins
+
+    monkeypatch.setattr(pointwise, "batch_margins", with_nan)
+    rep = U.certify(L2, ineq, cfg(exponent=2.0, K=1.0), draw, 20, seed=4)
+    rng = np.random.default_rng(np.random.SeedSequence(4).spawn(1)[0])
+    configs = [draw(rng) for _ in range(20)]
+    assert rep.violations == 2
+    assert math.isnan(rep.worst_margin)
+    assert rep.worst_witness == configs[3]
+    assert json.loads(rep.to_json())["worst_margin"] is None
+
+
+def test_nan_margin_is_a_violation_with_witness_per_sample():
+    ineq = U.InequalityId.Q_TRIPOD
+    draw = U.ball_sampler(L2, ineq)
+    calls = iter(range(10 ** 6))
+
+    def sampler(rng):  # no `batch`: the per-sample loop
+        pts = draw(rng)
+        return ((math.nan,) * 3,) + pts[1:] if next(calls) in (5, 9) else pts
+
+    rep = U.certify(L2, ineq, cfg(exponent=2.0, K=1.0), sampler, 20, seed=4)
+    assert rep.violations == 2
+    assert math.isnan(rep.worst_margin)
+    assert math.isnan(rep.worst_witness[0][0])
+    rng = np.random.default_rng(np.random.SeedSequence(4).spawn(1)[0])
+    assert rep.worst_witness[1:] == [draw(rng) for _ in range(6)][5][1:]

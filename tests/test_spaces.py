@@ -195,3 +195,10 @@ def test_row_wise_heisenberg_ops_match_scalar():
         want = U.h_mul(h, U.h_inv(pb), pa)
         assert np.allclose(ab, want.x + (want.s,), rtol=0, atol=1e-15)
         assert n == pytest.approx(U.koranyi_norm(h, want, 3.0, 0.7), rel=1e-14)
+
+
+def test_lp_exponent_nan_rejected():
+    with pytest.raises(SpaceError):
+        U.LpSpace(2, math.nan)
+    with pytest.raises(SpaceError):
+        U.parse_space("lp:p=nan,dim=2")
