@@ -96,7 +96,7 @@ def cmd_search(args) -> int:
     pins = {}
     if args.pins_file:
         with open(args.pins_file) as fh:
-            pins = {tuple(v): pt for v, pt in json.load(fh)["pins"]}
+            pins = search.pins_from_json(json.load(fh))
     problem = search.SearchProblem(spec, target,
                                    invariants.InvariantId(args.invariant),
                                    args.p, pins)

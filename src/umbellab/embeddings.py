@@ -9,7 +9,7 @@ import numpy as np
 from scipy import integrate
 
 from .invariants import TreeMap, distance_matrices
-from .spaces import LpSpace, lp_norm
+from .spaces import LpSpace, TableSpace, lp_norm
 from .trees import TreeSpec, INCREASING, tree_graph, vertices
 
 
@@ -187,6 +187,14 @@ class QuotientOracle:
     values: tuple  # f(z) for z in domain, aligned
     C: float
     K: float
+
+    def __post_init__(self):
+        if len(self.values) != len(self.domain):
+            raise EmbeddingError("values must align with the domain")
+        for space, pts, name in ((self.domain_space, self.domain, "domain"),
+                                 (self.target_space, self.values, "value")):
+            if isinstance(space, TableSpace) and not space.has_points(pts):
+                raise EmbeddingError(f"a {name} point is not an index of its table")
 
     def f(self, i: int):
         return self.values[i]

@@ -75,6 +75,9 @@ class TreeMap:
             raise InvariantError(f"assignment misses {len(missing)} vertices")
         self._verts = verts
         self._image = None  # (the points it was computed from, image table)
+        if (isinstance(self.target, sp.TableSpace)
+                and not self.target.has_points(self.points())):
+            raise InvariantError("a map point is not an index of the target table")
 
     def point(self, v: Vertex):
         return self.assignment[v]
@@ -119,7 +122,7 @@ class TreeMap:
         if target is None:
             target = FiniteMatrixSpace(np.zeros((1, 1)))
         if point is None:
-            point = (0.0,) * target.dim if isinstance(target, sp.LpSpace) else 0
+            point = _origin(target)
         return cls(spec, target, {v: point for v in vertices(spec)})
 
     def to_json(self) -> str:
@@ -139,6 +142,17 @@ class TreeMap:
             target = parse_space(obj["target"])
         assignment = {tuple(v): _point_from_json(p) for v, p in obj["assignment"]}
         return cls(spec, target, assignment)
+
+
+def _origin(target):
+    """The default point of a constant map into `target`."""
+    if isinstance(target, LpSpace):
+        return (0.0,) * target.dim
+    if isinstance(target, sp.HeisenbergMetricSpace):
+        return HPoint((0.0,) * target.space.dim, 0.0)
+    if isinstance(target, sp.ProductSpace):
+        return tuple(_origin(c) for c in target.components)
+    return 0
 
 
 def _point_json(p):
@@ -181,7 +195,7 @@ def distance_matrices(f: TreeMap) -> tuple[np.ndarray, np.ndarray]:
 
 def _pairwise(target, pts) -> np.ndarray:
     n = len(pts)
-    if isinstance(target, (FiniteMatrixSpace, GraphMetricSpace)):
+    if isinstance(target, sp.TableSpace):
         idx = np.asarray(pts, dtype=np.intp)
         mat = target.table
         if n == len(mat) and (idx == np.arange(n)).all():

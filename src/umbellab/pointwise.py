@@ -21,7 +21,7 @@ import numpy as np
 from scipy import optimize
 
 from . import spaces as sp
-from .spaces import HPoint, LpSpace, h_dilate, h_inv, h_mul, koranyi_norm
+from .spaces import HPoint, LpSpace
 
 
 class PointwiseError(ValueError):
@@ -83,10 +83,10 @@ class InequalityConfig:
     def __post_init__(self):
         if not (math.isfinite(self.exponent) and self.exponent > 0):
             raise PointwiseError("exponent must be finite and positive")
-        if self.K <= 0 or self.C <= 0:
-            raise PointwiseError("constants must be positive")
-        if self.slack < 0:
-            raise PointwiseError("slack must be nonnegative")
+        if not all(math.isfinite(c) and c > 0 for c in (self.K, self.C)):
+            raise PointwiseError("constants must be finite and positive")
+        if not (math.isfinite(self.slack) and self.slack >= 0):
+            raise PointwiseError("slack must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -134,76 +134,23 @@ def _jsonable(obj):
 # Inequality evaluation
 
 
-def _umbel_sides(ineq: InequalityId, cfg: InequalityConfig, points, space):
-    w, z, xs = points
-    if not xs:
-        raise PointwiseError("umbel family needs a nonempty xs list")
-    p, K = cfg.exponent, cfg.K
-    d = space.distance
-    first = min(d(w, x) ** p for x in xs) / 2 ** p
-    if len(xs) >= 2:
-        sep = min(d(a, b) ** p for a, b in itertools.combinations(xs, 2))
-    else:
-        sep = 0.0
-    lhs = first + sep / K ** p
-    dw = d(z, w) ** p
-    dmax = max(d(z, x) ** p for x in xs)
-    if ineq is InequalityId.P_UMBEL:
-        rhs = 0.5 * dw + 0.5 * dmax
-    else:
-        rhs = max(dw, dmax)
-    return lhs, rhs
-
-
 def check_inequality(ineq: InequalityId, cfg: InequalityConfig, points, space) -> CheckReport:
-    """Evaluate one pointwise inequality at a concrete configuration."""
-    q, K = cfg.exponent, cfg.K
-    d = space.distance
+    """Evaluate one pointwise inequality at a concrete configuration: the
+    one-row case of `batch_margins`.  Umbel configurations are (w, z, xs),
+    the others a tuple of points."""
     if ineq in UMBEL_FAMILY:
         if len(points) != 3:
             raise PointwiseError("umbel family takes (w, z, xs)")
-        lhs, rhs = _umbel_sides(ineq, cfg, points, space)
-    elif ineq is InequalityId.Q_TRIPOD:
-        w, x, y, z = _four(points)
-        lhs = (d(w, x) ** q + d(w, y) ** q) / 2 ** (q + 1) + d(x, y) ** q / (4 * K) ** q
-        rhs = 0.5 * d(z, w) ** q + 0.25 * d(z, x) ** q + 0.25 * d(z, y) ** q
-    elif ineq is InequalityId.Q_FORK:
-        w, x, y, z = _four(points)
-        lhs = min(d(w, x) ** q, d(w, y) ** q) / 2 ** q + d(x, y) ** q / (4 ** q * K ** q)
-        rhs = 0.5 * d(z, w) ** q + 0.5 * max(d(z, x) ** q, d(z, y) ** q)
-    elif ineq is InequalityId.RELAXED_Q_FORK:
-        w, x, y, z = _four(points)
-        lhs = min(d(w, x) ** q, d(w, y) ** q) / 2 ** q + d(x, y) ** q / (4 ** q * K ** q)
-        rhs = max(d(z, w) ** q, d(z, x) ** q, d(z, y) ** q)
-    elif ineq is InequalityId.MIDPOINT_CURVATURE:
-        x, y, z, m = _four(points)
-        lhs = d(z, x) ** 2 + d(z, y) ** 2
-        rhs = 2 * d(z, m) ** 2 + d(x, y) ** 2 / 2
-    elif ineq is InequalityId.P_UNIFORM_CONVEXITY:
-        if len(points) != 2:
-            raise PointwiseError("uniform convexity takes 2 vectors")
-        check_space(space, ineq)
-        x = np.asarray(points[0], float)
-        y = np.asarray(points[1], float)
-        p = cfg.exponent
-        lhs = space.norm(x) ** p + space.norm(y) ** p / K ** p
-        rhs = (space.norm(x + y) ** p + space.norm(x - y) ** p) / 2
-    elif ineq is InequalityId.HEISENBERG_PARALLELOGRAM:
-        if len(points) != 2:
-            raise PointwiseError("parallelogram takes 2 HPoints")
-        check_space(space, ineq)
-        return check_parallelogram(space.space, cfg.exponent, cfg.C,
-                                   points[0], points[1], slack=cfg.slack)
-    else:  # pragma: no cover
-        raise PointwiseError(f"unknown inequality {ineq}")
-    margin = rhs - lhs
+        w, z, xs = points
+        flat = (w, z, *xs)
+    else:
+        k = _points_per_config(ineq, 0)
+        if len(points) != k:
+            raise PointwiseError(f"{ineq.value} takes {k} points")
+        flat = tuple(points)
+    check_space(space, ineq)
+    margin = float(batch_margins(ineq, cfg, space, space.rows(flat)[None])[0])
     return CheckReport(margin >= -cfg.slack, margin, tuple(points))
-
-
-def _four(points):
-    if len(points) != 4:
-        raise PointwiseError("this inequality takes 4 points")
-    return points
 
 
 def parallelogram_constants(p: float, C: float) -> tuple[float, float]:
@@ -227,13 +174,9 @@ def check_parallelogram(hsp, p: float, C: float, a: HPoint, b: HPoint,
     """Parallelogram inequality on a Heisenberg group: with N = N_{p,lambda},
     N(d_half_b)^{2p} + K^{-2p} N((d_half_b)^{ -1} a)^{2p}
       <= (N(a)^{2p} + N(b^{-1} a)^{2p}) / 2."""
-    K, lam = _parallelogram_setup(hsp, p, C)
-    n = lambda pt: koranyi_norm(hsp, pt, p, lam)
-    half_b = h_dilate(0.5, b)
-    lhs = n(half_b) ** (2 * p) + n(h_mul(hsp, h_inv(half_b), a)) ** (2 * p) / K ** (2 * p)
-    rhs = 0.5 * n(a) ** (2 * p) + 0.5 * n(h_mul(hsp, h_inv(b), a)) ** (2 * p)
-    margin = rhs - lhs
-    return CheckReport(margin >= -slack, margin, (a, b))
+    return check_inequality(InequalityId.HEISENBERG_PARALLELOGRAM,
+                            InequalityConfig(exponent=p, C=C, slack=slack),
+                            (a, b), sp.HeisenbergMetricSpace(hsp))
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +184,8 @@ def check_parallelogram(hsp, p: float, C: float, a: HPoint, b: HPoint,
 #
 # Each inequality as a function of the configuration array of one chunk:
 # pts[:, i] holds point i of every configuration, as the space's
-# sample_batch lays it out.  The operations follow check_inequality term by
-# term, so the margins equal its margins up to the rounding of the array
-# power.
+# sample_batch lays it out.  A kernel that overflows the float range raises
+# FloatingPointError.
 
 
 def _umbel_margins(ineq, p, K, d, count):
@@ -265,6 +207,7 @@ def _umbel_margins(ineq, p, K, d, count):
     return rhs - lhs
 
 
+@np.errstate(over="raise", divide="raise")
 def batch_margins(ineq: InequalityId, cfg: InequalityConfig, space,
                   pts: np.ndarray) -> np.ndarray:
     """Margins RHS - LHS of every configuration in `pts`."""
@@ -317,26 +260,14 @@ def _points_per_config(ineq: InequalityId, xs_count: int) -> int:
 
 
 def ball_sampler(space, ineq: InequalityId, xs_count: int = 4):
-    """Default configuration sampler drawing points from the space's ball.
-
-    When the space has `sample_batch`, the sampler also carries
-    `batch(rng, m)`: the same m configurations that m successive calls
-    `draw(rng)` return, as one array for `batch_margins`."""
-    k = _points_per_config(ineq, xs_count)
-
-    def draw(rng):
-        if ineq in UMBEL_FAMILY:
-            return (space.sample(rng), space.sample(rng),
-                    tuple(space.sample(rng) for _ in range(xs_count)))
-        return tuple(space.sample(rng) for _ in range(k))
-
-    if hasattr(space, "sample_batch"):
-        draw.batch = lambda rng, m: space.sample_batch(rng, m, k)
-    return draw
+    """Default configuration sampler: `draw(rng, m)` returns m configurations
+    of points of the space's ball as the rows of `space.sample_batch`, with
+    w, z, x_1 .. x_xs_count for the umbel family."""
+    return functools.partial(space.sample_batch, k=_points_per_config(ineq, xs_count))
 
 
 def _witness(ineq: InequalityId, space, row: np.ndarray) -> tuple:
-    """One configuration of a batch, in the form `draw` returns it."""
+    """One configuration of a batch, in the form check_inequality takes."""
     pts = [space.point(v) for v in row]
     if ineq in UMBEL_FAMILY:
         return (pts[0], pts[1], tuple(pts[2:]))
@@ -349,16 +280,14 @@ def certify(space, ineq: InequalityId, cfg: InequalityConfig, sampler,
     with independently derived substreams, so the aggregate is independent of
     evaluation order.
 
-    A sampler with a `batch` attribute (see ball_sampler) has each chunk
-    drawn as one array and evaluated by `batch_margins`; any other sampler is
-    called once per configuration and checked by `check_inequality`.  Both
-    count a violation when not margin >= -slack (so a NaN margin counts) and
-    report the first strict minimum of the margins, where the first NaN
-    margin ranks below every number."""
+    Each chunk of m configurations is drawn as rows by `sampler(rng, m)` (see
+    ball_sampler) and evaluated by `batch_margins`.  A violation is counted
+    when not margin >= -slack (so a NaN margin counts), and the report holds
+    the first strict minimum of the margins, where the first NaN margin ranks
+    below every number."""
     if n < 1:
         raise PointwiseError("n must be >= 1")
     check_space(space, ineq)
-    batch = getattr(sampler, "batch", None)
     chunks = (n + _CHUNK - 1) // _CHUNK
     seeds = np.random.SeedSequence(seed).spawn(chunks)
     violations = 0
@@ -366,18 +295,8 @@ def certify(space, ineq: InequalityId, cfg: InequalityConfig, sampler,
     witness: tuple = ()
     for ci in range(chunks):
         rng = np.random.default_rng(seeds[ci])
-        size = min(_CHUNK, n - ci * _CHUNK)
-        if batch is None:
-            for _ in range(size):
-                rep = check_inequality(ineq, cfg, sampler(rng), space)
-                if not rep.holds:
-                    violations += 1
-                if _worse(rep.margin, worst):
-                    worst, witness = rep.margin, rep.witness
-            continue
-        pts = batch(rng, size)
-        with np.errstate(over="raise", divide="raise"):
-            margins = batch_margins(ineq, cfg, space, pts)
+        pts = sampler(rng, min(_CHUNK, n - ci * _CHUNK))
+        margins = batch_margins(ineq, cfg, space, pts)
         violations += int(np.count_nonzero(~(margins >= -cfg.slack)))
         nan = np.isnan(margins)
         i = int(np.argmax(nan) if nan.any() else np.argmin(margins))

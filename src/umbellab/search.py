@@ -16,7 +16,7 @@ import numpy as np
 
 from .invariants import (InvariantId, InvariantReport, TreeMap, report,
                          table_sides)
-from .spaces import FiniteMatrixSpace
+from .spaces import FiniteMatrixSpace, is_int
 from .trees import TreeSpec, Vertex, tree_graph, vertices
 
 _EXHAUSTIVE_BUDGET = 10 ** 7
@@ -44,13 +44,23 @@ class SearchProblem:
             raise SearchError("target needs at least 2 points")
         verts = set(vertices(self.spec))
         for v, pt in self.pins.items():
-            if v not in verts:
-                raise SearchError(f"pinned vertex {v} not in the tree")
-            if not 0 <= pt < self.target.n:
-                raise SearchError("pinned point out of range")
+            # (1.0,) == (1,): float labels would pass the membership test
+            if not (isinstance(v, tuple) and all(map(is_int, v)) and v in verts):
+                raise SearchError(f"pinned vertex {v!r} not in the tree")
+            if not self.target.has_points([pt]):
+                raise SearchError(f"pinned point {pt!r} is not an index of the target")
 
     def free_vertices(self) -> list[Vertex]:
         return [v for v in vertices(self.spec) if v not in self.pins]
+
+
+def pins_from_json(obj) -> dict:
+    """Pins {vertex: point} from a document {"pins": [[[label, ...], point],
+    ...]}; SearchProblem validates them against the tree and the target."""
+    try:
+        return {tuple(v): pt for v, pt in obj["pins"]}
+    except (TypeError, ValueError, KeyError) as exc:
+        raise SearchError('pins must be {"pins": [[[label, ...], point], ...]}') from exc
 
 
 @dataclass(frozen=True)

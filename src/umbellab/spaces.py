@@ -27,6 +27,11 @@ def close(a: float, b: float) -> bool:
     return abs(a - b) <= max(REL_TOL * max(abs(a), abs(b)), ABS_TOL)
 
 
+def is_int(x) -> bool:
+    """Whether x is a Python or numpy integer, and not a bool."""
+    return type(x) is int or isinstance(x, np.integer)
+
+
 # ---------------------------------------------------------------------------
 # lp norms
 
@@ -88,7 +93,10 @@ class LpSpace:
 
     def rows(self, points) -> np.ndarray:
         """The inverse of `point`: one row per point."""
-        return np.asarray(points, dtype=float)
+        out = np.asarray(points, dtype=float)
+        if out.shape[1:] != (self.dim,):
+            raise SpaceError("dimension mismatch")
+        return out
 
     def sample(self, rng: np.random.Generator) -> tuple:
         return self.point(self.sample_batch(rng, 1, 1)[0, 0])
@@ -100,9 +108,15 @@ class LpSpace:
         return f"lp:p={p},dim={self.dim}"
 
 
-class _TableSpace:
+class TableSpace:
     """Sampling and row-wise distances of a finite space whose points are the
     indices 0..n-1 of a distance table."""
+
+    def has_points(self, points) -> bool:
+        """Whether every one of `points` is an index of the table: an int
+        (not a bool) in range."""
+        n = self.n
+        return all(is_int(i) and 0 <= i < n for i in points)
 
     def distance_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.table[a, b]
@@ -121,7 +135,7 @@ class _TableSpace:
 
 
 @dataclass(frozen=True)
-class FiniteMatrixSpace(_TableSpace):
+class FiniteMatrixSpace(TableSpace):
     """A finite metric space given by its distance matrix; points are indices."""
 
     matrix: np.ndarray = field(repr=False)
@@ -163,6 +177,8 @@ class FiniteMatrixSpace(_TableSpace):
     @classmethod
     def from_json(cls, text: str) -> "FiniteMatrixSpace":
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise SpaceError('a matrix document is {"n": ..., "d": [[...]]}')
         m = np.asarray(obj["d"], dtype=float)
         if m.shape != (obj["n"], obj["n"]):
             raise SpaceError("matrix shape disagrees with n")
@@ -176,7 +192,7 @@ class FiniteMatrixSpace(_TableSpace):
 
 
 @dataclass(frozen=True)
-class GraphMetricSpace(_TableSpace):
+class GraphMetricSpace(TableSpace):
     """Path metric of a GraphSpace; points are vertex ids."""
 
     graph: GraphSpace
@@ -223,6 +239,21 @@ class ProductSpace:
 
     def sample(self, rng: np.random.Generator):
         return tuple(c.sample(rng) for c in self.components)
+
+    def distance_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.fromiter(map(self.distance, a, b), dtype=float, count=len(a))
+
+    def sample_batch(self, rng: np.random.Generator, m: int, k: int) -> np.ndarray:
+        """m configurations of k points, shape (m, k): the points of m * k
+        successive `sample` calls, in order."""
+        return self.rows([self.sample(rng) for _ in range(m * k)]).reshape(m, k)
+
+    def point(self, row):
+        return row
+
+    def rows(self, points) -> np.ndarray:
+        """One object entry per point (np.array would split the tuples)."""
+        return np.fromiter(points, dtype=object, count=len(points))
 
     def describe(self) -> str:
         p = "inf" if self.p == math.inf else f"{self.p:g}"
@@ -343,6 +374,12 @@ class HeisenbergMetricSpace:
     lam: float = 1.0
     quasi_constant: float = 2.0  # empirical bound, refine with quasi_constant_estimate
 
+    def __post_init__(self):
+        if not self.p > 0:  # also rejects nan; inf is allowed
+            raise SpaceError("p must be positive")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise SpaceError("lambda must be finite and positive")
+
     def distance(self, a: HPoint, b: HPoint) -> float:
         return koranyi_dist(self.space, a, b, self.p, self.lam)
 
@@ -366,7 +403,10 @@ class HeisenbergMetricSpace:
         return HPoint(tuple(row[:-1].tolist()), float(row[-1]))
 
     def rows(self, points) -> np.ndarray:
-        return np.array([p.x + (p.s,) for p in points], dtype=float)
+        out = np.array([p.x + (p.s,) for p in points], dtype=float)
+        if out.shape[1:] != (self.space.dim + 1,):
+            raise SpaceError("dimension mismatch")
+        return out
 
     def sample(self, rng: np.random.Generator) -> HPoint:
         return self.point(self.sample_batch(rng, 1, 1)[0, 0])

@@ -270,6 +270,16 @@ def test_certify_nan_lp_exponent_exit_two(capsys):
     assert "p must be" in err["error"]
 
 
+@pytest.mark.parametrize("option", ["--K", "--C", "--slack"])
+def test_certify_non_finite_constants_exit_two(capsys, option):
+    for value in ("nan", "inf"):
+        code, out, err = run_strict(capsys, "certify", "--space", "l2:dim=2",
+                                    "--inequality", "tripod", option, value,
+                                    "--samples", "10")
+        assert code == 2 and out == ""
+        assert "finite" in err["error"]
+
+
 def test_invariant_document_lipschitz_flag(capsys):
     for inv, flag in (("umbel-cotype", False), ("umbel-convexity", None)):
         code, out, _ = run_strict(capsys, "invariant", "--tree", "inc:h=4,b=6",
@@ -296,3 +306,108 @@ def test_search_document_counts_evaluations(tmp_path, capsys):
     obj = json.loads(out)
     assert code == 0
     assert 0 < obj["feasible_evaluations"] <= obj["evaluations"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["heisenberg", "--p", "nan", "--samples", "100"],
+    ["heisenberg", "--p", "0", "--samples", "100"],
+    ["heisenberg", "--p", "2", "--lam", "nan", "--samples", "100"],
+    ["heisenberg", "--p", "2", "--lam", "-1", "--samples", "100"],
+    ["certify", "--space", "heis:dim=2,p=nan", "--inequality", "tripod",
+     "--samples", "10"],
+    ["certify", "--space", "heis:dim=2,p=2,lambda=nan", "--inequality",
+     "parallelogram", "--samples", "10"],
+])
+def test_heisenberg_bad_parameters_exit_two(capsys, argv):
+    code, out, err = run_strict(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "must be" in err["error"] and "JSON" not in err["error"]
+
+
+def _search_with_pins(tmp_path, capsys, pins):
+    target = tmp_path / "path.json"
+    target.write_text(json.dumps({"n": 3, "d": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}))
+    path = tmp_path / "pins.json"
+    path.write_text(json.dumps(pins))
+    return run_strict(capsys, "search", "--tree", "bin:h=2", "--invariant",
+                      "markov-directed", "--p", "2", "--target-file",
+                      str(target), "--pins-file", str(path), "--mode",
+                      "exhaustive")
+
+
+@pytest.mark.parametrize("pins", [
+    {"pins": [[[], "a"]]},        # point not an int
+    {"pins": [[[], 1.5]]},        # would be truncated to 1
+    {"pins": [[[], True]]},       # a bool is not a point
+    {"pins": [[[], 3]]},          # out of range
+    {"pins": [[5, 0]]},           # vertex not a list
+    {"pins": [[[[1]], 0]]},       # vertex label not an int
+    {"pins": [[[1.0], 0]]},       # vertex label a float
+    {"pins": [[[], 0, 1]]},       # not a pair
+    {"pins": {"()": 0}},          # not a list
+    [[[], 0]],                    # not a pins document
+])
+def test_search_bad_pins_exit_two(tmp_path, capsys, pins):
+    code, out, err = _search_with_pins(tmp_path, capsys, pins)
+    assert code == 2 and out == ""
+    assert "pin" in err["error"]
+
+
+def test_search_good_pins_still_pin(tmp_path, capsys):
+    code, out, _ = _search_with_pins(tmp_path, capsys,
+                                     {"pins": [[[], 2], [[1], 1]]})
+    assert code == 0
+    assignment = dict((tuple(v), p) for v, p in json.loads(out)["assignment"])
+    assert assignment[()] == 2 and assignment[(1,)] == 1
+
+
+def _lift_files(tmp_path, values, map_point):
+    d = [[0.0, 1.0], [1.0, 0.0]]
+    oracle = tmp_path / "oracle.json"
+    oracle.write_text(json.dumps({"domain": {"d": d}, "target": {"d": d},
+                                  "values": values, "C": 2.0, "K": 0.0}))
+    spec = U.parse_tree_spec("bin:h=1")
+    g = U.TreeMap(spec, U.FiniteMatrixSpace(np.array(d)),
+                  {v: 0 for v in U.vertices(spec)})
+    doc = json.loads(g.to_json())
+    doc["assignment"][-1][1] = map_point
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(doc))
+    return ["lift", "--map-file", str(path), "--oracle-file", str(oracle)]
+
+
+@pytest.mark.parametrize("values,map_point,message", [
+    ([0, 2], 0, "value point"),       # oracle value outside the target
+    ([0, -1], 0, "value point"),      # negative: numpy would wrap it
+    ([0], 0, "align"),                # one value short
+    ([0, 1], 5, "map point"),         # map point outside the target
+    ([0, 1], "a", "map point"),
+])
+def test_lift_bad_points_exit_two(tmp_path, capsys, values, map_point, message):
+    code, out, err = run_strict(capsys, *_lift_files(tmp_path, values, map_point))
+    assert code == 2 and out == ""
+    assert message in err["error"]
+
+
+def test_lift_good_points_verified(tmp_path, capsys):
+    code, out, _ = run_strict(capsys, *_lift_files(tmp_path, [0, 1], 1))
+    assert code == 0 and json.loads(out)["verified"] is True
+
+
+@pytest.mark.parametrize("target", [None, "l2:dim=2", "heis:dim=2,p=2",
+                                    "prod:p=2;l2:dim=2;heis:dim=2,p=inf"])
+def test_invariant_constant_map_into_any_target(capsys, target):
+    argv = ["invariant", "--tree", "bin:h=4", "--invariant", "fork-convexity",
+            "--p", "2", "--map", "constant"]
+    code, out, _ = run_strict(capsys, *argv, *(["--target", target] if target else []))
+    assert code == 0
+    assert json.loads(out)["lhs"] == 0.0
+
+
+def test_matrix_document_must_be_an_object(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    code, out, err = run_strict(capsys, "certify", "--space", f"matrix:file={path}",
+                                "--inequality", "tripod", "--samples", "10")
+    assert code == 2 and out == ""
+    assert "matrix document" in err["error"]

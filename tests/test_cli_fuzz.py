@@ -1,0 +1,210 @@
+"""Fuzz of the command-line front end: space and tree descriptors and the
+argv of every subcommand, at tiny sizes.  Every run exits with 0, 1, 2 or 3,
+raises nothing past `main` (so no traceback reaches stderr), and prints
+strict JSON on stdout when it exits with 0 or 1.  Paths are written with a
+{dir} placeholder for the directory of the fixture files below."""
+
+import contextlib
+import io
+import json
+import traceback
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import umbellab as U
+from umbellab.cli import main
+
+STAR = [[0.0, 2.0, 2.0, 1.0], [2.0, 0.0, 2.0, 1.0],
+        [2.0, 2.0, 0.0, 1.0], [1.0, 1.0, 1.0, 0.0]]
+PATH3 = [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
+
+
+def _map(points):
+    """A map document of bin:h=1 into PATH3 with the given points."""
+    spec = U.parse_tree_spec("bin:h=1")
+    return {"spec": "bin:h=1", "target": "matrix:n=3",
+            "assignment": [[list(v), p] for v, p in zip(U.vertices(spec), points)]}
+
+
+def _oracle(values):
+    return {"domain": {"d": PATH3}, "target": {"d": PATH3}, "values": values,
+            "C": 2.0, "K": 0.5}
+
+
+FILES = {
+    "star.json": {"n": 4, "d": STAR},
+    "path3.json": {"n": 3, "d": PATH3},
+    "graph.json": {"n": 6, "edges": [[0, 1], [0, 2], [0, 3], [3, 4], [4, 5]]},
+    "pins.json": {"pins": [[[], 0], [[1], 2]]},
+    "pins-str.json": {"pins": [[[], "a"]]},
+    "pins-vertex.json": {"pins": [[5, 0]]},
+    "pins-float.json": {"pins": [[[], 1.5]]},
+    "map.json": _map([0, 1, 2]),
+    "map-range.json": _map([0, 1, 7]),
+    "oracle.json": _oracle([0, 1, 2]),
+    "oracle-range.json": _oracle([0, 1, 9]),
+    "oracle-short.json": _oracle([0, 1]),
+}
+
+
+@pytest.fixture(scope="module")
+def fixture_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    for name, obj in FILES.items():
+        (d / name).write_text(json.dumps(obj))
+    (d / "broken.json").write_text('{"n": ')
+    return d
+
+
+def path(names):
+    return st.sampled_from([f"{{dir}}/{n}" for n in names]
+                           + ["{dir}/missing.json", "{dir}/broken.json"])
+
+
+# valid values are listed more than once so that most runs get past the
+# argument checks
+NUMBER = st.sampled_from(["2", "2", "2", "1.5", "3", "1", "0.5", "inf", "nan",
+                          "0", "-1", "x"])
+COUNT = st.sampled_from(["1", "2", "3", "4", "0", "-1"])
+TEXT = st.text(max_size=12)
+INEQUALITIES = [i.value for i in U.InequalityId]
+INVARIANTS = [i.value for i in U.InvariantId]
+
+
+def fields(template, *values):
+    return st.tuples(*values).map(lambda vs: template.format(*vs))
+
+
+LEAF_SPACES = st.one_of(
+    fields("l2:dim={}", COUNT),
+    fields("lp:p={},dim={}", NUMBER, COUNT),
+    fields("heis:dim={},p={},lambda={}", st.sampled_from(["2", "2", "4", "0", "1"]),
+           NUMBER, NUMBER),
+    fields("matrix:file={}", path(["star.json", "star.json", "path3.json",
+                                   "pins.json"])),
+    fields("graph:file={}", path(["graph.json", "graph.json"])),
+)
+SPACES = st.one_of(
+    LEAF_SPACES, LEAF_SPACES,
+    st.tuples(NUMBER, st.lists(LEAF_SPACES, max_size=3)).map(
+        lambda t: ";".join([f"prod:p={t[0]}"] + t[1])),
+    TEXT,
+)
+GOOD_TREES = st.sampled_from(["bin:h=1", "bin:h=2", "bin:h=4", "inc:h=1,b=3",
+                              "inc:h=2,b=4", "inc:h=4,b=6"])
+TREES = st.one_of(
+    GOOD_TREES, GOOD_TREES,
+    fields("bin:h={}", st.integers(-1, 4)),
+    fields("inc:h={},b={}", st.sampled_from(["0", "1", "2", "4"]),
+           st.integers(-1, 6)),
+    TEXT,
+)
+# the exhaustive search stays small: at most 4^7 assignments on these trees
+SEARCH_TREES = st.sampled_from(["bin:h=0", "bin:h=1", "bin:h=2", "bin:h=2",
+                                "bin:h=4", "inc:h=1,b=3", "inc:h=2,b=3",
+                                "bin:h=-1", "bogus"])
+
+
+def options(**opts):
+    """argv fragments: each option present or left out."""
+    parts = [st.one_of(st.just([]), value.map(lambda v, k=k: [k, v]))
+             for k, value in opts.items()]
+    return st.tuples(*parts).map(lambda ps: [a for p in ps for a in p])
+
+
+def command(name, required, **opts):
+    req = st.tuples(*[v.map(lambda v, k=k: [k, v]) for k, v in required.items()])
+    return st.tuples(req, options(**opts)).map(
+        lambda t: [name] + [a for p in t[0] for a in p] + t[1])
+
+
+INVARIANT_OPTIONS = {
+    "--map": st.one_of(st.sampled_from(["identity", "constant", "x"]),
+                       path(["map.json", "map-range.json"]).map("file:{}".format)),
+    "--target": SPACES, "--j-min": COUNT}
+BINARY_IDS = ["fork-convexity", "fork-cotype", "tessera", "markov-directed"]
+
+ARGV = st.one_of(
+    command("invariant",
+            {"--tree": TREES, "--invariant": st.sampled_from(INVARIANTS + ["x"]),
+             "--p": NUMBER}, **INVARIANT_OPTIONS),
+    # trees that the invariant accepts
+    command("invariant",
+            {"--tree": st.sampled_from(["bin:h=2", "bin:h=4"]),
+             "--invariant": st.sampled_from(BINARY_IDS), "--p": NUMBER},
+            **INVARIANT_OPTIONS),
+    command("invariant",
+            {"--tree": st.sampled_from(["inc:h=2,b=4", "inc:h=4,b=6"]),
+             "--invariant": st.sampled_from(sorted(set(INVARIANTS)
+                                                   - set(BINARY_IDS))),
+             "--p": NUMBER}, **INVARIANT_OPTIONS),
+    command("certify",
+            {"--space": SPACES,
+             "--inequality": st.sampled_from(INEQUALITIES + ["x"]),
+             "--samples": st.sampled_from(["1", "7", "40", "0", "-1"])},
+            **{"--p": NUMBER, "--q": NUMBER, "--K": NUMBER, "--C": NUMBER,
+               "--xs-count": COUNT, "--slack": NUMBER, "--seed": COUNT}),
+    command("embed",
+            {"--tree": TREES, "--p": NUMBER, "--csv": st.just("{dir}/out.csv")},
+            **{"--variant": st.sampled_from(["lp", "l1", "linf", "x"])}),
+    command("search",
+            {"--tree": SEARCH_TREES,
+             "--invariant": st.sampled_from(INVARIANTS), "--p": NUMBER,
+             "--target-file": path(["path3.json", "star.json", "graph.json"])},
+            **{"--pins-file": path(["pins.json", "pins-str.json",
+                                    "pins-vertex.json", "pins-float.json",
+                                    "path3.json"]),
+               "--mode": st.sampled_from(["exhaustive", "local"]),
+               "--restarts": COUNT, "--steps": COUNT,
+               "--budget": st.integers(-1, 100).map(str)}),
+    command("lift",
+            {"--map-file": path(["map.json", "map-range.json", "oracle.json"]),
+             "--oracle-file": path(["oracle.json", "oracle-range.json",
+                                    "oracle-short.json", "map.json"])}),
+    command("morphism", {"--k": COUNT},
+            **{"--j-const": st.integers(-1, 6).map(str),
+               "--j-max": st.integers(-1, 8).map(str), "--seed": COUNT}),
+    command("heisenberg", {"--samples": st.integers(-1, 30).map(str)},
+            **{"--dim": st.sampled_from(["-2", "0", "1", "2", "4"]),
+               "--p": NUMBER, "--lam": NUMBER}),
+    st.lists(TEXT, max_size=4),
+)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ARGV)
+@example(argv=["heisenberg", "--p", "nan", "--samples", "100"])
+@example(argv=["certify", "--space", "heis:dim=2,p=nan", "--inequality", "tripod",
+          "--samples", "10"])
+@example(argv=["certify", "--space", "heis:dim=2,p=2,lambda=nan", "--inequality",
+          "parallelogram", "--samples", "10"])
+@example(argv=["search", "--tree", "bin:h=2", "--invariant", "markov-directed",
+          "--p", "2", "--target-file", "{dir}/path3.json",
+          "--pins-file", "{dir}/pins-str.json"])
+@example(argv=["search", "--tree", "bin:h=2", "--invariant", "markov-directed",
+          "--p", "2", "--target-file", "{dir}/path3.json",
+          "--pins-file", "{dir}/pins-vertex.json"])
+@example(argv=["search", "--tree", "bin:h=2", "--invariant", "markov-directed",
+          "--p", "2", "--target-file", "{dir}/path3.json",
+          "--pins-file", "{dir}/pins-float.json"])
+@example(argv=["lift", "--map-file", "{dir}/map.json",
+          "--oracle-file", "{dir}/oracle-range.json"])
+@example(argv=["lift", "--map-file", "{dir}/map-range.json",
+          "--oracle-file", "{dir}/oracle.json"])
+def test_cli_fuzz(fixture_dir, argv):
+    argv = [a.replace("{dir}", str(fixture_dir)) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except Exception:
+            pytest.fail(f"{argv} raised:\n{traceback.format_exc()}")
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code in (0, 1):
+        json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -5,7 +5,7 @@ import pytest
 
 import umbellab as U
 from umbellab.embeddings import BourgainMap, EmbeddingError
-from umbellab.invariants import TreeMap, _pairwise
+from umbellab.invariants import InvariantError, TreeMap, _pairwise
 from umbellab.trees import tree_graph
 
 
@@ -219,3 +219,30 @@ def test_verify_lift_detects_bad_lift():
     bad_assign[(1, 1)] = oracle.domain[far]
     bad = U.TreeMap(spec, oracle.domain_space, bad_assign)
     assert not U.verify_lift(g, bad, oracle)
+
+
+TWO = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("domain,values,message", [
+    ((0, 1), (0, 2), "value point"),
+    ((0, 1), (0, -1), "value point"),
+    ((0, 1), (0, 1.0), "value point"),
+    ((0, 3), (0, 1), "domain point"),
+    ((0, 1), (0,), "align"),
+])
+def test_quotient_oracle_checks_table_points(domain, values, message):
+    with pytest.raises(EmbeddingError, match=message):
+        U.QuotientOracle(U.FiniteMatrixSpace(TWO), domain,
+                         U.FiniteMatrixSpace(TWO), values, 2.0, 0.0)
+
+
+@pytest.mark.parametrize("point", [2, -1, 0.5, "a", None, (0,), True])
+def test_tree_map_checks_table_points(point):
+    spec = U.parse_tree_spec("bin:h=1")
+    assignment = {v: 0 for v in U.vertices(spec)}
+    assignment[(1,)] = point
+    for target in (U.FiniteMatrixSpace(TWO),
+                   U.GraphMetricSpace(U.GraphSpace(2, ((0, 1),)))):
+        with pytest.raises(InvariantError, match="map point"):
+            U.TreeMap(spec, target, assignment)

@@ -26,7 +26,7 @@ INCREASING_IDS = [InvariantId.UMBEL_CONVEXITY, InvariantId.RELAXED_UMBEL,
 EXTREME_LHS = {InvariantId.FORK_CONVEXITY, InvariantId.FORK_COTYPE,
                *INCREASING_IDS}
 # targets whose row-wise distances are the oracle's distances bit for bit
-EXACT_TARGETS = {"table", "identity", "l1", "l2", "linf"}
+EXACT_TARGETS = {"table", "identity", "l1", "l2", "linf", "prod"}
 TREES = ["bin:h=2", "bin:h=4", "bin:h=8"] + \
         [f"inc:h=4,b={b}" for b in range(5, 13)] + \
         [f"inc:h=8,b={b}" for b in range(9, 13)]
@@ -41,8 +41,9 @@ def random_map(kind: str, spec, rng):
         d = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1))
         return U.TreeMap(spec, U.FiniteMatrixSpace(d),
                          {v: int(rng.integers(7)) for v in verts})
-    if kind == "heis":
-        space = U.parse_space("heis:dim=2,p=2")
+    if kind in ("heis", "prod"):
+        space = U.parse_space({"heis": "heis:dim=2,p=2",
+                               "prod": "prod:p=2;l2:dim=2;lp:p=inf,dim=2"}[kind])
         return U.TreeMap(spec, space, {v: space.sample(rng) for v in verts})
     p = {"l1": 1.0, "l2": 2.0, "linf": math.inf, "l3": 3.0}[kind]
     return U.TreeMap(spec, U.LpSpace(3, p),
@@ -293,7 +294,7 @@ def test_search_matches_oracle_search(inv):
                          + [("inc:h=4,b=6", i) for i in INCREASING_IDS],
                          ids=lambda x: getattr(x, "value", x))
 @pytest.mark.parametrize("kind", ["table", "identity", "l1", "l2", "linf",
-                                  "l3", "heis"])
+                                  "l3", "heis", "prod"])
 def test_plans_match_oracle_on_every_target(tree, inv, kind):
     f = random_map(kind, U.parse_tree_spec(tree), np.random.default_rng(11))
     exact = kind in EXACT_TARGETS

@@ -10,6 +10,8 @@ import umbellab as U
 from umbellab import pointwise
 from umbellab.pointwise import NoSolution, SPACE_NEEDED
 
+import pointwise_oracle as oracle
+
 L2 = U.LpSpace(3, 2.0)
 unit = st.floats(min_value=-1, max_value=1, allow_nan=False)
 vec3 = st.tuples(unit, unit, unit)
@@ -19,12 +21,25 @@ def cfg(**kw):
     return U.InequalityConfig(**kw)
 
 
+def checked(ineq, c, points, space):
+    """check_inequality's report, after checking it against the scalar
+    oracle: the same witness, the margin within 1e-12, and the same verdict
+    unless the margin lies within 1e-12 of -slack."""
+    rep = U.check_inequality(ineq, c, points, space)
+    want = oracle.check_inequality(ineq, c, points, space)
+    assert abs(rep.margin - want.margin) <= 1e-12
+    assert rep.witness == want.witness
+    if abs(want.margin + c.slack) > 1e-12:
+        assert rep.holds == want.holds
+    return rep
+
+
 def test_tripod_right_angle_example():
     # w at the origin, legs along the axes, z at the barycenter of the legs
     w, x, y = (0.0, 0.0, 0.0), (2.0, 0.0, 0.0), (0.0, 2.0, 0.0)
     z = (1.0, 1.0, 0.0)
-    rep = U.check_inequality(U.InequalityId.Q_TRIPOD, cfg(exponent=2.0, K=1.0),
-                             (w, x, y, z), L2)
+    rep = checked(U.InequalityId.Q_TRIPOD, cfg(exponent=2.0, K=1.0),
+                  (w, x, y, z), L2)
     assert rep.holds
     assert rep.margin == pytest.approx(0.5)
 
@@ -38,31 +53,29 @@ STAR4 = U.FiniteMatrixSpace(np.array([
 
 def test_tripod_four_star_violation():
     # unit star graph: z the hub, w/x/y the leaves
-    rep = U.check_inequality(U.InequalityId.Q_TRIPOD, cfg(exponent=2.0, K=1.0),
-                             (0, 1, 2, 3), STAR4)
+    rep = checked(U.InequalityId.Q_TRIPOD, cfg(exponent=2.0, K=1.0),
+                  (0, 1, 2, 3), STAR4)
     assert not rep.holds
     assert rep.margin == pytest.approx(-0.25)
 
 
 def test_tripod_slack_absorbs_violation():
-    rep = U.check_inequality(U.InequalityId.Q_TRIPOD,
-                             cfg(exponent=2.0, K=1.0, slack=0.25),
-                             (0, 1, 2, 3), STAR4)
+    rep = checked(U.InequalityId.Q_TRIPOD,
+                  cfg(exponent=2.0, K=1.0, slack=0.25), (0, 1, 2, 3), STAR4)
     assert rep.holds
 
 
 @given(vec3, vec3, vec3)
 def test_midpoint_curvature_holds_in_hilbert(x, y, z):
     m = tuple((a + b) / 2 for a, b in zip(x, y))
-    rep = U.check_inequality(U.InequalityId.MIDPOINT_CURVATURE, cfg(),
-                             (x, y, z, m), L2)
+    rep = checked(U.InequalityId.MIDPOINT_CURVATURE, cfg(), (x, y, z, m), L2)
     assert rep.holds or rep.margin > -1e-9
 
 
 @given(vec3, vec3)
 def test_p_uniform_convexity_p2_k1_is_parallelogram_law(x, y):
-    rep = U.check_inequality(U.InequalityId.P_UNIFORM_CONVEXITY,
-                             cfg(exponent=2.0, K=1.0), (x, y), L2)
+    rep = checked(U.InequalityId.P_UNIFORM_CONVEXITY,
+                  cfg(exponent=2.0, K=1.0), (x, y), L2)
     assert rep.holds or abs(rep.margin) < 1e-9
 
 
@@ -71,10 +84,10 @@ def test_umbel_variants_agree_on_finite_families():
     for _ in range(50):
         w, z, *xs = (tuple(rng.uniform(-1, 1, 3)) for _ in range(6))
         pts = (w, z, tuple(xs))
-        base = U.check_inequality(U.InequalityId.RELAXED_P_UMBEL,
-                                  cfg(exponent=2.0, K=4.0), pts, L2)
-        sup = U.check_inequality(U.InequalityId.SUPER_RELAXED_P_UMBEL,
-                                 cfg(exponent=2.0, K=4.0), pts, L2)
+        base = checked(U.InequalityId.RELAXED_P_UMBEL,
+                       cfg(exponent=2.0, K=4.0), pts, L2)
+        sup = checked(U.InequalityId.SUPER_RELAXED_P_UMBEL,
+                      cfg(exponent=2.0, K=4.0), pts, L2)
         assert base.margin == pytest.approx(sup.margin)
 
 
@@ -114,7 +127,7 @@ def test_min_feasible_K_tripod():
     assert rep.violations == 0
 
 
-# batched certification against the per-sample loop
+# certification against the per-sample oracle loop
 
 STAR_GRAPH = {"n": 6, "edges": [[0, 1], [0, 2], [0, 3], [3, 4], [4, 5]]}
 
@@ -128,6 +141,7 @@ BATCHED_SPACES = {
     "graph": ("graph:file={dir}/graph.json", U.GraphMetricSpace),
     "heis-p2": ("heis:dim=2,p=2", U.HeisenbergMetricSpace),
     "heis-pinf": ("heis:dim=2,p=inf", U.HeisenbergMetricSpace),
+    "prod": ("prod:p=2;l2:dim=2;lp:p=inf,dim=2", U.ProductSpace),
 }
 BATCHED_PAIRS = [(ineq, name) for ineq in U.InequalityId
                  for name, (_, kind) in BATCHED_SPACES.items()
@@ -142,17 +156,17 @@ def space_dir(tmp_path_factory):
     return d
 
 
-def per_sample(sampler):
-    """The same draws without the `batch` attribute: certify then checks one
-    configuration at a time with check_inequality."""
-    return lambda rng: sampler(rng)
-
-
 def assert_same_campaign(fast, slow):
     assert fast.violations == slow.violations
     # repr tells floats apart bit for bit, and ints from numpy integers
     assert repr(fast.worst_witness) == repr(slow.worst_witness)
     assert abs(fast.worst_margin - slow.worst_margin) <= 1e-12
+
+
+def per_sample(space, ineq, c, n, seed, xs_count=4):
+    """The oracle campaign over the same configurations as ball_sampler."""
+    return oracle.certify(space, ineq, c, oracle.ball_draw(space, ineq, xs_count),
+                          n, seed)
 
 
 @pytest.mark.parametrize("ineq,name", BATCHED_PAIRS,
@@ -161,13 +175,11 @@ def test_batched_certify_matches_per_sample(ineq, name, space_dir, monkeypatch):
     space = U.parse_space(BATCHED_SPACES[name][0].format(dir=space_dir))
     c = cfg(exponent=3.0 if name == "l3" else 2.0, K=1.0, slack=1e-3)
     sampler = U.ball_sampler(space, ineq)
-    assert hasattr(sampler, "batch")
     # smaller chunks make 600 samples cross two chunk boundaries
     monkeypatch.setattr(pointwise, "_CHUNK", 256)
     for seed in (1, 2):
         assert_same_campaign(U.certify(space, ineq, c, sampler, 600, seed),
-                             U.certify(space, ineq, c, per_sample(sampler),
-                                       600, seed))
+                             per_sample(space, ineq, c, 600, seed))
 
 
 @pytest.mark.parametrize("name", ["l2", "star"])
@@ -178,53 +190,43 @@ def test_batched_certify_crosses_chunk(name, space_dir):
     sampler = U.ball_sampler(space, ineq)
     for seed in (4, 5):
         assert_same_campaign(U.certify(space, ineq, c, sampler, 5000, seed),
-                             U.certify(space, ineq, c, per_sample(sampler),
-                                       5000, seed))
+                             per_sample(space, ineq, c, 5000, seed))
 
 
-def test_per_sample_fallback_for_custom_samplers_and_products():
+def test_custom_row_sampler_matches_per_sample():
+    # any draw(rng, m) returning rows of the space is a sampler
     ineq = U.InequalityId.Q_TRIPOD
     c = cfg(exponent=2.0, K=1.0, slack=1e-3)
-    prod = U.parse_space("prod:p=2;l2:dim=2;lp:p=inf,dim=2")
-    prod_sampler = U.ball_sampler(prod, ineq)
-    assert not hasattr(prod_sampler, "batch")
-    custom = lambda rng: tuple(tuple(rng.normal(size=3)) for _ in range(4))
-    for space, sampler in ((prod, prod_sampler), (L2, custom)):
-        # the per-sample loop written out
-        violations, worst, witness = 0, math.inf, ()
-        rng = np.random.default_rng(np.random.SeedSequence(8).spawn(1)[0])
-        for _ in range(300):
-            rep = U.check_inequality(ineq, c, sampler(rng), space)
-            violations += not rep.holds
-            if rep.margin < worst:
-                worst, witness = rep.margin, rep.witness
-        got = U.certify(space, ineq, c, sampler, 300, 8)
-        assert (got.violations, got.worst_margin) == (violations, worst)
-        assert repr(got.worst_witness) == repr(witness)
+    rows = lambda rng, m: rng.normal(size=(m, 4, 3))
+    one = lambda rng: tuple(tuple(rng.normal(size=3).tolist()) for _ in range(4))
+    assert_same_campaign(U.certify(L2, ineq, c, rows, 300, 8),
+                         oracle.certify(L2, ineq, c, one, 300, 8))
 
 
-def test_wrapped_ball_sampler_keeps_batch():
+def test_wrapped_ball_sampler():
+    # a tracer wraps the sampler it is given and passes (rng, m) through
     sampler = U.ball_sampler(L2, U.InequalityId.Q_TRIPOD)
+    calls = []
 
     @functools.wraps(sampler)
-    def traced(rng):
-        return sampler(rng)
+    def traced(*args):
+        calls.append(args[1])
+        return sampler(*args)
 
-    assert traced.batch is sampler.batch
     c = cfg()
-    assert_same_campaign(U.certify(L2, U.InequalityId.Q_TRIPOD, c, traced, 300, 2),
-                         U.certify(L2, U.InequalityId.Q_TRIPOD, c,
-                                   per_sample(sampler), 300, 2))
+    rep = U.certify(L2, U.InequalityId.Q_TRIPOD, c, traced, 300, 2)
+    assert calls == [300]
+    assert_same_campaign(rep, per_sample(L2, U.InequalityId.Q_TRIPOD, c, 300, 2))
 
 
 def test_batched_umbel_large_xs_count():
     ineq = U.InequalityId.P_UMBEL
     sampler = U.ball_sampler(L2, ineq, xs_count=40)
-    assert sampler.batch(np.random.default_rng(0), 5).shape == (5, 42, 3)
+    assert sampler(np.random.default_rng(0), 5).shape == (5, 42, 3)
     c = cfg(exponent=2.0, K=4.0, slack=1e-3)
     fast = U.certify(L2, ineq, c, sampler, 60, 3)
     assert len(fast.worst_witness[2]) == 40
-    assert_same_campaign(fast, U.certify(L2, ineq, c, per_sample(sampler), 60, 3))
+    assert_same_campaign(fast, per_sample(L2, ineq, c, 60, 3, xs_count=40))
 
 
 def test_batched_umbel_needs_xs():
@@ -234,12 +236,76 @@ def test_batched_umbel_needs_xs():
 
 
 def test_min_feasible_K_batched_matches_per_sample():
+    # the oracle loop certifies the bisection's K and finds a violation just
+    # below it (violations only grow as K shrinks)
     ineq = U.InequalityId.Q_TRIPOD
-    sampler = U.ball_sampler(L2, ineq)
-    Ks = [U.min_feasible_K(L2, ineq, cfg(exponent=2.0), s, n=300, seed=7,
-                           bracket=(0.5, 64.0))
-          for s in (sampler, per_sample(sampler))]
-    assert Ks[0] == pytest.approx(Ks[1], rel=1e-6)
+    K = U.min_feasible_K(L2, ineq, cfg(exponent=2.0), U.ball_sampler(L2, ineq),
+                         n=300, seed=7, bracket=(0.5, 64.0))
+    assert 0.5 < K < 64.0
+    assert per_sample(L2, ineq, cfg(exponent=2.0, K=K), 300, 7).violations == 0
+    below = cfg(exponent=2.0, K=K * (1 - 2e-6))
+    assert per_sample(L2, ineq, below, 300, 7).violations > 0
+
+
+ARITY_CASES = [
+    (U.InequalityId.P_UMBEL, ((0.0,) * 3,) * 2, L2),
+    (U.InequalityId.Q_TRIPOD, ((0.0,) * 3,) * 3, L2),
+    (U.InequalityId.P_UNIFORM_CONVEXITY, ((0.0,) * 3,) * 3, L2),
+    (U.InequalityId.HEISENBERG_PARALLELOGRAM, (U.HPoint((0.0, 0.0), 0.0),) * 3,
+     U.HeisenbergMetricSpace(U.standard_symplectic(2), p=2.0)),
+]
+
+
+@pytest.mark.parametrize("ineq,points,space", ARITY_CASES,
+                         ids=[c[0].value for c in ARITY_CASES])
+def test_check_inequality_arity_errors(ineq, points, space):
+    with pytest.raises(pointwise.PointwiseError, match="takes"):
+        U.check_inequality(ineq, cfg(), points, space)
+    with pytest.raises(pointwise.PointwiseError, match="takes"):
+        oracle.check_inequality(ineq, cfg(), points, space)
+
+
+def test_check_inequality_dimension_errors():
+    hs = U.HeisenbergMetricSpace(U.standard_symplectic(2), p=2.0)
+    cases = [(U.InequalityId.Q_TRIPOD, ((0.0, 0.0),) * 4, L2),
+             (U.InequalityId.HEISENBERG_PARALLELOGRAM,
+              (U.HPoint((0.0,) * 4, 0.0),) * 2, hs)]
+    for ineq, points, space in cases:
+        for check in (U.check_inequality, oracle.check_inequality):
+            with pytest.raises(U.spaces.SpaceError, match="dimension"):
+                check(ineq, cfg(), points, space)
+
+
+def test_check_inequality_space_errors():
+    hs = U.HeisenbergMetricSpace(U.standard_symplectic(2), p=2.0)
+    a = U.HPoint((0.0, 0.0), 0.0)
+    cases = [(U.InequalityId.P_UNIFORM_CONVEXITY, (a, a), hs),
+             (U.InequalityId.HEISENBERG_PARALLELOGRAM, ((0.0,) * 3,) * 2, L2)]
+    for ineq, points, space in cases:
+        for check in (U.check_inequality, oracle.check_inequality):
+            with pytest.raises(pointwise.PointwiseError, match="needs a"):
+                check(ineq, cfg(), points, space)
+
+
+SCALAR_SPACES = [L2, U.LpSpace(3, 3.0), U.LpSpace(3, 1.0),
+                 U.LpSpace(3, math.inf), STAR4,
+                 U.parse_space("prod:p=2;l2:dim=2;lp:p=inf,dim=2"),
+                 U.HeisenbergMetricSpace(U.standard_symplectic(2), p=2.0),
+                 U.HeisenbergMetricSpace(U.standard_symplectic(2))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_check_inequality_matches_scalar_oracle(data):
+    space = data.draw(st.sampled_from(SCALAR_SPACES), label="space")
+    ineq = data.draw(st.sampled_from(
+        [i for i in U.InequalityId
+         if isinstance(space, SPACE_NEEDED.get(i, object))]), label="ineq")
+    c = cfg(exponent=data.draw(st.sampled_from([2.0, 2.5, 3.0])),
+            K=data.draw(st.sampled_from([0.5, 1.0, 4.0])))
+    draw = oracle.ball_draw(space, ineq, data.draw(st.integers(1, 5)))
+    points = draw(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))))
+    checked(ineq, c, points, space)
 
 
 # Heisenberg parallelogram
@@ -256,6 +322,23 @@ def test_parallelogram_worked_pair():
     a = U.HPoint((1.0, 0.0), 0.0)
     rep = U.check_parallelogram(hs.space, 2.0, 1.0, a, a)
     assert rep.holds
+    want = oracle.check_parallelogram(hs.space, 2.0, 1.0, a, a)
+    assert rep.margin == pytest.approx(want.margin, rel=0, abs=1e-12)
+    assert rep.witness == want.witness == (a, a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(unit, unit, unit), st.tuples(unit, unit, unit),
+       st.sampled_from([2.0, 3.0]), st.sampled_from([1.0, 2.0]))
+def test_parallelogram_matches_scalar_oracle(a, b, p, C):
+    hs = U.HeisenbergMetricSpace(U.standard_symplectic(2), p=p)
+    pa, pb = U.HPoint(a[:2], a[2]), U.HPoint(b[:2], b[2])
+    got = U.check_parallelogram(hs.space, p, C, pa, pb, slack=1e-3)
+    want = oracle.check_parallelogram(hs.space, p, C, pa, pb, slack=1e-3)
+    assert abs(got.margin - want.margin) <= 1e-12
+    assert got.witness == want.witness == (pa, pb)
+    if abs(want.margin + 1e-3) > 1e-12:
+        assert got.holds == want.holds
 
 
 def test_parallelogram_requires_p_at_least_two():
@@ -347,9 +430,17 @@ def test_config_exponent_must_be_finite_and_positive(q):
         U.InequalityConfig(q)
 
 
+@pytest.mark.parametrize("kw", [{"K": math.nan}, {"K": math.inf}, {"C": math.nan},
+                                {"C": 0.0}, {"slack": math.nan},
+                                {"slack": math.inf}, {"slack": -1.0}])
+def test_config_constants_and_slack_must_be_finite(kw):
+    with pytest.raises(pointwise.PointwiseError, match="finite"):
+        U.InequalityConfig(**kw)
+
+
 def test_nan_margin_is_a_violation_with_witness_batched(monkeypatch):
     ineq = U.InequalityId.Q_TRIPOD
-    draw = U.ball_sampler(L2, ineq)
+    draw = oracle.ball_draw(L2, ineq)
     real = pointwise.batch_margins
 
     def with_nan(*args):
@@ -358,7 +449,8 @@ def test_nan_margin_is_a_violation_with_witness_batched(monkeypatch):
         return margins
 
     monkeypatch.setattr(pointwise, "batch_margins", with_nan)
-    rep = U.certify(L2, ineq, cfg(exponent=2.0, K=1.0), draw, 20, seed=4)
+    rep = U.certify(L2, ineq, cfg(exponent=2.0, K=1.0),
+                    U.ball_sampler(L2, ineq), 20, seed=4)
     rng = np.random.default_rng(np.random.SeedSequence(4).spawn(1)[0])
     configs = [draw(rng) for _ in range(20)]
     assert rep.violations == 2
@@ -367,18 +459,20 @@ def test_nan_margin_is_a_violation_with_witness_batched(monkeypatch):
     assert json.loads(rep.to_json())["worst_margin"] is None
 
 
-def test_nan_margin_is_a_violation_with_witness_per_sample():
+def test_nan_point_is_a_violation_with_witness():
+    # a NaN coordinate makes the kernel's margin NaN, with no patching
     ineq = U.InequalityId.Q_TRIPOD
     draw = U.ball_sampler(L2, ineq)
-    calls = iter(range(10 ** 6))
 
-    def sampler(rng):  # no `batch`: the per-sample loop
-        pts = draw(rng)
-        return ((math.nan,) * 3,) + pts[1:] if next(calls) in (5, 9) else pts
+    def sampler(rng, m):
+        pts = draw(rng, m)
+        pts[[5, 9], 0] = math.nan
+        return pts
 
     rep = U.certify(L2, ineq, cfg(exponent=2.0, K=1.0), sampler, 20, seed=4)
     assert rep.violations == 2
     assert math.isnan(rep.worst_margin)
     assert math.isnan(rep.worst_witness[0][0])
     rng = np.random.default_rng(np.random.SeedSequence(4).spawn(1)[0])
-    assert rep.worst_witness[1:] == [draw(rng) for _ in range(6)][5][1:]
+    one = oracle.ball_draw(L2, ineq)
+    assert rep.worst_witness[1:] == [one(rng) for _ in range(6)][5][1:]

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import umbellab as U
-from umbellab.search import BudgetExceeded, canonical_start, NO_FEASIBLE
+from umbellab.search import (BudgetExceeded, NO_FEASIBLE, SearchError,
+                             canonical_start, pins_from_json)
 
 
 def path_target(n):
@@ -123,3 +124,23 @@ def test_search_result_json():
     obj = json.loads(res.to_json())
     assert obj["feasible"] is True
     assert obj["best_ratio"] == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("pins", [{(): "a"}, {(): 1.5}, {(): True}, {(): -1},
+                                  {(): 3}, {(1.0,): 0}, {(True,): 0},
+                                  {("1",): 0}, {(9, 9): 0}])
+def test_bad_pins_raise_search_error(pins):
+    with pytest.raises(SearchError, match="pinned"):
+        U.SearchProblem(spec=U.parse_tree_spec("bin:h=2"), target=path_target(3),
+                        invariant=U.InvariantId.MARKOV_DIRECTED, exponent=2.0,
+                        pins=pins)
+
+
+def test_pins_from_json():
+    assert pins_from_json({"pins": [[[], 0], [[1, -1], np.int64(2)]]}) == \
+        {(): 0, (1, -1): 2}
+    # the shape of the document; SearchProblem checks labels and points
+    for bad in ({"pins": [[5, 0]]}, {"pins": [[[[1]], 0]]}, {"pins": [[[]]]},
+                {}, [], {"pins": 3}):
+        with pytest.raises(SearchError):
+            pins_from_json(bad)

@@ -168,6 +168,9 @@ def test_horizontal_length_of_horizontal_segment():
     U.GraphMetricSpace(U.GraphSpace(4, ((0, 1), (1, 2), (1, 3)))),
     U.HeisenbergMetricSpace(U.standard_symplectic(2), p=2.0),
     U.HeisenbergMetricSpace(U.standard_symplectic(4), p=math.inf, lam=0.5),
+    U.parse_space("prod:p=2;l2:dim=2;lp:p=inf,dim=2"),
+    U.ProductSpace((U.LpSpace(2, 1.0), U.FiniteMatrixSpace(
+        np.array([[0.0, 1.0], [1.0, 0.0]]))), math.inf),
 ], ids=lambda sp: sp.describe())
 def test_sample_batch_equals_successive_samples(space):
     # the batch holds bit for bit what m * k successive sample calls return
@@ -179,8 +182,49 @@ def test_sample_batch_equals_successive_samples(space):
     rows = [space.point(v) for v in batch.reshape(m * k, *batch.shape[2:])]
     assert repr(rows) == repr(one_by_one)
     # and every point lies in the unit ball
-    if not isinstance(space, (U.FiniteMatrixSpace, U.GraphMetricSpace)):
+    if isinstance(space, (U.LpSpace, U.HeisenbergMetricSpace)):
         assert (space.norm_rows(batch) <= 1.0 + 1e-12).all()
+
+
+def test_product_rows_keep_points_whole():
+    prod = U.parse_space("prod:p=2;l2:dim=2;lp:p=inf,dim=2")
+    rng = np.random.default_rng(4)
+    pts = [prod.sample(rng) for _ in range(5)]
+    rows = prod.rows(pts)
+    assert rows.shape == (5,) and rows.dtype == object
+    assert [prod.point(r) for r in rows] == pts
+    got = prod.distance_rows(rows[:4], rows[1:])
+    assert got.dtype == np.float64
+    assert got.tolist() == [prod.distance(a, b) for a, b in zip(pts, pts[1:])]
+
+
+@pytest.mark.parametrize("kw", [
+    {"p": math.nan}, {"p": 0.0}, {"p": -2.0}, {"lam": math.nan},
+    {"lam": math.inf}, {"lam": 0.0}, {"lam": -1.0},
+])
+def test_heisenberg_parameters_validated(kw):
+    with pytest.raises(SpaceError):
+        U.HeisenbergMetricSpace(U.standard_symplectic(2), **kw)
+
+
+@pytest.mark.parametrize("text", ["heis:dim=2,p=nan", "heis:dim=2,p=0",
+                                  "heis:dim=2,p=2,lambda=nan",
+                                  "heis:dim=2,p=2,lambda=inf"])
+def test_heisenberg_descriptor_parameters_validated(text):
+    with pytest.raises(SpaceError):
+        U.parse_space(text)
+
+
+def test_heisenberg_infinite_p_allowed():
+    hs = U.HeisenbergMetricSpace(U.standard_symplectic(2), p=math.inf, lam=0.5)
+    assert hs.distance(U.HPoint((1.0, 0.0), 0.0), U.HPoint((0.0, 0.0), 0.0)) == 1.0
+
+
+def test_table_space_has_points():
+    star = U.FiniteMatrixSpace(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert star.has_points([0, 1, np.int64(1)]) and star.has_points([])
+    for bad in ([2], [-1], [0.5], ["a"], [None], [[0]], [True]):
+        assert not star.has_points(bad), bad
 
 
 def test_row_wise_heisenberg_ops_match_scalar():
