@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
+import numbers
 import sys
 
 import numpy as np
@@ -32,10 +32,6 @@ def _emit(obj, out: str | None) -> None:
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _exponent(text: str) -> float:
-    return math.inf if text == "inf" else float(text)
 
 
 def cmd_invariant(args) -> int:
@@ -120,9 +116,13 @@ def cmd_search(args) -> int:
 
 def cmd_lift(args) -> int:
     with open(args.oracle_file) as fh:
-        obj = json.load(fh)
-    domain_space = spaces.FiniteMatrixSpace(np.asarray(obj["domain"]["d"]))
-    target_space = spaces.FiniteMatrixSpace(np.asarray(obj["target"]["d"]))
+        obj = spaces.load_document(fh.read(), "lift oracle", domain=dict,
+                                   target=dict, values=list, C=numbers.Real,
+                                   K=numbers.Real)
+    domain_space, target_space = (
+        spaces.FiniteMatrixSpace(np.asarray(
+            spaces.load_document(obj[key], f"lift oracle {key}", d=list)["d"]))
+        for key in ("domain", "target"))
     oracle = embeddings.QuotientOracle(
         domain_space, tuple(range(domain_space.n)), target_space,
         tuple(obj["values"]), obj["C"], obj["K"])
@@ -159,7 +159,7 @@ def cmd_morphism(args) -> int:
 
 def cmd_heisenberg(args) -> int:
     space = spaces.HeisenbergMetricSpace(spaces.standard_symplectic(args.dim),
-                                         _exponent(args.p), args.lam)
+                                         spaces.parse_exponent(args.p), args.lam)
     est = spaces.quasi_constant_estimate(space, lambda rng: space.sample(rng),
                                          args.samples, args.seed)
     _emit({"dim": args.dim, "p": args.p, "lambda": args.lam,

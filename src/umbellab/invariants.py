@@ -17,8 +17,10 @@ Every side of every functional is compiled once per (invariant, tree,
 j_min) into a Plan: vertex-pair index arrays cut into min, max or weighted
 sum segments, grouped and scaled.  `evaluate` is the one kernel: a gather of
 pair distances, a reduceat per segment and the weighted combination of the
-groups.  The right-hand sides of the cotype and tessera functionals are
-Lipschitz constants, read from the image table.
+groups.  The cotype and tessera right-hand sides are Lipschitz constants:
+on a tree every geodesic is a path of edges, so into a metric target that
+is the largest image edge length, one "max" segment over the edges; other
+targets also scan every vertex pair in row blocks, without a table.
 """
 
 from __future__ import annotations
@@ -101,10 +103,9 @@ class TreeMap:
         return _pairwise(self.target, pts)
 
     def pair_distances(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """d(f(u[i]), f(v[i])) for vertex-order index arrays u and v.  Targets
-        with row-wise distances (table, lp and Heisenberg spaces) compute just
-        these pairs, a table target by a gather through the assignment
-        array; other targets gather from the image table."""
+        """d(f(u[i]), f(v[i])) for vertex-order index arrays u and v: row-wise
+        on targets with `rows` (table, lp, Heisenberg and product spaces),
+        else gathered from the image table."""
         rows = getattr(self.target, "rows", None)
         if rows is None:
             return self.image_distances()[u, v]
@@ -129,14 +130,14 @@ class TreeMap:
         return json.dumps({
             "spec": format_tree_spec(self.spec),
             "target": self.target.describe(),
-            "assignment": [[list(v), _point_json(p)]
+            "assignment": [[list(v), sp.jsonable(p)]
                            for v, p in sorted(self.assignment.items(),
                                               key=lambda kv: (len(kv[0]), kv[0]))],
         })
 
     @classmethod
     def from_json(cls, text: str, target=None) -> "TreeMap":
-        obj = json.loads(text)
+        obj = sp.load_document(text, "map", spec=str, target=str, assignment=list)
         spec = parse_tree_spec(obj["spec"])
         if target is None:
             target = parse_space(obj["target"])
@@ -155,19 +156,11 @@ def _origin(target):
     return 0
 
 
-def _point_json(p):
-    if isinstance(p, HPoint):
-        return {"x": list(p.x), "s": p.s}
-    if isinstance(p, tuple):
-        return list(p)
-    return p
-
-
 def _point_from_json(p):
     if isinstance(p, dict):
         return HPoint(tuple(p["x"]), p["s"])
     if isinstance(p, list):
-        return tuple(p)
+        return tuple(map(_point_from_json, p))
     return p
 
 
@@ -215,40 +208,37 @@ def _pairwise(target, pts) -> np.ndarray:
     return out
 
 
-_LIPSCHITZ_BLOCK = 1 << 20  # ratio entries per row block
+_LIPSCHITZ_BLOCK = 1 << 20  # vertex pairs per row block of the pair scan
 
 
-def _lipschitz_pair_edge(dimg: np.ndarray, graph: TreeGraph):
-    """(max over vertex pairs of dimg / d_tree, max over edges of dimg) for
-    image tables dimg of shape (..., n, n).  The pair maximum is taken in row
-    blocks, so no n x n ratio buffer is allocated."""
-    dtree = graph.dist
-    n = len(dtree)
-    rows = int(np.prod(dimg.shape[:-2]))
-    step = max(1, _LIPSCHITZ_BLOCK // (rows * n))
-    pair = np.zeros(dimg.shape[:-2])
-    for lo in range(0, n, step):
-        dt = dtree[lo:lo + step]
-        ratio = np.zeros(dimg.shape[:-2] + dt.shape)
-        np.divide(dimg[..., lo:lo + step, :], dt, out=ratio, where=dt > 0)
-        np.maximum(pair, ratio.max(axis=(-2, -1)), out=pair)
-    child = np.arange(1, n)
-    parent = graph.anc[child, graph.depth[child] - 1]
-    edge = dimg[..., parent, child].max(axis=-1, initial=0.0)
-    return pair, edge
+def _is_metric(target) -> bool:
+    """Whether `target` obeys the triangle inequality (its pair and edge
+    Lipschitz maxima on a tree agree)."""
+    return getattr(target, "quasi_constant", math.inf) == 1
+
+
+def _pair_max(f: TreeMap, tg: TreeGraph) -> float:
+    """max over vertex pairs u < v of d_Y(f(u), f(v)) / d_tree(u, v), in row
+    blocks of about _LIPSCHITZ_BLOCK pairs."""
+    n, best = tg.n, 0.0
+    step = max(1, _LIPSCHITZ_BLOCK // n)
+    for lo in range(0, n - 1, step):
+        u, v = np.nonzero(np.arange(lo, min(lo + step, n))[:, None] < np.arange(n))
+        u += lo
+        best = max(best, float((f.pair_distances(u, v) / tg.distance_rows(u, v)).max()))
+    return best
 
 
 def lipschitz_constant(f: TreeMap, with_flag: bool = False):
-    """max over vertex pairs of d_Y(f(u), f(v)) / d_tree(u, v).  The edge
-    maximum is read from the same table; for true-metric targets the two
-    agree, and the larger is reported (flagged when they differ beyond
-    tolerance)."""
-    pair, edge = _lipschitz_pair_edge(f.image_distances(), tree_graph(f.spec)[0])
-    pair, edge = float(pair), float(edge)
+    """max over vertex pairs of d_Y(f(u), f(v)) / d_tree(u, v): on a metric
+    target the edge maximum, over the pairs of the Lipschitz plans.  Other
+    targets also run the pair scan; the larger is reported, flagged when the
+    two differ beyond tolerance."""
+    tg, _ = tree_graph(f.spec)
+    edge = float(f.pair_distances(*_edge_pairs(tg)[:2]).max(initial=0.0))
+    pair = edge if _is_metric(f.target) else _pair_max(f, tg)
     value = max(pair, edge)
-    if with_flag:
-        return value, not sp.close(pair, edge)
-    return value
+    return (value, not sp.close(pair, edge)) if with_flag else value
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +377,14 @@ def _walk_pairs(tg: TreeGraph, window: int, t: int):
     return u, v, np.full(len(u), 2.0 ** (1 - window - t))
 
 
-def _edge_pairs(tg: TreeGraph, level: int, weight: Optional[float] = None):
+def _edge_pairs(tg: TreeGraph, level: Optional[int] = None,
+                weight: Optional[float] = None):
     """The (parent, child) pairs of the edges between heights level-1 and
-    level."""
-    lo, hi = _height_range(tg, level)
+    level, or of every edge."""
+    lo, hi = (1, tg.n) if level is None else _height_range(tg, level)
     child = np.arange(lo, hi)
     w = None if weight is None else np.full(hi - lo, weight)
-    return tg.anc[child, level - 1], child, w
+    return tg.anc[child, tg.depth[child] - 1], child, w
 
 
 def _compile_lhs(inv: InvariantId, tg: TreeGraph, k: int,
@@ -438,9 +429,9 @@ def _compile_lhs(inv: InvariantId, tg: TreeGraph, k: int,
 
 
 def _compile_rhs(inv: InvariantId, tg: TreeGraph, k: int,
-                 j_min: Optional[int]) -> Optional[Plan]:
-    if inv in _LIPSCHITZ_IDS:
-        return None
+                 j_min: Optional[int]) -> Plan:
+    if inv in _LIPSCHITZ_IDS:  # the largest edge: exact on metric targets
+        return _build("max", "sum", [([_edge_pairs(tg)], 1, 0)])
     if inv in (InvariantId.UMBEL_CONVEXITY, InvariantId.FORK_CONVEXITY):
         return _build("max", "sum", [
             ([_edge_pairs(tg, level) for level in range(1, 2 ** k + 1)],
@@ -453,11 +444,11 @@ def _compile_rhs(inv: InvariantId, tg: TreeGraph, k: int,
 
 
 def compile_plan(inv: InvariantId, spec: TreeSpec, side: str,
-                 j_min: Optional[int] = None) -> Optional[Plan]:
-    """The plan of one side ("lhs" or "rhs") of a functional on a tree, or
-    None for a Lipschitz right-hand side.  Plans are compiled once and kept
-    on tree_graph's cached entry for the tree, so clearing that cache drops
-    them too.  j_min only enters the umbel left-hand sides."""
+                 j_min: Optional[int] = None) -> Plan:
+    """The plan of one side ("lhs" or "rhs") of a functional on a tree.
+    Plans are compiled once and kept on tree_graph's cached entry for the
+    tree, so clearing that cache drops them too.  j_min only enters the
+    umbel left-hand sides."""
     k = _validate(inv, spec)
     if side == "rhs" or inv not in _INCREASING_IDS:
         j_min = None
@@ -471,19 +462,12 @@ def compile_plan(inv: InvariantId, spec: TreeSpec, side: str,
 
 def table_sides(inv: InvariantId, spec: TreeSpec, target, A: np.ndarray,
                 p: float) -> tuple[np.ndarray, np.ndarray]:
-    """(lhs, rhs) for a batch of maps into one finite table space: row r of
-    the int array A assigns point A[r, i] to vertex i (vertex order)."""
+    """(lhs, rhs) for a batch of maps into one finite metric table space: row
+    r of the int array A assigns point A[r, i] to vertex i (vertex order)."""
     _check_exponent(p)
-    left_plan = compile_plan(inv, spec, "lhs")
-    right_plan = compile_plan(inv, spec, "rhs")
-    gather = target.distance_rows
-    left = evaluate(left_plan, gather(A[:, left_plan.u], A[:, left_plan.v]), p)
-    if right_plan is None:
-        dimg = gather(A[:, :, None], A[:, None, :])
-        right = _pow(np.maximum(*_lipschitz_pair_edge(dimg, tree_graph(spec)[0])), p)
-    else:
-        right = evaluate(right_plan, gather(A[:, right_plan.u], A[:, right_plan.v]), p)
-    return left, right
+    return tuple(evaluate(plan, target.distance_rows(A[:, plan.u], A[:, plan.v]), p)
+                 for plan in (compile_plan(inv, spec, "lhs"),
+                              compile_plan(inv, spec, "rhs")))
 
 
 # ---------------------------------------------------------------------------
@@ -502,13 +486,14 @@ def lhs(inv: InvariantId, f: TreeMap, p: float,
 
 def _rhs(inv: InvariantId, f: TreeMap, p: float) -> tuple[float, Optional[bool]]:
     """The right-hand side and, when it is a Lipschitz constant, whether its
-    pair and edge maxima disagree."""
+    pair and edge maxima disagree: never on a metric target, where the edge
+    plan alone gives it."""
     _check_exponent(p)
     plan = compile_plan(inv, f.spec, "rhs")
-    if plan is None:
+    if inv in _LIPSCHITZ_IDS and not _is_metric(f.target):
         lip, flag = lipschitz_constant(f, with_flag=True)
         return lip ** p, flag
-    return _evaluate_map(plan, f, p), None
+    return _evaluate_map(plan, f, p), (False if inv in _LIPSCHITZ_IDS else None)
 
 
 def rhs(inv: InvariantId, f: TreeMap, p: float) -> float:

@@ -116,18 +116,8 @@ class CampaignReport:
             # a nan margin (a violation) or an empty run has no number
             "worst_margin": (self.worst_margin
                              if math.isfinite(self.worst_margin) else None),
-            "worst_witness": _jsonable(self.worst_witness),
+            "worst_witness": sp.jsonable(self.worst_witness),
         })
-
-
-def _jsonable(obj):
-    if isinstance(obj, HPoint):
-        return {"x": list(obj.x), "s": obj.s}
-    if isinstance(obj, (tuple, list)):
-        return [_jsonable(x) for x in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
 
 
 # ---------------------------------------------------------------------------

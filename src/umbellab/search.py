@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .invariants import (InvariantId, InvariantReport, TreeMap, report,
-                         table_sides)
+from .invariants import (InvariantId, InvariantReport, TreeMap, compile_plan,
+                         report, table_sides)
 from .spaces import FiniteMatrixSpace, is_int
 from .trees import TreeSpec, Vertex, tree_graph, vertices
 
@@ -92,10 +92,11 @@ class _Scorer:
 
     def __init__(self, problem: SearchProblem):
         self.problem = problem
-        graph, index = tree_graph(problem.spec)
-        self.index = index
-        self.verts = list(index)
-        self.rows = max(1, _BATCH // graph.n ** 2)
+        self.index = tree_graph(problem.spec)[1]
+        self.verts = list(self.index)
+        pairs = sum(len(compile_plan(problem.invariant, problem.spec, side).u)
+                    for side in ("lhs", "rhs"))
+        self.rows = max(1, _BATCH // pairs)
 
     def __call__(self, A: np.ndarray) -> np.ndarray:
         pr = self.problem

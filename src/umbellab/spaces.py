@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -30,6 +31,31 @@ def close(a: float, b: float) -> bool:
 def is_int(x) -> bool:
     """Whether x is a Python or numpy integer, and not a bool."""
     return type(x) is int or isinstance(x, np.integer)
+
+
+def load_document(doc, name: str, **kinds) -> dict:
+    """A JSON input document (its text, or a value parsed from it): an
+    object holding each key of `kinds` with a value of that type."""
+    obj = json.loads(doc) if isinstance(doc, str) else doc
+    if not isinstance(obj, dict):
+        raise SpaceError(f"the {name} document is not a JSON object")
+    for key, kind in kinds.items():
+        if key not in obj or not isinstance(obj[key], kind):
+            raise SpaceError(f"the {name} document needs a {key!r} entry of "
+                             f"type {kind.__name__}")
+    return obj
+
+
+def jsonable(obj):
+    """`obj` as a JSON value: an HPoint as {"x": ..., "s": ...}, tuples and
+    lists item by item, numpy scalars as Python numbers."""
+    if isinstance(obj, HPoint):
+        return {"x": list(obj.x), "s": obj.s}
+    if isinstance(obj, (tuple, list)):
+        return [jsonable(x) for x in obj]
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -58,13 +84,13 @@ class LpSpace:
     dim: int
     p: float
 
+    quasi_constant: ClassVar[float] = 1.0
+
     def __post_init__(self):
         if not self.p >= 1:  # also rejects nan
             raise SpaceError("p must be >= 1")
         if self.dim < 1:
             raise SpaceError("dim must be >= 1")
-
-    quasi_constant: float = 1.0
 
     def norm(self, x) -> float:
         return lp_norm(x, self.p)
@@ -139,7 +165,7 @@ class FiniteMatrixSpace(TableSpace):
     """A finite metric space given by its distance matrix; points are indices."""
 
     matrix: np.ndarray = field(repr=False)
-    quasi_constant: float = 1.0
+    quasi_constant: ClassVar[float] = 1.0  # the triangle is checked
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -176,9 +202,7 @@ class FiniteMatrixSpace(TableSpace):
 
     @classmethod
     def from_json(cls, text: str) -> "FiniteMatrixSpace":
-        obj = json.loads(text)
-        if not isinstance(obj, dict):
-            raise SpaceError('a matrix document is {"n": ..., "d": [[...]]}')
+        obj = load_document(text, "matrix", n=object, d=list)
         m = np.asarray(obj["d"], dtype=float)
         if m.shape != (obj["n"], obj["n"]):
             raise SpaceError("matrix shape disagrees with n")
@@ -196,7 +220,7 @@ class GraphMetricSpace(TableSpace):
     """Path metric of a GraphSpace; points are vertex ids."""
 
     graph: GraphSpace
-    quasi_constant: float = 1.0
+    quasi_constant: ClassVar[float] = 1.0
 
     @property
     def n(self) -> int:
@@ -372,7 +396,7 @@ class HeisenbergMetricSpace:
     space: HeisenbergSpace
     p: float = math.inf
     lam: float = 1.0
-    quasi_constant: float = 2.0  # empirical bound, refine with quasi_constant_estimate
+    quasi_constant: ClassVar[float] = 2.0  # empirical bound, refine with quasi_constant_estimate
 
     def __post_init__(self):
         if not self.p > 0:  # also rejects nan; inf is allowed
@@ -453,7 +477,7 @@ def quasi_constant_estimate(space, sampler, n: int, seed: int) -> float:
 # Descriptor parsing
 
 
-def _parse_exponent(text: str) -> float:
+def parse_exponent(text: str) -> float:
     return math.inf if text == "inf" else float(text)
 
 
@@ -470,7 +494,7 @@ def parse_space(text: str):
         if not parts:
             raise SpaceError("product needs components")
         try:
-            p = _parse_exponent(_fields(head[len("prod:"):])["p"])
+            p = parse_exponent(_fields(head[len("prod:"):])["p"])
         except (KeyError, ValueError) as exc:
             raise SpaceError(f"bad product exponent in {text!r}") from exc
         return ProductSpace(tuple(parse_space(c) for c in parts), p)
@@ -480,19 +504,19 @@ def parse_space(text: str):
         if head == "l2":
             return LpSpace(int(fields["dim"]), 2.0)
         if head == "lp":
-            return LpSpace(int(fields["dim"]), _parse_exponent(fields["p"]))
+            return LpSpace(int(fields["dim"]), parse_exponent(fields["p"]))
         if head == "heis":
             dim = int(fields["dim"])
             if fields.get("metric", "koranyi") != "koranyi":
                 raise SpaceError("only the koranyi metric variant is supported")
             return HeisenbergMetricSpace(
                 standard_symplectic(dim),
-                _parse_exponent(fields.get("p", "inf")),
+                parse_exponent(fields.get("p", "inf")),
                 float(fields.get("lambda", "1")),
             )
         if head == "graph":
             with open(fields["file"]) as fh:
-                obj = json.load(fh)
+                obj = load_document(fh.read(), "graph", n=int, edges=list)
             return GraphMetricSpace(GraphSpace(obj["n"], tuple(map(tuple, obj["edges"]))))
         if head == "matrix":
             with open(fields["file"]) as fh:

@@ -217,7 +217,7 @@ class GraphSpace:
         _check_table(self.dist)
 
     def distance(self, i: int, j: int) -> float:
-        return float(self.dist[i, j])
+        return float(self.distance_rows(i, j))
 
     def distance_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.dist[a, b]

@@ -1,12 +1,14 @@
 """Fuzz of the command-line front end: space and tree descriptors and the
 argv of every subcommand, at tiny sizes.  Every run exits with 0, 1, 2 or 3,
 raises nothing past `main` (so no traceback reaches stderr), and prints
-strict JSON on stdout when it exits with 0 or 1.  Paths are written with a
-{dir} placeholder for the directory of the fixture files below."""
+strict JSON on stdout when it exits with 0 or 1; a validation error names
+more than a missing key.  Paths are written with a {dir} placeholder for
+the directory of the fixture files below."""
 
 import contextlib
 import io
 import json
+import re
 import traceback
 
 import pytest
@@ -45,6 +47,9 @@ FILES = {
     "oracle.json": _oracle([0, 1, 2]),
     "oracle-range.json": _oracle([0, 1, 9]),
     "oracle-short.json": _oracle([0, 1]),
+    "oracle-values.json": _oracle(5),
+    "oracle-c.json": {**_oracle([0, 1, 2]), "C": "x"},
+    "list.json": [1, 2],
 }
 
 
@@ -82,8 +87,8 @@ LEAF_SPACES = st.one_of(
     fields("heis:dim={},p={},lambda={}", st.sampled_from(["2", "2", "4", "0", "1"]),
            NUMBER, NUMBER),
     fields("matrix:file={}", path(["star.json", "star.json", "path3.json",
-                                   "pins.json"])),
-    fields("graph:file={}", path(["graph.json", "graph.json"])),
+                                   "pins.json", "list.json"])),
+    fields("graph:file={}", path(["graph.json", "graph.json", "list.json"])),
 )
 SPACES = st.one_of(
     LEAF_SPACES, LEAF_SPACES,
@@ -121,7 +126,8 @@ def command(name, required, **opts):
 
 INVARIANT_OPTIONS = {
     "--map": st.one_of(st.sampled_from(["identity", "constant", "x"]),
-                       path(["map.json", "map-range.json"]).map("file:{}".format)),
+                       path(["map.json", "map-range.json", "list.json"])
+                       .map("file:{}".format)),
     "--target": SPACES, "--j-min": COUNT}
 BINARY_IDS = ["fork-convexity", "fork-cotype", "tessera", "markov-directed"]
 
@@ -151,7 +157,8 @@ ARGV = st.one_of(
     command("search",
             {"--tree": SEARCH_TREES,
              "--invariant": st.sampled_from(INVARIANTS), "--p": NUMBER,
-             "--target-file": path(["path3.json", "star.json", "graph.json"])},
+             "--target-file": path(["path3.json", "star.json", "graph.json",
+                                    "list.json"])},
             **{"--pins-file": path(["pins.json", "pins-str.json",
                                     "pins-vertex.json", "pins-float.json",
                                     "path3.json"]),
@@ -159,9 +166,12 @@ ARGV = st.one_of(
                "--restarts": COUNT, "--steps": COUNT,
                "--budget": st.integers(-1, 100).map(str)}),
     command("lift",
-            {"--map-file": path(["map.json", "map-range.json", "oracle.json"]),
+            {"--map-file": path(["map.json", "map-range.json", "oracle.json",
+                                 "list.json"]),
              "--oracle-file": path(["oracle.json", "oracle-range.json",
-                                    "oracle-short.json", "map.json"])}),
+                                    "oracle-short.json", "oracle-values.json",
+                                    "oracle-c.json",
+                                    "map.json", "list.json"])}),
     command("morphism", {"--k": COUNT},
             **{"--j-const": st.integers(-1, 6).map(str),
                "--j-max": st.integers(-1, 8).map(str), "--seed": COUNT}),
@@ -196,6 +206,20 @@ def _reject_constant(name):
           "--oracle-file", "{dir}/oracle-range.json"])
 @example(argv=["lift", "--map-file", "{dir}/map-range.json",
           "--oracle-file", "{dir}/oracle.json"])
+@example(argv=["certify", "--space", "graph:file={dir}/list.json",
+          "--inequality", "tripod", "--samples", "10"])
+@example(argv=["invariant", "--tree", "bin:h=4", "--invariant", "fork-cotype",
+          "--p", "2", "--map", "file:{dir}/list.json"])
+@example(argv=["lift", "--map-file", "{dir}/list.json",
+          "--oracle-file", "{dir}/oracle.json"])
+@example(argv=["lift", "--map-file", "{dir}/map.json",
+          "--oracle-file", "{dir}/list.json"])
+@example(argv=["lift", "--map-file", "{dir}/map.json",
+          "--oracle-file", "{dir}/oracle-values.json"])
+@example(argv=["lift", "--map-file", "{dir}/map.json",
+          "--oracle-file", "{dir}/oracle-c.json"])
+@example(argv=["search", "--tree", "bin:h=2", "--invariant", "markov-directed",
+          "--p", "2", "--target-file", "{dir}/graph.json"])
 def test_cli_fuzz(fixture_dir, argv):
     argv = [a.replace("{dir}", str(fixture_dir)) for a in argv]
     out, err = io.StringIO(), io.StringIO()
@@ -208,3 +232,7 @@ def test_cli_fuzz(fixture_dir, argv):
     assert "Traceback" not in err.getvalue(), argv
     if code in (0, 1):
         json.loads(out.getvalue(), parse_constant=_reject_constant)
+    if code == 2 and err.getvalue().startswith("{"):
+        # a bare KeyError's text is the key alone, which names no input
+        error = json.loads(err.getvalue())["error"]
+        assert not re.fullmatch(r"'[^']*'", error), argv

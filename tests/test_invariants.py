@@ -214,6 +214,16 @@ def test_tree_map_json_round_trip():
         assert np.allclose(again.point(v), f.point(v))
 
 
+def test_map_json_round_trip_of_product_points():
+    spec = U.parse_tree_spec("bin:h=2")
+    target = U.parse_space("prod:p=2;l2:dim=2;heis:dim=2,p=2")
+    rng = np.random.default_rng(2)
+    f = U.TreeMap(spec, target, {v: target.sample(rng) for v in U.vertices(spec)})
+    obj = json.loads(U.TreeMap.constant(spec, target).to_json())
+    assert obj["assignment"][0][1] == [[0.0, 0.0], {"x": [0.0, 0.0], "s": 0.0}]
+    assert U.TreeMap.from_json(f.to_json()).assignment == f.assignment
+
+
 def test_named_maps():
     spec = U.parse_tree_spec("bin:h=2")
     ident = U.named_map("identity", spec)

@@ -181,6 +181,86 @@ def test_lipschitz_in_row_blocks_matches_full_buffer(block, monkeypatch):
     assert U.lipschitz_constant(squared, with_flag=True)[1]
 
 
+LIPSCHITZ_IDS = {trees.BINARY: [InvariantId.FORK_COTYPE, InvariantId.TESSERA],
+                 trees.INCREASING: [InvariantId.UMBEL_COTYPE,
+                                    InvariantId.RELAXED_UMBEL]}
+
+
+def test_lipschitz_sides_build_no_table():
+    trees.tree_graph.cache_clear()
+    rng = np.random.default_rng(5)
+    spec = U.parse_tree_spec
+    maps = [U.TreeMap.identity(spec("inc:h=8,b=12")),
+            U.TreeMap.identity(spec("bin:h=8")),
+            random_map("l2", spec("bin:h=8"), rng),
+            random_map("table", spec("inc:h=4,b=6"), rng),
+            U.bourgain_embed(spec("inc:h=8,b=10"), 2.0)]
+    for f in maps:
+        for inv in LIPSCHITZ_IDS[f.spec.kind]:
+            rep = U.report(inv, f, 2.0)
+            assert rep.rhs > 0 and rep.lipschitz_flag is False
+        assert trees.tree_graph(f.spec)[0]._dist is None
+        assert f._image is None
+    trees.tree_graph.cache_clear()
+
+
+@pytest.fixture
+def pair_scans(monkeypatch):
+    """The targets of the Lipschitz pair scans run while the test runs."""
+    calls, scan = [], U.invariants._pair_max
+
+    def spy(f, tg):
+        calls.append(f.target)
+        return scan(f, tg)
+
+    monkeypatch.setattr(U.invariants, "_pair_max", spy)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["heis:dim=2,p=2",
+                                  "prod:p=2;l2:dim=2;heis:dim=2,p=2", "squared"])
+def test_quasi_metric_targets_take_the_pair_scan(kind, pair_scans):
+    spec = U.parse_tree_spec("bin:h=4")
+    if kind == "squared":
+        # leaf siblings at 10 and -10: the largest ratio is a non-edge pair
+        f = U.TreeMap(spec, Squared(), {v: 10.0 * v[-1] if len(v) == 4 else 0.0
+                                        for v in U.vertices(spec)})
+    else:
+        space, rng = U.parse_space(kind), np.random.default_rng(6)
+        f = U.TreeMap(spec, space, {v: space.sample(rng) for v in U.vertices(spec)})
+    lip, flag = oracle.lipschitz_constant(f, with_flag=True)
+    assert flag is (kind == "squared")
+    for inv in LIPSCHITZ_IDS[trees.BINARY]:
+        rep = U.report(inv, f, 2.0)
+        assert rep.lipschitz_flag is flag
+        assert rep.rhs == pytest.approx(lip ** 2, rel=1e-12)
+    assert pair_scans == [f.target] * 2
+
+
+def test_metric_product_takes_the_edge_plan(pair_scans):
+    f = random_map("prod", U.parse_tree_spec("bin:h=4"), np.random.default_rng(7))
+    for inv in LIPSCHITZ_IDS[trees.BINARY]:
+        rep = U.report(inv, f, 2.0)
+        assert rep.lipschitz_flag is False
+        assert rep.rhs == pytest.approx(oracle.rhs(inv, f, 2.0), rel=1e-12)
+    assert pair_scans == []
+
+
+def test_matrix_within_triangle_slack_matches_the_full_scan():
+    # d(0, 2) exceeds d(0, 1) + d(1, 2) by half the slack the matrix check
+    # allows, so the pair ratio of a depth-0/depth-2 pair beats every edge
+    tol = U.spaces.REL_TOL * (2.0 + 1.0)
+    d = np.array([[0.0, 1.0, 2.0 + tol / 2], [1.0, 0.0, 1.0],
+                  [2.0 + tol / 2, 1.0, 0.0]])
+    spec = U.parse_tree_spec("bin:h=4")
+    f = U.TreeMap(spec, U.FiniteMatrixSpace(d),
+                  {v: min(len(v), 2) for v in U.vertices(spec)})
+    for inv in LIPSCHITZ_IDS[trees.BINARY]:
+        got, want = U.rhs(inv, f, 1.0), oracle.rhs(inv, f, 1.0)
+        assert got == 1.0 < want
+        assert want - got <= U.spaces.REL_TOL * (d.max() + 1.0)
+
+
 def test_lipschitz_allocates_no_table_sized_buffer():
     f = U.TreeMap.identity(U.parse_tree_spec("inc:h=8,b=12"))
     table = f.image_distances()

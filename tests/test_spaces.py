@@ -79,6 +79,26 @@ def test_finite_matrix_json_round_trip():
         U.FiniteMatrixSpace.from_json(json.dumps(bad))
 
 
+@pytest.mark.parametrize("doc,message", [
+    ([1, 2], "the matrix document is not a JSON object"),
+    ({"n": 2}, "the matrix document needs a 'd' entry"),
+    ({"n": 1, "d": 5}, "the matrix document needs a 'd' entry of type list"),
+])
+def test_matrix_document_errors_name_document_and_key(doc, message):
+    with pytest.raises(SpaceError, match=message):
+        U.FiniteMatrixSpace.from_json(json.dumps(doc))
+
+
+def test_quasi_constant_is_a_class_constant():
+    hs = U.HeisenbergMetricSpace(U.standard_symplectic(2))
+    assert (U.LpSpace.quasi_constant, U.FiniteMatrixSpace.quasi_constant,
+            U.HeisenbergMetricSpace.quasi_constant) == (1.0, 1.0, 2.0)
+    with pytest.raises(TypeError):
+        U.HeisenbergMetricSpace(hs.space, 2.0, 1.0, 1.0)
+    prod = U.parse_space("prod:p=2;l2:dim=2;heis:dim=2,p=2")
+    assert prod.quasi_constant == 2.0
+
+
 def test_product_space_distance():
     prod = U.ProductSpace((U.LpSpace(1, 2.0), U.LpSpace(1, 2.0)), 2.0)
     d = prod.distance(((0.0,), (0.0,)), ((3.0,), (4.0,)))
