@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 import numpy as np
-from scipy import integrate
 
 from .invariants import TreeMap, distance_matrices
 from .spaces import LpSpace, TableSpace, lp_norm
@@ -166,6 +165,7 @@ def compression_integral(rho, p: float, T: float) -> float:
             if v:
                 total += v ** p * (a ** (-p) - b ** (-p)) / p
         return total
+    from scipy import integrate
     val, _ = integrate.quad(lambda t: (rho(t) / t) ** p / t, 1.0, T,
                             epsabs=1e-12, epsrel=1e-12, limit=400)
     return val

@@ -28,11 +28,11 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .trees import (BINARY, INCREASING, TreeGraph, TreeSpec, Vertex,
                     parse_tree_spec, format_tree_spec, tree_graph, vertices)
@@ -141,7 +141,14 @@ class TreeMap:
         spec = parse_tree_spec(obj["spec"])
         if target is None:
             target = parse_space(obj["target"])
-        assignment = {tuple(v): _point_from_json(p) for v, p in obj["assignment"]}
+        assignment = {}
+        for entry in obj["assignment"]:
+            if not (isinstance(entry, list) and len(entry) == 2
+                    and isinstance(entry[0], list)
+                    and all(isinstance(label, int) for label in entry[0])):
+                raise sp.SpaceError(f"the map document's assignment entry "
+                                    f"{json.dumps(entry)} is not a [vertex, point] pair")
+            assignment[tuple(entry[0])] = _point_from_json(entry[1])
         return cls(spec, target, assignment)
 
 
@@ -158,6 +165,9 @@ def _origin(target):
 
 def _point_from_json(p):
     if isinstance(p, dict):
+        if not (isinstance(p.get("x"), list) and isinstance(p.get("s"), numbers.Real)):
+            raise sp.SpaceError(f"the map document's point {json.dumps(p)} needs "
+                                "an 'x' list and an 's' number")
         return HPoint(tuple(p["x"]), p["s"])
     if isinstance(p, list):
         return tuple(map(_point_from_json, p))
@@ -198,6 +208,7 @@ def _pairwise(target, pts) -> np.ndarray:
             return view
         return mat[np.ix_(idx, idx)]
     if isinstance(target, LpSpace):
+        from scipy.spatial.distance import cdist
         arr = np.asarray(pts, dtype=float)
         metric = "chebyshev" if target.p == math.inf else "minkowski"
         return cdist(arr, arr, metric=metric, p=target.p) if metric == "minkowski" else cdist(arr, arr, metric=metric)

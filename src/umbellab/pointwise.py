@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import spaces as sp
 from .spaces import HPoint, LpSpace
@@ -393,6 +392,7 @@ class ModulusEstimate:
     value: float
     grid: int
     configurations: int
+    polished: bool  # SLSQP ran and its point meets every constraint
 
 
 def _circle_points(space: LpSpace, grid: int) -> np.ndarray:
@@ -406,13 +406,16 @@ def _circle_points(space: LpSpace, grid: int) -> np.ndarray:
     return pts / norms[:, None]
 
 
-def _polish(space: LpSpace, objective, constraints, x0):
+def _polish(objective, constraints, x0) -> tuple[float, bool]:
+    """SLSQP from x0: (objective value, True), or (inf, False) when SLSQP
+    fails or its point breaks a constraint."""
+    from scipy import optimize
     res = optimize.minimize(objective, x0, method="SLSQP",
                             constraints=constraints,
                             options={"maxiter": 200, "ftol": 1e-12})
     if res.success and all(c["fun"](res.x) >= -1e-9 for c in constraints):
-        return float(res.fun)
-    return math.inf
+        return float(res.fun), True
+    return math.inf, False
 
 
 def modulus_delta(space: LpSpace, eps: float, grid: int = 64) -> ModulusEstimate:
@@ -440,6 +443,7 @@ def modulus_delta(space: LpSpace, eps: float, grid: int = 64) -> ModulusEstimate
             j = int(np.argmin(np.where(ok, vals, math.inf)))
             if vals[j] < best:
                 best, best_pair = float(vals[j]), (pts[i].copy(), pts[j].copy())
+    polished = False
     if best_pair is not None:
         def obj(v):
             return 1 - space.norm((v[:2] + v[2:]) / 2)
@@ -449,8 +453,9 @@ def modulus_delta(space: LpSpace, eps: float, grid: int = 64) -> ModulusEstimate
             {"type": "ineq", "fun": lambda v: space.norm(v[:2] - v[2:]) - eps},
         ]
         x0 = np.concatenate(best_pair)
-        best = min(best, _polish(space, obj, cons, x0))
-    return ModulusEstimate(eps, max(best, 0.0), grid, count)
+        polish, polished = _polish(obj, cons, x0)
+        best = min(best, polish)
+    return ModulusEstimate(eps, max(best, 0.0), grid, count, polished)
 
 
 def modulus_delta_tilde(space: LpSpace, eps: float, grid: int = 24) -> ModulusEstimate:
@@ -483,6 +488,7 @@ def modulus_delta_tilde(space: LpSpace, eps: float, grid: int = 24) -> ModulusEs
         if vmax[j] < best:
             best = float(vmax[j])
             best_cfg = (cand[zi], cand[pairs[j, 0]], cand[pairs[j, 1]])
+    polished = False
     if best_cfg is not None:
         def obj(v):
             z, x1, x2 = v[:2], v[2:4], v[4:6]
@@ -494,8 +500,9 @@ def modulus_delta_tilde(space: LpSpace, eps: float, grid: int = 24) -> ModulusEs
             {"type": "ineq", "fun": lambda v: space.norm(v[2:4] - v[4:6]) - eps},
         ]
         x0 = np.concatenate(best_cfg)
-        best = min(best, _polish(space, obj, cons, x0))
-    return ModulusEstimate(eps, max(best, 0.0), grid, count)
+        polish, polished = _polish(obj, cons, x0)
+        best = min(best, polish)
+    return ModulusEstimate(eps, max(best, 0.0), grid, count, polished)
 
 
 def modulus_beta(space: LpSpace, t: float, m: int = 3, grid: int = 12) -> ModulusEstimate:
@@ -544,8 +551,8 @@ def modulus_beta(space: LpSpace, t: float, m: int = 3, grid: int = 12) -> Modulu
                      "fun": lambda v, i=i, j=j:
                          space.norm(v[2 + 2 * i: 4 + 2 * i] - v[2 + 2 * j: 4 + 2 * j]) - t})
     x0 = np.concatenate([z0] + list(xs0))
-    best = min(best, _polish(space, obj, cons, x0))
-    return ModulusEstimate(t, max(best, 0.0), grid, count)
+    polish, polished = _polish(obj, cons, x0)
+    return ModulusEstimate(t, max(min(best, polish), 0.0), grid, count, polished)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 Vertex = tuple
 
@@ -232,6 +230,8 @@ def _check_table(d: np.ndarray) -> None:
 
 def _apsp(n: int, edges) -> np.ndarray:
     """Shortest paths of a general graph; trees take tree_graph's closed form."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
     rows = [e[0] for e in edges] + [e[1] for e in edges]
     cols = [e[1] for e in edges] + [e[0] for e in edges]
     data = np.ones(len(rows))

@@ -44,6 +44,10 @@ FILES = {
     "pins-float.json": {"pins": [[[], 1.5]]},
     "map.json": _map([0, 1, 2]),
     "map-range.json": _map([0, 1, 7]),
+    "map-entry.json": {"spec": "bin:h=1", "target": "l2:dim=1",
+                       "assignment": [[[], [0.0]], [[-1], [1.0]], 5]},
+    "map-heis.json": {"spec": "bin:h=1", "target": "heis:dim=2,p=2",
+                      "assignment": [[[], {"s": 0.0}]]},
     "oracle.json": _oracle([0, 1, 2]),
     "oracle-range.json": _oracle([0, 1, 9]),
     "oracle-short.json": _oracle([0, 1]),
@@ -126,7 +130,8 @@ def command(name, required, **opts):
 
 INVARIANT_OPTIONS = {
     "--map": st.one_of(st.sampled_from(["identity", "constant", "x"]),
-                       path(["map.json", "map-range.json", "list.json"])
+                       path(["map.json", "map-range.json", "map-entry.json",
+                             "map-heis.json", "list.json"])
                        .map("file:{}".format)),
     "--target": SPACES, "--j-min": COUNT}
 BINARY_IDS = ["fork-convexity", "fork-cotype", "tessera", "markov-directed"]
@@ -166,8 +171,8 @@ ARGV = st.one_of(
                "--restarts": COUNT, "--steps": COUNT,
                "--budget": st.integers(-1, 100).map(str)}),
     command("lift",
-            {"--map-file": path(["map.json", "map-range.json", "oracle.json",
-                                 "list.json"]),
+            {"--map-file": path(["map.json", "map-range.json", "map-entry.json",
+                                 "map-heis.json", "oracle.json", "list.json"]),
              "--oracle-file": path(["oracle.json", "oracle-range.json",
                                     "oracle-short.json", "oracle-values.json",
                                     "oracle-c.json",
@@ -220,6 +225,14 @@ def _reject_constant(name):
           "--oracle-file", "{dir}/oracle-c.json"])
 @example(argv=["search", "--tree", "bin:h=2", "--invariant", "markov-directed",
           "--p", "2", "--target-file", "{dir}/graph.json"])
+@example(argv=["invariant", "--tree", "bin:h=1", "--invariant", "fork-cotype",
+          "--p", "2", "--map", "file:{dir}/map-entry.json"])
+@example(argv=["invariant", "--tree", "bin:h=1", "--invariant", "fork-cotype",
+          "--p", "2", "--map", "file:{dir}/map-heis.json"])
+@example(argv=["lift", "--map-file", "{dir}/map-entry.json",
+          "--oracle-file", "{dir}/oracle.json"])
+@example(argv=["lift", "--map-file", "{dir}/map-heis.json",
+          "--oracle-file", "{dir}/oracle.json"])
 def test_cli_fuzz(fixture_dir, argv):
     argv = [a.replace("{dir}", str(fixture_dir)) for a in argv]
     out, err = io.StringIO(), io.StringIO()

@@ -6,7 +6,7 @@ import pytest
 
 import umbellab as U
 from umbellab.invariants import InvariantError, distance_matrices
-from umbellab.spaces import close
+from umbellab.spaces import SpaceError, close
 
 from invariant_oracle import _min_branch_pair
 
@@ -222,6 +222,20 @@ def test_map_json_round_trip_of_product_points():
     obj = json.loads(U.TreeMap.constant(spec, target).to_json())
     assert obj["assignment"][0][1] == [[0.0, 0.0], {"x": [0.0, 0.0], "s": 0.0}]
     assert U.TreeMap.from_json(f.to_json()).assignment == f.assignment
+
+
+@pytest.mark.parametrize("entry, message", [
+    (5, "map document's assignment entry 5 is not a"),
+    ([[-1]], "map document's assignment entry .* is not a"),
+    ([["x"], [0.0]], "map document's assignment entry .* is not a"),
+    ([[-1], {"s": 0.0}], "map document's point .*'x'"),
+    ([[-1], {"x": 0.0, "s": 0.0}], "map document's point .*'x'"),
+], ids=["int", "short", "label", "no-x", "scalar-x"])
+def test_map_document_entry_errors_name_document_and_entry(entry, message):
+    doc = {"spec": "bin:h=1", "target": "l2:dim=1",
+           "assignment": [[[], [0.0]], [[1], [1.0]], entry]}
+    with pytest.raises(SpaceError, match=message):
+        U.TreeMap.from_json(json.dumps(doc))
 
 
 def test_named_maps():

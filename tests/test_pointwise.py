@@ -396,6 +396,21 @@ def test_modulus_beta_positive_for_separated_families():
     assert est.value >= -1e-9
 
 
+def test_modulus_estimates_report_their_polish():
+    sp = U.LpSpace(2, 2.0)
+    assert U.modulus_delta(sp, 1.0).polished
+    assert U.modulus_delta_tilde(sp, 1.0).polished
+    assert U.modulus_beta(sp, 0.8, m=3).polished
+
+
+def test_polish_reports_an_infeasible_constraint_set():
+    # x >= 1 and x <= 0 together admit no point
+    cons = [{"type": "ineq", "fun": lambda v: v[0] - 1.0},
+            {"type": "ineq", "fun": lambda v: -v[0]}]
+    assert pointwise._polish(lambda v: float(v @ v), cons, np.zeros(2)) == (
+        math.inf, False)
+
+
 # misc helpers
 
 
