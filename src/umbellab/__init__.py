@@ -5,7 +5,7 @@ trees into metric spaces, certifies the pointwise inequalities behind them,
 builds explicit embeddings and liftings, and searches for extremal constants.
 """
 
-from .trees import (TreeSpec, GraphSpace, parse_tree_spec, vertices,
+from .trees import (TreeSpec, parse_tree_spec, vertices,
                     vertices_at_height, tree_distance, level_edges,
                     binary_to_increasing, check_star_property,
                     diamond_graph, laakso_graph)

@@ -64,8 +64,8 @@ def cmd_embed(args) -> int:
     f = embeddings.bourgain_embed(spec, args.p, variant=args.variant)
     obj = {"tree": args.tree, "p": args.p, "seed": args.seed}
     if spec.height > 0:
-        lip, colip, dist = embeddings.distortion(f)
         rho, omega = embeddings.moduli(f)
+        lip, colip, dist = embeddings.distortion_from_moduli(rho, omega)
         diameter = 2 * spec.height
         obj.update({"lip": lip, "colip": colip, "distortion": dist,
                     "compression_integral":

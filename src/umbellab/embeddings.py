@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .invariants import TreeMap, distance_matrices
+from .invariants import TreeMap, pair_scan
 from .spaces import LpSpace, TableSpace, lp_norm
 from .trees import TreeSpec, INCREASING, tree_graph, vertices
 
@@ -22,7 +22,7 @@ class EmbeddingError(ValueError):
 
 class BourgainMap(TreeMap):
     """The map built by bourgain_embed.  The image distance of u and v
-    depends only on a = |u|, b = |v| and c = lcp(u, v), so the image table is
+    depends only on a = |u|, b = |v| and c = lcp(u, v), so pair distances are
     a gather from the table of those (h+1)^3 values; the dense assignment
     stays for everything that reads points."""
 
@@ -30,10 +30,6 @@ class BourgainMap(TreeMap):
         graph, _ = tree_graph(self.spec)
         table = _bourgain_profile(self.spec.height, self.target.p)
         return table[graph.depth[u], graph.depth[v], graph.lcp(u, v)]
-
-    def _image_table(self, pts: tuple) -> np.ndarray:
-        i = np.arange(len(pts))
-        return self.pair_distances(i[:, None], i[None, :])
 
 
 def _bourgain_profile(height: int, p: float) -> np.ndarray:
@@ -97,14 +93,18 @@ def bourgain_embed(spec: TreeSpec, p: float = 2.0, variant: str = "lp") -> TreeM
 def distortion(f: TreeMap) -> tuple[float, float, float]:
     """(lip, colip, dist): the Lipschitz constant, the co-Lipschitz constant
     max d_tree/d_img, and their product (scaling-invariant distortion)."""
-    dtree, dimg = distance_matrices(f)
-    mask = dtree > 0
-    if not mask.any():
-        raise EmbeddingError("tree has a single vertex")
-    if (dimg[mask] <= 0).any():
+    return distortion_from_moduli(*moduli(f))
+
+
+def distortion_from_moduli(rho, omega) -> tuple[float, float, float]:
+    """distortion read off the moduli: lip = max_t omega(t)/t and colip =
+    max_t t/rho(t).  Rounding is monotone, so these are the maxima of the
+    pair ratios bit for bit."""
+    t = np.array(rho.breakpoints)
+    if rho.values[0] <= 0:  # the smallest image distance
         raise EmbeddingError("constant or non-injective map has infinite colip")
-    lip = float(np.max(dimg[mask] / dtree[mask]))
-    colip = float(np.max(dtree[mask] / dimg[mask]))
+    lip = float(np.max(np.array(omega.values) / t))
+    colip = float(np.max(t / np.array(rho.values)))
     return lip, colip, lip * colip
 
 
@@ -137,14 +137,20 @@ def moduli(f: TreeMap) -> tuple[ModulusCurve, ModulusCurve]:
     """Compression and expansion curves: rho(t) = min image distance over
     pairs at tree distance >= t (nondecreasing lower envelope of the
     per-distance minima), omega(t) = max image distance over pairs at tree
-    distance <= t (nondecreasing upper envelope)."""
-    dtree, dimg = distance_matrices(f)
-    mask = np.triu(dtree > 0)
-    if not mask.any():
+    distance <= t (nondecreasing upper envelope).  The per-distance extremes
+    come from one pair scan; tree distances are the ints 1..2h."""
+    top = 2 * f.spec.height + 1
+    seen = np.zeros(top, dtype=bool)
+    mins, maxs = np.full(top, np.inf), np.full(top, -np.inf)
+    for tree, image in pair_scan(f):
+        t = tree.astype(np.intp)
+        seen[t] = True
+        np.minimum.at(mins, t, image)
+        np.maximum.at(maxs, t, image)
+    if not seen.any():
         raise EmbeddingError("tree has a single vertex")
-    ts = np.unique(dtree[mask])
-    mins = np.array([dimg[mask & (dtree == t)].min() for t in ts])
-    maxs = np.array([dimg[mask & (dtree == t)].max() for t in ts])
+    ts = np.flatnonzero(seen)
+    mins, maxs, ts = mins[ts], maxs[ts], ts.astype(float)
     rho_vals = np.minimum.accumulate(mins[::-1])[::-1]  # min over larger t too
     omega_vals = np.maximum.accumulate(maxs)
     rho = ModulusCurve(tuple(ts.tolist()), tuple(rho_vals.tolist()))

@@ -37,8 +37,7 @@ import numpy as np
 from .trees import (BINARY, INCREASING, TreeGraph, TreeSpec, Vertex,
                     parse_tree_spec, format_tree_spec, tree_graph, vertices)
 from . import spaces as sp
-from .spaces import (FiniteMatrixSpace, GraphMetricSpace, HPoint, LpSpace,
-                     parse_space)
+from .spaces import FiniteMatrixSpace, HPoint, LpSpace, parse_space
 
 
 class InvariantError(ValueError):
@@ -76,7 +75,6 @@ class TreeMap:
         if missing:
             raise InvariantError(f"assignment misses {len(missing)} vertices")
         self._verts = verts
-        self._image = None  # (the points it was computed from, image table)
         if (isinstance(self.target, sp.TableSpace)
                 and not self.target.has_points(self.points())):
             raise InvariantError("a map point is not an index of the target table")
@@ -91,32 +89,22 @@ class TreeMap:
     def dist(self, u: Vertex, v: Vertex) -> float:
         return self.target.distance(self.assignment[u], self.assignment[v])
 
-    def image_distances(self) -> np.ndarray:
-        """Image distances between all vertex pairs, in vertex order.  The
-        table is computed once and kept until the assignment changes."""
-        pts = self.points()
-        if self._image is None or self._image[0] != pts:
-            self._image = (pts, self._image_table(pts))
-        return self._image[1]
-
-    def _image_table(self, pts: tuple) -> np.ndarray:
-        return _pairwise(self.target, pts)
-
     def pair_distances(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """d(f(u[i]), f(v[i])) for vertex-order index arrays u and v: row-wise
-        on targets with `rows` (table, lp, Heisenberg and product spaces),
-        else gathered from the image table."""
-        rows = getattr(self.target, "rows", None)
-        if rows is None:
-            return self.image_distances()[u, v]
-        r = rows(self.points())
+        """d(f(u[i]), f(v[i])) for vertex-order index arrays u and v,
+        broadcast against each other: row-wise on targets with `rows` (table,
+        lp, Heisenberg and product spaces), else one `distance` call per
+        pair."""
+        if not hasattr(self.target, "rows"):
+            r = sp.object_rows(self.points())
+            return sp.distance_calls(self.target.distance, r[u], r[v])
+        r = self.target.rows(self.points())
         return self.target.distance_rows(np.take(r, u, axis=0),
                                          np.take(r, v, axis=0))
 
     @classmethod
     def identity(cls, spec: TreeSpec) -> "TreeMap":
         graph, index = tree_graph(spec)
-        return cls(spec, GraphMetricSpace(graph), dict(index))
+        return cls(spec, graph, dict(index))
 
     @classmethod
     def constant(cls, spec: TreeSpec, target=None, point=None) -> "TreeMap":
@@ -148,7 +136,14 @@ class TreeMap:
                     and all(isinstance(label, int) for label in entry[0])):
                 raise sp.SpaceError(f"the map document's assignment entry "
                                     f"{json.dumps(entry)} is not a [vertex, point] pair")
-            assignment[tuple(entry[0])] = _point_from_json(entry[1])
+            point = _point_from_json(entry[1], target)
+            if point is None:
+                raise sp.SpaceError(
+                    f"the map document's point {json.dumps(entry[1])} is not a "
+                    f"point of {target.describe()}: lp points are lists of "
+                    "finite reals and Heisenberg points have an 'x' list and an "
+                    "'s' number, all finite, as many as the dimension")
+            assignment[tuple(entry[0])] = point
         return cls(spec, target, assignment)
 
 
@@ -163,15 +158,30 @@ def _origin(target):
     return 0
 
 
-def _point_from_json(p):
-    if isinstance(p, dict):
-        if not (isinstance(p.get("x"), list) and isinstance(p.get("s"), numbers.Real)):
-            raise sp.SpaceError(f"the map document's point {json.dumps(p)} needs "
-                                "an 'x' list and an 's' number")
-        return HPoint(tuple(p["x"]), p["s"])
-    if isinstance(p, list):
-        return tuple(map(_point_from_json, p))
-    return p
+def _point_from_json(p, target):
+    """A map document's point p as a point of `target`, or None when it is
+    not one; table points are checked by TreeMap."""
+    if isinstance(target, sp.TableSpace):
+        return p
+    if isinstance(target, LpSpace):
+        return tuple(p) if _reals(p, target.dim) else None
+    if isinstance(target, sp.HeisenbergMetricSpace):
+        if isinstance(p, dict) and _reals(p.get("x"), target.space.dim) \
+                and _reals([p.get("s")], 1):
+            return HPoint(tuple(p["x"]), p["s"])
+        return None
+    if isinstance(target, sp.ProductSpace) and isinstance(p, list) \
+            and len(p) == len(target.components):
+        parts = [_point_from_json(q, c) for q, c in zip(p, target.components)]
+        return None if any(q is None for q in parts) else tuple(parts)
+    return None
+
+
+def _reals(x, n: int) -> bool:
+    """Whether x is a list of n finite real numbers, none of them a bool."""
+    return (isinstance(x, list) and len(x) == n
+            and all(isinstance(a, numbers.Real) and not isinstance(a, bool)
+                    and math.isfinite(a) for a in x))
 
 
 def named_map(name: str, spec: TreeSpec, target=None) -> TreeMap:
@@ -187,36 +197,7 @@ def named_map(name: str, spec: TreeSpec, target=None) -> TreeMap:
 
 
 # ---------------------------------------------------------------------------
-# Pairwise distance tables
-
-
-def distance_matrices(f: TreeMap) -> tuple[np.ndarray, np.ndarray]:
-    """(tree distances, image distances) over the full vertex list."""
-    graph, _ = tree_graph(f.spec)
-    return graph.dist, f.image_distances()
-
-
-def _pairwise(target, pts) -> np.ndarray:
-    n = len(pts)
-    if isinstance(target, sp.TableSpace):
-        idx = np.asarray(pts, dtype=np.intp)
-        mat = target.table
-        if n == len(mat) and (idx == np.arange(n)).all():
-            # the identity assignment: the table itself, shared read-only
-            view = mat.view()
-            view.flags.writeable = False
-            return view
-        return mat[np.ix_(idx, idx)]
-    if isinstance(target, LpSpace):
-        from scipy.spatial.distance import cdist
-        arr = np.asarray(pts, dtype=float)
-        metric = "chebyshev" if target.p == math.inf else "minkowski"
-        return cdist(arr, arr, metric=metric, p=target.p) if metric == "minkowski" else cdist(arr, arr, metric=metric)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[i, j] = out[j, i] = target.distance(pts[i], pts[j])
-    return out
+# The pair scan and Lipschitz constants
 
 
 _LIPSCHITZ_BLOCK = 1 << 20  # vertex pairs per row block of the pair scan
@@ -228,16 +209,26 @@ def _is_metric(target) -> bool:
     return getattr(target, "quasi_constant", math.inf) == 1
 
 
-def _pair_max(f: TreeMap, tg: TreeGraph) -> float:
-    """max over vertex pairs u < v of d_Y(f(u), f(v)) / d_tree(u, v), in row
-    blocks of about _LIPSCHITZ_BLOCK pairs."""
-    n, best = tg.n, 0.0
-    step = max(1, _LIPSCHITZ_BLOCK // n)
+def pair_scan(f: TreeMap):
+    """(tree distances, image distances) of every vertex pair u < v, in row
+    blocks: rows lo:hi against columns lo:n as broadcast (k, 1) x (1, n - lo)
+    index arrays, each block flattened to its pairs above the diagonal."""
+    tg, _ = tree_graph(f.spec)
+    n = tg.n
+    # at most about _LIPSCHITZ_BLOCK pairs a block, and at most n/8 rows, as
+    # the k^2/2 pairs a block computes below the diagonal are thrown away
+    step = max(1, min(_LIPSCHITZ_BLOCK // n, n // 8))
     for lo in range(0, n - 1, step):
-        u, v = np.nonzero(np.arange(lo, min(lo + step, n))[:, None] < np.arange(n))
-        u += lo
-        best = max(best, float((f.pair_distances(u, v) / tg.distance_rows(u, v)).max()))
-    return best
+        u = np.arange(lo, min(lo + step, n - 1))[:, None]
+        v = np.arange(lo, n)[None, :]
+        upper = u < v
+        yield tg.distance_rows(u, v)[upper], f.pair_distances(u, v)[upper]
+
+
+def _pair_max(f: TreeMap) -> float:
+    """max over vertex pairs u < v of d_Y(f(u), f(v)) / d_tree(u, v)."""
+    return max((float((image / tree).max()) for tree, image in pair_scan(f)),
+               default=0.0)
 
 
 def lipschitz_constant(f: TreeMap, with_flag: bool = False):
@@ -247,7 +238,7 @@ def lipschitz_constant(f: TreeMap, with_flag: bool = False):
     two differ beyond tolerance."""
     tg, _ = tree_graph(f.spec)
     edge = float(f.pair_distances(*_edge_pairs(tg)[:2]).max(initial=0.0))
-    pair = edge if _is_metric(f.target) else _pair_max(f, tg)
+    pair = edge if _is_metric(f.target) else _pair_max(f)
     value = max(pair, edge)
     return (value, not sp.close(pair, edge)) if with_flag else value
 
@@ -304,10 +295,24 @@ class Plan:
     scales: tuple
 
 
+def _power(a: float, p: float) -> float:
+    """a ** p for a float a >= 0, inf where the power is past the float range
+    (Python raises there)."""
+    try:
+        return a ** p
+    except OverflowError:
+        return math.inf
+
+
 def _pow(x: np.ndarray, p: float) -> np.ndarray:
     """x ** p by the scalar power, whose last bit numpy's vectorised power
-    does not always reproduce."""
-    return np.array([a ** p for a in x.ravel().tolist()]).reshape(x.shape)
+    does not always reproduce; powers past the float range are inf."""
+    flat = x.ravel().tolist()
+    try:
+        out = [a ** p for a in flat]
+    except OverflowError:
+        out = [_power(a, p) for a in flat]
+    return np.array(out).reshape(x.shape)
 
 
 def evaluate(plan: Plan, d: np.ndarray, p: float) -> np.ndarray:
@@ -503,7 +508,7 @@ def _rhs(inv: InvariantId, f: TreeMap, p: float) -> tuple[float, Optional[bool]]
     plan = compile_plan(inv, f.spec, "rhs")
     if inv in _LIPSCHITZ_IDS and not _is_metric(f.target):
         lip, flag = lipschitz_constant(f, with_flag=True)
-        return lip ** p, flag
+        return _power(lip, p), flag
     return _evaluate_map(plan, f, p), (False if inv in _LIPSCHITZ_IDS else None)
 
 
@@ -522,20 +527,26 @@ class InvariantReport:
     lipschitz_flag: Optional[bool] = None
 
     def to_json(self) -> str:
+        # values past the float range (huge map points) have no number
         obj = {"invariant": self.invariant, "exponent": self.exponent,
-               "lhs": self.lhs, "rhs": self.rhs, "params": self.params,
-               "lipschitz_flag": self.lipschitz_flag}
+               "lhs": _finite(self.lhs), "rhs": _finite(self.rhs),
+               "params": self.params, "lipschitz_flag": self.lipschitz_flag}
         if self.ratio_root is not None:
-            obj["ratio_root"] = self.ratio_root
+            obj["ratio_root"] = _finite(self.ratio_root)
         return json.dumps(obj)
 
 
+def _finite(x: float) -> Optional[float]:
+    return x if math.isfinite(x) else None
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def report(inv: InvariantId, f: TreeMap, p: float,
            j_min: Optional[int] = None) -> InvariantReport:
     k = _validate(inv, f.spec)
     left = lhs(inv, f, p, j_min)
     right, flag = _rhs(inv, f, p)
-    ratio_root = (left / right) ** (1 / p) if right > 0 else None
+    ratio_root = _power(left / right, 1 / p) if right > 0 else None
     params = {"k": k, "height": f.spec.height, "liminf_j_min": j_min,
               "chain": "directed" if inv is InvariantId.MARKOV_DIRECTED else None}
     if f.spec.kind == INCREASING:

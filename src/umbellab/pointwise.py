@@ -307,7 +307,12 @@ def min_feasible_K(space, ineq: InequalityId, cfg: InequalityConfig, sampler,
                    n: int, seed: int, bracket: tuple[float, float],
                    rel_width: float = 1e-6) -> float:
     """Smallest K in the bracket with zero sampled violations, by bisection.
-    All inequalities are monotone in K (it enters only as K^{-q} on the LHS)."""
+    The inequalities that take K are monotone in it (it enters only as K^{-q}
+    on the LHS); midpoint curvature has no K and the parallelogram derives
+    its K from C, so neither has one to fit."""
+    if ineq in (InequalityId.MIDPOINT_CURVATURE,
+                InequalityId.HEISENBERG_PARALLELOGRAM):
+        raise PointwiseError(f"{ineq.value} does not depend on K")
     lo, hi = bracket
 
     def feasible(k: float) -> bool:

@@ -14,8 +14,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from .trees import GraphSpace
-
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
@@ -138,6 +136,9 @@ class TableSpace:
     """Sampling and row-wise distances of a finite space whose points are the
     indices 0..n-1 of a distance table."""
 
+    def distance(self, a: int, b: int) -> float:
+        return float(self.distance_rows(a, b))
+
     def has_points(self, points) -> bool:
         """Whether every one of `points` is an index of the table: an int
         (not a bool) in range."""
@@ -197,9 +198,6 @@ class FiniteMatrixSpace(TableSpace):
     def table(self) -> np.ndarray:
         return self.matrix
 
-    def distance(self, a: int, b: int) -> float:
-        return float(self.matrix[a, b])
-
     @classmethod
     def from_json(cls, text: str) -> "FiniteMatrixSpace":
         obj = load_document(text, "matrix", n=object, d=list)
@@ -217,27 +215,43 @@ class FiniteMatrixSpace(TableSpace):
 
 @dataclass(frozen=True)
 class GraphMetricSpace(TableSpace):
-    """Path metric of a GraphSpace; points are vertex ids."""
+    """A finite connected graph with unit edge weights and its shortest-path
+    table; points are vertex ids."""
 
-    graph: GraphSpace
+    n: int
+    edges: tuple
+    table: np.ndarray = field(init=False, compare=False, repr=False)
     quasi_constant: ClassVar[float] = 1.0
 
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    @property
-    def table(self) -> np.ndarray:
-        return self.graph.dist
-
-    def distance(self, a: int, b: int) -> float:
-        return self.graph.distance(a, b)
-
-    def distance_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.graph.distance_rows(a, b)
+    def __post_init__(self):
+        table = _apsp(self.n, self.edges)
+        if not np.isfinite(table).all():
+            raise SpaceError("graph is not connected")
+        object.__setattr__(self, "table", table)
 
     def describe(self) -> str:
-        return f"graph:n={self.graph.n}"
+        return f"graph:n={self.n}"
+
+
+def _apsp(n: int, edges) -> np.ndarray:
+    """Shortest paths of a general graph; trees take TreeGraph's closed form."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+    rows = [e[0] for e in edges] + [e[1] for e in edges]
+    cols = [e[1] for e in edges] + [e[0] for e in edges]
+    adj = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    return shortest_path(adj, method="D", unweighted=True)
+
+
+def object_rows(points) -> np.ndarray:
+    """One object entry per point (np.array would split tuples)."""
+    return np.fromiter(points, dtype=object, count=len(points))
+
+
+def distance_calls(distance, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """distance(a[i], b[i]) by one call per pair of object entries, with a
+    and b broadcast against each other."""
+    return np.frompyfunc(distance, 2, 1)(a, b).astype(float)
 
 
 @dataclass(frozen=True)
@@ -265,7 +279,7 @@ class ProductSpace:
         return tuple(c.sample(rng) for c in self.components)
 
     def distance_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.fromiter(map(self.distance, a, b), dtype=float, count=len(a))
+        return distance_calls(self.distance, a, b)
 
     def sample_batch(self, rng: np.random.Generator, m: int, k: int) -> np.ndarray:
         """m configurations of k points, shape (m, k): the points of m * k
@@ -276,8 +290,7 @@ class ProductSpace:
         return row
 
     def rows(self, points) -> np.ndarray:
-        """One object entry per point (np.array would split the tuples)."""
-        return np.fromiter(points, dtype=object, count=len(points))
+        return object_rows(points)
 
     def describe(self) -> str:
         p = "inf" if self.p == math.inf else f"{self.p:g}"
@@ -517,7 +530,7 @@ def parse_space(text: str):
         if head == "graph":
             with open(fields["file"]) as fh:
                 obj = load_document(fh.read(), "graph", n=int, edges=list)
-            return GraphMetricSpace(GraphSpace(obj["n"], tuple(map(tuple, obj["edges"]))))
+            return GraphMetricSpace(obj["n"], tuple(map(tuple, obj["edges"])))
         if head == "matrix":
             with open(fields["file"]) as fh:
                 return FiniteMatrixSpace.from_json(fh.read())

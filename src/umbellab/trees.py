@@ -11,10 +11,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .spaces import GraphMetricSpace, TableSpace
 
 Vertex = tuple
 
@@ -201,67 +203,26 @@ def _suffixes(max_height: int) -> list[Vertex]:
 # Graph spaces
 
 
-@dataclass(frozen=True)
-class GraphSpace:
-    """A finite connected graph with unit edge weights and its path metric."""
-
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    dist: np.ndarray = field(compare=False, repr=False, default=None)
-
-    def __post_init__(self):
-        if self.dist is None:
-            object.__setattr__(self, "dist", _apsp(self.n, self.edges))
-        _check_table(self.dist)
-
-    def distance(self, i: int, j: int) -> float:
-        return float(self.distance_rows(i, j))
-
-    def distance_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.dist[a, b]
-
-
-def _check_table(d: np.ndarray) -> None:
-    if not np.isfinite(d).all():
-        raise TreeSpecError("graph is not connected")
-    if not np.array_equal(d, d.T) or np.diagonal(d).any():
-        raise TreeSpecError("invalid distance table")
-
-
-def _apsp(n: int, edges) -> np.ndarray:
-    """Shortest paths of a general graph; trees take tree_graph's closed form."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import shortest_path
-    rows = [e[0] for e in edges] + [e[1] for e in edges]
-    cols = [e[1] for e in edges] + [e[0] for e in edges]
-    data = np.ones(len(rows))
-    adj = csr_matrix((data, (rows, cols)), shape=(n, n))
-    return shortest_path(adj, method="D", unweighted=True)
-
-
-class TreeGraph(GraphSpace):
-    """A tree as a GraphSpace, with its vertices listed by height.
+class TreeGraph(TableSpace):
+    """A tree in its path metric, with its vertices listed by height; points
+    are vertex indices.
 
     depth[i] is the height of vertex i, anc[i, l] the index of its length-l
     prefix (for l <= depth[i]) and label[i] its last label (0 at the root).
-    The distance table is built on first use: invariant plans and pair
-    distances need only depths and ancestors.  `plans` holds what is compiled
-    over this tree, so it lives exactly as long as tree_graph's cache
-    entry."""
+    Distances are depth(u) + depth(v) - 2 lcp(u, v), so no table is built.
+    `plans` holds what is compiled over this tree, so it lives exactly as
+    long as tree_graph's cache entry."""
+
+    quasi_constant = 1.0
 
     def __init__(self, n: int, edges, depth: np.ndarray, anc: np.ndarray,
                  label: np.ndarray):
-        for name, value in (("n", n), ("edges", edges), ("depth", depth),
-                            ("anc", anc), ("label", label), ("plans", {}),
-                            ("_dist", None)):
-            object.__setattr__(self, name, value)
+        self.n, self.edges, self.depth, self.anc, self.label = (
+            n, edges, depth, anc, label)
+        self.plans = {}
 
-    @property
-    def dist(self) -> np.ndarray:
-        # symmetric with a zero diagonal by construction: no table check
-        if self._dist is None:
-            object.__setattr__(self, "_dist", _tree_distances(self.depth, self.anc))
-        return self._dist
+    def describe(self) -> str:
+        return f"graph:n={self.n}"
 
     def lcp(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Common prefix lengths of the vertices u and v (index arrays,
@@ -274,17 +235,14 @@ class TreeGraph(GraphSpace):
         return out
 
     def distance_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Tree distances of index arrays a and b without the table."""
+        """Tree distances of index arrays a and b, broadcast against each
+        other."""
         return (self.depth[a] + self.depth[b] - 2 * self.lcp(a, b)).astype(float)
 
 
 @functools.lru_cache(maxsize=64)
 def tree_graph(spec: TreeSpec) -> tuple[TreeGraph, dict[Vertex, int]]:
-    """The tree itself as a TreeGraph, with its vertex index mapping.
-
-    The distance table is depth(u) + depth(v) - 2 lcp(u, v), filled in place
-    when first read: lcp is counted by one equality pass per level over the
-    ancestor indices of each vertex, so no shortest-path search runs."""
+    """The tree itself as a TreeGraph, with its vertex index mapping."""
     verts = vertices(spec)
     index = {v: i for i, v in enumerate(verts)}
     parents = np.array([index[v[:-1]] for v in verts[1:]], dtype=np.intp)
@@ -308,22 +266,6 @@ def _ancestors(depth: np.ndarray, parents: np.ndarray) -> np.ndarray:
     return anc
 
 
-def _tree_distances(depth: np.ndarray, anc: np.ndarray) -> np.ndarray:
-    """Path distances of a tree from its depths and ancestor indices."""
-    n, height = len(depth), anc.shape[1] - 1
-    fdepth = depth.astype(float)
-    dist = np.add.outer(fdepth, fdepth)
-    same = np.empty((n, n), dtype=bool)
-    for level in range(1, height + 1):
-        # the vertices of depth >= level are a suffix of the list
-        s = int(np.searchsorted(depth, level))
-        col = anc[s:, level]
-        block = same[:n - s, :n - s]
-        np.equal(col[:, None], col[None, :], out=block)
-        np.subtract(dist[s:, s:], 2.0, out=dist[s:, s:], where=block)
-    return dist
-
-
 def _replace_edges(n: int, edges, block) -> tuple[int, list[tuple[int, int]]]:
     """Replace every edge (u, v) by a fixed block of fresh internal vertices.
 
@@ -342,7 +284,7 @@ def _replace_edges(n: int, edges, block) -> tuple[int, list[tuple[int, int]]]:
     return counter[0], new_edges
 
 
-def diamond_graph(k: int, cap: int = _GRAPH_VERTEX_CAP) -> GraphSpace:
+def diamond_graph(k: int, cap: int = _GRAPH_VERTEX_CAP) -> GraphMetricSpace:
     """Level-k diamond graph: iterated replacement of each edge by a 4-cycle."""
     if k < 0:
         raise TreeSpecError("k must be nonnegative")
@@ -354,10 +296,10 @@ def diamond_graph(k: int, cap: int = _GRAPH_VERTEX_CAP) -> GraphSpace:
         n, edges = _replace_edges(n, edges, block)
         if n > cap:
             raise TreeSpecError(f"vertex count {n} exceeds cap {cap}")
-    return GraphSpace(n, tuple(edges))
+    return GraphMetricSpace(n, tuple(edges))
 
 
-def laakso_graph(k: int, cap: int = _GRAPH_VERTEX_CAP) -> GraphSpace:
+def laakso_graph(k: int, cap: int = _GRAPH_VERTEX_CAP) -> GraphMetricSpace:
     """Level-k Laakso graph: iterated replacement of each edge by the 6-edge
     block with a split middle segment."""
     if k < 0:
@@ -370,4 +312,4 @@ def laakso_graph(k: int, cap: int = _GRAPH_VERTEX_CAP) -> GraphSpace:
         n, edges = _replace_edges(n, edges, block)
         if n > cap:
             raise TreeSpecError(f"vertex count {n} exceeds cap {cap}")
-    return GraphSpace(n, tuple(edges))
+    return GraphMetricSpace(n, tuple(edges))

@@ -1,27 +1,104 @@
 """The per-invariant loops that evaluated every functional before the
-library compiled them into plans (see umbellab.invariants).  They walk the
-displays of each functional directly and serve as the test oracle for the
-compiled plans; nothing in the library imports them."""
+library compiled them into plans (see umbellab.invariants), and the n x n
+distance tables that distortion and moduli read before the pair scan.  They
+walk the displays of each functional directly and serve as the test oracle
+for the compiled plans and the scan; nothing in the library imports them."""
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional
 
 import numpy as np
 
 from umbellab import trees
+from umbellab.embeddings import EmbeddingError, ModulusCurve
 from umbellab.invariants import (InvariantError, InvariantId, TreeMap,
-                                 _COTYPE_IDS, _pairwise, _validate)
+                                 _COTYPE_IDS, _validate)
 from umbellab.trees import Vertex, tree_graph, vertices_at_height
 from umbellab import spaces as sp
+from umbellab.spaces import LpSpace, _apsp
+
+
+def _pairwise(target, pts) -> np.ndarray:
+    n = len(pts)
+    if isinstance(target, sp.TableSpace):
+        idx = np.asarray(pts, dtype=np.intp)
+        mat = getattr(target, "table", None)
+        if mat is None:  # a TreeGraph, which keeps no table
+            mat = graph_table(target)
+        if n == len(mat) and (idx == np.arange(n)).all():
+            # the identity assignment: the table itself, shared read-only
+            view = mat.view()
+            view.flags.writeable = False
+            return view
+        return mat[np.ix_(idx, idx)]
+    if isinstance(target, LpSpace):
+        from scipy.spatial.distance import cdist
+        arr = np.asarray(pts, dtype=float)
+        metric = "chebyshev" if target.p == math.inf else "minkowski"
+        return cdist(arr, arr, metric=metric, p=target.p) if metric == "minkowski" else cdist(arr, arr, metric=metric)
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            out[i, j] = out[j, i] = target.distance(pts[i], pts[j])
+    return out
+
+
+@functools.lru_cache(maxsize=2)
+def graph_table(graph) -> np.ndarray:
+    """The n x n distance table of a graph's edges, by shortest paths."""
+    return _apsp(graph.n, graph.edges)
+
+
+def tree_table(spec) -> np.ndarray:
+    return graph_table(tree_graph(spec)[0])
+
+
+def distance_tables(f: TreeMap) -> tuple[np.ndarray, np.ndarray]:
+    """(tree distances, image distances) over the full vertex list: the image
+    table by _pairwise, or gathered from the map's own pair distances when it
+    has a closed form (a BourgainMap)."""
+    if type(f) is TreeMap:
+        return tree_table(f.spec), _pairwise(f.target, f.points())
+    i = np.arange(len(f.assignment))
+    return tree_table(f.spec), f.pair_distances(i[:, None], i[None, :])
+
+
+def distortion(f: TreeMap) -> tuple[float, float, float]:
+    dtree, dimg = distance_tables(f)
+    mask = dtree > 0
+    if not mask.any():
+        raise EmbeddingError("tree has a single vertex")
+    if (dimg[mask] <= 0).any():
+        raise EmbeddingError("constant or non-injective map has infinite colip")
+    lip = float(np.max(dimg[mask] / dtree[mask]))
+    colip = float(np.max(dtree[mask] / dimg[mask]))
+    return lip, colip, lip * colip
+
+
+def moduli(f: TreeMap) -> tuple[ModulusCurve, ModulusCurve]:
+    dtree, dimg = distance_tables(f)
+    mask = np.triu(dtree > 0)
+    if not mask.any():
+        raise EmbeddingError("tree has a single vertex")
+    ts = np.unique(dtree[mask])
+    mins = np.array([dimg[mask & (dtree == t)].min() for t in ts])
+    maxs = np.array([dimg[mask & (dtree == t)].max() for t in ts])
+    rho_vals = np.minimum.accumulate(mins[::-1])[::-1]  # min over larger t too
+    omega_vals = np.maximum.accumulate(maxs)
+    rho = ModulusCurve(tuple(ts.tolist()), tuple(rho_vals.tolist()))
+    omega = ModulusCurve(tuple(ts.tolist()), tuple(omega_vals.tolist()))
+    return rho, omega
 
 
 def lipschitz_constant(f: TreeMap, with_flag: bool = False):
     """Pair maximum over one full n x n ratio buffer, edge maximum by
     walking the edges through f.dist."""
     graph, index = tree_graph(f.spec)
-    dtree, dimg = graph.dist, _pairwise(f.target, [f.assignment[v] for v in index])
+    dtree = tree_table(f.spec)
+    dimg = _pairwise(f.target, [f.assignment[v] for v in index])
     ratio = np.zeros_like(dimg)
     np.divide(dimg, dtree, out=ratio, where=dtree > 0)
     pair_lip = float(ratio.max())

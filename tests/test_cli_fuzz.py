@@ -1,8 +1,9 @@
 """Fuzz of the command-line front end: space and tree descriptors and the
 argv of every subcommand, at tiny sizes.  Every run exits with 0, 1, 2 or 3,
-raises nothing past `main` (so no traceback reaches stderr), and prints
-strict JSON on stdout when it exits with 0 or 1; a validation error names
-more than a missing key.  Paths are written with a {dir} placeholder for
+raises nothing past `main` (so no traceback reaches stderr), emits no
+warning, and prints strict JSON on stdout when it exits with 0 or 1; a
+validation error names more than a missing key, and the runs in EXPECTED
+end as listed there.  Paths are written with a {dir} placeholder for
 the directory of the fixture files below."""
 
 import contextlib
@@ -10,6 +11,7 @@ import io
 import json
 import re
 import traceback
+import warnings
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -27,6 +29,16 @@ def _map(points):
     spec = U.parse_tree_spec("bin:h=1")
     return {"spec": "bin:h=1", "target": "matrix:n=3",
             "assignment": [[list(v), p] for v, p in zip(U.vertices(spec), points)]}
+
+
+def _line_map(point):
+    """A map document of bin:h=4 into l2:dim=1 with point(i) at vertex i.  A
+    string point stands for its text, unquoted: JSON numbers past the float
+    range."""
+    spec = U.parse_tree_spec("bin:h=4")
+    return {"spec": "bin:h=4", "target": "l2:dim=1",
+            "assignment": [[list(v), point(i)]
+                           for i, v in enumerate(U.vertices(spec))]}
 
 
 def _oracle(values):
@@ -48,6 +60,11 @@ FILES = {
                        "assignment": [[[], [0.0]], [[-1], [1.0]], 5]},
     "map-heis.json": {"spec": "bin:h=1", "target": "heis:dim=2,p=2",
                       "assignment": [[[], {"s": 0.0}]]},
+    "map-inf.json": _line_map(lambda i: ["1e400"] if i == 3 else [0.0]),
+    "map-bool.json": _line_map(lambda i: [True] if i == 3 else [0.0]),
+    "map-dim.json": _line_map(lambda i: [1.0, 2.0]),
+    # edges 2e300 long: their squares are past the float range
+    "map-huge.json": _line_map(lambda i: [1e300 * (-1) ** i]),
     "oracle.json": _oracle([0, 1, 2]),
     "oracle-range.json": _oracle([0, 1, 9]),
     "oracle-short.json": _oracle([0, 1]),
@@ -61,7 +78,7 @@ FILES = {
 def fixture_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("fuzz")
     for name, obj in FILES.items():
-        (d / name).write_text(json.dumps(obj))
+        (d / name).write_text(re.sub(r'"(1e\d+)"', r"\1", json.dumps(obj)))
     (d / "broken.json").write_text('{"n": ')
     return d
 
@@ -131,7 +148,8 @@ def command(name, required, **opts):
 INVARIANT_OPTIONS = {
     "--map": st.one_of(st.sampled_from(["identity", "constant", "x"]),
                        path(["map.json", "map-range.json", "map-entry.json",
-                             "map-heis.json", "list.json"])
+                             "map-heis.json", "map-inf.json", "map-bool.json",
+                             "map-dim.json", "map-huge.json", "list.json"])
                        .map("file:{}".format)),
     "--target": SPACES, "--j-min": COUNT}
 BINARY_IDS = ["fork-convexity", "fork-cotype", "tessera", "markov-directed"]
@@ -191,6 +209,20 @@ def _reject_constant(name):
     raise ValueError(f"non-strict JSON constant {name}")
 
 
+def _fork_cotype(map_file):
+    return ["invariant", "--tree", "bin:h=4", "--invariant", "fork-cotype",
+            "--p", "2", "--map", "file:{dir}/" + map_file]
+
+
+# runs with a known outcome: the exit code and a text its error holds
+EXPECTED = {tuple(_fork_cotype(name)): (code, error) for name, code, error in [
+    ("map-inf.json", 2, "map document's point [Infinity]"),
+    ("map-bool.json", 2, "map document's point [true]"),
+    ("map-dim.json", 2, "map document's point [1.0, 2.0]"),
+    ("map-huge.json", 0, None),
+]}
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(ARGV)
 @example(argv=["heisenberg", "--p", "nan", "--samples", "100"])
@@ -233,14 +265,22 @@ def _reject_constant(name):
           "--oracle-file", "{dir}/oracle.json"])
 @example(argv=["lift", "--map-file", "{dir}/map-heis.json",
           "--oracle-file", "{dir}/oracle.json"])
+@example(argv=_fork_cotype("map-inf.json"))
+@example(argv=_fork_cotype("map-bool.json"))
+@example(argv=_fork_cotype("map-dim.json"))
+@example(argv=_fork_cotype("map-huge.json"))
 def test_cli_fuzz(fixture_dir, argv):
+    expected = EXPECTED.get(tuple(argv))
     argv = [a.replace("{dir}", str(fixture_dir)) for a in argv]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
         try:
             code = main(argv)
         except Exception:
             pytest.fail(f"{argv} raised:\n{traceback.format_exc()}")
+    assert not warned, (argv, [str(w.message) for w in warned])
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err.getvalue(), argv
     if code in (0, 1):
@@ -249,3 +289,7 @@ def test_cli_fuzz(fixture_dir, argv):
         # a bare KeyError's text is the key alone, which names no input
         error = json.loads(err.getvalue())["error"]
         assert not re.fullmatch(r"'[^']*'", error), argv
+    if expected is not None:
+        assert code == expected[0], (argv, err.getvalue())
+        if expected[1] is not None:
+            assert expected[1] in json.loads(err.getvalue())["error"], argv

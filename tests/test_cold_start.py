@@ -1,7 +1,8 @@
-"""A fresh process imports umbellab and runs the CLI subcommands without
-loading scipy; general graphs still get their shortest-path tables, which
-load scipy on demand.  The checks run in a subprocess because this test
-process has scipy loaded already."""
+"""A fresh process imports umbellab and runs the CLI subcommands, and the
+distortion and moduli of a plain l2 map, without loading scipy; general
+graphs still get their shortest-path tables, which load scipy on demand.
+The checks run in a subprocess because this test process has scipy loaded
+already."""
 
 import json
 import os
@@ -40,9 +41,15 @@ record = {"import": scipy_modules()}
 from umbellab.cli import main
 for argv in commands:
     record[argv[0]] = [main(argv), scipy_modules()]
+spec = umbellab.parse_tree_spec("inc:h=4,b=6")
+f = umbellab.TreeMap(spec, umbellab.LpSpace(2, 2.0),
+                     {v: (float(i), 1.0) for i, v in enumerate(umbellab.vertices(spec))})
+umbellab.distortion(f)
+umbellab.moduli(f)
+record["l2 map"] = scipy_modules()
 diamond = umbellab.diamond_graph(2)
-graph = umbellab.parse_space("graph:file=" + graph_file).graph
-record["tables"] = [g.dist.tolist() == bfs_table(g.n, g.edges)
+graph = umbellab.parse_space("graph:file=" + graph_file)
+record["tables"] = [g.table.tolist() == bfs_table(g.n, g.edges)
                     for g in (diamond, graph)]
 record["after_tables"] = scipy_modules()
 with open(out, "w") as fh:
@@ -78,5 +85,6 @@ def test_cli_runs_without_scipy(tmp_path):
     assert record["import"] == []
     for argv in commands:
         assert record[argv[0]] == [0, []], argv
+    assert record["l2 map"] == []
     assert record["tables"] == [True, True]
     assert "scipy.sparse.csgraph" in record["after_tables"]

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 import umbellab as U
+from umbellab.cli import main
 from umbellab.embeddings import BourgainMap, EmbeddingError
-from umbellab.invariants import InvariantError, TreeMap, _pairwise
+from umbellab.invariants import InvariantError, TreeMap
 from umbellab.trees import tree_graph
+
+import invariant_oracle as oracle
+from invariant_oracle import _pairwise
 
 
 def test_bourgain_root_edge_norm():
@@ -52,15 +56,21 @@ BOURGAIN_CASES = ([(h, p, "lp") for h in (1, 2, 4, 8) for p in (1.5, 2.0, 3.0)]
 
 
 def dense_copy(f: TreeMap) -> TreeMap:
-    """The same points as a plain TreeMap: image distances by cdist."""
+    """The same points as a plain TreeMap: the oracle's image distances by
+    cdist."""
     return TreeMap(f.spec, f.target, f.assignment)
+
+
+def grid(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every vertex pair as broadcast (n, 1) x (1, n) index arrays."""
+    return np.arange(n)[:, None], np.arange(n)[None, :]
 
 
 def triple_representatives(spec) -> np.ndarray:
     """Indices of one vertex pair per realised (depth, depth, lcp) triple."""
-    dist = tree_graph(spec)[0].dist
-    depth = np.array([len(v) for v in U.vertices(spec)])
-    lcp = ((np.add.outer(depth, depth) - dist) / 2).astype(int)
+    graph = tree_graph(spec)[0]
+    depth = graph.depth
+    lcp = graph.lcp(*grid(graph.n))
     key = (depth[:, None] * 100 + depth[None, :]) * 100 + lcp
     _, first = np.unique(key, return_index=True)
     return np.stack(np.unravel_index(first, key.shape), axis=1)
@@ -71,7 +81,7 @@ def test_bourgain_closed_form_matches_dense(h, p, variant):
     spec = U.parse_tree_spec(f"inc:h={h},b={h + 2}")
     f = U.bourgain_embed(spec, p, variant=variant)
     assert isinstance(f, BourgainMap)
-    closed = f.image_distances()
+    closed = f.pair_distances(*grid(len(f.assignment)))
     if h == 8 and p not in (1.0, 2.0, math.inf):
         # cdist at a generic p over 1013 coordinates takes ~10 s here, so
         # the dense oracle checks one pair of every (depth, depth, lcp)
@@ -81,22 +91,41 @@ def test_bourgain_closed_form_matches_dense(h, p, variant):
             dense = _pairwise(f.target, [f.point(verts[i]), f.point(verts[j])])
             assert closed[i, j] == pytest.approx(dense[0, 1], rel=1e-12, abs=0)
         return
-    dense = dense_copy(f).image_distances()
+    dense = _pairwise(f.target, f.points())
     np.testing.assert_allclose(closed, dense, rtol=1e-12, atol=0)
     assert np.array_equal(closed, closed.T)
 
 
 def test_bourgain_closed_form_distortion_and_moduli_h8():
+    # the dense vectors go to the table oracle only: one row block of the
+    # library's pair scan over their 1013 coordinates would take about 1 GB
     f = U.bourgain_embed(U.parse_tree_spec("inc:h=8,b=10"), p=2.0)
     dense = dense_copy(f)
     assert U.distortion(f)[2] == pytest.approx(H8_DISTORTION, rel=1e-12, abs=0)
-    np.testing.assert_allclose(U.distortion(f), U.distortion(dense),
+    np.testing.assert_allclose(U.distortion(f), oracle.distortion(dense),
                                rtol=1e-12, atol=0)
-    for fast, slow in zip(U.moduli(f), U.moduli(dense)):
+    for fast, slow in zip(U.moduli(f), oracle.moduli(dense)):
         np.testing.assert_allclose(fast.breakpoints, slow.breakpoints,
                                    rtol=1e-12, atol=0)
         np.testing.assert_allclose(fast.values, slow.values,
                                    rtol=1e-12, atol=0)
+
+
+def test_embed_scans_the_pairs_once(monkeypatch, tmp_path):
+    # n = 57 vertices in row blocks of 285 // 57 = 5 rows: 12 blocks cover
+    # the pairs u < v
+    monkeypatch.setattr(U.invariants, "_LIPSCHITZ_BLOCK", 285)
+    calls, gather = [], BourgainMap.pair_distances
+
+    def spy(self, u, v):
+        calls.append(u.shape)
+        return gather(self, u, v)
+
+    monkeypatch.setattr(BourgainMap, "pair_distances", spy)
+    assert main(["embed", "--tree", "inc:h=4,b=6", "--p", "2",
+                 "--csv", str(tmp_path / "moduli.csv"),
+                 "--out", str(tmp_path / "embed.json")]) == 0
+    assert calls == [(5, 1)] * 11 + [(1, 1)]
 
 
 # moduli curves
@@ -242,7 +271,6 @@ def test_tree_map_checks_table_points(point):
     spec = U.parse_tree_spec("bin:h=1")
     assignment = {v: 0 for v in U.vertices(spec)}
     assignment[(1,)] = point
-    for target in (U.FiniteMatrixSpace(TWO),
-                   U.GraphMetricSpace(U.GraphSpace(2, ((0, 1),)))):
+    for target in (U.FiniteMatrixSpace(TWO), U.GraphMetricSpace(2, ((0, 1),))):
         with pytest.raises(InvariantError, match="map point"):
             U.TreeMap(spec, target, assignment)

@@ -1,13 +1,15 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import umbellab as U
-from umbellab.invariants import InvariantError, distance_matrices
+from umbellab.invariants import InvariantError, pair_scan
 from umbellab.spaces import SpaceError, close
 
+import invariant_oracle as oracle
 from invariant_oracle import _min_branch_pair
 
 L3 = U.LpSpace(3, 2.0)
@@ -246,11 +248,12 @@ def test_named_maps():
     assert U.lipschitz_constant(const) == pytest.approx(0.0)
 
 
-def test_distance_matrices_consistent():
-    spec = U.parse_tree_spec("inc:h=2,b=4")
-    f = U.TreeMap.identity(spec)
-    dtree, dimg = distance_matrices(f)
-    assert np.allclose(dtree, dimg)
+def test_identity_pair_scan_is_the_tree_metric():
+    f = U.TreeMap.identity(U.parse_tree_spec("inc:h=2,b=4"))
+    blocks = list(pair_scan(f))
+    assert sum(len(tree) for tree, _ in blocks) == 11 * 10 // 2
+    for tree, image in blocks:
+        assert np.array_equal(tree, image) and tree.min() >= 1
 
 
 def test_lipschitz_pair_vs_edge_flag():
@@ -265,7 +268,7 @@ def test_lipschitz_pair_vs_edge_flag():
 
 @pytest.mark.parametrize("target", ["l2", "heisenberg"])
 def test_lipschitz_edge_maximum_matches_edge_walk(target):
-    # the edge maximum is a gather from the image table; walking the edges
+    # the edge maximum is a gather of pair distances; walking the edges
     # through f.dist is its oracle (the Heisenberg table comes from the
     # generic per-pair loop, the l2 one from cdist)
     spec = U.parse_tree_spec("bin:h=3")
@@ -277,7 +280,7 @@ def test_lipschitz_edge_maximum_matches_edge_walk(target):
         f = U.TreeMap(spec, space, {v: space.sample(rng) for v in U.vertices(spec)})
     walked = max(f.dist(u, v) for level in range(1, spec.height + 1)
                  for u, v in U.level_edges(spec, level))
-    dtree, dimg = distance_matrices(f)
+    dtree, dimg = oracle.distance_tables(f)
     pair = max(dimg[i, j] / dtree[i, j] for i in range(len(dtree))
                for j in range(len(dtree)) if dtree[i, j] > 0)
     value, flag = U.lipschitz_constant(f, with_flag=True)
@@ -291,6 +294,25 @@ def test_report_json():
     obj = json.loads(rep.to_json())
     assert obj["invariant"] == "fork-cotype"
     assert obj["lhs"] == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("target", ["l2:dim=1", "lp:p=1,dim=1"])
+def test_report_past_the_float_range_prints_null(target):
+    # edges 2e300 long: their squares are past the float range, which the
+    # report gives as inf and its document as null, with no warning
+    spec = U.parse_tree_spec("bin:h=4")
+    f = U.TreeMap(spec, U.parse_space(target),
+                  {v: (1e300 * (-1) ** len(v),) for v in U.vertices(spec)})
+    for inv in ("fork-cotype", "fork-convexity", "tessera", "markov-directed"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = U.report(U.InvariantId(inv), f, 2.0)
+        assert (rep.lhs, rep.rhs, rep.ratio_root) == (0.0, math.inf, 0.0)
+        obj = json.loads(rep.to_json())
+        assert (obj["lhs"], obj["rhs"], obj["ratio_root"]) == (0.0, None, 0.0)
+    rep = U.InvariantReport("tessera", 2.0, math.inf, math.inf, math.nan, {})
+    obj = json.loads(rep.to_json())
+    assert (obj["lhs"], obj["rhs"], obj["ratio_root"]) == (None, None, None)
 
 
 @pytest.mark.parametrize("p", [math.nan, math.inf, -1.0, 0.0])

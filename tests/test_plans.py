@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 import umbellab as U
 from umbellab import trees
-from umbellab.invariants import (InvariantError, InvariantId, compile_plan,
-                                 distance_matrices)
+from umbellab.embeddings import EmbeddingError
+from umbellab.invariants import InvariantError, InvariantId, compile_plan
 from umbellab.search import canonical_start
 
 import invariant_oracle as oracle
@@ -124,36 +124,12 @@ def test_plan_compilation_needs_no_distance_table():
     spec = U.parse_tree_spec("inc:h=4,b=30")
     f = random_map("l2", spec, np.random.default_rng(0))
     assert U.lhs(InvariantId.UMBEL_COTYPE, f, 2.0) > 0
-    assert trees.tree_graph(spec)[0]._dist is None
     trees.tree_graph.cache_clear()
-
-
-def test_image_table_follows_the_assignment():
-    spec = U.parse_tree_spec("bin:h=2")
-    rng = np.random.default_rng(3)
-    f = random_map("l2", spec, rng)
-    first = f.image_distances()
-    assert f.image_distances() is first
-    f.assignment[(1, 1)] = (5.0, 5.0, 5.0)
-    second = f.image_distances()
-    assert second is not first
-    _, dense = distance_matrices(U.TreeMap(spec, f.target, dict(f.assignment)))
-    assert np.array_equal(second, dense)
-    f.assignment = {v: (0.0, 0.0, 0.0) for v in U.vertices(spec)}
-    assert not f.image_distances().any()
-
-
-def test_identity_image_is_the_tree_table():
-    spec = U.parse_tree_spec("inc:h=4,b=6")
-    dtree, dimg = distance_matrices(U.TreeMap.identity(spec))
-    assert np.shares_memory(dtree, dimg)
-    assert not dimg.flags.writeable
-    assert np.array_equal(dtree, dimg)
 
 
 class Squared:
     """(a - b)^2 on the line: a target with a plain `distance` and no
-    row-wise form, so pair distances come from the image table; not a
+    row-wise form, so pair distances take one `distance` call each; not a
     metric, so its pair and edge Lipschitz constants differ."""
 
     def distance(self, a, b):
@@ -172,9 +148,9 @@ def test_lipschitz_in_row_blocks_matches_full_buffer(block, monkeypatch):
     for f in maps + [squared]:
         got = U.lipschitz_constant(f, with_flag=True)
         graph, _ = trees.tree_graph(f.spec)
-        dimg = f.image_distances()
+        dtree, dimg = oracle.distance_tables(f)
         ratio = np.zeros_like(dimg)
-        np.divide(dimg, graph.dist, out=ratio, where=graph.dist > 0)
+        np.divide(dimg, dtree, out=ratio, where=dtree > 0)
         edges = np.array(graph.edges).reshape(-1, 2)
         pair, edge = float(ratio.max()), float(dimg[edges[:, 0], edges[:, 1]].max())
         assert got == (max(pair, edge), not U.spaces.close(pair, edge))
@@ -199,8 +175,6 @@ def test_lipschitz_sides_build_no_table():
         for inv in LIPSCHITZ_IDS[f.spec.kind]:
             rep = U.report(inv, f, 2.0)
             assert rep.rhs > 0 and rep.lipschitz_flag is False
-        assert trees.tree_graph(f.spec)[0]._dist is None
-        assert f._image is None
     trees.tree_graph.cache_clear()
 
 
@@ -209,9 +183,9 @@ def pair_scans(monkeypatch):
     """The targets of the Lipschitz pair scans run while the test runs."""
     calls, scan = [], U.invariants._pair_max
 
-    def spy(f, tg):
+    def spy(f):
         calls.append(f.target)
-        return scan(f, tg)
+        return scan(f)
 
     monkeypatch.setattr(U.invariants, "_pair_max", spy)
     return calls
@@ -261,16 +235,96 @@ def test_matrix_within_triangle_slack_matches_the_full_scan():
         assert want - got <= U.spaces.REL_TOL * (d.max() + 1.0)
 
 
-def test_lipschitz_allocates_no_table_sized_buffer():
-    f = U.TreeMap.identity(U.parse_tree_spec("inc:h=8,b=12"))
-    table = f.image_distances()
+def any_map(kind: str, spec, rng):
+    """random_map's kinds, plus a Squared map of distinct points, a
+    constant map and the Bourgain embedding of an increasing tree."""
+    if kind == "squared":
+        return U.TreeMap(spec, Squared(),
+                         {v: float(i) for i, v in enumerate(U.vertices(spec))})
+    if kind == "constant":
+        return U.TreeMap.constant(spec, U.LpSpace(3, 2.0))
+    if kind == "bourgain":
+        return U.bourgain_embed(spec, 2.0)
+    return random_map(kind, spec, rng)
+
+
+MAP_KINDS = ["table", "identity", "l1", "l2", "linf", "l3", "heis", "prod",
+             "squared"]
+
+
+@pytest.mark.parametrize("kind", MAP_KINDS + ["bourgain"])
+def test_pair_distances_broadcast_equal_the_flat_gather(kind):
+    f = any_map(kind, U.parse_tree_spec("inc:h=4,b=6"), np.random.default_rng(9))
+    n = len(f.assignment)
+    u, v = np.arange(n)[:, None], np.arange(n)[None, :]
+    flat_u, flat_v = (a.ravel() for a in np.broadcast_arrays(u, v))
+    block = f.pair_distances(u, v)
+    assert block.shape == (n, n)
+    assert np.array_equal(block.ravel(), f.pair_distances(flat_u, flat_v))
+
+
+def scan_numbers(f, lib):
+    """Breakpoints and values of both moduli and then the distortion, by
+    `lib` (umbellab, or the table oracle); an error stands for its text."""
+    try:
+        rho, omega = lib.moduli(f)
+    except EmbeddingError as exc:
+        return str(exc)
+    curves = rho.breakpoints + rho.values + omega.breakpoints + omega.values
+    try:
+        return curves, lib.distortion(f)
+    except EmbeddingError as exc:
+        return curves, str(exc)
+
+
+@pytest.mark.parametrize("tree", ["bin:h=4", "inc:h=4,b=6", "bin:h=0"])
+@pytest.mark.parametrize("kind", MAP_KINDS + ["constant"])
+def test_moduli_and_distortion_match_the_table_oracle(tree, kind):
+    f = any_map(kind, U.parse_tree_spec(tree), np.random.default_rng(10))
+    got, want = scan_numbers(f, U), scan_numbers(f, oracle)
+    if isinstance(want, str) or kind in EXACT_TARGETS | {"constant"}:
+        assert got == want
+    else:
+        assert got == tuple(w if isinstance(w, str)
+                            else pytest.approx(w, rel=1e-12, abs=0) for w in want)
+
+
+@pytest.mark.parametrize("h,p,variant",
+                         [(h, p, "lp") for h in (1, 2, 4, 8) for p in (1.5, 2.0, 3.0)]
+                         + [(h, 1.0, "l1") for h in (1, 2, 4, 8)]
+                         + [(h, math.inf, "linf") for h in (1, 2, 4, 8)])
+def test_bourgain_moduli_and_distortion_equal_the_table_oracle(h, p, variant):
+    f = U.bourgain_embed(U.parse_tree_spec(f"inc:h={h},b={h + 2}"), p, variant)
+    assert scan_numbers(f, U) == scan_numbers(f, oracle)
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory it allocated, by tracemalloc."""
     tracemalloc.start()
     try:
-        assert U.lipschitz_constant(f) == 1.0
+        out = fn(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < table.nbytes / 4
+    return out, peak
+
+
+def test_lipschitz_allocates_no_table_sized_buffer():
+    f = U.TreeMap.identity(U.parse_tree_spec("inc:h=8,b=12"))
+    table_bytes = 8 * len(f.assignment) ** 2
+    value, peak = traced_peak(U.lipschitz_constant, f)
+    assert value == 1.0
+    assert peak < table_bytes / 4
+
+
+def test_pair_scan_allocates_no_table_sized_buffer():
+    # n = 3797: an n x n float64 table takes 115 MB
+    f = U.TreeMap.identity(U.parse_tree_spec("inc:h=8,b=12"))
+    table_bytes = 8 * len(f.assignment) ** 2
+    for fn in (U.moduli, U.distortion):
+        _, peak = traced_peak(fn, f)
+        assert peak < table_bytes / 2, fn.__name__
+    assert U.distortion(f) == (1.0, 1.0, 1.0)
 
 
 # search through plans against search through the oracle

@@ -127,6 +127,19 @@ def test_min_feasible_K_tripod():
     assert rep.violations == 0
 
 
+@pytest.mark.parametrize("ineq,space", [
+    (U.InequalityId.MIDPOINT_CURVATURE, U.LpSpace(2, 2.0)),
+    (U.InequalityId.HEISENBERG_PARALLELOGRAM, U.parse_space("heis:dim=2,p=2")),
+], ids=["midpoint-curvature", "parallelogram"])
+def test_min_feasible_K_rejects_inequalities_without_K(ineq, space, monkeypatch):
+    # midpoint curvature ignores K and the parallelogram derives it from C:
+    # there is nothing to bisect, so no certify pass may run
+    monkeypatch.setattr(pointwise, "certify", None)
+    with pytest.raises(pointwise.PointwiseError, match="does not depend on K"):
+        U.min_feasible_K(space, ineq, cfg(exponent=2.0), U.ball_sampler(space, ineq),
+                         n=100, seed=0, bracket=(0.5, 64.0))
+
+
 # certification against the per-sample oracle loop
 
 STAR_GRAPH = {"n": 6, "edges": [[0, 1], [0, 2], [0, 3], [3, 4], [4, 5]]}

@@ -185,7 +185,7 @@ def test_horizontal_length_of_horizontal_segment():
     U.LpSpace(2, math.inf),
     U.FiniteMatrixSpace(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0],
                                   [2.0, 1.0, 0.0]])),
-    U.GraphMetricSpace(U.GraphSpace(4, ((0, 1), (1, 2), (1, 3)))),
+    U.GraphMetricSpace(4, ((0, 1), (1, 2), (1, 3))),
     U.HeisenbergMetricSpace(U.standard_symplectic(2), p=2.0),
     U.HeisenbergMetricSpace(U.standard_symplectic(4), p=math.inf, lam=0.5),
     U.parse_space("prod:p=2;l2:dim=2;lp:p=inf,dim=2"),

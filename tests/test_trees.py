@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import umbellab as U
-from umbellab.trees import (_apsp, format_tree_spec, tree_graph,
+from umbellab.spaces import _apsp
+from umbellab.trees import (format_tree_spec, tree_graph,
                             BINARY, INCREASING, TreeSpecError)
 
 
@@ -173,20 +174,26 @@ def test_graph_space_matches_bfs_oracle():
         for u, v in extra:
             if u != v:
                 edges.add((min(u, v), max(u, v)))
-        g = U.GraphSpace(n, tuple(sorted(edges)))
-        assert np.allclose(g.dist, apsp_bfs(n, tuple(sorted(edges))))
+        g = U.GraphMetricSpace(n, tuple(sorted(edges)))
+        assert np.allclose(g.table, apsp_bfs(n, tuple(sorted(edges))))
 
 
 def test_graph_space_rejects_disconnected():
     with pytest.raises(Exception):
-        U.GraphSpace(4, ((0, 1), (2, 3)))
+        U.GraphMetricSpace(4, ((0, 1), (2, 3)))
+
+
+def grid_distances(graph) -> np.ndarray:
+    """A TreeGraph's distance_rows over the (n, 1) x (1, n) broadcast grid."""
+    i = np.arange(graph.n)
+    return graph.distance_rows(i[:, None], i[None, :])
 
 
 def test_tree_graph_distances():
     spec = U.parse_tree_spec("bin:h=3")
     graph, index = tree_graph(spec)
     for u, v in itertools.combinations(U.vertices(spec), 2):
-        assert graph.dist[index[u], index[v]] == U.tree_distance(u, v)
+        assert graph.distance(index[u], index[v]) == U.tree_distance(u, v)
 
 
 SMALL_TREES = ([f"bin:h={h}" for h in range(7)]
@@ -195,11 +202,13 @@ SMALL_TREES = ([f"bin:h={h}" for h in range(7)]
 
 @pytest.mark.parametrize("desc", SMALL_TREES)
 def test_tree_graph_exact_against_search_oracles(desc):
-    # the depth/lcp table must equal both shortest-path searches bit for bit
+    # the depth/lcp distances must equal both shortest-path searches bit
+    # for bit
     graph, _ = tree_graph(U.parse_tree_spec(desc))
-    assert graph.dist.dtype == np.float64
-    assert np.array_equal(graph.dist, apsp_bfs(graph.n, graph.edges))
-    assert np.array_equal(graph.dist, _apsp(graph.n, graph.edges))
+    dist = grid_distances(graph)
+    assert dist.dtype == np.float64
+    assert np.array_equal(dist, apsp_bfs(graph.n, graph.edges))
+    assert np.array_equal(dist, _apsp(graph.n, graph.edges))
 
 
 def test_tree_graph_edge_cases_are_covered():
@@ -207,7 +216,7 @@ def test_tree_graph_edge_cases_are_covered():
     for desc in ("bin:h=0", "inc:h=0,b=1"):
         graph, index = tree_graph(U.parse_tree_spec(desc))
         assert graph.n == 1 and graph.edges == () and index == {(): 0}
-        assert graph.dist.tolist() == [[0.0]]
+        assert grid_distances(graph).tolist() == [[0.0]]
 
 
 def test_diamond_graph_grows():
@@ -216,11 +225,11 @@ def test_diamond_graph_grows():
     # level 0 is a single edge, level 1 a 4-cycle
     assert g0.n == 2
     assert g1.n == 4
-    assert g1.dist.max() == 2
+    assert g1.table.max() == 2
 
 
 def test_laakso_graph_level_one():
     g = U.laakso_graph(1)
     # one edge replaced by the 6-edge block on 6 vertices
     assert g.n == 6
-    assert g.dist.max() == 4
+    assert g.table.max() == 4
