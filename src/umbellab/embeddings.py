@@ -4,12 +4,13 @@ lifting of tree maps through quotient-like oracles."""
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 import numpy as np
 
-from .invariants import TreeMap, pair_scan
+from .invariants import TreeMap
 from .spaces import LpSpace, TableSpace, lp_norm
-from .trees import TreeSpec, INCREASING, tree_graph, vertices
+from .trees import TreeSpec, INCREASING, tree_graph
 
 
 class EmbeddingError(ValueError):
@@ -23,13 +24,65 @@ class EmbeddingError(ValueError):
 class BourgainMap(TreeMap):
     """The map built by bourgain_embed.  The image distance of u and v
     depends only on a = |u|, b = |v| and c = lcp(u, v), so pair distances are
-    a gather from the table of those (h+1)^3 values; the dense assignment
-    stays for everything that reads points."""
+    a gather from the map's table of those (h+1)^3 values, and the pair scan
+    is one block over the realised triples.  Points are built on demand
+    (_BourgainPoints)."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self._profile = _bourgain_profile(self.spec.height, self.target.p)
 
     def pair_distances(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         graph, _ = tree_graph(self.spec)
-        table = _bourgain_profile(self.spec.height, self.target.p)
-        return table[graph.depth[u], graph.depth[v], graph.lcp(u, v)]
+        return self._profile[graph.depth[u], graph.depth[v], graph.lcp(u, v)]
+
+    def pair_scan(self):
+        """One block: (a + b - 2c, T[a, b, c]) over the realised triples,
+        which hold every distinct pair's tree and image distance."""
+        a, b, c = np.nonzero(_realised_triples(self.spec))
+        yield (a + b - 2 * c).astype(float), self._profile[a, b, c]
+
+
+def _realised_triples(spec: TreeSpec) -> np.ndarray:
+    """mask[a, b, c]: whether two distinct vertices of the increasing tree
+    have depths a and b and a common prefix of length c.  Either one is a
+    prefix of the other (c = min(a, b) < max(a, b)), or both go on past the
+    prefix with different next labels.  That takes max(a, b) <= B labels on
+    the longer branch, which B >= h grants, and min(a, b) + 1 <= B on the
+    shorter one."""
+    a, b, c = np.indices((spec.height + 1,) * 3)
+    lo = np.minimum(a, b)
+    return ((c == lo) & (a != b)) | ((c < lo) & (lo + 1 <= spec.branching))
+
+
+class _BourgainPoints(Mapping):
+    """The read-only assignment of a BourgainMap: a vertex's point is built
+    on first read and kept.  Keys, membership and length come from the
+    tree's vertex index, so no vector is built to check the map."""
+
+    def __init__(self, spec: TreeSpec, q: float):
+        self._index = tree_graph(spec)[1]  # Phi(v) - 2k, reindexed to 0
+        self._q = q
+        self._built = {}
+
+    def __getitem__(self, v):
+        point = self._built.get(v)
+        if point is None:
+            j = len(v)
+            vec = np.zeros(len(self._index))
+            for i in range(j + 1):
+                vec[self._index[v[:i]]] = (j - i + 1) ** (1.0 / self._q)
+            point = self._built[v] = tuple(vec)
+        return point
+
+    def __contains__(self, v) -> bool:
+        return v in self._index
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
 
 
 def _bourgain_profile(height: int, p: float) -> np.ndarray:
@@ -68,22 +121,14 @@ def bourgain_embed(spec: TreeSpec, p: float = 2.0, variant: str = "lp") -> TreeM
         p, q = 1.0, math.inf
     elif variant == "linf":
         p, q = math.inf, 1.0
+    elif variant != "lp":
+        raise EmbeddingError(f"unknown variant {variant!r}: use lp, l1 or linf")
     elif not 1 < p < math.inf:
         raise EmbeddingError("p must lie in (1, inf)")
     else:
         q = p / (p - 1)
-    verts = vertices(spec)
-    coord = {v: i for i, v in enumerate(verts)}  # Phi(v) - 2k, reindexed to 0
-    dim = len(verts)
-    target = LpSpace(dim, p)
-    assignment = {}
-    for v in verts:
-        j = len(v)
-        vec = np.zeros(dim)
-        for i in range(j + 1):
-            vec[coord[v[:i]]] = (j - i + 1) ** (1.0 / q)
-        assignment[v] = tuple(vec)
-    return BourgainMap(spec, target, assignment)
+    points = _BourgainPoints(spec, q)
+    return BourgainMap(spec, LpSpace(len(points), p), points)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +187,7 @@ def moduli(f: TreeMap) -> tuple[ModulusCurve, ModulusCurve]:
     top = 2 * f.spec.height + 1
     seen = np.zeros(top, dtype=bool)
     mins, maxs = np.full(top, np.inf), np.full(top, -np.inf)
-    for tree, image in pair_scan(f):
+    for tree, image in f.pair_scan():
         t = tree.astype(np.intp)
         seen[t] = True
         np.minimum.at(mins, t, image)

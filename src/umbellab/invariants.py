@@ -101,6 +101,25 @@ class TreeMap:
         return self.target.distance_rows(np.take(r, u, axis=0),
                                          np.take(r, v, axis=0))
 
+    def pair_scan(self):
+        """(tree distances, image distances) of every vertex pair u < v, in
+        row blocks: rows lo:hi against columns lo:n as broadcast (k, 1) x
+        (1, n - lo) index arrays, each block flattened to its pairs above the
+        diagonal.  Readers take extremes only, so a subclass may yield one
+        value pair for many vertex pairs."""
+        tg, _ = tree_graph(self.spec)
+        n = tg.n
+        # at most about _LIPSCHITZ_BLOCK pairs a block, and at most n/8 rows,
+        # as the k^2/2 pairs a block computes below the diagonal are thrown
+        # away
+        step = max(1, min(_LIPSCHITZ_BLOCK // n, n // 8))
+        for lo in range(0, n - 1, step):
+            u = np.arange(lo, min(lo + step, n - 1))[:, None]
+            v = np.arange(lo, n)[None, :]
+            upper = u < v
+            yield (tg.distance_rows(u, v)[upper],
+                   self.pair_distances(u, v)[upper])
+
     @classmethod
     def identity(cls, spec: TreeSpec) -> "TreeMap":
         graph, index = tree_graph(spec)
@@ -209,25 +228,9 @@ def _is_metric(target) -> bool:
     return getattr(target, "quasi_constant", math.inf) == 1
 
 
-def pair_scan(f: TreeMap):
-    """(tree distances, image distances) of every vertex pair u < v, in row
-    blocks: rows lo:hi against columns lo:n as broadcast (k, 1) x (1, n - lo)
-    index arrays, each block flattened to its pairs above the diagonal."""
-    tg, _ = tree_graph(f.spec)
-    n = tg.n
-    # at most about _LIPSCHITZ_BLOCK pairs a block, and at most n/8 rows, as
-    # the k^2/2 pairs a block computes below the diagonal are thrown away
-    step = max(1, min(_LIPSCHITZ_BLOCK // n, n // 8))
-    for lo in range(0, n - 1, step):
-        u = np.arange(lo, min(lo + step, n - 1))[:, None]
-        v = np.arange(lo, n)[None, :]
-        upper = u < v
-        yield tg.distance_rows(u, v)[upper], f.pair_distances(u, v)[upper]
-
-
 def _pair_max(f: TreeMap) -> float:
     """max over vertex pairs u < v of d_Y(f(u), f(v)) / d_tree(u, v)."""
-    return max((float((image / tree).max()) for tree, image in pair_scan(f)),
+    return max((float((image / tree).max()) for tree, image in f.pair_scan()),
                default=0.0)
 
 

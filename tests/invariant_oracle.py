@@ -1,8 +1,10 @@
 """The per-invariant loops that evaluated every functional before the
-library compiled them into plans (see umbellab.invariants), and the n x n
-distance tables that distortion and moduli read before the pair scan.  They
-walk the displays of each functional directly and serve as the test oracle
-for the compiled plans and the scan; nothing in the library imports them."""
+library compiled them into plans (see umbellab.invariants), the n x n
+distance tables that distortion and moduli read before the pair scan, and
+the Bourgain map with every vector built up front.  They walk the displays
+of each functional directly and serve as the test oracle for the compiled
+plans, the scan and the on-demand points; nothing in the library imports
+them."""
 
 from __future__ import annotations
 
@@ -44,6 +46,28 @@ def _pairwise(target, pts) -> np.ndarray:
         for j in range(i + 1, n):
             out[i, j] = out[j, i] = target.distance(pts[i], pts[j])
     return out
+
+
+def eager_bourgain(spec, p: float = 2.0, variant: str = "lp") -> TreeMap:
+    """bourgain_embed's points, every vector built up front as one dense
+    tuple per vertex, in a plain TreeMap."""
+    if variant == "l1":
+        p, q = 1.0, math.inf
+    elif variant == "linf":
+        p, q = math.inf, 1.0
+    else:
+        q = p / (p - 1)
+    verts = trees.vertices(spec)
+    coord = {v: i for i, v in enumerate(verts)}
+    dim = len(verts)
+    assignment = {}
+    for v in verts:
+        j = len(v)
+        vec = np.zeros(dim)
+        for i in range(j + 1):
+            vec[coord[v[:i]]] = (j - i + 1) ** (1.0 / q)
+        assignment[v] = tuple(vec)
+    return TreeMap(spec, LpSpace(dim, p), assignment)
 
 
 @functools.lru_cache(maxsize=2)

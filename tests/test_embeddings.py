@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import umbellab as U
 from umbellab.cli import main
-from umbellab.embeddings import BourgainMap, EmbeddingError
+from umbellab.embeddings import BourgainMap, EmbeddingError, _realised_triples
 from umbellab.invariants import InvariantError, TreeMap
 from umbellab.trees import tree_graph
 
@@ -38,6 +39,13 @@ def test_bourgain_variants():
     assert U.distortion(fi)[2] >= 1.0
     with pytest.raises(Exception):
         U.bourgain_embed(spec, p=1.0, variant="lp")
+
+
+@pytest.mark.parametrize("variant", ["l2", "LINF", ""])
+def test_bourgain_rejects_unknown_variant(variant):
+    spec = U.parse_tree_spec("inc:h=2,b=4")
+    with pytest.raises(EmbeddingError, match="lp, l1 or linf"):
+        U.bourgain_embed(spec, 2.0, variant=variant)
 
 
 def test_distortion_rejects_constant_map():
@@ -112,20 +120,83 @@ def test_bourgain_closed_form_distortion_and_moduli_h8():
 
 
 def test_embed_scans_the_pairs_once(monkeypatch, tmp_path):
-    # n = 57 vertices in row blocks of 285 // 57 = 5 rows: 12 blocks cover
-    # the pairs u < v
-    monkeypatch.setattr(U.invariants, "_LIPSCHITZ_BLOCK", 285)
-    calls, gather = [], BourgainMap.pair_distances
+    # a BourgainMap's scan is one block over its realised (depth, depth,
+    # lcp) triples, read off its profile without any pair gather
+    gathers, blocks = [], []
+    gather, scan = BourgainMap.pair_distances, BourgainMap.pair_scan
 
-    def spy(self, u, v):
-        calls.append(u.shape)
+    def spy_gather(self, u, v):
+        gathers.append(u.shape)
         return gather(self, u, v)
 
-    monkeypatch.setattr(BourgainMap, "pair_distances", spy)
+    def spy_scan(self):
+        for block in scan(self):
+            blocks.append(len(block[0]))
+            yield block
+
+    monkeypatch.setattr(BourgainMap, "pair_distances", spy_gather)
+    monkeypatch.setattr(BourgainMap, "pair_scan", spy_scan)
     assert main(["embed", "--tree", "inc:h=4,b=6", "--p", "2",
                  "--csv", str(tmp_path / "moduli.csv"),
                  "--out", str(tmp_path / "embed.json")]) == 0
-    assert calls == [(5, 1)] * 11 + [(1, 1)]
+    assert gathers == [] and len(blocks) == 1
+
+
+# the implicit Bourgain map against the eager vectors
+
+
+@pytest.mark.parametrize("h", range(6))
+@pytest.mark.parametrize("extra", [0, 1, 3])
+def test_realised_triples_match_enumeration(h, extra):
+    spec = U.parse_tree_spec(f"inc:h={h},b={h + extra}")
+    graph = tree_graph(spec)[0]
+    u, v = grid(graph.n)
+    lcp = graph.lcp(u, v)
+    a, b = (np.broadcast_to(graph.depth[w], lcp.shape) for w in (u, v))
+    distinct = u != v
+    seen = np.zeros((h + 1,) * 3, dtype=bool)
+    seen[a[distinct], b[distinct], lcp[distinct]] = True
+    assert np.array_equal(_realised_triples(spec), seen)
+
+
+@pytest.mark.parametrize("h", [1, 2, 4])
+@pytest.mark.parametrize("p,variant", [(1.5, "lp"), (2.0, "lp"), (3.0, "lp"),
+                                       (1.0, "l1"), (math.inf, "linf")])
+def test_lazy_points_equal_the_eager_construction(h, p, variant):
+    spec = U.parse_tree_spec(f"inc:h={h},b={h + 2}")
+    f = U.bourgain_embed(spec, p, variant=variant)
+    eager = oracle.eager_bourgain(spec, p, variant)
+    assert f.target == eager.target
+    assert list(f.assignment) == list(eager.assignment)
+    assert f.points() == eager.points()
+    assert f.to_json() == eager.to_json()
+
+
+def test_bourgain_report_builds_no_vectors():
+    # the 1013 dense vectors of this tree take about 8 MB
+    spec = U.parse_tree_spec("inc:h=8,b=10")
+    tree_graph(spec)
+    tracemalloc.start()
+    try:
+        f = U.bourgain_embed(spec, 2.0)
+        rep = U.report(U.InvariantId.UMBEL_COTYPE, f, 2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.rhs > 0
+    assert peak < 1 << 20
+
+
+def test_lift_of_bourgain_map_matches_eager_copy():
+    rng = np.random.default_rng(4)
+    spec = U.parse_tree_spec("inc:h=2,b=4")
+    f = U.bourgain_embed(spec, 2.0)
+    eager = oracle.eager_bourgain(spec, 2.0)
+    pts = list(eager.points()) + [tuple(x) for x in rng.uniform(0, 2, (8, f.target.dim))]
+    lifts = U.QuotientOracle(f.target, tuple(pts), f.target, tuple(pts), 2.0, 0.05)
+    lifted = U.lift_map(f, lifts)
+    assert lifted.assignment == U.lift_map(eager, lifts).assignment
+    assert U.verify_lift(f, lifted, lifts)
 
 
 # moduli curves

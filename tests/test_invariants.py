@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import umbellab as U
-from umbellab.invariants import InvariantError, pair_scan
+from umbellab.invariants import InvariantError
 from umbellab.spaces import SpaceError, close
 
 import invariant_oracle as oracle
@@ -250,7 +250,7 @@ def test_named_maps():
 
 def test_identity_pair_scan_is_the_tree_metric():
     f = U.TreeMap.identity(U.parse_tree_spec("inc:h=2,b=4"))
-    blocks = list(pair_scan(f))
+    blocks = list(f.pair_scan())
     assert sum(len(tree) for tree, _ in blocks) == 11 * 10 // 2
     for tree, image in blocks:
         assert np.array_equal(tree, image) and tree.min() >= 1
