@@ -24,14 +24,22 @@ EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 
 
-def _emit(obj, out: str | None) -> None:
-    obj = {"schema": SCHEMA, **obj}
-    text = json.dumps(obj, indent=2, allow_nan=False)
+def _document(obj) -> str:
+    """obj as a strict JSON document with the schema tag; raises ValueError
+    on non-finite values."""
+    return json.dumps({"schema": SCHEMA, **obj}, indent=2, allow_nan=False)
+
+
+def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _emit(obj, out: str | None) -> None:
+    _write(_document(obj), out)
 
 
 def cmd_invariant(args) -> int:
@@ -71,17 +79,15 @@ def cmd_embed(args) -> int:
                     "compression_integral":
                         embeddings.compression_integral(rho, args.p, diameter)
                         if diameter > 1 else 0.0})
-        csv_lines = ["t,rho,omega"]
-        for t in rho.breakpoints:
-            csv_lines.append(f"{t},{rho(t)},{omega(t)}")
-        if args.csv:
-            with open(args.csv, "w") as fh:
-                fh.write("\n".join(csv_lines) + "\n")
-        else:
-            print("\n".join(csv_lines))
+        csv = "\n".join(["t,rho,omega"] + [f"{t},{rho(t)},{omega(t)}"
+                                           for t in rho.breakpoints])
     else:
         obj.update({"lip": 1.0, "colip": 1.0, "distortion": 1.0})
-    _emit(obj, args.out)
+        csv = None
+    text = _document(obj)  # before the CSV, so a failed document writes none
+    if csv is not None:
+        _write(csv, args.csv)
+    _write(text, args.out)
     return EXIT_OK
 
 
@@ -168,72 +174,57 @@ def cmd_heisenberg(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+_REQUIRED = {"required": True}
+_REQUIRED_FLOAT = {"type": float, "required": True}
+
+# the options of each subcommand besides --seed and --out: flags (or a tuple
+# of flag and aliases) -> add_argument keywords
+_OPTIONS = {
+    "invariant": {
+        "--tree": _REQUIRED, "--map": {"default": "identity"},
+        "--invariant": _REQUIRED, "--p": _REQUIRED_FLOAT, "--target": {},
+        "--j-min": {"type": int}},
+    "certify": {
+        "--space": _REQUIRED, "--inequality": _REQUIRED,
+        "--p": {"type": float, "default": 2.0}, "--q": {"type": float},
+        "--K": {"type": float, "default": 1.0},
+        "--C": {"type": float, "default": 1.0},
+        "--samples": {"type": int, "required": True},
+        "--xs-count": {"type": int, "default": 4},
+        "--slack": {"type": float, "default": 0.0}},
+    "embed": {
+        "--tree": _REQUIRED, "--p": _REQUIRED_FLOAT,
+        "--variant": {"choices": ["lp", "l1", "linf"], "default": "lp"},
+        "--csv": {}},
+    "search": {
+        "--tree": _REQUIRED, "--invariant": _REQUIRED, "--p": _REQUIRED_FLOAT,
+        "--target-file": _REQUIRED, "--pins-file": {},
+        "--mode": {"choices": ["exhaustive", "local"], "default": "local"},
+        "--restarts": {"type": int, "default": 8},
+        "--steps": {"type": int, "default": 100}, "--budget": {"type": int}},
+    "lift": {"--map-file": _REQUIRED, "--oracle-file": _REQUIRED},
+    "morphism": {
+        "--k": {"type": int, "required": True}, "--j-const": {"type": int},
+        "--j-max": {"type": int, "default": 8}},
+    "heisenberg": {
+        "--dim": {"type": int, "default": 2}, "--p": {"default": "inf"},
+        ("--lam", "--lambda"): {"dest": "lam", "type": float, "default": 1.0},
+        "--samples": {"type": int, "default": 10000}},
+}
+
+
+def build_parser(commands=None) -> argparse.ArgumentParser:
+    """The parser of the named subcommands, all of them by default.  With
+    one name it parses that subcommand's argv as the full parser does."""
     top = argparse.ArgumentParser(prog="umbel-lab")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name in commands or _OPTIONS:
+        p = sub.add_parser(name)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None)
-
-    p = sub.add_parser("invariant")
-    common(p)
-    p.add_argument("--tree", required=True)
-    p.add_argument("--map", default="identity")
-    p.add_argument("--invariant", required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--target", default=None)
-    p.add_argument("--j-min", type=int, default=None)
-
-    p = sub.add_parser("certify")
-    common(p)
-    p.add_argument("--space", required=True)
-    p.add_argument("--inequality", required=True)
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--K", type=float, default=1.0)
-    p.add_argument("--C", type=float, default=1.0)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--xs-count", type=int, default=4)
-    p.add_argument("--slack", type=float, default=0.0)
-
-    p = sub.add_parser("embed")
-    common(p)
-    p.add_argument("--tree", required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--variant", choices=["lp", "l1", "linf"], default="lp")
-    p.add_argument("--csv", default=None)
-
-    p = sub.add_parser("search")
-    common(p)
-    p.add_argument("--tree", required=True)
-    p.add_argument("--invariant", required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--target-file", required=True)
-    p.add_argument("--pins-file", default=None)
-    p.add_argument("--mode", choices=["exhaustive", "local"], default="local")
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--budget", type=int, default=None)
-
-    p = sub.add_parser("lift")
-    common(p)
-    p.add_argument("--map-file", required=True)
-    p.add_argument("--oracle-file", required=True)
-
-    p = sub.add_parser("morphism")
-    common(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--j-const", type=int, default=None)
-    p.add_argument("--j-max", type=int, default=8)
-
-    p = sub.add_parser("heisenberg")
-    common(p)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--p", default="inf")
-    p.add_argument("--lam", "--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--samples", type=int, default=10000)
-
+        p.add_argument("--out")
+        for flags, kwargs in _OPTIONS[name].items():
+            p.add_argument(*(flags if isinstance(flags, tuple) else (flags,)),
+                           **kwargs)
     return top
 
 
@@ -249,7 +240,10 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a subcommand's own parser parses its argv; help and errors on the
+    # command name itself need them all
+    parser = build_parser(argv[:1] if argv and argv[0] in _OPTIONS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

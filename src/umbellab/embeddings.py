@@ -85,11 +85,13 @@ class _BourgainPoints(Mapping):
         return len(self._index)
 
 
+@np.errstate(over="ignore")
 def _bourgain_profile(height: int, p: float) -> np.ndarray:
     """T[a, b, c]: the lp distance between the images of two vertices of
     depths a and b with a common prefix of length c (c <= min(a, b); other
     entries are nan).  Coordinates of the shared prefixes carry the weight
-    differences, the rest one image's weights alone."""
+    differences, the rest one image's weights alone; distances past the
+    float range (huge p) are inf."""
     q = 1.0 if p == math.inf else math.inf if p == 1 else p / (p - 1)
 
     def weight(m):

@@ -26,6 +26,7 @@ targets also scan every vertex pair in row blocks, without a table.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 import numbers
@@ -63,7 +64,12 @@ _LIPSCHITZ_IDS = _COTYPE_IDS + (InvariantId.TESSERA,)
 
 @dataclass(eq=False)
 class TreeMap:
-    """A total assignment of target points to the vertices of a finite tree."""
+    """A total assignment of target points to the vertices of a finite tree.
+
+    The map reads its assignment once: the points in vertex order, and the
+    target rows built from them, are read on first use (at construction on
+    table targets) and kept.  Later edits to the dict are not seen by
+    `points`, `pair_distances` or anything evaluated from them."""
 
     spec: TreeSpec
     target: object
@@ -71,9 +77,9 @@ class TreeMap:
 
     def __post_init__(self):
         verts = vertices(self.spec)
-        missing = [v for v in verts if v not in self.assignment]
-        if missing:
-            raise InvariantError(f"assignment misses {len(missing)} vertices")
+        if not all(map(self.assignment.__contains__, verts)):
+            missing = sum(v not in self.assignment for v in verts)
+            raise InvariantError(f"assignment misses {missing} vertices")
         self._verts = verts
         if (isinstance(self.target, sp.TableSpace)
                 and not self.target.has_points(self.points())):
@@ -82,9 +88,21 @@ class TreeMap:
     def point(self, v: Vertex):
         return self.assignment[v]
 
+    @functools.cached_property
+    def _points(self) -> tuple:
+        return tuple(map(self.assignment.__getitem__, self._verts))
+
     def points(self) -> tuple:
         """The assigned points in vertex order."""
-        return tuple(self.assignment[v] for v in self._verts)
+        return self._points
+
+    @functools.cached_property
+    def _rows(self) -> np.ndarray:
+        """The points as the target's rows, or as object entries on targets
+        without `rows`."""
+        if hasattr(self.target, "rows"):
+            return self.target.rows(self.points())
+        return sp.object_rows(self.points())
 
     def dist(self, u: Vertex, v: Vertex) -> float:
         return self.target.distance(self.assignment[u], self.assignment[v])
@@ -94,10 +112,9 @@ class TreeMap:
         broadcast against each other: row-wise on targets with `rows` (table,
         lp, Heisenberg and product spaces), else one `distance` call per
         pair."""
+        r = self._rows
         if not hasattr(self.target, "rows"):
-            r = sp.object_rows(self.points())
             return sp.distance_calls(self.target.distance, r[u], r[v])
-        r = self.target.rows(self.points())
         return self.target.distance_rows(np.take(r, u, axis=0),
                                          np.take(r, v, axis=0))
 
@@ -358,28 +375,27 @@ def _height_range(tg: TreeGraph, h: int) -> tuple[int, int]:
 
 def _prefix_pairs(tg: TreeGraph, h: int, length: int):
     """All pairs i < j of height-h vertices whose length-`length` prefixes
-    agree, as vertex-order index arrays, with their common prefix lengths.
-    Vertices sharing a prefix are consecutive, so each vertex pairs with the
-    rest of its run."""
+    agree, as vertex-order index arrays.  Vertices sharing a prefix are
+    consecutive, so each vertex pairs with the rest of its run."""
     lo, hi = _height_range(tg, h)
     key = tg.anc[lo:hi, length]
     local = np.arange(hi - lo)
     counts = np.searchsorted(key, key, side="right") - local - 1
     i = np.repeat(local, counts)
     j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
-    u, v = i + lo, j + lo
-    return u, v, tg.lcp(u, v)
+    return i + lo, j + lo
 
 
 def _branch_pairs(tg: TreeGraph, h: int, lcp: int, j_min: Optional[int] = None):
     """The pairs of height-h vertices whose longest common prefix has length
-    exactly `lcp`; with j_min set, one of the two diverging labels must be
-    >= j_min (the liminf tail knob)."""
-    u, v, common = _prefix_pairs(tg, h, lcp)
-    keep = common == lcp
+    exactly `lcp`: they agree at length lcp and their next prefixes differ.
+    With j_min set, one of the two diverging labels must be >= j_min (the
+    liminf tail knob)."""
+    u, v = _prefix_pairs(tg, h, lcp)
+    nu, nv = tg.anc[u, lcp + 1], tg.anc[v, lcp + 1]
+    keep = nu != nv
     if j_min is not None:
-        keep &= np.maximum(tg.label[tg.anc[u, lcp + 1]],
-                           tg.label[tg.anc[v, lcp + 1]]) >= j_min
+        keep &= np.maximum(tg.label[nu], tg.label[nv]) >= j_min
     if not keep.any():
         raise InvariantError("no admissible configuration (branching too small)")
     return u[keep], v[keep], None
@@ -392,7 +408,7 @@ def _walk_pairs(tg: TreeGraph, window: int, t: int):
     P(diverge at step l) 2^-l times the uniform 2^-c over the common prefix
     and 4^-(window - l) over the two tails, which is 2^(1 - window - t) for
     every divergence step l."""
-    u, v, _ = _prefix_pairs(tg, t, t - window)
+    u, v = _prefix_pairs(tg, t, t - window)
     return u, v, np.full(len(u), 2.0 ** (1 - window - t))
 
 
@@ -434,7 +450,7 @@ def _compile_lhs(inv: InvariantId, tg: TreeGraph, k: int,
             w = 2 ** s
             segments = []
             for ell in range(w + 1, 2 ** k - w + 1):
-                u, v, _ = _prefix_pairs(tg, ell + w, ell)
+                u, v = _prefix_pairs(tg, ell + w, ell)
                 segments.append((u, v, np.full(len(u), 2.0 ** (1 - ell - 2 * w))))
             if segments:  # an empty index range makes the term vacuous
                 groups.append((segments, 1, s))

@@ -140,10 +140,17 @@ class TableSpace:
         return float(self.distance_rows(a, b))
 
     def has_points(self, points) -> bool:
-        """Whether every one of `points` is an index of the table: an int
-        (not a bool) in range."""
-        n = self.n
-        return all(is_int(i) and 0 <= i < n for i in points)
+        """Whether every one of `points` (a sequence) is an index of the
+        table: an int (not a bool) in range.  The point types are checked as
+        a set and the range in one array pass."""
+        if not all(t is int or issubclass(t, np.integer)
+                   for t in set(map(type, points))):
+            return False
+        try:
+            idx = np.fromiter(points, dtype=np.intp, count=len(points))
+        except OverflowError:  # past the index type, so past the table
+            return False
+        return bool(((idx >= 0) & (idx < self.n)).all())
 
     def distance_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.table[a, b]

@@ -23,7 +23,7 @@ Vertex = tuple
 BINARY = "binary"
 INCREASING = "increasing"
 
-_GRAPH_VERTEX_CAP = 200_000
+VERTEX_CAP = 200_000  # the most vertices a tree or graph is built with
 
 
 class TreeSpecError(ValueError):
@@ -89,10 +89,25 @@ def format_tree_spec(spec: TreeSpec) -> str:
     return f"inc:h={spec.height},b={spec.branching}"
 
 
+def _check_size(spec: TreeSpec) -> None:
+    """Raise TreeSpecError when the tree has more than VERTEX_CAP vertices.
+    The level sizes are added until they pass the cap, so a huge tree costs
+    a few terms, not its whole count."""
+    count = 0
+    for level in range(spec.height + 1):
+        count += (2 ** level if spec.kind == BINARY
+                  else math.comb(spec.branching, level))
+        if count > VERTEX_CAP:
+            raise TreeSpecError(f"{format_tree_spec(spec)} has more than "
+                                f"{VERTEX_CAP} vertices")
+
+
 def vertices_at_height(spec: TreeSpec, h: int) -> list[Vertex]:
-    """All vertices of exact height h, in lexicographic order."""
+    """All vertices of exact height h, in lexicographic order.  Trees past
+    the vertex cap are refused."""
     if h < 0 or h > spec.height:
         raise TreeSpecError(f"height {h} out of range")
+    _check_size(spec)
     if spec.kind == BINARY:
         return list(itertools.product((-1, 1), repeat=h))
     return list(itertools.combinations(range(1, spec.branching + 1), h))
@@ -145,6 +160,7 @@ def binary_to_increasing(k: int, J: Callable[[Vertex, Vertex], int]) -> dict[Ver
     """
     if k < 0:
         raise TreeSpecError("k must be nonnegative")
+    _check_size(TreeSpec(BINARY, k))
 
     def rec(height: int, prefix_img: Vertex, start: int) -> dict[Vertex, Vertex]:
         out: dict[Vertex, Vertex] = {(): ()}
@@ -208,18 +224,23 @@ class TreeGraph(TableSpace):
     are vertex indices.
 
     depth[i] is the height of vertex i, anc[i, l] the index of its length-l
-    prefix (for l <= depth[i]) and label[i] its last label (0 at the root).
-    Distances are depth(u) + depth(v) - 2 lcp(u, v), so no table is built.
+    prefix (for l <= depth[i]) and label[i] its last label (0 at the root);
+    the edge list is derived from them on request.  Distances are depth(u) + depth(v) - 2 lcp(u, v), so no table is built.
     `plans` holds what is compiled over this tree, so it lives exactly as
     long as tree_graph's cache entry."""
 
     quasi_constant = 1.0
 
-    def __init__(self, n: int, edges, depth: np.ndarray, anc: np.ndarray,
-                 label: np.ndarray):
-        self.n, self.edges, self.depth, self.anc, self.label = (
-            n, edges, depth, anc, label)
+    def __init__(self, depth: np.ndarray, anc: np.ndarray, label: np.ndarray):
+        self.n, self.depth, self.anc, self.label = len(depth), depth, anc, label
         self.plans = {}
+
+    @property
+    def edges(self) -> tuple:
+        """The (parent, child) index pairs, by child."""
+        child = np.arange(1, self.n)
+        return tuple(zip(self.anc[child, self.depth[child] - 1].tolist(),
+                         child.tolist()))
 
     def describe(self) -> str:
         return f"graph:n={self.n}"
@@ -230,8 +251,9 @@ class TreeGraph(TableSpace):
         agree, an ancestor index being 0 only at the root level."""
         out = np.zeros(np.broadcast_shapes(np.shape(u), np.shape(v)), dtype=np.intp)
         for level in range(1, self.anc.shape[1]):
-            au = self.anc[u, level]
-            out += (au == self.anc[v, level]) & (au != 0)
+            column = self.anc[:, level]  # a 1-d gather beats anc[u, level]
+            au = column[u]
+            out += (au == column[v]) & (au != 0)
         return out
 
     def distance_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -243,14 +265,33 @@ class TreeGraph(TableSpace):
 @functools.lru_cache(maxsize=64)
 def tree_graph(spec: TreeSpec) -> tuple[TreeGraph, dict[Vertex, int]]:
     """The tree itself as a TreeGraph, with its vertex index mapping."""
-    verts = vertices(spec)
-    index = {v: i for i, v in enumerate(verts)}
-    parents = np.array([index[v[:-1]] for v in verts[1:]], dtype=np.intp)
-    edges = tuple(zip(parents.tolist(), range(1, len(verts))))
-    depth = np.array([len(v) for v in verts])
-    anc = _ancestors(depth, parents)
-    label = np.array([v[-1] if v else 0 for v in verts])
-    return TreeGraph(len(verts), edges, depth, anc, label), index
+    index = {v: i for i, v in enumerate(vertices(spec))}
+    depth, parents, label = _level_arrays(spec)
+    return TreeGraph(depth, _ancestors(depth, parents), label), index
+
+
+def _level_arrays(spec: TreeSpec):
+    """(depth, parents, label) of the vertices in vertex order, built level by
+    level: the children of a level come in their parents' order, (-1, +1)
+    under a binary vertex and last + 1 .. b under an increasing vertex whose
+    last label is `last`."""
+    parents, label = [np.zeros(0, dtype=np.intp)], [np.zeros(1, dtype=np.intp)]
+    first = 0  # the index of the parent level's first vertex
+    for _ in range(spec.height):
+        last = label[-1]
+        if spec.kind == BINARY:
+            counts = np.full(len(last), 2)
+            children = np.tile([-1, 1], len(last))
+        else:
+            counts = spec.branching - last
+            # a ragged arange: run i counts up from last[i] + 1
+            starts = np.cumsum(counts) - counts
+            children = np.arange(counts.sum()) - np.repeat(starts - last - 1, counts)
+        parents.append(np.repeat(np.arange(first, first + len(last)), counts))
+        label.append(children)
+        first += len(last)
+    depth = np.repeat(np.arange(len(label)), [len(level) for level in label])
+    return depth, np.concatenate(parents), np.concatenate(label)
 
 
 def _ancestors(depth: np.ndarray, parents: np.ndarray) -> np.ndarray:
@@ -284,7 +325,7 @@ def _replace_edges(n: int, edges, block) -> tuple[int, list[tuple[int, int]]]:
     return counter[0], new_edges
 
 
-def diamond_graph(k: int, cap: int = _GRAPH_VERTEX_CAP) -> GraphMetricSpace:
+def diamond_graph(k: int, cap: int = VERTEX_CAP) -> GraphMetricSpace:
     """Level-k diamond graph: iterated replacement of each edge by a 4-cycle."""
     if k < 0:
         raise TreeSpecError("k must be nonnegative")
@@ -299,7 +340,7 @@ def diamond_graph(k: int, cap: int = _GRAPH_VERTEX_CAP) -> GraphMetricSpace:
     return GraphMetricSpace(n, tuple(edges))
 
 
-def laakso_graph(k: int, cap: int = _GRAPH_VERTEX_CAP) -> GraphMetricSpace:
+def laakso_graph(k: int, cap: int = VERTEX_CAP) -> GraphMetricSpace:
     """Level-k Laakso graph: iterated replacement of each edge by the 6-edge
     block with a split middle segment."""
     if k < 0:

@@ -1,5 +1,6 @@
 """The per-invariant loops that evaluated every functional before the
-library compiled them into plans (see umbellab.invariants), the n x n
+library compiled them into plans (see umbellab.invariants), the selection
+of plan pairs by their common prefix lengths, the n x n
 distance tables that distortion and moduli read before the pair scan, and
 the Bourgain map with every vector built up front.  They walk the displays
 of each functional directly and serve as the test oracle for the compiled
@@ -272,3 +273,39 @@ def _markov_lhs(f: TreeMap, k: int, p: float) -> float:
             window = min(2 ** s, t)
             total += branch_expectation(f, window, t, p) / 2 ** (s * p)
     return total
+
+
+# ---------------------------------------------------------------------------
+# Plan pairs selected by common prefix length
+
+
+def _height_pairs(tg, h: int):
+    """Every pair i < j of height-h vertices, in (i, j) order, with its
+    common prefix length from TreeGraph.lcp."""
+    lo, hi = (int(np.searchsorted(tg.depth, h, side=s)) for s in ("left", "right"))
+    i, j = np.triu_indices(hi - lo, 1)
+    u, v = i + lo, j + lo
+    return u, v, tg.lcp(u, v)
+
+
+def prefix_pairs(tg, h: int, length: int):
+    """The pairs of height-h vertices with a common prefix of length at
+    least `length` (stands in for invariants._prefix_pairs)."""
+    u, v, common = _height_pairs(tg, h)
+    keep = common >= length
+    return u[keep], v[keep]
+
+
+def branch_pairs(tg, h: int, lcp: int, j_min: Optional[int] = None):
+    """The pairs of height-h vertices whose common prefix has length exactly
+    `lcp`, with j_min's rule on the diverging labels (stands in for
+    invariants._branch_pairs)."""
+    u, v, common = _height_pairs(tg, h)
+    keep = common == lcp
+    if j_min is not None:
+        labels = np.maximum(tg.label[tg.anc[u, lcp + 1]],
+                            tg.label[tg.anc[v, lcp + 1]])
+        keep &= labels >= j_min
+    if not keep.any():
+        raise InvariantError("no admissible configuration (branching too small)")
+    return u[keep], v[keep], None

@@ -1,11 +1,12 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import umbellab as U
-from umbellab.cli import main, SCHEMA
+from umbellab.cli import _HANDLERS, SCHEMA, build_parser, main
 
 
 def run(capsys, *argv):
@@ -411,3 +412,57 @@ def test_matrix_document_must_be_an_object(tmp_path, capsys):
                                 "--inequality", "tripod", "--samples", "10")
     assert code == 2 and out == ""
     assert "matrix document" in err["error"]
+
+
+# one argv per subcommand, every option of it given
+SUBCOMMAND_ARGV = [
+    ["invariant", "--tree", "bin:h=4", "--map", "constant", "--invariant",
+     "tessera", "--p", "2", "--target", "l2:dim=2", "--j-min", "3",
+     "--seed", "4", "--out", "o.json"],
+    ["certify", "--space", "l2:dim=2", "--inequality", "tripod", "--p", "3",
+     "--q", "2", "--K", "2", "--C", "1.5", "--samples", "10", "--xs-count",
+     "5", "--slack", "0.1"],
+    ["embed", "--tree", "inc:h=2,b=3", "--p", "2", "--variant", "linf",
+     "--csv", "m.csv"],
+    ["search", "--tree", "bin:h=2", "--invariant", "tessera", "--p", "2",
+     "--target-file", "t.json", "--pins-file", "p.json", "--mode",
+     "exhaustive", "--restarts", "2", "--steps", "3", "--budget", "9"],
+    ["lift", "--map-file", "m.json", "--oracle-file", "o.json"],
+    ["morphism", "--k", "3", "--j-const", "2", "--j-max", "5"],
+    ["heisenberg", "--dim", "4", "--p", "2", "--lambda", "0.5", "--samples", "7"],
+]
+
+
+@pytest.mark.parametrize("argv", SUBCOMMAND_ARGV, ids=lambda a: a[0])
+def test_one_subcommand_parser_parses_as_the_full_parser(argv):
+    one = build_parser([argv[0]])
+    assert one.parse_args(argv) == build_parser().parse_args(argv)
+
+
+def test_every_subcommand_has_an_argv():
+    assert [argv[0] for argv in SUBCOMMAND_ARGV] == list(_HANDLERS)
+
+
+@pytest.mark.parametrize("argv,code", [([], 2), (["--help"], 0), (["bogus"], 2),
+                                       (["invariant", "--help"], 0),
+                                       (["invariant"], 2)])
+def test_top_level_help_and_errors_keep_their_exit_codes(capsys, argv, code):
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if argv == ["--help"]:
+        assert all(name in out for name in ("invariant", "certify", "heisenberg"))
+    if argv == ["bogus"]:
+        assert "invalid choice: 'bogus'" in err and "heisenberg" in err
+
+
+@pytest.mark.parametrize("csv", [False, True])
+def test_embed_writes_no_csv_when_the_document_fails(tmp_path, capsys, csv):
+    # p = 1e300 puts inf in the moduli and the compression integral
+    path = tmp_path / "moduli.csv"
+    argv = ["embed", "--tree", "inc:h=2,b=2", "--p", "1e300"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv + (["--csv", str(path)] if csv else []))
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and not path.exists()
+    assert "not JSON compliant" in json.loads(err)["error"]

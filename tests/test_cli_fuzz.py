@@ -221,6 +221,13 @@ EXPECTED = {tuple(_fork_cotype(name)): (code, error) for name, code, error in [
     ("map-dim.json", 2, "map document's point [1.0, 2.0]"),
     ("map-huge.json", 0, None),
 ]}
+# trees past the vertex cap are refused before any vertex is listed
+HUGE_TREES = [["invariant", "--tree", "bin:h=40", "--invariant", "fork-cotype",
+               "--p", "2"],
+              ["embed", "--tree", "inc:h=30,b=60", "--p", "2"],
+              ["morphism", "--k", "40"]]
+EXPECTED.update({tuple(argv): (2, "more than 200000 vertices")
+                 for argv in HUGE_TREES})
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -269,6 +276,9 @@ EXPECTED = {tuple(_fork_cotype(name)): (code, error) for name, code, error in [
 @example(argv=_fork_cotype("map-bool.json"))
 @example(argv=_fork_cotype("map-dim.json"))
 @example(argv=_fork_cotype("map-huge.json"))
+@example(argv=HUGE_TREES[0])
+@example(argv=HUGE_TREES[1])
+@example(argv=HUGE_TREES[2])
 def test_cli_fuzz(fixture_dir, argv):
     expected = EXPECTED.get(tuple(argv))
     argv = [a.replace("{dir}", str(fixture_dir)) for a in argv]

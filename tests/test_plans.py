@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import umbellab as U
-from umbellab import trees
+from umbellab import invariants, trees
 from umbellab.embeddings import EmbeddingError
 from umbellab.invariants import InvariantError, InvariantId, compile_plan
 from umbellab.search import canonical_start
@@ -115,6 +115,34 @@ def test_plans_live_on_the_tree_graph_cache():
     trees.tree_graph.cache_clear()
     assert not trees.tree_graph(spec)[0].plans
     assert compile_plan(InvariantId.FORK_COTYPE, spec, "lhs") is not plan
+
+
+@pytest.mark.parametrize("tree,j_min", [
+    ("bin:h=2", None), ("bin:h=4", None), ("bin:h=8", None),
+    ("inc:h=4,b=5", None), ("inc:h=4,b=7", None), ("inc:h=4,b=7", 3),
+    ("inc:h=4,b=7", 6), ("inc:h=8,b=10", None), ("inc:h=8,b=10", 7)])
+def test_plans_equal_the_selection_by_common_prefix(tree, j_min, monkeypatch):
+    spec = U.parse_tree_spec(tree)
+    ids = BINARY_IDS if spec.kind == trees.BINARY else INCREASING_IDS
+
+    def plans():
+        trees.tree_graph.cache_clear()
+        return {(inv, side): outcome(compile_plan, inv, spec, side, j_min)
+                for inv in ids for side in ("lhs", "rhs")}
+
+    got = plans()
+    monkeypatch.setattr(invariants, "_prefix_pairs", oracle.prefix_pairs)
+    monkeypatch.setattr(invariants, "_branch_pairs", oracle.branch_pairs)
+    want = plans()
+    trees.tree_graph.cache_clear()
+    for key, plan in want.items():
+        if isinstance(plan, str):
+            assert got[key] == plan, key
+            continue
+        for name in ("u", "v", "starts", "weights"):
+            a, b = getattr(got[key], name), getattr(plan, name)
+            assert (a is None and b is None) or np.array_equal(a, b), (key, name)
+        assert got[key].groups == plan.groups, key
 
 
 def test_plan_compilation_needs_no_distance_table():

@@ -247,6 +247,20 @@ def test_table_space_has_points():
         assert not star.has_points(bad), bad
 
 
+@pytest.mark.parametrize("point", [True, np.bool_(True), False, 2 ** 70, -2 ** 70,
+                                   -1, 3, np.int32(2), np.int32(3), np.uint64(2 ** 64 - 1),
+                                   np.int8(-1), 1.0, np.float64(1.0), "a", None, (),
+                                   [0]])
+def test_has_points_is_the_per_point_rule(point):
+    space = U.FiniteMatrixSpace(np.ones((3, 3)) - np.eye(3))
+
+    def rule(points):
+        return all(U.spaces.is_int(i) and 0 <= i < space.n for i in points)
+
+    for points in ([point], [0, point, np.int64(2)], (1, 2, point), ()):
+        assert space.has_points(points) == rule(points), points
+
+
 def test_row_wise_heisenberg_ops_match_scalar():
     h = U.standard_symplectic(4)
     rng = np.random.default_rng(3)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import umbellab as U
+from umbellab import trees
 from umbellab.spaces import _apsp
 from umbellab.trees import (format_tree_spec, tree_graph,
                             BINARY, INCREASING, TreeSpecError)
@@ -217,6 +218,45 @@ def test_tree_graph_edge_cases_are_covered():
         graph, index = tree_graph(U.parse_tree_spec(desc))
         assert graph.n == 1 and graph.edges == () and index == {(): 0}
         assert grid_distances(graph).tolist() == [[0.0]]
+
+
+@pytest.mark.parametrize("desc", [f"bin:h={h}" for h in range(7)]
+                         + [f"inc:h={h},b={b}" for h in range(6)
+                            for b in (h, h + 1, h + 3)])
+def test_tree_graph_arrays_equal_the_vertex_tuples(desc):
+    spec = U.parse_tree_spec(desc)
+    graph, index = tree_graph(spec)
+    verts = U.vertices(spec)
+    assert list(index) == verts and list(index.values()) == list(range(len(verts)))
+    assert graph.n == len(verts)
+    assert graph.depth.tolist() == [len(v) for v in verts]
+    assert graph.label.tolist() == [v[-1] if v else 0 for v in verts]
+    assert graph.anc.tolist() == [
+        [index[v[:l]] if l <= len(v) else 0 for l in range(spec.height + 1)]
+        for v in verts]
+    assert graph.edges == tuple((index[v[:-1]], i)
+                                for i, v in enumerate(verts) if v)
+
+
+@pytest.mark.parametrize("desc", ["bin:h=17", "bin:h=40", "bin:h=100000000",
+                                  "inc:h=30,b=60", "inc:h=5,b=100000000"])
+def test_trees_past_the_vertex_cap_are_refused(desc):
+    spec = U.parse_tree_spec(desc)
+    for build in (U.vertices, tree_graph, lambda s: trees.level_edges(s, 1)):
+        with pytest.raises(TreeSpecError, match="more than 200000 vertices"):
+            build(spec)
+
+
+def test_largest_tree_under_the_cap_is_built():
+    spec = U.parse_tree_spec("bin:h=16")
+    assert spec.vertex_count() <= trees.VERTEX_CAP
+    assert len(U.vertices(spec)) == 2 ** 17 - 1
+
+
+def test_morphism_past_the_vertex_cap_is_refused():
+    for k in (17, 40, 10 ** 8):
+        with pytest.raises(TreeSpecError, match="more than 200000 vertices"):
+            U.binary_to_increasing(k, lambda m, n: 1)
 
 
 def test_diamond_graph_grows():
