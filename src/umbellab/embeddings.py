@@ -252,25 +252,6 @@ class QuotientOracle:
     def f(self, i: int):
         return self.values[i]
 
-    def validate(self, ys) -> bool:
-        """Exhaustively check both hypotheses against a finite set of target
-        points: Y = f(Z)^K, and B_Y(f(x), r/C) contained in f(B_X(x, r))^K."""
-        dz = self.domain_space.distance
-        dy = self.target_space.distance
-        tol = 1e-9
-        for y in ys:
-            if min(dy(v, y) for v in self.values) > self.K + tol:
-                return False
-        for i, z in enumerate(self.domain):
-            for y in ys:
-                r = self.C * dy(self.values[i], y)
-                if not any(
-                    dz(z, w) <= r + tol and dy(self.values[j], y) <= self.K + tol
-                    for j, w in enumerate(self.domain)
-                ):
-                    return False
-        return True
-
 
 def lift_map(g: TreeMap, oracle: QuotientOracle) -> TreeMap:
     """Lift a tree map g into Y through the oracle: pick h(root) within K of

@@ -349,7 +349,12 @@ def evaluate(plan: Plan, d: np.ndarray, p: float) -> np.ndarray:
         acc = seg[:, lo]
         for c in range(lo + 1, hi):
             acc = join(acc, seg[:, c])
-        total = total + acc / blocks / 2 ** (s * p)
+        try:
+            scale = 2 ** (s * p)
+        except OverflowError:
+            raise InvariantError(f"exponent p = {p} is too large: the scale "
+                                 f"2^({s} p) is past the float range") from None
+        total = total + acc / blocks / scale
     return total
 
 
@@ -493,16 +498,6 @@ def compile_plan(inv: InvariantId, spec: TreeSpec, side: str,
         compile_side = _compile_lhs if side == "lhs" else _compile_rhs
         tg.plans[key] = compile_side(inv, tg, k, j_min)
     return tg.plans[key]
-
-
-def table_sides(inv: InvariantId, spec: TreeSpec, target, A: np.ndarray,
-                p: float) -> tuple[np.ndarray, np.ndarray]:
-    """(lhs, rhs) for a batch of maps into one finite metric table space: row
-    r of the int array A assigns point A[r, i] to vertex i (vertex order)."""
-    _check_exponent(p)
-    return tuple(evaluate(plan, target.distance_rows(A[:, plan.u], A[:, plan.v]), p)
-                 for plan in (compile_plan(inv, spec, "lhs"),
-                              compile_plan(inv, spec, "rhs")))
 
 
 # ---------------------------------------------------------------------------

@@ -177,61 +177,72 @@ def check_parallelogram(hsp, p: float, C: float, a: HPoint, b: HPoint,
 # FloatingPointError.
 
 
-def _umbel_margins(ineq, p, K, d, count):
+def _umbel_parts(ineq, p, d, count):
     if count < 1:
         raise PointwiseError("umbel family needs a nonempty xs list")
     xs = range(2, 2 + count)                   # points w, z, x_1 .. x_count
     first = functools.reduce(np.minimum, (d(0, x) for x in xs)) / 2 ** p
-    sep = 0.0
+    sep = np.zeros(len(first))
     if count >= 2:
         pairs = itertools.combinations(xs, 2)
         sep = functools.reduce(np.minimum, (d(a, b) for a, b in pairs))
-    lhs = first + sep / K ** p
     dw = d(1, 0)
     dmax = functools.reduce(np.maximum, (d(1, x) for x in xs))
     if ineq is InequalityId.P_UMBEL:
         rhs = 0.5 * dw + 0.5 * dmax
     else:
         rhs = np.maximum(dw, dmax)
-    return rhs - lhs
+    return rhs - first, sep, p
+
+
+@np.errstate(over="raise", divide="raise")
+def margin_parts(ineq: InequalityId, cfg: InequalityConfig, space,
+                 pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(R - A, B, e) for every configuration in `pts`, where the margin at a
+    constant K is (R - A) - B / K^e: K enters every inequality only there,
+    so cfg.K is not read.  The parallelogram takes its K from C, so its B
+    is already divided by K^(2q) and its e is 0; midpoint curvature has
+    B = 0."""
+    q = cfg.exponent
+
+    def d(i, j, e=q):
+        return space.distance_rows(pts[:, i], pts[:, j]) ** e
+
+    if ineq in UMBEL_FAMILY:
+        return _umbel_parts(ineq, q, d, pts.shape[1] - 2)
+    if ineq is InequalityId.HEISENBERG_PARALLELOGRAM:
+        K, lam = _parallelogram_setup(space.space, q, cfg.C)
+        n = lambda v: sp.koranyi_norm_rows(v, q, lam) ** (2 * q)
+        a, b = pts[:, 0], pts[:, 1]
+        half_b = sp.h_dilate_rows(0.5, b)
+        rhs = 0.5 * n(a) + 0.5 * n(sp.h_mul_rows(space.space, -b, a))
+        return (rhs - n(half_b),
+                n(sp.h_mul_rows(space.space, -half_b, a)) / K ** (2 * q), 0.0)
+    if ineq is InequalityId.P_UNIFORM_CONVEXITY:
+        n = lambda v: space.norm_rows(v) ** q
+        x, y = pts[:, 0], pts[:, 1]
+        return (n(x + y) + n(x - y)) / 2 - n(x), n(y), q
+    if ineq is InequalityId.MIDPOINT_CURVATURE:     # points x, y, z, m
+        lhs = d(2, 0, 2) + d(2, 1, 2)
+        rhs = 2 * d(2, 3, 2) + d(0, 1, 2) / 2
+        return rhs - lhs, np.zeros(len(lhs)), 0.0
+    if ineq is InequalityId.Q_TRIPOD:               # points w, x, y, z
+        rhs = 0.5 * d(3, 0) + 0.25 * d(3, 1) + 0.25 * d(3, 2)
+        return rhs - (d(0, 1) + d(0, 2)) / 2 ** (q + 1), d(1, 2) / 4 ** q, q
+    # the forks: w, x, y, z
+    if ineq is InequalityId.Q_FORK:
+        rhs = 0.5 * d(3, 0) + 0.5 * np.maximum(d(3, 1), d(3, 2))
+    else:
+        rhs = np.maximum(np.maximum(d(3, 0), d(3, 1)), d(3, 2))
+    return rhs - np.minimum(d(0, 1), d(0, 2)) / 2 ** q, d(1, 2) / 4 ** q, q
 
 
 @np.errstate(over="raise", divide="raise")
 def batch_margins(ineq: InequalityId, cfg: InequalityConfig, space,
                   pts: np.ndarray) -> np.ndarray:
     """Margins RHS - LHS of every configuration in `pts`."""
-    q, K = cfg.exponent, cfg.K
-
-    def d(i, j, e=q):
-        return space.distance_rows(pts[:, i], pts[:, j]) ** e
-
-    if ineq in UMBEL_FAMILY:
-        return _umbel_margins(ineq, q, K, d, pts.shape[1] - 2)
-    if ineq is InequalityId.HEISENBERG_PARALLELOGRAM:
-        K, lam = _parallelogram_setup(space.space, q, cfg.C)
-        n = lambda v: sp.koranyi_norm_rows(v, q, lam) ** (2 * q)
-        a, b = pts[:, 0], pts[:, 1]
-        half_b = sp.h_dilate_rows(0.5, b)
-        lhs = n(half_b) + n(sp.h_mul_rows(space.space, -half_b, a)) / K ** (2 * q)
-        rhs = 0.5 * n(a) + 0.5 * n(sp.h_mul_rows(space.space, -b, a))
-    elif ineq is InequalityId.P_UNIFORM_CONVEXITY:
-        n = lambda v: space.norm_rows(v) ** q
-        x, y = pts[:, 0], pts[:, 1]
-        lhs = n(x) + n(y) / K ** q
-        rhs = (n(x + y) + n(x - y)) / 2
-    elif ineq is InequalityId.MIDPOINT_CURVATURE:   # points x, y, z, m
-        lhs = d(2, 0, 2) + d(2, 1, 2)
-        rhs = 2 * d(2, 3, 2) + d(0, 1, 2) / 2
-    elif ineq is InequalityId.Q_TRIPOD:             # points w, x, y, z
-        lhs = (d(0, 1) + d(0, 2)) / 2 ** (q + 1) + d(1, 2) / (4 * K) ** q
-        rhs = 0.5 * d(3, 0) + 0.25 * d(3, 1) + 0.25 * d(3, 2)
-    else:                                           # the forks: w, x, y, z
-        lhs = np.minimum(d(0, 1), d(0, 2)) / 2 ** q + d(1, 2) / (4 ** q * K ** q)
-        if ineq is InequalityId.Q_FORK:
-            rhs = 0.5 * d(3, 0) + 0.5 * np.maximum(d(3, 1), d(3, 2))
-        else:
-            rhs = np.maximum(np.maximum(d(3, 0), d(3, 1)), d(3, 2))
-    return rhs - lhs
+    rest, b, e = margin_parts(ineq, cfg, space, pts)
+    return rest - b / cfg.K ** e
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +274,17 @@ def _witness(ineq: InequalityId, space, row: np.ndarray) -> tuple:
     return tuple(pts)
 
 
+def _draws(space, ineq: InequalityId, sampler, n: int, seed: int):
+    """The configuration arrays of a seeded run of n samples, chunk by
+    chunk, each chunk drawn from its own SeedSequence substream."""
+    if n < 1:
+        raise PointwiseError("n must be >= 1")
+    check_space(space, ineq)
+    chunks = (n + _CHUNK - 1) // _CHUNK
+    for ci, chunk_seed in enumerate(np.random.SeedSequence(seed).spawn(chunks)):
+        yield sampler(np.random.default_rng(chunk_seed), min(_CHUNK, n - ci * _CHUNK))
+
+
 def certify(space, ineq: InequalityId, cfg: InequalityConfig, sampler,
             n: int, seed: int) -> CampaignReport:
     """Seeded campaign over n sampled configurations.  Sampling is chunked
@@ -274,17 +296,10 @@ def certify(space, ineq: InequalityId, cfg: InequalityConfig, sampler,
     when not margin >= -slack (so a NaN margin counts), and the report holds
     the first strict minimum of the margins, where the first NaN margin ranks
     below every number."""
-    if n < 1:
-        raise PointwiseError("n must be >= 1")
-    check_space(space, ineq)
-    chunks = (n + _CHUNK - 1) // _CHUNK
-    seeds = np.random.SeedSequence(seed).spawn(chunks)
     violations = 0
     worst = math.inf
     witness: tuple = ()
-    for ci in range(chunks):
-        rng = np.random.default_rng(seeds[ci])
-        pts = sampler(rng, min(_CHUNK, n - ci * _CHUNK))
+    for pts in _draws(space, ineq, sampler, n, seed):
         margins = batch_margins(ineq, cfg, space, pts)
         violations += int(np.count_nonzero(~(margins >= -cfg.slack)))
         nan = np.isnan(margins)
@@ -303,33 +318,58 @@ def _worse(margin: float, worst: float) -> bool:
     return margin < worst or (math.isnan(margin) and not math.isnan(worst))
 
 
+@np.errstate(over="ignore", divide="ignore")
+def _holds(rest: np.ndarray, b: np.ndarray, e: float, K: float,
+           slack: float) -> bool:
+    """Whether every margin rest - b / K^e, in batch_margins' arithmetic, is
+    >= -slack."""
+    return bool((rest - b / K ** e >= -slack).all())
+
+
 def min_feasible_K(space, ineq: InequalityId, cfg: InequalityConfig, sampler,
-                   n: int, seed: int, bracket: tuple[float, float],
-                   rel_width: float = 1e-6) -> float:
-    """Smallest K in the bracket with zero sampled violations, by bisection.
-    The inequalities that take K are monotone in it (it enters only as K^{-q}
-    on the LHS); midpoint curvature has no K and the parallelogram derives
-    its K from C, so neither has one to fit."""
+                   n: int, seed: int, bracket: tuple[float, float]) -> float:
+    """Smallest K in the bracket with zero sampled violations, from one pass
+    over the samples of `certify(..., n, seed)`, confirmed by a certify run.
+
+    A configuration holds at K exactly when K^e >= B / (R - A + slack) (see
+    margin_parts), and keeps holding as K grows.  K starts at lo; a chunk
+    that fails at K raises it to the chunk's largest such bound, stepped up
+    an ulp at a time while the chunk, in batch_margins' arithmetic, still
+    fails.  It raises when no K serves: B > 0 with R - A + slack <= 0, or
+    B = 0 with R - A + slack < 0, or a NaN part, or a failed certify at hi.
+    Midpoint curvature has no K and the parallelogram derives its K from C,
+    so neither has one to fit."""
     if ineq in (InequalityId.MIDPOINT_CURVATURE,
                 InequalityId.HEISENBERG_PARALLELOGRAM):
         raise PointwiseError(f"{ineq.value} does not depend on K")
     lo, hi = bracket
+    if not 0 < lo <= hi:
+        raise PointwiseError(f"the bracket ({lo}, {hi}) needs 0 < lo <= hi")
+    infeasible = PointwiseError("upper bracket is still infeasible")
+    K = lo
+    for pts in _draws(space, ineq, sampler, n, seed):
+        rest, b, e = margin_parts(ineq, cfg, space, pts)
+        room = rest + cfg.slack
+        pos = b > 0
+        if (np.isnan(rest).any() or np.isnan(b).any()
+                or (pos & ~(room > 0)).any() or (~pos & (room < 0)).any()):
+            raise infeasible
+        if _holds(rest, b, e, K, cfg.slack):
+            continue
+        with np.errstate(over="ignore"):
+            K = max(K, float(np.max(b[pos] / room[pos]) ** (1 / e)))
+        while K < hi and not _holds(rest, b, e, K, cfg.slack):
+            K = math.nextafter(K, math.inf)
 
     def feasible(k: float) -> bool:
         c = InequalityConfig(cfg.exponent, k, cfg.C, cfg.slack, cfg.xs_count)
         return certify(space, ineq, c, sampler, n, seed).violations == 0
 
-    if feasible(lo):
-        return lo
-    if not feasible(hi):
-        raise PointwiseError("upper bracket is still infeasible")
-    while (hi - lo) > rel_width * hi:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    if K < hi and feasible(K):
+        return K
+    if feasible(hi):
+        return hi
+    raise infeasible
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 assignments of tree vertices to points of a finite target space.
 
 Assignments are int arrays in vertex order, scored in batches through the
-functional's compiled plans (invariants.table_sides)."""
+functional's two compiled plans, which the scorer holds."""
 
 from __future__ import annotations
 
@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .invariants import (InvariantId, InvariantReport, TreeMap, compile_plan,
-                         report, table_sides)
+from .invariants import (InvariantId, InvariantReport, TreeMap, _check_exponent,
+                         compile_plan, evaluate, report)
 from .spaces import FiniteMatrixSpace, is_int
 from .trees import TreeSpec, Vertex, tree_graph, vertices
 
@@ -88,22 +88,25 @@ NO_FEASIBLE = SearchResult(False, None, -math.inf)
 
 class _Scorer:
     """lhs/rhs ratios of batches of assignment arrays (rows of A), nan where
-    rhs <= 0."""
+    rhs <= 0.  The two plans are compiled, and the exponent checked, once."""
 
     def __init__(self, problem: SearchProblem):
         self.problem = problem
+        self.plans = tuple(compile_plan(problem.invariant, problem.spec, side)
+                           for side in ("lhs", "rhs"))
+        _check_exponent(problem.exponent)
         self.index = tree_graph(problem.spec)[1]
         self.verts = list(self.index)
-        pairs = sum(len(compile_plan(problem.invariant, problem.spec, side).u)
-                    for side in ("lhs", "rhs"))
-        self.rows = max(1, _BATCH // pairs)
+        self.rows = max(1, _BATCH // sum(len(plan.u) for plan in self.plans))
 
     def __call__(self, A: np.ndarray) -> np.ndarray:
-        pr = self.problem
+        target, p = self.problem.target, self.problem.exponent
         out = np.empty(len(A))
         for lo in range(0, len(A), self.rows):
-            left, right = table_sides(pr.invariant, pr.spec, pr.target,
-                                      A[lo:lo + self.rows], pr.exponent)
+            block = A[lo:lo + self.rows]
+            left, right = (evaluate(plan, target.distance_rows(block[:, plan.u],
+                                                               block[:, plan.v]), p)
+                           for plan in self.plans)
             ok = right > 0
             out[lo:lo + self.rows] = np.where(ok, left / np.where(ok, right, 1.0),
                                               np.nan)
@@ -164,59 +167,71 @@ def canonical_start(problem: SearchProblem) -> dict:
 def local_search_max(problem: SearchProblem, restarts: int, steps: int,
                      seed: int) -> SearchResult:
     """Hill-climbing over single-vertex reassignments with random restarts.
-    The first start is the canonical pin-propagated map; later starts draw
-    the free vertices uniformly.
+    The first climb starts from the canonical pin-propagated map; each
+    restart draws the free vertices uniformly, in vertex order.
 
-    The n reassignments of one vertex differ from the current map only at
-    that vertex, so they are scored in one batch and then accepted in point
-    order, each when it beats the current ratio by more than 1e-15."""
+    The climbs run in lockstep, in groups of at most rows // n climbs whose
+    starts are drawn just before the group climbs.  At each free vertex the
+    n reassignments of every active climb differ from its map only at that
+    vertex, so they are scored in one batch; each climb then accepts its
+    candidates in point order, each when it beats its current ratio by more
+    than 1e-15.  A climb leaves the group after a sweep that does not
+    improve.  Scoring is row-independent and climbing draws no random
+    numbers, so the result is that of the climbs run one after another: the
+    first maximum in climb order."""
+    if restarts < 0 or steps < 0:
+        raise SearchError(f"restarts and steps must be >= 0, got {restarts} and {steps}")
     free = problem.free_vertices()
     n = problem.target.n
     rng = np.random.default_rng(seed)
     score = _Scorer(problem)
     cols = [score.index[v] for v in free]
-    best = NO_FEASIBLE
+    start = score.array(canonical_start(problem))
+    group = max(1, score.rows // n)
+    best_ratio, best_row = -math.inf, None
     evaluations = feasible = 0
-
-    def climb(a: np.ndarray) -> None:
-        nonlocal best, evaluations, feasible
-        r = float(score(a[None])[0])
-        evaluations += 1
-        current = None if math.isnan(r) else r
-        if current is not None:
-            feasible += 1
-            if current > best.best_ratio:
-                best = score.result(a, current)
+    for first in range(0, restarts + 1, group):
+        A = np.repeat(start[None], min(group, restarts + 1 - first), axis=0)
+        for a in A[1 if first == 0 else 0:]:
+            a[cols] = [int(rng.integers(n)) for _ in cols]
+        current = [None if math.isnan(r) else r for r in score(A).tolist()]
+        evaluations += len(A)
+        feasible += sum(r is not None for r in current)
+        climb_best = [-math.inf if r is None else r for r in current]
+        climb_rows = list(A.copy())
+        active = range(len(A))
+        points = np.tile(np.arange(n), len(A))
         for _ in range(steps):
-            improved = False
+            improved = set()
             for i in cols:
-                candidates = np.repeat(a[None], n, axis=0)
-                candidates[:, i] = np.arange(n)
+                candidates = np.repeat(A[active], n, axis=0)
+                candidates[:, i] = points[:len(candidates)]
                 ratios = score(candidates).tolist()
-                old = int(a[i])
-                for pt, r in enumerate(ratios):
-                    if pt == old:
-                        continue
-                    evaluations += 1
-                    if math.isnan(r):
-                        continue
-                    feasible += 1
-                    if current is None or r > current + 1e-15:
-                        current = r
-                        old = pt
-                        improved = True
-                a[i] = old
-            if current is not None and current > best.best_ratio:
-                best = score.result(a, current)
-            if not improved:
+                for k, j in enumerate(active):
+                    old, r_now = int(A[j, i]), current[j]
+                    for pt, r in enumerate(ratios[k * n:(k + 1) * n]):
+                        if pt == old:
+                            continue
+                        evaluations += 1
+                        if math.isnan(r):
+                            continue
+                        feasible += 1
+                        if r_now is None or r > r_now + 1e-15:
+                            r_now = r
+                            old = pt
+                            improved.add(j)
+                    A[j, i] = old
+                    current[j] = r_now
+            for j in active:
+                if current[j] is not None and current[j] > climb_best[j]:
+                    climb_best[j], climb_rows[j] = current[j], A[j].copy()
+            active = [j for j in active if j in improved]
+            if not active:
                 break
-
-    climb(score.array(canonical_start(problem)))
-    for _ in range(restarts):
-        assignment = dict(problem.pins)
-        for v in free:
-            assignment[v] = int(rng.integers(n))
-        climb(score.array(assignment))
+        for r, a in zip(climb_best, climb_rows):
+            if r > best_ratio:
+                best_ratio, best_row = r, a
+    best = NO_FEASIBLE if best_row is None else score.result(best_row, best_ratio)
     return dataclasses.replace(best, evaluations=evaluations,
                                feasible_evaluations=feasible)
 

@@ -58,16 +58,6 @@ class TreeSpec:
             return 2 ** (self.height + 1) - 1
         return sum(math.comb(self.branching, l) for l in range(self.height + 1))
 
-    def contains(self, v: Vertex) -> bool:
-        if len(v) > self.height:
-            return False
-        if self.kind == BINARY:
-            return all(c in (-1, 1) for c in v)
-        return (
-            all(1 <= c <= self.branching for c in v)
-            and all(a < b for a, b in zip(v, v[1:]))
-        )
-
 
 def parse_tree_spec(text: str) -> TreeSpec:
     """Parse compact descriptors "bin:h=4" and "inc:h=8,b=10"."""

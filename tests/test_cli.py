@@ -108,6 +108,32 @@ def test_search_budget_exit_three(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("option", ["--restarts", "--steps"])
+def test_search_negative_counts_exit_two(tmp_path, capsys, option):
+    target = tmp_path / "path.json"
+    target.write_text(json.dumps({"n": 3, "d": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}))
+    code, out, err = run_strict(capsys, "search", "--tree", "bin:h=2",
+                                "--invariant", "markov-directed", "--p", "2",
+                                "--target-file", str(target), "--mode", "local",
+                                option, "-1")
+    assert code == 2 and out == ""
+    assert "restarts and steps must be >= 0" in err["error"]
+
+
+def test_exponent_past_the_scale_range_exit_two(tmp_path, capsys):
+    # 2^(s p) overflows at s = 1: the error names the exponent
+    target = tmp_path / "path.json"
+    target.write_text(json.dumps({"n": 3, "d": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}))
+    for argv in (["invariant", "--tree", "bin:h=4", "--invariant",
+                  "fork-convexity", "--p", "1500"],
+                 ["search", "--tree", "bin:h=4", "--invariant", "fork-convexity",
+                  "--p", "1500", "--target-file", str(target),
+                  "--mode", "local", "--restarts", "0", "--steps", "0"]):
+        code, out, err = run_strict(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "p = 1500.0 is too large" in err["error"]
+
+
 def test_lift_subcommand(tmp_path, capsys):
     rng = np.random.default_rng(0)
     pts = rng.uniform(-1, 1, (10, 2))

@@ -228,6 +228,17 @@ HUGE_TREES = [["invariant", "--tree", "bin:h=40", "--invariant", "fork-cotype",
               ["morphism", "--k", "40"]]
 EXPECTED.update({tuple(argv): (2, "more than 200000 vertices")
                  for argv in HUGE_TREES})
+_LOCAL_SEARCH = ["search", "--tree", "bin:h=2", "--invariant", "markov-directed",
+                 "--p", "2", "--target-file", "{dir}/path3.json", "--mode", "local"]
+NEGATIVE_COUNTS = [_LOCAL_SEARCH + ["--restarts", "-1"],
+                   _LOCAL_SEARCH + ["--steps", "-1"]]
+EXPECTED.update({tuple(argv): (2, "must be >= 0") for argv in NEGATIVE_COUNTS})
+HUGE_EXPONENT = [["invariant", "--tree", "bin:h=4", "--invariant",
+                  "fork-convexity", "--p", "1500"],
+                 ["search", "--tree", "bin:h=4", "--invariant", "fork-convexity",
+                  "--p", "1500", "--target-file", "{dir}/path3.json"]]
+EXPECTED.update({tuple(argv): (2, "p = 1500.0 is too large")
+                 for argv in HUGE_EXPONENT})
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -276,6 +287,10 @@ EXPECTED.update({tuple(argv): (2, "more than 200000 vertices")
 @example(argv=_fork_cotype("map-bool.json"))
 @example(argv=_fork_cotype("map-dim.json"))
 @example(argv=_fork_cotype("map-huge.json"))
+@example(argv=NEGATIVE_COUNTS[0])
+@example(argv=NEGATIVE_COUNTS[1])
+@example(argv=HUGE_EXPONENT[0])
+@example(argv=HUGE_EXPONENT[1])
 @example(argv=HUGE_TREES[0])
 @example(argv=HUGE_TREES[1])
 @example(argv=HUGE_TREES[2])

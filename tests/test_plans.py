@@ -355,6 +355,28 @@ def test_pair_scan_allocates_no_table_sized_buffer():
     assert U.distortion(f) == (1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("tree,inv", [("bin:h=4", i) for i in BINARY_IDS]
+                         + [("inc:h=4,b=6", i) for i in INCREASING_IDS],
+                         ids=lambda x: getattr(x, "value", x))
+def test_evaluate_is_row_independent(tree, inv):
+    # search scores many maps in one batch and must get each map's own
+    # value: a stacked batch equals its rows evaluated one at a time
+    spec = U.parse_tree_spec(tree)
+    rng = np.random.default_rng(5)
+    pts = rng.normal(size=(6, 3))
+    target = U.FiniteMatrixSpace(
+        np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1)))
+    A = rng.integers(6, size=(9, len(U.vertices(spec))))
+    A[0] = 0  # the constant map: every distance 0
+    for side in ("lhs", "rhs"):
+        plan = compile_plan(inv, spec, side)
+        d = target.distance_rows(A[:, plan.u], A[:, plan.v])
+        for p in (1.0, 1.5, 2.0, 3.0):
+            rows = [invariants.evaluate(plan, d[r:r + 1], p) for r in range(len(d))]
+            assert invariants.evaluate(plan, d, p).tobytes() == \
+                np.concatenate(rows).tobytes()
+
+
 # search through plans against search through the oracle
 
 

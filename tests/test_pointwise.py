@@ -140,6 +140,98 @@ def test_min_feasible_K_rejects_inequalities_without_K(ineq, space, monkeypatch)
                          n=100, seed=0, bracket=(0.5, 64.0))
 
 
+# every inequality that takes K: (id, space, exponent)
+K_FAMILIES = [(ineq, L2, 2.0) for ineq in (
+    U.InequalityId.Q_TRIPOD, U.InequalityId.Q_FORK, U.InequalityId.RELAXED_Q_FORK,
+    U.InequalityId.P_UMBEL, U.InequalityId.RELAXED_P_UMBEL,
+    U.InequalityId.SUPER_RELAXED_P_UMBEL)] + [
+    (U.InequalityId.P_UNIFORM_CONVEXITY, U.parse_space("lp:p=3,dim=2"), 3.0)]
+
+
+@pytest.fixture
+def certify_passes(monkeypatch):
+    """The number of certify runs made so far."""
+    passes = []
+    real = pointwise.certify
+
+    def counted(*args, **kwargs):
+        passes.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pointwise, "certify", counted)
+    return passes
+
+
+def fit(ineq, space, q, bracket, n=300, seed=7, sampler=None):
+    return U.min_feasible_K(space, ineq, cfg(exponent=q),
+                            sampler or U.ball_sampler(space, ineq),
+                            n=n, seed=seed, bracket=bracket)
+
+
+def violations(ineq, space, q, K, n=300, seed=7):
+    return U.certify(space, ineq, cfg(exponent=q, K=K),
+                     U.ball_sampler(space, ineq), n, seed).violations
+
+
+@pytest.mark.parametrize("ineq,space,q", K_FAMILIES,
+                         ids=[f[0].value for f in K_FAMILIES])
+def test_min_feasible_K_is_the_sampled_minimum(ineq, space, q, certify_passes):
+    for seed, lo in ((7, 1e-3), (8, 1e-3), (7, 1.2)):
+        del certify_passes[:]
+        K = fit(ineq, space, q, (lo, 1e3), seed=seed)
+        assert len(certify_passes) <= 2
+        assert lo <= K < 1e3
+        assert violations(ineq, space, q, K, seed=seed) == 0
+        if K != lo:
+            assert violations(ineq, space, q, K * (1 - 2e-6), seed=seed) > 0
+
+
+@pytest.mark.parametrize("ineq,space,q", K_FAMILIES,
+                         ids=[f[0].value for f in K_FAMILIES])
+def test_min_feasible_K_bracket_ends(ineq, space, q, certify_passes):
+    K = fit(ineq, space, q, (1e-3, 1e3))
+    # lo certifies: it is the answer, in one certify pass
+    for lo in (K, 2 * K):
+        del certify_passes[:]
+        assert fit(ineq, space, q, (lo, 1e3)) == lo
+        assert len(certify_passes) == 1
+    # hi below the sampled minimum: one certify pass at hi, then an error
+    del certify_passes[:]
+    with pytest.raises(pointwise.PointwiseError, match="upper bracket"):
+        fit(ineq, space, q, (1e-3, K * (1 - 2e-6)))
+    assert len(certify_passes) == 1
+    # a NaN configuration fails at every K, before any certify pass
+    draw = U.ball_sampler(space, ineq)
+
+    def nan_draw(rng, m):
+        pts = draw(rng, m)
+        pts[m // 2, 0, 0] = math.nan
+        return pts
+
+    del certify_passes[:]
+    with pytest.raises(pointwise.PointwiseError, match="upper bracket"):
+        fit(ineq, space, q, (1e-3, 1e3), sampler=nan_draw)
+    assert certify_passes == []
+
+
+def test_min_feasible_K_infeasible_at_every_K(certify_passes):
+    # on the unit star a leg triple with the hub as z has R - A = 0 < B: no
+    # K makes the tripod hold
+    star = U.FiniteMatrixSpace(np.array([
+        [0.0, 2.0, 2.0, 1.0], [2.0, 0.0, 2.0, 1.0],
+        [2.0, 2.0, 0.0, 1.0], [1.0, 1.0, 1.0, 0.0]]))
+    with pytest.raises(pointwise.PointwiseError, match="upper bracket"):
+        fit(U.InequalityId.Q_TRIPOD, star, 2.0, (0.5, 1e6), n=500)
+    assert certify_passes == []
+
+
+@pytest.mark.parametrize("bracket", [(2.0, 1.0), (0.0, 1.0), (-1.0, 1.0),
+                                     (math.nan, 1.0)])
+def test_min_feasible_K_rejects_bad_brackets(bracket):
+    with pytest.raises(pointwise.PointwiseError, match="bracket"):
+        fit(U.InequalityId.Q_TRIPOD, L2, 2.0, bracket)
+
+
 # certification against the per-sample oracle loop
 
 STAR_GRAPH = {"n": 6, "edges": [[0, 1], [0, 2], [0, 3], [3, 4], [4, 5]]}

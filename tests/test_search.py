@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 
 import umbellab as U
+from umbellab import search
+from umbellab.invariants import compile_plan
 from umbellab.search import (BudgetExceeded, NO_FEASIBLE, SearchError,
                              canonical_start, pins_from_json)
+
+from search_oracle import sequential_local_search_max
 
 
 def path_target(n):
@@ -144,3 +148,67 @@ def test_pins_from_json():
                 {}, [], {"pins": 3}):
         with pytest.raises(SearchError):
             pins_from_json(bad)
+
+
+def random_target(seed, n=6):
+    pts = np.random.default_rng(seed).normal(size=(n, 3))
+    return U.FiniteMatrixSpace(
+        np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1)))
+
+
+LOCKSTEP_CASES = ([("bin:h=4", inv) for inv in (
+    U.InvariantId.FORK_CONVEXITY, U.InvariantId.FORK_COTYPE,
+    U.InvariantId.TESSERA, U.InvariantId.MARKOV_DIRECTED)]
+    + [("inc:h=4,b=5", inv) for inv in (
+        U.InvariantId.UMBEL_CONVEXITY, U.InvariantId.RELAXED_UMBEL,
+        U.InvariantId.UMBEL_COTYPE)])
+
+
+@pytest.mark.parametrize("cap", [None, 2], ids=["one-group", "groups-of-2"])
+@pytest.mark.parametrize("tree,inv", LOCKSTEP_CASES,
+                         ids=[inv.value for _, inv in LOCKSTEP_CASES])
+def test_lockstep_climbs_equal_sequential_climbs(tree, inv, cap, monkeypatch):
+    spec = U.parse_tree_spec(tree)
+    target = random_target(len(inv.value))
+    problem = U.SearchProblem(spec, target, inv, 2.0, {(): 0})
+    sizes = []
+    if cap is not None:
+        # scorer batches of cap * n rows: climbs run cap at a time
+        pairs = sum(len(compile_plan(inv, spec, side).u) for side in ("lhs", "rhs"))
+        monkeypatch.setattr(search, "_BATCH", cap * target.n * pairs)
+        scored = search._Scorer.__call__
+
+        def spy(self, A):
+            sizes.append(len(A))
+            return scored(self, A)
+
+        monkeypatch.setattr(search._Scorer, "__call__", spy)
+    for steps in (0, 1, 3, 100):
+        for restarts in (0, 1, 5):
+            seed = 10 * steps + restarts
+            got = U.local_search_max(problem, restarts, steps, seed)
+            want = sequential_local_search_max(problem, restarts, steps, seed)
+            assert got.to_json() == want.to_json(), (steps, restarts)
+    if cap is not None:
+        assert max(sizes) == cap * target.n
+
+
+def test_lockstep_climbs_on_an_infeasible_problem():
+    # every vertex but one leaf pinned to 0: the canonical start is the
+    # constant map, whose rhs is 0, so its climb starts with no ratio
+    spec = U.parse_tree_spec("bin:h=2")
+    pins = {v: 0 for v in U.vertices(spec) if v != (1, 1)}
+    problem = U.SearchProblem(spec, path_target(3),
+                              U.InvariantId.MARKOV_DIRECTED, 2.0, pins)
+    for restarts in (0, 3):
+        got = U.local_search_max(problem, restarts, 5, 1)
+        assert got.to_json() == \
+            sequential_local_search_max(problem, restarts, 5, 1).to_json()
+
+
+@pytest.mark.parametrize("restarts,steps", [(-1, 1), (1, -1), (-5, -5)])
+def test_local_search_rejects_negative_counts(restarts, steps):
+    problem = U.SearchProblem(U.parse_tree_spec("bin:h=2"), path_target(3),
+                              U.InvariantId.MARKOV_DIRECTED, 2.0, {(): 0})
+    with pytest.raises(SearchError, match=">= 0"):
+        U.local_search_max(problem, restarts, steps, 0)
