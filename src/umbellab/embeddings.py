@@ -4,12 +4,11 @@ lifting of tree maps through quotient-like oracles."""
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 import numpy as np
 
-from .invariants import TreeMap
-from .spaces import LpSpace, TableSpace, lp_norm
+from .invariants import TreeMap, VertexOrderPoints
+from .spaces import LpSpace, TableSpace
 from .trees import TreeSpec, INCREASING, tree_graph
 
 
@@ -25,15 +24,15 @@ class BourgainMap(TreeMap):
     """The map built by bourgain_embed.  The image distance of u and v
     depends only on a = |u|, b = |v| and c = lcp(u, v), so pair distances are
     a gather from the map's table of those (h+1)^3 values, and the pair scan
-    is one block over the realised triples.  Points are built on demand
-    (_BourgainPoints)."""
+    is one block over the realised triples.  Its assignment is a
+    VertexOrderPoints that builds a vertex's vector on each read."""
 
     def __post_init__(self):
         super().__post_init__()
         self._profile = _bourgain_profile(self.spec.height, self.target.p)
 
     def pair_distances(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        graph, _ = tree_graph(self.spec)
+        graph = tree_graph(self.spec)
         return self._profile[graph.depth[u], graph.depth[v], graph.lcp(u, v)]
 
     def pair_scan(self):
@@ -55,56 +54,35 @@ def _realised_triples(spec: TreeSpec) -> np.ndarray:
     return ((c == lo) & (a != b)) | ((c < lo) & (lo + 1 <= spec.branching))
 
 
-class _BourgainPoints(Mapping):
-    """The read-only assignment of a BourgainMap: a vertex's point is built
-    on first read and kept.  Keys, membership and length come from the
-    tree's vertex index, so no vector is built to check the map."""
-
-    def __init__(self, spec: TreeSpec, q: float):
-        self._index = tree_graph(spec)[1]  # Phi(v) - 2k, reindexed to 0
-        self._q = q
-        self._built = {}
-
-    def __getitem__(self, v):
-        point = self._built.get(v)
-        if point is None:
-            j = len(v)
-            vec = np.zeros(len(self._index))
-            for i in range(j + 1):
-                vec[self._index[v[:i]]] = (j - i + 1) ** (1.0 / self._q)
-            point = self._built[v] = tuple(vec)
-        return point
-
-    def __contains__(self, v) -> bool:
-        return v in self._index
-
-    def __iter__(self):
-        return iter(self._index)
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def _bourgain_profile(height: int, p: float) -> np.ndarray:
     """T[a, b, c]: the lp distance between the images of two vertices of
     depths a and b with a common prefix of length c (c <= min(a, b); other
     entries are nan).  Coordinates of the shared prefixes carry the weight
-    differences, the rest one image's weights alone; distances past the
-    float range (huge p) are inf."""
-    q = 1.0 if p == math.inf else math.inf if p == 1 else p / (p - 1)
-
-    def weight(m):
-        return m ** (1.0 / q)
-
+    differences, the rest one image's weights alone.  By prefix sums of the
+    p-th powers, with a <= b and d = b - a,
+        T[a, b, c]^p = G_d(a) - G_d(a - c - 1) + S(a - c) + S(b - c),
+    S(m) the sum of w(k)^p over k = 1..m and G_d(x) that of
+    |w(y + 1) - w(y + 1 + d)|^p over y = 0..x; at p = inf (w(m) = m)
+    T = max(a, b) - c.  Distances past the float range (huge p) are inf:
+    where G_d takes inf - inf, S(b - c) >= G_d(a - c - 1) is inf too."""
     T = np.full((height + 1,) * 3, np.nan)
-    for a in range(height + 1):
-        for b in range(a, height + 1):
-            for c in range(a + 1):
-                diff = [weight(a - i + 1) - weight(b - i + 1) for i in range(c + 1)]
-                diff += [weight(m) for m in range(1, a - c + 1)]
-                diff += [weight(m) for m in range(1, b - c + 1)]
-                T[a, b, c] = T[b, a, c] = lp_norm(diff, p)
+    a, b, c = np.indices(T.shape).reshape(3, -1)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    keep = c <= lo
+    a, b, c, lo, hi = a[keep], b[keep], c[keep], lo[keep], hi[keep]
+    if p == math.inf:
+        T[a, b, c] = hi - c
+        return T
+    q = math.inf if p == 1 else p / (p - 1)
+    w = np.arange(height + 2) ** (1.0 / q)
+    S = np.concatenate([[0.0], np.cumsum(w[1:height + 1] ** p)])
+    gap, x = np.indices((height + 1, height + 1))
+    # G[d, x + 1] = G_d(x); entries with x + d > height are never read
+    g = np.abs(w[x + 1] - w[np.minimum(x + 1 + gap, height + 1)]) ** p
+    G = np.concatenate([np.zeros((height + 1, 1)), np.cumsum(g, axis=1)], axis=1)
+    total = G[hi - lo, lo + 1] - G[hi - lo, lo - c] + S[lo - c] + S[hi - c]
+    T[a, b, c] = np.where(np.isnan(total), np.inf, total) ** (1.0 / p)
     return T
 
 
@@ -129,8 +107,16 @@ def bourgain_embed(spec: TreeSpec, p: float = 2.0, variant: str = "lp") -> TreeM
         raise EmbeddingError("p must lie in (1, inf)")
     else:
         q = p / (p - 1)
-    points = _BourgainPoints(spec, q)
-    return BourgainMap(spec, LpSpace(len(points), p), points)
+    graph = tree_graph(spec)
+
+    def point_at(i: int) -> tuple:
+        # coordinate Phi(v[:l]) - 2k, reindexed to 0, is v's length-l prefix
+        j = int(graph.depth[i])
+        vec = np.zeros(graph.n)
+        vec[graph.anc[i, :j + 1]] = [(j - l + 1) ** (1.0 / q) for l in range(j + 1)]
+        return tuple(vec)
+
+    return BourgainMap(spec, LpSpace(graph.n, p), VertexOrderPoints(graph, point_at))
 
 
 # ---------------------------------------------------------------------------

@@ -30,13 +30,14 @@ import functools
 import json
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .trees import (BINARY, INCREASING, TreeGraph, TreeSpec, Vertex,
-                    parse_tree_spec, format_tree_spec, tree_graph, vertices)
+                    parse_tree_spec, format_tree_spec, tree_graph)
 from . import spaces as sp
 from .spaces import FiniteMatrixSpace, HPoint, LpSpace, parse_space
 
@@ -62,25 +63,51 @@ _COTYPE_IDS = (InvariantId.UMBEL_COTYPE, InvariantId.RELAXED_UMBEL,
 _LIPSCHITZ_IDS = _COTYPE_IDS + (InvariantId.TESSERA,)
 
 
+class VertexOrderPoints(Mapping):
+    """A read-only assignment given in vertex order: the point of vertex i is
+    point_at(i).  It covers every vertex by construction, so a TreeMap reads
+    its points from point_at directly and hashes no tuple.  Keys, membership
+    and iteration read the tree's vertex tuples, so only they build them."""
+
+    def __init__(self, graph: TreeGraph, point_at: Callable[[int], object]):
+        self.graph, self.point_at = graph, point_at
+
+    def __getitem__(self, v):
+        return self.point_at(self.graph.index[v])
+
+    def __contains__(self, v) -> bool:
+        return v in self.graph.index
+
+    def __iter__(self):
+        return iter(self.graph.vertices)
+
+    def __len__(self) -> int:
+        return self.graph.n
+
+
 @dataclass(eq=False)
 class TreeMap:
     """A total assignment of target points to the vertices of a finite tree.
 
-    The map reads its assignment once: the points in vertex order, and the
-    target rows built from them, are read on first use (at construction on
-    table targets) and kept.  Later edits to the dict are not seen by
-    `points`, `pair_distances` or anything evaluated from them."""
+    The map reads its assignment once: a dict's points in vertex order at
+    construction, a VertexOrderPoints' points on first use (at construction
+    on table targets), and the target rows built from them on first use.
+    Later edits to the dict are not seen by `points`, `pair_distances` or
+    anything evaluated from them."""
 
     spec: TreeSpec
     target: object
-    assignment: dict
+    assignment: Mapping
 
     def __post_init__(self):
-        verts = vertices(self.spec)
-        if not all(map(self.assignment.__contains__, verts)):
-            missing = sum(v not in self.assignment for v in verts)
-            raise InvariantError(f"assignment misses {missing} vertices")
-        self._verts = verts
+        if not isinstance(self.assignment, VertexOrderPoints):
+            # one pass: reading every vertex's point checks the map is total
+            verts = tree_graph(self.spec).vertices
+            try:
+                self._points = tuple(map(self.assignment.__getitem__, verts))
+            except KeyError:
+                missing = sum(v not in self.assignment for v in verts)
+                raise InvariantError(f"assignment misses {missing} vertices") from None
         if (isinstance(self.target, sp.TableSpace)
                 and not self.target.has_points(self.points())):
             raise InvariantError("a map point is not an index of the target table")
@@ -90,7 +117,8 @@ class TreeMap:
 
     @functools.cached_property
     def _points(self) -> tuple:
-        return tuple(map(self.assignment.__getitem__, self._verts))
+        """A VertexOrderPoints' points; a dict's are read at construction."""
+        return tuple(map(self.assignment.point_at, range(self.assignment.graph.n)))
 
     def points(self) -> tuple:
         """The assigned points in vertex order."""
@@ -124,7 +152,7 @@ class TreeMap:
         (1, n - lo) index arrays, each block flattened to its pairs above the
         diagonal.  Readers take extremes only, so a subclass may yield one
         value pair for many vertex pairs."""
-        tg, _ = tree_graph(self.spec)
+        tg = tree_graph(self.spec)
         n = tg.n
         # at most about _LIPSCHITZ_BLOCK pairs a block, and at most n/8 rows,
         # as the k^2/2 pairs a block computes below the diagonal are thrown
@@ -139,8 +167,8 @@ class TreeMap:
 
     @classmethod
     def identity(cls, spec: TreeSpec) -> "TreeMap":
-        graph, index = tree_graph(spec)
-        return cls(spec, graph, dict(index))
+        graph = tree_graph(spec)
+        return cls(spec, graph, VertexOrderPoints(graph, int))
 
     @classmethod
     def constant(cls, spec: TreeSpec, target=None, point=None) -> "TreeMap":
@@ -148,7 +176,7 @@ class TreeMap:
             target = FiniteMatrixSpace(np.zeros((1, 1)))
         if point is None:
             point = _origin(target)
-        return cls(spec, target, {v: point for v in vertices(spec)})
+        return cls(spec, target, dict.fromkeys(tree_graph(spec).vertices, point))
 
     def to_json(self) -> str:
         return json.dumps({
@@ -256,7 +284,7 @@ def lipschitz_constant(f: TreeMap, with_flag: bool = False):
     target the edge maximum, over the pairs of the Lipschitz plans.  Other
     targets also run the pair scan; the larger is reported, flagged when the
     two differ beyond tolerance."""
-    tg, _ = tree_graph(f.spec)
+    tg = tree_graph(f.spec)
     edge = float(f.pair_distances(*_edge_pairs(tg)[:2]).max(initial=0.0))
     pair = edge if _is_metric(f.target) else _pair_max(f)
     value = max(pair, edge)
@@ -492,7 +520,7 @@ def compile_plan(inv: InvariantId, spec: TreeSpec, side: str,
     k = _validate(inv, spec)
     if side == "rhs" or inv not in _INCREASING_IDS:
         j_min = None
-    tg, _ = tree_graph(spec)
+    tg = tree_graph(spec)
     key = (inv, side, j_min)
     if key not in tg.plans:
         compile_side = _compile_lhs if side == "lhs" else _compile_rhs
@@ -581,7 +609,7 @@ def markov_pair_expectation_exact(f: TreeMap, s: int, t: int, q: float) -> float
         raise InvariantError("s out of range")
     if not 2 ** s <= t <= 2 ** k:
         raise InvariantError("t out of range")
-    u, v, w = _walk_pairs(tree_graph(f.spec)[0], 2 ** s, t)
+    u, v, w = _walk_pairs(tree_graph(f.spec), 2 ** s, t)
     return float(w @ f.pair_distances(u, v) ** q)
 
 
@@ -604,7 +632,7 @@ def markov_pair_expectation_mc(f: TreeMap, s: int, t: int, q: float,
     weights_tail = 2 ** np.arange(window - 1, -1, -1)
     base = shared @ weights_shared if t > window else np.zeros(n, int)
     # height-t vertices sit in lexicographic (-1 < +1) order from `first`
-    first, _ = _height_range(tree_graph(f.spec)[0], t)
+    first, _ = _height_range(tree_graph(f.spec), t)
     vals = f.pair_distances(first + base + a_tail @ weights_tail,
                             first + base + b_tail @ weights_tail) ** q
     est = float(vals.mean())

@@ -17,7 +17,7 @@ import numpy as np
 from .invariants import (InvariantId, InvariantReport, TreeMap, _check_exponent,
                          compile_plan, evaluate, report)
 from .spaces import FiniteMatrixSpace, is_int
-from .trees import TreeSpec, Vertex, tree_graph, vertices
+from .trees import TreeSpec, Vertex, tree_graph
 
 _EXHAUSTIVE_BUDGET = 10 ** 7
 _BATCH = 1 << 20  # gathered distances per scored batch
@@ -42,16 +42,16 @@ class SearchProblem:
     def __post_init__(self):
         if self.target.n < 2:
             raise SearchError("target needs at least 2 points")
-        verts = set(vertices(self.spec))
+        index = tree_graph(self.spec).index
         for v, pt in self.pins.items():
             # (1.0,) == (1,): float labels would pass the membership test
-            if not (isinstance(v, tuple) and all(map(is_int, v)) and v in verts):
+            if not (isinstance(v, tuple) and all(map(is_int, v)) and v in index):
                 raise SearchError(f"pinned vertex {v!r} not in the tree")
             if not self.target.has_points([pt]):
                 raise SearchError(f"pinned point {pt!r} is not an index of the target")
 
     def free_vertices(self) -> list[Vertex]:
-        return [v for v in vertices(self.spec) if v not in self.pins]
+        return [v for v in tree_graph(self.spec).vertices if v not in self.pins]
 
 
 def pins_from_json(obj) -> dict:
@@ -95,8 +95,8 @@ class _Scorer:
         self.plans = tuple(compile_plan(problem.invariant, problem.spec, side)
                            for side in ("lhs", "rhs"))
         _check_exponent(problem.exponent)
-        self.index = tree_graph(problem.spec)[1]
-        self.verts = list(self.index)
+        graph = tree_graph(problem.spec)
+        self.index, self.verts = graph.index, graph.vertices
         self.rows = max(1, _BATCH // sum(len(plan.u) for plan in self.plans))
 
     def __call__(self, A: np.ndarray) -> np.ndarray:
@@ -154,7 +154,7 @@ def canonical_start(problem: SearchProblem) -> dict:
     """Default start: propagate each pinned image down to unpinned
     descendants (root defaults to point 0)."""
     assignment = {}
-    for v in vertices(problem.spec):
+    for v in tree_graph(problem.spec).vertices:
         if v in problem.pins:
             assignment[v] = problem.pins[v]
         elif v:

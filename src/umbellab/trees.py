@@ -215,15 +215,29 @@ class TreeGraph(TableSpace):
 
     depth[i] is the height of vertex i, anc[i, l] the index of its length-l
     prefix (for l <= depth[i]) and label[i] its last label (0 at the root);
-    the edge list is derived from them on request.  Distances are depth(u) + depth(v) - 2 lcp(u, v), so no table is built.
-    `plans` holds what is compiled over this tree, so it lives exactly as
-    long as tree_graph's cache entry."""
+    the edge list is derived from them on request.  Distances are
+    depth(u) + depth(v) - 2 lcp(u, v), so no table is built.  The vertex
+    tuples and their index are built on first read only, by the paths that
+    key by tuple.  They and `plans`, which holds what is compiled over this
+    tree, live exactly as long as tree_graph's cache entry."""
 
     quasi_constant = 1.0
 
-    def __init__(self, depth: np.ndarray, anc: np.ndarray, label: np.ndarray):
-        self.n, self.depth, self.anc, self.label = len(depth), depth, anc, label
+    def __init__(self, spec: TreeSpec):
+        depth, parents, label = _level_arrays(spec)
+        self.spec, self.n, self.depth, self.label = spec, len(depth), depth, label
+        self.anc = _ancestors(depth, parents)
         self.plans = {}
+
+    @functools.cached_property
+    def vertices(self) -> list[Vertex]:
+        """The vertex tuples in vertex order: trees.vertices(spec)."""
+        return vertices(self.spec)
+
+    @functools.cached_property
+    def index(self) -> dict[Vertex, int]:
+        """The vertex-order index of every vertex tuple."""
+        return {v: i for i, v in enumerate(self.vertices)}
 
     @property
     def edges(self) -> tuple:
@@ -253,11 +267,11 @@ class TreeGraph(TableSpace):
 
 
 @functools.lru_cache(maxsize=64)
-def tree_graph(spec: TreeSpec) -> tuple[TreeGraph, dict[Vertex, int]]:
-    """The tree itself as a TreeGraph, with its vertex index mapping."""
-    index = {v: i for i, v in enumerate(vertices(spec))}
-    depth, parents, label = _level_arrays(spec)
-    return TreeGraph(depth, _ancestors(depth, parents), label), index
+def tree_graph(spec: TreeSpec) -> TreeGraph:
+    """The tree itself as a TreeGraph.  Trees past the vertex cap are
+    refused before anything is allocated."""
+    _check_size(spec)
+    return TreeGraph(spec)
 
 
 def _level_arrays(spec: TreeSpec):

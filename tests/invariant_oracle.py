@@ -2,7 +2,8 @@
 library compiled them into plans (see umbellab.invariants), the selection
 of plan pairs by their common prefix lengths, the n x n
 distance tables that distortion and moduli read before the pair scan, and
-the Bourgain map with every vector built up front.  They walk the displays
+the Bourgain map with every vector built up front and its distance
+profile computed by one lp norm per triple.  They walk the displays
 of each functional directly and serve as the test oracle for the compiled
 plans, the scan and the on-demand points; nothing in the library imports
 them."""
@@ -71,6 +72,27 @@ def eager_bourgain(spec, p: float = 2.0, variant: str = "lp") -> TreeMap:
     return TreeMap(spec, LpSpace(dim, p), assignment)
 
 
+@np.errstate(over="ignore")
+def bourgain_profile(height: int, p: float) -> np.ndarray:
+    """The Bourgain map's (depth, depth, lcp) distance table, one lp_norm of
+    the explicit coordinate differences per triple: the loop that the
+    library's prefix sums replaced."""
+    q = 1.0 if p == math.inf else math.inf if p == 1 else p / (p - 1)
+
+    def weight(m):
+        return m ** (1.0 / q)
+
+    T = np.full((height + 1,) * 3, np.nan)
+    for a in range(height + 1):
+        for b in range(a, height + 1):
+            for c in range(a + 1):
+                diff = [weight(a - i + 1) - weight(b - i + 1) for i in range(c + 1)]
+                diff += [weight(m) for m in range(1, a - c + 1)]
+                diff += [weight(m) for m in range(1, b - c + 1)]
+                T[a, b, c] = T[b, a, c] = sp.lp_norm(diff, p)
+    return T
+
+
 @functools.lru_cache(maxsize=2)
 def graph_table(graph) -> np.ndarray:
     """The n x n distance table of a graph's edges, by shortest paths."""
@@ -78,7 +100,7 @@ def graph_table(graph) -> np.ndarray:
 
 
 def tree_table(spec) -> np.ndarray:
-    return graph_table(tree_graph(spec)[0])
+    return graph_table(tree_graph(spec))
 
 
 def distance_tables(f: TreeMap) -> tuple[np.ndarray, np.ndarray]:
@@ -121,7 +143,7 @@ def moduli(f: TreeMap) -> tuple[ModulusCurve, ModulusCurve]:
 def lipschitz_constant(f: TreeMap, with_flag: bool = False):
     """Pair maximum over one full n x n ratio buffer, edge maximum by
     walking the edges through f.dist."""
-    graph, index = tree_graph(f.spec)
+    index = tree_graph(f.spec).index
     dtree = tree_table(f.spec)
     dimg = _pairwise(f.target, [f.assignment[v] for v in index])
     ratio = np.zeros_like(dimg)

@@ -1,12 +1,14 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import umbellab as U
 from umbellab.cli import main
-from umbellab.embeddings import BourgainMap, EmbeddingError, _realised_triples
+from umbellab.embeddings import (BourgainMap, EmbeddingError, _bourgain_profile,
+                                 _realised_triples)
 from umbellab.invariants import InvariantError, TreeMap
 from umbellab.trees import tree_graph
 
@@ -76,7 +78,7 @@ def grid(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def triple_representatives(spec) -> np.ndarray:
     """Indices of one vertex pair per realised (depth, depth, lcp) triple."""
-    graph = tree_graph(spec)[0]
+    graph = tree_graph(spec)
     depth = graph.depth
     lcp = graph.lcp(*grid(graph.n))
     key = (depth[:, None] * 100 + depth[None, :]) * 100 + lcp
@@ -149,7 +151,7 @@ def test_embed_scans_the_pairs_once(monkeypatch, tmp_path):
 @pytest.mark.parametrize("extra", [0, 1, 3])
 def test_realised_triples_match_enumeration(h, extra):
     spec = U.parse_tree_spec(f"inc:h={h},b={h + extra}")
-    graph = tree_graph(spec)[0]
+    graph = tree_graph(spec)
     u, v = grid(graph.n)
     lcp = graph.lcp(u, v)
     a, b = (np.broadcast_to(graph.depth[w], lcp.shape) for w in (u, v))
@@ -170,6 +172,35 @@ def test_lazy_points_equal_the_eager_construction(h, p, variant):
     assert list(f.assignment) == list(eager.assignment)
     assert f.points() == eager.points()
     assert f.to_json() == eager.to_json()
+
+
+PROFILE_EXPONENTS = (1.0, 1.0000001, 1.5, 2.0, 3.0, 50.0, 200.0, 250.0, 300.0,
+                     400.0, 700.0, 1000.0, 1e300, math.inf)
+
+
+@pytest.mark.parametrize("p", PROFILE_EXPONENTS)
+def test_bourgain_profile_by_prefix_sums_equals_the_loop(p):
+    for h in range(18):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast = _bourgain_profile(h, p)
+        slow = oracle.bourgain_profile(h, p)
+        assert np.array_equal(np.isnan(fast), np.isnan(slow)), h
+        assert np.array_equal(np.isinf(fast), np.isinf(slow)), h
+        finite = np.isfinite(slow)
+        if p in (1.0, math.inf):
+            assert np.array_equal(fast[finite], slow[finite]), h
+        else:
+            np.testing.assert_allclose(fast[finite], slow[finite],
+                                       rtol=1e-13, atol=0, err_msg=str(h))
+
+
+def test_bourgain_profile_overflow_is_inf_not_nan():
+    # plain differences of the prefix sums would give inf - inf = nan at
+    # 8 of these entries
+    T = _bourgain_profile(8, 400.0)
+    assert np.isnan(T).sum() == 444 and np.isinf(T).any()
+    assert np.array_equal(np.isinf(T), np.isinf(oracle.bourgain_profile(8, 400.0)))
 
 
 def test_bourgain_report_builds_no_vectors():

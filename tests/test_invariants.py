@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import warnings
@@ -6,6 +7,8 @@ import numpy as np
 import pytest
 
 import umbellab as U
+from umbellab import trees
+from umbellab.cli import main
 from umbellab.invariants import InvariantError
 from umbellab.spaces import SpaceError, close
 
@@ -205,6 +208,66 @@ def test_tree_map_requires_total_assignment():
     del assign[(1, 1)]
     with pytest.raises(Exception):
         U.TreeMap(spec, U.LpSpace(1, 2.0), assign)
+
+
+@pytest.mark.parametrize("target", [U.LpSpace(1, 2.0),
+                                    U.FiniteMatrixSpace(np.zeros((1, 1)))])
+def test_partial_assignment_error_counts_the_missing_vertices(target):
+    spec = U.parse_tree_spec("bin:h=3")
+    point = (0.0,) if isinstance(target, U.LpSpace) else 0
+    assign = dict.fromkeys(U.vertices(spec)[:-3], point)
+    with pytest.raises(InvariantError, match="^assignment misses 3 vertices$"):
+        U.TreeMap(spec, target, assign)
+
+
+@pytest.mark.parametrize("desc", ["bin:h=0", "bin:h=3", "inc:h=2,b=2",
+                                  "inc:h=4,b=6"])
+def test_identity_map_equals_the_dict_built_map(desc):
+    spec = U.parse_tree_spec(desc)
+    graph = trees.tree_graph(spec)
+    verts = U.vertices(spec)
+    f = U.TreeMap.identity(spec)
+    g = U.TreeMap(spec, graph, {v: i for i, v in enumerate(verts)})
+    assert list(f.assignment) == list(g.assignment) == verts
+    assert list(f.assignment.items()) == list(g.assignment.items())
+    assert len(f.assignment) == len(verts) and f.points() == g.points()
+    assert all(f.point(v) == g.point(v) for v in verts)
+    assert all(f.dist(u, v) == g.dist(u, v)
+               for u, v in itertools.product(verts, repeat=2))
+    assert f.to_json() == g.to_json()
+    assert (7, 7) not in f.assignment and (7, 7) not in g.assignment
+    with pytest.raises(KeyError):
+        f.point((7, 7))
+    with pytest.raises(TypeError):  # read-only
+        f.assignment[()] = 0
+
+
+def test_cold_jobs_build_no_vertex_tuples(monkeypatch, tmp_path, capsys):
+    calls = []
+    for name in ("vertices", "vertices_at_height"):
+        def spy(*args, real=getattr(trees, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(trees, name, spy)
+    jobs = [["invariant", "--tree", "inc:h=8,b=12", "--invariant", inv.value,
+             "--p", "2"] for inv in (U.InvariantId.UMBEL_COTYPE,
+                                     U.InvariantId.UMBEL_CONVEXITY,
+                                     U.InvariantId.RELAXED_UMBEL)]
+    jobs += [["invariant", "--tree", "bin:h=4", "--invariant", inv, "--p", "2"]
+             for inv in ("fork-cotype", "fork-convexity", "markov-directed",
+                         "tessera")]
+    jobs.append(["embed", "--tree", "inc:h=4,b=6", "--p", "2",
+                 "--csv", str(tmp_path / "moduli.csv")])
+    for argv in jobs:
+        trees.tree_graph.cache_clear()
+        assert main(argv) == 0, argv
+    trees.tree_graph.cache_clear()
+    spec = U.parse_tree_spec("inc:h=8,b=10")
+    for inv in (U.InvariantId.UMBEL_COTYPE, U.InvariantId.UMBEL_CONVEXITY):
+        assert U.report(inv, U.bourgain_embed(spec, 2.0), 2.0).rhs > 0
+    assert calls == []
+    assert trees.tree_graph(spec).vertices and calls  # the spies see reads
+    trees.tree_graph.cache_clear()
 
 
 def test_tree_map_json_round_trip():

@@ -111,9 +111,9 @@ def test_plans_live_on_the_tree_graph_cache():
     spec = U.parse_tree_spec("bin:h=4")
     plan = compile_plan(InvariantId.FORK_COTYPE, spec, "lhs")
     assert compile_plan(InvariantId.FORK_COTYPE, spec, "lhs") is plan
-    assert trees.tree_graph(spec)[0].plans
+    assert trees.tree_graph(spec).plans
     trees.tree_graph.cache_clear()
-    assert not trees.tree_graph(spec)[0].plans
+    assert not trees.tree_graph(spec).plans
     assert compile_plan(InvariantId.FORK_COTYPE, spec, "lhs") is not plan
 
 
@@ -175,7 +175,7 @@ def test_lipschitz_in_row_blocks_matches_full_buffer(block, monkeypatch):
                                ("inc:h=4,b=6", "l3")]]
     for f in maps + [squared]:
         got = U.lipschitz_constant(f, with_flag=True)
-        graph, _ = trees.tree_graph(f.spec)
+        graph = trees.tree_graph(f.spec)
         dtree, dimg = oracle.distance_tables(f)
         ratio = np.zeros_like(dimg)
         np.divide(dimg, dtree, out=ratio, where=dtree > 0)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,7 +193,8 @@ def grid_distances(graph) -> np.ndarray:
 
 def test_tree_graph_distances():
     spec = U.parse_tree_spec("bin:h=3")
-    graph, index = tree_graph(spec)
+    graph = tree_graph(spec)
+    index = graph.index
     for u, v in itertools.combinations(U.vertices(spec), 2):
         assert graph.distance(index[u], index[v]) == U.tree_distance(u, v)
 
@@ -205,7 +207,7 @@ SMALL_TREES = ([f"bin:h={h}" for h in range(7)]
 def test_tree_graph_exact_against_search_oracles(desc):
     # the depth/lcp distances must equal both shortest-path searches bit
     # for bit
-    graph, _ = tree_graph(U.parse_tree_spec(desc))
+    graph = tree_graph(U.parse_tree_spec(desc))
     dist = grid_distances(graph)
     assert dist.dtype == np.float64
     assert np.array_equal(dist, apsp_bfs(graph.n, graph.edges))
@@ -215,8 +217,8 @@ def test_tree_graph_exact_against_search_oracles(desc):
 def test_tree_graph_edge_cases_are_covered():
     assert {"bin:h=0", "inc:h=0,b=1", "inc:h=3,b=3"} <= set(SMALL_TREES)
     for desc in ("bin:h=0", "inc:h=0,b=1"):
-        graph, index = tree_graph(U.parse_tree_spec(desc))
-        assert graph.n == 1 and graph.edges == () and index == {(): 0}
+        graph = tree_graph(U.parse_tree_spec(desc))
+        assert graph.n == 1 and graph.edges == () and graph.index == {(): 0}
         assert grid_distances(graph).tolist() == [[0.0]]
 
 
@@ -225,7 +227,8 @@ def test_tree_graph_edge_cases_are_covered():
                             for b in (h, h + 1, h + 3)])
 def test_tree_graph_arrays_equal_the_vertex_tuples(desc):
     spec = U.parse_tree_spec(desc)
-    graph, index = tree_graph(spec)
+    graph = tree_graph(spec)
+    index = graph.index
     verts = U.vertices(spec)
     assert list(index) == verts and list(index.values()) == list(range(len(verts)))
     assert graph.n == len(verts)
@@ -245,6 +248,37 @@ def test_trees_past_the_vertex_cap_are_refused(desc):
     for build in (U.vertices, tree_graph, lambda s: trees.level_edges(s, 1)):
         with pytest.raises(TreeSpecError, match="more than 200000 vertices"):
             build(spec)
+
+
+def test_tree_graph_refuses_a_tree_past_the_cap_before_it_allocates():
+    # the level arrays of inc:h=30,b=60 would take hundreds of MB
+    spec = U.parse_tree_spec("inc:h=30,b=60")
+    tracemalloc.start()
+    try:
+        with pytest.raises(TreeSpecError, match="more than 200000 vertices"):
+            tree_graph(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("desc", [f"bin:h={h}" for h in range(9)]
+                         + ["inc:h=0,b=0", "inc:h=3,b=3", "inc:h=4,b=7",
+                            "inc:h=8,b=10", "inc:h=8,b=12"])
+def test_lazy_vertex_tuples_equal_the_enumeration(desc):
+    spec = U.parse_tree_spec(desc)
+    trees.tree_graph.cache_clear()
+    graph = tree_graph(spec)
+    assert "vertices" not in vars(graph) and "index" not in vars(graph)
+    verts = U.vertices(spec)
+    assert graph.vertices == verts
+    assert graph.index == {v: i for i, v in enumerate(verts)}
+    assert list(graph.index) == verts
+    # kept on the cache entry, and dropped with it
+    assert tree_graph(spec).index is graph.index
+    trees.tree_graph.cache_clear()
+    assert "index" not in vars(tree_graph(spec))
 
 
 def test_largest_tree_under_the_cap_is_built():
