@@ -29,6 +29,6 @@ rep = U.certify(hs, U.InequalityId.HEISENBERG_PARALLELOGRAM, cfg,
                 n=20_000, seed=5)
 print(f"parallelogram campaign: {rep.violations} violations in {rep.n} pairs")
 
-est = U.quasi_constant_estimate(hs, hs.sample, n=5_000, seed=2)
+est = U.quasi_constant_estimate(hs, n=5_000, seed=2)
 print(f"observed quasi-triangle constant: {est:.4f} "
       f"(declared bound {hs.quasi_constant})")

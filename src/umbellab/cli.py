@@ -166,8 +166,7 @@ def cmd_morphism(args) -> int:
 def cmd_heisenberg(args) -> int:
     space = spaces.HeisenbergMetricSpace(spaces.standard_symplectic(args.dim),
                                          spaces.parse_exponent(args.p), args.lam)
-    est = spaces.quasi_constant_estimate(space, lambda rng: space.sample(rng),
-                                         args.samples, args.seed)
+    est = spaces.quasi_constant_estimate(space, args.samples, args.seed)
     _emit({"dim": args.dim, "p": args.p, "lambda": args.lam,
            "samples": args.samples, "seed": args.seed,
            "quasi_constant_estimate": est}, args.out)

@@ -126,23 +126,24 @@ class TreeMap:
 
     @functools.cached_property
     def _rows(self) -> np.ndarray:
-        """The points as the target's rows, or as object entries on targets
-        without `rows`."""
+        """The points as the target's numeric rows, or as object entries on
+        a custom target that defines nothing but `distance` (np.array would
+        split tuples)."""
+        pts = self.points()
         if hasattr(self.target, "rows"):
-            return self.target.rows(self.points())
-        return sp.object_rows(self.points())
+            return self.target.rows(pts)
+        return np.fromiter(pts, dtype=object, count=len(pts))
 
     def dist(self, u: Vertex, v: Vertex) -> float:
         return self.target.distance(self.assignment[u], self.assignment[v])
 
     def pair_distances(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """d(f(u[i]), f(v[i])) for vertex-order index arrays u and v,
-        broadcast against each other: row-wise on targets with `rows` (table,
-        lp, Heisenberg and product spaces), else one `distance` call per
-        pair."""
+        broadcast against each other: row-wise on targets with `rows` (every
+        built-in space), else one `distance` call per pair."""
         r = self._rows
         if not hasattr(self.target, "rows"):
-            return sp.distance_calls(self.target.distance, r[u], r[v])
+            return np.frompyfunc(self.target.distance, 2, 1)(r[u], r[v]).astype(float)
         return self.target.distance_rows(np.take(r, u, axis=0),
                                          np.take(r, v, axis=0))
 

@@ -440,15 +440,27 @@ class ModulusEstimate:
     polished: bool  # SLSQP ran and its point meets every constraint
 
 
+def _check_eps(eps: float, grid: int) -> None:
+    if not 0 < eps <= 2:
+        raise PointwiseError("eps must lie in (0, 2]")
+    if grid < 8:
+        raise PointwiseError("grid resolution must be >= 8")
+
+
 def _circle_points(space: LpSpace, grid: int) -> np.ndarray:
     """Points on the unit sphere of a 2-dimensional lp space."""
+    if space.dim != 2:
+        raise PointwiseError("grid estimator supports dim=2 spaces")
     theta = np.linspace(0.0, 2 * math.pi, grid, endpoint=False)
     pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    if space.p == math.inf:
-        norms = np.max(np.abs(pts), axis=1)
-    else:
-        norms = np.sum(np.abs(pts) ** space.p, axis=1) ** (1 / space.p)
-    return pts / norms[:, None]
+    return pts / space.norm_rows(pts)[:, None]
+
+
+def _in_ball(space: LpSpace, count: int) -> list:
+    """SLSQP constraints keeping each of the first `count` 2-vectors of the
+    variables in the unit ball."""
+    return [{"type": "ineq", "fun": lambda v, i=i: 1 - space.norm(v[2 * i:2 * i + 2])}
+            for i in range(count)]
 
 
 def _polish(objective, constraints, x0) -> tuple[float, bool]:
@@ -466,39 +478,21 @@ def _polish(objective, constraints, x0) -> tuple[float, bool]:
 def modulus_delta(space: LpSpace, eps: float, grid: int = 64) -> ModulusEstimate:
     """Two-point modulus of uniform convexity
     delta(eps) = inf { 1 - ||(x+y)/2|| : ||x||,||y|| <= 1, ||x-y|| >= eps }."""
-    if not 0 < eps <= 2:
-        raise PointwiseError("eps must lie in (0, 2]")
-    if grid < 8:
-        raise PointwiseError("grid resolution must be >= 8")
-    if space.dim != 2:
-        raise PointwiseError("grid estimator supports dim=2 spaces")
+    _check_eps(eps, grid)
     pts = _circle_points(space, grid)
-    n = len(pts)
-    best = math.inf
-    best_pair = None
-    count = 0
-    for i in range(n):
-        diffs = pts - pts[i]
-        seps = np.array([space.norm(v) for v in diffs])
-        mids = (pts + pts[i]) / 2
-        vals = 1 - np.array([space.norm(v) for v in mids])
-        ok = seps >= eps
-        count += int(ok.sum())
-        if ok.any():
-            j = int(np.argmin(np.where(ok, vals, math.inf)))
-            if vals[j] < best:
-                best, best_pair = float(vals[j]), (pts[i].copy(), pts[j].copy())
+    ok = space.norm_rows(pts[None] - pts[:, None]) >= eps
+    vals = np.where(ok, 1 - space.norm_rows((pts[:, None] + pts[None]) / 2), math.inf)
+    count = int(ok.sum())
+    # the first minimum of the (x, y) pairs in row-major order
+    i, j = np.unravel_index(np.argmin(vals), vals.shape)
+    best = float(vals[i, j])
     polished = False
-    if best_pair is not None:
+    if ok.any():
         def obj(v):
             return 1 - space.norm((v[:2] + v[2:]) / 2)
-        cons = [
-            {"type": "ineq", "fun": lambda v: 1 - space.norm(v[:2])},
-            {"type": "ineq", "fun": lambda v: 1 - space.norm(v[2:])},
-            {"type": "ineq", "fun": lambda v: space.norm(v[:2] - v[2:]) - eps},
-        ]
-        x0 = np.concatenate(best_pair)
-        polish, polished = _polish(obj, cons, x0)
+        cons = _in_ball(space, 2) + [
+            {"type": "ineq", "fun": lambda v: space.norm(v[:2] - v[2:]) - eps}]
+        polish, polished = _polish(obj, cons, np.concatenate([pts[i], pts[j]]))
         best = min(best, polish)
     return ModulusEstimate(eps, max(best, 0.0), grid, count, polished)
 
@@ -507,47 +501,27 @@ def modulus_delta_tilde(space: LpSpace, eps: float, grid: int = 24) -> ModulusEs
     """Tripod variant of the convexity modulus:
     inf over ||z||,||x1||,||x2|| <= 1 with ||x1-x2|| >= eps of
     max_i (1 - ||(z - x_i)/2||)."""
-    if not 0 < eps <= 2:
-        raise PointwiseError("eps must lie in (0, 2]")
-    if grid < 8:
-        raise PointwiseError("grid resolution must be >= 8")
-    if space.dim != 2:
-        raise PointwiseError("grid estimator supports dim=2 spaces")
+    _check_eps(eps, grid)
     pts = _circle_points(space, grid)
-    radii = np.array([0.5, 1.0])
-    cand = np.concatenate([pts * r for r in radii])
-    n = len(cand)
-    norm_rows = lambda a: (np.max(np.abs(a), axis=-1) if space.p == math.inf
-                           else np.sum(np.abs(a) ** space.p, axis=-1) ** (1 / space.p))
-    sepm = norm_rows(cand[:, None, :] - cand[None, :, :])
-    best = math.inf
-    best_cfg = None
-    count = 0
-    pairs = np.argwhere(sepm >= eps)
-    for zi in range(n):
-        halves = norm_rows((cand[zi][None, :] - cand) / 2)
-        vals = 1 - halves
-        vmax = np.maximum(vals[pairs[:, 0]], vals[pairs[:, 1]])
-        count += len(pairs)
-        j = int(np.argmin(vmax))
-        if vmax[j] < best:
-            best = float(vmax[j])
-            best_cfg = (cand[zi], cand[pairs[j, 0]], cand[pairs[j, 1]])
-    polished = False
-    if best_cfg is not None:
-        def obj(v):
-            z, x1, x2 = v[:2], v[2:4], v[4:6]
-            return max(1 - space.norm((z - x1) / 2), 1 - space.norm((z - x2) / 2))
-        cons = [
-            {"type": "ineq", "fun": lambda v: 1 - space.norm(v[:2])},
-            {"type": "ineq", "fun": lambda v: 1 - space.norm(v[2:4])},
-            {"type": "ineq", "fun": lambda v: 1 - space.norm(v[4:6])},
-            {"type": "ineq", "fun": lambda v: space.norm(v[2:4] - v[4:6]) - eps},
-        ]
-        x0 = np.concatenate(best_cfg)
-        polish, polished = _polish(obj, cons, x0)
-        best = min(best, polish)
-    return ModulusEstimate(eps, max(best, 0.0), grid, count, polished)
+    cand = np.concatenate([pts * 0.5, pts])
+    diffs = cand[:, None] - cand[None]
+    pairs = np.argwhere(space.norm_rows(diffs) >= eps)
+    # vals[z, i] = 1 - ||(z - x_i) / 2||; vmax[z, pair] is the larger one
+    vals = 1 - space.norm_rows(diffs / 2)
+    vmax = np.maximum(vals[:, pairs[:, 0]], vals[:, pairs[:, 1]])
+    # the first minimum of the (z, pair) configurations in row-major order
+    zi, j = np.unravel_index(np.argmin(vmax), vmax.shape)
+
+    def obj(v):
+        z, x1, x2 = v[:2], v[2:4], v[4:6]
+        return max(1 - space.norm((z - x1) / 2), 1 - space.norm((z - x2) / 2))
+
+    cons = _in_ball(space, 3) + [
+        {"type": "ineq", "fun": lambda v: space.norm(v[2:4] - v[4:6]) - eps}]
+    x0 = np.concatenate([cand[zi], *cand[pairs[j]]])
+    polish, polished = _polish(obj, cons, x0)
+    best = min(float(vmax[zi, j]), polish)
+    return ModulusEstimate(eps, max(best, 0.0), grid, vmax.size, polished)
 
 
 def modulus_beta(space: LpSpace, t: float, m: int = 3, grid: int = 12) -> ModulusEstimate:
@@ -558,39 +532,33 @@ def modulus_beta(space: LpSpace, t: float, m: int = 3, grid: int = 12) -> Modulu
         raise PointwiseError("t must be positive")
     if m < 2:
         raise PointwiseError("m must be >= 2")
-    if space.dim != 2:
-        raise PointwiseError("grid estimator supports dim=2 spaces")
     pts = _circle_points(space, grid)
     cand = np.concatenate([pts * 0.5, pts, np.zeros((1, 2))])
     n = len(cand)
-    dist = np.array([[space.norm(a - b) for b in cand] for a in cand])
-    families = [
+    dist = space.norm_rows(cand[:, None, :] - cand[None, :, :])
+    families = np.array([
         combo for combo in itertools.combinations(range(n), m)
         if all(dist[i, j] >= t for i, j in itertools.combinations(combo, 2))
-    ]
-    if not families:
+    ]).reshape(-1, m)
+    if not len(families):
         raise PointwiseError("no t-separated family exists at this grid scale")
     best = math.inf
     best_cfg = None
     count = 0
     for zi in range(n):
-        vals = 1 - np.array([space.norm((cand[zi] - c) / 2) for c in cand])
-        for combo in families:
-            count += 1
-            v = max(vals[i] for i in combo)
-            if v < best:
-                best = float(v)
-                best_cfg = (cand[zi], [cand[i] for i in combo])
+        vmax = (1 - space.norm_rows((cand[zi] - cand) / 2))[families].max(axis=1)
+        count += len(families)
+        j = int(np.argmin(vmax))
+        if vmax[j] < best:
+            best = float(vmax[j])
+            best_cfg = (cand[zi], cand[families[j]])
     z0, xs0 = best_cfg
 
     def obj(v):
         z = v[:2]
         return max(1 - space.norm((z - v[2 + 2 * i: 4 + 2 * i]) / 2) for i in range(m))
 
-    cons = [{"type": "ineq", "fun": lambda v: 1 - space.norm(v[:2])}]
-    for i in range(m):
-        cons.append({"type": "ineq",
-                     "fun": lambda v, i=i: 1 - space.norm(v[2 + 2 * i: 4 + 2 * i])})
+    cons = _in_ball(space, m + 1)
     for i, j in itertools.combinations(range(m), 2):
         cons.append({"type": "ineq",
                      "fun": lambda v, i=i, j=j:

@@ -7,6 +7,7 @@ lp-products of the above.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -75,8 +76,24 @@ def lp_norm(x, p: float) -> float:
     return float(lp_norm_rows(np.asarray(x, dtype=float), p))
 
 
+class RowSpace:
+    """A space that speaks numeric rows: its scalar `distance` and `sample`
+    are the one-row cases of `distance_rows` and `sample_batch`."""
+
+    def sample_batch(self, rng: np.random.Generator, m: int, k: int) -> np.ndarray:
+        """m configurations of k points of the unit ball, shape (m, k, width):
+        a uniform draw from the cube [-1, 1]^width, put onto the ball."""
+        return self.onto_ball(rng.uniform(-1.0, 1.0, (m, k, self.width)))
+
+    def distance(self, a, b) -> float:
+        return float(self.distance_rows(self.rows([a]), self.rows([b]))[0])
+
+    def sample(self, rng: np.random.Generator):
+        return self.point(self.sample_batch(rng, 1, 1)[0, 0])
+
+
 @dataclass(frozen=True)
-class LpSpace:
+class LpSpace(RowSpace):
     """R^dim with the lp norm."""
 
     dim: int
@@ -93,24 +110,20 @@ class LpSpace:
     def norm(self, x) -> float:
         return lp_norm(x, self.p)
 
-    def distance(self, a, b) -> float:
-        av, bv = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        if av.shape != (self.dim,) or bv.shape != (self.dim,):
-            raise SpaceError("dimension mismatch")
-        return lp_norm(av - bv, self.p)
-
     def norm_rows(self, x: np.ndarray) -> np.ndarray:
         return lp_norm_rows(x, self.p)
 
     def distance_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return lp_norm_rows(a - b, self.p)
 
-    def sample_batch(self, rng: np.random.Generator, m: int, k: int) -> np.ndarray:
-        """m configurations of k points of the unit ball, shape (m, k, dim):
-        a uniform draw from the cube, scaled onto the sphere when outside."""
-        x = rng.uniform(-1.0, 1.0, (m, k, self.dim))
-        x /= np.maximum(self.norm_rows(x), 1.0)[..., None]
-        return x
+    @property
+    def width(self) -> int:
+        return self.dim
+
+    def onto_ball(self, x: np.ndarray) -> np.ndarray:
+        """Points x of the cube [-1, 1]^dim, scaled onto the sphere when
+        outside the unit ball."""
+        return x / np.maximum(self.norm_rows(x), 1.0)[..., None]
 
     def point(self, row: np.ndarray) -> tuple:
         return tuple(row.tolist())
@@ -122,9 +135,6 @@ class LpSpace:
             raise SpaceError("dimension mismatch")
         return out
 
-    def sample(self, rng: np.random.Generator) -> tuple:
-        return self.point(self.sample_batch(rng, 1, 1)[0, 0])
-
     def describe(self) -> str:
         if self.p == 2:
             return f"l2:dim={self.dim}"
@@ -132,9 +142,11 @@ class LpSpace:
         return f"lp:p={p},dim={self.dim}"
 
 
-class TableSpace:
+class TableSpace(RowSpace):
     """Sampling and row-wise distances of a finite space whose points are the
     indices 0..n-1 of a distance table."""
+
+    width = 1  # as a product factor: one column, the index
 
     def distance(self, a: int, b: int) -> float:
         return float(self.distance_rows(a, b))
@@ -158,14 +170,16 @@ class TableSpace:
     def sample_batch(self, rng: np.random.Generator, m: int, k: int) -> np.ndarray:
         return rng.integers(self.n, size=(m, k))
 
+    def onto_ball(self, u: np.ndarray) -> np.ndarray:
+        """The index column of a product factor, from a uniform column u of
+        [-1, 1): min(floor((u + 1) n / 2), n - 1), as floats."""
+        return np.minimum(np.floor((u + 1) * self.n / 2), self.n - 1)
+
     def point(self, i) -> int:
         return int(i)
 
     def rows(self, points) -> np.ndarray:
         return np.asarray(points, dtype=np.intp)
-
-    def sample(self, rng: np.random.Generator) -> int:
-        return self.point(self.sample_batch(rng, 1, 1)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -250,20 +264,13 @@ def _apsp(n: int, edges) -> np.ndarray:
     return shortest_path(adj, method="D", unweighted=True)
 
 
-def object_rows(points) -> np.ndarray:
-    """One object entry per point (np.array would split tuples)."""
-    return np.fromiter(points, dtype=object, count=len(points))
-
-
-def distance_calls(distance, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """distance(a[i], b[i]) by one call per pair of object entries, with a
-    and b broadcast against each other."""
-    return np.frompyfunc(distance, 2, 1)(a, b).astype(float)
-
-
 @dataclass(frozen=True)
-class ProductSpace:
-    """lp-product of component spaces; points are tuples of component points."""
+class ProductSpace(RowSpace):
+    """lp-product of component spaces; points are tuples of component points.
+
+    A point's row holds its factors' rows side by side: dim columns for an lp
+    factor, dim + 1 for a Heisenberg factor and one, the index, for a table
+    factor."""
 
     components: tuple
     p: float
@@ -271,33 +278,52 @@ class ProductSpace:
     def __post_init__(self):
         if not self.p >= 1:  # also rejects nan
             raise SpaceError("p must be >= 1")
+        ends = itertools.accumulate(c.width for c in self.components)
+        object.__setattr__(self, "_slices", tuple(
+            slice(e - c.width, e) for c, e in zip(self.components, ends)))
 
     @property
     def quasi_constant(self) -> float:
         return max(c.quasi_constant for c in self.components)
 
-    def distance(self, a, b) -> float:
-        if len(a) != len(self.components) or len(b) != len(self.components):
-            raise SpaceError("component count mismatch")
-        ds = [c.distance(x, y) for c, x, y in zip(self.components, a, b)]
-        return lp_norm(ds, self.p)
+    @property
+    def width(self) -> int:
+        return sum(c.width for c in self.components)
 
-    def sample(self, rng: np.random.Generator):
-        return tuple(c.sample(rng) for c in self.components)
+    def _factor_rows(self, rows: np.ndarray):
+        """(factor, its rows) of every factor, read from its columns."""
+        for c, cols in zip(self.components, self._slices):
+            part = rows[..., cols]
+            yield c, (part[..., 0].astype(np.intp)
+                      if isinstance(c, TableSpace) else part)
 
     def distance_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return distance_calls(self.distance, a, b)
+        ds = [c.distance_rows(x, y) for (c, x), (_, y)
+              in zip(self._factor_rows(a), self._factor_rows(b))]
+        return lp_norm_rows(np.stack(ds, axis=-1), self.p)
 
-    def sample_batch(self, rng: np.random.Generator, m: int, k: int) -> np.ndarray:
-        """m configurations of k points, shape (m, k): the points of m * k
-        successive `sample` calls, in order."""
-        return self.rows([self.sample(rng) for _ in range(m * k)]).reshape(m, k)
+    def onto_ball(self, x: np.ndarray) -> np.ndarray:
+        """Each factor's columns of x put onto its ball by its own rule."""
+        for c, cols in zip(self.components, self._slices):
+            x[..., cols] = c.onto_ball(x[..., cols])
+        return x
 
-    def point(self, row):
-        return row
+    def point(self, row: np.ndarray) -> tuple:
+        return tuple(c.point(r) for c, r in self._factor_rows(row))
 
     def rows(self, points) -> np.ndarray:
-        return object_rows(points)
+        """The inverse of `point`: one row per point.  Table factor points
+        must be indices of their table."""
+        if any(len(q) != len(self.components) for q in points):
+            raise SpaceError("component count mismatch")
+        out = np.empty((len(points), self.width))
+        for c, cols, col in zip(self.components, self._slices, zip(*points)):
+            if isinstance(c, TableSpace) and not c.has_points(col):
+                bad = next(i for i in col if not c.has_points([i]))
+                raise SpaceError(f"the product point factor {json.dumps(bad, default=repr)} "
+                                 f"is not an index of {c.describe()}")
+            out[:, cols] = c.rows(col).reshape(len(points), -1)
+        return out
 
     def describe(self) -> str:
         p = "inf" if self.p == math.inf else f"{self.p:g}"
@@ -410,7 +436,7 @@ def koranyi_norm_rows(a: np.ndarray, p: float, lam: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class HeisenbergMetricSpace:
+class HeisenbergMetricSpace(RowSpace):
     """Heisenberg group with a Koranyi quasi-metric d_{p,lambda}."""
 
     space: HeisenbergSpace
@@ -436,12 +462,14 @@ class HeisenbergMetricSpace:
     def distance_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.norm_rows(h_mul_rows(self.space, -b, a))
 
-    def sample_batch(self, rng: np.random.Generator, m: int, k: int) -> np.ndarray:
-        """m configurations of k points of the unit ball as (x, s) rows, shape
-        (m, k, dim + 1): a uniform draw from the cube, dilated onto the
-        sphere when outside."""
-        pts = rng.uniform(-1.0, 1.0, (m, k, self.space.dim + 1))
-        return h_dilate_rows(1.0 / np.maximum(self.norm_rows(pts), 1.0), pts)
+    @property
+    def width(self) -> int:
+        return self.space.dim + 1
+
+    def onto_ball(self, x: np.ndarray) -> np.ndarray:
+        """(x, s) rows of the cube [-1, 1]^(dim + 1), dilated onto the sphere
+        when outside the unit ball."""
+        return h_dilate_rows(1.0 / np.maximum(self.norm_rows(x), 1.0), x)
 
     def point(self, row: np.ndarray) -> HPoint:
         return HPoint(tuple(row[:-1].tolist()), float(row[-1]))
@@ -451,9 +479,6 @@ class HeisenbergMetricSpace:
         if out.shape[1:] != (self.space.dim + 1,):
             raise SpaceError("dimension mismatch")
         return out
-
-    def sample(self, rng: np.random.Generator) -> HPoint:
-        return self.point(self.sample_batch(rng, 1, 1)[0, 0])
 
     def describe(self) -> str:
         p = "inf" if self.p == math.inf else f"{self.p:g}"
@@ -474,21 +499,26 @@ def horizontal_length(sp: HeisenbergSpace, samples) -> tuple[float, float]:
     return length, residual
 
 
-def quasi_constant_estimate(space, sampler, n: int, seed: int) -> float:
-    """Max over n sampled triples of d(a,b) / (d(a,c) + d(c,b))."""
+_TRIPLES_CHUNK = 1 << 14
+
+
+def quasi_constant_estimate(space, n: int, seed: int) -> float:
+    """Max over n sampled triples (a, b, c) of d(a,b) / (d(a,c) + d(c,b)),
+    skipping triples whose denominator is at most ABS_TOL.  The triples are
+    `sample_batch` rows drawn in chunks from one generator: those of 3n
+    successive `sample` calls."""
     if n < 1:
         raise SpaceError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    best = 0.0
-    seen = False
-    for _ in range(n):
-        a, b, c = sampler(rng), sampler(rng), sampler(rng)
-        denom = space.distance(a, c) + space.distance(c, b)
-        if denom <= ABS_TOL:
-            continue
-        seen = True
-        best = max(best, space.distance(a, b) / denom)
-    if not seen:
+    best = -math.inf
+    for lo in range(0, n, _TRIPLES_CHUNK):
+        rows = space.sample_batch(rng, min(_TRIPLES_CHUNK, n - lo), 3)
+        a, b, c = np.moveaxis(rows, 1, 0)
+        denom = space.distance_rows(a, c) + space.distance_rows(c, b)
+        keep = denom > ABS_TOL
+        ratios = space.distance_rows(a, b)[keep] / denom[keep]
+        best = max(best, float(ratios.max(initial=-math.inf)))
+    if best == -math.inf:
         raise SpaceError("sampler produced only degenerate triples")
     return best
 

@@ -304,10 +304,11 @@ def _ancestors(depth: np.ndarray, parents: np.ndarray) -> np.ndarray:
     index of the parent of vertex i."""
     height = int(depth.max())
     anc = np.zeros((len(depth), height + 1), dtype=np.intp)
+    starts = np.searchsorted(depth, np.arange(height + 2)).tolist()
     for level in range(1, height + 1):
-        rows = np.flatnonzero(depth == level)
-        anc[rows, :level] = anc[parents[rows - 1], :level]
-        anc[rows, level] = rows
+        lo, hi = starts[level], starts[level + 1]  # the level's vertices
+        anc[lo:hi, :level] = anc[parents[lo - 1:hi - 1], :level]
+        anc[lo:hi, level] = np.arange(lo, hi)
     return anc
 
 

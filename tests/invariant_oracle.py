@@ -24,6 +24,8 @@ from umbellab.trees import Vertex, tree_graph, vertices_at_height
 from umbellab import spaces as sp
 from umbellab.spaces import LpSpace, _apsp
 
+import pointwise_oracle
+
 
 def _pairwise(target, pts) -> np.ndarray:
     n = len(pts)
@@ -46,7 +48,7 @@ def _pairwise(target, pts) -> np.ndarray:
     out = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            out[i, j] = out[j, i] = target.distance(pts[i], pts[j])
+            out[i, j] = out[j, i] = pointwise_oracle.distance(target, pts[i], pts[j])
     return out
 
 

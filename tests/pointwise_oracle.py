@@ -1,11 +1,13 @@
-"""The scalar evaluation of every pointwise inequality and the per-sample
+"""The scalar evaluation of every pointwise inequality, the per-sample
 certification loop that `umbellab.pointwise` ran before each configuration
-became the one-row case of `batch_margins`.  They evaluate one configuration
-at a time through `space.distance` and serve as the test oracle for the
-batched kernels; nothing in the library imports them."""
+became the one-row case of `batch_margins`, and the per-triple loop of the
+quasi-triangle estimate.  They evaluate one configuration at a time through
+the scalar `distance` below and serve as the test oracle for the batched
+kernels; nothing in the library imports them."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -16,7 +18,25 @@ from umbellab.pointwise import (FOUR_POINT, UMBEL_FAMILY, CampaignReport,
                                 CheckReport, InequalityConfig, InequalityId,
                                 PointwiseError, _parallelogram_setup,
                                 check_space)
-from umbellab.spaces import HPoint, h_dilate, h_inv, h_mul, koranyi_norm
+from umbellab.spaces import (ABS_TOL, HPoint, LpSpace, ProductSpace, SpaceError,
+                             h_dilate, h_inv, h_mul, koranyi_norm, lp_norm)
+
+
+def distance(space, a, b) -> float:
+    """d(a, b) without the row path: the lp norm of a - b on an lp space, of
+    the factors' distances on a product, and `space.distance` otherwise
+    (scalar on Heisenberg spaces, a table lookup on table spaces)."""
+    if isinstance(space, LpSpace):
+        av, bv = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        if av.shape != (space.dim,) or bv.shape != (space.dim,):
+            raise SpaceError("dimension mismatch")
+        return lp_norm(av - bv, space.p)
+    if not isinstance(space, ProductSpace):
+        return space.distance(a, b)
+    if len(a) != len(space.components) or len(b) != len(space.components):
+        raise SpaceError("component count mismatch")
+    return lp_norm([distance(c, x, y) for c, x, y in zip(space.components, a, b)],
+                   space.p)
 
 
 def _umbel_sides(ineq: InequalityId, cfg: InequalityConfig, points, space):
@@ -24,7 +44,7 @@ def _umbel_sides(ineq: InequalityId, cfg: InequalityConfig, points, space):
     if not xs:
         raise PointwiseError("umbel family needs a nonempty xs list")
     p, K = cfg.exponent, cfg.K
-    d = space.distance
+    d = functools.partial(distance, space)
     first = min(d(w, x) ** p for x in xs) / 2 ** p
     if len(xs) >= 2:
         sep = min(d(a, b) ** p for a, b in itertools.combinations(xs, 2))
@@ -43,7 +63,7 @@ def _umbel_sides(ineq: InequalityId, cfg: InequalityConfig, points, space):
 def check_inequality(ineq: InequalityId, cfg: InequalityConfig, points, space) -> CheckReport:
     """Evaluate one pointwise inequality at a concrete configuration."""
     q, K = cfg.exponent, cfg.K
-    d = space.distance
+    d = functools.partial(distance, space)
     if ineq in UMBEL_FAMILY:
         if len(points) != 3:
             raise PointwiseError("umbel family takes (w, z, xs)")
@@ -149,3 +169,23 @@ def certify(space, ineq: InequalityId, cfg: InequalityConfig, draw,
                           {"exponent": cfg.exponent, "K": cfg.K, "C": cfg.C,
                            "slack": cfg.slack},
                           n, seed, violations, worst, witness)
+
+
+def quasi_constant_estimate(space, n: int, seed: int) -> float:
+    """Max over n triples of d(a,b) / (d(a,c) + d(c,b)), one triple of
+    successive `space.sample` calls at a time."""
+    if n < 1:
+        raise SpaceError("n must be >= 1")
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    seen = False
+    for _ in range(n):
+        a, b, c = space.sample(rng), space.sample(rng), space.sample(rng)
+        denom = distance(space, a, c) + distance(space, c, b)
+        if denom <= ABS_TOL:
+            continue
+        seen = True
+        best = max(best, distance(space, a, b) / denom)
+    if not seen:
+        raise SpaceError("sampler produced only degenerate triples")
+    return best

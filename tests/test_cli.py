@@ -431,6 +431,34 @@ def test_invariant_constant_map_into_any_target(capsys, target):
     assert json.loads(out)["lhs"] == 0.0
 
 
+def _product_map_argv(tmp_path, point):
+    """An invariant run on a map into prod:p=2;matrix:file=<2 points> whose
+    last vertex has the table factor point `point`."""
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps({"n": 2, "d": [[0, 1], [1, 0]]}))
+    spec = U.parse_tree_spec("bin:h=4")
+    assignment = [[list(v), [i % 2]] for i, v in enumerate(U.vertices(spec))]
+    assignment[-1][1] = [point]
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"spec": "bin:h=4",
+                                "target": f"prod:p=2;matrix:file={matrix}",
+                                "assignment": assignment}))
+    return ["invariant", "--tree", "bin:h=4", "--invariant", "fork-cotype",
+            "--p", "2", "--map", f"file:{path}"]
+
+
+@pytest.mark.parametrize("point", [5, 1.5, True, -1])
+def test_product_map_bad_table_factor_point_exit_two(tmp_path, capsys, point):
+    code, out, err = run_strict(capsys, *_product_map_argv(tmp_path, point))
+    assert code == 2 and out == ""
+    assert f"product point factor {json.dumps(point)} is not an index" in err["error"]
+
+
+def test_product_map_good_table_factor_point(tmp_path, capsys):
+    code, out, _ = run_strict(capsys, *_product_map_argv(tmp_path, 1))
+    assert code == 0 and json.loads(out)["invariant"] == "fork-cotype"
+
+
 def test_matrix_document_must_be_an_object(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]")

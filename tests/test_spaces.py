@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import umbellab as U
+from umbellab import cli
 from umbellab.spaces import SpaceError, close
+
+import pointwise_oracle as oracle
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
 vec2 = st.tuples(finite, finite)
@@ -160,8 +163,31 @@ def test_heisenberg_metric_space_quasi_triangle():
 
 def test_quasi_constant_estimate_small():
     hs = U.HeisenbergMetricSpace(U.standard_symplectic(2), p=math.inf)
-    est = U.quasi_constant_estimate(hs, hs.sample, n=2000, seed=1)
+    est = U.quasi_constant_estimate(hs, n=2000, seed=1)
     assert est <= hs.quasi_constant + 1e-9
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("p", [0.5, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("lam", [0.5, 1.0])
+def test_quasi_constant_estimate_equals_the_per_triple_loop(dim, p, lam, monkeypatch):
+    hs = U.HeisenbergMetricSpace(U.standard_symplectic(dim), p=p, lam=lam)
+    # small chunks make 700 triples cross chunk boundaries
+    monkeypatch.setattr(U.spaces, "_TRIPLES_CHUNK", 256)
+    got = U.quasi_constant_estimate(hs, n=700, seed=3)
+    want = oracle.quasi_constant_estimate(hs, n=700, seed=3)
+    if p == math.inf:
+        assert got == want
+    else:
+        assert abs(got - want) <= 1e-14 * want
+
+
+def test_quasi_constant_estimate_errors():
+    with pytest.raises(SpaceError, match="n must be"):
+        U.quasi_constant_estimate(U.LpSpace(2, 2.0), n=0, seed=0)
+    point = U.FiniteMatrixSpace(np.zeros((1, 1)))
+    with pytest.raises(SpaceError, match="only degenerate"):
+        U.quasi_constant_estimate(point, n=10, seed=0)
 
 
 def test_horizontal_length_of_horizontal_segment():
@@ -211,11 +237,70 @@ def test_product_rows_keep_points_whole():
     rng = np.random.default_rng(4)
     pts = [prod.sample(rng) for _ in range(5)]
     rows = prod.rows(pts)
-    assert rows.shape == (5,) and rows.dtype == object
+    assert rows.shape == (5, 4) and rows.dtype == np.float64
     assert [prod.point(r) for r in rows] == pts
     got = prod.distance_rows(rows[:4], rows[1:])
     assert got.dtype == np.float64
     assert got.tolist() == [prod.distance(a, b) for a, b in zip(pts, pts[1:])]
+
+
+STAR2 = U.FiniteMatrixSpace(np.array([[0.0, 1.0], [1.0, 0.0]]))
+ORACLE_PRODUCTS = {
+    "l2xheis": U.parse_space("prod:p=2;l2:dim=2;heis:dim=2,p=2"),
+    "l2xlinf": U.parse_space("prod:p=3;l2:dim=2;lp:p=inf,dim=3"),
+    "l1xmatrix": U.ProductSpace((U.LpSpace(2, 1.0), STAR2), math.inf),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_PRODUCTS)
+def test_product_distance_rows_equal_the_scalar_oracle(name):
+    # the row path against the lp norm of the factors' scalar distances
+    prod = ORACLE_PRODUCTS[name]
+    rng = np.random.default_rng(9)
+    pts = [prod.sample(rng) for _ in range(40)]
+    rows = prod.rows(pts)
+    got = prod.distance_rows(rows[:, None], rows[None, :])
+    want = np.array([[oracle.distance(prod, a, b) for b in pts] for a in pts])
+    assert got.shape == (40, 40) and (np.diagonal(got) == 0).all()
+    # off the diagonal they agree to the rounding of a power or of the
+    # Heisenberg area form; on it the scalar area form x^T O x of a point
+    # with itself rounds to about 1e-17, not 0
+    off = ~np.eye(40, dtype=bool)
+    np.testing.assert_allclose(got[off], want[off], rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("text", ["prod:p=2;l2:dim=2;heis:dim=2,p=2",
+                                  "prod:p=inf;lp:p=3,dim=3;heis:dim=4,p=inf",
+                                  "prod:p=1;heis:dim=2,p=0.5,lambda=0.5;l2:dim=1"])
+def test_product_batch_holds_the_factors_successive_samples(text):
+    # lp and Heisenberg factors draw their coordinates in order, so a product
+    # batch holds what m * k rounds of one sample call per factor return
+    prod = U.parse_space(text)
+    rng = np.random.default_rng(5)
+    want = [tuple(c.sample(rng) for c in prod.components) for _ in range(6 * 4)]
+    batch = prod.sample_batch(np.random.default_rng(5), 6, 4)
+    assert repr([prod.point(r) for r in batch.reshape(24, -1)]) == repr(want)
+
+
+def test_product_table_factor_index_from_its_uniform_column():
+    n = 3
+    prod = U.ProductSpace((U.LpSpace(1, 2.0), U.FiniteMatrixSpace(
+        np.ones((n, n)) - np.eye(n))), 2.0)
+    u = np.random.default_rng(2).uniform(-1.0, 1.0, (500, 2, 2))[..., 1]
+    batch = prod.sample_batch(np.random.default_rng(2), 500, 2)
+    idx = np.minimum(np.floor((u + 1) * n / 2), n - 1)
+    assert (batch[..., 1] == idx).all()
+    assert set(np.unique(idx)) == {0.0, 1.0, 2.0}
+    assert [type(q) for q in prod.point(batch[0, 0])] == [tuple, int]
+
+
+@pytest.mark.parametrize("bad", [5, 2, -1, 1.5, True, "a", None])
+def test_product_rows_reject_table_factor_points(bad):
+    prod = U.ProductSpace((U.LpSpace(1, 2.0), STAR2), 2.0)
+    with pytest.raises(SpaceError, match=f"factor {json.dumps(bad)} is not an index"):
+        prod.rows([((0.0,), 1), ((0.0,), bad)])
+    assert prod.rows([((0.5,), 1), ((0.0,), np.int64(0))]).tolist() == [[0.5, 1.0],
+                                                                       [0.0, 0.0]]
 
 
 @pytest.mark.parametrize("kw", [
@@ -280,3 +365,33 @@ def test_lp_exponent_nan_rejected():
         U.LpSpace(2, math.nan)
     with pytest.raises(SpaceError):
         U.parse_space("lp:p=nan,dim=2")
+
+
+def test_product_and_heisenberg_jobs_make_no_scalar_distance_calls(monkeypatch, capsys):
+    calls = []
+
+    def spy(name, original):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return counted
+
+    for owner, attr, name in ((U.ProductSpace, "distance", "product"),
+                              (U.HeisenbergMetricSpace, "distance", "heis"),
+                              (U.spaces, "koranyi_dist", "koranyi")):
+        monkeypatch.setattr(owner, attr, spy(name, getattr(owner, attr)))
+    text = "prod:p=2;l2:dim=2;heis:dim=2,p=2"
+    assert cli.main(["certify", "--space", text, "--inequality", "tripod",
+                     "--samples", "5000"]) in (0, 1)
+    assert cli.main(["heisenberg", "--dim", "2", "--samples", "5000"]) == 0
+    capsys.readouterr()
+    space, spec = U.parse_space(text), U.parse_tree_spec("bin:h=6")
+    rng = np.random.default_rng(1)
+    f = U.TreeMap(spec, space, {v: space.sample(rng) for v in U.vertices(spec)})
+    U.moduli(f)
+    U.lipschitz_constant(f)
+    assert calls == []
+    # the spies do see scalar calls
+    space.distance(*f.points()[:2])
+    space.components[1].distance(*[q[1] for q in f.points()[:2]])
+    assert calls == ["product", "heis", "koranyi"]
