@@ -14,7 +14,8 @@ import sys
 
 import numpy as np
 
-from . import embeddings, invariants, pointwise, search, spaces, trees
+# each subcommand imports the library modules it calls, so a fresh process
+# loads only those
 
 SCHEMA = "umbel-lab/1"
 
@@ -43,6 +44,7 @@ def _emit(obj, out: str | None) -> None:
 
 
 def cmd_invariant(args) -> int:
+    from . import invariants, spaces, trees
     spec = trees.parse_tree_spec(args.tree)
     target = spaces.parse_space(args.target) if args.target else None
     f = invariants.named_map(args.map, spec, target)
@@ -55,6 +57,7 @@ def cmd_invariant(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from . import pointwise, spaces
     space = spaces.parse_space(args.space)
     ineq = pointwise.InequalityId(args.inequality)
     cfg = pointwise.InequalityConfig(args.q if args.q is not None else args.p,
@@ -66,6 +69,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    from . import embeddings, spaces, trees
     spec = trees.parse_tree_spec(args.tree)
     if args.p <= 1 and args.variant != "l1":
         raise spaces.SpaceError("p <= 1 needs --variant l1")
@@ -92,6 +96,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from . import invariants, search, spaces, trees
     spec = trees.parse_tree_spec(args.tree)
     with open(args.target_file) as fh:
         target = spaces.FiniteMatrixSpace.from_json(fh.read())
@@ -102,12 +107,15 @@ def cmd_search(args) -> int:
     problem = search.SearchProblem(spec, target,
                                    invariants.InvariantId(args.invariant),
                                    args.p, pins)
-    if args.mode == "exhaustive":
-        budget = args.budget if args.budget is not None else search._EXHAUSTIVE_BUDGET
-        result = search.exhaustive_max(problem, budget=budget)
-    else:
-        result = search.local_search_max(problem, args.restarts, args.steps,
-                                         args.seed)
+    try:
+        if args.mode == "exhaustive":
+            budget = args.budget if args.budget is not None else search._EXHAUSTIVE_BUDGET
+            result = search.exhaustive_max(problem, budget=budget)
+        else:
+            result = search.local_search_max(problem, args.restarts, args.steps,
+                                             args.seed)
+    except search.BudgetExceeded as exc:
+        return _fail(exc, EXIT_BUDGET)
     obj = json.loads(result.to_json())
     obj.update({"mode": args.mode, "seed": args.seed, "tree": args.tree,
                 "invariant": args.invariant, "p": args.p})
@@ -121,6 +129,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_lift(args) -> int:
+    from . import embeddings, invariants, spaces
     with open(args.oracle_file) as fh:
         obj = spaces.load_document(fh.read(), "lift oracle", domain=dict,
                                    target=dict, values=list, C=numbers.Real,
@@ -142,6 +151,7 @@ def cmd_lift(args) -> int:
 
 
 def cmd_morphism(args) -> int:
+    from . import trees
     if args.j_const is not None:
         J = lambda m, n: args.j_const
     else:
@@ -164,6 +174,7 @@ def cmd_morphism(args) -> int:
 
 
 def cmd_heisenberg(args) -> int:
+    from . import spaces
     space = spaces.HeisenbergMetricSpace(spaces.standard_symplectic(args.dim),
                                          spaces.parse_exponent(args.p), args.lam)
     est = spaces.quasi_constant_estimate(space, args.samples, args.seed)
@@ -212,19 +223,38 @@ _OPTIONS = {
 }
 
 
-def build_parser(commands=None) -> argparse.ArgumentParser:
-    """The parser of the named subcommands, all of them by default.  With
-    one name it parses that subcommand's argv as the full parser does."""
+def _add_options(parser: argparse.ArgumentParser, name: str) -> None:
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out")
+    for flags, kwargs in _OPTIONS[name].items():
+        parser.add_argument(*(flags if isinstance(flags, tuple) else (flags,)),
+                            **kwargs)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of one subcommand's options (the argv after its name), or
+    by default the full parser of every subcommand.  The one-command parser
+    has the prog, usage, help and errors of the full parser's subparser."""
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"umbel-lab {command}")
+        _add_options(parser, command)
+        return parser
     top = argparse.ArgumentParser(prog="umbel-lab")
     sub = top.add_subparsers(dest="command", required=True)
-    for name in commands or _OPTIONS:
-        p = sub.add_parser(name)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out")
-        for flags, kwargs in _OPTIONS[name].items():
-            p.add_argument(*(flags if isinstance(flags, tuple) else (flags,)),
-                           **kwargs)
+    for name in _OPTIONS:
+        _add_options(sub.add_parser(name), name)
     return top
+
+
+def parse_args(argv: list) -> argparse.Namespace:
+    """argv as the full parser reads it.  A named subcommand's argv goes to
+    that command's own parser; help and errors on the command name itself
+    need the full one."""
+    if not (argv and argv[0] in _OPTIONS):
+        return build_parser().parse_args(argv)
+    args = build_parser(argv[0]).parse_args(argv[1:])
+    args.command = argv[0]
+    return args
 
 
 _HANDLERS = {
@@ -239,18 +269,12 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # a subcommand's own parser parses its argv; help and errors on the
-    # command name itself need them all
-    parser = build_parser(argv[:1] if argv and argv[0] in _OPTIONS else None)
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code else EXIT_OK
     try:
         return _HANDLERS[args.command](args)
-    except search.BudgetExceeded as exc:
-        return _fail(exc, EXIT_BUDGET)
     except (ValueError, OSError, KeyError, ArithmeticError) as exc:
         return _fail(exc, EXIT_VALIDATION)
 

@@ -67,10 +67,13 @@ class VertexOrderPoints(Mapping):
     """A read-only assignment given in vertex order: the point of vertex i is
     point_at(i).  It covers every vertex by construction, so a TreeMap reads
     its points from point_at directly and hashes no tuple.  Keys, membership
-    and iteration read the tree's vertex tuples, so only they build them."""
+    and iteration read the tree's vertex tuples, so only they build them.
+    `rows`, when given, are the target rows of the points, taken as they
+    are: the identity map's are the vertex indices."""
 
-    def __init__(self, graph: TreeGraph, point_at: Callable[[int], object]):
-        self.graph, self.point_at = graph, point_at
+    def __init__(self, graph: TreeGraph, point_at: Callable[[int], object],
+                 rows: Optional[np.ndarray] = None):
+        self.graph, self.point_at, self.rows = graph, point_at, rows
 
     def __getitem__(self, v):
         return self.point_at(self.graph.index[v])
@@ -91,7 +94,8 @@ class TreeMap:
 
     The map reads its assignment once: a dict's points in vertex order at
     construction, a VertexOrderPoints' points on first use (at construction
-    on table targets), and the target rows built from them on first use.
+    on table targets), and the target rows built from them on first use,
+    unless the VertexOrderPoints gives them.
     Later edits to the dict are not seen by `points`, `pair_distances` or
     anything evaluated from them."""
 
@@ -100,7 +104,11 @@ class TreeMap:
     assignment: Mapping
 
     def __post_init__(self):
-        if not isinstance(self.assignment, VertexOrderPoints):
+        if isinstance(self.assignment, VertexOrderPoints):
+            if self.assignment.rows is not None:
+                self._rows = self.assignment.rows
+                return
+        else:
             # one pass: reading every vertex's point checks the map is total
             verts = tree_graph(self.spec).vertices
             try:
@@ -169,7 +177,7 @@ class TreeMap:
     @classmethod
     def identity(cls, spec: TreeSpec) -> "TreeMap":
         graph = tree_graph(spec)
-        return cls(spec, graph, VertexOrderPoints(graph, int))
+        return cls(spec, graph, VertexOrderPoints(graph, int, np.arange(graph.n)))
 
     @classmethod
     def constant(cls, spec: TreeSpec, target=None, point=None) -> "TreeMap":

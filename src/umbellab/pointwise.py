@@ -506,6 +506,8 @@ def modulus_delta_tilde(space: LpSpace, eps: float, grid: int = 24) -> ModulusEs
     cand = np.concatenate([pts * 0.5, pts])
     diffs = cand[:, None] - cand[None]
     pairs = np.argwhere(space.norm_rows(diffs) >= eps)
+    if not len(pairs):  # no eps-separated pair on the grid, as modulus_delta
+        return ModulusEstimate(eps, math.inf, grid, 0, False)
     # vals[z, i] = 1 - ||(z - x_i) / 2||; vmax[z, pair] is the larger one
     vals = 1 - space.norm_rows(diffs / 2)
     vmax = np.maximum(vals[:, pairs[:, 0]], vals[:, pairs[:, 1]])

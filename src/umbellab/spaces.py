@@ -344,7 +344,10 @@ class HPoint:
 
 @dataclass(frozen=True)
 class HeisenbergSpace:
-    """Heisenberg group over R^dim with antisymmetric form omega(x,y) = x^T O y."""
+    """Heisenberg group over R^dim with antisymmetric form omega(x,y) = x^T O y,
+    computed from the upper triangle as the sum over i < j of
+    O_ij (x_i y_j - x_j y_i): each term is antisymmetric in floating point
+    too, so omega(x, x) is exactly 0."""
 
     omega_matrix: np.ndarray = field(repr=False)
 
@@ -355,13 +358,20 @@ class HeisenbergSpace:
             raise SpaceError("omega matrix must be square")
         if not np.allclose(m, -m.T, rtol=REL_TOL, atol=ABS_TOL):
             raise SpaceError("omega matrix must be antisymmetric")
+        i, j = np.nonzero(np.triu(m, 1))
+        object.__setattr__(self, "_terms", (i, j, m[i, j]))
 
     @property
     def dim(self) -> int:
         return self.omega_matrix.shape[0]
 
+    def omega_rows(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """omega of every pair of vectors along the last axes of x and y."""
+        i, j, w = self._terms
+        return ((x[..., i] * y[..., j] - x[..., j] * y[..., i]) * w).sum(axis=-1)
+
     def omega(self, x, y) -> float:
-        return float(np.asarray(x, float) @ self.omega_matrix @ np.asarray(y, float))
+        return float(self.omega_rows(np.asarray(x, float), np.asarray(y, float)))
 
     def operator_norm(self) -> float:
         return float(np.linalg.norm(self.omega_matrix, 2))
@@ -413,7 +423,7 @@ def koranyi_dist(sp: HeisenbergSpace, a: HPoint, b: HPoint, p: float, lam: float
 
 def h_mul_rows(sp: HeisenbergSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = a + b
-    out[..., -1] += ((a[..., :-1] @ sp.omega_matrix) * b[..., :-1]).sum(axis=-1)
+    out[..., -1] += sp.omega_rows(a[..., :-1], b[..., :-1])
     return out
 
 
@@ -449,9 +459,6 @@ class HeisenbergMetricSpace(RowSpace):
             raise SpaceError("p must be positive")
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise SpaceError("lambda must be finite and positive")
-
-    def distance(self, a: HPoint, b: HPoint) -> float:
-        return koranyi_dist(self.space, a, b, self.p, self.lam)
 
     def norm(self, a: HPoint) -> float:
         return koranyi_norm(self.space, a, self.p, self.lam)

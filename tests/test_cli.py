@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import umbellab as U
-from umbellab.cli import _HANDLERS, SCHEMA, build_parser, main
+from umbellab.cli import _HANDLERS, SCHEMA, build_parser, main, parse_args
 
 
 def run(capsys, *argv):
@@ -489,8 +489,34 @@ SUBCOMMAND_ARGV = [
 
 @pytest.mark.parametrize("argv", SUBCOMMAND_ARGV, ids=lambda a: a[0])
 def test_one_subcommand_parser_parses_as_the_full_parser(argv):
-    one = build_parser([argv[0]])
-    assert one.parse_args(argv) == build_parser().parse_args(argv)
+    assert parse_args(argv) == build_parser().parse_args(argv)
+
+
+def _parse_outcome(capsys, parse, argv):
+    """(stdout, stderr, exit code) of a parse that exits."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return out, err, exc.value.code
+
+
+# per subcommand: its help, a missing required option (heisenberg has none),
+# an option without its value and a value its type= rejects
+_BAD_VALUE = {"invariant": ["--p", "x"], "certify": ["--samples", "2.5"],
+              "embed": ["--p", "x"], "search": ["--restarts", "x"],
+              "lift": ["--seed", "x"], "morphism": ["--k", "x"],
+              "heisenberg": ["--lambda", "x"]}
+_EXITING_ARGV = [argv for name, bad in _BAD_VALUE.items()
+                 for argv in [[name, "--help"], [name, "--out"], [name] + bad]
+                 + ([[name]] if name != "heisenberg" else [])]
+
+
+@pytest.mark.parametrize("argv", _EXITING_ARGV, ids=" ".join)
+def test_one_subcommand_parser_helps_and_fails_as_the_full_parser(capsys, argv):
+    full = _parse_outcome(capsys, build_parser().parse_args, argv)
+    assert _parse_outcome(capsys, parse_args, argv) == full
+    assert main(argv) == (2 if full[2] else 0)
+    assert capsys.readouterr() == full[:2]
 
 
 def test_every_subcommand_has_an_argv():

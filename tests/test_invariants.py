@@ -242,6 +242,26 @@ def test_identity_map_equals_the_dict_built_map(desc):
         f.assignment[()] = 0
 
 
+def test_identity_map_rows_are_its_indices_unchecked(monkeypatch, capsys):
+    # the identity's points are the vertex indices by construction: its rows
+    # skip the point tuple, the index check and the conversion to rows
+    for attr in ("has_points", "rows"):
+        monkeypatch.setattr(U.spaces.TableSpace, attr, None)
+    spec = U.parse_tree_spec("inc:h=4,b=6")
+    f = U.TreeMap.identity(spec)
+    n = trees.tree_graph(spec).n
+    assert f.pair_distances(np.arange(n)[:, None], np.arange(n)).tolist() == \
+        trees.tree_graph(spec).distance_rows(np.arange(n)[:, None], np.arange(n)).tolist()
+    assert main(["invariant", "--tree", "inc:h=4,b=6", "--invariant",
+                 "umbel-cotype", "--p", "2"]) == 0
+    assert "_points" not in vars(f)
+    assert f.points() == tuple(range(n))
+    assert all(type(i) is int for i in f.points())
+    monkeypatch.undo()
+    g = U.TreeMap(spec, trees.tree_graph(spec), dict(zip(U.vertices(spec), range(n))))
+    assert (f._rows == g._rows).all() and f._rows.dtype == g._rows.dtype
+
+
 def test_cold_jobs_build_no_vertex_tuples(monkeypatch, tmp_path, capsys):
     calls = []
     for name in ("vertices", "vertices_at_height"):

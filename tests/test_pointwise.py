@@ -496,6 +496,13 @@ def test_modulus_sandwich_l2():
         assert d_tilde <= d_twice + 0.02
 
 
+@pytest.mark.parametrize("modulus", [U.modulus_delta, U.modulus_delta_tilde])
+def test_moduli_with_no_separated_pair_are_infinite(modulus):
+    # on a 9-point circle grid no two points are 2 apart
+    est = modulus(U.LpSpace(2, 2.0), 2.0, grid=9)
+    assert est == U.ModulusEstimate(2.0, math.inf, 9, 0, False)
+
+
 def test_modulus_beta_positive_for_separated_families():
     est = U.modulus_beta(U.LpSpace(2, 2.0), 0.8, m=3)
     assert est.value >= -1e-9

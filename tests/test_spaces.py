@@ -262,11 +262,8 @@ def test_product_distance_rows_equal_the_scalar_oracle(name):
     got = prod.distance_rows(rows[:, None], rows[None, :])
     want = np.array([[oracle.distance(prod, a, b) for b in pts] for a in pts])
     assert got.shape == (40, 40) and (np.diagonal(got) == 0).all()
-    # off the diagonal they agree to the rounding of a power or of the
-    # Heisenberg area form; on it the scalar area form x^T O x of a point
-    # with itself rounds to about 1e-17, not 0
-    off = ~np.eye(40, dtype=bool)
-    np.testing.assert_allclose(got[off], want[off], rtol=1e-15, atol=0)
+    # they agree to the rounding of a power; on the diagonal both are 0
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("text", ["prod:p=2;l2:dim=2;heis:dim=2,p=2",
@@ -360,6 +357,42 @@ def test_row_wise_heisenberg_ops_match_scalar():
         assert n == pytest.approx(U.koranyi_norm(h, want, 3.0, 0.7), rel=1e-14)
 
 
+@pytest.mark.parametrize("dim,p", [(2, 2.0), (4, 2.0), (4, math.inf), (6, 0.5)])
+def test_heisenberg_distance_of_a_point_to_itself_is_zero(dim, p):
+    hs = U.HeisenbergMetricSpace(U.standard_symplectic(dim), p=p)
+    rows = hs.sample_batch(np.random.default_rng(5), 400, 1)[:, 0] * 1e3
+    assert (hs.distance_rows(rows, rows) == 0).all()
+    assert all(hs.distance(a, a) == 0 for a in map(hs.point, rows[:50]))
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_omega_is_exactly_antisymmetric_and_the_bilinear_form(dim):
+    h = U.standard_symplectic(dim)
+    rng = np.random.default_rng(6)
+    x, y = rng.normal(size=(2, 300, dim))
+    got = h.omega_rows(x, y)
+    assert (got == -h.omega_rows(y, x)).all()
+    np.testing.assert_allclose(got, np.einsum("ki,ij,kj->k", x, h.omega_matrix, y),
+                               rtol=1e-12, atol=1e-12)
+    assert [h.omega(a, b) for a, b in zip(x, y)] == got.tolist()
+
+
+def test_heisenberg_dim2_product_rounds_its_one_term():
+    # omega on the standard dim-2 form is the single term x0 y1 - x1 y0
+    h = U.standard_symplectic(2)
+    a, b = np.random.default_rng(8).normal(size=(2, 1000, 3))
+    want = a[:, 2] + b[:, 2] + (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
+    assert (U.spaces.h_mul_rows(h, a, b)[:, 2] == want).all()
+
+
+def test_heisenberg_distance_is_the_one_row_case():
+    hs = U.HeisenbergMetricSpace(U.standard_symplectic(4), p=3.0, lam=0.7)
+    rows = hs.sample_batch(np.random.default_rng(2), 60, 2)
+    pts = [[hs.point(r) for r in pair] for pair in rows]
+    assert [hs.distance(a, b) for a, b in pts] == \
+        hs.distance_rows(rows[:, 0], rows[:, 1]).tolist()
+
+
 def test_lp_exponent_nan_rejected():
     with pytest.raises(SpaceError):
         U.LpSpace(2, math.nan)
@@ -377,8 +410,7 @@ def test_product_and_heisenberg_jobs_make_no_scalar_distance_calls(monkeypatch, 
         return counted
 
     for owner, attr, name in ((U.ProductSpace, "distance", "product"),
-                              (U.HeisenbergMetricSpace, "distance", "heis"),
-                              (U.spaces, "koranyi_dist", "koranyi")):
+                              (U.HeisenbergMetricSpace, "distance", "heis")):
         monkeypatch.setattr(owner, attr, spy(name, getattr(owner, attr)))
     text = "prod:p=2;l2:dim=2;heis:dim=2,p=2"
     assert cli.main(["certify", "--space", text, "--inequality", "tripod",
@@ -394,4 +426,4 @@ def test_product_and_heisenberg_jobs_make_no_scalar_distance_calls(monkeypatch, 
     # the spies do see scalar calls
     space.distance(*f.points()[:2])
     space.components[1].distance(*[q[1] for q in f.points()[:2]])
-    assert calls == ["product", "heis", "koranyi"]
+    assert calls == ["product", "heis"]
