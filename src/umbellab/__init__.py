@@ -45,9 +45,9 @@ def __getattr__(name):
         return importlib.import_module(f"{__name__}.{name}")
     if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
-    globals()[name] = value
-    return value
+    # not cached here: the name always reads its module's current binding,
+    # so a function patched in its module is seen patched, and restored
+    return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
 
 
 def __dir__():

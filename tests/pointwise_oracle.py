@@ -18,14 +18,18 @@ from umbellab.pointwise import (FOUR_POINT, UMBEL_FAMILY, CampaignReport,
                                 CheckReport, InequalityConfig, InequalityId,
                                 PointwiseError, _parallelogram_setup,
                                 check_space)
-from umbellab.spaces import (ABS_TOL, HPoint, LpSpace, ProductSpace, SpaceError,
-                             h_dilate, h_inv, h_mul, koranyi_norm, lp_norm)
+from umbellab.spaces import (ABS_TOL, HeisenbergMetricSpace, HPoint, LpSpace,
+                             ProductSpace, SpaceError, h_dilate, h_inv, h_mul,
+                             koranyi_dist, koranyi_norm, lp_norm)
 
 
 def distance(space, a, b) -> float:
-    """d(a, b) without the row path: the lp norm of a - b on an lp space, of
-    the factors' distances on a product, and `space.distance` otherwise
-    (scalar on Heisenberg spaces, a table lookup on table spaces)."""
+    """d(a, b) without the row path: the lp norm of a - b on an lp space, the
+    Koranyi norm of b^-1 a composed point by point on a Heisenberg space, the
+    lp norm of the factors' distances on a product, and `space.distance`
+    otherwise (a table lookup on table spaces)."""
+    if isinstance(space, HeisenbergMetricSpace):
+        return koranyi_dist(space.space, a, b, space.p, space.lam)
     if isinstance(space, LpSpace):
         av, bv = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         if av.shape != (space.dim,) or bv.shape != (space.dim,):

@@ -215,3 +215,17 @@ def test_an_unknown_attribute_raises_attribute_error(name):
     with pytest.raises(AttributeError, match=name):
         getattr(U, name)
     assert not hasattr(U, name)
+
+
+def test_an_export_reads_its_module_binding_each_time(monkeypatch):
+    # an export read while its function is patched must not keep the patch
+    original = U.spaces.koranyi_dist
+
+    def patched(*args):
+        return original(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(U.spaces, "koranyi_dist", patched)
+        assert U.koranyi_dist is patched
+    assert U.koranyi_dist is original
+    assert "koranyi_dist" not in vars(U)

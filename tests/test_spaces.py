@@ -410,7 +410,8 @@ def test_product_and_heisenberg_jobs_make_no_scalar_distance_calls(monkeypatch, 
         return counted
 
     for owner, attr, name in ((U.ProductSpace, "distance", "product"),
-                              (U.HeisenbergMetricSpace, "distance", "heis")):
+                              (U.HeisenbergMetricSpace, "distance", "heis"),
+                              (U.spaces, "koranyi_dist", "koranyi")):
         monkeypatch.setattr(owner, attr, spy(name, getattr(owner, attr)))
     text = "prod:p=2;l2:dim=2;heis:dim=2,p=2"
     assert cli.main(["certify", "--space", text, "--inequality", "tripod",
@@ -425,5 +426,8 @@ def test_product_and_heisenberg_jobs_make_no_scalar_distance_calls(monkeypatch, 
     assert calls == []
     # the spies do see scalar calls
     space.distance(*f.points()[:2])
-    space.components[1].distance(*[q[1] for q in f.points()[:2]])
-    assert calls == ["product", "heis"]
+    heis = space.components[1]
+    a, b = [q[1] for q in f.points()[:2]]
+    heis.distance(a, b)
+    U.koranyi_dist(heis.space, a, b, heis.p, heis.lam)
+    assert calls == ["product", "heis", "koranyi"]
