@@ -32,7 +32,7 @@ _EXPORTS = {name: module for module, names in (
     ("embeddings", "ModulusCurve QuotientOracle bourgain_embed distortion "
                    "moduli compression_integral lift_map verify_lift"),
     ("search", "SearchProblem SearchResult exhaustive_max local_search_max "
-               "identity_report BudgetExceeded"),
+               "BudgetExceeded"),
 ) for name in names.split()}
 _MODULES = {"cli", *_EXPORTS.values()}
 

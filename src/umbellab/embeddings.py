@@ -239,6 +239,9 @@ class QuotientOracle:
         return self.values[i]
 
 
+_FAR = "a g value lies farther than K from f(Z)"
+
+
 def lift_map(g: TreeMap, oracle: QuotientOracle) -> TreeMap:
     """Lift a tree map g into Y through the oracle: pick h(root) within K of
     g(root), then for each child pick a domain point inside the prescribed
@@ -248,39 +251,31 @@ def lift_map(g: TreeMap, oracle: QuotientOracle) -> TreeMap:
     The construction guarantees, for every edge,
       d_X(h(parent), h(child)) <= C * d_Y(g(parent), g(child)) + C*K
     and, for every vertex, d_Y(f(h(v)), g(v)) <= K.
+
+    Distances are read through rows: the vertices go in vertex order, which
+    puts parents first, and each takes one column of the oracle values
+    against its g-value and, below the root, one of the domain against its
+    parent's pick.
     """
-    C, K = oracle.C, oracle.K
-    dz = oracle.domain_space.distance
-    dy = oracle.target_space.distance
-    tol = 1e-9
-
-    def nearest_within(candidates, y):
-        for i in candidates:
-            if dy(oracle.values[i], y) <= K + tol:
-                return i
-        return None
-
-    root_pick = nearest_within(range(len(oracle.domain)), g.point(()))
-    if root_pick is None:
-        raise EmbeddingError("a g value lies farther than K from f(Z)")
-    lift = {(): root_pick}
-    for v in sorted(g.assignment, key=lambda u: (len(u), u)):
-        if not v:
-            continue
-        par = v[:-1]
-        r = dy(g.point(par), g.point(v))
-        radius = C * (r + K)
-        zi = lift[par]
-        candidates = [
-            j for j in range(len(oracle.domain))
-            if dz(oracle.domain[zi], oracle.domain[j]) <= radius + tol
-        ]
-        pick = nearest_within(candidates, g.point(v))
-        if pick is None:
-            raise EmbeddingError("a g value lies farther than K from f(Z)")
-        lift[v] = pick
-    return TreeMap(g.spec, oracle.domain_space,
-                   {v: oracle.domain[i] for v, i in lift.items()})
+    C, K, tol = oracle.C, oracle.K, 1e-9
+    if not oracle.domain:
+        raise EmbeddingError(_FAR)
+    ys, zs = oracle.target_space, oracle.domain_space
+    graph = tree_graph(g.spec)
+    values, z, y = ys.rows(oracle.values), zs.rows(oracle.domain), ys.rows(g.points())
+    parent = graph.anc[np.arange(graph.n), graph.depth - 1]
+    lengths = ys.distance_rows(y[parent[1:]], y[1:]).tolist()  # of g's edges
+    picks = []
+    for i in range(graph.n):
+        ok = ys.distance_rows(values, y[i]) <= K + tol
+        if i:
+            radius = C * (lengths[i - 1] + K)
+            ok &= zs.distance_rows(z[picks[parent[i]]], z) <= radius + tol
+        if not ok.any():
+            raise EmbeddingError(_FAR)
+        picks.append(int(ok.argmax()))
+    return TreeMap(g.spec, zs, {v: oracle.domain[i]
+                                for v, i in zip(graph.vertices, picks)})
 
 
 def verify_lift(g: TreeMap, h: TreeMap, oracle: QuotientOracle,
@@ -288,7 +283,7 @@ def verify_lift(g: TreeMap, h: TreeMap, oracle: QuotientOracle,
     """Independent re-check of both lifting postconditions."""
     dy = oracle.target_space.distance
     dz = oracle.domain_space.distance
-    for v in g.assignment:
+    for v in tree_graph(g.spec).vertices:
         hi = oracle.domain.index(h.point(v))
         if dy(oracle.values[hi], g.point(v)) > oracle.K + tol:
             return False

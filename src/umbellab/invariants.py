@@ -97,7 +97,12 @@ class TreeMap:
     on table targets), and the target rows built from them on first use,
     unless the VertexOrderPoints gives them.
     Later edits to the dict are not seen by `points`, `pair_distances` or
-    anything evaluated from them."""
+    anything evaluated from them.
+
+    The target speaks rows: `rows(points)` turns points into an array whose
+    first axis runs over them, and `distance_rows(a, b)` gives the distances
+    of rows broadcast against each other (spaces.RowSpace derives the
+    scalar `distance` from them)."""
 
     spec: TreeSpec
     target: object
@@ -134,24 +139,16 @@ class TreeMap:
 
     @functools.cached_property
     def _rows(self) -> np.ndarray:
-        """The points as the target's numeric rows, or as object entries on
-        a custom target that defines nothing but `distance` (np.array would
-        split tuples)."""
-        pts = self.points()
-        if hasattr(self.target, "rows"):
-            return self.target.rows(pts)
-        return np.fromiter(pts, dtype=object, count=len(pts))
+        """The points as the target's numeric rows."""
+        return self.target.rows(self.points())
 
     def dist(self, u: Vertex, v: Vertex) -> float:
         return self.target.distance(self.assignment[u], self.assignment[v])
 
     def pair_distances(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """d(f(u[i]), f(v[i])) for vertex-order index arrays u and v,
-        broadcast against each other: row-wise on targets with `rows` (every
-        built-in space), else one `distance` call per pair."""
+        broadcast against each other, row-wise."""
         r = self._rows
-        if not hasattr(self.target, "rows"):
-            return np.frompyfunc(self.target.distance, 2, 1)(r[u], r[v]).astype(float)
         return self.target.distance_rows(np.take(r, u, axis=0),
                                          np.take(r, v, axis=0))
 

@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .invariants import (InvariantId, InvariantReport, TreeMap, _check_exponent,
-                         compile_plan, evaluate, report)
+from .invariants import (InvariantId, TreeMap, _check_exponent, compile_plan,
+                         evaluate)
 from .spaces import FiniteMatrixSpace, is_int
 from .trees import TreeSpec, Vertex, tree_graph
 
@@ -234,9 +234,3 @@ def local_search_max(problem: SearchProblem, restarts: int, steps: int,
     best = NO_FEASIBLE if best_row is None else score.result(best_row, best_ratio)
     return dataclasses.replace(best, evaluations=evaluations,
                                feasible_evaluations=feasible)
-
-
-def identity_report(spec: TreeSpec, invariant: InvariantId,
-                    p: float) -> InvariantReport:
-    """Invariant report for the identity map (the tree in its own path metric)."""
-    return report(invariant, TreeMap.identity(spec), p)

@@ -16,14 +16,14 @@ from typing import Callable
 
 import numpy as np
 
-from .spaces import GraphMetricSpace, TableSpace
+from .spaces import GraphMetricSpace, TableSpace, check_graph_size
 
 Vertex = tuple
 
 BINARY = "binary"
 INCREASING = "increasing"
 
-VERTEX_CAP = 200_000  # the most vertices a tree or graph is built with
+VERTEX_CAP = 200_000  # the most vertices a tree is built with
 
 
 class TreeSpecError(ValueError):
@@ -109,12 +109,6 @@ def vertices(spec: TreeSpec) -> list[Vertex]:
     for h in range(spec.height + 1):
         out.extend(vertices_at_height(spec, h))
     return out
-
-
-def parent(v: Vertex) -> Vertex:
-    if not v:
-        raise TreeSpecError("the root has no parent")
-    return v[:-1]
 
 
 def tree_distance(u: Vertex, v: Vertex) -> int:
@@ -312,50 +306,31 @@ def _ancestors(depth: np.ndarray, parents: np.ndarray) -> np.ndarray:
     return anc
 
 
-def _replace_edges(n: int, edges, block) -> tuple[int, list[tuple[int, int]]]:
-    """Replace every edge (u, v) by a fixed block of fresh internal vertices.
-
-    `block(u, v, fresh)` returns new edges given a function allocating fresh
-    vertex ids.
-    """
-    new_edges: list[tuple[int, int]] = []
-    counter = [n]
-
-    def fresh() -> int:
-        counter[0] += 1
-        return counter[0] - 1
-
-    for u, v in edges:
-        new_edges.extend(block(u, v, fresh))
-    return counter[0], new_edges
-
-
-def diamond_graph(k: int, cap: int = VERTEX_CAP) -> GraphMetricSpace:
-    """Level-k diamond graph: iterated replacement of each edge by a 4-cycle."""
+def _substituted_graph(k: int, block) -> GraphMetricSpace:
+    """The graph grown from one edge by k rounds of replacing every edge
+    (u, v) by a block of fresh vertices.  `block` lists the block's edges
+    over the columns (u, v, fresh_0, fresh_1, ...); each edge of a round
+    takes the next fresh vertex ids, in edge order.  A round that would
+    pass the graph cap is refused before it is built."""
     if k < 0:
         raise TreeSpecError("k must be nonnegative")
-    n, edges = 2, [(0, 1)]
+    fresh = max(map(max, block)) - 1
+    n, edges = 2, np.array([[0, 1]])
     for _ in range(k):
-        def block(u, v, fresh):
-            a, b = fresh(), fresh()
-            return [(u, a), (a, v), (u, b), (b, v)]
-        n, edges = _replace_edges(n, edges, block)
-        if n > cap:
-            raise TreeSpecError(f"vertex count {n} exceeds cap {cap}")
-    return GraphMetricSpace(n, tuple(edges))
+        added = len(edges) * fresh
+        check_graph_size(n + added)
+        ids = np.arange(n, n + added).reshape(-1, fresh)
+        edges = np.hstack([edges, ids])[:, block].reshape(-1, 2)
+        n += added
+    return GraphMetricSpace(n, tuple(map(tuple, edges.tolist())))
 
 
-def laakso_graph(k: int, cap: int = VERTEX_CAP) -> GraphMetricSpace:
+def diamond_graph(k: int) -> GraphMetricSpace:
+    """Level-k diamond graph: iterated replacement of each edge by a 4-cycle."""
+    return _substituted_graph(k, [[0, 2], [2, 1], [0, 3], [3, 1]])
+
+
+def laakso_graph(k: int) -> GraphMetricSpace:
     """Level-k Laakso graph: iterated replacement of each edge by the 6-edge
     block with a split middle segment."""
-    if k < 0:
-        raise TreeSpecError("k must be nonnegative")
-    n, edges = 2, [(0, 1)]
-    for _ in range(k):
-        def block(u, v, fresh):
-            a, b1, b2, c = fresh(), fresh(), fresh(), fresh()
-            return [(u, a), (a, b1), (a, b2), (b1, c), (b2, c), (c, v)]
-        n, edges = _replace_edges(n, edges, block)
-        if n > cap:
-            raise TreeSpecError(f"vertex count {n} exceeds cap {cap}")
-    return GraphMetricSpace(n, tuple(edges))
+    return _substituted_graph(k, [[0, 2], [2, 3], [2, 4], [3, 5], [4, 5], [5, 1]])

@@ -3,10 +3,11 @@ library compiled them into plans (see umbellab.invariants), the selection
 of plan pairs by their common prefix lengths, the n x n
 distance tables that distortion and moduli read before the pair scan, and
 the Bourgain map with every vector built up front and its distance
-profile computed by one lp norm per triple.  They walk the displays
+profile computed by one lp norm per triple, and the lift that made one
+scalar `distance` call per (vertex, domain point).  They walk the displays
 of each functional directly and serve as the test oracle for the compiled
-plans, the scan and the on-demand points; nothing in the library imports
-them."""
+plans, the scan, the on-demand points and the lift on rows; nothing in the
+library imports them."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from umbellab import trees
-from umbellab.embeddings import EmbeddingError, ModulusCurve
+from umbellab.embeddings import EmbeddingError, ModulusCurve, QuotientOracle
 from umbellab.invariants import (InvariantError, InvariantId, TreeMap,
                                  _COTYPE_IDS, _validate)
 from umbellab.trees import Vertex, tree_graph, vertices_at_height
@@ -333,3 +334,40 @@ def branch_pairs(tg, h: int, lcp: int, j_min: Optional[int] = None):
     if not keep.any():
         raise InvariantError("no admissible configuration (branching too small)")
     return u[keep], v[keep], None
+
+
+def lift_map(g: TreeMap, oracle: QuotientOracle) -> TreeMap:
+    """embeddings.lift_map as one scalar `distance` call per (vertex, domain
+    point): the loop that the lift on rows replaced."""
+    C, K = oracle.C, oracle.K
+    dz = oracle.domain_space.distance
+    dy = oracle.target_space.distance
+    tol = 1e-9
+
+    def nearest_within(candidates, y):
+        for i in candidates:
+            if dy(oracle.values[i], y) <= K + tol:
+                return i
+        return None
+
+    root_pick = nearest_within(range(len(oracle.domain)), g.point(()))
+    if root_pick is None:
+        raise EmbeddingError("a g value lies farther than K from f(Z)")
+    lift = {(): root_pick}
+    for v in sorted(g.assignment, key=lambda u: (len(u), u)):
+        if not v:
+            continue
+        par = v[:-1]
+        r = dy(g.point(par), g.point(v))
+        radius = C * (r + K)
+        zi = lift[par]
+        candidates = [
+            j for j in range(len(oracle.domain))
+            if dz(oracle.domain[zi], oracle.domain[j]) <= radius + tol
+        ]
+        pick = nearest_within(candidates, g.point(v))
+        if pick is None:
+            raise EmbeddingError("a g value lies farther than K from f(Z)")
+        lift[v] = pick
+    return TreeMap(g.spec, oracle.domain_space,
+                   {v: oracle.domain[i] for v, i in lift.items()})

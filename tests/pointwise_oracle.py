@@ -1,7 +1,7 @@
 """The scalar evaluation of every pointwise inequality, the per-sample
 certification loop that `umbellab.pointwise` ran before each configuration
-became the one-row case of `batch_margins`, and the per-triple loop of the
-quasi-triangle estimate.  They evaluate one configuration at a time through
+became the one-row case of `batch_margins`, the per-triple loop of the
+quasi-triangle estimate and the per-cell loop of the horizontal length.  They evaluate one configuration at a time through
 the scalar `distance` below and serve as the test oracle for the batched
 kernels; nothing in the library imports them."""
 
@@ -193,3 +193,16 @@ def quasi_constant_estimate(space, n: int, seed: int) -> float:
     if not seen:
         raise SpaceError("sampler produced only degenerate triples")
     return best
+
+
+def horizontal_length(sp, samples) -> tuple[float, float]:
+    """spaces.horizontal_length as the per-cell loop it replaced."""
+    if len(samples) < 2:
+        raise SpaceError("need at least 2 samples")
+    length = 0.0
+    residual = 0.0
+    for (x0, z0), (x1, z1) in zip(samples, samples[1:]):
+        dx = np.asarray(x1, float) - np.asarray(x0, float)
+        length += lp_norm(dx, 2)
+        residual = max(residual, abs((z1 - z0) - sp.omega(x0, dx)))
+    return length, residual

@@ -71,6 +71,11 @@ FILES = {
     "oracle-values.json": _oracle(5),
     "oracle-c.json": {**_oracle([0, 1, 2]), "C": "x"},
     "list.json": [1, 2],
+    # 33 bytes asking for a 10^6 x 10^6 table
+    "big-graph.json": {"n": 1000000, "edges": [[0, 1]]},
+    "graph-edge.json": {"n": 2, "edges": [[0]]},
+    "graph-entry.json": {"n": 2, "edges": [5]},
+    "graph-float.json": {"n": 2, "edges": [[0, 1.5]]},
 }
 
 
@@ -109,7 +114,9 @@ LEAF_SPACES = st.one_of(
            NUMBER, NUMBER),
     fields("matrix:file={}", path(["star.json", "star.json", "path3.json",
                                    "pins.json", "list.json"])),
-    fields("graph:file={}", path(["graph.json", "graph.json", "list.json"])),
+    fields("graph:file={}", path(["graph.json", "graph.json", "list.json",
+                                  "big-graph.json", "graph-edge.json",
+                                  "graph-entry.json", "graph-float.json"])),
 )
 SPACES = st.one_of(
     LEAF_SPACES, LEAF_SPACES,
@@ -240,6 +247,19 @@ HUGE_EXPONENT = [["invariant", "--tree", "bin:h=4", "--invariant",
 EXPECTED.update({tuple(argv): (2, "p = 1500.0 is too large")
                  for argv in HUGE_EXPONENT})
 
+def _graph_certify(name):
+    return ["certify", "--space", f"graph:file={{dir}}/{name}", "--inequality",
+            "tripod", "--samples", "10"]
+
+
+BAD_GRAPHS = [_graph_certify(name) for name in ("big-graph.json",
+              "graph-edge.json", "graph-entry.json", "graph-float.json")]
+EXPECTED.update({tuple(argv): (2, error) for argv, error in zip(BAD_GRAPHS, [
+    "a graph of 1000000 vertices is past the cap",
+    "graph edges must be pairs of vertex ids 0..1",
+    "the graph document's edges are not [u, v] lists",
+    "graph edges must be pairs of vertex ids 0..1"])})
+
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(ARGV)
@@ -294,6 +314,10 @@ EXPECTED.update({tuple(argv): (2, "p = 1500.0 is too large")
 @example(argv=HUGE_TREES[0])
 @example(argv=HUGE_TREES[1])
 @example(argv=HUGE_TREES[2])
+@example(argv=BAD_GRAPHS[0])
+@example(argv=BAD_GRAPHS[1])
+@example(argv=BAD_GRAPHS[2])
+@example(argv=BAD_GRAPHS[3])
 def test_cli_fuzz(fixture_dir, argv):
     expected = EXPECTED.get(tuple(argv))
     argv = [a.replace("{dir}", str(fixture_dir)) for a in argv]

@@ -323,6 +323,10 @@ def test_lift_rejects_far_values():
     g = U.TreeMap(spec, oracle.target_space, assign)
     with pytest.raises(EmbeddingError):
         U.lift_map(g, oracle)
+    empty = U.QuotientOracle(oracle.domain_space, (), oracle.target_space, (),
+                             2.0, 0.05)
+    with pytest.raises(EmbeddingError, match="farther than K"):
+        U.lift_map(g, empty)
 
 
 def test_lift_is_deterministic():
@@ -350,6 +354,125 @@ def test_verify_lift_detects_bad_lift():
     bad_assign[(1, 1)] = oracle.domain[far]
     bad = U.TreeMap(spec, oracle.domain_space, bad_assign)
     assert not U.verify_lift(g, bad, oracle)
+
+
+def _perturbed_table(points, rng):
+    """The l1 distance table of `points`, each entry above the diagonal
+    raised by up to 1e-11 relative: asymmetric within the symmetry check,
+    so the order of each distance's arguments shows."""
+    d = np.abs(points[:, None] - points[None]).sum(axis=-1)
+    return d * (1 + np.triu(rng.uniform(0, 1e-11, d.shape), 1))
+
+
+PATH4 = U.GraphMetricSpace(4, ((0, 1), (1, 2), (2, 3)))
+
+
+def _row_space(kind):
+    """(domain space, target space, f on domain rows) of a row lift kind."""
+    if kind in ("l1", "l2", "linf"):
+        p = {"l1": 1.0, "l2": 2.0, "linf": math.inf}[kind]
+        return U.LpSpace(3, p), U.LpSpace(2, p), lambda z: z[:, :2]
+    if kind == "heis":
+        space = U.parse_space("heis:dim=2,p=2")
+        return space, space, lambda z: U.spaces.h_dilate_rows(0.5, z)
+    if kind == "prod":
+        space = U.parse_space("prod:p=2;l2:dim=2;heis:dim=2,p=inf")
+    else:  # an l1 factor and a path graph factor, its index in the last column
+        space = U.ProductSpace((U.LpSpace(2, 1.0), PATH4), 1.0)
+    return space, space, lambda z: z
+
+
+def lift_instance(kind, seed):
+    """A seeded lift problem (g, oracle): the oracle values are the images
+    of the domain under a quotient-like map, g's points lie within eps of
+    values in each coordinate, and K is drawn around the distance that
+    makes, so some instances cannot be lifted."""
+    rng = np.random.default_rng(seed)
+    spec = U.parse_tree_spec(("bin:h=2", "bin:h=3", "inc:h=2,b=4")[seed % 3])
+    n, nv = int(rng.integers(8, 30)), len(U.vertices(spec))
+    eps = 10.0 ** rng.uniform(-2.5, -0.5)
+    # a Koranyi distance grows as the root of a vertical offset
+    scale = math.sqrt(eps) if kind in ("heis", "prod") else eps
+    C, K = float(rng.uniform(1.0, 3.0)), float(scale * rng.uniform(0.3, 3.0))
+    if kind == "matrix":
+        z = rng.normal(size=(n, 3))
+        dom = U.FiniteMatrixSpace(_perturbed_table(z, rng))
+        tgt = U.FiniteMatrixSpace(_perturbed_table(z[:, :2], rng))
+        q = U.QuotientOracle(dom, tuple(range(n)), tgt, tuple(range(n)), C, K)
+        near = rng.integers(n, size=nv).tolist()
+    else:
+        dom, tgt, f = _row_space(kind)
+        z = dom.onto_ball(rng.uniform(-1.0, 1.0, (n, dom.width)))
+        noise = rng.uniform(-eps, eps, (nv, tgt.width))
+        if kind == "prod-table":
+            z[:, -1], noise[:, -1] = rng.integers(4, size=n), 0.0
+        values = f(z)
+        q = U.QuotientOracle(dom, tuple(map(dom.point, z)),
+                             tgt, tuple(map(tgt.point, values)), C, K)
+        near = list(map(tgt.point, values[rng.integers(n, size=nv)] + noise))
+    g = U.TreeMap(spec, q.target_space, dict(zip(U.vertices(spec), near)))
+    return g, q
+
+
+def lift_outcome(lift, g, q):
+    """The lift document, or the text of the error."""
+    try:
+        return lift(g, q).to_json()
+    except EmbeddingError as exc:
+        return f"error: {exc}"
+
+
+LIFT_KINDS = ["l1", "l2", "linf", "matrix", "heis", "prod", "prod-table"]
+
+
+@pytest.mark.parametrize("kind", LIFT_KINDS)
+def test_lift_on_rows_equals_the_scalar_loop(kind):
+    got = [lift_outcome(U.lift_map, *lift_instance(kind, seed))
+           for seed in range(16)]
+    want = [lift_outcome(oracle.lift_map, *lift_instance(kind, seed))
+            for seed in range(16)]
+    assert got == want
+    lifted = sum(not doc.startswith("error") for doc in got)
+    assert 0 < lifted < len(got), lifted  # both outcomes are reached
+
+
+@pytest.mark.parametrize("g_points,C,K,want", [
+    # d(f(0), g(root)) = 1 + 5e-10 > K + tol >= d(g(root), f(0)) = 1
+    ((1, 1, 1), 1.0, 1.0 - 0.8e-9, [1, 1, 1]),
+    # d(h(root), 0) = 1 <= C (r + K) + tol < d(0, h(root)) = 1 + 5e-10
+    ((1, 0, 0), 1.0 - 0.8e-9, 0.0, [1, 0, 0]),
+    # C d(g(root), g(v)) + tol < 1 <= C d(g(v), g(root)) + tol
+    ((1, 0, 0), 1.0 - 1.25e-9, 0.0, None),
+], ids=["values", "domain", "edge"])
+def test_lift_keeps_the_order_of_each_distance(g_points, C, K, want):
+    # a table asymmetric within the symmetry check: swapping the arguments
+    # of one of the three distances changes each outcome
+    space = U.FiniteMatrixSpace(np.array([[0.0, 1.0 + 5e-10], [1.0, 0.0]]))
+    spec = U.parse_tree_spec("bin:h=1")
+    g = U.TreeMap(spec, space, dict(zip(U.vertices(spec), g_points)))
+    q = U.QuotientOracle(space, (0, 1), space, (0, 1), C, K)
+    got = lift_outcome(U.lift_map, g, q)
+    assert got == lift_outcome(oracle.lift_map, g, q)
+    if want is None:
+        assert got.startswith("error")
+    else:
+        assert list(U.lift_map(g, q).points()) == want
+
+
+def test_lift_makes_no_scalar_distance_call(monkeypatch):
+    calls = []
+    for cls in (U.spaces.RowSpace, U.spaces.TableSpace):
+        def spy(self, a, b, original=cls.distance):
+            calls.append(type(self).__name__)
+            return original(self, a, b)
+        monkeypatch.setattr(cls, "distance", spy)
+    for kind in LIFT_KINDS:
+        for seed in range(3):
+            lift_outcome(U.lift_map, *lift_instance(kind, seed))
+        assert calls == [], kind
+        lift_outcome(oracle.lift_map, *lift_instance(kind, 0))
+        assert calls, kind  # the spies see the scalar loop
+        calls.clear()
 
 
 TWO = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -155,10 +155,19 @@ def test_plan_compilation_needs_no_distance_table():
     trees.tree_graph.cache_clear()
 
 
-class Squared:
-    """(a - b)^2 on the line: a target with a plain `distance` and no
-    row-wise form, so pair distances take one `distance` call each; not a
-    metric, so its pair and edge Lipschitz constants differ."""
+class Squared(U.spaces.RowSpace):
+    """(a - b)^2 on the line: a custom target of the row protocol, one column
+    a point, with no `quasi_constant`; not a metric, so its pair and edge
+    Lipschitz constants differ.  It keeps its own scalar `distance`, which
+    the table oracle reads, so the oracle does not run the rows it checks."""
+
+    width = 1
+
+    def rows(self, points):
+        return np.asarray(points, dtype=float)
+
+    def distance_rows(self, a, b):
+        return (a - b) ** 2
 
     def distance(self, a, b):
         return float((a - b) ** 2)

@@ -113,8 +113,8 @@ def test_no_feasible_sentinel():
 
 
 def test_identity_report_helper():
-    rep = U.identity_report(U.parse_tree_spec("bin:h=4"),
-                            U.InvariantId.FORK_COTYPE, 1.0)
+    spec = U.parse_tree_spec("bin:h=4")
+    rep = U.report(U.InvariantId.FORK_COTYPE, U.TreeMap.identity(spec), 1.0)
     assert rep.ratio_root == pytest.approx(2.0)
 
 

@@ -185,6 +185,17 @@ def test_graph_space_rejects_disconnected():
         U.GraphMetricSpace(4, ((0, 1), (2, 3)))
 
 
+@pytest.mark.parametrize("n,edges,message", [
+    (0, (), "n >= 1"), (-1, (), "n >= 1"), (True, (), "n >= 1"),
+    (2.0, ((0, 1),), "n >= 1"), (3, ((0, 5),), "0..2"), (3, ((0,),), "0..2"),
+    (3, ((0, 1, 2),), "0..2"), (3, ((0, 1.5),), "0..2"),
+    (3, ((0, True),), "0..2"), (3, ((-1, 0),), "0..2"),
+])
+def test_graph_space_rejects_bad_vertices(n, edges, message):
+    with pytest.raises(U.spaces.SpaceError, match=message):
+        U.GraphMetricSpace(n, edges)
+
+
 def grid_distances(graph) -> np.ndarray:
     """A TreeGraph's distance_rows over the (n, 1) x (1, n) broadcast grid."""
     i = np.arange(graph.n)
@@ -307,3 +318,62 @@ def test_laakso_graph_level_one():
     # one edge replaced by the 6-edge block on 6 vertices
     assert g.n == 6
     assert g.table.max() == 4
+
+
+def replaced_edges(k: int, block) -> tuple[int, list]:
+    """The graph builders' per-edge loop: k rounds of replacing every edge
+    (u, v) by block(u, v, fresh), fresh() handing out the next vertex id."""
+    n, edges = 2, [(0, 1)]
+    for _ in range(k):
+        new = []
+        for u, v in edges:
+            def fresh():
+                nonlocal n
+                n += 1
+                return n - 1
+            new.extend(block(u, v, fresh))
+        edges = new
+    return n, edges
+
+
+def diamond_block(u, v, fresh):
+    a, b = fresh(), fresh()
+    return [(u, a), (a, v), (u, b), (b, v)]
+
+
+def laakso_block(u, v, fresh):
+    a, b1, b2, c = fresh(), fresh(), fresh(), fresh()
+    return [(u, a), (a, b1), (a, b2), (b1, c), (b2, c), (c, v)]
+
+
+@pytest.mark.parametrize("build,block,top", [(U.diamond_graph, diamond_block, 5),
+                                             (U.laakso_graph, laakso_block, 4)])
+def test_graph_builders_equal_the_per_edge_loop(build, block, top):
+    for k in range(top + 1):
+        g = build(k)
+        n, edges = replaced_edges(k, block)
+        assert (g.n, g.edges) == (n, tuple(edges)), k
+        assert type(g.n) is int and all(type(x) is int for e in g.edges for x in e)
+
+
+def test_graph_past_the_cap_builds_no_table(monkeypatch):
+    sizes = []
+
+    def spy(n, edges):
+        sizes.append(n)
+        return np.zeros((1, 1))
+
+    monkeypatch.setattr(U.spaces, "_apsp", spy)
+    cap = U.spaces.GRAPH_VERTEX_CAP
+    for n in (cap + 1, 10 ** 6):
+        with pytest.raises(U.spaces.SpaceError, match=f"past the cap of {cap}"):
+            U.GraphMetricSpace(n, ((0, 1),))
+    # diamond 7 has 10924 vertices, Laakso 5 6222; k = 10^8 is refused after
+    # a few small rounds
+    for build, k in ((U.diamond_graph, 7), (U.diamond_graph, 10 ** 8),
+                     (U.laakso_graph, 5)):
+        with pytest.raises(U.spaces.SpaceError, match="past the cap"):
+            build(k)
+    assert sizes == []
+    U.GraphMetricSpace(cap, ((0, 1),))
+    assert sizes == [cap]
