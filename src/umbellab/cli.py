@@ -61,8 +61,8 @@ def cmd_certify(args) -> int:
     space = spaces.parse_space(args.space)
     ineq = pointwise.InequalityId(args.inequality)
     cfg = pointwise.InequalityConfig(args.q if args.q is not None else args.p,
-                                     args.K, args.C, args.slack, args.xs_count)
-    sampler = pointwise.ball_sampler(space, ineq, cfg.xs_count)
+                                     args.K, args.C, args.slack)
+    sampler = pointwise.ball_sampler(space, ineq, args.xs_count)
     rep = pointwise.certify(space, ineq, cfg, sampler, args.samples, args.seed)
     _emit(json.loads(rep.to_json()), args.out)
     return EXIT_OK if rep.violations == 0 else EXIT_VIOLATED

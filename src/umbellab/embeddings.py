@@ -235,11 +235,9 @@ class QuotientOracle:
             if isinstance(space, TableSpace) and not space.has_points(pts):
                 raise EmbeddingError(f"a {name} point is not an index of its table")
 
-    def f(self, i: int):
-        return self.values[i]
-
 
 _FAR = "a g value lies farther than K from f(Z)"
+_TOL = 1e-9  # slack on every bound that lift_map meets and verify_lift checks
 
 
 def lift_map(g: TreeMap, oracle: QuotientOracle) -> TreeMap:
@@ -257,7 +255,7 @@ def lift_map(g: TreeMap, oracle: QuotientOracle) -> TreeMap:
     against its g-value and, below the root, one of the domain against its
     parent's pick.
     """
-    C, K, tol = oracle.C, oracle.K, 1e-9
+    C, K = oracle.C, oracle.K
     if not oracle.domain:
         raise EmbeddingError(_FAR)
     ys, zs = oracle.target_space, oracle.domain_space
@@ -267,10 +265,10 @@ def lift_map(g: TreeMap, oracle: QuotientOracle) -> TreeMap:
     lengths = ys.distance_rows(y[parent[1:]], y[1:]).tolist()  # of g's edges
     picks = []
     for i in range(graph.n):
-        ok = ys.distance_rows(values, y[i]) <= K + tol
+        ok = ys.distance_rows(values, y[i]) <= K + _TOL
         if i:
             radius = C * (lengths[i - 1] + K)
-            ok &= zs.distance_rows(z[picks[parent[i]]], z) <= radius + tol
+            ok &= zs.distance_rows(z[picks[parent[i]]], z) <= radius + _TOL
         if not ok.any():
             raise EmbeddingError(_FAR)
         picks.append(int(ok.argmax()))
@@ -278,17 +276,17 @@ def lift_map(g: TreeMap, oracle: QuotientOracle) -> TreeMap:
                                 for v, i in zip(graph.vertices, picks)})
 
 
-def verify_lift(g: TreeMap, h: TreeMap, oracle: QuotientOracle,
-                tol: float = 1e-9) -> bool:
-    """Independent re-check of both lifting postconditions."""
+def verify_lift(g: TreeMap, h: TreeMap, oracle: QuotientOracle) -> bool:
+    """Independent re-check of both lifting postconditions, to within the
+    slack lift_map builds them with."""
     dy = oracle.target_space.distance
     dz = oracle.domain_space.distance
     for v in tree_graph(g.spec).vertices:
         hi = oracle.domain.index(h.point(v))
-        if dy(oracle.values[hi], g.point(v)) > oracle.K + tol:
+        if dy(oracle.values[hi], g.point(v)) > oracle.K + _TOL:
             return False
         if v:
             bound = oracle.C * dy(g.point(v[:-1]), g.point(v)) + oracle.C * oracle.K
-            if dz(h.point(v[:-1]), h.point(v)) > bound + tol:
+            if dz(h.point(v[:-1]), h.point(v)) > bound + _TOL:
                 return False
     return True

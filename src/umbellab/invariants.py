@@ -177,20 +177,24 @@ class TreeMap:
         return cls(spec, graph, VertexOrderPoints(graph, int, np.arange(graph.n)))
 
     @classmethod
-    def constant(cls, spec: TreeSpec, target=None, point=None) -> "TreeMap":
+    def constant(cls, spec: TreeSpec, target=None) -> "TreeMap":
         if target is None:
             target = FiniteMatrixSpace(np.zeros((1, 1)))
-        if point is None:
-            point = _origin(target)
-        return cls(spec, target, dict.fromkeys(tree_graph(spec).vertices, point))
+        return cls(spec, target,
+                   dict.fromkeys(tree_graph(spec).vertices, _origin(target)))
+
+    def assignment_json(self) -> list:
+        """The assignment as [[label, ...], point] pairs, shortest vertex
+        first, then in label order."""
+        return [[list(v), sp.jsonable(p)]
+                for v, p in sorted(self.assignment.items(),
+                                   key=lambda kv: (len(kv[0]), kv[0]))]
 
     def to_json(self) -> str:
         return json.dumps({
             "spec": format_tree_spec(self.spec),
             "target": self.target.describe(),
-            "assignment": [[list(v), sp.jsonable(p)]
-                           for v, p in sorted(self.assignment.items(),
-                                              key=lambda kv: (len(kv[0]), kv[0]))],
+            "assignment": self.assignment_json(),
         })
 
     @classmethod
@@ -199,6 +203,7 @@ class TreeMap:
         spec = parse_tree_spec(obj["spec"])
         if target is None:
             target = parse_space(obj["target"])
+        index = tree_graph(spec).index
         assignment = {}
         for entry in obj["assignment"]:
             if not (isinstance(entry, list) and len(entry) == 2
@@ -213,12 +218,15 @@ class TreeMap:
                     f"point of {target.describe()}: lp points are lists of "
                     "finite reals and Heisenberg points have an 'x' list and an "
                     "'s' number, all finite, as many as the dimension")
+            if tuple(entry[0]) not in index:
+                raise sp.SpaceError(f"the map document's label {json.dumps(entry[0])} "
+                                    f"is not a vertex of {obj['spec']}")
             assignment[tuple(entry[0])] = point
         return cls(spec, target, assignment)
 
 
 def _origin(target):
-    """The default point of a constant map into `target`."""
+    """The point of every vertex of a constant map into `target`."""
     if isinstance(target, LpSpace):
         return (0.0,) * target.dim
     if isinstance(target, sp.HeisenbergMetricSpace):

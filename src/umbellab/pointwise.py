@@ -15,7 +15,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,7 +77,6 @@ class InequalityConfig:
     K: float = 1.0
     C: float = 1.0
     slack: float = 0.0
-    xs_count: int = 4
 
     def __post_init__(self):
         if not (math.isfinite(self.exponent) and self.exponent > 0):
@@ -362,8 +361,7 @@ def min_feasible_K(space, ineq: InequalityId, cfg: InequalityConfig, sampler,
             K = math.nextafter(K, math.inf)
 
     def feasible(k: float) -> bool:
-        c = InequalityConfig(cfg.exponent, k, cfg.C, cfg.slack, cfg.xs_count)
-        return certify(space, ineq, c, sampler, n, seed).violations == 0
+        return certify(space, ineq, replace(cfg, K=k), sampler, n, seed).violations == 0
 
     if K < hi and feasible(K):
         return K
@@ -497,77 +495,64 @@ def modulus_delta(space: LpSpace, eps: float, grid: int = 64) -> ModulusEstimate
     return ModulusEstimate(eps, max(best, 0.0), grid, count, polished)
 
 
+def _tripod_modulus(space: LpSpace, sep: float, m: int, grid: int,
+                    cand: np.ndarray) -> ModulusEstimate:
+    """min over z and x_1..x_m among the candidate points, with the x_i
+    pairwise at least `sep` apart, of max_i (1 - ||(z - x_i)/2||): the
+    first minimum of the (z, family) configurations in row-major order, the
+    families in itertools.combinations order, polished by SLSQP over the
+    unit ball.  With no separated family the estimate is infinite, as in
+    modulus_delta."""
+    diffs = cand[:, None] - cand[None]
+    far = space.norm_rows(diffs) >= sep
+    families = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(len(cand)), m)), np.intp).reshape(-1, m)
+    for i, j in itertools.combinations(range(m), 2):
+        families = families[far[families[:, i], families[:, j]]]
+    if not len(families):
+        return ModulusEstimate(sep, math.inf, grid, 0, False)
+    # vals[z, i] = 1 - ||(z - x_i) / 2||; vmax[z, family] is its largest
+    vals = 1 - space.norm_rows(diffs / 2)
+    vmax = vals[:, families[:, 0]]
+    for k in range(1, m):
+        np.maximum(vmax, vals[:, families[:, k]], out=vmax)
+    zi, j = np.unravel_index(np.argmin(vmax), vmax.shape)
+
+    def x(v, i):
+        return v[2 + 2 * i:4 + 2 * i]
+
+    def obj(v):
+        return max(1 - space.norm((v[:2] - x(v, i)) / 2) for i in range(m))
+
+    cons = _in_ball(space, m + 1) + [
+        {"type": "ineq", "fun": lambda v, i=i, j=j: space.norm(x(v, i) - x(v, j)) - sep}
+        for i, j in itertools.combinations(range(m), 2)]
+    polish, polished = _polish(obj, cons, np.concatenate([cand[zi], *cand[families[j]]]))
+    best = min(float(vmax[zi, j]), polish)
+    return ModulusEstimate(sep, max(best, 0.0), grid, vmax.size, polished)
+
+
 def modulus_delta_tilde(space: LpSpace, eps: float, grid: int = 24) -> ModulusEstimate:
     """Tripod variant of the convexity modulus:
     inf over ||z||,||x1||,||x2|| <= 1 with ||x1-x2|| >= eps of
-    max_i (1 - ||(z - x_i)/2||)."""
+    max_i (1 - ||(z - x_i)/2||), over the half circle and the circle."""
     _check_eps(eps, grid)
     pts = _circle_points(space, grid)
-    cand = np.concatenate([pts * 0.5, pts])
-    diffs = cand[:, None] - cand[None]
-    pairs = np.argwhere(space.norm_rows(diffs) >= eps)
-    if not len(pairs):  # no eps-separated pair on the grid, as modulus_delta
-        return ModulusEstimate(eps, math.inf, grid, 0, False)
-    # vals[z, i] = 1 - ||(z - x_i) / 2||; vmax[z, pair] is the larger one
-    vals = 1 - space.norm_rows(diffs / 2)
-    vmax = np.maximum(vals[:, pairs[:, 0]], vals[:, pairs[:, 1]])
-    # the first minimum of the (z, pair) configurations in row-major order
-    zi, j = np.unravel_index(np.argmin(vmax), vmax.shape)
-
-    def obj(v):
-        z, x1, x2 = v[:2], v[2:4], v[4:6]
-        return max(1 - space.norm((z - x1) / 2), 1 - space.norm((z - x2) / 2))
-
-    cons = _in_ball(space, 3) + [
-        {"type": "ineq", "fun": lambda v: space.norm(v[2:4] - v[4:6]) - eps}]
-    x0 = np.concatenate([cand[zi], *cand[pairs[j]]])
-    polish, polished = _polish(obj, cons, x0)
-    best = min(float(vmax[zi, j]), polish)
-    return ModulusEstimate(eps, max(best, 0.0), grid, vmax.size, polished)
+    return _tripod_modulus(space, eps, 2, grid, np.concatenate([pts * 0.5, pts]))
 
 
 def modulus_beta(space: LpSpace, t: float, m: int = 3, grid: int = 12) -> ModulusEstimate:
     """Finite-family surrogate of the asymptotic convexity modulus beta(t):
     min over (z, x_1..x_m) in the unit ball with pairwise separation >= t
-    of max_i (1 - ||(z - x_i)/2||)."""
+    of max_i (1 - ||(z - x_i)/2||), over the half circle, the circle and
+    the origin."""
     if t <= 0:
         raise PointwiseError("t must be positive")
     if m < 2:
         raise PointwiseError("m must be >= 2")
     pts = _circle_points(space, grid)
     cand = np.concatenate([pts * 0.5, pts, np.zeros((1, 2))])
-    n = len(cand)
-    dist = space.norm_rows(cand[:, None, :] - cand[None, :, :])
-    families = np.array([
-        combo for combo in itertools.combinations(range(n), m)
-        if all(dist[i, j] >= t for i, j in itertools.combinations(combo, 2))
-    ]).reshape(-1, m)
-    if not len(families):
-        raise PointwiseError("no t-separated family exists at this grid scale")
-    best = math.inf
-    best_cfg = None
-    count = 0
-    for zi in range(n):
-        vmax = (1 - space.norm_rows((cand[zi] - cand) / 2))[families].max(axis=1)
-        count += len(families)
-        j = int(np.argmin(vmax))
-        if vmax[j] < best:
-            best = float(vmax[j])
-            best_cfg = (cand[zi], cand[families[j]])
-    z0, xs0 = best_cfg
-
-    def obj(v):
-        z = v[:2]
-        return max(1 - space.norm((z - v[2 + 2 * i: 4 + 2 * i]) / 2) for i in range(m))
-
-    cons = _in_ball(space, m + 1)
-    for i, j in itertools.combinations(range(m), 2):
-        cons.append({"type": "ineq",
-                     "fun": lambda v, i=i, j=j:
-                         space.norm(v[2 + 2 * i: 4 + 2 * i] - v[2 + 2 * j: 4 + 2 * j]) - t})
-    x0 = np.concatenate([z0] + list(xs0))
-    polish, polished = _polish(obj, cons, x0)
-    return ModulusEstimate(t, max(min(best, polish), 0.0), grid, count, polished)
+    return _tripod_modulus(space, t, m, grid, cand)
 
 
 # ---------------------------------------------------------------------------

@@ -77,9 +77,7 @@ class SearchResult:
                "evaluations": self.evaluations,
                "feasible_evaluations": self.feasible_evaluations}
         if self.best_map is not None:
-            obj["assignment"] = [[list(v), p] for v, p in
-                                 sorted(self.best_map.assignment.items(),
-                                        key=lambda kv: (len(kv[0]), kv[0]))]
+            obj["assignment"] = self.best_map.assignment_json()
         return json.dumps(obj, allow_nan=False)
 
 

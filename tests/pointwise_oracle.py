@@ -3,7 +3,8 @@ certification loop that `umbellab.pointwise` ran before each configuration
 became the one-row case of `batch_margins`, the per-triple loop of the
 quasi-triangle estimate and the per-cell loop of the horizontal length.  They evaluate one configuration at a time through
 the scalar `distance` below and serve as the test oracle for the batched
-kernels; nothing in the library imports them."""
+kernels; nothing in the library imports them.  The two tripod-modulus
+searches at the end are the library's before it merged them into one."""
 
 from __future__ import annotations
 
@@ -16,8 +17,9 @@ import numpy as np
 from umbellab import pointwise
 from umbellab.pointwise import (FOUR_POINT, UMBEL_FAMILY, CampaignReport,
                                 CheckReport, InequalityConfig, InequalityId,
-                                PointwiseError, _parallelogram_setup,
-                                check_space)
+                                ModulusEstimate, PointwiseError, _check_eps,
+                                _circle_points, _in_ball, _parallelogram_setup,
+                                _polish, check_space)
 from umbellab.spaces import (ABS_TOL, HeisenbergMetricSpace, HPoint, LpSpace,
                              ProductSpace, SpaceError, h_dilate, h_inv, h_mul,
                              koranyi_dist, koranyi_norm, lp_norm)
@@ -206,3 +208,76 @@ def horizontal_length(sp, samples) -> tuple[float, float]:
         length += lp_norm(dx, 2)
         residual = max(residual, abs((z1 - z0) - sp.omega(x0, dx)))
     return length, residual
+
+
+def modulus_delta_tilde(space: LpSpace, eps: float, grid: int = 24) -> ModulusEstimate:
+    """Tripod variant of the convexity modulus:
+    inf over ||z||,||x1||,||x2|| <= 1 with ||x1-x2|| >= eps of
+    max_i (1 - ||(z - x_i)/2||)."""
+    _check_eps(eps, grid)
+    pts = _circle_points(space, grid)
+    cand = np.concatenate([pts * 0.5, pts])
+    diffs = cand[:, None] - cand[None]
+    pairs = np.argwhere(space.norm_rows(diffs) >= eps)
+    if not len(pairs):  # no eps-separated pair on the grid, as modulus_delta
+        return ModulusEstimate(eps, math.inf, grid, 0, False)
+    # vals[z, i] = 1 - ||(z - x_i) / 2||; vmax[z, pair] is the larger one
+    vals = 1 - space.norm_rows(diffs / 2)
+    vmax = np.maximum(vals[:, pairs[:, 0]], vals[:, pairs[:, 1]])
+    # the first minimum of the (z, pair) configurations in row-major order
+    zi, j = np.unravel_index(np.argmin(vmax), vmax.shape)
+
+    def obj(v):
+        z, x1, x2 = v[:2], v[2:4], v[4:6]
+        return max(1 - space.norm((z - x1) / 2), 1 - space.norm((z - x2) / 2))
+
+    cons = _in_ball(space, 3) + [
+        {"type": "ineq", "fun": lambda v: space.norm(v[2:4] - v[4:6]) - eps}]
+    x0 = np.concatenate([cand[zi], *cand[pairs[j]]])
+    polish, polished = _polish(obj, cons, x0)
+    best = min(float(vmax[zi, j]), polish)
+    return ModulusEstimate(eps, max(best, 0.0), grid, vmax.size, polished)
+
+
+def modulus_beta(space: LpSpace, t: float, m: int = 3, grid: int = 12) -> ModulusEstimate:
+    """Finite-family surrogate of the asymptotic convexity modulus beta(t):
+    min over (z, x_1..x_m) in the unit ball with pairwise separation >= t
+    of max_i (1 - ||(z - x_i)/2||)."""
+    if t <= 0:
+        raise PointwiseError("t must be positive")
+    if m < 2:
+        raise PointwiseError("m must be >= 2")
+    pts = _circle_points(space, grid)
+    cand = np.concatenate([pts * 0.5, pts, np.zeros((1, 2))])
+    n = len(cand)
+    dist = space.norm_rows(cand[:, None, :] - cand[None, :, :])
+    families = np.array([
+        combo for combo in itertools.combinations(range(n), m)
+        if all(dist[i, j] >= t for i, j in itertools.combinations(combo, 2))
+    ]).reshape(-1, m)
+    if not len(families):
+        raise PointwiseError("no t-separated family exists at this grid scale")
+    best = math.inf
+    best_cfg = None
+    count = 0
+    for zi in range(n):
+        vmax = (1 - space.norm_rows((cand[zi] - cand) / 2))[families].max(axis=1)
+        count += len(families)
+        j = int(np.argmin(vmax))
+        if vmax[j] < best:
+            best = float(vmax[j])
+            best_cfg = (cand[zi], cand[families[j]])
+    z0, xs0 = best_cfg
+
+    def obj(v):
+        z = v[:2]
+        return max(1 - space.norm((z - v[2 + 2 * i: 4 + 2 * i]) / 2) for i in range(m))
+
+    cons = _in_ball(space, m + 1)
+    for i, j in itertools.combinations(range(m), 2):
+        cons.append({"type": "ineq",
+                     "fun": lambda v, i=i, j=j:
+                         space.norm(v[2 + 2 * i: 4 + 2 * i] - v[2 + 2 * j: 4 + 2 * j]) - t})
+    x0 = np.concatenate([z0] + list(xs0))
+    polish, polished = _polish(obj, cons, x0)
+    return ModulusEstimate(t, max(min(best, polish), 0.0), grid, count, polished)

@@ -416,6 +416,24 @@ def test_lift_bad_points_exit_two(tmp_path, capsys, values, map_point, message):
     assert message in err["error"]
 
 
+def test_map_label_not_a_vertex_exit_two(tmp_path, capsys):
+    lift = _lift_files(tmp_path, [0, 1], 0)
+    table_map = tmp_path / "map.json"
+    l2_map = tmp_path / "l2.json"
+    l2_map.write_text(json.dumps({"spec": "bin:h=1", "target": "l2:dim=1",
+                                  "assignment": [[[], [0.0]], [[-1], [1.0]],
+                                                 [[1], [2.0]]]}))
+    invariant = ["invariant", "--tree", "bin:h=1", "--invariant", "fork-cotype",
+                 "--p", "2", "--map", f"file:{l2_map}"]
+    for path, argv in ((table_map, lift), (l2_map, invariant)):
+        doc = json.loads(path.read_text())
+        doc["assignment"].append([[7, 8], [50.0]])
+        path.write_text(json.dumps(doc))
+        code, out, err = run_strict(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "label [7, 8] is not a vertex of bin:h=1" in err["error"]
+
+
 def test_lift_good_points_verified(tmp_path, capsys):
     code, out, _ = run_strict(capsys, *_lift_files(tmp_path, [0, 1], 1))
     assert code == 0 and json.loads(out)["verified"] is True

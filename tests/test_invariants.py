@@ -315,7 +315,8 @@ def test_map_json_round_trip_of_product_points():
     ([["x"], [0.0]], "map document's assignment entry .* is not a"),
     ([[-1], {"s": 0.0}], "map document's point .*'x'"),
     ([[-1], {"x": 0.0, "s": 0.0}], "map document's point .*'x'"),
-], ids=["int", "short", "label", "no-x", "scalar-x"])
+    ([[7, 8], [50.0]], r"map document's label \[7, 8\] is not a vertex of bin:h=1"),
+], ids=["int", "short", "label", "no-x", "scalar-x", "not-a-vertex"])
 def test_map_document_entry_errors_name_document_and_entry(entry, message):
     doc = {"spec": "bin:h=1", "target": "l2:dim=1",
            "assignment": [[[], [0.0]], [[1], [1.0]], entry]}

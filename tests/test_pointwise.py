@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import math
 
@@ -496,11 +497,31 @@ def test_modulus_sandwich_l2():
         assert d_tilde <= d_twice + 0.02
 
 
-@pytest.mark.parametrize("modulus", [U.modulus_delta, U.modulus_delta_tilde])
+@pytest.mark.parametrize("modulus", [U.modulus_delta, U.modulus_delta_tilde,
+                                     U.modulus_beta])
 def test_moduli_with_no_separated_pair_are_infinite(modulus):
     # on a 9-point circle grid no two points are 2 apart
     est = modulus(U.LpSpace(2, 2.0), 2.0, grid=9)
     assert est == U.ModulusEstimate(2.0, math.inf, 9, 0, False)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, math.inf])
+def test_tripod_moduli_equal_the_two_searches_they_replaced(p):
+    # the oracle's tilde search counts ordered pairs, twice the unordered;
+    # its beta search raises where no family is separated
+    sp = U.LpSpace(2, p)
+    for eps, grid in ((1.0, 12), (2.0, 9)):
+        want = oracle.modulus_delta_tilde(sp, eps, grid)
+        got = U.modulus_delta_tilde(sp, eps, grid)
+        assert (got.value, got.polished) == (want.value, want.polished)
+        assert got.configurations * 2 == want.configurations
+    for t, m, grid in ((1.0, 3, 12), (1.2, 4, 8), (2.0, 3, 12)):
+        got = U.modulus_beta(sp, t, m, grid)
+        try:
+            want = oracle.modulus_beta(sp, t, m, grid)
+        except pointwise.PointwiseError:
+            want = U.ModulusEstimate(t, math.inf, grid, 0, False)
+        assert got == want
 
 
 def test_modulus_beta_positive_for_separated_families():
@@ -549,6 +570,21 @@ def test_ramsey_refine_finds_monochromatic_clique():
     idx = U.ramsey_refine(pts, p=2.0, K=2.0, N=4, m=3, space=U.LpSpace(2, 2.0))
     assert len(idx) == 3
     assert len(set(idx)) == 3
+    # every pair's d^p / K^p falls in one width-1/N bucket
+    buckets = {math.floor(math.dist(pts[i], pts[j]) ** 2 / 2.0 ** 2 * 4)
+               for i, j in itertools.combinations(idx, 2)}
+    assert len(buckets) == 1
+
+
+def test_ramsey_refine_anchors_share_unary_buckets():
+    rng = np.random.default_rng(2)
+    pts = [tuple(rng.uniform(-1, 1, 2)) for _ in range(24)]
+    w, z = (0.0, 0.0), (0.5, 0.5)
+    idx = U.ramsey_refine(pts, p=2.0, K=2.0, N=4, m=3, anchors=(w, z))
+    assert len(set(idx)) == 3
+    unary = {(math.floor(math.dist(w, pts[i]) ** 2 / 2 ** 2 * 4),
+              math.floor(0.5 * math.dist(z, pts[i]) ** 2 * 4)) for i in idx}
+    assert len(unary) == 1
 
 
 @pytest.mark.parametrize("q", [math.inf, math.nan, 0.0, -2.0])
