@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .invariants import TreeMap, VertexOrderPoints
+from .invariants import ProfileMap, TreeMap, VertexOrderPoints
 from .spaces import LpSpace, TableSpace
 from .trees import TreeSpec, INCREASING, tree_graph
 
@@ -18,40 +18,6 @@ class EmbeddingError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Bourgain-style embedding
-
-
-class BourgainMap(TreeMap):
-    """The map built by bourgain_embed.  The image distance of u and v
-    depends only on a = |u|, b = |v| and c = lcp(u, v), so pair distances are
-    a gather from the map's table of those (h+1)^3 values, and the pair scan
-    is one block over the realised triples.  Its assignment is a
-    VertexOrderPoints that builds a vertex's vector on each read."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        self._profile = _bourgain_profile(self.spec.height, self.target.p)
-
-    def pair_distances(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        graph = tree_graph(self.spec)
-        return self._profile[graph.depth[u], graph.depth[v], graph.lcp(u, v)]
-
-    def pair_scan(self):
-        """One block: (a + b - 2c, T[a, b, c]) over the realised triples,
-        which hold every distinct pair's tree and image distance."""
-        a, b, c = np.nonzero(_realised_triples(self.spec))
-        yield (a + b - 2 * c).astype(float), self._profile[a, b, c]
-
-
-def _realised_triples(spec: TreeSpec) -> np.ndarray:
-    """mask[a, b, c]: whether two distinct vertices of the increasing tree
-    have depths a and b and a common prefix of length c.  Either one is a
-    prefix of the other (c = min(a, b) < max(a, b)), or both go on past the
-    prefix with different next labels.  That takes max(a, b) <= B labels on
-    the longer branch, which B >= h grants, and min(a, b) + 1 <= B on the
-    shorter one."""
-    a, b, c = np.indices((spec.height + 1,) * 3)
-    lo = np.minimum(a, b)
-    return ((c == lo) & (a != b)) | ((c < lo) & (lo + 1 <= spec.branching))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -86,7 +52,7 @@ def _bourgain_profile(height: int, p: float) -> np.ndarray:
     return T
 
 
-def bourgain_embed(spec: TreeSpec, p: float = 2.0, variant: str = "lp") -> TreeMap:
+def bourgain_embed(spec: TreeSpec, p: float = 2.0, variant: str = "lp") -> ProfileMap:
     """Embed an increasing tree into lp by
     f(n_1..n_j) = sum_{i=0}^{j} (j - i + 1)^{1/q} e_{Phi(n_1..n_i)},
     with 1/p + 1/q = 1 and one standard basis coordinate per vertex (prefix).
@@ -116,7 +82,8 @@ def bourgain_embed(spec: TreeSpec, p: float = 2.0, variant: str = "lp") -> TreeM
         vec[graph.anc[i, :j + 1]] = [(j - l + 1) ** (1.0 / q) for l in range(j + 1)]
         return tuple(vec)
 
-    return BourgainMap(spec, LpSpace(graph.n, p), VertexOrderPoints(graph, point_at))
+    return ProfileMap(spec, LpSpace(graph.n, p), VertexOrderPoints(graph, point_at),
+                      _bourgain_profile(spec.height, p))
 
 
 # ---------------------------------------------------------------------------

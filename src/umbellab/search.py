@@ -58,9 +58,13 @@ def pins_from_json(obj) -> dict:
     """Pins {vertex: point} from a document {"pins": [[[label, ...], point],
     ...]}; SearchProblem validates them against the tree and the target."""
     try:
-        return {tuple(v): pt for v, pt in obj["pins"]}
+        pairs = [(tuple(v), pt) for v, pt in obj["pins"]]
+        pins = dict(pairs)
     except (TypeError, ValueError, KeyError) as exc:
         raise SearchError('pins must be {"pins": [[[label, ...], point], ...]}') from exc
+    if len(pins) < len(pairs):
+        raise SearchError("the pins document pins a vertex twice")
+    return pins
 
 
 @dataclass(frozen=True)

@@ -560,8 +560,20 @@ def parse_exponent(text: str) -> float:
     return math.inf if text == "inf" else float(text)
 
 
-def _fields(text: str) -> dict:
-    return dict(kv.split("=", 1) for kv in text.split(",") if kv)
+def _fields(text: str, kinds: dict, error=SpaceError) -> tuple[str, dict]:
+    """(kind, fields) of a descriptor "kind:key=value,...": the kind is one of
+    `kinds`, each key one of that kind's space-separated keys, given once."""
+    head, _, rest = text.partition(":")
+    if head not in kinds:
+        raise error(f"bad descriptor {text!r}: unknown kind {head!r}")
+    keys, fields = kinds[head].split(), {}
+    for kv in filter(None, rest.split(",")):
+        key, eq, value = kv.partition("=")
+        if not eq or key not in keys or key in fields:
+            raise error(f"bad field {kv!r} in {text!r}: {head} takes "
+                        f"{', '.join(keys)}, each at most once, as key=value")
+        fields[key] = value
+    return head, fields
 
 
 def parse_space(text: str):
@@ -572,13 +584,14 @@ def parse_space(text: str):
         head, *parts = text.split(";")
         if not parts:
             raise SpaceError("product needs components")
+        _, fields = _fields(head, {"prod": "p"})
         try:
-            p = parse_exponent(_fields(head[len("prod:"):])["p"])
+            p = parse_exponent(fields["p"])
         except (KeyError, ValueError) as exc:
             raise SpaceError(f"bad product exponent in {text!r}") from exc
         return ProductSpace(tuple(parse_space(c) for c in parts), p)
-    head, _, rest = text.partition(":")
-    fields = _fields(rest)
+    head, fields = _fields(text, {"l2": "dim", "lp": "p dim", "graph": "file",
+                                  "heis": "dim metric p lambda", "matrix": "file"})
     try:
         if head == "l2":
             return LpSpace(int(fields["dim"]), 2.0)
@@ -593,15 +606,12 @@ def parse_space(text: str):
                 parse_exponent(fields.get("p", "inf")),
                 float(fields.get("lambda", "1")),
             )
-        if head == "graph":
-            with open(fields["file"]) as fh:
-                obj = load_document(fh.read(), "graph", n=int, edges=list)
-            if not all(isinstance(e, list) for e in obj["edges"]):
-                raise SpaceError("the graph document's edges are not [u, v] lists")
-            return GraphMetricSpace(obj["n"], tuple(map(tuple, obj["edges"])))
-        if head == "matrix":
-            with open(fields["file"]) as fh:
+        with open(fields["file"]) as fh:
+            if head == "matrix":
                 return FiniteMatrixSpace.from_json(fh.read())
+            obj = load_document(fh.read(), "graph", n=int, edges=list)
+        if not all(isinstance(e, list) for e in obj["edges"]):
+            raise SpaceError("the graph document's edges are not [u, v] lists")
+        return GraphMetricSpace(obj["n"], tuple(map(tuple, obj["edges"])))
     except KeyError as exc:
         raise SpaceError(f"bad space descriptor {text!r}") from exc
-    raise SpaceError(f"bad space descriptor {text!r}")

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spaces import GraphMetricSpace, TableSpace, check_graph_size
+from .spaces import GraphMetricSpace, TableSpace, _fields, check_graph_size
 
 Vertex = tuple
 
@@ -61,16 +61,13 @@ class TreeSpec:
 
 def parse_tree_spec(text: str) -> TreeSpec:
     """Parse compact descriptors "bin:h=4" and "inc:h=8,b=10"."""
+    head, fields = _fields(text, {"bin": "h", "inc": "h b"}, TreeSpecError)
     try:
-        head, _, rest = text.partition(":")
-        fields = dict(kv.split("=") for kv in rest.split(",") if kv)
         if head == "bin":
-            return TreeSpec(BINARY, int(fields.pop("h")), None)
-        if head == "inc":
-            return TreeSpec(INCREASING, int(fields.pop("h")), int(fields.pop("b")))
+            return TreeSpec(BINARY, int(fields["h"]))
+        return TreeSpec(INCREASING, int(fields["h"]), int(fields["b"]))
     except (ValueError, KeyError) as exc:
         raise TreeSpecError(f"bad tree descriptor {text!r}") from exc
-    raise TreeSpecError(f"bad tree descriptor {text!r}")
 
 
 def format_tree_spec(spec: TreeSpec) -> str:

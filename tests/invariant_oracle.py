@@ -108,9 +108,9 @@ def tree_table(spec) -> np.ndarray:
 
 def distance_tables(f: TreeMap) -> tuple[np.ndarray, np.ndarray]:
     """(tree distances, image distances) over the full vertex list: the image
-    table by _pairwise, or gathered from the map's own pair distances when it
-    has a closed form (a BourgainMap)."""
-    if type(f) is TreeMap:
+    table by _pairwise, or, for a Bourgain map, whose dense vectors are too
+    long for it, gathered from the map's own closed-form pair distances."""
+    if type(f) is TreeMap or isinstance(f.target, sp.TableSpace):
         return tree_table(f.spec), _pairwise(f.target, f.points())
     i = np.arange(len(f.assignment))
     return tree_table(f.spec), f.pair_distances(i[:, None], i[None, :])

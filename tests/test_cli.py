@@ -351,6 +351,30 @@ def test_heisenberg_bad_parameters_exit_two(capsys, argv):
     assert "must be" in err["error"] and "JSON" not in err["error"]
 
 
+@pytest.mark.parametrize("argv,field", [
+    (["certify", "--space", "heis:dim=2,p=2,lam=3", "--inequality",
+      "parallelogram", "--samples", "10"], "'lam=3'"),
+    (["certify", "--space", "l2:dim=3,p=1", "--inequality", "tripod",
+      "--samples", "10"], "'p=1'"),
+    (["certify", "--space", "l2:dim", "--inequality", "tripod",
+      "--samples", "10"], "'dim'"),
+    (["certify", "--space", "prod:p=2,dim=2;l2:dim=2", "--inequality", "tripod",
+      "--samples", "10"], "'dim=2'"),
+    (["certify", "--space", "lp:p=2,dim=2,p=3", "--inequality", "tripod",
+      "--samples", "10"], "'p=3'"),
+    (["invariant", "--tree", "bin:h=2,h=3", "--invariant", "fork-cotype",
+      "--p", "2"], "'h=3'"),
+    (["invariant", "--tree", "bin:h=4,b=3", "--invariant", "fork-cotype",
+      "--p", "2"], "'b=3'"),
+    (["embed", "--tree", "inc:h=2,b=4,c=1", "--p", "2"], "'c=1'"),
+], ids=["heis-lam", "l2-p", "l2-no-value", "prod-dim", "lp-repeat", "bin-repeat",
+        "bin-b", "inc-c"])
+def test_descriptor_unknown_or_repeated_key_exit_two(capsys, argv, field):
+    code, out, err = run_strict(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"bad field {field}" in err["error"]
+
+
 def _search_with_pins(tmp_path, capsys, pins):
     target = tmp_path / "path.json"
     target.write_text(json.dumps({"n": 3, "d": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}))
@@ -373,6 +397,8 @@ def _search_with_pins(tmp_path, capsys, pins):
     {"pins": [[[], 0, 1]]},       # not a pair
     {"pins": {"()": 0}},          # not a list
     [[[], 0]],                    # not a pins document
+    {"pins": [[[], 0], [[], 1]]},  # a vertex pinned twice
+    {"pins": [[[1], 0], [[True], 1]]},  # [true] is the key of [1]
 ])
 def test_search_bad_pins_exit_two(tmp_path, capsys, pins):
     code, out, err = _search_with_pins(tmp_path, capsys, pins)
@@ -416,22 +442,42 @@ def test_lift_bad_points_exit_two(tmp_path, capsys, values, map_point, message):
     assert message in err["error"]
 
 
-def test_map_label_not_a_vertex_exit_two(tmp_path, capsys):
+def _map_reading_runs(tmp_path):
+    """(map document, argv) of a `lift` of a bin:h=1 map into a 2-point table
+    and of an `invariant` run on a bin:h=1 map into l2, each reading its
+    document."""
     lift = _lift_files(tmp_path, [0, 1], 0)
-    table_map = tmp_path / "map.json"
     l2_map = tmp_path / "l2.json"
     l2_map.write_text(json.dumps({"spec": "bin:h=1", "target": "l2:dim=1",
                                   "assignment": [[[], [0.0]], [[-1], [1.0]],
                                                  [[1], [2.0]]]}))
     invariant = ["invariant", "--tree", "bin:h=1", "--invariant", "fork-cotype",
                  "--p", "2", "--map", f"file:{l2_map}"]
-    for path, argv in ((table_map, lift), (l2_map, invariant)):
+    return (tmp_path / "map.json", lift), (l2_map, invariant)
+
+
+def test_map_label_not_a_vertex_exit_two(tmp_path, capsys):
+    for path, argv in _map_reading_runs(tmp_path):
         doc = json.loads(path.read_text())
         doc["assignment"].append([[7, 8], [50.0]])
         path.write_text(json.dumps(doc))
         code, out, err = run_strict(capsys, *argv)
         assert code == 2 and out == ""
         assert "label [7, 8] is not a vertex of bin:h=1" in err["error"]
+
+
+@pytest.mark.parametrize("label,message", [
+    ([1], "is a second entry for its vertex"),
+    ([True], "is not a [vertex, point] pair"),  # (True,) == (1,) as a key
+], ids=["repeated", "bool-label"])
+def test_map_second_entry_for_a_vertex_exit_two(tmp_path, capsys, label, message):
+    for path, argv in _map_reading_runs(tmp_path):
+        doc = json.loads(path.read_text())
+        doc["assignment"].append([label, [5.0]])
+        path.write_text(json.dumps(doc))
+        code, out, err = run_strict(capsys, *argv)
+        assert code == 2 and out == ""
+        assert message in err["error"]
 
 
 def test_lift_good_points_verified(tmp_path, capsys):

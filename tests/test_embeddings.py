@@ -7,9 +7,9 @@ import pytest
 
 import umbellab as U
 from umbellab.cli import main
-from umbellab.embeddings import (BourgainMap, EmbeddingError, _bourgain_profile,
+from umbellab.embeddings import EmbeddingError, _bourgain_profile
+from umbellab.invariants import (InvariantError, ProfileMap, TreeMap,
                                  _realised_triples)
-from umbellab.invariants import InvariantError, TreeMap
 from umbellab.trees import tree_graph
 
 import invariant_oracle as oracle
@@ -90,7 +90,7 @@ def triple_representatives(spec) -> np.ndarray:
 def test_bourgain_closed_form_matches_dense(h, p, variant):
     spec = U.parse_tree_spec(f"inc:h={h},b={h + 2}")
     f = U.bourgain_embed(spec, p, variant=variant)
-    assert isinstance(f, BourgainMap)
+    assert isinstance(f, ProfileMap)
     closed = f.pair_distances(*grid(len(f.assignment)))
     if h == 8 and p not in (1.0, 2.0, math.inf):
         # cdist at a generic p over 1013 coordinates takes ~10 s here, so
@@ -122,10 +122,10 @@ def test_bourgain_closed_form_distortion_and_moduli_h8():
 
 
 def test_embed_scans_the_pairs_once(monkeypatch, tmp_path):
-    # a BourgainMap's scan is one block over its realised (depth, depth,
+    # a ProfileMap's scan is one block over its realised (depth, depth,
     # lcp) triples, read off its profile without any pair gather
     gathers, blocks = [], []
-    gather, scan = BourgainMap.pair_distances, BourgainMap.pair_scan
+    gather, scan = ProfileMap.pair_distances, ProfileMap.pair_scan
 
     def spy_gather(self, u, v):
         gathers.append(u.shape)
@@ -136,8 +136,8 @@ def test_embed_scans_the_pairs_once(monkeypatch, tmp_path):
             blocks.append(len(block[0]))
             yield block
 
-    monkeypatch.setattr(BourgainMap, "pair_distances", spy_gather)
-    monkeypatch.setattr(BourgainMap, "pair_scan", spy_scan)
+    monkeypatch.setattr(ProfileMap, "pair_distances", spy_gather)
+    monkeypatch.setattr(ProfileMap, "pair_scan", spy_scan)
     assert main(["embed", "--tree", "inc:h=4,b=6", "--p", "2",
                  "--csv", str(tmp_path / "moduli.csv"),
                  "--out", str(tmp_path / "embed.json")]) == 0
@@ -148,9 +148,11 @@ def test_embed_scans_the_pairs_once(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("h", range(6))
-@pytest.mark.parametrize("extra", [0, 1, 3])
+@pytest.mark.parametrize("extra", [0, 1, 3, "bin"])
 def test_realised_triples_match_enumeration(h, extra):
-    spec = U.parse_tree_spec(f"inc:h={h},b={h + extra}")
+    # extra: b - h of an increasing tree, or "bin" for the binary tree
+    spec = U.parse_tree_spec(f"bin:h={h}" if extra == "bin"
+                             else f"inc:h={h},b={h + extra}")
     graph = tree_graph(spec)
     u, v = grid(graph.n)
     lcp = graph.lcp(u, v)

@@ -316,7 +316,10 @@ def test_map_json_round_trip_of_product_points():
     ([[-1], {"s": 0.0}], "map document's point .*'x'"),
     ([[-1], {"x": 0.0, "s": 0.0}], "map document's point .*'x'"),
     ([[7, 8], [50.0]], r"map document's label \[7, 8\] is not a vertex of bin:h=1"),
-], ids=["int", "short", "label", "no-x", "scalar-x", "not-a-vertex"])
+    ([[True], [9.0]], r"map document's assignment entry \[\[true\], .* is not a"),
+    ([[1], [5.0]], r"map document's entry \[\[1\], \[5.0\]\] is a second entry"),
+], ids=["int", "short", "label", "no-x", "scalar-x", "not-a-vertex", "bool-label",
+        "repeated"])
 def test_map_document_entry_errors_name_document_and_entry(entry, message):
     doc = {"spec": "bin:h=1", "target": "l2:dim=1",
            "assignment": [[[], [0.0]], [[1], [1.0]], entry]}
@@ -333,7 +336,9 @@ def test_named_maps():
 
 
 def test_identity_pair_scan_is_the_tree_metric():
-    f = U.TreeMap.identity(U.parse_tree_spec("inc:h=2,b=4"))
+    # a plain TreeMap, so the scan runs its row blocks
+    spec = U.parse_tree_spec("inc:h=2,b=4")
+    f = U.TreeMap(spec, trees.tree_graph(spec), dict(zip(U.vertices(spec), range(11))))
     blocks = list(f.pair_scan())
     assert sum(len(tree) for tree, _ in blocks) == 11 * 10 // 2
     for tree, image in blocks:

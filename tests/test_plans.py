@@ -354,14 +354,33 @@ def test_lipschitz_allocates_no_table_sized_buffer():
     assert peak < table_bytes / 4
 
 
+def dict_identity(spec) -> U.TreeMap:
+    """The identity map as a plain TreeMap: its points come from a dict, so
+    its scan runs the row blocks that a ProfileMap skips."""
+    return U.TreeMap(spec, trees.tree_graph(spec),
+                     dict(zip(U.vertices(spec), range(spec.vertex_count()))))
+
+
 def test_pair_scan_allocates_no_table_sized_buffer():
     # n = 3797: an n x n float64 table takes 115 MB
-    f = U.TreeMap.identity(U.parse_tree_spec("inc:h=8,b=12"))
+    f = dict_identity(U.parse_tree_spec("inc:h=8,b=12"))
     table_bytes = 8 * len(f.assignment) ** 2
     for fn in (U.moduli, U.distortion):
         _, peak = traced_peak(fn, f)
         assert peak < table_bytes / 2, fn.__name__
     assert U.distortion(f) == (1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("tree", [f"bin:h={h}" for h in range(7)]
+                         + [f"inc:h={h},b={b}" for h in range(5) for b in range(h, 8)]
+                         + ["inc:h=8,b=12"])
+def test_identity_profile_map_equals_the_dict_map(tree):
+    spec = U.parse_tree_spec(tree)
+    f, plain = U.TreeMap.identity(spec), dict_identity(spec)
+    assert isinstance(f, invariants.ProfileMap)
+    assert scan_numbers(f, U) == scan_numbers(plain, U)
+    assert U.lipschitz_constant(f, with_flag=True) == \
+        U.lipschitz_constant(plain, with_flag=True)
 
 
 @pytest.mark.parametrize("tree,inv", [("bin:h=4", i) for i in BINARY_IDS]

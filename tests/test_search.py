@@ -148,6 +148,8 @@ def test_pins_from_json():
                 {}, [], {"pins": 3}):
         with pytest.raises(SearchError):
             pins_from_json(bad)
+    with pytest.raises(SearchError, match="pins a vertex twice"):
+        pins_from_json({"pins": [[[], 0], [[], 1]]})
 
 
 def random_target(seed, n=6):

@@ -46,6 +46,14 @@ def test_parse_space_descriptors():
     assert isinstance(prod, U.ProductSpace)
 
 
+def test_space_descriptions_parse_back():
+    for text in ("l2:dim=3", "lp:p=1.5,dim=4", "lp:p=inf,dim=2",
+                 "heis:dim=2,p=2,lambda=3", "heis:dim=4",
+                 "prod:p=2;l2:dim=2;heis:dim=2,p=inf;lp:p=1,dim=3"):
+        described = U.parse_space(text).describe()
+        assert U.parse_space(described).describe() == described
+
+
 def test_parse_space_rejects_garbage():
     with pytest.raises((SpaceError, ValueError)):
         U.parse_space("l2:dim=0")
