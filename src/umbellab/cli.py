@@ -78,13 +78,11 @@ def cmd_embed(args) -> int:
     if spec.height > 0:
         rho, omega = embeddings.moduli(f)
         lip, colip, dist = embeddings.distortion_from_moduli(rho, omega)
-        diameter = 2 * spec.height
         obj.update({"lip": lip, "colip": colip, "distortion": dist,
-                    "compression_integral":
-                        embeddings.compression_integral(rho, args.p, diameter)
-                        if diameter > 1 else 0.0})
-        csv = "\n".join(["t,rho,omega"] + [f"{t},{rho(t)},{omega(t)}"
-                                           for t in rho.breakpoints])
+                    "compression_integral": embeddings.compression_integral(
+                        rho, args.p, 2 * spec.height)})
+        rows = zip(rho.breakpoints, rho.values, omega.values)
+        csv = "\n".join(["t,rho,omega"] + [f"{t},{r},{w}" for t, r, w in rows])
     else:
         obj.update({"lip": 1.0, "colip": 1.0, "distortion": 1.0})
         csv = None

@@ -3,11 +3,12 @@ lifting of tree maps through quotient-like oracles."""
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 import numpy as np
 
-from .invariants import ProfileMap, TreeMap, VertexOrderPoints
+from .invariants import ProfileMap, TreeMap
 from .spaces import LpSpace, TableSpace
 from .trees import TreeSpec, INCREASING, tree_graph
 
@@ -82,7 +83,7 @@ def bourgain_embed(spec: TreeSpec, p: float = 2.0, variant: str = "lp") -> Profi
         vec[graph.anc[i, :j + 1]] = [(j - l + 1) ** (1.0 / q) for l in range(j + 1)]
         return tuple(vec)
 
-    return ProfileMap(spec, LpSpace(graph.n, p), VertexOrderPoints(graph, point_at),
+    return ProfileMap(spec, LpSpace(graph.n, p), point_at,
                       _bourgain_profile(spec.height, p))
 
 
@@ -118,19 +119,17 @@ class ModulusCurve:
     def __post_init__(self):
         if len(self.breakpoints) != len(self.values):
             raise EmbeddingError("breakpoints and values must align")
-        if any(a >= b for a, b in zip(self.breakpoints, self.breakpoints[1:])):
-            raise EmbeddingError("breakpoints must increase")
+        bps = self.breakpoints
+        if any(b != b for b in bps) or any(a >= b for a, b in zip(bps, bps[1:])):
+            raise EmbeddingError("breakpoints must increase")  # nan does not
         if any(a > b for a, b in zip(self.values, self.values[1:])):
             raise EmbeddingError("values must be nondecreasing")
 
     def __call__(self, t: float) -> float:
-        val = 0.0
-        for b, v in zip(self.breakpoints, self.values):
-            if t >= b:
-                val = v
-            else:
-                break
-        return val
+        """The value at the last breakpoint <= t; 0.0 before the first
+        breakpoint and at t = nan."""
+        i = bisect.bisect_right(self.breakpoints, t) if t == t else 0
+        return self.values[i - 1] if i else 0.0
 
 
 def moduli(f: TreeMap) -> tuple[ModulusCurve, ModulusCurve]:

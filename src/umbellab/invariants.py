@@ -32,6 +32,7 @@ import math
 import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Optional
 
 import numpy as np
@@ -63,73 +64,48 @@ _COTYPE_IDS = (InvariantId.UMBEL_COTYPE, InvariantId.RELAXED_UMBEL,
 _LIPSCHITZ_IDS = _COTYPE_IDS + (InvariantId.TESSERA,)
 
 
-class VertexOrderPoints(Mapping):
-    """A read-only assignment given in vertex order: the point of vertex i is
-    point_at(i).  It covers every vertex by construction, so a TreeMap reads
-    its points from point_at directly and hashes no tuple.  Keys, membership
-    and iteration read the tree's vertex tuples, so only they build them."""
-
-    def __init__(self, graph: TreeGraph, point_at: Callable[[int], object]):
-        self.graph, self.point_at = graph, point_at
-
-    def __getitem__(self, v):
-        return self.point_at(self.graph.index[v])
-
-    def __contains__(self, v) -> bool:
-        return v in self.graph.index
-
-    def __iter__(self):
-        return iter(self.graph.vertices)
-
-    def __len__(self) -> int:
-        return self.graph.n
-
-
-@dataclass(eq=False)
 class TreeMap:
-    """A total assignment of target points to the vertices of a finite tree.
+    """The map of an outside assignment of target points to the vertices of a
+    finite tree.
 
-    The map reads its assignment once: a dict's points in vertex order at
-    construction, where they are checked against a table target, a
-    VertexOrderPoints' points on first use, and the target rows built from
-    them on first use.
-    Later edits to the dict are not seen by `points`, `pair_distances` or
-    anything evaluated from them.
+    The map reads the mapping once, at construction, into its points in
+    vertex order: that one pass checks the map is total and, on a table
+    target, that every point is an index of the table.  `point`, `dist`,
+    `points`, `pair_distances`, `assignment` and `to_json` all read that
+    copy, so later edits to the mapping are not seen.
 
     The target speaks rows: `rows(points)` turns points into an array whose
     first axis runs over them, and `distance_rows(a, b)` gives the distances
     of rows broadcast against each other (spaces.RowSpace derives the
     scalar `distance` from them)."""
 
-    spec: TreeSpec
-    target: object
-    assignment: Mapping
-
-    def __post_init__(self):
-        if isinstance(self.assignment, VertexOrderPoints):
-            return
-        # one pass: reading every vertex's point checks the map is total
-        verts = tree_graph(self.spec).vertices
+    def __init__(self, spec: TreeSpec, target, assignment: Mapping):
+        self.spec, self.target = spec, target
+        verts = tree_graph(spec).vertices
         try:
-            self._points = tuple(map(self.assignment.__getitem__, verts))
+            self._points = tuple(map(assignment.__getitem__, verts))
         except KeyError:
-            missing = sum(v not in self.assignment for v in verts)
+            missing = sum(v not in assignment for v in verts)
             raise InvariantError(f"assignment misses {missing} vertices") from None
-        if (isinstance(self.target, sp.TableSpace)
-                and not self.target.has_points(self._points)):
+        if isinstance(target, sp.TableSpace) and not target.has_points(self._points):
             raise InvariantError("a map point is not an index of the target table")
 
-    def point(self, v: Vertex):
-        return self.assignment[v]
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}({format_tree_spec(self.spec)!r}, "
+                f"{self.target.describe()!r})")
 
-    @functools.cached_property
-    def _points(self) -> tuple:
-        """A VertexOrderPoints' points; a dict's are read at construction."""
-        return tuple(map(self.assignment.point_at, range(self.assignment.graph.n)))
+    def point(self, v: Vertex):
+        return self._points[tree_graph(self.spec).index[v]]
 
     def points(self) -> tuple:
         """The assigned points in vertex order."""
         return self._points
+
+    @functools.cached_property
+    def assignment(self) -> Mapping:
+        """A read-only {vertex: point} view of the points, in vertex order."""
+        return MappingProxyType(dict(zip(tree_graph(self.spec).vertices,
+                                         self.points())))
 
     @functools.cached_property
     def _rows(self) -> np.ndarray:
@@ -137,7 +113,7 @@ class TreeMap:
         return self.target.rows(self.points())
 
     def dist(self, u: Vertex, v: Vertex) -> float:
-        return self.target.distance(self.assignment[u], self.assignment[v])
+        return self.target.distance(self.point(u), self.point(v))
 
     def pair_distances(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """d(f(u[i]), f(v[i])) for vertex-order index arrays u and v,
@@ -167,24 +143,23 @@ class TreeMap:
 
     @staticmethod
     def identity(spec: TreeSpec) -> "ProfileMap":
-        graph = tree_graph(spec)
         a, b, c = np.indices((spec.height + 1,) * 3)
-        return ProfileMap(spec, graph, VertexOrderPoints(graph, int),
-                          (a + b - 2 * c).astype(float))
+        return ProfileMap(spec, tree_graph(spec), int, (a + b - 2 * c).astype(float))
 
-    @classmethod
-    def constant(cls, spec: TreeSpec, target=None) -> "TreeMap":
+    @staticmethod
+    def constant(spec: TreeSpec, target=None) -> "ProfileMap":
         if target is None:
             target = FiniteMatrixSpace(np.zeros((1, 1)))
         origin = _origin(target)
-        return cls(spec, target, VertexOrderPoints(tree_graph(spec), lambda i: origin))
+        # d(o, o), not 0: a matrix target's diagonal may hold a small value
+        profile = np.full((spec.height + 1,) * 3, target.distance(origin, origin))
+        return ProfileMap(spec, target, lambda i: origin, profile)
 
     def assignment_json(self) -> list:
-        """The assignment as [[label, ...], point] pairs, shortest vertex
-        first, then in label order."""
+        """The assignment as [[label, ...], point] pairs in vertex order:
+        shortest vertex first, then in label order."""
         return [[list(v), sp.jsonable(p)]
-                for v, p in sorted(self.assignment.items(),
-                                   key=lambda kv: (len(kv[0]), kv[0]))]
+                for v, p in zip(tree_graph(self.spec).vertices, self.points())]
 
     def to_json(self) -> str:
         return json.dumps({
@@ -193,8 +168,8 @@ class TreeMap:
             "assignment": self.assignment_json(),
         })
 
-    @classmethod
-    def from_json(cls, text: str, target=None) -> "TreeMap":
+    @staticmethod
+    def from_json(text: str, target=None) -> "TreeMap":
         obj = sp.load_document(text, "map", spec=str, target=str, assignment=list)
         spec = parse_tree_spec(obj["spec"])
         if target is None:
@@ -222,17 +197,28 @@ class TreeMap:
                 raise sp.SpaceError(f"the map document's entry {json.dumps(entry)} "
                                     f"is a second entry for its vertex")
             assignment[vertex] = point
-        return cls(spec, target, assignment)
+        return TreeMap(spec, target, assignment)
 
 
-@dataclass(eq=False)
 class ProfileMap(TreeMap):
-    """A map whose image distance of u and v is profile[|u|, |v|, lcp(u, v)]:
-    pair distances gather from that (h+1)^3 table, and the pair scan is one
-    block over the realised triples.  The identity map (a + b - 2c) and
-    bourgain_embed's map are ProfileMaps."""
+    """A map the library builds, whose image distance of u and v is
+    profile[|u|, |v|, lcp(u, v)]: pair distances gather from that (h+1)^3
+    table, and the pair scan is one block over the realised triples.  The
+    point of vertex i is point_at(i), read only when a point is asked for.
+    The identity (a + b - 2c), the constant map and bourgain_embed's map
+    are ProfileMaps."""
 
-    profile: np.ndarray
+    def __init__(self, spec: TreeSpec, target, point_at: Callable[[int], object],
+                 profile: np.ndarray):
+        self.spec, self.target, self.point_at, self.profile = (
+            spec, target, point_at, profile)
+
+    def point(self, v: Vertex):
+        return self.point_at(tree_graph(self.spec).index[v])
+
+    @functools.cached_property
+    def _points(self) -> tuple:
+        return tuple(map(self.point_at, range(tree_graph(self.spec).n)))
 
     def pair_distances(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         # one flat gather: a three-array fancy index takes about 1.5 times as long
@@ -298,8 +284,12 @@ def _reals(x, n: int) -> bool:
 
 
 def named_map(name: str, spec: TreeSpec, target=None) -> TreeMap:
-    """Built-in maps: "identity", "constant", or "file:<path>"."""
+    """Built-in maps: "identity" (into the tree, so `target` must be None),
+    "constant", or "file:<path>"."""
     if name == "identity":
+        if target is not None:
+            raise InvariantError("the identity map takes no target: it maps "
+                                 "into the tree itself")
         return TreeMap.identity(spec)
     if name == "constant":
         return TreeMap.constant(spec, target)
@@ -565,9 +555,12 @@ def compile_plan(inv: InvariantId, spec: TreeSpec, side: str,
     """The plan of one side ("lhs" or "rhs") of a functional on a tree.
     Plans are compiled once and kept on tree_graph's cached entry for the
     tree, so clearing that cache drops them too.  j_min only enters the
-    umbel left-hand sides."""
+    umbel left-hand sides; the other invariants have no liminf over j and
+    refuse it."""
     k = _validate(inv, spec)
-    if side == "rhs" or inv not in _INCREASING_IDS:
+    if j_min is not None and inv not in _INCREASING_IDS:
+        raise InvariantError(f"{inv.value} has no liminf over j: j_min does not apply")
+    if side == "rhs":
         j_min = None
     tg = tree_graph(spec)
     key = (inv, side, j_min)

@@ -2,7 +2,8 @@
 library compiled them into plans (see umbellab.invariants), the selection
 of plan pairs by their common prefix lengths, the n x n
 distance tables that distortion and moduli read before the pair scan, and
-the Bourgain map with every vector built up front and its distance
+the linear scan that read a modulus curve, the Bourgain map with every
+vector built up front and its distance
 profile computed by one lp norm per triple, and the lift that made one
 scalar `distance` call per (vertex, domain point).  They walk the displays
 of each functional directly and serve as the test oracle for the compiled
@@ -141,6 +142,17 @@ def moduli(f: TreeMap) -> tuple[ModulusCurve, ModulusCurve]:
     rho = ModulusCurve(tuple(ts.tolist()), tuple(rho_vals.tolist()))
     omega = ModulusCurve(tuple(ts.tolist()), tuple(omega_vals.tolist()))
     return rho, omega
+
+
+def modulus_value(curve: ModulusCurve, t: float) -> float:
+    """ModulusCurve.__call__ as the linear scan over the breakpoints."""
+    val = 0.0
+    for b, v in zip(curve.breakpoints, curve.values):
+        if t >= b:
+            val = v
+        else:
+            break
+    return val
 
 
 def lipschitz_constant(f: TreeMap, with_flag: bool = False):

@@ -264,6 +264,48 @@ def test_modulus_curve_step_semantics():
     assert curve(5.0) == 3.0
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_modulus_curve_equals_the_scan(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 9))
+    bps = np.cumsum(rng.choice([0.5, 1.0, 2.0], n)) - 2.0
+    curve = U.ModulusCurve(tuple(bps.tolist()),
+                           tuple(np.sort(rng.uniform(0, 5, n)).tolist()))
+    ts = [math.nan, -math.inf, math.inf, -1e300, 1e300, 10 ** 400]
+    ts += bps.tolist() + (bps + 0.25).tolist() + (bps - 1e-12).tolist()
+    for t in ts:
+        assert curve(t) == oracle.modulus_value(curve, t), t
+    assert curve(math.nan) == 0.0
+
+
+@pytest.mark.parametrize("bps", [(math.nan,), (1.0, math.nan, 3.0),
+                                 (1.0, 2.0, math.nan)])
+def test_modulus_curve_rejects_nan_breakpoints(bps):
+    with pytest.raises(EmbeddingError, match="breakpoints must increase"):
+        U.ModulusCurve(bps, (1.0,) * len(bps))
+
+
+def test_embed_csv_reads_the_curve_values(monkeypatch, tmp_path):
+    # the CSV zips the breakpoints with the values; only the compression
+    # integral reads the curve, once per piece
+    calls = []
+    real = U.ModulusCurve.__call__
+
+    def spy(self, t):
+        calls.append(t)
+        return real(self, t)
+
+    monkeypatch.setattr(U.ModulusCurve, "__call__", spy)
+    csv = tmp_path / "moduli.csv"
+    assert main(["embed", "--tree", "inc:h=8,b=10", "--p", "3", "--csv",
+                 str(csv), "--out", str(tmp_path / "embed.json")]) == 0
+    reads = len(calls)
+    rho, omega = U.moduli(U.bourgain_embed(U.parse_tree_spec("inc:h=8,b=10"), 3.0))
+    assert csv.read_text() == "\n".join(
+        ["t,rho,omega"] + [f"{t},{rho(t)},{omega(t)}" for t in rho.breakpoints]) + "\n"
+    assert reads == len(rho.breakpoints) - 1
+
+
 def test_compression_integral_identity_curve():
     assert U.compression_integral(lambda t: t, 2.0, math.e) == pytest.approx(
         1.0, rel=1e-9)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import umbellab as U
-from umbellab import trees
+from umbellab import invariants, trees
 from umbellab.cli import main
 from umbellab.invariants import InvariantError
 from umbellab.spaces import SpaceError, close
@@ -260,6 +260,84 @@ def test_identity_map_rows_are_its_indices_unchecked(monkeypatch, capsys):
     monkeypatch.undo()
     g = U.TreeMap(spec, trees.tree_graph(spec), dict(zip(U.vertices(spec), range(n))))
     assert (f._rows == g._rows).all() and f._rows.dtype == g._rows.dtype
+
+
+def test_dict_map_reads_its_dict_once():
+    spec = U.parse_tree_spec("bin:h=2")
+    verts = U.vertices(spec)
+    assign = {v: (float(i),) for i, v in enumerate(verts)}
+    f = U.TreeMap(spec, U.LpSpace(1, 2.0), assign)
+    before = f.to_json()
+    root, leaf = verts[0], verts[-1]
+    assign[root], assign[leaf] = (-1.0,), (99.0,)
+    assert f.point(root) == (0.0,) and f.point(leaf) == (6.0,)
+    assert f.dist(root, leaf) == 6.0
+    assert f.to_json() == before
+    assert f.assignment[leaf] == f.points()[-1] == (6.0,)
+    assert f.pair_distances(np.array([0]), np.array([6])).tolist() == [6.0]
+
+
+@pytest.mark.parametrize("target", [
+    L3, U.parse_space("heis:dim=2,p=2"),
+    U.parse_space("prod:p=2;l2:dim=2;heis:dim=2,p=inf"),
+    # a 1-point table whose diagonal is not 0: the profile holds d(o, o)
+    U.FiniteMatrixSpace(np.array([[5e-13]]))], ids=lambda t: t.describe())
+def test_constant_profile_map_equals_the_dict_map(target):
+    increasing = invariants._INCREASING_IDS
+    for desc, ids in (("bin:h=4", set(U.InvariantId) - set(increasing)),
+                      ("inc:h=4,b=5", increasing)):
+        spec = U.parse_tree_spec(desc)
+        f = U.TreeMap.constant(spec, target)
+        g = U.TreeMap(spec, target, dict.fromkeys(U.vertices(spec),
+                                                  invariants._origin(target)))
+        assert isinstance(f, invariants.ProfileMap) and type(g) is U.TreeMap
+        for inv in ids:
+            for p in (1.0, 2.0, 3.5):
+                assert U.report(inv, f, p) == U.report(inv, g, p), (inv, p)
+        assert U.moduli(f) == U.moduli(g)
+        assert U.lipschitz_constant(f, with_flag=True) == \
+            U.lipschitz_constant(g, with_flag=True)
+        assert f.to_json() == g.to_json()
+
+
+def test_library_maps_read_no_point():
+    spec = U.parse_tree_spec("inc:h=4,b=6")
+    trees.tree_graph.cache_clear()
+    f = U.bourgain_embed(spec, 2.0)
+    assert repr(f) == "ProfileMap('inc:h=4,b=6', 'l2:dim=57')"
+    U.moduli(f)
+    maps = [f, U.TreeMap.identity(spec), U.TreeMap.constant(spec),
+            U.TreeMap.constant(spec, L3),
+            U.TreeMap.constant(spec, U.parse_space("heis:dim=2,p=2"))]
+    for g in maps:
+        for inv in invariants._INCREASING_IDS:
+            U.report(inv, g, 2.0)
+        assert "_points" not in vars(g), g
+    assert "vertices" not in vars(trees.tree_graph(spec))
+    trees.tree_graph.cache_clear()
+
+
+@pytest.mark.parametrize("inv", ["fork-convexity", "fork-cotype", "tessera",
+                                 "markov-directed"])
+def test_j_min_is_refused_where_there_is_no_liminf(inv, capsys):
+    f = U.TreeMap.identity(U.parse_tree_spec("bin:h=4"))
+    for call in (U.lhs, U.report):
+        with pytest.raises(InvariantError, match="no liminf"):
+            call(U.InvariantId(inv), f, 2.0, j_min=3)
+    assert main(["invariant", "--tree", "bin:h=4", "--invariant", inv,
+                 "--p", "2", "--j-min", "99"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "no liminf" in json.loads(err)["error"]
+
+
+def test_identity_map_refuses_a_target(capsys):
+    spec = U.parse_tree_spec("bin:h=4")
+    with pytest.raises(InvariantError, match="identity map takes no target"):
+        invariants.named_map("identity", spec, L3)
+    assert main(["invariant", "--tree", "bin:h=4", "--invariant", "fork-cotype",
+                 "--p", "2", "--target", "l2:dim=3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "identity map takes no target" in json.loads(err)["error"]
 
 
 def test_cold_jobs_build_no_vertex_tuples(monkeypatch, tmp_path, capsys):
