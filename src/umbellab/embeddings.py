@@ -227,7 +227,7 @@ def lift_map(g: TreeMap, oracle: QuotientOracle) -> TreeMap:
     ys, zs = oracle.target_space, oracle.domain_space
     graph = tree_graph(g.spec)
     values, z, y = ys.rows(oracle.values), zs.rows(oracle.domain), ys.rows(g.points())
-    parent = graph.anc[np.arange(graph.n), graph.depth - 1]
+    parent = graph.parent
     lengths = ys.distance_rows(y[parent[1:]], y[1:]).tolist()  # of g's edges
     picks = []
     for i in range(graph.n):

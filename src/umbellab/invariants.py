@@ -247,14 +247,9 @@ def _realised_triples(spec: TreeSpec) -> np.ndarray:
 
 
 def _origin(target):
-    """The point of every vertex of a constant map into `target`."""
-    if isinstance(target, LpSpace):
-        return (0.0,) * target.dim
-    if isinstance(target, sp.HeisenbergMetricSpace):
-        return HPoint((0.0,) * target.space.dim, 0.0)
-    if isinstance(target, sp.ProductSpace):
-        return tuple(_origin(c) for c in target.components)
-    return 0
+    """The point of every vertex of a constant map into `target`: the point
+    of the zero row, or index 0 of a table."""
+    return 0 if isinstance(target, sp.TableSpace) else target.point(np.zeros(target.width))
 
 
 def _point_from_json(p, target):
@@ -320,14 +315,17 @@ def _pair_max(f: TreeMap) -> float:
 
 def lipschitz_constant(f: TreeMap, with_flag: bool = False):
     """max over vertex pairs of d_Y(f(u), f(v)) / d_tree(u, v): on a metric
-    target the edge maximum, over the pairs of the Lipschitz plans.  Other
-    targets also run the pair scan; the larger is reported, flagged when the
-    two differ beyond tolerance."""
+    target the edge maximum, over the pairs of the Lipschitz plans, never
+    flagged.  Other targets also run the pair scan; the larger is reported,
+    flagged when the two differ beyond tolerance."""
     tg = tree_graph(f.spec)
     edge = float(f.pair_distances(*_edge_pairs(tg)[:2]).max(initial=0.0))
-    pair = edge if _is_metric(f.target) else _pair_max(f)
-    value = max(pair, edge)
-    return (value, not sp.close(pair, edge)) if with_flag else value
+    if _is_metric(f.target):
+        value, flag = edge, False
+    else:
+        pair = _pair_max(f)
+        value, flag = max(pair, edge), not sp.close(pair, edge)
+    return (value, flag) if with_flag else value
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +489,7 @@ def _edge_pairs(tg: TreeGraph, level: Optional[int] = None,
     lo, hi = (1, tg.n) if level is None else _height_range(tg, level)
     child = np.arange(lo, hi)
     w = None if weight is None else np.full(hi - lo, weight)
-    return tg.anc[child, tg.depth[child] - 1], child, w
+    return tg.parent[child], child, w
 
 
 def _compile_lhs(inv: InvariantId, tg: TreeGraph, k: int,
@@ -586,14 +584,15 @@ def lhs(inv: InvariantId, f: TreeMap, p: float,
 
 def _rhs(inv: InvariantId, f: TreeMap, p: float) -> tuple[float, Optional[bool]]:
     """The right-hand side and, when it is a Lipschitz constant, whether its
-    pair and edge maxima disagree: never on a metric target, where the edge
-    plan alone gives it."""
+    pair and edge maxima disagree.  A Lipschitz right-hand side is the p-th
+    power of `lipschitz_constant`, which is the edge maximum on a metric
+    target; the other right-hand sides evaluate their plans."""
     _check_exponent(p)
-    plan = compile_plan(inv, f.spec, "rhs")
-    if inv in _LIPSCHITZ_IDS and not _is_metric(f.target):
+    plan = compile_plan(inv, f.spec, "rhs")  # which also checks the tree
+    if inv in _LIPSCHITZ_IDS:
         lip, flag = lipschitz_constant(f, with_flag=True)
         return _power(lip, p), flag
-    return _evaluate_map(plan, f, p), (False if inv in _LIPSCHITZ_IDS else None)
+    return _evaluate_map(plan, f, p), None
 
 
 def rhs(inv: InvariantId, f: TreeMap, p: float) -> float:

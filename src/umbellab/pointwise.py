@@ -374,7 +374,10 @@ def min_feasible_K(space, ineq: InequalityId, cfg: InequalityConfig, sampler,
 # Constant solving
 
 
-def solve_umbel_K(p: float, c: float, rel: float = 1e-9) -> float:
+_K_REL_TOL = 1e-9  # the relative width at which solve_umbel_K's bisection stops
+
+
+def solve_umbel_K(p: float, c: float) -> float:
     """Least K >= 2c with
     (1/2^p) (2c/K + (2 - (2c/K)^p)^{1/p})^p + 2^{p+1}/K <= 1."""
     if p <= 1:
@@ -394,7 +397,7 @@ def solve_umbel_K(p: float, c: float, rel: float = 1e-9) -> float:
         lo, hi = hi, 2 * hi
     else:
         raise NoSolution("condition stays infeasible")
-    while (hi - lo) > rel * hi:
+    while (hi - lo) > _K_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if g(mid) <= 1:
             hi = mid
@@ -563,7 +566,9 @@ def ramsey_refine(points, p: float, K: float, N: int, m: int,
                   space=None, anchors=None) -> tuple[int, ...]:
     """Find m indices whose pairwise values d(x_i,x_j)^p / K^p (and unary
     anchor values, when anchors=(w, z) are given) each fall inside a single
-    width-1/N bucket, by brute-force clique search."""
+    width-1/N bucket, by brute-force clique search.  The points become rows
+    once; their pair distances take one `distance_rows` call and each
+    anchor's distances one more, bucketed by the scalar power."""
     if m > 5:
         raise PointwiseError("m is capped at 5 (clique search is exponential)")
     if N < 1:
@@ -572,23 +577,20 @@ def ramsey_refine(points, p: float, K: float, N: int, m: int,
         raise PointwiseError("not enough points")
     if space is None:
         space = LpSpace(len(points[0]), 2.0)
-    d = space.distance
+    n, rows = len(points), space.rows(points)
 
     def bucket(v: float) -> int:
         return int(math.floor(v * N))
 
     if anchors is not None:
-        w, z = anchors
-        unary = [
-            (bucket(d(w, x) ** p / 2 ** p), bucket(0.5 * d(z, x) ** p))
-            for x in points
-        ]
+        w, z = (space.distance_rows(space.rows([a]), rows).tolist() for a in anchors)
+        unary = [(bucket(dw ** p / 2 ** p), bucket(0.5 * dz ** p))
+                 for dw, dz in zip(w, z)]
     else:
-        unary = [() for _ in points]
-    n = len(points)
-    color = {}
-    for i, j in itertools.combinations(range(n), 2):
-        color[i, j] = bucket(d(points[i], points[j]) ** p / K ** p)
+        unary = [()] * n
+    d = space.distance_rows(rows[:, None], rows[None]).tolist()
+    color = {(i, j): bucket(d[i][j] ** p / K ** p)
+             for i, j in itertools.combinations(range(n), 2)}
     for combo in itertools.combinations(range(n), m):
         if len({unary[i] for i in combo}) > 1:
             continue

@@ -148,21 +148,14 @@ class TableSpace(RowSpace):
 
     width = 1  # as a product factor: one column, the index
 
-    def distance(self, a: int, b: int) -> float:
-        return float(self.distance_rows(a, b))
-
     def has_points(self, points) -> bool:
         """Whether every one of `points` (a sequence) is an index of the
         table: an int (not a bool) in range.  The point types are checked as
-        a set and the range in one array pass."""
+        a set and the range by the least and the greatest point."""
         if not all(t is int or issubclass(t, np.integer)
                    for t in set(map(type, points))):
             return False
-        try:
-            idx = np.fromiter(points, dtype=np.intp, count=len(points))
-        except OverflowError:  # past the index type, so past the table
-            return False
-        return bool(((idx >= 0) & (idx < self.n)).all())
+        return len(points) == 0 or (min(points) >= 0 and max(points) < self.n)
 
     def distance_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.table[a, b]
@@ -179,6 +172,12 @@ class TableSpace(RowSpace):
         return int(i)
 
     def rows(self, points) -> np.ndarray:
+        """The points as an index array: each must be an index of the table,
+        checked here, where every table read of a point begins."""
+        if not self.has_points(points):
+            bad = next(i for i in points if not self.has_points([i]))
+            raise SpaceError(f"{json.dumps(bad, default=repr)} is not an index "
+                             f"of {self.describe()}")
         return np.asarray(points, dtype=np.intp)
 
 
@@ -331,17 +330,16 @@ class ProductSpace(RowSpace):
         return tuple(c.point(r) for c, r in self._factor_rows(row))
 
     def rows(self, points) -> np.ndarray:
-        """The inverse of `point`: one row per point.  Table factor points
-        must be indices of their table."""
+        """The inverse of `point`: one row per point, each factor's part from
+        its own `rows`."""
         if any(len(q) != len(self.components) for q in points):
             raise SpaceError("component count mismatch")
         out = np.empty((len(points), self.width))
         for c, cols, col in zip(self.components, self._slices, zip(*points)):
-            if isinstance(c, TableSpace) and not c.has_points(col):
-                bad = next(i for i in col if not c.has_points([i]))
-                raise SpaceError(f"the product point factor {json.dumps(bad, default=repr)} "
-                                 f"is not an index of {c.describe()}")
-            out[:, cols] = c.rows(col).reshape(len(points), -1)
+            try:
+                out[:, cols] = c.rows(col).reshape(len(points), -1)
+            except SpaceError as exc:
+                raise SpaceError(f"the product point factor {exc}") from exc
         return out
 
     def describe(self) -> str:
@@ -478,9 +476,6 @@ class HeisenbergMetricSpace(RowSpace):
             raise SpaceError("p must be positive")
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise SpaceError("lambda must be finite and positive")
-
-    def norm(self, a: HPoint) -> float:
-        return koranyi_norm(self.space, a, self.p, self.lam)
 
     def norm_rows(self, a: np.ndarray) -> np.ndarray:
         return koranyi_norm_rows(a, self.p, self.lam)

@@ -204,9 +204,10 @@ class TreeGraph(TableSpace):
     """A tree in its path metric, with its vertices listed by height; points
     are vertex indices.
 
-    depth[i] is the height of vertex i, anc[i, l] the index of its length-l
-    prefix (for l <= depth[i]) and label[i] its last label (0 at the root);
-    the edge list is derived from them on request.  Distances are
+    depth[i] is the height of vertex i, parent[i] the index of its parent
+    (0 at the root), anc[i, l] the index of its length-l prefix (for
+    l <= depth[i]) and label[i] its last label (0 at the root); the edge
+    list is derived from them on request.  Distances are
     depth(u) + depth(v) - 2 lcp(u, v), so no table is built.  The vertex
     tuples and their index are built on first read only, by the paths that
     key by tuple.  They and `plans`, which holds what is compiled over this
@@ -215,9 +216,9 @@ class TreeGraph(TableSpace):
     quasi_constant = 1.0
 
     def __init__(self, spec: TreeSpec):
-        depth, parents, label = _level_arrays(spec)
+        depth, parent, label = _level_arrays(spec)
         self.spec, self.n, self.depth, self.label = spec, len(depth), depth, label
-        self.anc = _ancestors(depth, parents)
+        self.parent, self.anc = parent, _ancestors(depth, parent)
         self.plans = {}
 
     @functools.cached_property
@@ -233,9 +234,7 @@ class TreeGraph(TableSpace):
     @property
     def edges(self) -> tuple:
         """The (parent, child) index pairs, by child."""
-        child = np.arange(1, self.n)
-        return tuple(zip(self.anc[child, self.depth[child] - 1].tolist(),
-                         child.tolist()))
+        return tuple(zip(self.parent[1:].tolist(), range(1, self.n)))
 
     def describe(self) -> str:
         return f"graph:n={self.n}"
@@ -266,11 +265,11 @@ def tree_graph(spec: TreeSpec) -> TreeGraph:
 
 
 def _level_arrays(spec: TreeSpec):
-    """(depth, parents, label) of the vertices in vertex order, built level by
-    level: the children of a level come in their parents' order, (-1, +1)
-    under a binary vertex and last + 1 .. b under an increasing vertex whose
-    last label is `last`."""
-    parents, label = [np.zeros(0, dtype=np.intp)], [np.zeros(1, dtype=np.intp)]
+    """(depth, parent, label) of the vertices in vertex order, built level by
+    level, the root its own parent: the children of a level come in their
+    parents' order, (-1, +1) under a binary vertex and last + 1 .. b under an
+    increasing vertex whose last label is `last`."""
+    parent, label = [np.zeros(1, dtype=np.intp)], [np.zeros(1, dtype=np.intp)]
     first = 0  # the index of the parent level's first vertex
     for _ in range(spec.height):
         last = label[-1]
@@ -282,23 +281,23 @@ def _level_arrays(spec: TreeSpec):
             # a ragged arange: run i counts up from last[i] + 1
             starts = np.cumsum(counts) - counts
             children = np.arange(counts.sum()) - np.repeat(starts - last - 1, counts)
-        parents.append(np.repeat(np.arange(first, first + len(last)), counts))
+        parent.append(np.repeat(np.arange(first, first + len(last)), counts))
         label.append(children)
         first += len(last)
     depth = np.repeat(np.arange(len(label)), [len(level) for level in label])
-    return depth, np.concatenate(parents), np.concatenate(label)
+    return depth, np.concatenate(parent), np.concatenate(label)
 
 
-def _ancestors(depth: np.ndarray, parents: np.ndarray) -> np.ndarray:
+def _ancestors(depth: np.ndarray, parent: np.ndarray) -> np.ndarray:
     """anc[i, l]: index of the length-l prefix of vertex i, for l <= depth(i),
-    of a tree whose vertices are listed by height with parents[i - 1] the
-    index of the parent of vertex i."""
+    of a tree whose vertices are listed by height with parent[i] the index
+    of the parent of vertex i."""
     height = int(depth.max())
     anc = np.zeros((len(depth), height + 1), dtype=np.intp)
     starts = np.searchsorted(depth, np.arange(height + 2)).tolist()
     for level in range(1, height + 1):
         lo, hi = starts[level], starts[level + 1]  # the level's vertices
-        anc[lo:hi, :level] = anc[parents[lo - 1:hi - 1], :level]
+        anc[lo:hi, :level] = anc[parent[lo:hi], :level]
         anc[lo:hi, level] = np.arange(lo, hi)
     return anc
 

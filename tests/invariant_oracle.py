@@ -4,8 +4,9 @@ of plan pairs by their common prefix lengths, the n x n
 distance tables that distortion and moduli read before the pair scan, and
 the linear scan that read a modulus curve, the Bourgain map with every
 vector built up front and its distance
-profile computed by one lp norm per triple, and the lift that made one
-scalar `distance` call per (vertex, domain point).  They walk the displays
+profile computed by one lp norm per triple, the lift that made one
+scalar `distance` call per (vertex, domain point), and the constant map's
+point chosen class by class.  They walk the displays
 of each functional directly and serve as the test oracle for the compiled
 plans, the scan, the on-demand points and the lift on rows; nothing in the
 library imports them."""
@@ -24,7 +25,7 @@ from umbellab.invariants import (InvariantError, InvariantId, TreeMap,
                                  _COTYPE_IDS, _validate)
 from umbellab.trees import Vertex, tree_graph, vertices_at_height
 from umbellab import spaces as sp
-from umbellab.spaces import LpSpace, _apsp
+from umbellab.spaces import HPoint, LpSpace, _apsp
 
 import pointwise_oracle
 
@@ -383,3 +384,15 @@ def lift_map(g: TreeMap, oracle: QuotientOracle) -> TreeMap:
         lift[v] = pick
     return TreeMap(g.spec, oracle.domain_space,
                    {v: oracle.domain[i] for v, i in lift.items()})
+
+
+def origin(target):
+    """The point of every vertex of a constant map into `target`, class by
+    class."""
+    if isinstance(target, LpSpace):
+        return (0.0,) * target.dim
+    if isinstance(target, sp.HeisenbergMetricSpace):
+        return HPoint((0.0,) * target.space.dim, 0.0)
+    if isinstance(target, sp.ProductSpace):
+        return tuple(origin(c) for c in target.components)
+    return 0

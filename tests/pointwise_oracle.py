@@ -4,7 +4,9 @@ became the one-row case of `batch_margins`, the per-triple loop of the
 quasi-triangle estimate and the per-cell loop of the horizontal length.  They evaluate one configuration at a time through
 the scalar `distance` below and serve as the test oracle for the batched
 kernels; nothing in the library imports them.  The two tripod-modulus
-searches at the end are the library's before it merged them into one."""
+searches are the library's before it merged them into one, and the Ramsey
+refinement at the end is the library's before it read its distances as
+rows."""
 
 from __future__ import annotations
 
@@ -281,3 +283,41 @@ def modulus_beta(space: LpSpace, t: float, m: int = 3, grid: int = 12) -> Modulu
     x0 = np.concatenate([z0] + list(xs0))
     polish, polished = _polish(obj, cons, x0)
     return ModulusEstimate(t, max(min(best, polish), 0.0), grid, count, polished)
+
+
+def ramsey_refine(points, p: float, K: float, N: int, m: int,
+                  space=None, anchors=None) -> tuple[int, ...]:
+    """pointwise.ramsey_refine with one scalar `space.distance` call per
+    point pair and per (anchor, point)."""
+    if m > 5:
+        raise PointwiseError("m is capped at 5 (clique search is exponential)")
+    if N < 1:
+        raise PointwiseError("N must be >= 1")
+    if len(points) < m:
+        raise PointwiseError("not enough points")
+    if space is None:
+        space = LpSpace(len(points[0]), 2.0)
+    d = space.distance
+
+    def bucket(v: float) -> int:
+        return int(math.floor(v * N))
+
+    if anchors is not None:
+        w, z = anchors
+        unary = [
+            (bucket(d(w, x) ** p / 2 ** p), bucket(0.5 * d(z, x) ** p))
+            for x in points
+        ]
+    else:
+        unary = [() for _ in points]
+    n = len(points)
+    color = {}
+    for i, j in itertools.combinations(range(n), 2):
+        color[i, j] = bucket(d(points[i], points[j]) ** p / K ** p)
+    for combo in itertools.combinations(range(n), m):
+        if len({unary[i] for i in combo}) > 1:
+            continue
+        pair_colors = {color[i, j] for i, j in itertools.combinations(combo, 2)}
+        if len(pair_colors) <= 1:
+            return combo
+    raise PointwiseError("no monochromatic subset of the requested size")

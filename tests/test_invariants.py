@@ -277,6 +277,21 @@ def test_dict_map_reads_its_dict_once():
     assert f.pair_distances(np.array([0]), np.array([6])).tolist() == [6.0]
 
 
+def test_origin_equals_the_class_by_class_oracle(tmp_path):
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps({"n": 2, "d": [[0, 1], [1, 0]]}))
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"n": 2, "edges": [[0, 1]]}))
+    for desc in ("l2:dim=3", "lp:p=1,dim=2", "heis:dim=2,p=2",
+                 "prod:p=2;l2:dim=2;heis:dim=2,p=inf",
+                 f"prod:p=1;l2:dim=1;matrix:file={matrix}",
+                 f"matrix:file={matrix}", f"graph:file={graph}"):
+        target = U.parse_space(desc)
+        got, want = invariants._origin(target), oracle.origin(target)
+        # repr tells 0 from 0.0 and a tuple from an HPoint, as == does not
+        assert got == want and repr(got) == repr(want), desc
+
+
 @pytest.mark.parametrize("target", [
     L3, U.parse_space("heis:dim=2,p=2"),
     U.parse_space("prod:p=2;l2:dim=2;heis:dim=2,p=inf"),
@@ -431,6 +446,18 @@ def test_lipschitz_pair_vs_edge_flag():
     value, flag = U.lipschitz_constant(f, with_flag=True)
     assert value > 0
     assert not flag
+
+
+def test_lipschitz_flag_is_false_on_a_metric_target_past_the_float_range():
+    # edges 3e308 long are inf; the pair and edge maxima are both inf and
+    # agree, as report's right-hand side already said
+    spec = U.parse_tree_spec("bin:h=4")
+    f = U.TreeMap(spec, L3, {v: (1.5e308 * (-1) ** len(v), 0.0, 0.0)
+                             for v in U.vertices(spec)})
+    with np.errstate(over="ignore"):
+        assert U.lipschitz_constant(f, with_flag=True) == (math.inf, False)
+    rep = U.report(U.InvariantId.FORK_COTYPE, f, 2.0)
+    assert (rep.rhs, rep.lipschitz_flag) == (math.inf, False)
 
 
 @pytest.mark.parametrize("target", ["l2", "heisenberg"])

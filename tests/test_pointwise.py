@@ -66,6 +66,13 @@ def test_tripod_slack_absorbs_violation():
     assert rep.holds
 
 
+@pytest.mark.parametrize("points", [(-4, -3, -2, -1), (0, 1, 2, True),
+                                    (0, 1, 2, 1.0), (0, 1, 2, "3"), (0, 1, 2, 9)])
+def test_table_configuration_points_must_be_indices(points):
+    with pytest.raises(U.spaces.SpaceError, match="is not an index of matrix:n=4"):
+        U.check_inequality(U.InequalityId.Q_TRIPOD, cfg(exponent=2.0), points, STAR4)
+
+
 @given(vec3, vec3, vec3)
 def test_midpoint_curvature_holds_in_hilbert(x, y, z):
     m = tuple((a + b) / 2 for a, b in zip(x, y))
@@ -585,6 +592,39 @@ def test_ramsey_refine_anchors_share_unary_buckets():
     unary = {(math.floor(math.dist(w, pts[i]) ** 2 / 2 ** 2 * 4),
               math.floor(0.5 * math.dist(z, pts[i]) ** 2 * 4)) for i in idx}
     assert len(unary) == 1
+
+
+def test_ramsey_refine_table_points_must_be_indices():
+    with pytest.raises(U.spaces.SpaceError, match="^-1 is not an index"):
+        U.ramsey_refine([-1, 0, 1, 2], 2.0, 1.0, 1, 2, space=STAR4)
+
+
+def _ramsey_outcome(refine, *args, **kw):
+    try:
+        return refine(*args, **kw)
+    except pointwise.PointwiseError as exc:
+        return str(exc)
+
+
+RAMSEY_SPACES = {"l2": U.LpSpace(2, 2.0), "l1": U.LpSpace(2, 1.0),
+                 "linf": U.LpSpace(3, math.inf),
+                 "heis": U.parse_space("heis:dim=2,p=2"), "star": STAR4}
+
+
+@pytest.mark.parametrize("name", RAMSEY_SPACES)
+def test_ramsey_refine_equals_the_scalar_loop(name):
+    space, outcomes = RAMSEY_SPACES[name], set()
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        pts = [space.point(r) for r in space.sample_batch(rng, 1, 14)[0]]
+        w, z = (space.point(r) for r in space.sample_batch(rng, 1, 2)[0])
+        for anchors in (None, (w, z)):
+            args = (pts, 2.5, 1.5, 8, 3)
+            got = _ramsey_outcome(U.ramsey_refine, *args, space=space, anchors=anchors)
+            assert got == _ramsey_outcome(oracle.ramsey_refine, *args, space=space,
+                                          anchors=anchors), (seed, anchors)
+            outcomes.add(got)
+    assert len(outcomes) >= 25, outcomes  # the seeds reach many cliques
 
 
 @pytest.mark.parametrize("q", [math.inf, math.nan, 0.0, -2.0])

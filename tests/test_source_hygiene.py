@@ -1,0 +1,71 @@
+"""Source hygiene of the library, read with the standard `ast` module: every
+import in a module of `umbellab` is used in that module, and every
+module-level private name is read somewhere in the package.  Deletions leave
+such names behind; this test finds them."""
+
+import ast
+import pathlib
+
+import pytest
+
+import umbellab
+
+SOURCES = sorted(pathlib.Path(umbellab.__file__).parent.glob("*.py"))
+TREES = {path.stem: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+
+
+def _reads(tree: ast.AST) -> set:
+    """The names a module reads: loaded names, attribute names and the names
+    it imports from other modules of the package."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def _imports(tree: ast.AST):
+    """(bound name, line) of every import in a module, except __future__."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, line) of every _private name a module defines at its top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+@pytest.mark.parametrize("module", TREES)
+def test_every_import_is_used(module):
+    tree = TREES[module]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [f"{module}.py:{line} {name}" for name, line in _imports(tree)
+              if name not in used]
+    assert not unused, unused
+
+
+def test_every_private_module_name_is_read():
+    read = set().union(*map(_reads, TREES.values()))
+    unread = [f"{module}.py:{line} {name}" for module, tree in TREES.items()
+              for name, line in _private_definitions(tree) if name not in read]
+    assert not unread, unread

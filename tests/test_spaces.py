@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -342,6 +343,25 @@ def test_heisenberg_descriptor_parameters_validated(text):
 def test_heisenberg_infinite_p_allowed():
     hs = U.HeisenbergMetricSpace(U.standard_symplectic(2), p=math.inf, lam=0.5)
     assert hs.distance(U.HPoint((1.0, 0.0), 0.0), U.HPoint((0.0, 0.0), 0.0)) == 1.0
+
+
+TABLES = {"matrix": U.FiniteMatrixSpace(np.ones((3, 3)) - np.eye(3)),
+          "graph": U.GraphMetricSpace(3, ((0, 1), (1, 2))),
+          "tree": U.trees.tree_graph(U.parse_tree_spec("bin:h=1"))}
+
+
+@pytest.mark.parametrize("name, d02", [("matrix", 1.0), ("graph", 2.0), ("tree", 1.0)])
+def test_table_rows_and_distance_check_their_indices(name, d02):
+    table = TABLES[name]
+    for bad in (-1, table.n, True, 1.0, "3", None):
+        with pytest.raises(SpaceError, match=f"^{re.escape(json.dumps(bad))} is not "
+                                             f"an index of {table.describe()}$"):
+            table.rows([0, bad])
+    for a, b in ((-1, 0), (0, -1), (0, table.n)):
+        with pytest.raises(SpaceError, match="is not an index"):
+            table.distance(a, b)
+    assert table.rows((0, np.int64(2))).tolist() == [0, 2]
+    assert table.distance(0, np.int32(2)) == d02
 
 
 def test_table_space_has_points():

@@ -225,6 +225,14 @@ def test_tree_graph_exact_against_search_oracles(desc):
     assert np.array_equal(dist, _apsp(graph.n, graph.edges))
 
 
+@pytest.mark.parametrize("desc", SMALL_TREES)
+def test_tree_graph_parent_is_the_last_proper_ancestor(desc):
+    graph = tree_graph(U.parse_tree_spec(desc))
+    assert graph.parent[0] == 0
+    assert np.array_equal(graph.parent,
+                          graph.anc[np.arange(graph.n), graph.depth - 1])
+
+
 def test_tree_graph_edge_cases_are_covered():
     assert {"bin:h=0", "inc:h=0,b=1", "inc:h=3,b=3"} <= set(SMALL_TREES)
     for desc in ("bin:h=0", "inc:h=0,b=1"):
