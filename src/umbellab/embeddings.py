@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .invariants import ProfileMap, TreeMap
-from .spaces import LpSpace, TableSpace
+from .spaces import LpSpace, SpaceError
 from .trees import TreeSpec, INCREASING, tree_graph
 
 
@@ -198,8 +198,11 @@ class QuotientOracle:
             raise EmbeddingError("values must align with the domain")
         for space, pts, name in ((self.domain_space, self.domain, "domain"),
                                  (self.target_space, self.values, "value")):
-            if isinstance(space, TableSpace) and not space.has_points(pts):
-                raise EmbeddingError(f"a {name} point is not an index of its table")
+            try:
+                if len(pts):  # lift_map refuses an empty domain
+                    space.rows(pts)
+            except SpaceError as exc:
+                raise EmbeddingError(f"a {name} point: {exc}") from exc
 
 
 _FAR = "a g value lies farther than K from f(Z)"

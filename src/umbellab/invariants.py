@@ -69,10 +69,10 @@ class TreeMap:
     finite tree.
 
     The map reads the mapping once, at construction, into its points in
-    vertex order: that one pass checks the map is total and, on a table
-    target, that every point is an index of the table.  `point`, `dist`,
-    `points`, `pair_distances`, `assignment` and `to_json` all read that
-    copy, so later edits to the mapping are not seen.
+    vertex order, which checks the map is total, and turns them into the
+    target's rows, which checks every point.  `point`, `dist`, `points`,
+    `pair_distances`, `assignment` and `to_json` all read those copies, so
+    later edits to the mapping are not seen.
 
     The target speaks rows: `rows(points)` turns points into an array whose
     first axis runs over them, and `distance_rows(a, b)` gives the distances
@@ -87,8 +87,10 @@ class TreeMap:
         except KeyError:
             missing = sum(v not in assignment for v in verts)
             raise InvariantError(f"assignment misses {missing} vertices") from None
-        if isinstance(target, sp.TableSpace) and not target.has_points(self._points):
-            raise InvariantError("a map point is not an index of the target table")
+        try:
+            self._rows = target.rows(self._points)
+        except sp.SpaceError as exc:
+            raise InvariantError(f"a map point: {exc}") from exc
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}({format_tree_spec(self.spec)!r}, "
@@ -106,11 +108,6 @@ class TreeMap:
         """A read-only {vertex: point} view of the points, in vertex order."""
         return MappingProxyType(dict(zip(tree_graph(self.spec).vertices,
                                          self.points())))
-
-    @functools.cached_property
-    def _rows(self) -> np.ndarray:
-        """The points as the target's numeric rows."""
-        return self.target.rows(self.points())
 
     def dist(self, u: Vertex, v: Vertex) -> float:
         return self.target.distance(self.point(u), self.point(v))
@@ -316,15 +313,16 @@ def _pair_max(f: TreeMap) -> float:
 def lipschitz_constant(f: TreeMap, with_flag: bool = False):
     """max over vertex pairs of d_Y(f(u), f(v)) / d_tree(u, v): on a metric
     target the edge maximum, over the pairs of the Lipschitz plans, never
-    flagged.  Other targets also run the pair scan; the larger is reported,
-    flagged when the two differ beyond tolerance."""
+    flagged.  On other targets it is the pair scan's maximum, which takes in
+    every edge at tree distance 1, flagged when the edge maximum differs
+    from it beyond tolerance."""
     tg = tree_graph(f.spec)
     edge = float(f.pair_distances(*_edge_pairs(tg)[:2]).max(initial=0.0))
     if _is_metric(f.target):
         value, flag = edge, False
     else:
-        pair = _pair_max(f)
-        value, flag = max(pair, edge), not sp.close(pair, edge)
+        value = _pair_max(f)
+        flag = value != edge and not sp.close(value, edge)
     return (value, flag) if with_flag else value
 
 
@@ -365,9 +363,9 @@ class Plan:
     `starts`.  A segment reduces its pair distances d by `reduce`: "min" and
     "max" take the extreme distance and then its p-th power, as the displays
     do; "sum" adds weights * d^p.  Consecutive segments form groups
-    (`groups` holds each group's segment range), joined by `outer` ("sum"
-    or "min"); group g is divided by blocks[g] and by 2^(scales[g] p), and
-    the groups are added in order."""
+    (`groups` holds each group's segment range), joined by `outer`: "sum",
+    "min", or "mean", the sum divided by the group's segment count.  Group g
+    is divided by 2^(scales[g] p), and the groups are added in order."""
 
     u: np.ndarray
     v: np.ndarray
@@ -376,7 +374,6 @@ class Plan:
     weights: Optional[np.ndarray]
     outer: str
     groups: tuple
-    blocks: tuple
     scales: tuple
 
 
@@ -410,32 +407,33 @@ def evaluate(plan: Plan, d: np.ndarray, p: float) -> np.ndarray:
         seg = _pow(extreme.reduceat(d, plan.starts, axis=1), p)
     join = np.minimum if plan.outer == "min" else np.add
     total = np.zeros(len(d))
-    for (lo, hi), blocks, s in zip(plan.groups, plan.blocks, plan.scales):
+    for (lo, hi), s in zip(plan.groups, plan.scales):
         acc = seg[:, lo]
         for c in range(lo + 1, hi):
             acc = join(acc, seg[:, c])
+        if plan.outer == "mean":
+            acc = acc / (hi - lo)
         try:
             scale = 2 ** (s * p)
         except OverflowError:
             raise InvariantError(f"exponent p = {p} is too large: the scale "
                                  f"2^({s} p) is past the float range") from None
-        total = total + acc / blocks / scale
+        total = total + acc / scale
     return total
 
 
 def _build(reduce: str, outer: str, groups) -> Plan:
-    """groups: (segments, blocks, scale) triples, each segment a (u, v,
-    weights) triple."""
-    segs = [seg for segments, _, _ in groups for seg in segments]
+    """groups: (segments, scale) pairs, each segment a (u, v, weights)
+    triple."""
+    segs = [seg for segments, _ in groups for seg in segments]
     sizes = [len(u) for u, _, _ in segs]
-    bounds = np.cumsum([0] + [len(segments) for segments, _, _ in groups])
+    bounds = np.cumsum([0] + [len(segments) for segments, _ in groups])
     return Plan(np.concatenate([u for u, _, _ in segs]),
                 np.concatenate([v for _, v, _ in segs]),
                 np.cumsum([0] + sizes[:-1]), reduce,
                 np.concatenate([w for _, _, w in segs]) if reduce == "sum" else None,
                 outer, tuple(zip(bounds[:-1].tolist(), bounds[1:].tolist())),
-                tuple(blocks for _, blocks, _ in groups),
-                tuple(scale for _, _, scale in groups))
+                tuple(scale for _, scale in groups))
 
 
 def _height_range(tg: TreeGraph, h: int) -> tuple[int, int]:
@@ -496,21 +494,20 @@ def _compile_lhs(inv: InvariantId, tg: TreeGraph, k: int,
                  j_min: Optional[int]) -> Plan:
     if inv in (InvariantId.UMBEL_COTYPE, InvariantId.RELAXED_UMBEL):
         return _build("min", "sum", [
-            ([_branch_pairs(tg, 2 ** k, 2 ** k - 2 ** s, j_min)], 1, s)
+            ([_branch_pairs(tg, 2 ** k, 2 ** k - 2 ** s, j_min)], s)
             for s in range(1, k)])
     if inv is InvariantId.FORK_COTYPE:
         return _build("min", "min", [
             ([_branch_pairs(tg, h, h - 2 ** s)
-              for h in range(2 ** s, 2 ** k + 1)], 1, s)
+              for h in range(2 ** s, 2 ** k + 1)], s)
             for s in range(1, k)])
     if inv in (InvariantId.UMBEL_CONVEXITY, InvariantId.FORK_CONVEXITY):
-        groups = []
-        for s in range(1, k):
-            blocks = 2 ** (k - 1 - s)
-            heights = [t * 2 ** (s + 1) for t in range(1, blocks + 1)]
-            groups.append(([_branch_pairs(tg, h, h - 2 ** s, j_min)
-                            for h in heights], blocks, s))
-        return _build("min", "sum", groups)
+        # the mean over the 2^(k - 1 - s) heights of scale s: the multiples
+        # of 2^(s + 1) up to 2^k
+        return _build("min", "mean", [
+            ([_branch_pairs(tg, h, h - 2 ** s, j_min)
+              for h in range(2 ** (s + 1), 2 ** k + 1, 2 ** (s + 1))], s)
+            for s in range(1, k)])
     if inv is InvariantId.TESSERA:
         # each term averages d^q over the ordered pairs of 2^w-vertex blocks
         # sharing a length-ell prefix (the diagonal is 0): weight 2 on each
@@ -523,12 +520,12 @@ def _compile_lhs(inv: InvariantId, tg: TreeGraph, k: int,
                 u, v = _prefix_pairs(tg, ell + w, ell)
                 segments.append((u, v, np.full(len(u), 2.0 ** (1 - ell - 2 * w))))
             if segments:  # an empty index range makes the term vacuous
-                groups.append((segments, 1, s))
+                groups.append((segments, s))
         return _build("sum", "min", groups)
     if inv is InvariantId.MARKOV_DIRECTED:
         return _build("sum", "sum", [
             ([_walk_pairs(tg, min(2 ** s, t), t)
-              for t in range(1, 2 ** k + 1)], 1, s)
+              for t in range(1, 2 ** k + 1)], s)
             for s in range(0, k + 1)])
     raise InvariantError(f"unknown invariant {inv}")  # pragma: no cover
 
@@ -536,15 +533,14 @@ def _compile_lhs(inv: InvariantId, tg: TreeGraph, k: int,
 def _compile_rhs(inv: InvariantId, tg: TreeGraph, k: int,
                  j_min: Optional[int]) -> Plan:
     if inv in _LIPSCHITZ_IDS:  # the largest edge: exact on metric targets
-        return _build("max", "sum", [([_edge_pairs(tg)], 1, 0)])
+        return _build("max", "sum", [([_edge_pairs(tg)], 0)])
     if inv in (InvariantId.UMBEL_CONVEXITY, InvariantId.FORK_CONVEXITY):
-        return _build("max", "sum", [
-            ([_edge_pairs(tg, level) for level in range(1, 2 ** k + 1)],
-             2 ** k, 0)])
+        # the mean over the 2^k levels
+        return _build("max", "mean", [
+            ([_edge_pairs(tg, level) for level in range(1, 2 ** k + 1)], 0)])
     if inv is InvariantId.MARKOV_DIRECTED:
         return _build("sum", "sum", [
-            ([_edge_pairs(tg, t, 2.0 ** -t) for t in range(1, 2 ** k + 1)],
-             1, 0)])
+            ([_edge_pairs(tg, t, 2.0 ** -t) for t in range(1, 2 ** k + 1)], 0)])
     raise InvariantError(f"unknown invariant {inv}")  # pragma: no cover
 
 

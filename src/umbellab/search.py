@@ -16,7 +16,7 @@ import numpy as np
 
 from .invariants import (InvariantId, TreeMap, _check_exponent, compile_plan,
                          evaluate)
-from .spaces import FiniteMatrixSpace, is_int
+from .spaces import FiniteMatrixSpace, SpaceError, is_int
 from .trees import TreeSpec, Vertex, tree_graph
 
 _EXHAUSTIVE_BUDGET = 10 ** 7
@@ -47,8 +47,10 @@ class SearchProblem:
             # (1.0,) == (1,): float labels would pass the membership test
             if not (isinstance(v, tuple) and all(map(is_int, v)) and v in index):
                 raise SearchError(f"pinned vertex {v!r} not in the tree")
-            if not self.target.has_points([pt]):
-                raise SearchError(f"pinned point {pt!r} is not an index of the target")
+            try:
+                self.target.rows([pt])
+            except SpaceError as exc:
+                raise SearchError(f"a pinned point: {exc}") from exc
 
     def free_vertices(self) -> list[Vertex]:
         return [v for v in tree_graph(self.spec).vertices if v not in self.pins]
@@ -133,7 +135,7 @@ def exhaustive_max(problem: SearchProblem,
     if total > budget:
         raise BudgetExceeded(f"{total} assignments exceed the exhaustive budget")
     score = _Scorer(problem)
-    base = score.array({**dict.fromkeys(score.verts, 0), **problem.pins})
+    base = score.array(canonical_start(problem))  # free columns are overwritten
     cols = [score.index[v] for v in free]
     best, feasible = NO_FEASIBLE, 0
     for lo in range(0, total, score.rows):
@@ -178,9 +180,10 @@ def local_search_max(problem: SearchProblem, restarts: int, steps: int,
     vertex, so they are scored in one batch; each climb then accepts its
     candidates in point order, each when it beats its current ratio by more
     than 1e-15.  A climb leaves the group after a sweep that does not
-    improve.  Scoring is row-independent and climbing draws no random
-    numbers, so the result is that of the climbs run one after another: the
-    first maximum in climb order."""
+    improve.  A climb's map changes only when its ratio rises, so its final
+    state is its best.  Scoring is row-independent and climbing draws no
+    random numbers, so the result is that of the climbs run one after
+    another: the first maximum in climb order."""
     if restarts < 0 or steps < 0:
         raise SearchError(f"restarts and steps must be >= 0, got {restarts} and {steps}")
     free = problem.free_vertices()
@@ -199,8 +202,6 @@ def local_search_max(problem: SearchProblem, restarts: int, steps: int,
         current = [None if math.isnan(r) else r for r in score(A).tolist()]
         evaluations += len(A)
         feasible += sum(r is not None for r in current)
-        climb_best = [-math.inf if r is None else r for r in current]
-        climb_rows = list(A.copy())
         active = range(len(A))
         points = np.tile(np.arange(n), len(A))
         for _ in range(steps):
@@ -224,14 +225,11 @@ def local_search_max(problem: SearchProblem, restarts: int, steps: int,
                             improved.add(j)
                     A[j, i] = old
                     current[j] = r_now
-            for j in active:
-                if current[j] is not None and current[j] > climb_best[j]:
-                    climb_best[j], climb_rows[j] = current[j], A[j].copy()
             active = [j for j in active if j in improved]
             if not active:
                 break
-        for r, a in zip(climb_best, climb_rows):
-            if r > best_ratio:
+        for r, a in zip(current, A):
+            if r is not None and r > best_ratio:
                 best_ratio, best_row = r, a
     best = NO_FEASIBLE if best_row is None else score.result(best_row, best_ratio)
     return dataclasses.replace(best, evaluations=evaluations,

@@ -76,6 +76,18 @@ def lp_norm(x, p: float) -> float:
     return float(lp_norm_rows(np.asarray(x, dtype=float), p))
 
 
+def _float_rows(make, width: int) -> np.ndarray:
+    """make()'s rows as a float array of `width` columns, or SpaceError when
+    a point is ragged, of another width, not numbers or unreadable by make()."""
+    try:
+        out = np.asarray(make(), dtype=float)
+    except (AttributeError, TypeError, ValueError):
+        out = None
+    if out is None or out.shape[1:] != (width,):
+        raise SpaceError("dimension mismatch")
+    return out
+
+
 class RowSpace:
     """A space that speaks numeric rows: its scalar `distance` and `sample`
     are the one-row cases of `distance_rows` and `sample_batch`."""
@@ -130,10 +142,7 @@ class LpSpace(RowSpace):
 
     def rows(self, points) -> np.ndarray:
         """The inverse of `point`: one row per point."""
-        out = np.asarray(points, dtype=float)
-        if out.shape[1:] != (self.dim,):
-            raise SpaceError("dimension mismatch")
-        return out
+        return _float_rows(lambda: points, self.dim)
 
     def describe(self) -> str:
         if self.p == 2:
@@ -147,15 +156,6 @@ class TableSpace(RowSpace):
     indices 0..n-1 of a distance table."""
 
     width = 1  # as a product factor: one column, the index
-
-    def has_points(self, points) -> bool:
-        """Whether every one of `points` (a sequence) is an index of the
-        table: an int (not a bool) in range.  The point types are checked as
-        a set and the range by the least and the greatest point."""
-        if not all(t is int or issubclass(t, np.integer)
-                   for t in set(map(type, points))):
-            return False
-        return len(points) == 0 or (min(points) >= 0 and max(points) < self.n)
 
     def distance_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.table[a, b]
@@ -172,10 +172,13 @@ class TableSpace(RowSpace):
         return int(i)
 
     def rows(self, points) -> np.ndarray:
-        """The points as an index array: each must be an index of the table,
-        checked here, where every table read of a point begins."""
-        if not self.has_points(points):
-            bad = next(i for i in points if not self.has_points([i]))
+        """The points (a sequence) as an index array, checked here, where every
+        table read of a point begins: each is an int (not a bool) in range, the
+        types checked as a set and the range by the least and greatest point."""
+        if not (all(t is int or issubclass(t, np.integer)
+                    for t in set(map(type, points)))
+                and (len(points) == 0 or (min(points) >= 0 and max(points) < self.n))):
+            bad = next(i for i in points if not (is_int(i) and 0 <= i < self.n))
             raise SpaceError(f"{json.dumps(bad, default=repr)} is not an index "
                              f"of {self.describe()}")
         return np.asarray(points, dtype=np.intp)
@@ -332,7 +335,8 @@ class ProductSpace(RowSpace):
     def rows(self, points) -> np.ndarray:
         """The inverse of `point`: one row per point, each factor's part from
         its own `rows`."""
-        if any(len(q) != len(self.components) for q in points):
+        if not all(isinstance(q, (tuple, list)) and len(q) == len(self.components)
+                   for q in points):
             raise SpaceError("component count mismatch")
         out = np.empty((len(points), self.width))
         for c, cols, col in zip(self.components, self._slices, zip(*points)):
@@ -496,10 +500,7 @@ class HeisenbergMetricSpace(RowSpace):
         return HPoint(tuple(row[:-1].tolist()), float(row[-1]))
 
     def rows(self, points) -> np.ndarray:
-        out = np.array([p.x + (p.s,) for p in points], dtype=float)
-        if out.shape[1:] != (self.space.dim + 1,):
-            raise SpaceError("dimension mismatch")
-        return out
+        return _float_rows(lambda: [p.x + (p.s,) for p in points], self.width)
 
     def describe(self) -> str:
         p = "inf" if self.p == math.inf else f"{self.p:g}"

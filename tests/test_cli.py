@@ -66,6 +66,19 @@ def test_embed_writes_csv(tmp_path, capsys):
     assert len(lines) > 1
 
 
+def test_embed_single_vertex_tree_writes_no_csv(tmp_path, capsys):
+    # a one-vertex tree has no pair: the document gives lip, colip and
+    # distortion 1.0 and no moduli, and no CSV is written
+    csv = tmp_path / "moduli.csv"
+    code, out, err = run_strict(capsys, "embed", "--tree", "inc:h=0,b=0", "--p", "2",
+                                "--csv", str(csv))
+    assert (code, err) == (0, None)
+    obj = json.loads(out)
+    assert (obj["lip"], obj["colip"], obj["distortion"]) == (1.0, 1.0, 1.0)
+    assert "compression_integral" not in obj
+    assert not csv.exists()
+
+
 def test_embed_p1_requires_l1_variant(capsys):
     code = main(["embed", "--tree", "inc:h=4,b=6", "--p", "1"])
     capsys.readouterr()

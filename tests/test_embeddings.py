@@ -535,6 +535,17 @@ def test_quotient_oracle_checks_table_points(domain, values, message):
                          U.FiniteMatrixSpace(TWO), values, 2.0, 0.0)
 
 
+@pytest.mark.parametrize("domain,values,message", [
+    (((0.0,), (1.0,)), ((0.0,), (1.0, 2.0)), "value point"),
+    (((0.0,), ("a",)), ((0.0,), (1.0,)), "domain point"),
+    (((0.0,), 1.0), ((0.0,), (1.0,)), "domain point"),
+])
+def test_quotient_oracle_checks_lp_points(domain, values, message):
+    l1 = U.LpSpace(1, 2.0)
+    with pytest.raises(EmbeddingError, match=f"^a {message}: dimension mismatch$"):
+        U.QuotientOracle(l1, domain, l1, values, 2.0, 0.0)
+
+
 @pytest.mark.parametrize("point", [2, -1, 0.5, "a", None, (0,), True])
 def test_tree_map_checks_table_points(point):
     spec = U.parse_tree_spec("bin:h=1")

@@ -245,8 +245,7 @@ def test_identity_map_equals_the_dict_built_map(desc):
 def test_identity_map_rows_are_its_indices_unchecked(monkeypatch, capsys):
     # the identity's points are the vertex indices by construction: its rows
     # skip the point tuple, the index check and the conversion to rows
-    for attr in ("has_points", "rows"):
-        monkeypatch.setattr(U.spaces.TableSpace, attr, None)
+    monkeypatch.setattr(U.spaces.TableSpace, "rows", None)
     spec = U.parse_tree_spec("inc:h=4,b=6")
     f = U.TreeMap.identity(spec)
     n = trees.tree_graph(spec).n
@@ -259,7 +258,8 @@ def test_identity_map_rows_are_its_indices_unchecked(monkeypatch, capsys):
     assert all(type(i) is int for i in f.points())
     monkeypatch.undo()
     g = U.TreeMap(spec, trees.tree_graph(spec), dict(zip(U.vertices(spec), range(n))))
-    assert (f._rows == g._rows).all() and f._rows.dtype == g._rows.dtype
+    assert not hasattr(f, "_rows")
+    assert g._rows.tolist() == list(range(n)) and g._rows.dtype == np.intp
 
 
 def test_dict_map_reads_its_dict_once():
@@ -458,6 +458,47 @@ def test_lipschitz_flag_is_false_on_a_metric_target_past_the_float_range():
         assert U.lipschitz_constant(f, with_flag=True) == (math.inf, False)
     rep = U.report(U.InvariantId.FORK_COTYPE, f, 2.0)
     assert (rep.rhs, rep.lipschitz_flag) == (math.inf, False)
+
+
+def test_lipschitz_flag_is_false_when_both_maxima_are_inf():
+    # on a quasi-metric target the pair scan takes in every edge, so its
+    # maximum is the Lipschitz constant; here it and the edge maximum are
+    # both inf, and they agree
+    spec = U.parse_tree_spec("bin:h=4")
+    f = U.TreeMap(spec, U.parse_space("heis:dim=2,p=2"),
+                  {v: U.HPoint((1.5e308 * (-1) ** len(v), 0.0), 0.0)
+                   for v in U.vertices(spec)})
+    with np.errstate(over="ignore"):
+        assert U.lipschitz_constant(f, with_flag=True) == (math.inf, False)
+    rep = U.report(U.InvariantId.FORK_COTYPE, f, 2.0)
+    assert (rep.rhs, rep.lipschitz_flag) == (math.inf, False)
+
+
+@pytest.mark.parametrize("target, point", [
+    ("l2:dim=2", (0.0,)),                      # one coordinate short
+    ("l2:dim=2", (0.0, 1.0, 2.0)),             # one too many
+    ("l2:dim=2", ((0.0, 1.0),)),               # nested one level deeper
+    ("l2:dim=2", ("a", 1.0)),                  # not numbers
+    ("l2:dim=2", 1.0),                         # not a sequence
+    ("heis:dim=2,p=2", (0.0, 0.0)),            # not an HPoint
+    ("heis:dim=2,p=2", U.HPoint((0.0,), 0.0)),
+    ("heis:dim=2,p=2", U.HPoint((0.0, 0.0), "a")),
+    ("prod:p=2;l2:dim=1;l2:dim=1", ((0.0,), (0.0, 1.0))),
+    ("prod:p=2;l2:dim=1;l2:dim=1", ((0.0,),)),
+    ("prod:p=2;l2:dim=1;l2:dim=1", 0.0),
+], ids=["l2-short", "l2-long", "l2-nested", "l2-str", "l2-scalar", "heis-tuple",
+        "heis-short", "heis-str", "prod-ragged", "prod-short", "prod-scalar"])
+def test_malformed_map_points_fail_at_construction(target, point):
+    # the map turns its points into rows when it is built, so a malformed
+    # point fails there, not in a later read
+    spec = U.parse_tree_spec("bin:h=2")
+    space = U.parse_space(target)
+    assignment = {v: space.point(np.zeros(space.width)) for v in U.vertices(spec)}
+    U.TreeMap(spec, space, assignment)
+    assignment[(1, -1)] = point
+    with pytest.raises(InvariantError,
+                       match="^a map point: .*(dimension|component count) mismatch$"):
+        U.TreeMap(spec, space, assignment)
 
 
 @pytest.mark.parametrize("target", ["l2", "heisenberg"])

@@ -222,6 +222,20 @@ def test_min_feasible_K_bracket_ends(ineq, space, q, certify_passes):
     assert certify_passes == []
 
 
+@pytest.mark.parametrize("ineq,space,q", K_FAMILIES,
+                         ids=[f[0].value for f in K_FAMILIES])
+def test_min_feasible_K_returns_hi_at_the_sampled_minimum(ineq, space, q,
+                                                          certify_passes):
+    # hi is the sampled minimum: the pass climbs to hi, which certifies in one
+    # pass; a bracket of one feasible point returns that point
+    K = fit(ineq, space, q, (1e-3, 1e3))
+    assert K > 1e-3
+    for lo in (1e-3, K):
+        del certify_passes[:]
+        assert fit(ineq, space, q, (lo, K)) == K
+        assert len(certify_passes) == 1
+
+
 def test_min_feasible_K_infeasible_at_every_K(certify_passes):
     # on the unit star a leg triple with the hub as z has R - A = 0 < B: no
     # K makes the tripod hold

@@ -1,10 +1,12 @@
 """Source hygiene of the library, read with the standard `ast` module: every
-import in a module of `umbellab` is used in that module, and every
-module-level private name is read somewhere in the package.  Deletions leave
-such names behind; this test finds them."""
+import in a module of `umbellab` is used in that module, every module-level
+private name is read somewhere in the package, and every public function,
+class and method is read somewhere in the repository's code.  Deletions
+leave such names behind; this test finds them."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -12,6 +14,8 @@ import umbellab
 
 SOURCES = sorted(pathlib.Path(umbellab.__file__).parent.glob("*.py"))
 TREES = {path.stem: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+REPO = pathlib.Path(__file__).resolve().parents[1]
+READERS = ("src", "tests", "demos", "perfbench")
 
 
 def _reads(tree: ast.AST) -> set:
@@ -68,4 +72,47 @@ def test_every_private_module_name_is_read():
     read = set().union(*map(_reads, TREES.values()))
     unread = [f"{module}.py:{line} {name}" for module, tree in TREES.items()
               for name, line in _private_definitions(tree) if name not in read]
+    assert not unread, unread
+
+
+def _public_definitions(tree: ast.Module):
+    """(name, line) of every public function and class a module defines at
+    its top level, and of every public method of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for n in [node, *(m for m in members if isinstance(m, ast.FunctionDef))]:
+                if not n.name.startswith("_"):
+                    yield n.name, n.lineno
+
+
+def _names_read(tree: ast.AST) -> set:
+    """Loaded names, attribute names, imported names and the identifiers in
+    string constants (such as the package's export table), docstrings
+    excepted."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and ast.get_docstring(node, clean=False) is not None}
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.update(node.name.split("."))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            out.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return out
+
+
+def test_every_public_name_is_read():
+    read = set()
+    for folder in READERS:
+        for path in (REPO / folder).rglob("*.py"):
+            read |= _names_read(ast.parse(path.read_text(), str(path)))
+    unread = [f"{module}.py:{line} {name}" for module, tree in TREES.items()
+              for name, line in _public_definitions(tree) if name not in read]
     assert not unread, unread

@@ -323,6 +323,25 @@ def test_product_rows_reject_table_factor_points(bad):
                                                                        [0.0, 0.0]]
 
 
+def test_rows_reject_ragged_and_non_numeric_points():
+    l1 = U.LpSpace(1, 2.0)
+    heis = U.parse_space("heis:dim=2,p=2")
+    prod = U.ProductSpace((l1, STAR2), 2.0)
+    for space, points in ((l1, [(0.0,), (0.0, 1.0)]), (l1, [("a",)]), (l1, [{}]),
+                          (heis, [U.HPoint((0.0, 0.0), 0.0), (0.0, 0.0)]),
+                          (heis, [U.HPoint([0.0, 0.0], 0.0)]),
+                          (heis, [U.HPoint((0.0, "a"), 0.0)])):
+        with pytest.raises(SpaceError, match="^dimension mismatch$"):
+            space.rows(points)
+    with pytest.raises(SpaceError, match="^the product point factor dimension mismatch$"):
+        prod.rows([((0.0,), 0), ((0.0, 1.0), 1)])
+    with pytest.raises(SpaceError, match="^the product point factor dimension mismatch$"):
+        U.ProductSpace((l1,), 2.0).rows([((0.0,),), ((0.0, 1.0),)])
+    for points in ([((0.0,), 0), 5], [((0.0,), 0), None], [((0.0,),)]):
+        with pytest.raises(SpaceError, match="^component count mismatch$"):
+            prod.rows(points)
+
+
 @pytest.mark.parametrize("kw", [
     {"p": math.nan}, {"p": 0.0}, {"p": -2.0}, {"lam": math.nan},
     {"lam": math.inf}, {"lam": 0.0}, {"lam": -1.0},
@@ -365,10 +384,15 @@ def test_table_rows_and_distance_check_their_indices(name, d02):
 
 
 def test_table_space_has_points():
+    # rows is where a table's points are checked: indices pass, and the first
+    # point that is not one is named
     star = U.FiniteMatrixSpace(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert star.has_points([0, 1, np.int64(1)]) and star.has_points([])
+    assert star.rows([0, 1, np.int64(1)]).tolist() == [0, 1, 1]
+    assert star.rows([]).tolist() == []
     for bad in ([2], [-1], [0.5], ["a"], [None], [[0]], [True]):
-        assert not star.has_points(bad), bad
+        with pytest.raises(SpaceError, match=f"^{re.escape(json.dumps(bad[0]))} "
+                                             "is not an index of matrix:n=2$"):
+            star.rows(bad)
 
 
 @pytest.mark.parametrize("point", [True, np.bool_(True), False, 2 ** 70, -2 ** 70,
@@ -376,13 +400,23 @@ def test_table_space_has_points():
                                    np.int8(-1), 1.0, np.float64(1.0), "a", None, (),
                                    [0]])
 def test_has_points_is_the_per_point_rule(point):
+    # rows raises exactly when a point breaks the per-point rule, and names
+    # the first that does
     space = U.FiniteMatrixSpace(np.ones((3, 3)) - np.eye(3))
 
-    def rule(points):
-        return all(U.spaces.is_int(i) and 0 <= i < space.n for i in points)
+    def is_index(i):
+        return U.spaces.is_int(i) and 0 <= i < space.n
 
-    for points in ([point], [0, point, np.int64(2)], (1, 2, point), ()):
-        assert space.has_points(points) == rule(points), points
+    for points in ([point], [0, point, np.int64(2)], (1, 2, point), (),
+                   (point, -7)):
+        bad = [i for i in points if not is_index(i)]
+        if not bad:
+            assert space.rows(points).tolist() == [int(i) for i in points]
+            continue
+        with pytest.raises(SpaceError) as info:
+            space.rows(points)
+        assert str(info.value) == (f"{json.dumps(bad[0], default=repr)} is not "
+                                   "an index of matrix:n=3"), points
 
 
 def test_row_wise_heisenberg_ops_match_scalar():

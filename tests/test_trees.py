@@ -165,6 +165,25 @@ def test_star_property_rejects_tampered_map():
     assert not U.check_star_property(2, J, bad)
 
 
+def test_star_property_rejects_broken_heights_and_extensions():
+    J = lambda m, n: 5
+    phi = U.binary_to_increasing(2, J)
+    for leaf, img in (((1, 1), (1, 2, 3)),     # a label too many
+                      ((1, 1), (7, 8))):       # not an extension of its parent
+        assert not U.check_star_property(2, J, {**phi, leaf: img})
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_star_property_rejects_an_undominated_threshold(k):
+    # a threshold above every -1-side label under the root: the map built for
+    # the lower threshold does not dominate it
+    J = lambda m, n: 5
+    phi = U.binary_to_increasing(k, J)
+    higher = lambda m, n: 5 if m else phi[(-1,)][0] + 1
+    assert U.check_star_property(k, J, phi)
+    assert not U.check_star_property(k, higher, phi)
+
+
 # graph spaces
 
 def test_graph_space_matches_bfs_oracle():
