@@ -1,22 +1,27 @@
 """Heisenberg group quasi-metrics and the parallelogram inequality.
 
 Points are pairs (x, s) with x horizontal and s vertical; the group law
-twists the vertical coordinate by the symplectic area form.
+twists the vertical coordinate by the symplectic area form.  The library
+computes on rows (x, s): `h_mul_rows` multiplies, `h_dilate_rows` dilates
+and `koranyi_norm_rows` takes the Koranyi-type norm.
 """
 
+import numpy as np
+
 import umbellab as U
+from umbellab.spaces import h_dilate_rows, h_mul_rows, koranyi_norm_rows
 
 h = U.standard_symplectic(2)
-a = U.HPoint((1.0, 0.0), 0.0)
-b = U.HPoint((0.0, 1.0), 0.0)
-ab = U.h_mul(h, a, b)
-ba = U.h_mul(h, b, a)
-print(f"a*b vertical part: {ab.s:+.3f}, b*a vertical part: {ba.s:+.3f} "
+a = np.array([1.0, 0.0, 0.0])
+b = np.array([0.0, 1.0, 0.0])
+ab = h_mul_rows(h, a, b)
+ba = h_mul_rows(h, b, a)
+print(f"a*b vertical part: {ab[-1]:+.3f}, b*a vertical part: {ba[-1]:+.3f} "
       "(non-commutative)")
 
-n = U.koranyi_norm(h, ab, 2.0, 1.0)
+n = koranyi_norm_rows(ab, 2.0, 1.0)
 print(f"Koranyi-type norm of a*b at p=2: {n:.6f}")
-print(f"after dilation by 3: {U.koranyi_norm(h, U.h_dilate(3.0, ab), 2.0, 1.0):.6f} "
+print(f"after dilation by 3: {koranyi_norm_rows(h_dilate_rows(3.0, ab), 2.0, 1.0):.6f} "
       f"(= 3x, homogeneous)")
 
 K, lam = U.parallelogram_constants(2.0, 1.0)

@@ -14,11 +14,10 @@ import importlib
 # public name -> the module that defines it
 _EXPORTS = {name: module for module, names in (
     ("trees", "TreeSpec parse_tree_spec vertices vertices_at_height "
-              "tree_distance level_edges binary_to_increasing "
-              "check_star_property diamond_graph laakso_graph"),
+              "binary_to_increasing check_star_property diamond_graph "
+              "laakso_graph"),
     ("spaces", "LpSpace FiniteMatrixSpace GraphMetricSpace ProductSpace "
-               "HeisenbergSpace HeisenbergMetricSpace HPoint h_mul h_inv "
-               "h_dilate koranyi_norm koranyi_dist horizontal_length "
+               "HeisenbergSpace HeisenbergMetricSpace HPoint horizontal_length "
                "quasi_constant_estimate standard_symplectic parse_space"),
     ("pointwise", "InequalityId InequalityConfig CheckReport CampaignReport "
                   "ModulusEstimate NoSolution check_inequality "

@@ -132,6 +132,7 @@ class ModulusCurve:
         return self.values[i - 1] if i else 0.0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def moduli(f: TreeMap) -> tuple[ModulusCurve, ModulusCurve]:
     """Compression and expansion curves: rho(t) = min image distance over
     pairs at tree distance >= t (nondecreasing lower envelope of the

@@ -70,7 +70,7 @@ class TreeMap:
 
     The map reads the mapping once, at construction, into its points in
     vertex order, which checks the map is total, and turns them into the
-    target's rows, which checks every point.  `point`, `dist`, `points`,
+    target's rows, which checks every point.  `point`, `points`,
     `pair_distances`, `assignment` and `to_json` all read those copies, so
     later edits to the mapping are not seen.
 
@@ -108,9 +108,6 @@ class TreeMap:
         """A read-only {vertex: point} view of the points, in vertex order."""
         return MappingProxyType(dict(zip(tree_graph(self.spec).vertices,
                                          self.points())))
-
-    def dist(self, u: Vertex, v: Vertex) -> float:
-        return self.target.distance(self.point(u), self.point(v))
 
     def pair_distances(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """d(f(u[i]), f(v[i])) for vertex-order index arrays u and v,
@@ -310,6 +307,7 @@ def _pair_max(f: TreeMap) -> float:
                default=0.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def lipschitz_constant(f: TreeMap, with_flag: bool = False):
     """max over vertex pairs of d_Y(f(u), f(v)) / d_tree(u, v): on a metric
     target the edge maximum, over the pairs of the Lipschitz plans, never
@@ -572,12 +570,14 @@ def _evaluate_map(plan: Plan, f: TreeMap, p: float) -> float:
     return float(evaluate(plan, f.pair_distances(plan.u, plan.v)[None], p)[0])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def lhs(inv: InvariantId, f: TreeMap, p: float,
         j_min: Optional[int] = None) -> float:
     _check_exponent(p)
     return _evaluate_map(compile_plan(inv, f.spec, "lhs", j_min), f, p)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _rhs(inv: InvariantId, f: TreeMap, p: float) -> tuple[float, Optional[bool]]:
     """The right-hand side and, when it is a Lipschitz constant, whether its
     pair and edge maxima disagree.  A Lipschitz right-hand side is the p-th
@@ -619,7 +619,6 @@ def _finite(x: float) -> Optional[float]:
     return x if math.isfinite(x) else None
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def report(inv: InvariantId, f: TreeMap, p: float,
            j_min: Optional[int] = None) -> InvariantReport:
     k = _validate(inv, f.spec)

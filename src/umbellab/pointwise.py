@@ -419,12 +419,14 @@ def alpha_sequence(space, x, y, z, m, n: int) -> list[float]:
     if space.distance(z, m) <= sp.ABS_TOL:
         raise PointwiseError("z = m: the iteration is undefined")
     dxy2 = space.distance(x, y) ** 2
+
+    def norm2(v) -> float:
+        return float(space.norm_rows(v)) ** 2
+
     out = []
     for k_ in range(n + 1):
         zk = mv + (zv - mv) / 2 ** k_
-        denom = space.norm(zk - mv) ** 2
-        num = space.norm(zk - xv) ** 2 + space.norm(zk - yv) ** 2 - dxy2 / 2
-        out.append(num / denom)
+        out.append((norm2(zk - xv) + norm2(zk - yv) - dxy2 / 2) / norm2(zk - mv))
     return out
 
 
@@ -460,7 +462,7 @@ def _circle_points(space: LpSpace, grid: int) -> np.ndarray:
 def _in_ball(space: LpSpace, count: int) -> list:
     """SLSQP constraints keeping each of the first `count` 2-vectors of the
     variables in the unit ball."""
-    return [{"type": "ineq", "fun": lambda v, i=i: 1 - space.norm(v[2 * i:2 * i + 2])}
+    return [{"type": "ineq", "fun": lambda v, i=i: 1 - space.norm_rows(v[2 * i:2 * i + 2])}
             for i in range(count)]
 
 
@@ -490,9 +492,9 @@ def modulus_delta(space: LpSpace, eps: float, grid: int = 64) -> ModulusEstimate
     polished = False
     if ok.any():
         def obj(v):
-            return 1 - space.norm((v[:2] + v[2:]) / 2)
+            return 1 - space.norm_rows((v[:2] + v[2:]) / 2)
         cons = _in_ball(space, 2) + [
-            {"type": "ineq", "fun": lambda v: space.norm(v[:2] - v[2:]) - eps}]
+            {"type": "ineq", "fun": lambda v: space.norm_rows(v[:2] - v[2:]) - eps}]
         polish, polished = _polish(obj, cons, np.concatenate([pts[i], pts[j]]))
         best = min(best, polish)
     return ModulusEstimate(eps, max(best, 0.0), grid, count, polished)
@@ -525,10 +527,10 @@ def _tripod_modulus(space: LpSpace, sep: float, m: int, grid: int,
         return v[2 + 2 * i:4 + 2 * i]
 
     def obj(v):
-        return max(1 - space.norm((v[:2] - x(v, i)) / 2) for i in range(m))
+        return max(1 - space.norm_rows((v[:2] - x(v, i)) / 2) for i in range(m))
 
     cons = _in_ball(space, m + 1) + [
-        {"type": "ineq", "fun": lambda v, i=i, j=j: space.norm(x(v, i) - x(v, j)) - sep}
+        {"type": "ineq", "fun": lambda v, i=i, j=j: space.norm_rows(x(v, i) - x(v, j)) - sep}
         for i, j in itertools.combinations(range(m), 2)]
     polish, polished = _polish(obj, cons, np.concatenate([cand[zi], *cand[families[j]]]))
     best = min(float(vmax[zi, j]), polish)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -72,20 +73,21 @@ def lp_norm_rows(v: np.ndarray, p: float) -> np.ndarray:
     return (np.abs(v) ** p).sum(axis=-1) ** (1.0 / p)
 
 
-def lp_norm(x, p: float) -> float:
-    return float(lp_norm_rows(np.asarray(x, dtype=float), p))
-
-
 def _float_rows(make, width: int) -> np.ndarray:
     """make()'s rows as a float array of `width` columns, or SpaceError when
-    a point is ragged, of another width, not numbers or unreadable by make()."""
+    a point is ragged, of another width, unreadable by make() or has a
+    coordinate that is not a real number, such as None or a string (which a
+    float conversion reads as nan and as the number it spells)."""
     try:
-        out = np.asarray(make(), dtype=float)
+        raw = np.asarray(make())
     except (AttributeError, TypeError, ValueError):
-        out = None
-    if out is None or out.shape[1:] != (width,):
+        raw = None
+    if (raw is not None and raw.dtype.kind == "O"  # e.g. ints past int64
+            and all(isinstance(x, numbers.Real) for x in raw.flat)):
+        raw = raw.astype(float)
+    if raw is None or raw.dtype.kind not in "biuf" or raw.shape[1:] != (width,):
         raise SpaceError("dimension mismatch")
-    return out
+    return raw.astype(float, copy=False)
 
 
 class RowSpace:
@@ -118,9 +120,6 @@ class LpSpace(RowSpace):
             raise SpaceError("p must be >= 1")
         if self.dim < 1:
             raise SpaceError("dim must be >= 1")
-
-    def norm(self, x) -> float:
-        return lp_norm(x, self.p)
 
     def norm_rows(self, x: np.ndarray) -> np.ndarray:
         return lp_norm_rows(x, self.p)
@@ -391,9 +390,6 @@ class HeisenbergSpace:
         i, j, w = self._terms
         return ((x[..., i] * y[..., j] - x[..., j] * y[..., i]) * w).sum(axis=-1)
 
-    def omega(self, x, y) -> float:
-        return float(self.omega_rows(np.asarray(x, float), np.asarray(y, float)))
-
     def operator_norm(self) -> float:
         return float(np.linalg.norm(self.omega_matrix, 2))
 
@@ -408,38 +404,8 @@ def standard_symplectic(dim: int = 2) -> HeisenbergSpace:
     return HeisenbergSpace(m)
 
 
-def h_mul(sp: HeisenbergSpace, a: HPoint, b: HPoint) -> HPoint:
-    if len(a.x) != sp.dim or len(b.x) != sp.dim:
-        raise SpaceError("dimension mismatch")
-    x = tuple(float(u + v) for u, v in zip(a.x, b.x))
-    return HPoint(x, a.s + b.s + sp.omega(a.x, b.x))
-
-
-def h_inv(a: HPoint) -> HPoint:
-    return HPoint(tuple(-u for u in a.x), -a.s)
-
-
-def h_dilate(t: float, a: HPoint) -> HPoint:
-    if t <= 0:
-        raise SpaceError("dilation factor must be positive")
-    return HPoint(tuple(t * u for u in a.x), t * t * a.s)
-
-
-def koranyi_norm(sp: HeisenbergSpace, a: HPoint, p: float, lam: float) -> float:
-    if lam <= 0:
-        raise SpaceError("lambda must be positive")
-    xn = lp_norm(a.x, 2)
-    if p == math.inf:
-        return max(xn, lam * math.sqrt(abs(a.s)))
-    return (xn ** (2 * p) + lam * abs(a.s) ** p) ** (1.0 / (2 * p))
-
-
-def koranyi_dist(sp: HeisenbergSpace, a: HPoint, b: HPoint, p: float, lam: float) -> float:
-    return koranyi_norm(sp, h_mul(sp, h_inv(b), a), p, lam)
-
-
-# Row-wise forms of the above on arrays whose last axis holds (x, s); the
-# inverse of such a row is its negation.
+# The group law, dilation and Koranyi norm on rows whose last axis holds
+# (x, s); the inverse of such a row is its negation.
 
 
 def h_mul_rows(sp: HeisenbergSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:

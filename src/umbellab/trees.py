@@ -108,23 +108,6 @@ def vertices(spec: TreeSpec) -> list[Vertex]:
     return out
 
 
-def tree_distance(u: Vertex, v: Vertex) -> int:
-    """Path distance |u| + |v| - 2 * (longest common prefix length)."""
-    lcp = 0
-    for a, b in zip(u, v):
-        if a != b:
-            break
-        lcp += 1
-    return len(u) + len(v) - 2 * lcp
-
-
-def level_edges(spec: TreeSpec, level: int) -> list[tuple[Vertex, Vertex]]:
-    """All (parent, child) edges between heights level-1 and level."""
-    if level < 1 or level > spec.height:
-        raise TreeSpecError(f"level {level} out of range [1, {spec.height}]")
-    return [(v[:-1], v) for v in vertices_at_height(spec, level)]
-
-
 # ---------------------------------------------------------------------------
 # Binary -> increasing tree morphism
 
@@ -174,13 +157,8 @@ def check_star_property(k: int, J: Callable[[Vertex, Vertex], int],
     for eps in phi:
         if len(eps) >= k:
             continue
-        minus_labels = {
-            phi[eps + (-1,) + delta][len(eps)]
-            for delta in _suffixes(k - len(eps) - 1)
-        }
-        if len(minus_labels) != 1:
-            return False
-        j_prime = minus_labels.pop()
+        # the first loop made every -1-side descendant extend this label
+        j_prime = phi[eps + (-1,)][len(eps)]
         if j_prime == phi[eps + (1,)][len(eps)]:
             return False
         for delta in _suffixes(k - len(eps) - 1):

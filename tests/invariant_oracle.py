@@ -9,7 +9,9 @@ scalar `distance` call per (vertex, domain point), and the constant map's
 point chosen class by class.  They walk the displays
 of each functional directly and serve as the test oracle for the compiled
 plans, the scan, the on-demand points and the lift on rows; nothing in the
-library imports them."""
+library imports them.  The tree distance, level edges and map distance
+`dist` below take one vertex pair at a time, where the library reads rows
+of its TreeGraph."""
 
 from __future__ import annotations
 
@@ -28,6 +30,26 @@ from umbellab import spaces as sp
 from umbellab.spaces import HPoint, LpSpace, _apsp
 
 import pointwise_oracle
+
+
+def tree_distance(u: Vertex, v: Vertex) -> int:
+    """Path distance |u| + |v| - 2 * (longest common prefix length)."""
+    lcp = 0
+    for a, b in zip(u, v):
+        if a != b:
+            break
+        lcp += 1
+    return len(u) + len(v) - 2 * lcp
+
+
+def level_edges(spec, level: int) -> list[tuple[Vertex, Vertex]]:
+    """All (parent, child) edges between heights level-1 and level."""
+    return [(v[:-1], v) for v in vertices_at_height(spec, level)]
+
+
+def dist(f: TreeMap, u: Vertex, v: Vertex) -> float:
+    """d(f(u), f(v)) by the target's scalar distance."""
+    return f.target.distance(f.point(u), f.point(v))
 
 
 def _pairwise(target, pts) -> np.ndarray:
@@ -94,7 +116,7 @@ def bourgain_profile(height: int, p: float) -> np.ndarray:
                 diff = [weight(a - i + 1) - weight(b - i + 1) for i in range(c + 1)]
                 diff += [weight(m) for m in range(1, a - c + 1)]
                 diff += [weight(m) for m in range(1, b - c + 1)]
-                T[a, b, c] = T[b, a, c] = sp.lp_norm(diff, p)
+                T[a, b, c] = T[b, a, c] = pointwise_oracle.lp_norm(diff, p)
     return T
 
 
@@ -158,15 +180,15 @@ def modulus_value(curve: ModulusCurve, t: float) -> float:
 
 def lipschitz_constant(f: TreeMap, with_flag: bool = False):
     """Pair maximum over one full n x n ratio buffer, edge maximum by
-    walking the edges through f.dist."""
+    walking the edges through `dist`."""
     index = tree_graph(f.spec).index
     dtree = tree_table(f.spec)
     dimg = _pairwise(f.target, [f.assignment[v] for v in index])
     ratio = np.zeros_like(dimg)
     np.divide(dimg, dtree, out=ratio, where=dtree > 0)
     pair_lip = float(ratio.max())
-    edge = max((f.dist(u, v) for level in range(1, f.spec.height + 1)
-                for u, v in trees.level_edges(f.spec, level)), default=0.0)
+    edge = max((dist(f, u, v) for level in range(1, f.spec.height + 1)
+                for u, v in level_edges(f.spec, level)), default=0.0)
     value = max(pair_lip, edge)
     if with_flag:
         return value, not sp.close(pair_lip, edge)
@@ -241,13 +263,13 @@ def rhs(inv: InvariantId, f: TreeMap, p: float) -> float:
     if inv in (InvariantId.UMBEL_CONVEXITY, InvariantId.FORK_CONVEXITY):
         total = 0.0
         for level in range(1, 2 ** k + 1):
-            total += max(f.dist(u, v) ** p for u, v in trees.level_edges(f.spec, level))
+            total += max(dist(f, u, v) ** p for u, v in level_edges(f.spec, level))
         return total / 2 ** k
     if inv is InvariantId.MARKOV_DIRECTED:
         total = 0.0
         for t in range(1, 2 ** k + 1):
             verts = vertices_at_height(f.spec, t)
-            total += sum(f.dist(v[:-1], v) ** p for v in verts) / len(verts)
+            total += sum(dist(f, v[:-1], v) ** p for v in verts) / len(verts)
         return total
     raise InvariantError(f"unknown invariant {inv}")  # pragma: no cover
 

@@ -1,12 +1,15 @@
 """The scalar evaluation of every pointwise inequality, the per-sample
 certification loop that `umbellab.pointwise` ran before each configuration
 became the one-row case of `batch_margins`, the per-triple loop of the
-quasi-triangle estimate and the per-cell loop of the horizontal length.  They evaluate one configuration at a time through
-the scalar `distance` below and serve as the test oracle for the batched
-kernels; nothing in the library imports them.  The two tripod-modulus
-searches are the library's before it merged them into one, and the Ramsey
-refinement at the end is the library's before it read its distances as
-rows."""
+quasi-triangle estimate and the per-cell loop of the horizontal length.
+They evaluate one configuration at a time through the scalar `distance`
+below and serve as the test oracle for the batched kernels; nothing in the
+library imports them.  That distance takes lp vectors through their own
+norm and Heisenberg points through the group law and Koranyi norm of one
+point at a time, which the library has only as row kernels.  The two
+tripod-modulus searches are the library's before it merged them into one,
+and the Ramsey refinement at the end is the library's before it read its
+distances as rows."""
 
 from __future__ import annotations
 
@@ -23,8 +26,60 @@ from umbellab.pointwise import (FOUR_POINT, UMBEL_FAMILY, CampaignReport,
                                 _circle_points, _in_ball, _parallelogram_setup,
                                 _polish, check_space)
 from umbellab.spaces import (ABS_TOL, HeisenbergMetricSpace, HPoint, LpSpace,
-                             ProductSpace, SpaceError, h_dilate, h_inv, h_mul,
-                             koranyi_dist, koranyi_norm, lp_norm)
+                             ProductSpace, SpaceError)
+
+
+def lp_norm(x, p: float) -> float:
+    """The lp norm of one vector, by the formula of each exponent."""
+    v = np.abs(np.asarray(x, dtype=float))
+    if p == math.inf:
+        return float(v.max(initial=0.0))
+    if p == 1:
+        return float(v.sum())
+    if p == 2:
+        return float(np.sqrt((v * v).sum()))
+    return float((v ** p).sum() ** (1.0 / p))
+
+
+# The Heisenberg group point by point: the scalar forms of spaces.h_mul_rows,
+# h_dilate_rows and koranyi_norm_rows.
+
+
+def omega(hsp, x, y) -> float:
+    """x^T O y as the sum over i < j of O_ij (x_i y_j - x_j y_i), one term at
+    a time, without `omega_rows`."""
+    m = hsp.omega_matrix
+    total = 0.0
+    for i, j in itertools.combinations(range(hsp.dim), 2):
+        if m[i, j]:
+            total += (x[i] * y[j] - x[j] * y[i]) * m[i, j]
+    return float(total)
+
+
+def h_mul(hsp, a: HPoint, b: HPoint) -> HPoint:
+    if len(a.x) != hsp.dim or len(b.x) != hsp.dim:
+        raise SpaceError("dimension mismatch")
+    x = tuple(float(u + v) for u, v in zip(a.x, b.x))
+    return HPoint(x, a.s + b.s + omega(hsp, a.x, b.x))
+
+
+def h_inv(a: HPoint) -> HPoint:
+    return HPoint(tuple(-u for u in a.x), -a.s)
+
+
+def h_dilate(t: float, a: HPoint) -> HPoint:
+    return HPoint(tuple(t * u for u in a.x), t * t * a.s)
+
+
+def koranyi_norm(a: HPoint, p: float, lam: float) -> float:
+    xn = lp_norm(a.x, 2)
+    if p == math.inf:
+        return max(xn, lam * math.sqrt(abs(a.s)))
+    return (xn ** (2 * p) + lam * abs(a.s) ** p) ** (1.0 / (2 * p))
+
+
+def koranyi_dist(hsp, a: HPoint, b: HPoint, p: float, lam: float) -> float:
+    return koranyi_norm(h_mul(hsp, h_inv(b), a), p, lam)
 
 
 def distance(space, a, b) -> float:
@@ -99,8 +154,8 @@ def check_inequality(ineq: InequalityId, cfg: InequalityConfig, points, space) -
         x = np.asarray(points[0], float)
         y = np.asarray(points[1], float)
         p = cfg.exponent
-        lhs = space.norm(x) ** p + space.norm(y) ** p / K ** p
-        rhs = (space.norm(x + y) ** p + space.norm(x - y) ** p) / 2
+        lhs = lp_norm(x, space.p) ** p + lp_norm(y, space.p) ** p / K ** p
+        rhs = (lp_norm(x + y, space.p) ** p + lp_norm(x - y, space.p) ** p) / 2
     elif ineq is InequalityId.HEISENBERG_PARALLELOGRAM:
         if len(points) != 2:
             raise PointwiseError("parallelogram takes 2 HPoints")
@@ -125,7 +180,7 @@ def check_parallelogram(hsp, p: float, C: float, a: HPoint, b: HPoint,
     N(d_half_b)^{2p} + K^{-2p} N((d_half_b)^{ -1} a)^{2p}
       <= (N(a)^{2p} + N(b^{-1} a)^{2p}) / 2."""
     K, lam = _parallelogram_setup(hsp, p, C)
-    n = lambda pt: koranyi_norm(hsp, pt, p, lam)
+    n = lambda pt: koranyi_norm(pt, p, lam)
     half_b = h_dilate(0.5, b)
     lhs = n(half_b) ** (2 * p) + n(h_mul(hsp, h_inv(half_b), a)) ** (2 * p) / K ** (2 * p)
     rhs = 0.5 * n(a) ** (2 * p) + 0.5 * n(h_mul(hsp, h_inv(b), a)) ** (2 * p)
@@ -208,7 +263,7 @@ def horizontal_length(sp, samples) -> tuple[float, float]:
     for (x0, z0), (x1, z1) in zip(samples, samples[1:]):
         dx = np.asarray(x1, float) - np.asarray(x0, float)
         length += lp_norm(dx, 2)
-        residual = max(residual, abs((z1 - z0) - sp.omega(x0, dx)))
+        residual = max(residual, abs((z1 - z0) - omega(sp, x0, dx)))
     return length, residual
 
 
@@ -231,10 +286,11 @@ def modulus_delta_tilde(space: LpSpace, eps: float, grid: int = 24) -> ModulusEs
 
     def obj(v):
         z, x1, x2 = v[:2], v[2:4], v[4:6]
-        return max(1 - space.norm((z - x1) / 2), 1 - space.norm((z - x2) / 2))
+        return max(1 - lp_norm((z - x1) / 2, space.p),
+                   1 - lp_norm((z - x2) / 2, space.p))
 
     cons = _in_ball(space, 3) + [
-        {"type": "ineq", "fun": lambda v: space.norm(v[2:4] - v[4:6]) - eps}]
+        {"type": "ineq", "fun": lambda v: lp_norm(v[2:4] - v[4:6], space.p) - eps}]
     x0 = np.concatenate([cand[zi], *cand[pairs[j]]])
     polish, polished = _polish(obj, cons, x0)
     best = min(float(vmax[zi, j]), polish)
@@ -273,13 +329,14 @@ def modulus_beta(space: LpSpace, t: float, m: int = 3, grid: int = 12) -> Modulu
 
     def obj(v):
         z = v[:2]
-        return max(1 - space.norm((z - v[2 + 2 * i: 4 + 2 * i]) / 2) for i in range(m))
+        return max(1 - lp_norm((z - v[2 + 2 * i: 4 + 2 * i]) / 2, space.p)
+                   for i in range(m))
 
     cons = _in_ball(space, m + 1)
     for i, j in itertools.combinations(range(m), 2):
         cons.append({"type": "ineq",
-                     "fun": lambda v, i=i, j=j:
-                         space.norm(v[2 + 2 * i: 4 + 2 * i] - v[2 + 2 * j: 4 + 2 * j]) - t})
+                     "fun": lambda v, i=i, j=j: lp_norm(
+                         v[2 + 2 * i: 4 + 2 * i] - v[2 + 2 * j: 4 + 2 * j], space.p) - t})
     x0 = np.concatenate([z0] + list(xs0))
     polish, polished = _polish(obj, cons, x0)
     return ModulusEstimate(t, max(min(best, polish), 0.0), grid, count, polished)

@@ -12,6 +12,8 @@ import umbellab as U
 from umbellab.cli import main
 from umbellab.pointwise import NoSolution
 
+from invariant_oracle import tree_distance
+
 RTOL = 1e-9
 
 
@@ -138,15 +140,15 @@ def test_acc_compression_integral_identity_curve():
 
 
 def brute_force_distortion(f):
-    """lip * colip over every vertex pair: the tree distances from
-    U.tree_distance, the image distances from a plain numpy norm of the
-    points, read once, rather than the library's row kernel."""
+    """lip * colip over every vertex pair: the tree distances from the
+    oracle's tree_distance, the image distances from a plain numpy norm of
+    the points, read once, rather than the library's row kernel."""
     verts = U.vertices(f.spec)
     pts = np.array(f.points(), dtype=float)
     lip = 0.0
     colip = 0.0
     for i, u in enumerate(verts[:-1]):
-        dt = np.array([U.tree_distance(u, v) for v in verts[i + 1:]], dtype=float)
+        dt = np.array([tree_distance(u, v) for v in verts[i + 1:]], dtype=float)
         di = np.linalg.norm(pts[i + 1:] - pts[i], ord=f.target.p, axis=1)
         lip = max(lip, float((di / dt).max()))
         colip = max(colip, float((dt / di).max()))

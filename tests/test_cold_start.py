@@ -102,15 +102,15 @@ def test_cli_runs_without_scipy(tmp_path):
 
 
 # the names `umbellab` exported when it imported every module up front,
-# less those deleted since (search.identity_report)
+# less those deleted since (search.identity_report; trees.tree_distance and
+# level_edges; spaces.h_mul, h_inv, h_dilate, koranyi_norm and koranyi_dist)
 EXPORTS = {
     "trees": ["TreeSpec", "parse_tree_spec", "vertices", "vertices_at_height",
-              "tree_distance", "level_edges", "binary_to_increasing",
-              "check_star_property", "diamond_graph", "laakso_graph"],
+              "binary_to_increasing", "check_star_property", "diamond_graph",
+              "laakso_graph"],
     "spaces": ["LpSpace", "FiniteMatrixSpace", "GraphMetricSpace",
                "ProductSpace", "HeisenbergSpace", "HeisenbergMetricSpace",
-               "HPoint", "h_mul", "h_inv", "h_dilate", "koranyi_norm",
-               "koranyi_dist", "horizontal_length", "quasi_constant_estimate",
+               "HPoint", "horizontal_length", "quasi_constant_estimate",
                "standard_symplectic", "parse_space"],
     "pointwise": ["InequalityId", "InequalityConfig", "CheckReport",
                   "CampaignReport", "ModulusEstimate", "NoSolution",
@@ -220,13 +220,13 @@ def test_an_unknown_attribute_raises_attribute_error(name):
 
 def test_an_export_reads_its_module_binding_each_time(monkeypatch):
     # an export read while its function is patched must not keep the patch
-    original = U.spaces.koranyi_dist
+    original = U.spaces.horizontal_length
 
     def patched(*args):
         return original(*args)
 
     with monkeypatch.context() as m:
-        m.setattr(U.spaces, "koranyi_dist", patched)
-        assert U.koranyi_dist is patched
-    assert U.koranyi_dist is original
-    assert "koranyi_dist" not in vars(U)
+        m.setattr(U.spaces, "horizontal_length", patched)
+        assert U.horizontal_length is patched
+    assert U.horizontal_length is original
+    assert "horizontal_length" not in vars(U)

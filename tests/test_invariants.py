@@ -232,7 +232,7 @@ def test_identity_map_equals_the_dict_built_map(desc):
     assert list(f.assignment.items()) == list(g.assignment.items())
     assert len(f.assignment) == len(verts) and f.points() == g.points()
     assert all(f.point(v) == g.point(v) for v in verts)
-    assert all(f.dist(u, v) == g.dist(u, v)
+    assert all(oracle.dist(f, u, v) == oracle.dist(g, u, v)
                for u, v in itertools.product(verts, repeat=2))
     assert f.to_json() == g.to_json()
     assert (7, 7) not in f.assignment and (7, 7) not in g.assignment
@@ -271,7 +271,7 @@ def test_dict_map_reads_its_dict_once():
     root, leaf = verts[0], verts[-1]
     assign[root], assign[leaf] = (-1.0,), (99.0,)
     assert f.point(root) == (0.0,) and f.point(leaf) == (6.0,)
-    assert f.dist(root, leaf) == 6.0
+    assert oracle.dist(f, root, leaf) == 6.0
     assert f.to_json() == before
     assert f.assignment[leaf] == f.points()[-1] == (6.0,)
     assert f.pair_distances(np.array([0]), np.array([6])).tolist() == [6.0]
@@ -474,20 +474,43 @@ def test_lipschitz_flag_is_false_when_both_maxima_are_inf():
     assert (rep.rhs, rep.lipschitz_flag) == (math.inf, False)
 
 
+def test_public_tree_map_calls_do_not_warn_past_the_float_range():
+    # image distances past the float range overflow in the row kernels; the
+    # public calls read them as inf without a numpy warning, as report does
+    spec = U.parse_tree_spec("bin:h=4")
+    heis = U.TreeMap(spec, U.parse_space("heis:dim=2,p=2"),
+                     {v: U.HPoint((1.5e308 * (-1) ** v.count(1), 0.0), 0.0)
+                      for v in U.vertices(spec)})
+    line = U.TreeMap(spec, U.LpSpace(1, 2.0),
+                     {v: (1e200 * (-1) ** v.count(1),) for v in U.vertices(spec)})
+    markov = U.InvariantId.MARKOV_DIRECTED
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert U.lipschitz_constant(heis, with_flag=True) == (math.inf, False)
+        assert U.rhs(U.InvariantId.FORK_COTYPE, heis, 2.0) == math.inf
+        U.lhs(U.InvariantId.FORK_COTYPE, heis, 2.0)
+        assert U.moduli(heis)[1].values[-1] == math.inf
+        assert U.rhs(markov, line, 2.0) == U.lhs(markov, line, 2.0) == math.inf
+
+
 @pytest.mark.parametrize("target, point", [
     ("l2:dim=2", (0.0,)),                      # one coordinate short
     ("l2:dim=2", (0.0, 1.0, 2.0)),             # one too many
     ("l2:dim=2", ((0.0, 1.0),)),               # nested one level deeper
     ("l2:dim=2", ("a", 1.0)),                  # not numbers
+    ("l2:dim=2", (None, 1.0)),                 # None, not nan
+    ("l2:dim=2", ("1.5", 1.0)),                # a string, though it spells a number
     ("l2:dim=2", 1.0),                         # not a sequence
     ("heis:dim=2,p=2", (0.0, 0.0)),            # not an HPoint
     ("heis:dim=2,p=2", U.HPoint((0.0,), 0.0)),
     ("heis:dim=2,p=2", U.HPoint((0.0, 0.0), "a")),
+    ("heis:dim=2,p=2", U.HPoint((None, "2"), "3")),
     ("prod:p=2;l2:dim=1;l2:dim=1", ((0.0,), (0.0, 1.0))),
     ("prod:p=2;l2:dim=1;l2:dim=1", ((0.0,),)),
     ("prod:p=2;l2:dim=1;l2:dim=1", 0.0),
-], ids=["l2-short", "l2-long", "l2-nested", "l2-str", "l2-scalar", "heis-tuple",
-        "heis-short", "heis-str", "prod-ragged", "prod-short", "prod-scalar"])
+], ids=["l2-short", "l2-long", "l2-nested", "l2-str", "l2-none", "l2-numeric-str",
+        "l2-scalar", "heis-tuple", "heis-short", "heis-str", "heis-none",
+        "prod-ragged", "prod-short", "prod-scalar"])
 def test_malformed_map_points_fail_at_construction(target, point):
     # the map turns its points into rows when it is built, so a malformed
     # point fails there, not in a later read
@@ -504,8 +527,8 @@ def test_malformed_map_points_fail_at_construction(target, point):
 @pytest.mark.parametrize("target", ["l2", "heisenberg"])
 def test_lipschitz_edge_maximum_matches_edge_walk(target):
     # the edge maximum is a gather of pair distances; walking the edges
-    # through f.dist is its oracle (the Heisenberg table comes from the
-    # generic per-pair loop, the l2 one from cdist)
+    # through the scalar distance is its oracle (the Heisenberg table comes
+    # from the generic per-pair loop, the l2 one from cdist)
     spec = U.parse_tree_spec("bin:h=3")
     rng = np.random.default_rng(4)
     if target == "l2":
@@ -513,8 +536,8 @@ def test_lipschitz_edge_maximum_matches_edge_walk(target):
     else:
         space = U.parse_space("heis:dim=2,p=inf")
         f = U.TreeMap(spec, space, {v: space.sample(rng) for v in U.vertices(spec)})
-    walked = max(f.dist(u, v) for level in range(1, spec.height + 1)
-                 for u, v in U.level_edges(spec, level))
+    walked = max(oracle.dist(f, u, v) for level in range(1, spec.height + 1)
+                 for u, v in oracle.level_edges(spec, level))
     dtree, dimg = oracle.distance_tables(f)
     pair = max(dimg[i, j] / dtree[i, j] for i in range(len(dtree))
                for j in range(len(dtree)) if dtree[i, j] > 0)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -11,6 +12,8 @@ from umbellab import trees
 from umbellab.spaces import _apsp
 from umbellab.trees import (format_tree_spec, tree_graph,
                             BINARY, INCREASING, TreeSpecError)
+
+import invariant_oracle as oracle
 
 
 def apsp_bfs(n: int, edges) -> np.ndarray:
@@ -76,21 +79,27 @@ def test_vertex_order_height_then_lex():
         (), (-1,), (1,), (-1, -1), (-1, 1), (1, -1), (1, 1)]
 
 
+def tree_distance(desc: str, u, v) -> float:
+    """The distance of vertices u and v in the TreeGraph of a tree."""
+    graph = tree_graph(U.parse_tree_spec(desc))
+    return graph.distance(graph.index[u], graph.index[v])
+
+
 def test_tree_distance():
-    assert U.tree_distance((1, 1), (1, -1)) == 2
-    assert U.tree_distance((), (1, 1, 1)) == 3
-    assert U.tree_distance((1, 2, 3), (1, 2, 3)) == 0
-    assert U.tree_distance((1, 2), (1, 3, 4)) == 3
+    assert tree_distance("bin:h=3", (1, 1), (1, -1)) == 2
+    assert tree_distance("bin:h=3", (), (1, 1, 1)) == 3
+    assert tree_distance("inc:h=3,b=4", (1, 2, 3), (1, 2, 3)) == 0
+    assert tree_distance("inc:h=3,b=4", (1, 2), (1, 3, 4)) == 3
 
 
 @given(st.lists(st.sampled_from([-1, 1]), max_size=6),
        st.lists(st.sampled_from([-1, 1]), max_size=6))
 def test_tree_distance_is_metric(a, b):
     u, v = tuple(a), tuple(b)
-    d = U.tree_distance(u, v)
+    d = tree_distance("bin:h=6", u, v)
     assert d >= 0
     assert (d == 0) == (u == v)
-    assert d == U.tree_distance(v, u)
+    assert d == tree_distance("bin:h=6", v, u)
 
 
 @given(st.lists(st.sampled_from([-1, 1]), max_size=5),
@@ -98,15 +107,21 @@ def test_tree_distance_is_metric(a, b):
        st.lists(st.sampled_from([-1, 1]), max_size=5))
 def test_tree_distance_triangle(a, b, c):
     u, v, w = tuple(a), tuple(b), tuple(c)
-    assert U.tree_distance(u, w) <= U.tree_distance(u, v) + U.tree_distance(v, w)
+    d = functools.partial(tree_distance, "bin:h=5")
+    assert d(u, w) <= d(u, v) + d(v, w)
 
 
 def test_level_edges():
     spec = U.parse_tree_spec("bin:h=3")
-    edges = list(U.level_edges(spec, 2))
+    edges = oracle.level_edges(spec, 2)
     assert len(edges) == 4
     for u, v in edges:
         assert v[:-1] == u and len(v) == 2
+    # the TreeGraph's edges into height 2, by vertex
+    graph = tree_graph(spec)
+    verts = graph.vertices
+    assert edges == [(verts[a], verts[b]) for a, b in graph.edges
+                     if len(verts[b]) == 2]
 
 
 # morphism into increasing trees
@@ -226,7 +241,7 @@ def test_tree_graph_distances():
     graph = tree_graph(spec)
     index = graph.index
     for u, v in itertools.combinations(U.vertices(spec), 2):
-        assert graph.distance(index[u], index[v]) == U.tree_distance(u, v)
+        assert graph.distance(index[u], index[v]) == oracle.tree_distance(u, v)
 
 
 SMALL_TREES = ([f"bin:h={h}" for h in range(7)]
@@ -283,7 +298,7 @@ def test_tree_graph_arrays_equal_the_vertex_tuples(desc):
                                   "inc:h=30,b=60", "inc:h=5,b=100000000"])
 def test_trees_past_the_vertex_cap_are_refused(desc):
     spec = U.parse_tree_spec(desc)
-    for build in (U.vertices, tree_graph, lambda s: trees.level_edges(s, 1)):
+    for build in (U.vertices, tree_graph):
         with pytest.raises(TreeSpecError, match="more than 200000 vertices"):
             build(spec)
 
