@@ -17,7 +17,10 @@ Every side of every functional is compiled once per (invariant, tree,
 j_min) into a Plan: vertex-pair index arrays cut into min, max or weighted
 sum segments, grouped and scaled.  `evaluate` is the one kernel: a gather of
 pair distances, a reduceat per segment and the weighted combination of the
-groups.  The cotype and tessera right-hand sides are Lipschitz constants:
+groups.  A min or max segment is written once, as the (depth, depth, lcp)
+classes of its pairs; a ProfileMap, whose image distance is one value per
+class, evaluates it from those classes, and every other map from their
+pairs.  The cotype and tessera right-hand sides are Lipschitz constants:
 on a tree every geodesic is a path of edges, so into a metric target that
 is the largest image edge length, one "max" segment over the edges; other
 targets also scan every vertex pair in row blocks, without a table.
@@ -38,7 +41,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .trees import (BINARY, INCREASING, TreeGraph, TreeSpec, Vertex,
-                    parse_tree_spec, format_tree_spec, tree_graph)
+                    _check_size, parse_tree_spec, format_tree_spec, tree_graph)
 from . import spaces as sp
 from .spaces import FiniteMatrixSpace, HPoint, LpSpace, parse_space
 
@@ -135,6 +138,19 @@ class TreeMap:
             yield (tg.distance_rows(u, v)[upper],
                    self.pair_distances(u, v)[upper])
 
+    def plan_distances(self, inv: "InvariantId", side: str,
+                       j_min: Optional[int] = None) -> tuple["Plan", np.ndarray]:
+        """The plan of one side of a functional on this map's tree and its
+        distances, one row in plan order: the pair plan and the image
+        distances of its pairs."""
+        plan = compile_plan(inv, self.spec, side, j_min)
+        return plan, self.pair_distances(plan.u, plan.v)[None]
+
+    def edge_distances(self) -> np.ndarray:
+        """Image distances whose maximum is the largest image of an edge:
+        here one per (parent, child) edge."""
+        return self.pair_distances(*_edge_pairs(tree_graph(self.spec))[:2])
+
     @staticmethod
     def identity(spec: TreeSpec) -> "ProfileMap":
         a, b, c = np.indices((spec.height + 1,) * 3)
@@ -142,6 +158,7 @@ class TreeMap:
 
     @staticmethod
     def constant(spec: TreeSpec, target=None) -> "ProfileMap":
+        _check_size(spec)  # as a map of the tree's vertices
         if target is None:
             target = FiniteMatrixSpace(np.zeros((1, 1)))
         origin = _origin(target)
@@ -199,8 +216,9 @@ class ProfileMap(TreeMap):
     profile[|u|, |v|, lcp(u, v)]: pair distances gather from that (h+1)^3
     table, and the pair scan is one block over the realised triples.  The
     point of vertex i is point_at(i), read only when a point is asked for.
-    The identity (a + b - 2c), the constant map and bourgain_embed's map
-    are ProfileMaps."""
+    A min or max side of a functional and the largest edge read one profile
+    value a class, no vertex pair.  The identity (a + b - 2c), the constant
+    map and bourgain_embed's map are ProfileMaps."""
 
     def __init__(self, spec: TreeSpec, target, point_at: Callable[[int], object],
                  profile: np.ndarray):
@@ -225,6 +243,20 @@ class ProfileMap(TreeMap):
         triples, which hold every distinct pair's tree and image distance."""
         a, b, c = np.nonzero(_realised_triples(self.spec))
         yield (a + b - 2 * c).astype(float), self.profile[a, b, c]
+
+    def plan_distances(self, inv: "InvariantId", side: str,
+                       j_min: Optional[int] = None) -> tuple["Plan", np.ndarray]:
+        """A min or max side takes its class plan, one profile value a class;
+        a sum side, which weighs every pair, takes the pair plan."""
+        plan = class_plan(inv, self.spec, side, j_min)
+        if plan is None:
+            return super().plan_distances(inv, side, j_min)
+        return plan, np.take(self.profile, plan.classes)[None]
+
+    def edge_distances(self) -> np.ndarray:
+        """One value per edge class (a - 1, a, a - 1)."""
+        a = np.arange(1, self.spec.height + 1)
+        return self.profile[a - 1, a, a - 1]
 
 
 def _realised_triples(spec: TreeSpec) -> np.ndarray:
@@ -303,19 +335,19 @@ def _is_metric(target) -> bool:
 
 def _pair_max(f: TreeMap) -> float:
     """max over vertex pairs u < v of d_Y(f(u), f(v)) / d_tree(u, v)."""
-    return max((float((image / tree).max()) for tree, image in f.pair_scan()),
-               default=0.0)
+    # a ProfileMap's one block is empty on a single-vertex tree
+    return max((float((image / tree).max(initial=0.0))
+                for tree, image in f.pair_scan()), default=0.0)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def lipschitz_constant(f: TreeMap, with_flag: bool = False):
     """max over vertex pairs of d_Y(f(u), f(v)) / d_tree(u, v): on a metric
-    target the edge maximum, over the pairs of the Lipschitz plans, never
-    flagged.  On other targets it is the pair scan's maximum, which takes in
-    every edge at tree distance 1, flagged when the edge maximum differs
-    from it beyond tolerance."""
-    tg = tree_graph(f.spec)
-    edge = float(f.pair_distances(*_edge_pairs(tg)[:2]).max(initial=0.0))
+    target the edge maximum, that of the Lipschitz plans, never flagged.  On
+    other targets it is the pair scan's maximum, which takes in every edge
+    at tree distance 1, flagged when the edge maximum differs from it beyond
+    tolerance."""
+    edge = float(f.edge_distances().max(initial=0.0))
     if _is_metric(f.target):
         value, flag = edge, False
     else:
@@ -355,24 +387,28 @@ def _check_exponent(p: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Plan:
-    """One side of a functional as data over vertex pairs.
+    """One side of a functional as data over columns of distances.
 
-    The pairs (u[i], v[i]) are vertex-order indices, cut into segments at
-    `starts`.  A segment reduces its pair distances d by `reduce`: "min" and
+    The columns of a pair plan are the vertex pairs (u[i], v[i]), in
+    vertex-order indices; those of a class plan (u and v None) are
+    `classes`, flat indices (a (h+1) + b) (h+1) + c of (depth, depth, lcp)
+    classes into a ProfileMap's profile.  The columns are cut into segments
+    at `starts`.  A segment reduces its distances d by `reduce`: "min" and
     "max" take the extreme distance and then its p-th power, as the displays
     do; "sum" adds weights * d^p.  Consecutive segments form groups
     (`groups` holds each group's segment range), joined by `outer`: "sum",
     "min", or "mean", the sum divided by the group's segment count.  Group g
     is divided by 2^(scales[g] p), and the groups are added in order."""
 
-    u: np.ndarray
-    v: np.ndarray
+    u: Optional[np.ndarray]
+    v: Optional[np.ndarray]
     starts: np.ndarray
     reduce: str
     weights: Optional[np.ndarray]
     outer: str
     groups: tuple
     scales: tuple
+    classes: Optional[np.ndarray] = None
 
 
 def _power(a: float, p: float) -> float:
@@ -420,18 +456,24 @@ def evaluate(plan: Plan, d: np.ndarray, p: float) -> np.ndarray:
     return total
 
 
+def _layout(groups, sizes: list) -> dict:
+    """The starts, groups and scales of a plan whose segments have `sizes`
+    columns; groups: (segments, scale) pairs."""
+    bounds = np.cumsum([0] + [len(segments) for segments, _ in groups])
+    return {"starts": np.cumsum([0] + sizes[:-1]),
+            "groups": tuple(zip(bounds[:-1].tolist(), bounds[1:].tolist())),
+            "scales": tuple(scale for _, scale in groups)}
+
+
 def _build(reduce: str, outer: str, groups) -> Plan:
     """groups: (segments, scale) pairs, each segment a (u, v, weights)
     triple."""
     segs = [seg for segments, _ in groups for seg in segments]
-    sizes = [len(u) for u, _, _ in segs]
-    bounds = np.cumsum([0] + [len(segments) for segments, _ in groups])
     return Plan(np.concatenate([u for u, _, _ in segs]),
-                np.concatenate([v for _, v, _ in segs]),
-                np.cumsum([0] + sizes[:-1]), reduce,
-                np.concatenate([w for _, _, w in segs]) if reduce == "sum" else None,
-                outer, tuple(zip(bounds[:-1].tolist(), bounds[1:].tolist())),
-                tuple(scale for _, scale in groups))
+                np.concatenate([v for _, v, _ in segs]), reduce=reduce,
+                weights=(np.concatenate([w for _, _, w in segs])
+                         if reduce == "sum" else None),
+                outer=outer, **_layout(groups, [len(u) for u, _, _ in segs]))
 
 
 def _height_range(tg: TreeGraph, h: int) -> tuple[int, int]:
@@ -463,7 +505,7 @@ def _branch_pairs(tg: TreeGraph, h: int, lcp: int, j_min: Optional[int] = None):
     if j_min is not None:
         keep &= np.maximum(tg.label[nu], tg.label[nv]) >= j_min
     if not keep.any():
-        raise InvariantError("no admissible configuration (branching too small)")
+        raise InvariantError(_NO_CONFIGURATION)
     return u[keep], v[keep], None
 
 
@@ -488,24 +530,53 @@ def _edge_pairs(tg: TreeGraph, level: Optional[int] = None,
     return tg.parent[child], child, w
 
 
-def _compile_lhs(inv: InvariantId, tg: TreeGraph, k: int,
-                 j_min: Optional[int]) -> Plan:
+_NO_CONFIGURATION = "no admissible configuration (branching too small)"
+
+
+def _classes(inv: InvariantId, side: str, k: int) -> Optional[tuple]:
+    """A min or max side as (reduce, outer, groups), or None for a sum side.
+    groups holds (segments, scale) pairs, and a segment lists the
+    (depth, depth, lcp) classes of the pairs it reduces: (h, h, c) the
+    pairs of height-h vertices whose longest common prefix has length
+    exactly c, (l - 1, l, l - 1) the edges into height l."""
+    top = 2 ** k
+    if side == "rhs":
+        edges = [(level - 1, level, level - 1) for level in range(1, top + 1)]
+        if inv in _LIPSCHITZ_IDS:  # the largest edge: exact on metric targets
+            return "max", "sum", [([edges], 0)]
+        if inv in (InvariantId.UMBEL_CONVEXITY, InvariantId.FORK_CONVEXITY):
+            # the mean over the 2^k levels
+            return "max", "mean", [([[edge] for edge in edges], 0)]
+        return None
     if inv in (InvariantId.UMBEL_COTYPE, InvariantId.RELAXED_UMBEL):
-        return _build("min", "sum", [
-            ([_branch_pairs(tg, 2 ** k, 2 ** k - 2 ** s, j_min)], s)
-            for s in range(1, k)])
+        return "min", "sum", [([[(top, top, top - 2 ** s)]], s)
+                              for s in range(1, k)]
     if inv is InvariantId.FORK_COTYPE:
-        return _build("min", "min", [
-            ([_branch_pairs(tg, h, h - 2 ** s)
-              for h in range(2 ** s, 2 ** k + 1)], s)
-            for s in range(1, k)])
+        return "min", "min", [([[(h, h, h - 2 ** s)]
+                                 for h in range(2 ** s, top + 1)], s)
+                               for s in range(1, k)]
     if inv in (InvariantId.UMBEL_CONVEXITY, InvariantId.FORK_CONVEXITY):
         # the mean over the 2^(k - 1 - s) heights of scale s: the multiples
         # of 2^(s + 1) up to 2^k
-        return _build("min", "mean", [
-            ([_branch_pairs(tg, h, h - 2 ** s, j_min)
-              for h in range(2 ** (s + 1), 2 ** k + 1, 2 ** (s + 1))], s)
-            for s in range(1, k)])
+        return "min", "mean", [([[(h, h, h - 2 ** s)] for h in
+                                 range(2 ** (s + 1), top + 1, 2 ** (s + 1))], s)
+                               for s in range(1, k)]
+    return None
+
+
+def _class_pairs(tg: TreeGraph, segment: list, j_min: Optional[int]):
+    """The vertex pairs of a segment's classes, class after class."""
+    parts = [_branch_pairs(tg, a, c, j_min) if a == b else _edge_pairs(tg, b)
+             for a, b, c in segment]
+    return (np.concatenate([u for u, _, _ in parts]),
+            np.concatenate([v for _, v, _ in parts]), None)
+
+
+def _compile_sum(inv: InvariantId, side: str, tg: TreeGraph, k: int) -> Plan:
+    """The plan of a weighted-sum side, pair by pair."""
+    if side == "rhs" and inv is InvariantId.MARKOV_DIRECTED:
+        return _build("sum", "sum", [
+            ([_edge_pairs(tg, t, 2.0 ** -t) for t in range(1, 2 ** k + 1)], 0)])
     if inv is InvariantId.TESSERA:
         # each term averages d^q over the ordered pairs of 2^w-vertex blocks
         # sharing a length-ell prefix (the diagonal is 0): weight 2 on each
@@ -528,53 +599,87 @@ def _compile_lhs(inv: InvariantId, tg: TreeGraph, k: int,
     raise InvariantError(f"unknown invariant {inv}")  # pragma: no cover
 
 
-def _compile_rhs(inv: InvariantId, tg: TreeGraph, k: int,
-                 j_min: Optional[int]) -> Plan:
-    if inv in _LIPSCHITZ_IDS:  # the largest edge: exact on metric targets
-        return _build("max", "sum", [([_edge_pairs(tg)], 0)])
-    if inv in (InvariantId.UMBEL_CONVEXITY, InvariantId.FORK_CONVEXITY):
-        # the mean over the 2^k levels
-        return _build("max", "mean", [
-            ([_edge_pairs(tg, level) for level in range(1, 2 ** k + 1)], 0)])
-    if inv is InvariantId.MARKOV_DIRECTED:
-        return _build("sum", "sum", [
-            ([_edge_pairs(tg, t, 2.0 ** -t) for t in range(1, 2 ** k + 1)], 0)])
-    raise InvariantError(f"unknown invariant {inv}")  # pragma: no cover
+def _plan_args(inv: InvariantId, spec: TreeSpec, side: str,
+               j_min: Optional[int]) -> tuple[int, Optional[int]]:
+    """k with height 2^k and the j_min the side reads, after the checks of
+    both plan kinds: j_min only enters the umbel left-hand sides, and the
+    other invariants have no liminf over j and refuse it."""
+    k = _validate(inv, spec)
+    if j_min is not None and inv not in _INCREASING_IDS:
+        raise InvariantError(f"{inv.value} has no liminf over j: j_min does not apply")
+    return k, None if side == "rhs" else j_min
 
 
 def compile_plan(inv: InvariantId, spec: TreeSpec, side: str,
                  j_min: Optional[int] = None) -> Plan:
-    """The plan of one side ("lhs" or "rhs") of a functional on a tree.
-    Plans are compiled once and kept on tree_graph's cached entry for the
-    tree, so clearing that cache drops them too.  j_min only enters the
-    umbel left-hand sides; the other invariants have no liminf over j and
-    refuse it."""
-    k = _validate(inv, spec)
-    if j_min is not None and inv not in _INCREASING_IDS:
-        raise InvariantError(f"{inv.value} has no liminf over j: j_min does not apply")
-    if side == "rhs":
-        j_min = None
+    """The pair plan of one side ("lhs" or "rhs") of a functional on a tree:
+    a min or max side expands each class of `_classes` into its vertex
+    pairs.  Plans are compiled once and kept on tree_graph's cached entry
+    for the tree, so clearing that cache drops them too."""
+    k, j_min = _plan_args(inv, spec, side, j_min)
     tg = tree_graph(spec)
     key = (inv, side, j_min)
     if key not in tg.plans:
-        compile_side = _compile_lhs if side == "lhs" else _compile_rhs
-        tg.plans[key] = compile_side(inv, tg, k, j_min)
+        display = _classes(inv, side, k)
+        if display is None:
+            tg.plans[key] = _compile_sum(inv, side, tg, k)
+        else:
+            reduce, outer, groups = display
+            tg.plans[key] = _build(reduce, outer, [
+                ([_class_pairs(tg, seg, j_min) for seg in segments], scale)
+                for segments, scale in groups])
     return tg.plans[key]
+
+
+def _admissible(spec: TreeSpec, h: int, c: int, j_min: Optional[int]) -> bool:
+    """Whether two height-h vertices have a longest common prefix of length
+    exactly c < h, the larger of their next labels >= j_min when it is set:
+    always in a binary tree.  In inc:h,b that label runs from c + 1 up to
+    b - h + c + 1, as h - c - 1 larger labels follow it."""
+    if spec.kind == BINARY:
+        return True
+    b = spec.branching
+    return b >= h + 1 and (j_min is None or b - h + c + 1 >= j_min)
+
+
+def class_plan(inv: InvariantId, spec: TreeSpec, side: str,
+               j_min: Optional[int] = None) -> Optional[Plan]:
+    """The class plan of a min or max side, from the spec alone: the
+    segments and groups of compile_plan's plan, a segment's columns its
+    classes.  On a ProfileMap every pair of a class has the one image
+    distance profile[a, b, c], so a segment's extreme, and the side, equal
+    the pair plan's bit for bit.  It raises where compile_plan raises, with
+    the same text; None for a sum side, which weighs every pair."""
+    k, j_min = _plan_args(inv, spec, side, j_min)
+    display = _classes(inv, side, k)
+    if display is None:
+        return None
+    reduce, outer, groups = display
+    segs = [seg for segments, _ in groups for seg in segments]
+    if not all(a != b or _admissible(spec, a, c, j_min)
+               for seg in segs for a, b, c in seg):
+        raise InvariantError(_NO_CONFIGURATION)
+    size = spec.height + 1
+    flat = [(a * size + b) * size + c for seg in segs for a, b, c in seg]
+    return Plan(None, None, reduce=reduce, weights=None, outer=outer,
+                classes=np.array(flat, dtype=np.intp),
+                **_layout(groups, [len(seg) for seg in segs]))
 
 
 # ---------------------------------------------------------------------------
 # LHS / RHS
 
 
-def _evaluate_map(plan: Plan, f: TreeMap, p: float) -> float:
-    return float(evaluate(plan, f.pair_distances(plan.u, plan.v)[None], p)[0])
+def _evaluate_map(inv: InvariantId, side: str, f: TreeMap, p: float,
+                  j_min: Optional[int] = None) -> float:
+    return float(evaluate(*f.plan_distances(inv, side, j_min), p)[0])
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def lhs(inv: InvariantId, f: TreeMap, p: float,
         j_min: Optional[int] = None) -> float:
     _check_exponent(p)
-    return _evaluate_map(compile_plan(inv, f.spec, "lhs", j_min), f, p)
+    return _evaluate_map(inv, "lhs", f, p, j_min)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -584,11 +689,11 @@ def _rhs(inv: InvariantId, f: TreeMap, p: float) -> tuple[float, Optional[bool]]
     power of `lipschitz_constant`, which is the edge maximum on a metric
     target; the other right-hand sides evaluate their plans."""
     _check_exponent(p)
-    plan = compile_plan(inv, f.spec, "rhs")  # which also checks the tree
     if inv in _LIPSCHITZ_IDS:
+        _validate(inv, f.spec)
         lip, flag = lipschitz_constant(f, with_flag=True)
         return _power(lip, p), flag
-    return _evaluate_map(plan, f, p), None
+    return _evaluate_map(inv, "rhs", f, p), None
 
 
 def rhs(inv: InvariantId, f: TreeMap, p: float) -> float:
@@ -636,6 +741,7 @@ def report(inv: InvariantId, f: TreeMap, p: float,
 # Directed Markov walk
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def markov_pair_expectation_exact(f: TreeMap, s: int, t: int, q: float) -> float:
     """Exact E[d(f(W_t), f(W~_t(t - 2^s)))^q] for the directed random walk on
     a binary tree of height 2^k and its copy branching at time t - 2^s."""
@@ -649,6 +755,7 @@ def markov_pair_expectation_exact(f: TreeMap, s: int, t: int, q: float) -> float
     return float(w @ f.pair_distances(u, v) ** q)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def markov_pair_expectation_mc(f: TreeMap, s: int, t: int, q: float,
                                n: int, seed: int) -> tuple[float, float]:
     """Monte Carlo oracle for markov_pair_expectation_exact over n coupled

@@ -315,6 +315,19 @@ def test_constant_profile_map_equals_the_dict_map(target):
         assert f.to_json() == g.to_json()
 
 
+def test_constant_map_past_the_vertex_cap_is_refused(capsys):
+    # its plans read no vertex, so the map itself checks the tree's size,
+    # as the identity does by building the tree
+    for desc in ("bin:h=17", "inc:h=30,b=60"):
+        with pytest.raises(trees.TreeSpecError, match="more than 200000 vertices"):
+            U.TreeMap.constant(U.parse_tree_spec(desc))
+    argv = ["invariant", "--tree", "bin:h=40", "--invariant", "fork-cotype",
+            "--p", "2", "--map", "constant"]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == \
+        "bin:h=40 has more than 200000 vertices"
+
+
 def test_library_maps_read_no_point():
     spec = U.parse_tree_spec("inc:h=4,b=6")
     trees.tree_graph.cache_clear()
@@ -491,6 +504,19 @@ def test_public_tree_map_calls_do_not_warn_past_the_float_range():
         U.lhs(U.InvariantId.FORK_COTYPE, heis, 2.0)
         assert U.moduli(heis)[1].values[-1] == math.inf
         assert U.rhs(markov, line, 2.0) == U.lhs(markov, line, 2.0) == math.inf
+
+
+def test_markov_expectations_do_not_warn_past_the_float_range():
+    # pair distances of 2e200 square past the float range: the expectation
+    # is inf, and the Monte Carlo error, inf - inf deep inside, is nan
+    spec = U.parse_tree_spec("bin:h=4")
+    line = U.TreeMap(spec, U.LpSpace(1, 2.0),
+                     {v: (1e200 * (-1) ** v.count(1),) for v in U.vertices(spec)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert U.markov_pair_expectation_exact(line, 1, 2, 2.0) == math.inf
+        est, se = U.markov_pair_expectation_mc(line, 1, 2, 2.0, 100, 1)
+    assert est == math.inf and math.isnan(se)
 
 
 @pytest.mark.parametrize("target, point", [

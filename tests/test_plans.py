@@ -145,6 +145,161 @@ def test_plans_equal_the_selection_by_common_prefix(tree, j_min, monkeypatch):
         assert got[key].groups == plan.groups, key
 
 
+def oracle_class_pairs(tg, a: int, b: int, c: int, j_min):
+    """The pairs of the class (a, b, c) by the oracle's selection: the
+    height-a pairs whose common prefix has length exactly c, or the edges
+    into height b."""
+    if a == b:
+        return oracle.branch_pairs(tg, a, c, j_min)[:2]
+    edges = oracle.level_edges(tg.spec, b)
+    return tuple(np.array([tg.index[e[end]] for e in edges], dtype=np.intp)
+                 for end in (0, 1))
+
+
+@pytest.mark.parametrize("tree", TREES)
+def test_class_plans_expand_to_the_oracle_pairs(tree):
+    spec = U.parse_tree_spec(tree)
+    tg, size = trees.tree_graph(spec), spec.height + 1
+    if spec.kind == trees.BINARY:
+        ids, j_mins = BINARY_IDS, [None, 1]  # 1: refused, no liminf over j
+    else:
+        ids, j_mins = INCREASING_IDS, [None, *range(1, spec.branching + 2)]
+    memo = {}
+
+    def pairs(a, b, c, j_min):
+        key = (a, b, c, j_min if a == b else None)
+        if key not in memo:
+            memo[key] = outcome(oracle_class_pairs, tg, a, b, c, j_min)
+        return memo[key]
+
+    for inv in ids:
+        for side in ("lhs", "rhs"):
+            classes = outcome(invariants.class_plan, inv, spec, side)
+            for j_min in j_mins:
+                want = outcome(compile_plan, inv, spec, side, j_min)
+                got = outcome(invariants.class_plan, inv, spec, side, j_min)
+                key = (inv.value, side, j_min)
+                if isinstance(classes, str) or (j_min is not None and spec.kind
+                                                == trees.BINARY):
+                    # refused before any class: the same text both ways
+                    assert isinstance(want, str) and got == want, key
+                    continue
+                if classes is None:
+                    assert got is None and want.reduce == "sum", key
+                    continue
+                # expand the classes of the plan by the oracle
+                a, b, c = np.unravel_index(classes.classes, (size,) * 3)
+                segments = np.split(np.arange(len(a)), classes.starts[1:])
+                expanded = [[pairs(a[i], b[i], c[i], j_min if side == "lhs" else None)
+                             for i in seg] for seg in segments]
+                errors = {x for seg in expanded for x in seg if isinstance(x, str)}
+                if errors:
+                    assert got == want == min(errors), key
+                    continue
+                assert not isinstance(got, str) and not isinstance(want, str), key
+                assert np.array_equal(got.classes, classes.classes), key
+                seg_pairs = [[np.concatenate(x) for x in zip(*seg)] for seg in expanded]
+                assert np.array_equal(want.u, np.concatenate([u for u, _ in seg_pairs]))
+                assert np.array_equal(want.v, np.concatenate([v for _, v in seg_pairs]))
+                sizes = [len(u) for u, _ in seg_pairs]
+                assert np.array_equal(want.starts, np.cumsum([0] + sizes[:-1])), key
+                for plan in (want, got):
+                    assert (plan.reduce, plan.outer, plan.groups, plan.scales) == \
+                        (classes.reduce, classes.outer, classes.groups,
+                         classes.scales), key
+                    assert plan.weights is None
+
+
+def profile_maps(spec) -> dict:
+    """The ProfileMaps of a tree: the identity, two constant maps and, on an
+    increasing tree, the three Bourgain variants."""
+    maps = {"identity": U.TreeMap.identity(spec),
+            # a 1-point table whose diagonal is not 0
+            "constant-table": U.TreeMap.constant(
+                spec, U.FiniteMatrixSpace(np.array([[5e-13]]))),
+            "constant-heis": U.TreeMap.constant(spec, U.parse_space("heis:dim=2,p=2"))}
+    if spec.kind == trees.INCREASING:
+        maps.update({"bourgain-lp": U.bourgain_embed(spec, 3.0),
+                     "bourgain-l1": U.bourgain_embed(spec, variant="l1"),
+                     "bourgain-linf": U.bourgain_embed(spec, variant="linf")})
+    return maps
+
+
+@pytest.fixture
+def pair_gather(monkeypatch):
+    """Switches every ProfileMap to the pair plans and the edge pairs of a
+    plain TreeMap."""
+    def switch():
+        for name in ("plan_distances", "edge_distances"):
+            monkeypatch.setattr(invariants.ProfileMap, name,
+                                getattr(invariants.TreeMap, name))
+    return switch
+
+
+def report_outcome(inv, f, p, j_min):
+    try:
+        return U.report(inv, f, p, j_min)
+    except InvariantError as exc:
+        return f"error: {exc}"
+
+
+@pytest.mark.parametrize("tree", ["bin:h=4", "bin:h=8", "inc:h=4,b=5",
+                                  "inc:h=4,b=7", "inc:h=8,b=10"])
+def test_class_plans_give_the_pair_plan_reports(tree, pair_gather):
+    spec = U.parse_tree_spec(tree)
+    if spec.kind == trees.BINARY:
+        ids, j_mins = BINARY_IDS, [None]
+    else:
+        ids, j_mins = INCREASING_IDS, [None, 3, spec.branching - 1, spec.branching]
+    cases = [(name, inv, p, j_min) for name in profile_maps(spec) for inv in ids
+             for p in (0.5, 1.0, 1.5, 2.0, 3.5) for j_min in j_mins]
+
+    def reports():
+        maps = profile_maps(spec)
+        return [report_outcome(inv, maps[name], p, j_min)
+                for name, inv, p, j_min in cases]
+
+    got = reports()
+    pair_gather()
+    want = reports()
+    assert any(isinstance(w, str) for w in want) == (spec.kind == trees.INCREASING)
+    for case, a, b in zip(cases, got, want):
+        assert a == b, case
+
+
+@pytest.mark.parametrize("tree", ["bin:h=0", "bin:h=1", "bin:h=4", "inc:h=0,b=0",
+                                  "inc:h=1,b=1", "inc:h=1,b=3", "inc:h=4,b=6"])
+def test_profile_map_edge_maximum_is_the_pair_gather(tree, pair_gather):
+    spec = U.parse_tree_spec(tree)
+    got = {name: U.lipschitz_constant(f, with_flag=True)
+           for name, f in profile_maps(spec).items()}
+    pair_gather()
+    want = {name: U.lipschitz_constant(f, with_flag=True)
+            for name, f in profile_maps(spec).items()}
+    assert got == want
+
+
+@pytest.mark.parametrize("tree", ["bin:h=8", "inc:h=8,b=10"])
+def test_profile_map_reports_gather_no_vertex_pairs(tree, monkeypatch):
+    spec = U.parse_tree_spec(tree)
+    trees.tree_graph.cache_clear()
+    maps = profile_maps(spec)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a vertex pair was gathered")
+
+    for name in ("_branch_pairs", "_prefix_pairs", "_edge_pairs"):
+        monkeypatch.setattr(invariants, name, refuse)
+    monkeypatch.setattr(trees.TreeGraph, "lcp", refuse)
+    monkeypatch.setattr(invariants.ProfileMap, "pair_distances", refuse)
+    ids = sorted(EXTREME_LHS & set(BINARY_IDS if spec.kind == trees.BINARY
+                                   else INCREASING_IDS))
+    for f in maps.values():
+        for inv in ids:
+            assert math.isfinite(U.report(inv, f, 2.0).lhs)
+    trees.tree_graph.cache_clear()
+
+
 def test_plan_compilation_needs_no_distance_table():
     # an increasing tree of 31931 vertices: its distance table would take
     # 7.6 GB, its plan only the pairs of the display
