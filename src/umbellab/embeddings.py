@@ -10,7 +10,7 @@ import numpy as np
 
 from .invariants import ProfileMap, TreeMap
 from .spaces import LpSpace, SpaceError
-from .trees import TreeSpec, INCREASING, tree_graph
+from .trees import TreeSpec, INCREASING, _check_size, tree_graph
 
 
 class EmbeddingError(ValueError):
@@ -74,16 +74,17 @@ def bourgain_embed(spec: TreeSpec, p: float = 2.0, variant: str = "lp") -> Profi
         raise EmbeddingError("p must lie in (1, inf)")
     else:
         q = p / (p - 1)
-    graph = tree_graph(spec)
+    _check_size(spec)  # as a map of the tree's vertices
 
     def point_at(i: int) -> tuple:
         # coordinate Phi(v[:l]) - 2k, reindexed to 0, is v's length-l prefix
+        graph = tree_graph(spec)
         j = int(graph.depth[i])
         vec = np.zeros(graph.n)
         vec[graph.anc[i, :j + 1]] = [(j - l + 1) ** (1.0 / q) for l in range(j + 1)]
         return tuple(vec)
 
-    return ProfileMap(spec, LpSpace(graph.n, p), point_at,
+    return ProfileMap(spec, LpSpace(spec.vertex_count(), p), point_at,
                       _bourgain_profile(spec.height, p))
 
 

@@ -17,13 +17,15 @@ Every side of every functional is compiled once per (invariant, tree,
 j_min) into a Plan: vertex-pair index arrays cut into min, max or weighted
 sum segments, grouped and scaled.  `evaluate` is the one kernel: a gather of
 pair distances, a reduceat per segment and the weighted combination of the
-groups.  A min or max segment is written once, as the (depth, depth, lcp)
-classes of its pairs; a ProfileMap, whose image distance is one value per
-class, evaluates it from those classes, and every other map from their
-pairs.  The cotype and tessera right-hand sides are Lipschitz constants:
-on a tree every geodesic is a path of edges, so into a metric target that
-is the largest image edge length, one "max" segment over the edges; other
-targets also scan every vertex pair in row blocks, without a table.
+groups.  Every side is written once (`_classes`): a min or max segment as
+the (depth, depth, lcp) classes of its pairs, a sum segment as one
+weighted prefix run or edge level.  A ProfileMap, whose image distance is one
+value per class, evaluates every side from the classes of its columns,
+built from the spec alone, and every other map from the vertex pairs.  The
+cotype and tessera right-hand sides are Lipschitz constants: on a tree
+every geodesic is a path of edges, so into a metric target that is the
+largest image edge length, one "max" segment over the edges; other targets
+also scan every vertex pair in row blocks, without a table.
 """
 
 from __future__ import annotations
@@ -216,9 +218,10 @@ class ProfileMap(TreeMap):
     profile[|u|, |v|, lcp(u, v)]: pair distances gather from that (h+1)^3
     table, and the pair scan is one block over the realised triples.  The
     point of vertex i is point_at(i), read only when a point is asked for.
-    A min or max side of a functional and the largest edge read one profile
-    value a class, no vertex pair.  The identity (a + b - 2c), the constant
-    map and bourgain_embed's map are ProfileMaps."""
+    Every side of a functional reads one profile value per column of its
+    class plan, and the largest edge one per edge class: no vertex pair, and
+    no TreeGraph array.  The identity (a + b - 2c), the constant map and
+    bourgain_embed's map are ProfileMaps."""
 
     def __init__(self, spec: TreeSpec, target, point_at: Callable[[int], object],
                  profile: np.ndarray):
@@ -246,11 +249,9 @@ class ProfileMap(TreeMap):
 
     def plan_distances(self, inv: "InvariantId", side: str,
                        j_min: Optional[int] = None) -> tuple["Plan", np.ndarray]:
-        """A min or max side takes its class plan, one profile value a class;
-        a sum side, which weighs every pair, takes the pair plan."""
+        """Every side takes its class plan, one profile value a column, built
+        from the spec alone."""
         plan = class_plan(inv, self.spec, side, j_min)
-        if plan is None:
-            return super().plan_distances(inv, side, j_min)
         return plan, np.take(self.profile, plan.classes)[None]
 
     def edge_distances(self) -> np.ndarray:
@@ -392,22 +393,25 @@ class Plan:
     The columns of a pair plan are the vertex pairs (u[i], v[i]), in
     vertex-order indices; those of a class plan (u and v None) are
     `classes`, flat indices (a (h+1) + b) (h+1) + c of (depth, depth, lcp)
-    classes into a ProfileMap's profile.  The columns are cut into segments
-    at `starts`.  A segment reduces its distances d by `reduce`: "min" and
-    "max" take the extreme distance and then its p-th power, as the displays
-    do; "sum" adds weights * d^p.  Consecutive segments form groups
-    (`groups` holds each group's segment range), joined by `outer`: "sum",
-    "min", or "mean", the sum divided by the group's segment count.  Group g
-    is divided by 2^(scales[g] p), and the groups are added in order."""
+    classes into a ProfileMap's profile.  A min or max segment of a class
+    plan holds each class once; a sum segment repeats a class once per pair,
+    so its columns, weights and order are the pair plan's.  The columns are
+    cut into segments at `starts`.  A segment reduces its distances d by
+    `reduce`: "min" and "max" take the extreme distance and then its p-th
+    power, as the displays do; "sum" adds weights * d^p.  Consecutive
+    segments form groups (`groups` holds each group's segment range), joined
+    by `outer`: "sum", "min", or "mean", the sum divided by the group's
+    segment count.  Group g is divided by 2^(scales[g] p), and the groups
+    are added in order."""
 
-    u: Optional[np.ndarray]
-    v: Optional[np.ndarray]
     starts: np.ndarray
     reduce: str
     weights: Optional[np.ndarray]
     outer: str
     groups: tuple
     scales: tuple
+    u: Optional[np.ndarray] = None
+    v: Optional[np.ndarray] = None
     classes: Optional[np.ndarray] = None
 
 
@@ -465,15 +469,17 @@ def _layout(groups, sizes: list) -> dict:
             "scales": tuple(scale for _, scale in groups)}
 
 
-def _build(reduce: str, outer: str, groups) -> Plan:
-    """groups: (segments, scale) pairs, each segment a (u, v, weights)
-    triple."""
+def _build(reduce: str, outer: str, groups, names=("u", "v")) -> Plan:
+    """groups: (segments, scale) pairs, each segment a tuple of its column
+    arrays, one for each of `names`, and its weights (None on a min or max
+    side)."""
     segs = [seg for segments, _ in groups for seg in segments]
-    return Plan(np.concatenate([u for u, _, _ in segs]),
-                np.concatenate([v for _, v, _ in segs]), reduce=reduce,
-                weights=(np.concatenate([w for _, _, w in segs])
+    columns = {name: np.concatenate([seg[i] for seg in segs])
+               for i, name in enumerate(names)}
+    return Plan(**columns, reduce=reduce,
+                weights=(np.concatenate([seg[-1] for seg in segs])
                          if reduce == "sum" else None),
-                outer=outer, **_layout(groups, [len(u) for u, _, _ in segs]))
+                outer=outer, **_layout(groups, [len(seg[0]) for seg in segs]))
 
 
 def _height_range(tg: TreeGraph, h: int) -> tuple[int, int]:
@@ -509,15 +515,14 @@ def _branch_pairs(tg: TreeGraph, h: int, lcp: int, j_min: Optional[int] = None):
     return u[keep], v[keep], None
 
 
-def _walk_pairs(tg: TreeGraph, window: int, t: int):
-    """The weighted pairs of E[d(f(W_t), f(W'_t))^q] for the directed walk
-    and a copy branching `window` steps before time t: every pair of
-    height-t vertices that agree before the branch time, weighted
-    P(diverge at step l) 2^-l times the uniform 2^-c over the common prefix
-    and 4^-(window - l) over the two tails, which is 2^(1 - window - t) for
-    every divergence step l."""
-    u, v = _prefix_pairs(tg, t, t - window)
-    return u, v, np.full(len(u), 2.0 ** (1 - window - t))
+def _walk_run(window: int, t: int) -> tuple:
+    """The prefix run of E[d(f(W_t), f(W'_t))^q] for the directed walk and
+    a copy branching `window` steps before time t: every pair of height-t
+    vertices that agree before the branch time, weighted P(diverge at step
+    l) 2^-l times the uniform 2^-c over the common prefix and 4^-(window - l)
+    over the two tails, which is 2^(1 - window - t) for every divergence
+    step l."""
+    return t, t - window, 2.0 ** (1 - window - t)
 
 
 def _edge_pairs(tg: TreeGraph, level: Optional[int] = None,
@@ -533,12 +538,15 @@ def _edge_pairs(tg: TreeGraph, level: Optional[int] = None,
 _NO_CONFIGURATION = "no admissible configuration (branching too small)"
 
 
-def _classes(inv: InvariantId, side: str, k: int) -> Optional[tuple]:
-    """A min or max side as (reduce, outer, groups), or None for a sum side.
-    groups holds (segments, scale) pairs, and a segment lists the
-    (depth, depth, lcp) classes of the pairs it reduces: (h, h, c) the
-    pairs of height-h vertices whose longest common prefix has length
-    exactly c, (l - 1, l, l - 1) the edges into height l."""
+def _classes(inv: InvariantId, side: str, k: int) -> tuple:
+    """A side as (reduce, outer, groups); groups holds (segments, scale)
+    pairs.  A min or max segment lists the (depth, depth, lcp) classes of
+    the pairs it reduces: (h, h, c) the pairs of height-h vertices whose
+    longest common prefix has length exactly c, (l - 1, l, l - 1) the edges
+    into height l.  A sum segment, on a binary tree, is one weighted term:
+    a prefix run (h, ell, weight), every pair of height-h vertices whose
+    length-ell prefixes agree, or an edge level (level, weight), the edges
+    into height level, each pair weighing `weight`."""
     top = 2 ** k
     if side == "rhs":
         edges = [(level - 1, level, level - 1) for level in range(1, top + 1)]
@@ -547,7 +555,8 @@ def _classes(inv: InvariantId, side: str, k: int) -> Optional[tuple]:
         if inv in (InvariantId.UMBEL_CONVEXITY, InvariantId.FORK_CONVEXITY):
             # the mean over the 2^k levels
             return "max", "mean", [([[edge] for edge in edges], 0)]
-        return None
+        # markov-directed: the edges into height t weigh 2^-t
+        return "sum", "sum", [([(t, 2.0 ** -t) for t in range(1, top + 1)], 0)]
     if inv in (InvariantId.UMBEL_COTYPE, InvariantId.RELAXED_UMBEL):
         return "min", "sum", [([[(top, top, top - 2 ** s)]], s)
                               for s in range(1, k)]
@@ -561,42 +570,40 @@ def _classes(inv: InvariantId, side: str, k: int) -> Optional[tuple]:
         return "min", "mean", [([[(h, h, h - 2 ** s)] for h in
                                  range(2 ** (s + 1), top + 1, 2 ** (s + 1))], s)
                                for s in range(1, k)]
-    return None
+    if inv is InvariantId.TESSERA:
+        # each term averages d^q over the ordered pairs of 2^w-vertex blocks
+        # sharing a length-ell prefix (the diagonal is 0): weight 2 on each
+        # unordered pair
+        groups = []
+        for s in range(k):
+            w = 2 ** s
+            segments = [(ell + w, ell, 2.0 ** (1 - ell - 2 * w))
+                        for ell in range(w + 1, top - w + 1)]
+            if segments:  # an empty index range makes the term vacuous
+                groups.append((segments, s))
+        return "sum", "min", groups
+    # markov-directed
+    return "sum", "sum", [([_walk_run(min(2 ** s, t), t)
+                            for t in range(1, top + 1)], s)
+                          for s in range(k + 1)]
 
 
 def _class_pairs(tg: TreeGraph, segment: list, j_min: Optional[int]):
-    """The vertex pairs of a segment's classes, class after class."""
+    """The vertex pairs of a min or max segment's classes, class after
+    class."""
     parts = [_branch_pairs(tg, a, c, j_min) if a == b else _edge_pairs(tg, b)
              for a, b, c in segment]
     return (np.concatenate([u for u, _, _ in parts]),
             np.concatenate([v for _, v, _ in parts]), None)
 
 
-def _compile_sum(inv: InvariantId, side: str, tg: TreeGraph, k: int) -> Plan:
-    """The plan of a weighted-sum side, pair by pair."""
-    if side == "rhs" and inv is InvariantId.MARKOV_DIRECTED:
-        return _build("sum", "sum", [
-            ([_edge_pairs(tg, t, 2.0 ** -t) for t in range(1, 2 ** k + 1)], 0)])
-    if inv is InvariantId.TESSERA:
-        # each term averages d^q over the ordered pairs of 2^w-vertex blocks
-        # sharing a length-ell prefix (the diagonal is 0): weight 2 on each
-        # unordered pair
-        groups = []
-        for s in range(0, k):
-            w = 2 ** s
-            segments = []
-            for ell in range(w + 1, 2 ** k - w + 1):
-                u, v = _prefix_pairs(tg, ell + w, ell)
-                segments.append((u, v, np.full(len(u), 2.0 ** (1 - ell - 2 * w))))
-            if segments:  # an empty index range makes the term vacuous
-                groups.append((segments, s))
-        return _build("sum", "min", groups)
-    if inv is InvariantId.MARKOV_DIRECTED:
-        return _build("sum", "sum", [
-            ([_walk_pairs(tg, min(2 ** s, t), t)
-              for t in range(1, 2 ** k + 1)], s)
-            for s in range(0, k + 1)])
-    raise InvariantError(f"unknown invariant {inv}")  # pragma: no cover
+def _term_pairs(tg: TreeGraph, term: tuple):
+    """The weighted vertex pairs of a sum segment's term."""
+    if len(term) == 2:
+        return _edge_pairs(tg, *term)
+    h, ell, weight = term
+    u, v = _prefix_pairs(tg, h, ell)
+    return u, v, np.full(len(u), weight)
 
 
 def _plan_args(inv: InvariantId, spec: TreeSpec, side: str,
@@ -613,21 +620,21 @@ def _plan_args(inv: InvariantId, spec: TreeSpec, side: str,
 def compile_plan(inv: InvariantId, spec: TreeSpec, side: str,
                  j_min: Optional[int] = None) -> Plan:
     """The pair plan of one side ("lhs" or "rhs") of a functional on a tree:
-    a min or max side expands each class of `_classes` into its vertex
+    each class and each sum term of `_classes` is expanded into its vertex
     pairs.  Plans are compiled once and kept on tree_graph's cached entry
     for the tree, so clearing that cache drops them too."""
     k, j_min = _plan_args(inv, spec, side, j_min)
     tg = tree_graph(spec)
     key = (inv, side, j_min)
     if key not in tg.plans:
-        display = _classes(inv, side, k)
-        if display is None:
-            tg.plans[key] = _compile_sum(inv, side, tg, k)
+        reduce, outer, groups = _classes(inv, side, k)
+        if reduce == "sum":
+            expand = functools.partial(_term_pairs, tg)
         else:
-            reduce, outer, groups = display
-            tg.plans[key] = _build(reduce, outer, [
-                ([_class_pairs(tg, seg, j_min) for seg in segments], scale)
-                for segments, scale in groups])
+            expand = functools.partial(_class_pairs, tg, j_min=j_min)
+        tg.plans[key] = _build(reduce, outer, [
+            ([expand(seg) for seg in segments], scale)
+            for segments, scale in groups])
     return tg.plans[key]
 
 
@@ -642,28 +649,67 @@ def _admissible(spec: TreeSpec, h: int, c: int, j_min: Optional[int]) -> bool:
     return b >= h + 1 and (j_min is None or b - h + c + 1 >= j_min)
 
 
-def class_plan(inv: InvariantId, spec: TreeSpec, side: str,
-               j_min: Optional[int] = None) -> Optional[Plan]:
-    """The class plan of a min or max side, from the spec alone: the
-    segments and groups of compile_plan's plan, a segment's columns its
-    classes.  On a ProfileMap every pair of a class has the one image
-    distance profile[a, b, c], so a segment's extreme, and the side, equal
-    the pair plan's bit for bit.  It raises where compile_plan raises, with
-    the same text; None for a sum side, which weighs every pair."""
-    k, j_min = _plan_args(inv, spec, side, j_min)
-    display = _classes(inv, side, k)
-    if display is None:
-        return None
-    reduce, outer, groups = display
-    segs = [seg for segments, _ in groups for seg in segments]
-    if not all(a != b or _admissible(spec, a, c, j_min)
-               for seg in segs for a, b, c in seg):
+def _class_columns(spec: TreeSpec, segment: list, j_min: Optional[int]):
+    """A min or max segment's flat class indices, each class once."""
+    if not all(a != b or _admissible(spec, a, c, j_min) for a, b, c in segment):
         raise InvariantError(_NO_CONFIGURATION)
     size = spec.height + 1
-    flat = [(a * size + b) * size + c for seg in segs for a, b, c in seg]
-    return Plan(None, None, reduce=reduce, weights=None, outer=outer,
-                classes=np.array(flat, dtype=np.intp),
-                **_layout(groups, [len(seg) for seg in segs]))
+    return np.array([(a * size + b) * size + c for a, b, c in segment],
+                    dtype=np.intp), None
+
+
+def _triangle(w: int) -> np.ndarray:
+    """bit_length(i ^ j) over the pairs i < j of 0..2^w - 1, in
+    np.triu_indices order.  Row i runs over j = i + 1 .. 2^w - 1, and the
+    highest bit in which j differs from i is, in turn, each zero bit z of i,
+    for the 2^z values of j that agree with i above bit z and set it: 2^z
+    copies of z + 1."""
+    _, z = np.nonzero((np.arange(2 ** w)[:, None] >> np.arange(w)) & 1 == 0)
+    return np.repeat(z + 1, 1 << z)
+
+
+def _term_columns(spec: TreeSpec, term: tuple, triangle):
+    """A sum segment's flat class index and weight per pair, in the order
+    of `_term_pairs`.  On a binary tree the height-h vertices sharing a
+    length-ell prefix are a run of 2^w, w = h - ell, whose local offsets are
+    their last w signs read as bits; the pairs i < j of a run come in
+    np.triu_indices order and have lcp h - bit_length(i ^ j), which
+    triangle(w) holds, and the pattern repeats over the 2^ell runs.  An
+    edge level is 2^level copies of the class (level - 1, level, level - 1)."""
+    size = spec.height + 1
+    if len(term) == 2:
+        level, weight = term
+        cls = np.full(2 ** level, ((level - 1) * size + level) * size + level - 1)
+    else:
+        h, ell, weight = term
+        cls = np.tile(triangle(h - ell), 2 ** ell)
+        # in place: a fresh buffer costs more than the subtraction
+        np.subtract((h * size + h) * size + h, cls, out=cls)
+    return cls, np.full(len(cls), weight)
+
+
+def class_plan(inv: InvariantId, spec: TreeSpec, side: str,
+               j_min: Optional[int] = None) -> Plan:
+    """The class plan of a side, from the spec alone: the segments, groups
+    and weights of compile_plan's plan, a column the class of its pair.  A
+    min or max segment holds each of its classes once: on a ProfileMap every
+    pair of a class has the one image distance profile[a, b, c], so a
+    segment's extreme, and the side, equal the pair plan's bit for bit.  A
+    sum segment (on binary trees only) holds the class of each of its pairs
+    in pair order, so its weighted sum adds the pair plan's values in the
+    pair plan's order.  It raises where compile_plan raises, with the same
+    text."""
+    k, j_min = _plan_args(inv, spec, side, j_min)
+    reduce, outer, groups = _classes(inv, side, k)
+    if reduce == "sum":
+        # a window's pattern recurs in every segment: build it once a plan
+        triangle = functools.lru_cache(maxsize=None)(_triangle)
+        expand = functools.partial(_term_columns, spec, triangle=triangle)
+    else:
+        expand = functools.partial(_class_columns, spec, j_min=j_min)
+    return _build(reduce, outer, [([expand(seg) for seg in segments], scale)
+                                  for segments, scale in groups],
+                  names=("classes",))
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +797,7 @@ def markov_pair_expectation_exact(f: TreeMap, s: int, t: int, q: float) -> float
         raise InvariantError("s out of range")
     if not 2 ** s <= t <= 2 ** k:
         raise InvariantError("t out of range")
-    u, v, w = _walk_pairs(tree_graph(f.spec), 2 ** s, t)
+    u, v, w = _term_pairs(tree_graph(f.spec), _walk_run(2 ** s, t))
     return float(w @ f.pair_distances(u, v) ** q)
 
 

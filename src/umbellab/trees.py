@@ -182,22 +182,41 @@ class TreeGraph(TableSpace):
     """A tree in its path metric, with its vertices listed by height; points
     are vertex indices.
 
-    depth[i] is the height of vertex i, parent[i] the index of its parent
-    (0 at the root), anc[i, l] the index of its length-l prefix (for
-    l <= depth[i]) and label[i] its last label (0 at the root); the edge
-    list is derived from them on request.  Distances are
-    depth(u) + depth(v) - 2 lcp(u, v), so no table is built.  The vertex
-    tuples and their index are built on first read only, by the paths that
-    key by tuple.  They and `plans`, which holds what is compiled over this
-    tree, live exactly as long as tree_graph's cache entry."""
+    n is the spec's vertex count.  depth[i] is the height of vertex i,
+    parent[i] the index of its parent (0 at the root), anc[i, l] the index
+    of its length-l prefix (for l <= depth[i]) and label[i] its last label
+    (0 at the root); the edge list is derived from them on request.
+    Distances are depth(u) + depth(v) - 2 lcp(u, v), so no table is built.
+    The arrays, the vertex tuples and their index are built on first read
+    only, by the paths that read vertices, so a graph that only stands for
+    its spec (the identity map's target) builds none of them.  They and
+    `plans`, which holds what is compiled over this tree, live exactly as
+    long as tree_graph's cache entry."""
 
     quasi_constant = 1.0
 
     def __init__(self, spec: TreeSpec):
-        depth, parent, label = _level_arrays(spec)
-        self.spec, self.n, self.depth, self.label = spec, len(depth), depth, label
-        self.parent, self.anc = parent, _ancestors(depth, parent)
-        self.plans = {}
+        self.spec, self.n, self.plans = spec, spec.vertex_count(), {}
+
+    @functools.cached_property
+    def _levels(self) -> tuple:
+        return _level_arrays(self.spec)
+
+    @functools.cached_property
+    def depth(self) -> np.ndarray:
+        return self._levels[0]
+
+    @functools.cached_property
+    def parent(self) -> np.ndarray:
+        return self._levels[1]
+
+    @functools.cached_property
+    def label(self) -> np.ndarray:
+        return self._levels[2]
+
+    @functools.cached_property
+    def anc(self) -> np.ndarray:
+        return _ancestors(self.depth, self.parent)
 
     @functools.cached_property
     def vertices(self) -> list[Vertex]:

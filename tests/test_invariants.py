@@ -369,8 +369,9 @@ def test_identity_map_refuses_a_target(capsys):
 
 
 def test_cold_jobs_build_no_vertex_tuples(monkeypatch, tmp_path, capsys):
+    # nor a TreeGraph's level arrays or ancestor table
     calls = []
-    for name in ("vertices", "vertices_at_height"):
+    for name in ("vertices", "vertices_at_height", "_level_arrays", "_ancestors"):
         def spy(*args, real=getattr(trees, name), name=name):
             calls.append(name)
             return real(*args)
@@ -392,7 +393,18 @@ def test_cold_jobs_build_no_vertex_tuples(monkeypatch, tmp_path, capsys):
     for inv in (U.InvariantId.UMBEL_COTYPE, U.InvariantId.UMBEL_CONVEXITY):
         assert U.report(inv, U.bourgain_embed(spec, 2.0), 2.0).rhs > 0
     assert calls == []
-    assert trees.tree_graph(spec).vertices and calls  # the spies see reads
+    # the spies see reads: the paths that read vertices build all of them
+    f = U.bourgain_embed(spec, 2.0)
+    points = dict.fromkeys(U.vertices(spec), (0.0, 0.0, 1.0))
+
+    def plain():
+        U.report(U.InvariantId.UMBEL_COTYPE, U.TreeMap(spec, L3, points), 2.0)
+
+    for read in (plain, lambda: f.point((1, 2)), f.to_json):
+        trees.tree_graph.cache_clear()
+        calls.clear()
+        read()
+        assert {"vertices", "_level_arrays", "_ancestors"} <= set(calls), read
     trees.tree_graph.cache_clear()
 
 

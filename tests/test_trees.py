@@ -275,9 +275,14 @@ def test_tree_graph_edge_cases_are_covered():
         assert grid_distances(graph).tolist() == [[0.0]]
 
 
-@pytest.mark.parametrize("desc", [f"bin:h={h}" for h in range(7)]
-                         + [f"inc:h={h},b={b}" for h in range(6)
-                            for b in (h, h + 1, h + 3)])
+ARRAY_TREES = ([f"bin:h={h}" for h in range(7)]
+               + [f"inc:h={h},b={b}" for h in range(6) for b in (h, h + 1, h + 3)])
+LAZY_TREES = ([f"bin:h={h}" for h in range(9)]
+              + ["inc:h=0,b=0", "inc:h=3,b=3", "inc:h=4,b=7", "inc:h=8,b=10",
+                 "inc:h=8,b=12"])
+
+
+@pytest.mark.parametrize("desc", ARRAY_TREES)
 def test_tree_graph_arrays_equal_the_vertex_tuples(desc):
     spec = U.parse_tree_spec(desc)
     graph = tree_graph(spec)
@@ -316,9 +321,7 @@ def test_tree_graph_refuses_a_tree_past_the_cap_before_it_allocates():
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("desc", [f"bin:h={h}" for h in range(9)]
-                         + ["inc:h=0,b=0", "inc:h=3,b=3", "inc:h=4,b=7",
-                            "inc:h=8,b=10", "inc:h=8,b=12"])
+@pytest.mark.parametrize("desc", LAZY_TREES)
 def test_lazy_vertex_tuples_equal_the_enumeration(desc):
     spec = U.parse_tree_spec(desc)
     trees.tree_graph.cache_clear()
@@ -332,6 +335,27 @@ def test_lazy_vertex_tuples_equal_the_enumeration(desc):
     assert tree_graph(spec).index is graph.index
     trees.tree_graph.cache_clear()
     assert "index" not in vars(tree_graph(spec))
+
+
+@pytest.mark.parametrize("desc", sorted(set(SMALL_TREES + ARRAY_TREES + LAZY_TREES)))
+def test_lazy_tree_graph_arrays_equal_the_level_builders(desc):
+    # n and describe() come from the spec; the arrays are built on first
+    # read, once, and equal the builders called directly
+    spec = U.parse_tree_spec(desc)
+    trees.tree_graph.cache_clear()
+    graph = tree_graph(spec)
+    arrays = ("depth", "parent", "label", "anc")
+    assert graph.describe() == f"graph:n={len(U.vertices(spec))}"
+    assert graph.n == spec.vertex_count()
+    assert not set(arrays) & set(vars(graph))
+    depth, parent, label = trees._level_arrays(spec)
+    assert graph.n == len(graph.depth) == len(depth)
+    for name, want in zip(arrays, (depth, parent, label,
+                                   trees._ancestors(depth, parent))):
+        got = getattr(graph, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert getattr(graph, name) is got, name
+    trees.tree_graph.cache_clear()
 
 
 def test_largest_tree_under_the_cap_is_built():
