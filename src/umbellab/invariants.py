@@ -13,19 +13,17 @@ optional j_min knob restricts the range further).  This lower-bounds the
 countably-branching value, which is the conservative direction for
 certifying lower bounds on the invariants.
 
-Every side of every functional is compiled once per (invariant, tree,
-j_min) into a Plan: vertex-pair index arrays cut into min, max or weighted
-sum segments, grouped and scaled.  `evaluate` is the one kernel: a gather of
-pair distances, a reduceat per segment and the weighted combination of the
-groups.  Every side is written once (`_classes`): a min or max segment as
-the (depth, depth, lcp) classes of its pairs, a sum segment as one
-weighted prefix run or edge level.  A ProfileMap, whose image distance is one
-value per class, evaluates every side from the classes of its columns,
-built from the spec alone, and every other map from the vertex pairs.  The
-cotype and tessera right-hand sides are Lipschitz constants: on a tree
-every geodesic is a path of edges, so into a metric target that is the
-largest image edge length, one "max" segment over the edges; other targets
-also scan every vertex pair in row blocks, without a table.
+Every side is written once (`_classes`) as min, max or weighted sum
+segments, each a list of the (depth, depth, lcp) classes of its pairs,
+grouped and scaled, and compiled into a Plan over its columns: the vertex
+pairs of the classes, or, for a ProfileMap, whose image distance is one
+value per class, the classes themselves, built from the spec alone.
+`evaluate` is the one kernel: a gather of pair distances, a reduceat per
+segment and the weighted combination of the groups.  The cotype and
+tessera right-hand sides are Lipschitz constants: on a tree every geodesic
+is a path of edges, so into a metric target that is the largest image edge
+length, one "max" segment over the edges; other targets also scan every
+vertex pair in row blocks, without a table.
 """
 
 from __future__ import annotations
@@ -151,12 +149,13 @@ class TreeMap:
     def edge_distances(self) -> np.ndarray:
         """Image distances whose maximum is the largest image of an edge:
         here one per (parent, child) edge."""
-        return self.pair_distances(*_edge_pairs(tree_graph(self.spec))[:2])
+        return self.pair_distances(*_edge_pairs(tree_graph(self.spec)))
 
     @staticmethod
     def identity(spec: TreeSpec) -> "ProfileMap":
+        graph = tree_graph(spec)  # the vertex cap, before the profile
         a, b, c = np.indices((spec.height + 1,) * 3)
-        return ProfileMap(spec, tree_graph(spec), int, (a + b - 2 * c).astype(float))
+        return ProfileMap(spec, graph, int, (a + b - 2 * c).astype(float))
 
     @staticmethod
     def constant(spec: TreeSpec, target=None) -> "ProfileMap":
@@ -394,8 +393,8 @@ class Plan:
     vertex-order indices; those of a class plan (u and v None) are
     `classes`, flat indices (a (h+1) + b) (h+1) + c of (depth, depth, lcp)
     classes into a ProfileMap's profile.  A min or max segment of a class
-    plan holds each class once; a sum segment repeats a class once per pair,
-    so its columns, weights and order are the pair plan's.  The columns are
+    plan holds each class once; a sum segment repeats each class once per
+    pair, class after class, as the pair plan lists them.  The columns are
     cut into segments at `starts`.  A segment reduces its distances d by
     `reduce`: "min" and "max" take the extreme distance and then its p-th
     power, as the displays do; "sum" adds weights * d^p.  Consecutive
@@ -460,26 +459,32 @@ def evaluate(plan: Plan, d: np.ndarray, p: float) -> np.ndarray:
     return total
 
 
-def _layout(groups, sizes: list) -> dict:
-    """The starts, groups and scales of a plan whose segments have `sizes`
-    columns; groups: (segments, scale) pairs."""
-    bounds = np.cumsum([0] + [len(segments) for segments, _ in groups])
-    return {"starts": np.cumsum([0] + sizes[:-1]),
-            "groups": tuple(zip(bounds[:-1].tolist(), bounds[1:].tolist())),
-            "scales": tuple(scale for _, scale in groups)}
+_PLAN_CAP = 2 ** 26  # the most columns a plan is built with
 
 
-def _build(reduce: str, outer: str, groups, names=("u", "v")) -> Plan:
-    """groups: (segments, scale) pairs, each segment a tuple of its column
-    arrays, one for each of `names`, and its weights (None on a min or max
-    side)."""
-    segs = [seg for segments, _ in groups for seg in segments]
-    columns = {name: np.concatenate([seg[i] for seg in segs])
-               for i, name in enumerate(names)}
-    return Plan(**columns, reduce=reduce,
-                weights=(np.concatenate([seg[-1] for seg in segs])
+def _build(spec: TreeSpec, expand, reduce: str, outer: str, groups,
+           pairs: bool = True) -> Plan:
+    """The plan of a side of `_classes`, each segment expanded by `expand`
+    into its columns, (u, v) or, unless `pairs`, `classes`, weighted by the
+    segment's weight in a sum.  A plan of more than _PLAN_CAP columns (one
+    per pair, but one per class of a class plan's min or max) is refused
+    before any segment is expanded."""
+    segments = [seg for segs, _ in groups for seg in segs]
+    count = sum(_pair_count(spec, *cls) if pairs or weight is not None else 1
+                for classes, weight in segments for cls in classes)
+    if count > _PLAN_CAP:
+        raise InvariantError(f"the plan has {count} columns, more than the "
+                             f"{_PLAN_CAP} a plan is built with")
+    cols = [expand(seg) for seg in segments]
+    sizes = [len(col[0]) for col in cols]
+    bounds = np.cumsum([0] + [len(segs) for segs, _ in groups])
+    return Plan(**{name: np.concatenate([col[i] for col in cols]) for i, name
+                   in enumerate(("u", "v") if pairs else ("classes",))},
+                reduce=reduce, starts=np.cumsum([0] + sizes[:-1]), outer=outer,
+                weights=(np.repeat([w for _, w in segments], sizes)
                          if reduce == "sum" else None),
-                outer=outer, **_layout(groups, [len(seg[0]) for seg in segs]))
+                groups=tuple(zip(bounds[:-1].tolist(), bounds[1:].tolist())),
+                scales=tuple(scale for _, scale in groups))
 
 
 def _height_range(tg: TreeGraph, h: int) -> tuple[int, int]:
@@ -512,27 +517,24 @@ def _branch_pairs(tg: TreeGraph, h: int, lcp: int, j_min: Optional[int] = None):
         keep &= np.maximum(tg.label[nu], tg.label[nv]) >= j_min
     if not keep.any():
         raise InvariantError(_NO_CONFIGURATION)
-    return u[keep], v[keep], None
+    return u[keep], v[keep]
 
 
 def _walk_run(window: int, t: int) -> tuple:
-    """The prefix run of E[d(f(W_t), f(W'_t))^q] for the directed walk and
-    a copy branching `window` steps before time t: every pair of height-t
-    vertices that agree before the branch time, weighted P(diverge at step
-    l) 2^-l times the uniform 2^-c over the common prefix and 4^-(window - l)
-    over the two tails, which is 2^(1 - window - t) for every divergence
-    step l."""
-    return t, t - window, 2.0 ** (1 - window - t)
+    """The segment of E[d(f(W_t), f(W'_t))^q] for the directed walk and a
+    copy branching `window` steps before time t: the classes (t, t, c),
+    t - window <= c < t, of the height-t pairs that agree before the branch
+    time, each weighted P(diverge at step l) 2^-l times 2^-c over the common
+    prefix and 4^-(window - l) over the two tails: 2^(1 - window - t)."""
+    return [(t, t, c) for c in range(t - window, t)], 2.0 ** (1 - window - t)
 
 
-def _edge_pairs(tg: TreeGraph, level: Optional[int] = None,
-                weight: Optional[float] = None):
+def _edge_pairs(tg: TreeGraph, level: Optional[int] = None):
     """The (parent, child) pairs of the edges between heights level-1 and
     level, or of every edge."""
     lo, hi = (1, tg.n) if level is None else _height_range(tg, level)
     child = np.arange(lo, hi)
-    w = None if weight is None else np.full(hi - lo, weight)
-    return tg.parent[child], child, w
+    return tg.parent[child], child
 
 
 _NO_CONFIGURATION = "no admissible configuration (branching too small)"
@@ -540,44 +542,44 @@ _NO_CONFIGURATION = "no admissible configuration (branching too small)"
 
 def _classes(inv: InvariantId, side: str, k: int) -> tuple:
     """A side as (reduce, outer, groups); groups holds (segments, scale)
-    pairs.  A min or max segment lists the (depth, depth, lcp) classes of
-    the pairs it reduces: (h, h, c) the pairs of height-h vertices whose
-    longest common prefix has length exactly c, (l - 1, l, l - 1) the edges
-    into height l.  A sum segment, on a binary tree, is one weighted term:
-    a prefix run (h, ell, weight), every pair of height-h vertices whose
-    length-ell prefixes agree, or an edge level (level, weight), the edges
-    into height level, each pair weighing `weight`."""
+    pairs, and a segment is (classes, weight): the (depth, depth, lcp)
+    classes of its pairs, class after class, and the weight of each pair,
+    None in a min or max.  (h, h, c) holds the pairs of height-h vertices
+    whose longest common prefix has length exactly c, (l - 1, l, l - 1) the
+    edges into height l.  A sum over every pair of height-h vertices
+    sharing their length-ell prefix is the classes (h, h, c), ell <= c < h."""
     top = 2 ** k
     if side == "rhs":
         edges = [(level - 1, level, level - 1) for level in range(1, top + 1)]
         if inv in _LIPSCHITZ_IDS:  # the largest edge: exact on metric targets
-            return "max", "sum", [([edges], 0)]
+            return "max", "sum", [([(edges, None)], 0)]
         if inv in (InvariantId.UMBEL_CONVEXITY, InvariantId.FORK_CONVEXITY):
             # the mean over the 2^k levels
-            return "max", "mean", [([[edge] for edge in edges], 0)]
+            return "max", "mean", [([([edge], None) for edge in edges], 0)]
         # markov-directed: the edges into height t weigh 2^-t
-        return "sum", "sum", [([(t, 2.0 ** -t) for t in range(1, top + 1)], 0)]
+        return "sum", "sum", [([([edge], 2.0 ** -edge[1]) for edge in edges], 0)]
     if inv in (InvariantId.UMBEL_COTYPE, InvariantId.RELAXED_UMBEL):
-        return "min", "sum", [([[(top, top, top - 2 ** s)]], s)
+        return "min", "sum", [([([(top, top, top - 2 ** s)], None)], s)
                               for s in range(1, k)]
     if inv is InvariantId.FORK_COTYPE:
-        return "min", "min", [([[(h, h, h - 2 ** s)]
+        return "min", "min", [([([(h, h, h - 2 ** s)], None)
                                  for h in range(2 ** s, top + 1)], s)
                                for s in range(1, k)]
     if inv in (InvariantId.UMBEL_CONVEXITY, InvariantId.FORK_CONVEXITY):
         # the mean over the 2^(k - 1 - s) heights of scale s: the multiples
         # of 2^(s + 1) up to 2^k
-        return "min", "mean", [([[(h, h, h - 2 ** s)] for h in
+        return "min", "mean", [([([(h, h, h - 2 ** s)], None) for h in
                                  range(2 ** (s + 1), top + 1, 2 ** (s + 1))], s)
                                for s in range(1, k)]
     if inv is InvariantId.TESSERA:
-        # each term averages d^q over the ordered pairs of 2^w-vertex blocks
-        # sharing a length-ell prefix (the diagonal is 0): weight 2 on each
-        # unordered pair
+        # each term averages d^q over the ordered pairs of the 2^w-vertex
+        # blocks of height ell + w sharing a length-ell prefix (the diagonal
+        # is 0): weight 2 on each unordered pair
         groups = []
         for s in range(k):
             w = 2 ** s
-            segments = [(ell + w, ell, 2.0 ** (1 - ell - 2 * w))
+            segments = [([(ell + w, ell + w, c) for c in range(ell, ell + w)],
+                          2.0 ** (1 - ell - 2 * w))
                         for ell in range(w + 1, top - w + 1)]
             if segments:  # an empty index range makes the term vacuous
                 groups.append((segments, s))
@@ -588,22 +590,29 @@ def _classes(inv: InvariantId, side: str, k: int) -> tuple:
                           for s in range(k + 1)]
 
 
-def _class_pairs(tg: TreeGraph, segment: list, j_min: Optional[int]):
-    """The vertex pairs of a min or max segment's classes, class after
-    class."""
+def _pair_count(spec: TreeSpec, a: int, b: int, c: int) -> int:
+    """The vertex pairs of the class (a, b, c), j_min aside: an edge into
+    each height-b vertex, or the pairs of height-a vertices sharing their
+    length-c prefix but not their length-(c + 1) one.  Each of the 2^l binary
+    length-l prefixes has 2^(a - l) height-a vertices below it; in inc:h,n
+    each of the comb(x - 1, l - 1) ending in x (root: x = 0), comb(n - x, a - l)."""
+    if a != b:
+        return 2 ** b if spec.kind == BINARY else math.comb(spec.branching, b)
+    if spec.kind == BINARY:
+        return 2 ** (2 * a - c - 2)
+    n = spec.branching
+
+    def sharing(l):  # the pairs of height-a vertices sharing their length-l prefix
+        ends = [(x, math.comb(x - 1, l - 1)) for x in range(l, n + 1)] if l else [(0, 1)]
+        return sum(m * math.comb(math.comb(n - x, a - l), 2) for x, m in ends)
+    return sharing(c) - sharing(c + 1)
+
+
+def _class_pairs(tg: TreeGraph, segment: tuple, j_min: Optional[int]):
+    """The vertex pairs of a segment's classes, class after class."""
     parts = [_branch_pairs(tg, a, c, j_min) if a == b else _edge_pairs(tg, b)
-             for a, b, c in segment]
-    return (np.concatenate([u for u, _, _ in parts]),
-            np.concatenate([v for _, v, _ in parts]), None)
-
-
-def _term_pairs(tg: TreeGraph, term: tuple):
-    """The weighted vertex pairs of a sum segment's term."""
-    if len(term) == 2:
-        return _edge_pairs(tg, *term)
-    h, ell, weight = term
-    u, v = _prefix_pairs(tg, h, ell)
-    return u, v, np.full(len(u), weight)
+             for a, b, c in segment[0]]
+    return tuple(np.concatenate([part[i] for part in parts]) for i in (0, 1))
 
 
 def _plan_args(inv: InvariantId, spec: TreeSpec, side: str,
@@ -620,21 +629,15 @@ def _plan_args(inv: InvariantId, spec: TreeSpec, side: str,
 def compile_plan(inv: InvariantId, spec: TreeSpec, side: str,
                  j_min: Optional[int] = None) -> Plan:
     """The pair plan of one side ("lhs" or "rhs") of a functional on a tree:
-    each class and each sum term of `_classes` is expanded into its vertex
-    pairs.  Plans are compiled once and kept on tree_graph's cached entry
-    for the tree, so clearing that cache drops them too."""
+    each class of `_classes` is expanded into its vertex pairs.  Plans are
+    compiled once and kept on tree_graph's cached entry for the tree, so
+    clearing that cache drops them too."""
     k, j_min = _plan_args(inv, spec, side, j_min)
     tg = tree_graph(spec)
     key = (inv, side, j_min)
     if key not in tg.plans:
-        reduce, outer, groups = _classes(inv, side, k)
-        if reduce == "sum":
-            expand = functools.partial(_term_pairs, tg)
-        else:
-            expand = functools.partial(_class_pairs, tg, j_min=j_min)
-        tg.plans[key] = _build(reduce, outer, [
-            ([expand(seg) for seg in segments], scale)
-            for segments, scale in groups])
+        tg.plans[key] = _build(spec, functools.partial(_class_pairs, tg, j_min=j_min),
+                               *_classes(inv, side, k))
     return tg.plans[key]
 
 
@@ -649,43 +652,16 @@ def _admissible(spec: TreeSpec, h: int, c: int, j_min: Optional[int]) -> bool:
     return b >= h + 1 and (j_min is None or b - h + c + 1 >= j_min)
 
 
-def _class_columns(spec: TreeSpec, segment: list, j_min: Optional[int]):
-    """A min or max segment's flat class indices, each class once."""
-    if not all(a != b or _admissible(spec, a, c, j_min) for a, b, c in segment):
+def _class_columns(spec: TreeSpec, segment: tuple, j_min: Optional[int]):
+    """A segment's flat class indices: a min or max holds each class once,
+    a sum repeats each class once per pair."""
+    classes, weight = segment
+    if not all(a != b or _admissible(spec, a, c, j_min) for a, b, c in classes):
         raise InvariantError(_NO_CONFIGURATION)
     size = spec.height + 1
-    return np.array([(a * size + b) * size + c for a, b, c in segment],
-                    dtype=np.intp), None
-
-
-def _triangle(w: int) -> np.ndarray:
-    """bit_length(i ^ j) over the pairs i < j of 0..2^w - 1, in
-    np.triu_indices order.  Row i runs over j = i + 1 .. 2^w - 1, and the
-    highest bit in which j differs from i is, in turn, each zero bit z of i,
-    for the 2^z values of j that agree with i above bit z and set it: 2^z
-    copies of z + 1."""
-    _, z = np.nonzero((np.arange(2 ** w)[:, None] >> np.arange(w)) & 1 == 0)
-    return np.repeat(z + 1, 1 << z)
-
-
-def _term_columns(spec: TreeSpec, term: tuple, triangle):
-    """A sum segment's flat class index and weight per pair, in the order
-    of `_term_pairs`.  On a binary tree the height-h vertices sharing a
-    length-ell prefix are a run of 2^w, w = h - ell, whose local offsets are
-    their last w signs read as bits; the pairs i < j of a run come in
-    np.triu_indices order and have lcp h - bit_length(i ^ j), which
-    triangle(w) holds, and the pattern repeats over the 2^ell runs.  An
-    edge level is 2^level copies of the class (level - 1, level, level - 1)."""
-    size = spec.height + 1
-    if len(term) == 2:
-        level, weight = term
-        cls = np.full(2 ** level, ((level - 1) * size + level) * size + level - 1)
-    else:
-        h, ell, weight = term
-        cls = np.tile(triangle(h - ell), 2 ** ell)
-        # in place: a fresh buffer costs more than the subtraction
-        np.subtract((h * size + h) * size + h, cls, out=cls)
-    return cls, np.full(len(cls), weight)
+    flat = np.array([(a * size + b) * size + c for a, b, c in classes], dtype=np.intp)
+    return (flat if weight is None else
+            np.repeat(flat, [_pair_count(spec, *cls) for cls in classes]),)
 
 
 def class_plan(inv: InvariantId, spec: TreeSpec, side: str,
@@ -695,21 +671,13 @@ def class_plan(inv: InvariantId, spec: TreeSpec, side: str,
     min or max segment holds each of its classes once: on a ProfileMap every
     pair of a class has the one image distance profile[a, b, c], so a
     segment's extreme, and the side, equal the pair plan's bit for bit.  A
-    sum segment (on binary trees only) holds the class of each of its pairs
-    in pair order, so its weighted sum adds the pair plan's values in the
-    pair plan's order.  It raises where compile_plan raises, with the same
-    text."""
+    sum segment repeats each class once per pair, class after class as the
+    pair plan lists them, so its weighted sum adds the pair plan's values
+    in the pair plan's order.  It raises where compile_plan raises, with the
+    same text."""
     k, j_min = _plan_args(inv, spec, side, j_min)
-    reduce, outer, groups = _classes(inv, side, k)
-    if reduce == "sum":
-        # a window's pattern recurs in every segment: build it once a plan
-        triangle = functools.lru_cache(maxsize=None)(_triangle)
-        expand = functools.partial(_term_columns, spec, triangle=triangle)
-    else:
-        expand = functools.partial(_class_columns, spec, j_min=j_min)
-    return _build(reduce, outer, [([expand(seg) for seg in segments], scale)
-                                  for segments, scale in groups],
-                  names=("classes",))
+    return _build(spec, functools.partial(_class_columns, spec, j_min=j_min),
+                  *_classes(inv, side, k), pairs=False)
 
 
 # ---------------------------------------------------------------------------
@@ -797,8 +765,9 @@ def markov_pair_expectation_exact(f: TreeMap, s: int, t: int, q: float) -> float
         raise InvariantError("s out of range")
     if not 2 ** s <= t <= 2 ** k:
         raise InvariantError("t out of range")
-    u, v, w = _term_pairs(tree_graph(f.spec), _walk_run(2 ** s, t))
-    return float(w @ f.pair_distances(u, v) ** q)
+    run = _walk_run(2 ** s, t)
+    u, v = _class_pairs(tree_graph(f.spec), run, None)
+    return float(np.full(len(u), run[1]) @ f.pair_distances(u, v) ** q)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -232,7 +232,10 @@ EXPECTED = {tuple(_fork_cotype(name)): (code, error) for name, code, error in [
 HUGE_TREES = [["invariant", "--tree", "bin:h=40", "--invariant", "fork-cotype",
                "--p", "2"],
               ["embed", "--tree", "inc:h=30,b=60", "--p", "2"],
-              ["morphism", "--k", "40"]]
+              ["morphism", "--k", "40"],
+              # the identity's (h+1)^3 profile alone would take 1.5 TiB
+              ["invariant", "--tree", "bin:h=4096", "--invariant", "fork-cotype",
+               "--p", "2"]]
 EXPECTED.update({tuple(argv): (2, "more than 200000 vertices")
                  for argv in HUGE_TREES})
 _LOCAL_SEARCH = ["search", "--tree", "bin:h=2", "--invariant", "markov-directed",
@@ -246,6 +249,14 @@ HUGE_EXPONENT = [["invariant", "--tree", "bin:h=4", "--invariant",
                   "--p", "1500", "--target-file", "{dir}/path3.json"]]
 EXPECTED.update({tuple(argv): (2, "p = 1500.0 is too large")
                  for argv in HUGE_EXPONENT})
+# a left-hand side of 2881180923 vertex pairs is refused before it is built
+_HUGE_MARKOV = ["--tree", "bin:h=16", "--invariant", "markov-directed", "--p", "2"]
+HUGE_PLANS = [["invariant"] + _HUGE_MARKOV,
+              ["invariant"] + _HUGE_MARKOV + ["--map", "constant"],
+              ["search"] + _HUGE_MARKOV + ["--target-file", "{dir}/path3.json",
+                                           "--mode", "local"]]
+EXPECTED.update({tuple(argv): (2, "the plan has 2881180923 columns")
+                 for argv in HUGE_PLANS})
 
 def _graph_certify(name):
     return ["certify", "--space", f"graph:file={{dir}}/{name}", "--inequality",
@@ -314,6 +325,10 @@ EXPECTED.update({tuple(argv): (2, error) for argv, error in zip(BAD_GRAPHS, [
 @example(argv=HUGE_TREES[0])
 @example(argv=HUGE_TREES[1])
 @example(argv=HUGE_TREES[2])
+@example(argv=HUGE_TREES[3])
+@example(argv=HUGE_PLANS[0])
+@example(argv=HUGE_PLANS[1])
+@example(argv=HUGE_PLANS[2])
 @example(argv=BAD_GRAPHS[0])
 @example(argv=BAD_GRAPHS[1])
 @example(argv=BAD_GRAPHS[2])

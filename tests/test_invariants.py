@@ -328,6 +328,13 @@ def test_constant_map_past_the_vertex_cap_is_refused(capsys):
         "bin:h=40 has more than 200000 vertices"
 
 
+@pytest.mark.parametrize("desc", ["bin:h=17", "bin:h=4096", "inc:h=30,b=60"])
+def test_identity_past_the_vertex_cap_is_refused_before_its_profile(desc):
+    # the (h+1)^3 profile of bin:h=4096 alone would take 1.5 TiB
+    with pytest.raises(trees.TreeSpecError, match="more than 200000 vertices"):
+        U.TreeMap.identity(U.parse_tree_spec(desc))
+
+
 def test_library_maps_read_no_point():
     spec = U.parse_tree_spec("inc:h=4,b=6")
     trees.tree_graph.cache_clear()

@@ -243,6 +243,70 @@ def test_sum_class_plans_are_the_pair_plan_classes(tree, inv, side):
     assert (got.outer, got.groups, got.scales) == (want.outer, want.groups, want.scales)
 
 
+def sum_runs(inv, side, k: int) -> list:
+    """The runs a sum side adds, segment by segment, as its display writes
+    them: (h, ell), every pair of height-h vertices sharing their length-ell
+    prefix, or (level,), the edges into that level."""
+    top = 2 ** k
+    if inv is InvariantId.TESSERA:
+        return [(ell + 2 ** s, ell) for s in range(k)
+                for ell in range(2 ** s + 1, top - 2 ** s + 1)]
+    if side == "lhs":
+        return [(t, t - min(2 ** s, t)) for s in range(k + 1)
+                for t in range(1, top + 1)]
+    return [(t,) for t in range(1, top + 1)]
+
+
+@pytest.mark.parametrize("tree", [t for t in TREES if t.startswith("bin:")])
+@pytest.mark.parametrize("inv,side", SUM_SIDES, ids=lambda x: getattr(x, "value", x))
+def test_sum_segment_classes_are_the_runs_they_replace(tree, inv, side):
+    # each sum segment's classes, expanded by the oracle, hold exactly the
+    # pairs of its run, each once, and the class plan repeats each class
+    # once per pair
+    spec = U.parse_tree_spec(tree)
+    plan = outcome(invariants.class_plan, inv, spec, side)
+    if isinstance(plan, str):  # tessera on bin:h=2: refused, no segment
+        assert plan == outcome(compile_plan, inv, spec, side)
+        return
+    tg, k, size = trees.tree_graph(spec), spec.height.bit_length() - 1, spec.height + 1
+    reduce, _, groups = invariants._classes(inv, side, k)
+    segments = [seg for segs, _ in groups for seg in segs]
+    runs = sum_runs(inv, side, k)
+    assert reduce == "sum" and len(segments) == len(runs)
+    flat, counts = [], []
+    for (classes, weight), run in zip(segments, runs):
+        assert weight > 0
+        parts = [oracle_class_pairs(tg, *cls, None) for cls in classes]
+        got = [pair for u, v in parts for pair in zip(u.tolist(), v.tolist())]
+        if len(run) == 2:
+            want = set(zip(*(a.tolist() for a in oracle.prefix_pairs(tg, *run))))
+        else:
+            want = {(tg.index[e[0]], tg.index[e[1]])
+                    for e in oracle.level_edges(spec, run[0])}
+        assert len(got) == len(set(got)) and set(got) == want, (classes, run)
+        flat += [(a * size + b) * size + c for a, b, c in classes]
+        counts += [len(u) for u, _ in parts]
+    assert plan.classes.tolist() == np.repeat(flat, counts).tolist()
+
+
+def test_oversized_plans_are_refused_before_they_are_built():
+    # markov-directed's left-hand side on bin:h=16 has 2881180923 vertex
+    # pairs: its columns would take tens of GB
+    spec = U.parse_tree_spec("bin:h=16")
+    trees.tree_graph.cache_clear()
+    for build in (invariants.class_plan, compile_plan):
+        error, peak = traced_peak(outcome, build, InvariantId.MARKOV_DIRECTED,
+                                  spec, "lhs")
+        assert error == ("error: the plan has 2881180923 columns, more than "
+                         "the 67108864 a plan is built with"), build
+        assert peak < 1 << 20, build
+    assert not trees.tree_graph(spec).plans
+    small = U.parse_tree_spec("bin:h=8")
+    for build in (invariants.class_plan, compile_plan):
+        assert build(InvariantId.MARKOV_DIRECTED, small, "lhs").starts.size
+    trees.tree_graph.cache_clear()
+
+
 def profile_maps(spec) -> dict:
     """The ProfileMaps of a tree: the identity, two constant maps and, on an
     increasing tree, the three Bourgain variants."""
