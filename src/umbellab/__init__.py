@@ -27,7 +27,7 @@ _EXPORTS = {name: module for module, names in (
                   "parallelogram_constants"),
     ("invariants", "InvariantId InvariantReport TreeMap lhs rhs report "
                    "lipschitz_constant markov_pair_expectation_exact "
-                   "markov_pair_expectation_mc named_map"),
+                   "named_map"),
     ("embeddings", "ModulusCurve QuotientOracle bourgain_embed distortion "
                    "moduli compression_integral lift_map verify_lift"),
     ("search", "SearchProblem SearchResult exhaustive_max local_search_max "

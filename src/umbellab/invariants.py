@@ -492,32 +492,25 @@ def _height_range(tg: TreeGraph, h: int) -> tuple[int, int]:
             int(np.searchsorted(tg.depth, h, side="right")))
 
 
-def _prefix_pairs(tg: TreeGraph, h: int, length: int):
-    """All pairs i < j of height-h vertices whose length-`length` prefixes
-    agree, as vertex-order index arrays.  Vertices sharing a prefix are
-    consecutive, so each vertex pairs with the rest of its run."""
-    lo, hi = _height_range(tg, h)
-    key = tg.anc[lo:hi, length]
-    local = np.arange(hi - lo)
-    counts = np.searchsorted(key, key, side="right") - local - 1
-    i = np.repeat(local, counts)
-    j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
-    return i + lo, j + lo
-
-
 def _branch_pairs(tg: TreeGraph, h: int, lcp: int, j_min: Optional[int] = None):
-    """The pairs of height-h vertices whose longest common prefix has length
-    exactly `lcp`: they agree at length lcp and their next prefixes differ.
-    With j_min set, one of the two diverging labels must be >= j_min (the
-    liminf tail knob)."""
-    u, v = _prefix_pairs(tg, h, lcp)
-    nu, nv = tg.anc[u, lcp + 1], tg.anc[v, lcp + 1]
-    keep = nu != nv
+    """The pairs i < j of height-h vertices whose longest common prefix has
+    length exactly `lcp`, as vertex-order index arrays.  Vertices sharing a
+    prefix are consecutive, so i's partners run from the end of its
+    length-(lcp + 1) run to the end of its length-lcp run.  With j_min set,
+    one of the two diverging labels must be >= j_min (the liminf tail knob)."""
+    lo, hi = _height_range(tg, h)
+    first, end = (np.searchsorted(key, key, side="right")
+                  for key in (tg.anc[lo:hi, lcp + 1], tg.anc[lo:hi, lcp]))
+    counts = end - first
+    u = np.repeat(np.arange(lo, hi), counts)
+    v = np.arange(len(u)) + np.repeat(first + lo - np.cumsum(counts) + counts, counts)
     if j_min is not None:
-        keep &= np.maximum(tg.label[nu], tg.label[nv]) >= j_min
-    if not keep.any():
+        nu, nv = tg.anc[u, lcp + 1], tg.anc[v, lcp + 1]
+        keep = np.maximum(tg.label[nu], tg.label[nv]) >= j_min
+        u, v = u[keep], v[keep]
+    if not len(u):
         raise InvariantError(_NO_CONFIGURATION)
-    return u[keep], v[keep]
+    return u, v
 
 
 def _walk_run(window: int, t: int) -> tuple:
@@ -768,31 +761,3 @@ def markov_pair_expectation_exact(f: TreeMap, s: int, t: int, q: float) -> float
     run = _walk_run(2 ** s, t)
     u, v = _class_pairs(tree_graph(f.spec), run, None)
     return float(np.full(len(u), run[1]) @ f.pair_distances(u, v) ** q)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def markov_pair_expectation_mc(f: TreeMap, s: int, t: int, q: float,
-                               n: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo oracle for markov_pair_expectation_exact over n coupled
-    walk pairs; returns (estimate, standard error)."""
-    k = _validate(InvariantId.MARKOV_DIRECTED, f.spec)
-    _check_exponent(q)
-    if n < 1:
-        raise InvariantError("n must be >= 1")
-    if not (0 <= s <= k and 2 ** s <= t <= 2 ** k):
-        raise InvariantError("index out of range")
-    rng = np.random.default_rng(seed)
-    window = min(2 ** s, t)
-    shared = rng.integers(0, 2, size=(n, t - window))
-    a_tail = rng.integers(0, 2, size=(n, window))
-    b_tail = rng.integers(0, 2, size=(n, window))
-    weights_shared = 2 ** np.arange(t - 1, window - 1, -1) if t > window else np.zeros(0, int)
-    weights_tail = 2 ** np.arange(window - 1, -1, -1)
-    base = shared @ weights_shared if t > window else np.zeros(n, int)
-    # height-t vertices sit in lexicographic (-1 < +1) order from `first`
-    first, _ = _height_range(tree_graph(f.spec), t)
-    vals = f.pair_distances(first + base + a_tail @ weights_tail,
-                            first + base + b_tail @ weights_tail) ** q
-    est = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return est, se

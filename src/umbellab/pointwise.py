@@ -248,6 +248,7 @@ def batch_margins(ineq: InequalityId, cfg: InequalityConfig, space,
 # Certification campaigns
 
 _CHUNK = 4096
+_XS_CAP = 128  # the most x_i an umbel configuration draws: C(count, 2) columns
 
 
 def _points_per_config(ineq: InequalityId, xs_count: int) -> int:
@@ -261,7 +262,10 @@ def _points_per_config(ineq: InequalityId, xs_count: int) -> int:
 def ball_sampler(space, ineq: InequalityId, xs_count: int = 4):
     """Default configuration sampler: `draw(rng, m)` returns m configurations
     of points of the space's ball as the rows of `space.sample_batch`, with
-    w, z, x_1 .. x_xs_count for the umbel family."""
+    w, z, x_1 .. x_xs_count for the umbel family, xs_count at most _XS_CAP."""
+    if ineq in UMBEL_FAMILY and xs_count > _XS_CAP:
+        raise PointwiseError(f"xs_count {xs_count} is more than the {_XS_CAP} "
+                             f"points an umbel configuration draws")
     return functools.partial(space.sample_batch, k=_points_per_config(ineq, xs_count))
 
 

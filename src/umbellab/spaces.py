@@ -94,9 +94,12 @@ class RowSpace:
     """A space that speaks numeric rows: its scalar `distance` and `sample`
     are the one-row cases of `distance_rows` and `sample_batch`."""
 
+    @np.errstate(over="raise")
     def sample_batch(self, rng: np.random.Generator, m: int, k: int) -> np.ndarray:
         """m configurations of k points of the unit ball, shape (m, k, width):
-        a uniform draw from the cube [-1, 1]^width, put onto the ball."""
+        a uniform draw from the cube [-1, 1]^width, put onto the ball.  A norm
+        that overflows the float range raises FloatingPointError, as it would
+        put every point onto the origin."""
         return self.onto_ball(rng.uniform(-1.0, 1.0, (m, k, self.width)))
 
     def distance(self, a, b) -> float:

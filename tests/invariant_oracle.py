@@ -5,8 +5,9 @@ distance tables that distortion and moduli read before the pair scan, and
 the linear scan that read a modulus curve, the Bourgain map with every
 vector built up front and its distance
 profile computed by one lp norm per triple, the lift that made one
-scalar `distance` call per (vertex, domain point), and the constant map's
-point chosen class by class.  They walk the displays
+scalar `distance` call per (vertex, domain point), the constant map's
+point chosen class by class, and a Monte Carlo estimate of the
+directed-walk expectation over coupled walk pairs.  They walk the displays
 of each functional directly and serve as the test oracle for the compiled
 plans, the scan, the on-demand points and the lift on rows; nothing in the
 library imports them.  The tree distance, level edges and map distance
@@ -24,7 +25,8 @@ import numpy as np
 from umbellab import trees
 from umbellab.embeddings import EmbeddingError, ModulusCurve, QuotientOracle
 from umbellab.invariants import (InvariantError, InvariantId, TreeMap,
-                                 _COTYPE_IDS, _validate)
+                                 _COTYPE_IDS, _check_exponent, _height_range,
+                                 _validate)
 from umbellab.trees import Vertex, tree_graph, vertices_at_height
 from umbellab import spaces as sp
 from umbellab.spaces import HPoint, LpSpace, _apsp
@@ -335,6 +337,34 @@ def _markov_lhs(f: TreeMap, k: int, p: float) -> float:
     return total
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def markov_pair_expectation_mc(f: TreeMap, s: int, t: int, q: float,
+                               n: int, seed: int) -> tuple[float, float]:
+    """Monte Carlo oracle for markov_pair_expectation_exact over n coupled
+    walk pairs; returns (estimate, standard error)."""
+    k = _validate(InvariantId.MARKOV_DIRECTED, f.spec)
+    _check_exponent(q)
+    if n < 1:
+        raise InvariantError("n must be >= 1")
+    if not (0 <= s <= k and 2 ** s <= t <= 2 ** k):
+        raise InvariantError("index out of range")
+    rng = np.random.default_rng(seed)
+    window = min(2 ** s, t)
+    shared = rng.integers(0, 2, size=(n, t - window))
+    a_tail = rng.integers(0, 2, size=(n, window))
+    b_tail = rng.integers(0, 2, size=(n, window))
+    weights_shared = 2 ** np.arange(t - 1, window - 1, -1) if t > window else np.zeros(0, int)
+    weights_tail = 2 ** np.arange(window - 1, -1, -1)
+    base = shared @ weights_shared if t > window else np.zeros(n, int)
+    # height-t vertices sit in lexicographic (-1 < +1) order from `first`
+    first, _ = _height_range(tree_graph(f.spec), t)
+    vals = f.pair_distances(first + base + a_tail @ weights_tail,
+                            first + base + b_tail @ weights_tail) ** q
+    est = float(vals.mean())
+    se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return est, se
+
+
 # ---------------------------------------------------------------------------
 # Plan pairs selected by common prefix length
 
@@ -350,7 +380,7 @@ def _height_pairs(tg, h: int):
 
 def prefix_pairs(tg, h: int, length: int):
     """The pairs of height-h vertices with a common prefix of length at
-    least `length` (stands in for invariants._prefix_pairs)."""
+    least `length`: every pair of a tessera term or directed-walk run."""
     u, v, common = _height_pairs(tg, h)
     keep = common >= length
     return u[keep], v[keep]

@@ -257,6 +257,16 @@ HUGE_PLANS = [["invariant"] + _HUGE_MARKOV,
                                            "--mode", "local"]]
 EXPECTED.update({tuple(argv): (2, "the plan has 2881180923 columns")
                  for argv in HUGE_PLANS})
+# a Koranyi norm past the float range while sampling, and C(count, 2)
+# distance columns per chunk
+REFUSED_SAMPLING = [["certify", "--space", "heis:dim=2,p=1e-300", "--inequality",
+                     "tripod", "--samples", "10"],
+                    ["certify", "--space", "l2:dim=3", "--inequality", "p-umbel",
+                     "--samples", "10", "--xs-count", "100000"]]
+EXPECTED.update({tuple(argv): (2, error) for argv, error in zip(REFUSED_SAMPLING, [
+    "overflow encountered in power",
+    "xs_count 100000 is more than the 128"])})
+
 
 def _graph_certify(name):
     return ["certify", "--space", f"graph:file={{dir}}/{name}", "--inequality",
@@ -333,6 +343,8 @@ EXPECTED.update({tuple(argv): (2, error) for argv, error in zip(BAD_GRAPHS, [
 @example(argv=BAD_GRAPHS[1])
 @example(argv=BAD_GRAPHS[2])
 @example(argv=BAD_GRAPHS[3])
+@example(argv=REFUSED_SAMPLING[0])
+@example(argv=REFUSED_SAMPLING[1])
 def test_cli_fuzz(fixture_dir, argv):
     expected = EXPECTED.get(tuple(argv))
     argv = [a.replace("{dir}", str(fixture_dir)) for a in argv]

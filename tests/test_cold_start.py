@@ -120,8 +120,7 @@ EXPORTS = {
                   "modulus_beta", "ramsey_refine", "parallelogram_constants"],
     "invariants": ["InvariantId", "InvariantReport", "TreeMap", "lhs", "rhs",
                    "report", "lipschitz_constant",
-                   "markov_pair_expectation_exact",
-                   "markov_pair_expectation_mc", "named_map"],
+                   "markov_pair_expectation_exact", "named_map"],
     "embeddings": ["ModulusCurve", "QuotientOracle", "bourgain_embed",
                    "distortion", "moduli", "compression_integral", "lift_map",
                    "verify_lift"],

@@ -131,7 +131,6 @@ def test_plans_equal_the_selection_by_common_prefix(tree, j_min, monkeypatch):
                 for inv in ids for side in ("lhs", "rhs")}
 
     got = plans()
-    monkeypatch.setattr(invariants, "_prefix_pairs", oracle.prefix_pairs)
     monkeypatch.setattr(invariants, "_branch_pairs", oracle.branch_pairs)
     want = plans()
     trees.tree_graph.cache_clear()
@@ -406,7 +405,7 @@ def test_profile_map_reports_gather_no_vertex_pairs(tree, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a vertex pair was gathered")
 
-    for name in ("_branch_pairs", "_prefix_pairs", "_edge_pairs"):
+    for name in ("_branch_pairs", "_edge_pairs"):
         monkeypatch.setattr(invariants, name, refuse)
     monkeypatch.setattr(trees.TreeGraph, "lcp", refuse)
     monkeypatch.setattr(invariants.ProfileMap, "pair_distances", refuse)

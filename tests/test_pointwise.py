@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -354,6 +355,37 @@ def test_batched_umbel_large_xs_count():
     fast = U.certify(L2, ineq, c, sampler, 60, 3)
     assert len(fast.worst_witness[2]) == 40
     assert_same_campaign(fast, per_sample(L2, ineq, c, 60, 3, xs_count=40))
+
+
+def test_ball_sampler_refuses_a_huge_xs_count():
+    # C(count, 2) distance columns a chunk: the sampler is refused before
+    # any configuration is drawn; the bound itself still samples
+    ineq = U.InequalityId.P_UMBEL
+    tracemalloc.start()
+    try:
+        with pytest.raises(pointwise.PointwiseError,
+                           match="xs_count 100000 is more than the 128"):
+            U.ball_sampler(L2, ineq, xs_count=100_000)(np.random.default_rng(0), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    sampler = U.ball_sampler(L2, ineq, xs_count=pointwise._XS_CAP)
+    assert sampler(np.random.default_rng(0), 2).shape == (2, 130, 3)
+    # the other inequalities draw no x_i and ignore the count
+    assert U.ball_sampler(L2, U.InequalityId.Q_TRIPOD, xs_count=100_000)(
+        np.random.default_rng(0), 2).shape == (2, 4, 3)
+
+
+@pytest.mark.parametrize("space", ["heis:dim=2,p=1e-300",
+                                   "prod:p=2;heis:dim=2,p=1e-300"])
+def test_sampling_overflow_stops_the_campaign(space):
+    # the Koranyi norm of a drawn point overflows to inf, which would dilate
+    # every point onto the origin and certify the inequality on it
+    space = U.parse_space(space)
+    ineq = U.InequalityId.Q_TRIPOD
+    with pytest.raises(FloatingPointError, match="overflow"):
+        U.certify(space, ineq, cfg(), U.ball_sampler(space, ineq), 10, 1)
 
 
 def test_batched_umbel_needs_xs():
