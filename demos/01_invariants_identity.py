@@ -19,10 +19,14 @@ for k in (2, 3):
     rep = U.report(U.InvariantId.FORK_COTYPE, U.TreeMap.identity(spec), 2.0)
     print(f"fork cotype   k={k} q=2: ratio_root={rep.ratio_root:.12f}")
 
-# the directed random-walk functional grows with the number of scales
+# the directed random-walk functional and tessera are sums over
+# (depth, depth, lcp) classes: both grow with the number of scales, and the
+# class plans run them up to bin:h=16 (tessera needs height >= 4)
 print()
-print("directed walk functional on binary trees (p=2):")
-for k in (1, 2, 3):
-    spec = U.parse_tree_spec(f"bin:h={2 ** k}")
-    rep = U.report(U.InvariantId.MARKOV_DIRECTED, U.TreeMap.identity(spec), 2.0)
-    print(f"  k={k}: ratio_root={rep.ratio_root:.6f}")
+print("sum sides on binary trees, ratio_root at p=2:")
+for k in (1, 2, 3, 4):
+    f = U.TreeMap.identity(U.parse_tree_spec(f"bin:h={2 ** k}"))
+    markov = U.report(U.InvariantId.MARKOV_DIRECTED, f, 2.0).ratio_root
+    tessera = U.report(U.InvariantId.TESSERA, f, 2.0).ratio_root if k >= 2 else None
+    print(f"  k={k}: markov-directed {markov:.6f}"
+          + (f"  tessera {tessera:.6f}" if tessera else ""))

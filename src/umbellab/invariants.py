@@ -217,10 +217,11 @@ class ProfileMap(TreeMap):
     profile[|u|, |v|, lcp(u, v)]: pair distances gather from that (h+1)^3
     table, and the pair scan is one block over the realised triples.  The
     point of vertex i is point_at(i), read only when a point is asked for.
-    Every side of a functional reads one profile value per column of its
-    class plan, and the largest edge one per edge class: no vertex pair, and
-    no TreeGraph array.  The identity (a + b - 2c), the constant map and
-    bourgain_embed's map are ProfileMaps."""
+    A side reads one profile value per class of its class plan, a sum
+    weighing each class by its pair count (a plain map's side bit for bit
+    where its sums are exact), and the largest edge one per edge class: no
+    vertex pair, no TreeGraph array.  The identity (a + b - 2c), the
+    constant map and bourgain_embed's map are ProfileMaps."""
 
     def __init__(self, spec: TreeSpec, target, point_at: Callable[[int], object],
                  profile: np.ndarray):
@@ -392,16 +393,15 @@ class Plan:
     The columns of a pair plan are the vertex pairs (u[i], v[i]), in
     vertex-order indices; those of a class plan (u and v None) are
     `classes`, flat indices (a (h+1) + b) (h+1) + c of (depth, depth, lcp)
-    classes into a ProfileMap's profile.  A min or max segment of a class
-    plan holds each class once; a sum segment repeats each class once per
-    pair, class after class, as the pair plan lists them.  The columns are
-    cut into segments at `starts`.  A segment reduces its distances d by
-    `reduce`: "min" and "max" take the extreme distance and then its p-th
-    power, as the displays do; "sum" adds weights * d^p.  Consecutive
-    segments form groups (`groups` holds each group's segment range), joined
-    by `outer`: "sum", "min", or "mean", the sum divided by the group's
-    segment count.  Group g is divided by 2^(scales[g] p), and the groups
-    are added in order."""
+    classes into a ProfileMap's profile, each class once a segment.  The
+    columns are cut into segments at `starts`.  A segment reduces its
+    distances d by `reduce`: "min" and "max" take the extreme distance and
+    then its p-th power, as the displays do; "sum" adds weights * d^p, a
+    pair weighing its display's weight and a class that times its pair
+    count.  Consecutive segments form groups (`groups` holds each group's
+    segment range), joined by `outer`: "sum", "min", or "mean", the sum
+    divided by the group's segment count.  Group g is divided by
+    2^(scales[g] p), and the groups are added in order."""
 
     starts: np.ndarray
     reduce: str
@@ -459,30 +459,19 @@ def evaluate(plan: Plan, d: np.ndarray, p: float) -> np.ndarray:
     return total
 
 
-_PLAN_CAP = 2 ** 26  # the most columns a plan is built with
+_PLAN_CAP = 2 ** 26  # the most vertex pairs a pair plan is built with
 
 
-def _build(spec: TreeSpec, expand, reduce: str, outer: str, groups,
-           pairs: bool = True) -> Plan:
-    """The plan of a side of `_classes`, each segment expanded by `expand`
-    into its columns, (u, v) or, unless `pairs`, `classes`, weighted by the
-    segment's weight in a sum.  A plan of more than _PLAN_CAP columns (one
-    per pair, but one per class of a class plan's min or max) is refused
-    before any segment is expanded."""
-    segments = [seg for segs, _ in groups for seg in segs]
-    count = sum(_pair_count(spec, *cls) if pairs or weight is not None else 1
-                for classes, weight in segments for cls in classes)
-    if count > _PLAN_CAP:
-        raise InvariantError(f"the plan has {count} columns, more than the "
-                             f"{_PLAN_CAP} a plan is built with")
-    cols = [expand(seg) for seg in segments]
-    sizes = [len(col[0]) for col in cols]
+def _build(expand, reduce: str, outer: str, groups) -> Plan:
+    """The plan of a side of `_classes`: `expand` turns each segment into
+    its named columns, u and v or classes, and in a sum their weights."""
+    cols, weights = zip(*(expand(*seg) for segs, _ in groups for seg in segs))
+    sizes = [len(next(iter(col.values()))) for col in cols]
     bounds = np.cumsum([0] + [len(segs) for segs, _ in groups])
-    return Plan(**{name: np.concatenate([col[i] for col in cols]) for i, name
-                   in enumerate(("u", "v") if pairs else ("classes",))},
+    return Plan(**{name: np.concatenate([col[name] for col in cols])
+                   for name in cols[0]},
                 reduce=reduce, starts=np.cumsum([0] + sizes[:-1]), outer=outer,
-                weights=(np.repeat([w for _, w in segments], sizes)
-                         if reduce == "sum" else None),
+                weights=np.concatenate(weights) if reduce == "sum" else None,
                 groups=tuple(zip(bounds[:-1].tolist(), bounds[1:].tolist())),
                 scales=tuple(scale for _, scale in groups))
 
@@ -533,14 +522,17 @@ def _edge_pairs(tg: TreeGraph, level: Optional[int] = None):
 _NO_CONFIGURATION = "no admissible configuration (branching too small)"
 
 
-def _classes(inv: InvariantId, side: str, k: int) -> tuple:
+def _classes(inv: InvariantId, side: str | tuple, k: int) -> tuple:
     """A side as (reduce, outer, groups); groups holds (segments, scale)
     pairs, and a segment is (classes, weight): the (depth, depth, lcp)
     classes of its pairs, class after class, and the weight of each pair,
     None in a min or max.  (h, h, c) holds the pairs of height-h vertices
     whose longest common prefix has length exactly c, (l - 1, l, l - 1) the
     edges into height l.  A sum over every pair of height-h vertices
-    sharing their length-ell prefix is the classes (h, h, c), ell <= c < h."""
+    sharing their length-ell prefix is the classes (h, h, c), ell <= c < h.
+    A side (s, t) is the walk's term E[d(f(W_t), f(W~_t(t - 2^s)))^q]."""
+    if side not in ("lhs", "rhs"):
+        return "sum", "sum", [([_walk_run(2 ** side[0], side[1])], 0)]
     top = 2 ** k
     if side == "rhs":
         edges = [(level - 1, level, level - 1) for level in range(1, top + 1)]
@@ -601,11 +593,14 @@ def _pair_count(spec: TreeSpec, a: int, b: int, c: int) -> int:
     return sharing(c) - sharing(c + 1)
 
 
-def _class_pairs(tg: TreeGraph, segment: tuple, j_min: Optional[int]):
-    """The vertex pairs of a segment's classes, class after class."""
+def _class_pairs(tg: TreeGraph, j_min: Optional[int], classes: list,
+                 weight: Optional[float]) -> tuple[dict, Optional[np.ndarray]]:
+    """A segment's vertex pairs, class after class, and in a sum the weight
+    of each pair."""
     parts = [_branch_pairs(tg, a, c, j_min) if a == b else _edge_pairs(tg, b)
-             for a, b, c in segment[0]]
-    return tuple(np.concatenate([part[i] for part in parts]) for i in (0, 1))
+             for a, b, c in classes]
+    u, v = (np.concatenate([part[i] for part in parts]) for i in (0, 1))
+    return {"u": u, "v": v}, None if weight is None else np.full(len(u), weight)
 
 
 def _plan_args(inv: InvariantId, spec: TreeSpec, side: str,
@@ -621,16 +616,22 @@ def _plan_args(inv: InvariantId, spec: TreeSpec, side: str,
 
 def compile_plan(inv: InvariantId, spec: TreeSpec, side: str,
                  j_min: Optional[int] = None) -> Plan:
-    """The pair plan of one side ("lhs" or "rhs") of a functional on a tree:
-    each class of `_classes` is expanded into its vertex pairs.  Plans are
-    compiled once and kept on tree_graph's cached entry for the tree, so
-    clearing that cache drops them too."""
+    """The pair plan of a side of a functional on a tree: each class of
+    `_classes` expanded into its vertex pairs, refused past _PLAN_CAP pairs
+    before any is built.  Plans are kept on tree_graph's cached entry for
+    the tree, so clearing that cache drops them too."""
     k, j_min = _plan_args(inv, spec, side, j_min)
     tg = tree_graph(spec)
     key = (inv, side, j_min)
     if key not in tg.plans:
-        tg.plans[key] = _build(spec, functools.partial(_class_pairs, tg, j_min=j_min),
-                               *_classes(inv, side, k))
+        reduce, outer, groups = _classes(inv, side, k)
+        count = sum(_pair_count(spec, *cls) for segs, _ in groups
+                    for classes, _ in segs for cls in classes)
+        if count > _PLAN_CAP:
+            raise InvariantError(f"the plan has {count} columns, more than the "
+                                 f"{_PLAN_CAP} a plan is built with")
+        tg.plans[key] = _build(functools.partial(_class_pairs, tg, j_min),
+                               reduce, outer, groups)
     return tg.plans[key]
 
 
@@ -645,32 +646,32 @@ def _admissible(spec: TreeSpec, h: int, c: int, j_min: Optional[int]) -> bool:
     return b >= h + 1 and (j_min is None or b - h + c + 1 >= j_min)
 
 
-def _class_columns(spec: TreeSpec, segment: tuple, j_min: Optional[int]):
-    """A segment's flat class indices: a min or max holds each class once,
-    a sum repeats each class once per pair."""
-    classes, weight = segment
+def _class_columns(spec: TreeSpec, j_min: Optional[int], classes: list,
+                   weight: Optional[float]) -> tuple[dict, Optional[np.ndarray]]:
+    """A segment's flat class indices, each class once, and in a sum each
+    class's pair count times the per-pair weight: exact, as sum sides exist
+    only on binary trees, where both are powers of two within 2^+-32."""
     if not all(a != b or _admissible(spec, a, c, j_min) for a, b, c in classes):
         raise InvariantError(_NO_CONFIGURATION)
     size = spec.height + 1
     flat = np.array([(a * size + b) * size + c for a, b, c in classes], dtype=np.intp)
-    return (flat if weight is None else
-            np.repeat(flat, [_pair_count(spec, *cls) for cls in classes]),)
+    return {"classes": flat}, (None if weight is None else np.array(
+        [_pair_count(spec, *cls) * weight for cls in classes]))
 
 
 def class_plan(inv: InvariantId, spec: TreeSpec, side: str,
                j_min: Optional[int] = None) -> Plan:
-    """The class plan of a side, from the spec alone: the segments, groups
-    and weights of compile_plan's plan, a column the class of its pair.  A
-    min or max segment holds each of its classes once: on a ProfileMap every
-    pair of a class has the one image distance profile[a, b, c], so a
-    segment's extreme, and the side, equal the pair plan's bit for bit.  A
-    sum segment repeats each class once per pair, class after class as the
-    pair plan lists them, so its weighted sum adds the pair plan's values
-    in the pair plan's order.  It raises where compile_plan raises, with the
-    same text."""
+    """The class plan of a side, from the spec alone: compile_plan's
+    segments and groups, each holding each of its classes once.  On a
+    ProfileMap every pair of a class has the one image distance
+    profile[a, b, c], so a min or max side equals the pair plan's bit for
+    bit.  A sum weighs each class by its pair count: the pair plan's exact
+    total, equal to its float where all terms and partial sums are exact
+    (integer distances at an integer p, a zero map).  It is not capped, and
+    raises where compile_plan raises under the cap, with the same text."""
     k, j_min = _plan_args(inv, spec, side, j_min)
-    return _build(spec, functools.partial(_class_columns, spec, j_min=j_min),
-                  *_classes(inv, side, k), pairs=False)
+    return _build(functools.partial(_class_columns, spec, j_min),
+                  *_classes(inv, side, k))
 
 
 # ---------------------------------------------------------------------------
@@ -758,6 +759,4 @@ def markov_pair_expectation_exact(f: TreeMap, s: int, t: int, q: float) -> float
         raise InvariantError("s out of range")
     if not 2 ** s <= t <= 2 ** k:
         raise InvariantError("t out of range")
-    run = _walk_run(2 ** s, t)
-    u, v = _class_pairs(tree_graph(f.spec), run, None)
-    return float(np.full(len(u), run[1]) @ f.pair_distances(u, v) ** q)
+    return _evaluate_map(InvariantId.MARKOV_DIRECTED, (s, t), f, q)

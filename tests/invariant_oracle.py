@@ -6,8 +6,9 @@ the linear scan that read a modulus curve, the Bourgain map with every
 vector built up front and its distance
 profile computed by one lp norm per triple, the lift that made one
 scalar `distance` call per (vertex, domain point), the constant map's
-point chosen class by class, and a Monte Carlo estimate of the
-directed-walk expectation over coupled walk pairs.  They walk the displays
+point chosen class by class, a Monte Carlo estimate of the
+directed-walk expectation over coupled walk pairs, and the identity's sum
+sides as exact fractions.  They walk the displays
 of each functional directly and serve as the test oracle for the compiled
 plans, the scan, the on-demand points and the lift on rows; nothing in the
 library imports them.  The tree distance, level edges and map distance
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -26,7 +28,7 @@ from umbellab import trees
 from umbellab.embeddings import EmbeddingError, ModulusCurve, QuotientOracle
 from umbellab.invariants import (InvariantError, InvariantId, TreeMap,
                                  _COTYPE_IDS, _check_exponent, _height_range,
-                                 _validate)
+                                 _power, _validate, compile_plan)
 from umbellab.trees import Vertex, tree_graph, vertices_at_height
 from umbellab import spaces as sp
 from umbellab.spaces import HPoint, LpSpace, _apsp
@@ -363,6 +365,101 @@ def markov_pair_expectation_mc(f: TreeMap, s: int, t: int, q: float,
     est = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return est, se
+
+
+# ---------------------------------------------------------------------------
+# The identity's sum sides as exact fractions
+
+
+def sum_runs(inv, side, k: int) -> list:
+    """The runs a sum side adds, segment by segment, as its display writes
+    them, each with its scale s: (h, ell), every pair of height-h vertices
+    sharing their length-ell prefix, or (level,), the edges into that level."""
+    top = 2 ** k
+    if inv is InvariantId.TESSERA:
+        return [(s, (ell + 2 ** s, ell)) for s in range(k)
+                for ell in range(2 ** s + 1, top - 2 ** s + 1)]
+    if side == "lhs":
+        return [(s, (t, t - min(2 ** s, t))) for s in range(k + 1)
+                for t in range(1, top + 1)]
+    return [(0, (t,)) for t in range(1, top + 1)]
+
+
+def pair_weight(inv, h: int, ell: int, c: int) -> Fraction:
+    """The display's weight on a pair of height-h vertices sharing exactly
+    their length-c prefix, in the run (h, ell).  Tessera averages over the
+    2^ell blocks and the 4^w ordered pairs of a block, w = h - ell, each
+    unordered pair counted twice.  The walk and its copy, branching ell
+    steps in, diverge at step l = c - ell + 1 with probability 2^-l; then a
+    length-c prefix has probability 2^-c and the two tails 4^-(h - ell - l)."""
+    if inv is InvariantId.TESSERA:
+        return Fraction(2, 2 ** ell * 4 ** (h - ell))
+    l = c - ell + 1
+    return Fraction(1, 2 ** l * 2 ** c * 4 ** (h - ell - l))
+
+
+def exact_sum_side(inv, side, k: int, p: int) -> Fraction:
+    """A sum side of the identity on bin:h=2^k at an integer p.  A level's
+    2^t edges have length 1 and weigh 2^-t each.  A run (h, ell) holds, for
+    each ell <= c < h, the 2^(2h-c-2) pairs whose common prefix has length
+    exactly c (2^c prefixes, 2^(h-c-1) vertices on either side of the
+    split), at distance 2(h - c).  Each scale's runs are added (the walk) or
+    their minimum taken (tessera), and scale s is divided by 2^(s p)."""
+    by_scale: dict[int, list] = {}
+    for s, run in sum_runs(inv, side, k):
+        if len(run) == 1:
+            value = 2 ** run[0] * Fraction(1, 2 ** run[0]) * 1 ** p
+        else:
+            h, ell = run
+            value = sum(2 ** (2 * h - c - 2) * pair_weight(inv, h, ell, c)
+                        * (2 * (h - c)) ** p for c in range(ell, h))
+        by_scale.setdefault(s, []).append(value)
+    join = min if inv is InvariantId.TESSERA else sum
+    return sum(join(values) / 2 ** (s * p) for s, values in by_scale.items())
+
+
+SUM_SIDES = [(InvariantId.TESSERA, "lhs"), (InvariantId.MARKOV_DIRECTED, "lhs"),
+             (InvariantId.MARKOV_DIRECTED, "rhs")]
+
+
+def summation_gamma(inv, spec, side) -> float:
+    """gamma_m = m u / (1 - m u), u = 2^-53, bounding the relative error of
+    a sum side on a tree, added in any order: numpy's pairwise order in a
+    pair plan, or a class plan's fewer, class-weighted terms.  Every term is
+    a dyadic weight times the same d^p, a product that rounds nowhere, and
+    it passes through at most m roundings: the additions of its segment,
+    the joins of its group, a mean, a scale and the group total.  A sum of
+    such nonnegative terms is within gamma_m of its exact value (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., lemma 3.1 and
+    section 4.2)."""
+    plan = compile_plan(inv, spec, side)
+    m = plan.u.size + plan.starts.size + len(plan.groups) + 2
+    return m * 2.0 ** -53 / (1 - m * 2.0 ** -53)
+
+
+def assert_reports_agree(got, want, spec, exact: bool, case) -> None:
+    """A ProfileMap's report against its pair plans' report: equal where
+    `exact` (every term and partial sum of the sum sides is exact), on every
+    other invariant and on min, max and Lipschitz sides.  Elsewhere each sum
+    side is within 2 gamma_m of the exact sum on both paths, and each ratio
+    is that of its own sides."""
+    if exact or isinstance(want, str) or \
+            InvariantId(want.invariant) not in {inv for inv, _ in SUM_SIDES}:
+        assert got == want, case
+        return
+    inv = InvariantId(want.invariant)
+    assert (got.invariant, got.exponent, got.params, got.lipschitz_flag) == \
+        (want.invariant, want.exponent, want.params, want.lipschitz_flag), case
+    for side in ("lhs", "rhs"):
+        a, b = getattr(got, side), getattr(want, side)
+        if (inv, side) in SUM_SIDES:
+            gamma = summation_gamma(inv, spec, side)
+            assert abs(a - b) <= 2 * gamma / (1 - gamma) * max(a, b), (case, side)
+        else:
+            assert a == b, (case, side)
+    for rep in (got, want):
+        assert rep.ratio_root == (_power(rep.lhs / rep.rhs, 1 / rep.exponent)
+                                  if rep.rhs > 0 else None), case
 
 
 # ---------------------------------------------------------------------------

@@ -308,7 +308,9 @@ def test_constant_profile_map_equals_the_dict_map(target):
         assert isinstance(f, invariants.ProfileMap) and type(g) is U.TreeMap
         for inv in ids:
             for p in (1.0, 2.0, 3.5):
-                assert U.report(inv, f, p) == U.report(inv, g, p), (inv, p)
+                # a zero map's sums are exact; the table's 5e-13 is not
+                oracle.assert_reports_agree(U.report(inv, f, p), U.report(inv, g, p),
+                                            spec, not f.profile.any(), (inv, p))
         assert U.moduli(f) == U.moduli(g)
         assert U.lipschitz_constant(f, with_flag=True) == \
             U.lipschitz_constant(g, with_flag=True)

@@ -107,6 +107,55 @@ def test_markov_expectation_matches_branch_decomposition(k):
                               rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_identity_sum_sides_equal_the_exact_fractions(k):
+    # every term and partial sum is exact at an integer p, so both plan
+    # kinds give the correctly rounded exact value (the pair plans stop
+    # at the plan cap on bin:h=16)
+    spec = U.parse_tree_spec(f"bin:h={2 ** k}")
+    f = U.TreeMap.identity(spec)
+    for inv, side in oracle.SUM_SIDES:
+        for p in (1, 2, 3):
+            case = (inv.value, side, p)
+            got = outcome({"lhs": U.lhs, "rhs": U.rhs}[side], inv, f, float(p))
+            if inv is InvariantId.TESSERA and k == 1:
+                assert got == "error: tessera needs height >= 2^2", case
+                continue
+            want = float(oracle.exact_sum_side(inv, side, k, p))
+            assert got == want, case
+            if k < 4:
+                plan = compile_plan(inv, spec, side)
+                d = f.pair_distances(plan.u, plan.v)[None]
+                assert invariants.evaluate(plan, d, float(p))[0] == want, case
+
+
+def test_walk_expectation_past_the_pair_cap_reads_classes(monkeypatch):
+    # on bin:h=16 the run s = 4, t = 16 has 2147450880 vertex pairs: a
+    # profile map sums its 16 classes and builds no TreeGraph array, and a
+    # plain map is refused before any pair is built
+    spec = U.parse_tree_spec("bin:h=16")
+    trees.tree_graph.cache_clear()
+    f = U.TreeMap.identity(spec)
+    calls = []
+
+    def spy(*args, real=trees._level_arrays):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(trees, "_level_arrays", spy)
+    value, peak = traced_peak(U.markov_pair_expectation_exact, f, 4, 16, 2.0)
+    inv = InvariantId.MARKOV_DIRECTED
+    want = sum(2 ** (30 - c) * oracle.pair_weight(inv, 16, 0, c) * (2 * (16 - c)) ** 2
+               for c in range(16))  # the run's 16 classes, 2^(2h-c-2) pairs each
+    assert value == float(want) and peak < 1 << 20 and calls == []
+    plain = U.TreeMap(spec, f.target, dict(zip(U.vertices(spec), f.points())))
+    error, peak = traced_peak(outcome, U.markov_pair_expectation_exact, plain,
+                              4, 16, 2.0)
+    assert error == ("error: the plan has 2147450880 columns, more than the "
+                     "67108864 a plan is built with") and peak < 1 << 20
+    trees.tree_graph.cache_clear()
+
+
 def test_plans_live_on_the_tree_graph_cache():
     spec = U.parse_tree_spec("bin:h=4")
     plan = compile_plan(InvariantId.FORK_COTYPE, spec, "lhs")
@@ -215,16 +264,14 @@ def oracle_lcp(u: tuple, v: tuple) -> int:
                 min(len(u), len(v)))
 
 
-SUM_SIDES = [(InvariantId.TESSERA, "lhs"), (InvariantId.MARKOV_DIRECTED, "lhs"),
-             (InvariantId.MARKOV_DIRECTED, "rhs")]
-
-
 @pytest.mark.parametrize("tree", [t for t in TREES if t.startswith("bin:")])
-@pytest.mark.parametrize("inv,side", SUM_SIDES, ids=lambda x: getattr(x, "value", x))
+@pytest.mark.parametrize("inv,side", oracle.SUM_SIDES,
+                         ids=lambda x: getattr(x, "value", x))
 def test_sum_class_plans_are_the_pair_plan_classes(tree, inv, side):
-    # a sum side's class plan, built from the spec alone, holds the class
-    # (|u|, |v|, lcp(u, v)) of each pair of the pair plan, column for
-    # column, with the pair plan's weights and layout
+    # a sum side's class plan, built from the spec alone, holds the classes
+    # (|u|, |v|, lcp(u, v)) of the pair plan's pairs, each run of one class
+    # within a segment collapsed to one column, which weighs the sum of the
+    # run's pair weights; the layout is the pair plan's
     spec = U.parse_tree_spec(tree)
     want = outcome(compile_plan, inv, spec, side)
     got = outcome(invariants.class_plan, inv, spec, side)
@@ -233,35 +280,30 @@ def test_sum_class_plans_are_the_pair_plan_classes(tree, inv, side):
         return
     verts, size = trees.tree_graph(spec).vertices, spec.height + 1
     pairs = [(verts[i], verts[j]) for i, j in zip(want.u.tolist(), want.v.tolist())]
-    classes = [(len(u) * size + len(v)) * size + oracle_lcp(u, v) for u, v in pairs]
+    columns = [((len(u) * size + len(v)) * size + oracle_lcp(u, v), w)
+               for (u, v), w in zip(pairs, want.weights.tolist())]
+    classes, weights, sizes = [], [], []
+    for seg in np.split(np.arange(len(columns)), want.starts[1:]):
+        runs = [(cls, [w for _, w in run]) for cls, run in
+                itertools.groupby((columns[i] for i in seg), key=lambda x: x[0])]
+        classes += [cls for cls, _ in runs]
+        weights += [sum(ws) for _, ws in runs]
+        sizes.append(len(runs))
     assert got.u is None and got.v is None
     assert got.classes.tolist() == classes
-    assert np.array_equal(got.weights, want.weights)
-    assert np.array_equal(got.starts, want.starts)
+    assert got.weights.tolist() == weights
+    assert got.starts.tolist() == np.cumsum([0] + sizes[:-1]).tolist()
     assert got.reduce == want.reduce == "sum"
     assert (got.outer, got.groups, got.scales) == (want.outer, want.groups, want.scales)
 
 
-def sum_runs(inv, side, k: int) -> list:
-    """The runs a sum side adds, segment by segment, as its display writes
-    them: (h, ell), every pair of height-h vertices sharing their length-ell
-    prefix, or (level,), the edges into that level."""
-    top = 2 ** k
-    if inv is InvariantId.TESSERA:
-        return [(ell + 2 ** s, ell) for s in range(k)
-                for ell in range(2 ** s + 1, top - 2 ** s + 1)]
-    if side == "lhs":
-        return [(t, t - min(2 ** s, t)) for s in range(k + 1)
-                for t in range(1, top + 1)]
-    return [(t,) for t in range(1, top + 1)]
-
-
 @pytest.mark.parametrize("tree", [t for t in TREES if t.startswith("bin:")])
-@pytest.mark.parametrize("inv,side", SUM_SIDES, ids=lambda x: getattr(x, "value", x))
+@pytest.mark.parametrize("inv,side", oracle.SUM_SIDES,
+                         ids=lambda x: getattr(x, "value", x))
 def test_sum_segment_classes_are_the_runs_they_replace(tree, inv, side):
     # each sum segment's classes, expanded by the oracle, hold exactly the
-    # pairs of its run, each once, and the class plan repeats each class
-    # once per pair
+    # pairs of its run, each once, and the class plan holds each class once,
+    # weighing its pair count times the segment's per-pair weight
     spec = U.parse_tree_spec(tree)
     plan = outcome(invariants.class_plan, inv, spec, side)
     if isinstance(plan, str):  # tessera on bin:h=2: refused, no segment
@@ -270,9 +312,9 @@ def test_sum_segment_classes_are_the_runs_they_replace(tree, inv, side):
     tg, k, size = trees.tree_graph(spec), spec.height.bit_length() - 1, spec.height + 1
     reduce, _, groups = invariants._classes(inv, side, k)
     segments = [seg for segs, _ in groups for seg in segs]
-    runs = sum_runs(inv, side, k)
+    runs = [run for _, run in oracle.sum_runs(inv, side, k)]
     assert reduce == "sum" and len(segments) == len(runs)
-    flat, counts = [], []
+    flat, weights = [], []
     for (classes, weight), run in zip(segments, runs):
         assert weight > 0
         parts = [oracle_class_pairs(tg, *cls, None) for cls in classes]
@@ -284,22 +326,27 @@ def test_sum_segment_classes_are_the_runs_they_replace(tree, inv, side):
                     for e in oracle.level_edges(spec, run[0])}
         assert len(got) == len(set(got)) and set(got) == want, (classes, run)
         flat += [(a * size + b) * size + c for a, b, c in classes]
-        counts += [len(u) for u, _ in parts]
-    assert plan.classes.tolist() == np.repeat(flat, counts).tolist()
+        weights += [len(u) * weight for u, _ in parts]
+    assert plan.classes.tolist() == flat
+    assert plan.weights.tolist() == weights
 
 
 def test_oversized_plans_are_refused_before_they_are_built():
     # markov-directed's left-hand side on bin:h=16 has 2881180923 vertex
-    # pairs: its columns would take tens of GB
+    # pairs: its pair plan would take tens of GB, and its class plan has one
+    # column per class
     spec = U.parse_tree_spec("bin:h=16")
     trees.tree_graph.cache_clear()
-    for build in (invariants.class_plan, compile_plan):
-        error, peak = traced_peak(outcome, build, InvariantId.MARKOV_DIRECTED,
-                                  spec, "lhs")
-        assert error == ("error: the plan has 2881180923 columns, more than "
-                         "the 67108864 a plan is built with"), build
-        assert peak < 1 << 20, build
+    error, peak = traced_peak(outcome, compile_plan, InvariantId.MARKOV_DIRECTED,
+                              spec, "lhs")
+    assert error == ("error: the plan has 2881180923 columns, more than "
+                     "the 67108864 a plan is built with")
+    assert peak < 1 << 20
     assert not trees.tree_graph(spec).plans
+    plan, peak = traced_peak(invariants.class_plan, InvariantId.MARKOV_DIRECTED,
+                             spec, "lhs")
+    assert plan.classes.size == plan.weights.size == 341
+    assert peak < 1 << 20
     small = U.parse_tree_spec("bin:h=8")
     for build in (invariants.class_plan, compile_plan):
         assert build(InvariantId.MARKOV_DIRECTED, small, "lhs").starts.size
@@ -360,7 +407,15 @@ def test_class_plans_give_the_pair_plan_reports(tree, pair_gather):
     want = reports()
     assert any(isinstance(w, str) for w in want) == (spec.kind == trees.INCREASING)
     for case, a, b in zip(cases, got, want):
-        assert a == b, case
+        name, _, p, _ = case
+        oracle.assert_reports_agree(a, b, spec, exact_sums(name, p), case)
+
+
+def exact_sums(name: str, p: float) -> bool:
+    """Whether a profile map's sum sides add exactly on both plan kinds:
+    dyadic weights times integer powers of integer distances (the identity
+    at an integer p), or a zero map (the Heisenberg constant)."""
+    return name == "constant-heis" or (name == "identity" and p.is_integer())
 
 
 @pytest.mark.parametrize("tree", ["bin:h=2", "bin:h=4", "bin:h=8", "inc:h=4,b=5",
@@ -368,7 +423,7 @@ def test_class_plans_give_the_pair_plan_reports(tree, pair_gather):
 def test_profile_map_reports_equal_the_plain_map_of_their_points(tree):
     # the identity and constant maps, read by class, against plain TreeMaps
     # of the same points, read by vertex pair: the same bits, errors
-    # included, on every side of all seven ids
+    # included, on every side of all seven ids, but for inexact sums
     spec = U.parse_tree_spec(tree)
     j_mins = [None] if spec.kind == trees.BINARY else [None, 3, spec.branching]
     verts = U.vertices(spec)
@@ -380,8 +435,10 @@ def test_profile_map_reports_equal_the_plain_map_of_their_points(tree):
             for p in (1.0, 2.0, 3.5):
                 for j_min in j_mins:
                     case = (name, inv.value, p, j_min)
-                    assert report_outcome(inv, f, p, j_min) == \
-                        report_outcome(inv, plain, p, j_min), case
+                    oracle.assert_reports_agree(
+                        report_outcome(inv, f, p, j_min),
+                        report_outcome(inv, plain, p, j_min), spec,
+                        exact_sums(name, p), case)
 
 
 @pytest.mark.parametrize("tree", ["bin:h=0", "bin:h=1", "bin:h=4", "inc:h=0,b=0",
