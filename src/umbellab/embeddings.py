@@ -22,25 +22,20 @@ class EmbeddingError(ValueError):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _bourgain_profile(height: int, p: float) -> np.ndarray:
-    """T[a, b, c]: the lp distance between the images of two vertices of
-    depths a and b with a common prefix of length c (c <= min(a, b); other
-    entries are nan).  Coordinates of the shared prefixes carry the weight
-    differences, the rest one image's weights alone.  By prefix sums of the
-    p-th powers, with a <= b and d = b - a,
-        T[a, b, c]^p = G_d(a) - G_d(a - c - 1) + S(a - c) + S(b - c),
+def _bourgain_profile(height: int, p: float):
+    """The function T(a, b, c) of broadcastable int arrays: the lp distance
+    between the images of two vertices of depths a and b with a common
+    prefix of length c <= min(a, b), from O(height^2) prefix sums built
+    once.  Coordinates of the shared prefixes carry the weight differences,
+    the rest one image's weights alone.  By prefix sums of the p-th powers,
+    with a <= b and d = b - a,
+        T(a, b, c)^p = G_d(a) - G_d(a - c - 1) + S(a - c) + S(b - c),
     S(m) the sum of w(k)^p over k = 1..m and G_d(x) that of
     |w(y + 1) - w(y + 1 + d)|^p over y = 0..x; at p = inf (w(m) = m)
     T = max(a, b) - c.  Distances past the float range (huge p) are inf:
     where G_d takes inf - inf, S(b - c) >= G_d(a - c - 1) is inf too."""
-    T = np.full((height + 1,) * 3, np.nan)
-    a, b, c = np.indices(T.shape).reshape(3, -1)
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    keep = c <= lo
-    a, b, c, lo, hi = a[keep], b[keep], c[keep], lo[keep], hi[keep]
     if p == math.inf:
-        T[a, b, c] = hi - c
-        return T
+        return lambda a, b, c: (np.maximum(a, b) - c).astype(float)
     q = math.inf if p == 1 else p / (p - 1)
     w = np.arange(height + 2) ** (1.0 / q)
     S = np.concatenate([[0.0], np.cumsum(w[1:height + 1] ** p)])
@@ -48,9 +43,13 @@ def _bourgain_profile(height: int, p: float) -> np.ndarray:
     # G[d, x + 1] = G_d(x); entries with x + d > height are never read
     g = np.abs(w[x + 1] - w[np.minimum(x + 1 + gap, height + 1)]) ** p
     G = np.concatenate([np.zeros((height + 1, 1)), np.cumsum(g, axis=1)], axis=1)
-    total = G[hi - lo, lo + 1] - G[hi - lo, lo - c] + S[lo - c] + S[hi - c]
-    T[a, b, c] = np.where(np.isnan(total), np.inf, total) ** (1.0 / p)
-    return T
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def profile(a, b, c):
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        total = G[hi - lo, lo + 1] - G[hi - lo, lo - c] + S[lo - c] + S[hi - c]
+        return np.where(np.isnan(total), np.inf, total) ** (1.0 / p)
+    return profile
 
 
 def bourgain_embed(spec: TreeSpec, p: float = 2.0, variant: str = "lp") -> ProfileMap:

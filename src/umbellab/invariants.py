@@ -15,9 +15,9 @@ certifying lower bounds on the invariants.
 
 Every side is written once (`_classes`) as min, max or weighted sum
 segments, each a list of the (depth, depth, lcp) classes of its pairs,
-grouped and scaled, and compiled into a Plan over its columns: the vertex
-pairs of the classes, or, for a ProfileMap, whose image distance is one
-value per class, the classes themselves, built from the spec alone.
+grouped and scaled.  Its class plan, built from the spec alone, has one
+column per class, which a ProfileMap reads, as its image distance is one
+value per class; the pair plan expands each class into its vertex pairs.
 `evaluate` is the one kernel: a gather of pair distances, a reduceat per
 segment and the weighted combination of the groups.  The cotype and
 tessera right-hand sides are Lipschitz constants: on a tree every geodesic
@@ -34,7 +34,7 @@ import json
 import math
 import numbers
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Callable, Optional
 
@@ -153,9 +153,9 @@ class TreeMap:
 
     @staticmethod
     def identity(spec: TreeSpec) -> "ProfileMap":
-        graph = tree_graph(spec)  # the vertex cap, before the profile
-        a, b, c = np.indices((spec.height + 1,) * 3)
-        return ProfileMap(spec, graph, int, (a + b - 2 * c).astype(float))
+        graph = tree_graph(spec)  # the vertex cap
+        return ProfileMap(spec, graph, int,
+                          lambda a, b, c: (a + b - 2 * c).astype(float))
 
     @staticmethod
     def constant(spec: TreeSpec, target=None) -> "ProfileMap":
@@ -164,8 +164,9 @@ class TreeMap:
             target = FiniteMatrixSpace(np.zeros((1, 1)))
         origin = _origin(target)
         # d(o, o), not 0: a matrix target's diagonal may hold a small value
-        profile = np.full((spec.height + 1,) * 3, target.distance(origin, origin))
-        return ProfileMap(spec, target, lambda i: origin, profile)
+        value = target.distance(origin, origin)
+        return ProfileMap(spec, target, lambda i: origin,
+                          lambda a, b, c: np.full(np.broadcast(a, b, c).shape, value))
 
     def assignment_json(self) -> list:
         """The assignment as [[label, ...], point] pairs in vertex order:
@@ -214,17 +215,18 @@ class TreeMap:
 
 class ProfileMap(TreeMap):
     """A map the library builds, whose image distance of u and v is
-    profile[|u|, |v|, lcp(u, v)]: pair distances gather from that (h+1)^3
-    table, and the pair scan is one block over the realised triples.  The
-    point of vertex i is point_at(i), read only when a point is asked for.
-    A side reads one profile value per class of its class plan, a sum
-    weighing each class by its pair count (a plain map's side bit for bit
-    where its sums are exact), and the largest edge one per edge class: no
-    vertex pair, no TreeGraph array.  The identity (a + b - 2c), the
-    constant map and bourgain_embed's map are ProfileMaps."""
+    profile(|u|, |v|, lcp(u, v)), a function of broadcastable int arrays
+    of triples with c <= min(a, b).  The point of vertex i is point_at(i),
+    read only when a point is asked for.  The pair scan evaluates the
+    profile on the realised triples, a side on the class columns of its
+    class plan, a sum weighing each class by its pair count (a plain map's
+    side bit for bit where its sums are exact), and the largest edge on one
+    triple per edge class: no vertex pair, no TreeGraph array.  The
+    identity (a + b - 2c), the constant map and bourgain_embed's map are
+    ProfileMaps."""
 
     def __init__(self, spec: TreeSpec, target, point_at: Callable[[int], object],
-                 profile: np.ndarray):
+                 profile: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]):
         self.spec, self.target, self.point_at, self.profile = (
             spec, target, point_at, profile)
 
@@ -236,28 +238,26 @@ class ProfileMap(TreeMap):
         return tuple(map(self.point_at, range(tree_graph(self.spec).n)))
 
     def pair_distances(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        # one flat gather: a three-array fancy index takes about 1.5 times as long
-        graph, k = tree_graph(self.spec), len(self.profile)
-        flat = (graph.depth[u] * k + graph.depth[v]) * k + graph.lcp(u, v)
-        return np.take(self.profile, flat)
+        graph = tree_graph(self.spec)
+        return self.profile(graph.depth[u], graph.depth[v], graph.lcp(u, v))
 
     def pair_scan(self):
-        """One block: (a + b - 2c, profile[a, b, c]) over the realised
+        """One block: (a + b - 2c, profile(a, b, c)) over the realised
         triples, which hold every distinct pair's tree and image distance."""
         a, b, c = np.nonzero(_realised_triples(self.spec))
-        yield (a + b - 2 * c).astype(float), self.profile[a, b, c]
+        yield (a + b - 2 * c).astype(float), self.profile(a, b, c)
 
     def plan_distances(self, inv: "InvariantId", side: str,
                        j_min: Optional[int] = None) -> tuple["Plan", np.ndarray]:
         """Every side takes its class plan, one profile value a column, built
         from the spec alone."""
         plan = class_plan(inv, self.spec, side, j_min)
-        return plan, np.take(self.profile, plan.classes)[None]
+        return plan, self.profile(*plan.classes.T)[None]
 
     def edge_distances(self) -> np.ndarray:
         """One value per edge class (a - 1, a, a - 1)."""
         a = np.arange(1, self.spec.height + 1)
-        return self.profile[a - 1, a, a - 1]
+        return self.profile(a - 1, a, a - 1)
 
 
 def _realised_triples(spec: TreeSpec) -> np.ndarray:
@@ -267,7 +267,7 @@ def _realised_triples(spec: TreeSpec) -> np.ndarray:
     different next labels.  A binary vertex has two children; in an
     increasing tree that takes max(a, b) <= B labels on the longer branch,
     which B >= h grants, and min(a, b) + 1 <= B on the shorter one."""
-    a, b, c = np.indices((spec.height + 1,) * 3)
+    a, b, c = np.indices((spec.height + 1,) * 3, sparse=True)
     lo = np.minimum(a, b)
     fork = lo + 1 <= spec.branching if spec.kind == INCREASING else True
     return ((c == lo) & (a != b)) | ((c < lo) & fork)
@@ -390,18 +390,18 @@ def _check_exponent(p: float) -> None:
 class Plan:
     """One side of a functional as data over columns of distances.
 
-    The columns of a pair plan are the vertex pairs (u[i], v[i]), in
-    vertex-order indices; those of a class plan (u and v None) are
-    `classes`, flat indices (a (h+1) + b) (h+1) + c of (depth, depth, lcp)
-    classes into a ProfileMap's profile, each class once a segment.  The
-    columns are cut into segments at `starts`.  A segment reduces its
-    distances d by `reduce`: "min" and "max" take the extreme distance and
-    then its p-th power, as the displays do; "sum" adds weights * d^p, a
-    pair weighing its display's weight and a class that times its pair
-    count.  Consecutive segments form groups (`groups` holds each group's
-    segment range), joined by `outer`: "sum", "min", or "mean", the sum
-    divided by the group's segment count.  Group g is divided by
-    2^(scales[g] p), and the groups are added in order."""
+    The columns of a class plan (u and v None) are `classes`, an (m, 3)
+    int array of (depth, depth, lcp) rows, each class once a segment; those
+    of a pair plan (classes None) are the vertex pairs (u[i], v[i]) of its
+    classes, in vertex-order indices.  The columns are cut into segments at
+    `starts`.  A segment reduces its distances d by `reduce`: "min" and
+    "max" take the extreme distance and then its p-th power, as the
+    displays do; "sum" adds weights * d^p, a class weighing its pair count
+    times its display's per-pair weight and a pair that weight.
+    Consecutive segments form groups (`groups` holds each group's segment
+    range), joined by `outer`: "sum", "min", or "mean", the sum divided by
+    the group's segment count.  Group g is divided by 2^(scales[g] p), and
+    the groups are added in order."""
 
     starts: np.ndarray
     reduce: str
@@ -462,18 +462,22 @@ def evaluate(plan: Plan, d: np.ndarray, p: float) -> np.ndarray:
 _PLAN_CAP = 2 ** 26  # the most vertex pairs a pair plan is built with
 
 
-def _build(expand, reduce: str, outer: str, groups) -> Plan:
-    """The plan of a side of `_classes`: `expand` turns each segment into
-    its named columns, u and v or classes, and in a sum their weights."""
-    cols, weights = zip(*(expand(*seg) for segs, _ in groups for seg in segs))
-    sizes = [len(next(iter(col.values()))) for col in cols]
-    bounds = np.cumsum([0] + [len(segs) for segs, _ in groups])
-    return Plan(**{name: np.concatenate([col[name] for col in cols])
-                   for name in cols[0]},
-                reduce=reduce, starts=np.cumsum([0] + sizes[:-1]), outer=outer,
-                weights=np.concatenate(weights) if reduce == "sum" else None,
-                groups=tuple(zip(bounds[:-1].tolist(), bounds[1:].tolist())),
-                scales=tuple(scale for _, scale in groups))
+def _class_plan(spec: TreeSpec, reduce: str, outer: str, groups) -> Plan:
+    """The class plan of a side of `_classes`, its classes as (a, b, c)
+    rows, and in a sum each class's pair count times the per-pair weight:
+    exact, as sum sides exist only on binary trees, where both are powers
+    of two within 2^+-32."""
+    segments = [seg for segs, _ in groups for seg in segs]
+    bounds = np.cumsum([0] + [len(segs) for segs, _ in groups]).tolist()
+    return Plan(
+        classes=np.array([cls for classes, _ in segments for cls in classes],
+                         dtype=np.intp),
+        starts=np.cumsum([0] + [len(classes) for classes, _ in segments[:-1]]),
+        reduce=reduce, outer=outer,
+        weights=None if reduce != "sum" else np.array(
+            [_pair_count(spec, *cls) * w for classes, w in segments for cls in classes]),
+        groups=tuple(zip(bounds[:-1], bounds[1:])),
+        scales=tuple(scale for _, scale in groups))
 
 
 def _height_range(tg: TreeGraph, h: int) -> tuple[int, int]:
@@ -593,16 +597,6 @@ def _pair_count(spec: TreeSpec, a: int, b: int, c: int) -> int:
     return sharing(c) - sharing(c + 1)
 
 
-def _class_pairs(tg: TreeGraph, j_min: Optional[int], classes: list,
-                 weight: Optional[float]) -> tuple[dict, Optional[np.ndarray]]:
-    """A segment's vertex pairs, class after class, and in a sum the weight
-    of each pair."""
-    parts = [_branch_pairs(tg, a, c, j_min) if a == b else _edge_pairs(tg, b)
-             for a, b, c in classes]
-    u, v = (np.concatenate([part[i] for part in parts]) for i in (0, 1))
-    return {"u": u, "v": v}, None if weight is None else np.full(len(u), weight)
-
-
 def _plan_args(inv: InvariantId, spec: TreeSpec, side: str,
                j_min: Optional[int]) -> tuple[int, Optional[int]]:
     """k with height 2^k and the j_min the side reads, after the checks of
@@ -616,22 +610,28 @@ def _plan_args(inv: InvariantId, spec: TreeSpec, side: str,
 
 def compile_plan(inv: InvariantId, spec: TreeSpec, side: str,
                  j_min: Optional[int] = None) -> Plan:
-    """The pair plan of a side of a functional on a tree: each class of
-    `_classes` expanded into its vertex pairs, refused past _PLAN_CAP pairs
-    before any is built.  Plans are kept on tree_graph's cached entry for
-    the tree, so clearing that cache drops them too."""
+    """The pair plan of a side of a functional on a tree: its class plan
+    expanded, each class column into its vertex pairs and a sum class's
+    weight split evenly over them.  It is refused past _PLAN_CAP pairs
+    before any pair is built.  Plans are kept on tree_graph's cached entry
+    for the tree, so clearing that cache drops them too."""
     k, j_min = _plan_args(inv, spec, side, j_min)
     tg = tree_graph(spec)
     key = (inv, side, j_min)
     if key not in tg.plans:
-        reduce, outer, groups = _classes(inv, side, k)
-        count = sum(_pair_count(spec, *cls) for segs, _ in groups
-                    for classes, _ in segs for cls in classes)
+        plan = _class_plan(spec, *_classes(inv, side, k))
+        classes = plan.classes.tolist()
+        count = sum(_pair_count(spec, *cls) for cls in classes)
         if count > _PLAN_CAP:
             raise InvariantError(f"the plan has {count} columns, more than the "
                                  f"{_PLAN_CAP} a plan is built with")
-        tg.plans[key] = _build(functools.partial(_class_pairs, tg, j_min),
-                               reduce, outer, groups)
+        parts = [_branch_pairs(tg, a, c, j_min) if a == b else _edge_pairs(tg, b)
+                 for a, b, c in classes]
+        u, v = (np.concatenate([part[i] for part in parts]) for i in (0, 1))
+        sizes = np.array([len(part[0]) for part in parts])
+        split = None if plan.weights is None else np.repeat(plan.weights / sizes, sizes)
+        tg.plans[key] = replace(plan, u=u, v=v, classes=None, weights=split,
+                                starts=np.concatenate([[0], np.cumsum(sizes)])[plan.starts])
     return tg.plans[key]
 
 
@@ -646,32 +646,23 @@ def _admissible(spec: TreeSpec, h: int, c: int, j_min: Optional[int]) -> bool:
     return b >= h + 1 and (j_min is None or b - h + c + 1 >= j_min)
 
 
-def _class_columns(spec: TreeSpec, j_min: Optional[int], classes: list,
-                   weight: Optional[float]) -> tuple[dict, Optional[np.ndarray]]:
-    """A segment's flat class indices, each class once, and in a sum each
-    class's pair count times the per-pair weight: exact, as sum sides exist
-    only on binary trees, where both are powers of two within 2^+-32."""
-    if not all(a != b or _admissible(spec, a, c, j_min) for a, b, c in classes):
-        raise InvariantError(_NO_CONFIGURATION)
-    size = spec.height + 1
-    flat = np.array([(a * size + b) * size + c for a, b, c in classes], dtype=np.intp)
-    return {"classes": flat}, (None if weight is None else np.array(
-        [_pair_count(spec, *cls) * weight for cls in classes]))
-
-
 def class_plan(inv: InvariantId, spec: TreeSpec, side: str,
                j_min: Optional[int] = None) -> Plan:
     """The class plan of a side, from the spec alone: compile_plan's
-    segments and groups, each holding each of its classes once.  On a
-    ProfileMap every pair of a class has the one image distance
-    profile[a, b, c], so a min or max side equals the pair plan's bit for
-    bit.  A sum weighs each class by its pair count: the pair plan's exact
-    total, equal to its float where all terms and partial sums are exact
-    (integer distances at an integer p, a zero map).  It is not capped, and
-    raises where compile_plan raises under the cap, with the same text."""
+    segments and groups, each holding each of its classes once as an
+    (a, b, c) row.  On a ProfileMap every pair of a class has the one image
+    distance profile(a, b, c), so a min or max side equals the pair plan's
+    bit for bit.  A sum weighs each class by its pair count: the pair
+    plan's exact total, equal to its float where all terms and partial sums
+    are exact (integer distances at an integer p, a zero map).  It is not
+    capped, and raises where compile_plan raises under the cap, with the
+    same text."""
     k, j_min = _plan_args(inv, spec, side, j_min)
-    return _build(functools.partial(_class_columns, spec, j_min),
-                  *_classes(inv, side, k))
+    plan = _class_plan(spec, *_classes(inv, side, k))
+    if not all(a != b or _admissible(spec, a, c, j_min)
+               for a, b, c in plan.classes.tolist()):
+        raise InvariantError(_NO_CONFIGURATION)
+    return plan
 
 
 # ---------------------------------------------------------------------------

@@ -233,7 +233,7 @@ HUGE_TREES = [["invariant", "--tree", "bin:h=40", "--invariant", "fork-cotype",
                "--p", "2"],
               ["embed", "--tree", "inc:h=30,b=60", "--p", "2"],
               ["morphism", "--k", "40"],
-              # the identity's (h+1)^3 profile alone would take 1.5 TiB
+              # the identity checks the cap of its TreeGraph target
               ["invariant", "--tree", "bin:h=4096", "--invariant", "fork-cotype",
                "--p", "2"]]
 EXPECTED.update({tuple(argv): (2, "more than 200000 vertices")

@@ -8,9 +8,11 @@ import pytest
 import umbellab as U
 from umbellab.cli import main
 from umbellab.embeddings import EmbeddingError, _bourgain_profile
+from umbellab import trees
 from umbellab.invariants import (InvariantError, ProfileMap, TreeMap,
                                  _realised_triples)
-from umbellab.trees import tree_graph
+from umbellab.spaces import LpSpace
+from umbellab.trees import INCREASING, TreeSpec, tree_graph
 
 import invariant_oracle as oracle
 from invariant_oracle import _pairwise
@@ -180,14 +182,26 @@ PROFILE_EXPONENTS = (1.0, 1.0000001, 1.5, 2.0, 3.0, 50.0, 200.0, 250.0, 300.0,
                      400.0, 700.0, 1000.0, 1e300, math.inf)
 
 
+def profile_triples(h: int):
+    """The mask of the (depth, depth, lcp) triples with c <= min(a, b) over
+    the (h+1)^3 grid, and those triples as three int arrays."""
+    a, b, c = np.indices((h + 1,) * 3)
+    defined = c <= np.minimum(a, b)
+    return defined, (a[defined], b[defined], c[defined])
+
+
 @pytest.mark.parametrize("p", PROFILE_EXPONENTS)
 def test_bourgain_profile_by_prefix_sums_equals_the_loop(p):
     for h in range(18):
+        defined, triples = profile_triples(h)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fast = _bourgain_profile(h, p)
+            fast = _bourgain_profile(h, p)(*triples)
         slow = oracle.bourgain_profile(h, p)
-        assert np.array_equal(np.isnan(fast), np.isnan(slow)), h
+        # the oracle's table is nan exactly where c > min(a, b)
+        assert np.array_equal(np.isnan(slow), ~defined), h
+        slow = slow[defined]
+        assert not np.isnan(fast).any(), h
         assert np.array_equal(np.isinf(fast), np.isinf(slow)), h
         finite = np.isfinite(slow)
         if p in (1.0, math.inf):
@@ -199,10 +213,39 @@ def test_bourgain_profile_by_prefix_sums_equals_the_loop(p):
 
 def test_bourgain_profile_overflow_is_inf_not_nan():
     # plain differences of the prefix sums would give inf - inf = nan at
-    # 8 of these entries
-    T = _bourgain_profile(8, 400.0)
-    assert np.isnan(T).sum() == 444 and np.isinf(T).any()
-    assert np.array_equal(np.isinf(T), np.isinf(oracle.bourgain_profile(8, 400.0)))
+    # 8 of these triples; the oracle's 444 nan entries are the c > min(a, b)
+    defined, triples = profile_triples(8)
+    slow = oracle.bourgain_profile(8, 400.0)
+    T = _bourgain_profile(8, 400.0)(*triples)
+    assert (~defined).sum() == np.isnan(slow).sum() == 444
+    assert not np.isnan(T).any() and np.isinf(T).any()
+    assert np.array_equal(np.isinf(T), np.isinf(slow[defined]))
+
+
+def test_bourgain_reports_past_the_cap_build_no_table(monkeypatch):
+    # inc:h=128,b=129 is far past the vertex cap, and a (h+1)^3 table of its
+    # profile with the index arrays that fill it takes over 100 MB: the
+    # reports evaluate the profile on their class columns and build no
+    # TreeGraph array
+    calls = []
+
+    def spy(*args, real=trees._level_arrays):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(trees, "_level_arrays", spy)
+    tracemalloc.start()
+    try:
+        f = ProfileMap(TreeSpec(INCREASING, 128, 129), LpSpace(1, 2.0), None,
+                       _bourgain_profile(128, 2.0))
+        reps = [U.report(U.InvariantId(inv), f, 2.0)
+                for inv in ("umbel-cotype", "umbel-convexity")]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [rep.ratio_root for rep in reps] == [1.7766893284114065,
+                                                1.8797201962245134]
+    assert peak < 2 << 20 and calls == []
 
 
 def test_bourgain_report_builds_no_vectors():

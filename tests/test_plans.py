@@ -207,7 +207,7 @@ def oracle_class_pairs(tg, a: int, b: int, c: int, j_min):
 @pytest.mark.parametrize("tree", TREES)
 def test_class_plans_expand_to_the_oracle_pairs(tree):
     spec = U.parse_tree_spec(tree)
-    tg, size = trees.tree_graph(spec), spec.height + 1
+    tg = trees.tree_graph(spec)
     if spec.kind == trees.BINARY:
         ids, j_mins = BINARY_IDS, [None, 1]  # 1: refused, no liminf over j
     else:
@@ -237,7 +237,7 @@ def test_class_plans_expand_to_the_oracle_pairs(tree):
                     assert want.reduce == "sum", key
                     continue
                 # expand the classes of the plan by the oracle
-                a, b, c = np.unravel_index(classes.classes, (size,) * 3)
+                a, b, c = classes.classes.T
                 segments = np.split(np.arange(len(a)), classes.starts[1:])
                 expanded = [[pairs(a[i], b[i], c[i], j_min if side == "lhs" else None)
                              for i in seg] for seg in segments]
@@ -278,9 +278,9 @@ def test_sum_class_plans_are_the_pair_plan_classes(tree, inv, side):
     if isinstance(want, str):
         assert got == want
         return
-    verts, size = trees.tree_graph(spec).vertices, spec.height + 1
+    verts = trees.tree_graph(spec).vertices
     pairs = [(verts[i], verts[j]) for i, j in zip(want.u.tolist(), want.v.tolist())]
-    columns = [((len(u) * size + len(v)) * size + oracle_lcp(u, v), w)
+    columns = [([len(u), len(v), oracle_lcp(u, v)], w)
                for (u, v), w in zip(pairs, want.weights.tolist())]
     classes, weights, sizes = [], [], []
     for seg in np.split(np.arange(len(columns)), want.starts[1:]):
@@ -309,12 +309,12 @@ def test_sum_segment_classes_are_the_runs_they_replace(tree, inv, side):
     if isinstance(plan, str):  # tessera on bin:h=2: refused, no segment
         assert plan == outcome(compile_plan, inv, spec, side)
         return
-    tg, k, size = trees.tree_graph(spec), spec.height.bit_length() - 1, spec.height + 1
+    tg, k = trees.tree_graph(spec), spec.height.bit_length() - 1
     reduce, _, groups = invariants._classes(inv, side, k)
     segments = [seg for segs, _ in groups for seg in segs]
     runs = [run for _, run in oracle.sum_runs(inv, side, k)]
     assert reduce == "sum" and len(segments) == len(runs)
-    flat, weights = [], []
+    rows, weights = [], []
     for (classes, weight), run in zip(segments, runs):
         assert weight > 0
         parts = [oracle_class_pairs(tg, *cls, None) for cls in classes]
@@ -325,9 +325,9 @@ def test_sum_segment_classes_are_the_runs_they_replace(tree, inv, side):
             want = {(tg.index[e[0]], tg.index[e[1]])
                     for e in oracle.level_edges(spec, run[0])}
         assert len(got) == len(set(got)) and set(got) == want, (classes, run)
-        flat += [(a * size + b) * size + c for a, b, c in classes]
+        rows += [list(cls) for cls in classes]
         weights += [len(u) * weight for u, _ in parts]
-    assert plan.classes.tolist() == flat
+    assert plan.classes.tolist() == rows
     assert plan.weights.tolist() == weights
 
 
@@ -345,7 +345,7 @@ def test_oversized_plans_are_refused_before_they_are_built():
     assert not trees.tree_graph(spec).plans
     plan, peak = traced_peak(invariants.class_plan, InvariantId.MARKOV_DIRECTED,
                              spec, "lhs")
-    assert plan.classes.size == plan.weights.size == 341
+    assert plan.classes.shape == (341, 3) and plan.weights.shape == (341,)
     assert peak < 1 << 20
     small = U.parse_tree_spec("bin:h=8")
     for build in (invariants.class_plan, compile_plan):
@@ -617,7 +617,7 @@ MAP_KINDS = ["table", "identity", "l1", "l2", "linf", "l3", "heis", "prod",
              "squared"]
 
 
-@pytest.mark.parametrize("kind", MAP_KINDS + ["bourgain"])
+@pytest.mark.parametrize("kind", MAP_KINDS + ["constant", "bourgain"])
 def test_pair_distances_broadcast_equal_the_flat_gather(kind):
     f = any_map(kind, U.parse_tree_spec("inc:h=4,b=6"), np.random.default_rng(9))
     n = len(f.assignment)
