@@ -14,8 +14,7 @@ import importlib
 # public name -> the module that defines it
 _EXPORTS = {name: module for module, names in (
     ("trees", "TreeSpec parse_tree_spec vertices vertices_at_height "
-              "binary_to_increasing check_star_property diamond_graph "
-              "laakso_graph"),
+              "binary_to_increasing check_star_property"),
     ("spaces", "LpSpace FiniteMatrixSpace GraphMetricSpace ProductSpace "
                "HeisenbergSpace HeisenbergMetricSpace HPoint horizontal_length "
                "quasi_constant_estimate standard_symplectic parse_space"),

@@ -18,6 +18,8 @@ segments, each a list of the (depth, depth, lcp) classes of its pairs,
 grouped and scaled.  Its class plan, built from the spec alone, has one
 column per class, which a ProfileMap reads, as its image distance is one
 value per class; the pair plan expands each class into its vertex pairs.
+Which classes a tree has is one rule, `_realised`: the class plan refuses a
+side with a class the tree lacks, and a ProfileMap scans the realised ones.
 `evaluate` is the one kernel: a gather of pair distances, a reduceat per
 segment and the weighted combination of the groups.  The cotype and
 tessera right-hand sides are Lipschitz constants: on a tree every geodesic
@@ -218,12 +220,12 @@ class ProfileMap(TreeMap):
     profile(|u|, |v|, lcp(u, v)), a function of broadcastable int arrays
     of triples with c <= min(a, b).  The point of vertex i is point_at(i),
     read only when a point is asked for.  The pair scan evaluates the
-    profile on the realised triples, a side on the class columns of its
-    class plan, a sum weighing each class by its pair count (a plain map's
-    side bit for bit where its sums are exact), and the largest edge on one
-    triple per edge class: no vertex pair, no TreeGraph array.  The
-    identity (a + b - 2c), the constant map and bourgain_embed's map are
-    ProfileMaps."""
+    profile on the realised triples with a <= b (`_realised`), a side on
+    the class columns of its class plan, a sum weighing each class by its
+    pair count (a plain map's side bit for bit where its sums are exact),
+    and the largest edge on one triple per edge class: no vertex pair, no
+    TreeGraph array.  The identity (a + b - 2c), the constant map and
+    bourgain_embed's map are ProfileMaps."""
 
     def __init__(self, spec: TreeSpec, target, point_at: Callable[[int], object],
                  profile: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]):
@@ -243,8 +245,10 @@ class ProfileMap(TreeMap):
 
     def pair_scan(self):
         """One block: (a + b - 2c, profile(a, b, c)) over the realised
-        triples, which hold every distinct pair's tree and image distance."""
-        a, b, c = np.nonzero(_realised_triples(self.spec))
+        triples with a <= b.  Vertices are listed by height, so these are
+        the triples of the pairs u < v that TreeMap.pair_scan reads."""
+        a, b, c = np.indices((self.spec.height + 1,) * 3, sparse=True)
+        a, b, c = np.nonzero((a <= b) & _realised(self.spec, a, b, c))
         yield (a + b - 2 * c).astype(float), self.profile(a, b, c)
 
     def plan_distances(self, inv: "InvariantId", side: str,
@@ -260,17 +264,22 @@ class ProfileMap(TreeMap):
         return self.profile(a - 1, a, a - 1)
 
 
-def _realised_triples(spec: TreeSpec) -> np.ndarray:
-    """mask[a, b, c]: whether two distinct vertices of the tree have depths
-    a and b and a common prefix of length c.  Either one is a prefix of the
-    other (c = min(a, b) < max(a, b)), or both go on past the prefix with
-    different next labels.  A binary vertex has two children; in an
-    increasing tree that takes max(a, b) <= B labels on the longer branch,
-    which B >= h grants, and min(a, b) + 1 <= B on the shorter one."""
-    a, b, c = np.indices((spec.height + 1,) * 3, sparse=True)
-    lo = np.minimum(a, b)
-    fork = lo + 1 <= spec.branching if spec.kind == INCREASING else True
-    return ((c == lo) & (a != b)) | ((c < lo) & fork)
+def _realised(spec: TreeSpec, a, b, c, j_min: Optional[int] = None):
+    """Whether two distinct vertices of the tree have depths a <= b and a
+    common prefix of length c, with the larger of their next labels past
+    the prefix >= j_min when it is set: for ints or broadcast int arrays.
+    Either the shallower is a prefix of the deeper (c = a < b), or both go
+    on past the prefix with different next labels (c < a).  A binary
+    vertex has two children.  In inc:h,B, below the prefix 1..c, the
+    deeper vertex goes on c + 1, ..., b <= B, and the shallower one takes a
+    larger next label x and a - c - 1 labels after it, so x runs up to
+    B - a + c + 1, which needs a < B."""
+    fork = c < a
+    if spec.kind == INCREASING:
+        fork = fork & (a < spec.branching)
+        if j_min is not None:
+            fork = fork & (spec.branching - a + c + 1 >= j_min)
+    return ((c == a) & (a < b)) | fork
 
 
 def _origin(target):
@@ -342,19 +351,19 @@ def _pair_max(f: TreeMap) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def lipschitz_constant(f: TreeMap, with_flag: bool = False):
-    """max over vertex pairs of d_Y(f(u), f(v)) / d_tree(u, v): on a metric
-    target the edge maximum, that of the Lipschitz plans, never flagged.  On
-    other targets it is the pair scan's maximum, which takes in every edge
-    at tree distance 1, flagged when the edge maximum differs from it beyond
-    tolerance."""
+def lipschitz_constant(f: TreeMap) -> tuple[float, bool]:
+    """(value, flag): value is max over vertex pairs of d_Y(f(u), f(v)) /
+    d_tree(u, v), on a metric target the edge maximum, that of the
+    Lipschitz plans, never flagged.  On other targets it is the pair scan's
+    maximum, which takes in every edge at tree distance 1, and the flag
+    says whether the edge maximum differs from it beyond tolerance."""
     edge = float(f.edge_distances().max(initial=0.0))
     if _is_metric(f.target):
         value, flag = edge, False
     else:
         value = _pair_max(f)
         flag = value != edge and not sp.close(value, edge)
-    return (value, flag) if with_flag else value
+    return value, flag
 
 
 # ---------------------------------------------------------------------------
@@ -462,24 +471,6 @@ def evaluate(plan: Plan, d: np.ndarray, p: float) -> np.ndarray:
 _PLAN_CAP = 2 ** 26  # the most vertex pairs a pair plan is built with
 
 
-def _class_plan(spec: TreeSpec, reduce: str, outer: str, groups) -> Plan:
-    """The class plan of a side of `_classes`, its classes as (a, b, c)
-    rows, and in a sum each class's pair count times the per-pair weight:
-    exact, as sum sides exist only on binary trees, where both are powers
-    of two within 2^+-32."""
-    segments = [seg for segs, _ in groups for seg in segs]
-    bounds = np.cumsum([0] + [len(segs) for segs, _ in groups]).tolist()
-    return Plan(
-        classes=np.array([cls for classes, _ in segments for cls in classes],
-                         dtype=np.intp),
-        starts=np.cumsum([0] + [len(classes) for classes, _ in segments[:-1]]),
-        reduce=reduce, outer=outer,
-        weights=None if reduce != "sum" else np.array(
-            [_pair_count(spec, *cls) * w for classes, w in segments for cls in classes]),
-        groups=tuple(zip(bounds[:-1], bounds[1:])),
-        scales=tuple(scale for _, scale in groups))
-
-
 def _height_range(tg: TreeGraph, h: int) -> tuple[int, int]:
     return (int(np.searchsorted(tg.depth, h)),
             int(np.searchsorted(tg.depth, h, side="right")))
@@ -490,7 +481,8 @@ def _branch_pairs(tg: TreeGraph, h: int, lcp: int, j_min: Optional[int] = None):
     length exactly `lcp`, as vertex-order index arrays.  Vertices sharing a
     prefix are consecutive, so i's partners run from the end of its
     length-(lcp + 1) run to the end of its length-lcp run.  With j_min set,
-    one of the two diverging labels must be >= j_min (the liminf tail knob)."""
+    one of the two diverging labels must be >= j_min (the liminf tail knob).
+    The arrays are empty when `_realised` refuses the class."""
     lo, hi = _height_range(tg, h)
     first, end = (np.searchsorted(key, key, side="right")
                   for key in (tg.anc[lo:hi, lcp + 1], tg.anc[lo:hi, lcp]))
@@ -501,8 +493,6 @@ def _branch_pairs(tg: TreeGraph, h: int, lcp: int, j_min: Optional[int] = None):
         nu, nv = tg.anc[u, lcp + 1], tg.anc[v, lcp + 1]
         keep = np.maximum(tg.label[nu], tg.label[nv]) >= j_min
         u, v = u[keep], v[keep]
-    if not len(u):
-        raise InvariantError(_NO_CONFIGURATION)
     return u, v
 
 
@@ -608,18 +598,49 @@ def _plan_args(inv: InvariantId, spec: TreeSpec, side: str,
     return k, None if side == "rhs" else j_min
 
 
+def class_plan(inv: InvariantId, spec: TreeSpec, side: str,
+               j_min: Optional[int] = None) -> Plan:
+    """The class plan of a side of `_classes`, from the spec alone: its
+    segments and groups, each holding each of its classes once as an
+    (a, b, c) row, and in a sum each class's pair count times the per-pair
+    weight: exact, as sum sides exist only on binary trees, where both are
+    powers of two within 2^+-32.  A side with a class the tree does not
+    realise (`_realised`) is refused.  On a ProfileMap every pair of a
+    class has the one image distance profile(a, b, c), so a min or max
+    side equals the pair plan's bit for bit, and a sum equals the pair
+    plan's float where all terms and partial sums are exact (integer
+    distances at an integer p, a zero map).  It is not capped."""
+    k, j_min = _plan_args(inv, spec, side, j_min)
+    reduce, outer, groups = _classes(inv, side, k)
+    segments = [seg for segs, _ in groups for seg in segs]
+    if not all(_realised(spec, *cls, j_min)
+               for classes, _ in segments for cls in classes):
+        raise InvariantError(_NO_CONFIGURATION)
+    bounds = np.cumsum([0] + [len(segs) for segs, _ in groups]).tolist()
+    return Plan(
+        classes=np.array([cls for classes, _ in segments for cls in classes],
+                         dtype=np.intp),
+        starts=np.cumsum([0] + [len(classes) for classes, _ in segments[:-1]]),
+        reduce=reduce, outer=outer,
+        weights=None if reduce != "sum" else np.array(
+            [_pair_count(spec, *cls) * w for classes, w in segments for cls in classes]),
+        groups=tuple(zip(bounds[:-1], bounds[1:])),
+        scales=tuple(scale for _, scale in groups))
+
+
 def compile_plan(inv: InvariantId, spec: TreeSpec, side: str,
                  j_min: Optional[int] = None) -> Plan:
-    """The pair plan of a side of a functional on a tree: its class plan
+    """The pair plan of a side of a functional on a tree: its class_plan
     expanded, each class column into its vertex pairs and a sum class's
-    weight split evenly over them.  It is refused past _PLAN_CAP pairs
-    before any pair is built.  Plans are kept on tree_graph's cached entry
-    for the tree, so clearing that cache drops them too."""
-    k, j_min = _plan_args(inv, spec, side, j_min)
+    weight split evenly over them, so it refuses what class_plan refuses.
+    It is refused past _PLAN_CAP pairs before any pair is built.  Plans are
+    kept on tree_graph's cached entry for the tree, so clearing that cache
+    drops them too."""
+    _, j_min = _plan_args(inv, spec, side, j_min)
     tg = tree_graph(spec)
     key = (inv, side, j_min)
     if key not in tg.plans:
-        plan = _class_plan(spec, *_classes(inv, side, k))
+        plan = class_plan(inv, spec, side, j_min)
         classes = plan.classes.tolist()
         count = sum(_pair_count(spec, *cls) for cls in classes)
         if count > _PLAN_CAP:
@@ -633,36 +654,6 @@ def compile_plan(inv: InvariantId, spec: TreeSpec, side: str,
         tg.plans[key] = replace(plan, u=u, v=v, classes=None, weights=split,
                                 starts=np.concatenate([[0], np.cumsum(sizes)])[plan.starts])
     return tg.plans[key]
-
-
-def _admissible(spec: TreeSpec, h: int, c: int, j_min: Optional[int]) -> bool:
-    """Whether two height-h vertices have a longest common prefix of length
-    exactly c < h, the larger of their next labels >= j_min when it is set:
-    always in a binary tree.  In inc:h,b that label runs from c + 1 up to
-    b - h + c + 1, as h - c - 1 larger labels follow it."""
-    if spec.kind == BINARY:
-        return True
-    b = spec.branching
-    return b >= h + 1 and (j_min is None or b - h + c + 1 >= j_min)
-
-
-def class_plan(inv: InvariantId, spec: TreeSpec, side: str,
-               j_min: Optional[int] = None) -> Plan:
-    """The class plan of a side, from the spec alone: compile_plan's
-    segments and groups, each holding each of its classes once as an
-    (a, b, c) row.  On a ProfileMap every pair of a class has the one image
-    distance profile(a, b, c), so a min or max side equals the pair plan's
-    bit for bit.  A sum weighs each class by its pair count: the pair
-    plan's exact total, equal to its float where all terms and partial sums
-    are exact (integer distances at an integer p, a zero map).  It is not
-    capped, and raises where compile_plan raises under the cap, with the
-    same text."""
-    k, j_min = _plan_args(inv, spec, side, j_min)
-    plan = _class_plan(spec, *_classes(inv, side, k))
-    if not all(a != b or _admissible(spec, a, c, j_min)
-               for a, b, c in plan.classes.tolist()):
-        raise InvariantError(_NO_CONFIGURATION)
-    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +681,7 @@ def _rhs(inv: InvariantId, f: TreeMap, p: float) -> tuple[float, Optional[bool]]
     _check_exponent(p)
     if inv in _LIPSCHITZ_IDS:
         _validate(inv, f.spec)
-        lip, flag = lipschitz_constant(f, with_flag=True)
+        lip, flag = lipschitz_constant(f)
         return _power(lip, p), flag
     return _evaluate_map(inv, "rhs", f, p), None
 

@@ -527,16 +527,24 @@ def parse_exponent(text: str) -> float:
 
 def _fields(text: str, kinds: dict, error=SpaceError) -> tuple[str, dict]:
     """(kind, fields) of a descriptor "kind:key=value,...": the kind is one of
-    `kinds`, each key one of that kind's space-separated keys, given once."""
+    `kinds`, each key one of that kind's space-separated keys, given once.
+    A file= value runs to the end of the descriptor, so a path may hold a
+    ","."""
     head, _, rest = text.partition(":")
     if head not in kinds:
         raise error(f"bad descriptor {text!r}: unknown kind {head!r}")
     keys, fields = kinds[head].split(), {}
-    for kv in filter(None, rest.split(",")):
+    pieces = rest.split(",")
+    for i, kv in enumerate(pieces):
+        if not kv:
+            continue
         key, eq, value = kv.partition("=")
         if not eq or key not in keys or key in fields:
             raise error(f"bad field {kv!r} in {text!r}: {head} takes "
                         f"{', '.join(keys)}, each at most once, as key=value")
+        if key == "file":
+            fields[key] = ",".join([value, *pieces[i + 1:]])
+            break
         fields[key] = value
     return head, fields
 

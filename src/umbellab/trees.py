@@ -1,4 +1,4 @@
-"""Finite rooted trees and unit-weight graph geometries.
+"""Finite rooted trees and their path metric.
 
 Two tree codings are supported: binary trees, whose vertices are tuples of
 signs in {-1, +1}, and increasing trees, whose vertices are strictly
@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spaces import GraphMetricSpace, TableSpace, _fields, check_graph_size
+from .spaces import TableSpace, _fields
 
 Vertex = tuple
 
@@ -161,17 +161,10 @@ def check_star_property(k: int, J: Callable[[Vertex, Vertex], int],
         j_prime = phi[eps + (-1,)][len(eps)]
         if j_prime == phi[eps + (1,)][len(eps)]:
             return False
-        for delta in _suffixes(k - len(eps) - 1):
+        for delta in vertices(TreeSpec(BINARY, k - len(eps) - 1)):
             if j_prime < J(phi[eps], phi[eps + (1,) + delta]):
                 return False
     return True
-
-
-def _suffixes(max_height: int) -> list[Vertex]:
-    out: list[Vertex] = []
-    for h in range(max_height + 1):
-        out.extend(itertools.product((-1, 1), repeat=h))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -297,33 +290,3 @@ def _ancestors(depth: np.ndarray, parent: np.ndarray) -> np.ndarray:
         anc[lo:hi, :level] = anc[parent[lo:hi], :level]
         anc[lo:hi, level] = np.arange(lo, hi)
     return anc
-
-
-def _substituted_graph(k: int, block) -> GraphMetricSpace:
-    """The graph grown from one edge by k rounds of replacing every edge
-    (u, v) by a block of fresh vertices.  `block` lists the block's edges
-    over the columns (u, v, fresh_0, fresh_1, ...); each edge of a round
-    takes the next fresh vertex ids, in edge order.  A round that would
-    pass the graph cap is refused before it is built."""
-    if k < 0:
-        raise TreeSpecError("k must be nonnegative")
-    fresh = max(map(max, block)) - 1
-    n, edges = 2, np.array([[0, 1]])
-    for _ in range(k):
-        added = len(edges) * fresh
-        check_graph_size(n + added)
-        ids = np.arange(n, n + added).reshape(-1, fresh)
-        edges = np.hstack([edges, ids])[:, block].reshape(-1, 2)
-        n += added
-    return GraphMetricSpace(n, tuple(map(tuple, edges.tolist())))
-
-
-def diamond_graph(k: int) -> GraphMetricSpace:
-    """Level-k diamond graph: iterated replacement of each edge by a 4-cycle."""
-    return _substituted_graph(k, [[0, 2], [2, 1], [0, 3], [3, 1]])
-
-
-def laakso_graph(k: int) -> GraphMetricSpace:
-    """Level-k Laakso graph: iterated replacement of each edge by the 6-edge
-    block with a split middle segment."""
-    return _substituted_graph(k, [[0, 2], [2, 3], [2, 4], [3, 5], [4, 5], [5, 1]])

@@ -182,9 +182,10 @@ def modulus_value(curve: ModulusCurve, t: float) -> float:
     return val
 
 
-def lipschitz_constant(f: TreeMap, with_flag: bool = False):
-    """Pair maximum over one full n x n ratio buffer, edge maximum by
-    walking the edges through `dist`."""
+def lipschitz_constant(f: TreeMap) -> tuple[float, bool]:
+    """(value, flag): the pair maximum over one full n x n ratio buffer, the
+    edge maximum by walking the edges through `dist`, and whether they
+    differ."""
     index = tree_graph(f.spec).index
     dtree = tree_table(f.spec)
     dimg = _pairwise(f.target, [f.assignment[v] for v in index])
@@ -193,10 +194,7 @@ def lipschitz_constant(f: TreeMap, with_flag: bool = False):
     pair_lip = float(ratio.max())
     edge = max((dist(f, u, v) for level in range(1, f.spec.height + 1)
                 for u, v in level_edges(f.spec, level)), default=0.0)
-    value = max(pair_lip, edge)
-    if with_flag:
-        return value, not sp.close(pair_lip, edge)
-    return value
+    return max(pair_lip, edge), not sp.close(pair_lip, edge)
 
 
 def _min_branch_pair(f: TreeMap, height: int, lcp: int, p: float,
@@ -263,7 +261,7 @@ def lhs(inv: InvariantId, f: TreeMap, p: float,
 def rhs(inv: InvariantId, f: TreeMap, p: float) -> float:
     k = _validate(inv, f.spec)
     if inv in _COTYPE_IDS or inv is InvariantId.TESSERA:
-        return lipschitz_constant(f) ** p
+        return lipschitz_constant(f)[0] ** p
     if inv in (InvariantId.UMBEL_CONVEXITY, InvariantId.FORK_CONVEXITY):
         total = 0.0
         for level in range(1, 2 ** k + 1):

@@ -245,11 +245,14 @@ def test_certify_bad_matrix_exit_two(tmp_path, capsys, d, message):
     assert message in err["error"]
 
 
+STAR_MATRIX = {"n": 4, "d": [[0.0, 2.0, 2.0, 1.0], [2.0, 0.0, 2.0, 1.0],
+                            [2.0, 2.0, 0.0, 1.0], [1.0, 1.0, 1.0, 0.0]]}
+STAR_GRAPH = {"n": 4, "edges": [[0, 3], [1, 3], [2, 3]]}
+
+
 def test_slack_belongs_to_certify(tmp_path, capsys):
     path = tmp_path / "star.json"
-    path.write_text(json.dumps({"n": 4, "d": [
-        [0.0, 2.0, 2.0, 1.0], [2.0, 0.0, 2.0, 1.0],
-        [2.0, 2.0, 0.0, 1.0], [1.0, 1.0, 1.0, 0.0]]}))
+    path.write_text(json.dumps(STAR_MATRIX))
     # the star's worst tripod margin is -0.25: a slack of 0.3 absorbs it
     argv = ["certify", "--space", f"matrix:file={path}", "--inequality",
             "tripod", "--samples", "500", "--seed", "1"]
@@ -262,6 +265,23 @@ def test_slack_belongs_to_certify(tmp_path, capsys):
         assert main(["invariant", "--tree", "bin:h=2", "--invariant",
                      "fork-cotype", "--p", "2", *extra]) == 2
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("descriptor,doc", [
+    ("matrix:file={}", STAR_MATRIX),
+    ("prod:p=2;l2:dim=2;matrix:file={}", STAR_MATRIX),
+    ("graph:file={}", STAR_GRAPH),
+], ids=["matrix", "prod-matrix", "graph"])
+def test_descriptor_file_path_may_hold_a_comma(tmp_path, capsys, descriptor, doc):
+    # a file= value runs to the end of its descriptor; the star violates the
+    # tripod inequality, so exit 1 shows its file was read
+    path = tmp_path / "a,b.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_strict(capsys, "certify", "--space",
+                                descriptor.format(path), "--inequality",
+                                "tripod", "--samples", "500", "--seed", "1")
+    assert (code, err) == (1, None)
+    assert json.loads(out)["worst_margin"] < 0
 
 
 def test_certify_large_xs_count(capsys):

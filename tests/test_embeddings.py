@@ -9,8 +9,7 @@ import umbellab as U
 from umbellab.cli import main
 from umbellab.embeddings import EmbeddingError, _bourgain_profile
 from umbellab import trees
-from umbellab.invariants import (InvariantError, ProfileMap, TreeMap,
-                                 _realised_triples)
+from umbellab.invariants import InvariantError, ProfileMap, TreeMap, _realised
 from umbellab.spaces import LpSpace
 from umbellab.trees import INCREASING, TreeSpec, tree_graph
 
@@ -152,17 +151,29 @@ def test_embed_scans_the_pairs_once(monkeypatch, tmp_path):
 @pytest.mark.parametrize("h", range(6))
 @pytest.mark.parametrize("extra", [0, 1, 3, "bin"])
 def test_realised_triples_match_enumeration(h, extra):
-    # extra: b - h of an increasing tree, or "bin" for the binary tree
+    # extra: b - h of an increasing tree, or "bin" for the binary tree; the
+    # rule speaks of the a <= b half, at every j_min up to b + 1 on an
+    # increasing tree
     spec = U.parse_tree_spec(f"bin:h={h}" if extra == "bin"
                              else f"inc:h={h},b={h + extra}")
     graph = tree_graph(spec)
-    u, v = grid(graph.n)
-    lcp = graph.lcp(u, v)
-    a, b = (np.broadcast_to(graph.depth[w], lcp.shape) for w in (u, v))
-    distinct = u != v
-    seen = np.zeros((h + 1,) * 3, dtype=bool)
-    seen[a[distinct], b[distinct], lcp[distinct]] = True
-    assert np.array_equal(_realised_triples(spec), seen)
+    u, v = (w.ravel() for w in np.broadcast_arrays(*grid(graph.n)))
+    u, v = u[u != v], v[u != v]
+    a, b, lcp = graph.depth[u], graph.depth[v], graph.lcp(u, v)
+    # a fork pair goes on past its common prefix in both vertices; top is
+    # the larger of its two next labels
+    fork = lcp < np.minimum(a, b)
+    top = np.zeros(len(u), dtype=np.intp)
+    top[fork] = np.maximum(*(graph.label[graph.anc[w[fork], lcp[fork] + 1]]
+                             for w in (u, v)))
+    triples = np.indices((h + 1,) * 3, sparse=True)
+    lower = triples[0] <= triples[1]
+    for j_min in [None] if extra == "bin" else [None, *range(1, h + extra + 2)]:
+        kept = ~fork | (top >= (0 if j_min is None else j_min))
+        seen = np.zeros((h + 1,) * 3, dtype=bool)
+        seen[a[kept], b[kept], lcp[kept]] = True
+        assert np.array_equal(lower & _realised(spec, *triples, j_min),
+                              lower & seen), j_min
 
 
 @pytest.mark.parametrize("h", [1, 2, 4])

@@ -445,11 +445,9 @@ def test_profile_map_reports_equal_the_plain_map_of_their_points(tree):
                                   "inc:h=1,b=1", "inc:h=1,b=3", "inc:h=4,b=6"])
 def test_profile_map_edge_maximum_is_the_pair_gather(tree, pair_gather):
     spec = U.parse_tree_spec(tree)
-    got = {name: U.lipschitz_constant(f, with_flag=True)
-           for name, f in profile_maps(spec).items()}
+    got = {name: U.lipschitz_constant(f) for name, f in profile_maps(spec).items()}
     pair_gather()
-    want = {name: U.lipschitz_constant(f, with_flag=True)
-            for name, f in profile_maps(spec).items()}
+    want = {name: U.lipschitz_constant(f) for name, f in profile_maps(spec).items()}
     assert got == want
 
 
@@ -511,7 +509,7 @@ def test_lipschitz_in_row_blocks_matches_full_buffer(block, monkeypatch):
                                ("inc:h=4,b=6", "identity"),
                                ("inc:h=4,b=6", "l3")]]
     for f in maps + [squared]:
-        got = U.lipschitz_constant(f, with_flag=True)
+        got = U.lipschitz_constant(f)
         graph = trees.tree_graph(f.spec)
         dtree, dimg = oracle.distance_tables(f)
         ratio = np.zeros_like(dimg)
@@ -519,7 +517,7 @@ def test_lipschitz_in_row_blocks_matches_full_buffer(block, monkeypatch):
         edges = np.array(graph.edges).reshape(-1, 2)
         pair, edge = float(ratio.max()), float(dimg[edges[:, 0], edges[:, 1]].max())
         assert got == (max(pair, edge), not U.spaces.close(pair, edge))
-    assert U.lipschitz_constant(squared, with_flag=True)[1]
+    assert U.lipschitz_constant(squared)[1]
 
 
 LIPSCHITZ_IDS = {trees.BINARY: [InvariantId.FORK_COTYPE, InvariantId.TESSERA],
@@ -567,7 +565,7 @@ def test_quasi_metric_targets_take_the_pair_scan(kind, pair_scans):
     else:
         space, rng = U.parse_space(kind), np.random.default_rng(6)
         f = U.TreeMap(spec, space, {v: space.sample(rng) for v in U.vertices(spec)})
-    lip, flag = oracle.lipschitz_constant(f, with_flag=True)
+    lip, flag = oracle.lipschitz_constant(f)
     assert flag is (kind == "squared")
     for inv in LIPSCHITZ_IDS[trees.BINARY]:
         rep = U.report(inv, f, 2.0)
@@ -677,8 +675,8 @@ def traced_peak(fn, *args):
 def test_lipschitz_allocates_no_table_sized_buffer():
     f = U.TreeMap.identity(U.parse_tree_spec("inc:h=8,b=12"))
     table_bytes = 8 * len(f.assignment) ** 2
-    value, peak = traced_peak(U.lipschitz_constant, f)
-    assert value == 1.0
+    (value, flag), peak = traced_peak(U.lipschitz_constant, f)
+    assert (value, flag) == (1.0, False)
     assert peak < table_bytes / 4
 
 
@@ -707,8 +705,7 @@ def test_identity_profile_map_equals_the_dict_map(tree):
     f, plain = U.TreeMap.identity(spec), dict_identity(spec)
     assert isinstance(f, invariants.ProfileMap)
     assert scan_numbers(f, U) == scan_numbers(plain, U)
-    assert U.lipschitz_constant(f, with_flag=True) == \
-        U.lipschitz_constant(plain, with_flag=True)
+    assert U.lipschitz_constant(f) == U.lipschitz_constant(plain)
 
 
 @pytest.mark.parametrize("tree,inv", [("bin:h=4", i) for i in BINARY_IDS]

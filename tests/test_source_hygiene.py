@@ -1,8 +1,10 @@
 """Source hygiene of the library, read with the standard `ast` module: every
 import in a module of `umbellab` is used in that module, every module-level
 private name is read somewhere in the package, and every public function,
-class and method is read somewhere in the repository's code.  Deletions
-leave such names behind; this test finds them."""
+class and method is read somewhere in the repository's code, and every
+exported name is read outside the tests unless it computes a step of the
+paper on its own.  Deletions leave such names behind; this test finds
+them."""
 
 import ast
 import pathlib
@@ -116,3 +118,30 @@ def test_every_public_name_is_read():
     unread = [f"{module}.py:{line} {name}" for module, tree in TREES.items()
               for name, line in _public_definitions(tree) if name not in read]
     assert not unread, unread
+
+
+# exports no library module, demo or perfbench job reads: each computes a
+# step of the paper on its own, and the tests check it
+PAPER_STEPS = {
+    "alpha_sequence": "the alpha_k of the non-negative curvature characterisation",
+    "horizontal_length": "the horizontal length of Heisenberg curves",
+    "markov_pair_expectation_exact": "one term E[d(f(W_t), f(W~_t(t - 2^s)))^q] "
+                                     "of Markov convexity",
+    "modulus_beta": "the asymptotic modulus behind Rolewicz's property (beta)",
+    "modulus_delta": "the modulus of uniform convexity",
+    "modulus_delta_tilde": "the tripod modulus",
+    "ramsey_refine": "the Ramsey refinement of the umbel cotype proof",
+}
+
+
+def test_every_export_is_read_outside_the_tests():
+    paths = [path for path in SOURCES if path.name != "__init__.py"]
+    for folder in ("demos", "perfbench"):
+        paths += (REPO / folder).rglob("*.py")
+    read = set()
+    for path in paths:
+        read |= _names_read(ast.parse(path.read_text(), str(path)))
+    unread = set(umbellab._EXPORTS) - read
+    assert sorted(unread - set(PAPER_STEPS)) == []
+    # a paper step that gains a reader, or leaves the exports, leaves the list
+    assert sorted(set(PAPER_STEPS) - unread) == []

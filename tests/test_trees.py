@@ -370,58 +370,6 @@ def test_morphism_past_the_vertex_cap_is_refused():
             U.binary_to_increasing(k, lambda m, n: 1)
 
 
-def test_diamond_graph_grows():
-    g0 = U.diamond_graph(0)
-    g1 = U.diamond_graph(1)
-    # level 0 is a single edge, level 1 a 4-cycle
-    assert g0.n == 2
-    assert g1.n == 4
-    assert g1.table.max() == 2
-
-
-def test_laakso_graph_level_one():
-    g = U.laakso_graph(1)
-    # one edge replaced by the 6-edge block on 6 vertices
-    assert g.n == 6
-    assert g.table.max() == 4
-
-
-def replaced_edges(k: int, block) -> tuple[int, list]:
-    """The graph builders' per-edge loop: k rounds of replacing every edge
-    (u, v) by block(u, v, fresh), fresh() handing out the next vertex id."""
-    n, edges = 2, [(0, 1)]
-    for _ in range(k):
-        new = []
-        for u, v in edges:
-            def fresh():
-                nonlocal n
-                n += 1
-                return n - 1
-            new.extend(block(u, v, fresh))
-        edges = new
-    return n, edges
-
-
-def diamond_block(u, v, fresh):
-    a, b = fresh(), fresh()
-    return [(u, a), (a, v), (u, b), (b, v)]
-
-
-def laakso_block(u, v, fresh):
-    a, b1, b2, c = fresh(), fresh(), fresh(), fresh()
-    return [(u, a), (a, b1), (a, b2), (b1, c), (b2, c), (c, v)]
-
-
-@pytest.mark.parametrize("build,block,top", [(U.diamond_graph, diamond_block, 5),
-                                             (U.laakso_graph, laakso_block, 4)])
-def test_graph_builders_equal_the_per_edge_loop(build, block, top):
-    for k in range(top + 1):
-        g = build(k)
-        n, edges = replaced_edges(k, block)
-        assert (g.n, g.edges) == (n, tuple(edges)), k
-        assert type(g.n) is int and all(type(x) is int for e in g.edges for x in e)
-
-
 def test_graph_past_the_cap_builds_no_table(monkeypatch):
     sizes = []
 
@@ -434,12 +382,6 @@ def test_graph_past_the_cap_builds_no_table(monkeypatch):
     for n in (cap + 1, 10 ** 6):
         with pytest.raises(U.spaces.SpaceError, match=f"past the cap of {cap}"):
             U.GraphMetricSpace(n, ((0, 1),))
-    # diamond 7 has 10924 vertices, Laakso 5 6222; k = 10^8 is refused after
-    # a few small rounds
-    for build, k in ((U.diamond_graph, 7), (U.diamond_graph, 10 ** 8),
-                     (U.laakso_graph, 5)):
-        with pytest.raises(U.spaces.SpaceError, match="past the cap"):
-            build(k)
     assert sizes == []
     U.GraphMetricSpace(cap, ((0, 1),))
     assert sizes == [cap]
