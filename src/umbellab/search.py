@@ -92,7 +92,9 @@ NO_FEASIBLE = SearchResult(False, None, -math.inf)
 
 class _Scorer:
     """lhs/rhs ratios of batches of assignment arrays (rows of A), nan where
-    rhs <= 0.  The two plans are compiled, and the exponent checked, once."""
+    rhs <= 0.  The two plans are compiled, and the exponent checked, once.
+    A block reads both plans' pairs, lhs first, in one gather from the flat
+    table: entries of A are point indices, so a * n + b is in range."""
 
     def __init__(self, problem: SearchProblem):
         self.problem = problem
@@ -101,16 +103,22 @@ class _Scorer:
         _check_exponent(problem.exponent)
         graph = tree_graph(problem.spec)
         self.index, self.verts = graph.index, graph.vertices
-        self.rows = max(1, _BATCH // sum(len(plan.u) for plan in self.plans))
+        lhs, rhs = self.plans
+        self.u, self.v = np.concatenate([lhs.u, rhs.u]), np.concatenate([lhs.v, rhs.v])
+        self.cut, self.n = len(lhs.u), problem.target.n
+        self.flat = problem.target.table.ravel()
+        self.rows = max(1, _BATCH // len(self.u))
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __call__(self, A: np.ndarray) -> np.ndarray:
-        target, p = self.problem.target, self.problem.exponent
+        p, (lhs, rhs) = self.problem.exponent, self.plans
         out = np.empty(len(A))
         for lo in range(0, len(A), self.rows):
             block = A[lo:lo + self.rows]
-            left, right = (evaluate(plan, target.distance_rows(block[:, plan.u],
-                                                               block[:, plan.v]), p)
-                           for plan in self.plans)
+            d = self.flat.take(block.take(self.u, axis=1) * self.n
+                               + block.take(self.v, axis=1))
+            left = evaluate(lhs, d[:, :self.cut], p)
+            right = evaluate(rhs, d[:, self.cut:], p)
             ok = right > 0
             out[lo:lo + self.rows] = np.where(ok, left / np.where(ok, right, 1.0),
                                               np.nan)
@@ -129,6 +137,8 @@ def exhaustive_max(problem: SearchProblem,
                    budget: int = _EXHAUSTIVE_BUDGET) -> SearchResult:
     """Global maximum of lhs/rhs over all assignments of the free vertices,
     the first maximum in itertools.product order."""
+    if budget < 0:
+        raise SearchError(f"the budget must be >= 0, got {budget}")
     free = problem.free_vertices()
     n = problem.target.n
     total = n ** len(free)
@@ -175,15 +185,15 @@ def local_search_max(problem: SearchProblem, restarts: int, steps: int,
     restart draws the free vertices uniformly, in vertex order.
 
     The climbs run in lockstep, in groups of at most rows // n climbs whose
-    starts are drawn just before the group climbs.  At each free vertex the
-    n reassignments of every active climb differ from its map only at that
-    vertex, so they are scored in one batch; each climb then accepts its
-    candidates in point order, each when it beats its current ratio by more
-    than 1e-15.  A climb leaves the group after a sweep that does not
-    improve.  A climb's map changes only when its ratio rises, so its final
-    state is its best.  Scoring is row-independent and climbing draws no
-    random numbers, so the result is that of the climbs run one after
-    another: the first maximum in climb order."""
+    starts are drawn, in one call, just before the group climbs.  At each
+    free vertex the n reassignments of every active climb differ from its
+    map only at that vertex, so they are scored in one batch; each climb
+    then accepts its candidates in point order, each when it beats its
+    current ratio by more than 1e-15.  A climb leaves the group after a
+    sweep that does not improve.  A climb's map changes only when its ratio
+    rises, so its final state is its best.  Scoring is row-independent and
+    climbing draws no random numbers, so the result is that of the climbs
+    run one after another: the first maximum in climb order."""
     if restarts < 0 or steps < 0:
         raise SearchError(f"restarts and steps must be >= 0, got {restarts} and {steps}")
     free = problem.free_vertices()
@@ -197,8 +207,8 @@ def local_search_max(problem: SearchProblem, restarts: int, steps: int,
     evaluations = feasible = 0
     for first in range(0, restarts + 1, group):
         A = np.repeat(start[None], min(group, restarts + 1 - first), axis=0)
-        for a in A[1 if first == 0 else 0:]:
-            a[cols] = [int(rng.integers(n)) for _ in cols]
+        drawn = A[1 if first == 0 else 0:]
+        drawn[:, cols] = rng.integers(n, size=(len(drawn), len(cols)))
         current = [None if math.isnan(r) else r for r in score(A).tolist()]
         evaluations += len(A)
         feasible += sum(r is not None for r in current)

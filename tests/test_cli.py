@@ -133,6 +133,34 @@ def test_search_negative_counts_exit_two(tmp_path, capsys, option):
     assert "restarts and steps must be >= 0" in err["error"]
 
 
+def test_search_negative_budget_exit_two(tmp_path, capsys):
+    target = tmp_path / "path.json"
+    target.write_text(json.dumps({"n": 3, "d": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}))
+    code, out, err = run_strict(capsys, "search", "--tree", "bin:h=2",
+                                "--invariant", "markov-directed", "--p", "2",
+                                "--target-file", str(target),
+                                "--mode", "exhaustive", "--budget", "-1")
+    assert code == 2 and out == ""
+    assert "budget must be >= 0" in err["error"]
+
+
+@pytest.mark.parametrize("mode", ["local", "exhaustive"])
+def test_search_past_the_float_range_does_not_warn(tmp_path, capsys, mode):
+    # d^p overflows to inf in the scorer, as in lhs and rhs, without a warning
+    big = 1e308
+    target = tmp_path / "big.json"
+    target.write_text(json.dumps({"n": 3, "d": [[0, big, big], [big, 0, big],
+                                                [big, big, 0]]}))
+    common = ("search", "--tree", "bin:h=2", "--invariant", "markov-directed",
+              "--target-file", str(target), "--mode", mode)
+    code, out, err = run_strict(capsys, *common, "--p", "2")
+    assert (code, err) == (0, None)
+    assert json.loads(out)["feasible"]
+    code, out, err = run_strict(capsys, *common, "--p", "1e6")
+    assert code == 2 and out == ""
+    assert "is past the float range" in err["error"]
+
+
 def test_exponent_past_the_scale_range_exit_two(tmp_path, capsys):
     # 2^(s p) overflows at s = 1: the error names the exponent
     target = tmp_path / "path.json"

@@ -3,7 +3,7 @@ import pytest
 
 import umbellab as U
 from umbellab import search
-from umbellab.invariants import compile_plan
+from umbellab.invariants import compile_plan, evaluate
 from umbellab.search import (BudgetExceeded, NO_FEASIBLE, SearchError,
                              canonical_start, pins_from_json)
 
@@ -166,12 +166,8 @@ LOCKSTEP_CASES = ([("bin:h=4", inv) for inv in (
         U.InvariantId.UMBEL_COTYPE)])
 
 
-@pytest.mark.parametrize("cap", [None, 2], ids=["one-group", "groups-of-2"])
-@pytest.mark.parametrize("tree,inv", LOCKSTEP_CASES,
-                         ids=[inv.value for _, inv in LOCKSTEP_CASES])
-def test_lockstep_climbs_equal_sequential_climbs(tree, inv, cap, monkeypatch):
+def check_lockstep(tree, inv, target, cap, monkeypatch):
     spec = U.parse_tree_spec(tree)
-    target = random_target(len(inv.value))
     problem = U.SearchProblem(spec, target, inv, 2.0, {(): 0})
     sizes = []
     if cap is not None:
@@ -195,6 +191,58 @@ def test_lockstep_climbs_equal_sequential_climbs(tree, inv, cap, monkeypatch):
         assert max(sizes) == cap * target.n
 
 
+@pytest.mark.parametrize("cap", [None, 2], ids=["one-group", "groups-of-2"])
+@pytest.mark.parametrize("tree,inv", LOCKSTEP_CASES,
+                         ids=[inv.value for _, inv in LOCKSTEP_CASES])
+def test_lockstep_climbs_equal_sequential_climbs(tree, inv, cap, monkeypatch):
+    check_lockstep(tree, inv, random_target(len(inv.value)), cap, monkeypatch)
+
+
+@pytest.mark.parametrize("n", [2, 7])
+@pytest.mark.parametrize("tree,inv", [LOCKSTEP_CASES[0], LOCKSTEP_CASES[-1]],
+                         ids=["fork-convexity", "umbel-cotype"])
+def test_lockstep_group_draws_on_other_target_sizes(tree, inv, n, monkeypatch):
+    # a group's starts are one array draw and the oracle's are scalar draws;
+    # the bounded draw's rejection step depends on n, and groups of 2 climbs
+    # put the restarts in up to 3 groups
+    check_lockstep(tree, inv, random_target(n, n), 2, monkeypatch)
+
+
+SCORER_CASES = ([(tree, inv) for tree in ("bin:h=4", "bin:h=8") for inv in (
+    U.InvariantId.FORK_CONVEXITY, U.InvariantId.FORK_COTYPE,
+    U.InvariantId.TESSERA, U.InvariantId.MARKOV_DIRECTED)]
+    + LOCKSTEP_CASES[4:])
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+@pytest.mark.parametrize("tree,inv", SCORER_CASES,
+                         ids=[f"{tree}-{inv.value}" for tree, inv in SCORER_CASES])
+def test_scorer_equals_per_side_evaluation(tree, inv, blocks, monkeypatch):
+    # the scorer's fused gather against each side evaluated on its own,
+    # bit for bit, nan where rhs <= 0 (row 0 is the constant map)
+    spec = U.parse_tree_spec(tree)
+    plans = [compile_plan(inv, spec, side) for side in ("lhs", "rhs")]
+    batch = 7
+    if blocks > 1:
+        monkeypatch.setattr(search, "_BATCH", 3 * sum(len(plan.u) for plan in plans))
+    for seed in range(4):
+        target = random_target(seed)
+        A = np.random.default_rng(seed).integers(
+            target.n, size=(batch, len(U.vertices(spec))))
+        A[0] = 0
+        for p in (1.0, 1.5, 2.0, 3.0):
+            score = search._Scorer(U.SearchProblem(spec, target, inv, p))
+            assert -(-batch // score.rows) == blocks
+            left, right = (evaluate(plan, target.distance_rows(A[:, plan.u],
+                                                               A[:, plan.v]), p)
+                           for plan in plans)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                want = left / right
+            want[~(right > 0)] = np.nan
+            assert right[0] == 0 and (right[1:] > 0).all()
+            assert score(A).tobytes() == want.tobytes(), (seed, p)
+
+
 def test_lockstep_climbs_on_an_infeasible_problem():
     # every vertex but one leaf pinned to 0: the canonical start is the
     # constant map, whose rhs is 0, so its climb starts with no ratio
@@ -214,3 +262,12 @@ def test_local_search_rejects_negative_counts(restarts, steps):
                               U.InvariantId.MARKOV_DIRECTED, 2.0, {(): 0})
     with pytest.raises(SearchError, match=">= 0"):
         U.local_search_max(problem, restarts, steps, 0)
+
+
+def test_exhaustive_rejects_a_negative_budget():
+    problem = U.SearchProblem(U.parse_tree_spec("bin:h=2"), path_target(3),
+                              U.InvariantId.MARKOV_DIRECTED, 2.0, {(): 0})
+    with pytest.raises(SearchError, match="budget must be >= 0, got -1") as info:
+        U.exhaustive_max(problem, budget=-1)
+    assert not isinstance(info.value, BudgetExceeded)
+    assert U.exhaustive_max(problem, budget=3 ** 6).evaluations == 3 ** 6
