@@ -7,10 +7,10 @@ with schema "umbel-lab/1".  Exit codes: 0 success / inequality holds,
 
 from __future__ import annotations
 
-import argparse
 import json
 import numbers
 import sys
+import types
 
 import numpy as np
 
@@ -184,9 +184,10 @@ def cmd_heisenberg(args) -> int:
 
 _REQUIRED = {"required": True}
 _REQUIRED_FLOAT = {"type": float, "required": True}
+_COMMON = {"--seed": {"type": int, "default": 0}, "--out": {}}
 
-# the options of each subcommand besides --seed and --out: flags (or a tuple
-# of flag and aliases) -> add_argument keywords
+# the options of each subcommand besides _COMMON: flags (or a tuple of flag
+# and aliases) -> add_argument keywords
 _OPTIONS = {
     "invariant": {
         "--tree": _REQUIRED, "--map": {"default": "identity"},
@@ -221,38 +222,68 @@ _OPTIONS = {
 }
 
 
-def _add_options(parser: argparse.ArgumentParser, name: str) -> None:
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out")
-    for flags, kwargs in _OPTIONS[name].items():
-        parser.add_argument(*(flags if isinstance(flags, tuple) else (flags,)),
-                            **kwargs)
+def _options(name: str):
+    """(flags, dest, add_argument keywords) of each option of a subcommand."""
+    for flags, kwargs in {**_COMMON, **_OPTIONS[name]}.items():
+        flags = flags if isinstance(flags, tuple) else (flags,)
+        yield flags, kwargs.get("dest", flags[0][2:].replace("-", "_")), kwargs
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of one subcommand's options (the argv after its name), or
-    by default the full parser of every subcommand.  The one-command parser
-    has the prog, usage, help and errors of the full parser's subparser."""
-    if command is not None:
-        parser = argparse.ArgumentParser(prog=f"umbel-lab {command}")
-        _add_options(parser, command)
-        return parser
+def _parsers():
+    """The argparse parser of every subcommand, and its subparsers by name."""
+    import argparse
     top = argparse.ArgumentParser(prog="umbel-lab")
     sub = top.add_subparsers(dest="command", required=True)
     for name in _OPTIONS:
-        _add_options(sub.add_parser(name), name)
-    return top
+        parser = sub.add_parser(name)
+        for flags, _, kwargs in _options(name):
+            parser.add_argument(*flags, **kwargs)
+    return top, sub.choices
 
 
-def parse_args(argv: list) -> argparse.Namespace:
-    """argv as the full parser reads it.  A named subcommand's argv goes to
-    that command's own parser; help and errors on the command name itself
-    need the full one."""
-    if not (argv and argv[0] in _OPTIONS):
-        return build_parser().parse_args(argv)
-    args = build_parser(argv[0]).parse_args(argv[1:])
-    args.command = argv[0]
-    return args
+def build_parser():
+    """The argparse parser of every subcommand."""
+    return _parsers()[0]
+
+
+def _read_table(argv: list) -> types.SimpleNamespace:
+    """argv read from the option table as the full parser reads it.  Raises
+    KeyError or ValueError unless argv is a subcommand and (flag, value)
+    pairs of its exact flags, each value passing its type and choices and
+    not starting with '-', with every required option given."""
+    if len(argv) % 2 == 0 or argv[0] not in _OPTIONS:
+        raise ValueError(argv)
+    options = list(_options(argv[0]))
+    by_flag = {flag: option for option in options for flag in option[0]}
+    args = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        _, dest, kwargs = by_flag[flag]
+        value = args[dest] = kwargs.get("type", str)(text)
+        if text.startswith("-") or value not in kwargs.get("choices", [value]):
+            raise ValueError(text)
+    for flags, dest, kwargs in options:
+        if dest not in args:
+            if kwargs.get("required"):
+                raise ValueError(flags)
+            default = kwargs.get("default")  # typed if a str, as in argparse
+            args[dest] = (kwargs.get("type", str)(default)
+                          if isinstance(default, str) else default)
+    return types.SimpleNamespace(command=argv[0], **args)
+
+
+def parse_args(argv: list):
+    """argv as the full parser reads it.  A well-formed argv is read from the
+    option table; help and errors build the full parser, and a named
+    subcommand's argv goes to its subparser, so that unrecognized arguments
+    are reported with the subcommand's usage."""
+    try:
+        return _read_table(argv)
+    except (KeyError, ValueError):
+        top, commands = _parsers()
+    if not (argv and argv[0] in commands):
+        return top.parse_args(argv)
+    return commands[argv[0]].parse_args(
+        argv[1:], types.SimpleNamespace(command=argv[0]))
 
 
 _HANDLERS = {

@@ -63,14 +63,28 @@ def jsonable(obj):
 
 
 def lp_norm_rows(v: np.ndarray, p: float) -> np.ndarray:
-    """The lp norm of every vector along the last axis of `v`."""
+    """The lp norm of every vector along the last axis of `v`.  A row whose
+    sum of p-th powers falls below the smallest normal float is recomputed
+    as m (sum (|v_i| / m)^p)^(1/p), m its largest |v_i|, so it does not
+    underflow to 0; every other row is the plain formula."""
     if p == math.inf:
         return np.abs(v).max(axis=-1, initial=0.0)
     if p == 1:
         return np.abs(v).sum(axis=-1)
     if p == 2:
-        return np.sqrt((v * v).sum(axis=-1))
-    return (np.abs(v) ** p).sum(axis=-1) ** (1.0 / p)
+        s = (v * v).sum(axis=-1)
+        norms = np.sqrt(s)
+    else:
+        s = (np.abs(v) ** p).sum(axis=-1)
+        norms = s ** (1.0 / p)
+    low = s < np.finfo(float).tiny
+    if low.any():
+        w = np.abs(v[low])
+        m = w.max(axis=-1, keepdims=True, initial=0.0)
+        w = np.divide(w, m, out=np.zeros_like(w), where=m > 0)
+        norms = np.asarray(norms)
+        norms[low] = m[:, 0] * (w ** p).sum(axis=-1) ** (1.0 / p)
+    return norms
 
 
 def _float_rows(make, width: int) -> np.ndarray:

@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import umbellab as U
-from umbellab.cli import _HANDLERS, SCHEMA, build_parser, main, parse_args
+from umbellab.cli import (_HANDLERS, _OPTIONS, SCHEMA, _options, _read_table,
+                          build_parser, main, parse_args)
 
 
 def run(capsys, *argv):
@@ -44,8 +48,8 @@ def test_certify_holds_exit_zero(capsys):
 
 
 def test_certify_violated_exit_one(capsys):
-    # K large enough that the separation term cannot be hidden, on a graph
-    # containing star configurations
+    # the sampler draws m of midpoint-curvature independently of x and y, so
+    # m is not their midpoint and the campaign on l2 can find violations
     code, out = run(capsys, "certify", "--space", "l2:dim=3",
                     "--inequality", "midpoint-curvature",
                     "--samples", "400", "--seed", "1")
@@ -614,7 +618,7 @@ SUBCOMMAND_ARGV = [
 
 @pytest.mark.parametrize("argv", SUBCOMMAND_ARGV, ids=lambda a: a[0])
 def test_one_subcommand_parser_parses_as_the_full_parser(argv):
-    assert parse_args(argv) == build_parser().parse_args(argv)
+    assert vars(parse_args(argv)) == vars(build_parser().parse_args(argv))
 
 
 def _parse_outcome(capsys, parse, argv):
@@ -642,6 +646,111 @@ def test_one_subcommand_parser_helps_and_fails_as_the_full_parser(capsys, argv):
     assert _parse_outcome(capsys, parse_args, argv) == full
     assert main(argv) == (2 if full[2] else 0)
     assert capsys.readouterr() == full[:2]
+
+
+def _typed_vars(args):
+    """vars(args) with each value as its type and repr, so that nan equals
+    nan and 2 differs from 2.0."""
+    return {key: (type(value), repr(value)) for key, value in vars(args).items()}
+
+
+_FULL_PARSER = build_parser()  # parses many argv, one after another
+
+
+def _full_vars(argv):
+    """_typed_vars of the full parser's namespace, or None when it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return _typed_vars(_FULL_PARSER.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _table_vars(argv):
+    """_typed_vars of the table path's namespace, or None when it declines."""
+    try:
+        return _typed_vars(_read_table(argv))
+    except (KeyError, ValueError):
+        return None
+
+
+_FLAGS = sorted({flag for name in _OPTIONS for flags, _, _ in _options(name)
+                 for flag in flags})
+_PREFIXES = sorted({flag[:k] for flag in _FLAGS for k in range(3, len(flag))})
+_CHOICES = sorted({c for name in _OPTIONS for _, _, kwargs in _options(name)
+                   for c in kwargs.get("choices", [])})
+_VALUES = st.one_of(
+    st.sampled_from(_CHOICES), st.integers(0, 10 ** 6).map(str),
+    st.floats().map(str),
+    st.sampled_from(["2.5", "x", "", "nan", "1e400", "-1", "-1.5", "-x", "--"]))
+
+
+def _likely(kwargs):
+    """Values that the option mostly accepts: for an option with choices,
+    the choices of every option."""
+    if "choices" in kwargs:
+        return st.sampled_from(_CHOICES)
+    if kwargs.get("type") in (int, float):
+        return st.integers(0, 10 ** 6).map(str)
+    return st.sampled_from(["bin:h=2", "x", "", "nan", "2.5"])
+
+
+@st.composite
+def _argv(draw):
+    """A command, then (flag, value) pairs of its options (its required ones
+    most of the time, values mostly of their type), at times a token of
+    another kind (another command's flag, a flag prefix, a --flag=value
+    form, -h or --help), and at times one token dropped."""
+    name = draw(st.sampled_from(sorted(_OPTIONS)))
+    options = list(_options(name))
+
+    def pair(option):
+        flags, _, kwargs = option
+        likely = draw(st.integers(0, 3))
+        return (draw(st.sampled_from(flags)),
+                draw(_likely(kwargs) if likely else _VALUES))
+
+    pairs = [pair(option) for option in options
+             if option[2].get("required") and draw(st.integers(0, 9))]
+    pairs += [pair(draw(st.sampled_from(options)))
+              for _ in range(draw(st.integers(0, 3)))]
+    if draw(st.integers(0, 2)) == 0:
+        flag = draw(st.one_of(st.sampled_from(_FLAGS), st.sampled_from(_PREFIXES),
+                              st.sampled_from(["-h", "--help"])))
+        value = draw(_VALUES)
+        pairs.append(draw(st.sampled_from([(flag, value), (f"{flag}={value}",)])))
+    argv = [name] + [token for pair in draw(st.permutations(pairs))
+                     for token in pair]
+    if draw(st.integers(0, 9)) == 0:
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    return argv
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(_argv())
+def test_table_path_reads_argv_as_the_full_parser(argv):
+    # the table path may decline an argv the full parser reads (a flag
+    # prefix, --flag=value); it must never read one that the full parser
+    # rejects or helps on, or read it otherwise
+    table = _table_vars(argv)
+    if table is not None:
+        assert table == _full_vars(argv)
+
+
+@pytest.mark.parametrize("argv", SUBCOMMAND_ARGV, ids=lambda a: a[0])
+def test_every_subcommand_argv_is_read_from_the_table(argv):
+    assert _table_vars(argv) is not None
+
+
+@pytest.mark.parametrize("argv", SUBCOMMAND_ARGV, ids=lambda a: a[0])
+def test_unrecognized_arguments_are_reported_with_the_subcommand_usage(capsys, argv):
+    # the full parser would give its top-level usage
+    assert main(argv + ["--threads", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"usage: umbel-lab {argv[0]} [-h]")
+    assert err.endswith(f"umbel-lab {argv[0]}: error: unrecognized arguments: "
+                        "--threads 2\n")
 
 
 def test_every_subcommand_has_an_argv():

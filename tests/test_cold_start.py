@@ -1,6 +1,8 @@
 """A fresh process imports umbellab and runs the CLI subcommands, and the
-distortion and moduli of a plain l2 map, without loading scipy; general
-graphs still get their shortest-path tables, which load scipy on demand.
+distortion and moduli of a plain l2 map, without loading scipy, and reads
+a well-formed argv without loading argparse or gettext, which only help and
+errors need.  General graphs still get their shortest-path tables, which
+load scipy on demand.
 `import umbellab` loads none of its modules, and each subcommand loads only
 the modules it calls.  The checks run in a subprocess because this test
 process has scipy and every umbellab module loaded already."""
@@ -47,7 +49,9 @@ import umbellab
 record = {"import": scipy_modules()}
 from umbellab.cli import main
 for argv in commands:
-    record[argv[0]] = [main(argv), scipy_modules()]
+    record[argv[0]] = [main(argv), scipy_modules(), "argparse" in sys.modules,
+                       "gettext" in sys.modules]
+record["help"] = [main([commands[0][0], "--help"]), "argparse" in sys.modules]
 spec = umbellab.parse_tree_spec("inc:h=4,b=6")
 f = umbellab.TreeMap(spec, umbellab.LpSpace(2, 2.0),
                      {v: (float(i), 1.0) for i, v in enumerate(umbellab.vertices(spec))})
@@ -92,8 +96,9 @@ def test_cli_runs_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     record = json.loads(out.read_text())
     assert record["import"] == []
-    for argv in commands:
-        assert record[argv[0]] == [0, []], argv
+    for argv in commands:  # a well-formed argv is read without argparse
+        assert record[argv[0]] == [0, [], False, False], argv
+    assert record["help"] == [0, True]
     assert record["l2 map"] == []
     assert record["tables"] is True
     assert "scipy.sparse.csgraph" in record["after_tables"]

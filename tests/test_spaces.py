@@ -1,12 +1,14 @@
+import decimal
 import fractions
 import functools
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import umbellab as U
 from umbellab import cli
@@ -37,6 +39,64 @@ def test_lp_norms():
 def test_lp_triangle_inequality(x, y, z):
     sp = U.LpSpace(2, 1.5)
     assert sp.distance(x, z) <= sp.distance(x, y) + sp.distance(y, z) + 1e-9
+
+
+def _decimal_lp(row, p):
+    """(the lp norm of a row to 60 digits, whether its sum of p-th powers is
+    past the float range)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        total = sum(decimal.Decimal(abs(x)) ** decimal.Decimal(p) for x in row)
+        return (float(total ** (1 / decimal.Decimal(p))),
+                total > decimal.Decimal(sys.float_info.max))
+
+
+@pytest.mark.parametrize("p", [2, 3, 7.5, 500, 1100, 1e4])
+def test_lp_norm_rows_against_a_decimal_oracle(p):
+    # rows whose sum of p-th powers underflows are recomputed with their
+    # largest entry factored out; every other row keeps the plain formula's
+    # bits, and a sum past the float range still gives inf
+    rng = np.random.default_rng(11)
+    rows = (10.0 ** rng.uniform(-3, math.log10(2), (300, 3))
+            * rng.choice([-1.0, 1.0], (300, 3)))
+    with np.errstate(over="ignore"):
+        got = U.LpSpace(3, p).norm_rows(rows)
+        total = (rows * rows if p == 2 else np.abs(rows) ** p).sum(axis=-1)
+    plain = np.sqrt(total) if p == 2 else total ** (1.0 / p)
+    kept = total >= sys.float_info.min
+    assert got[kept].tobytes() == plain[kept].tobytes()
+    checked = 0
+    for row, norm in zip(rows.tolist(), got.tolist()):
+        want, past = _decimal_lp(row, p)
+        if past:
+            assert norm == math.inf
+            continue
+        assert abs(norm - want) <= 4 * math.ulp(want), (row, norm, want)
+        checked += 1
+    assert checked >= 200
+
+
+def test_lp_distance_does_not_underflow():
+    zero = np.zeros((1, 2))
+    assert U.LpSpace(2, 500).distance_rows(np.array([[0.1, 0.0]]), zero) == 0.1
+    assert U.LpSpace(2, 1100).distance_rows(np.array([[0.5, 0.0]]), zero) == 0.5
+    assert U.LpSpace(2, 2).distance_rows(np.array([[3e-200, 4e-200]]), zero) \
+        == pytest.approx(5e-200, rel=1e-15)
+
+
+small = st.floats(min_value=-2, max_value=2, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 7.5, 500, 1100, 1e4]), st.tuples(small, small),
+       st.tuples(small, small))
+@example(2, (1e-300, 0.0), (0.0, 0.0))
+@example(500, (5e-324, 0.0), (0.0, 0.0))
+@example(1e4, (0.5, 0.25), (0.5, 0.0))
+def test_lp_distinct_points_have_a_positive_distance(p, x, y):
+    assume(x != y)
+    with np.errstate(over="ignore"):  # a distance past the float range is inf
+        assert U.LpSpace(2, p).distance(x, y) > 0
 
 
 def test_parse_space_descriptors():
