@@ -82,7 +82,9 @@ class TreeMap:
     The target speaks rows: `rows(points)` turns points into an array whose
     first axis runs over them, and `distance_rows(a, b)` gives the distances
     of rows broadcast against each other (spaces.RowSpace derives the
-    scalar `distance` from them)."""
+    scalar `distance` from them).  Rows of several columns are kept
+    coordinate-major, as `sample_batch` lays out its draws: each coordinate
+    of the n points is one contiguous run, gathered with one `take`."""
 
     def __init__(self, spec: TreeSpec, target, assignment: Mapping):
         self.spec, self.target = spec, target
@@ -93,7 +95,7 @@ class TreeMap:
             missing = sum(v not in assignment for v in verts)
             raise InvariantError(f"assignment misses {missing} vertices") from None
         try:
-            self._rows = target.rows(self._points)
+            self._rows = np.asfortranarray(target.rows(self._points))
         except sp.SpaceError as exc:
             raise InvariantError(f"a map point: {exc}") from exc
 
@@ -118,8 +120,10 @@ class TreeMap:
         """d(f(u[i]), f(v[i])) for vertex-order index arrays u and v,
         broadcast against each other, row-wise."""
         r = self._rows
-        return self.target.distance_rows(np.take(r, u, axis=0),
-                                         np.take(r, v, axis=0))
+        if r.ndim == 1:  # table indices
+            return self.target.distance_rows(r.take(u), r.take(v))
+        return self.target.distance_rows(np.moveaxis(r.T.take(u, axis=1), 0, -1),
+                                         np.moveaxis(r.T.take(v, axis=1), 0, -1))
 
     def pair_scan(self):
         """(tree distances, image distances) of every vertex pair u < v, in

@@ -18,6 +18,7 @@ import numpy as np
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 class SpaceError(ValueError):
@@ -63,28 +64,42 @@ def jsonable(obj):
 
 
 def lp_norm_rows(v: np.ndarray, p: float) -> np.ndarray:
-    """The lp norm of every vector along the last axis of `v`.  A row whose
-    sum of p-th powers falls below the smallest normal float is recomputed
-    as m (sum (|v_i| / m)^p)^(1/p), m its largest |v_i|, so it does not
-    underflow to 0; every other row is the plain formula."""
+    """The lp norm of every vector along the last axis of `v`, with the same
+    bits in every memory layout: numpy sums a last axis of fewer than 8
+    entries left to right in any layout, and a longer one pairwise only
+    when it is contiguous, so a longer one is made contiguous first.  A row
+    whose sum of p-th powers falls below the smallest normal float, or past
+    the largest while its largest |v_i| is finite, is recomputed by
+    `_scaled_norms`; every other row is the plain formula."""
+    if v.shape[-1] >= 8:
+        v = np.ascontiguousarray(v)
     if p == math.inf:
         return np.abs(v).max(axis=-1, initial=0.0)
     if p == 1:
         return np.abs(v).sum(axis=-1)
-    if p == 2:
-        s = (v * v).sum(axis=-1)
-        norms = np.sqrt(s)
-    else:
-        s = (np.abs(v) ** p).sum(axis=-1)
-        norms = s ** (1.0 / p)
-    low = s < np.finfo(float).tiny
-    if low.any():
-        w = np.abs(v[low])
-        m = w.max(axis=-1, keepdims=True, initial=0.0)
-        w = np.divide(w, m, out=np.zeros_like(w), where=m > 0)
+    with np.errstate(over="ignore"):  # an inf sum is recomputed below
+        if p == 2:
+            s = (v * v).sum(axis=-1)
+            norms = np.sqrt(s)
+        else:
+            s = (np.abs(v) ** p).sum(axis=-1)
+            norms = s ** (1.0 / p)
+    redo = (s < _TINY) | (s == math.inf)
+    if redo.any():
+        redo &= np.isfinite(v).all(axis=-1)  # an inf entry gives an inf norm
         norms = np.asarray(norms)
-        norms[low] = m[:, 0] * (w ** p).sum(axis=-1) ** (1.0 / p)
+        norms[redo] = _scaled_norms(v[redo], p)
     return norms
+
+
+def _scaled_norms(v: np.ndarray, p: float) -> np.ndarray:
+    """The lp norms of the rows of a 2-D `v` as m (sum (|v_i| / m)^p)^(1/p),
+    m a row's largest |v_i| (0 for a zero row): no p-th power of an entry
+    then underflows to 0 or overflows to inf unless the norm does."""
+    w = np.abs(v)
+    m = w.max(axis=-1, keepdims=True, initial=0.0)
+    w = np.divide(w, m, out=np.zeros_like(w), where=m > 0)
+    return m[:, 0] * (w ** p).sum(axis=-1) ** (1.0 / p)
 
 
 def _float_rows(make, width: int) -> np.ndarray:
@@ -111,10 +126,17 @@ class RowSpace:
     @np.errstate(over="raise")
     def sample_batch(self, rng: np.random.Generator, m: int, k: int) -> np.ndarray:
         """m configurations of k points of the unit ball, shape (m, k, width):
-        a uniform draw from the cube [-1, 1]^width, put onto the ball.  A norm
-        that overflows the float range raises FloatingPointError, as it would
-        put every point onto the origin."""
-        return self.onto_ball(rng.uniform(-1.0, 1.0, (m, k, self.width)))
+        a uniform draw from the cube [-1, 1]^width, put onto the ball.  The
+        draw is copied once into coordinate-major memory, (k, width, m) in C
+        order, before it is put onto the ball: each coordinate of each point
+        is one contiguous run of m values, so a kernel on pts[:, i] works on
+        whole columns.  The values are those of the C-order draw (a norm of
+        8 or more entries is summed over contiguous rows, see lp_norm_rows,
+        and its batch may come back in C order).  A norm that overflows the
+        float range raises FloatingPointError, as it would put every point
+        onto the origin."""
+        x = rng.uniform(-1.0, 1.0, (m, k, self.width))
+        return self.onto_ball(np.ascontiguousarray(x.transpose(1, 2, 0)).transpose(2, 0, 1))
 
     def distance(self, a, b) -> float:
         return float(self.distance_rows(self.rows([a]), self.rows([b]))[0])
@@ -337,7 +359,8 @@ class ProductSpace(RowSpace):
     def distance_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         ds = [c.distance_rows(x, y) for (c, x), (_, y)
               in zip(self._factor_rows(a), self._factor_rows(b))]
-        return lp_norm_rows(np.stack(ds, axis=-1), self.p)
+        # factor-major, so each factor's distances stay one contiguous run
+        return lp_norm_rows(np.moveaxis(np.stack(ds), 0, -1), self.p)
 
     def onto_ball(self, x: np.ndarray) -> np.ndarray:
         """Each factor's columns of x put onto its ball by its own rule."""

@@ -262,6 +262,27 @@ def test_identity_map_rows_are_its_indices_unchecked(monkeypatch, capsys):
     assert g._rows.tolist() == list(range(n)) and g._rows.dtype == np.intp
 
 
+@pytest.mark.parametrize("text", ["l2:dim=3", "lp:p=3,dim=12", "heis:dim=2,p=2",
+                                  "heis:dim=18,p=inf",
+                                  "prod:p=2;l2:dim=2;heis:dim=2,p=2"])
+def test_pair_distances_equal_the_row_order_gather(text):
+    # the map keeps its rows coordinate-major and gathers each coordinate
+    # with one take; a gather of whole C-order rows gives the same bits
+    space = U.parse_space(text)
+    spec = U.parse_tree_spec("inc:h=3,b=4")
+    verts = U.vertices(spec)
+    rows = space.sample_batch(np.random.default_rng(9), len(verts), 1)[:, 0]
+    f = U.TreeMap(spec, space, {v: space.point(r) for v, r in zip(verts, rows)})
+    c_rows = np.ascontiguousarray(space.rows(f.points()))
+    n = len(verts)
+    rng = np.random.default_rng(10)
+    for u, v in [(rng.integers(n, size=500), rng.integers(n, size=500)),
+                 (np.arange(n)[:, None], np.arange(n)[None, :])]:
+        want = space.distance_rows(np.take(c_rows, u, axis=0),
+                                   np.take(c_rows, v, axis=0))
+        assert f.pair_distances(u, v).tobytes() == want.tobytes()
+
+
 def test_dict_map_reads_its_dict_once():
     spec = U.parse_tree_spec("bin:h=2")
     verts = U.vertices(spec)

@@ -310,6 +310,24 @@ def test_batched_certify_matches_per_sample(ineq, name, space_dir, monkeypatch):
                              per_sample(space, ineq, c, 600, seed))
 
 
+@pytest.mark.parametrize("ineq,name", BATCHED_PAIRS,
+                         ids=[f"{i.value}-{n}" for i, n in BATCHED_PAIRS])
+def test_certify_reads_the_same_report_from_c_order_rows(ineq, name, space_dir):
+    # sample_batch hands the kernels coordinate-major rows; the same values
+    # in C order give the same report, bit for bit
+    space = U.parse_space(BATCHED_SPACES[name][0].format(dir=space_dir))
+    c = cfg(exponent=3.0 if name == "l3" else 2.0, K=1.0, slack=1e-3)
+    sampler = U.ball_sampler(space, ineq)
+
+    def c_order(rng, m):
+        return np.ascontiguousarray(sampler(rng, m))
+
+    for seed in (1, 2):
+        got = U.certify(space, ineq, c, sampler, 5000, seed)
+        want = U.certify(space, ineq, c, c_order, 5000, seed)
+        assert repr(got) == repr(want)
+
+
 @pytest.mark.parametrize("name", ["l2", "star"])
 def test_batched_certify_crosses_chunk(name, space_dir):
     space = U.parse_space(BATCHED_SPACES[name][0].format(dir=space_dir))
@@ -386,6 +404,16 @@ def test_sampling_overflow_stops_the_campaign(space):
     ineq = U.InequalityId.Q_TRIPOD
     with pytest.raises(FloatingPointError, match="overflow"):
         U.certify(space, ineq, cfg(), U.ball_sampler(space, ineq), 10, 1)
+
+
+def test_lp_campaign_past_the_power_range_runs():
+    # at p = 1100 the sum of p-th powers of a distance near 2 is past the
+    # float range; the scaled norm keeps the campaign running
+    ineq = U.InequalityId.Q_TRIPOD
+    counts = [U.certify(space, ineq, cfg(), U.ball_sampler(space, ineq), 2000,
+                        1).violations
+              for space in (U.LpSpace(2, 700), U.LpSpace(2, 1100))]
+    assert counts[1] == counts[0] > 0
 
 
 def test_batched_umbel_needs_xs():

@@ -53,9 +53,9 @@ def _decimal_lp(row, p):
 
 @pytest.mark.parametrize("p", [2, 3, 7.5, 500, 1100, 1e4])
 def test_lp_norm_rows_against_a_decimal_oracle(p):
-    # rows whose sum of p-th powers underflows are recomputed with their
-    # largest entry factored out; every other row keeps the plain formula's
-    # bits, and a sum past the float range still gives inf
+    # rows whose sum of p-th powers underflows or overflows are recomputed
+    # with their largest entry factored out; every other row keeps the plain
+    # formula's bits
     rng = np.random.default_rng(11)
     rows = (10.0 ** rng.uniform(-3, math.log10(2), (300, 3))
             * rng.choice([-1.0, 1.0], (300, 3)))
@@ -63,17 +63,14 @@ def test_lp_norm_rows_against_a_decimal_oracle(p):
         got = U.LpSpace(3, p).norm_rows(rows)
         total = (rows * rows if p == 2 else np.abs(rows) ** p).sum(axis=-1)
     plain = np.sqrt(total) if p == 2 else total ** (1.0 / p)
-    kept = total >= sys.float_info.min
+    kept = (total >= sys.float_info.min) & (total < math.inf)
     assert got[kept].tobytes() == plain[kept].tobytes()
-    checked = 0
+    past = 0
     for row, norm in zip(rows.tolist(), got.tolist()):
-        want, past = _decimal_lp(row, p)
-        if past:
-            assert norm == math.inf
-            continue
+        want, overflows = _decimal_lp(row, p)
         assert abs(norm - want) <= 4 * math.ulp(want), (row, norm, want)
-        checked += 1
-    assert checked >= 200
+        past += overflows
+    assert (past > 0) == (p >= 1100)  # rows whose sum overflows are checked
 
 
 def test_lp_distance_does_not_underflow():
@@ -82,6 +79,19 @@ def test_lp_distance_does_not_underflow():
     assert U.LpSpace(2, 1100).distance_rows(np.array([[0.5, 0.0]]), zero) == 0.5
     assert U.LpSpace(2, 2).distance_rows(np.array([[3e-200, 4e-200]]), zero) \
         == pytest.approx(5e-200, rel=1e-15)
+
+
+def test_lp_distance_past_the_power_range_is_the_scaled_norm():
+    # a sum of p-th powers past the float range is recomputed with the
+    # largest entry factored out, so a distance in range raises nothing
+    zero = np.zeros((1, 2))
+    with np.errstate(over="raise"):
+        assert U.LpSpace(2, 1100).distance_rows(np.array([[2.0, -1.0]]), zero) == 2.0
+        assert U.LpSpace(2, 2).distance_rows(np.array([[1e308, 1e308]]), zero) \
+            == 1e308 * math.sqrt(2)
+    with np.errstate(over="ignore"):  # past the float range, or an inf entry
+        big = np.array([[1.5e308, 1.5e308], [math.inf, 1.0]])
+        assert U.LpSpace(2, 2).distance_rows(big, zero).tolist() == [math.inf] * 2
 
 
 small = st.floats(min_value=-2, max_value=2, allow_nan=False)
@@ -321,6 +331,65 @@ def test_sample_batch_equals_successive_samples(space):
     # and every point lies in the unit ball
     if isinstance(space, (U.LpSpace, U.HeisenbergMetricSpace)):
         assert (space.norm_rows(batch) <= 1.0 + 1e-12).all()
+
+
+def test_numpy_sums_a_short_axis_left_to_right_in_every_layout():
+    # lp_norm_rows leaves a last axis of fewer than 8 entries in the layout
+    # it is given: numpy sums it left to right whether it is contiguous or
+    # one entry of each of `width` coordinate-major columns
+    rng = np.random.default_rng(5)
+    for width in range(1, 8):
+        x = (rng.uniform(-1, 1, (500, width))
+             * 10.0 ** rng.uniform(-8, 8, (500, width)))
+        assert (np.asfortranarray(x).sum(axis=-1).tobytes()
+                == x.sum(axis=-1).tobytes()), width
+
+
+@pytest.mark.parametrize("p", [1, 1.5, 2, 3, 500, math.inf])
+def test_lp_norm_rows_have_the_same_bits_in_every_layout(p):
+    rng = np.random.default_rng(6)
+    for width in range(1, 301):
+        x = (rng.uniform(-1, 1, (40, width))
+             * 10.0 ** rng.uniform(-2, 0.3, (40, width)))
+        want = U.spaces.lp_norm_rows(x, p)
+        got = U.spaces.lp_norm_rows(np.asfortranarray(x), p)
+        assert got.tobytes() == want.tobytes(), width
+
+
+@pytest.mark.parametrize("p", [1.5, 2, math.inf])
+def test_koranyi_norms_have_the_same_bits_in_every_layout(p):
+    rng = np.random.default_rng(7)
+    for dim in range(2, 19, 2):
+        space = U.HeisenbergMetricSpace(U.standard_symplectic(dim), p, 0.5)
+        a, b = (rng.uniform(-1, 1, (200, dim + 1))
+                * 10.0 ** rng.uniform(-3, 3, (200, dim + 1)) for _ in range(2))
+        fa, fb = np.asfortranarray(a), np.asfortranarray(b)
+        assert (U.spaces.koranyi_norm_rows(fa, p, 0.5).tobytes()
+                == U.spaces.koranyi_norm_rows(a, p, 0.5).tobytes()), dim
+        assert (space.distance_rows(fa, fb).tobytes()
+                == space.distance_rows(a, b).tobytes()), dim
+
+
+@pytest.mark.parametrize("text", [
+    *(f"lp:p={p},dim={w}" for w in range(1, 21) for p in (2, 3, "inf")),
+    *(f"heis:dim={dim},p={p}" for dim in range(2, 19, 2) for p in (2, "inf")),
+    "prod:p=2;l2:dim=2;heis:dim=2,p=2",
+    "prod:p=inf;lp:p=1,dim=9;graph:file={graph}",
+])
+def test_sample_batch_is_the_c_order_draw_put_onto_the_ball(text, tmp_path):
+    # the coordinate-major copy changes no drawn value
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]}))
+    space = U.parse_space(text.format(graph=graph))
+    m, k = 300, 4
+    batch = space.sample_batch(np.random.default_rng(8), m, k)
+    draw = np.random.default_rng(8).uniform(-1.0, 1.0, (m, k, space.width))
+    with np.errstate(over="raise"):
+        want = space.onto_ball(np.ascontiguousarray(draw))
+    assert batch.shape == want.shape
+    assert np.ascontiguousarray(batch).tobytes() == want.tobytes()
+    if space.width < 8:  # each coordinate of each point is one column
+        assert batch.strides[0] == batch.itemsize
 
 
 def test_product_rows_keep_points_whole():
