@@ -32,24 +32,39 @@ def _bourgain_profile(height: int, p: float):
         T(a, b, c)^p = G_d(a) - G_d(a - c - 1) + S(a - c) + S(b - c),
     S(m) the sum of w(k)^p over k = 1..m and G_d(x) that of
     |w(y + 1) - w(y + 1 + d)|^p over y = 0..x; at p = inf (w(m) = m)
-    T = max(a, b) - c.  Distances past the float range (huge p) are inf:
-    where G_d takes inf - inf, S(b - c) >= G_d(a - c - 1) is inf too."""
-    if p == math.inf:
+    T = max(a, b) - c.  Where a sum of T^p could pass the float range (huge
+    p), the prefix sums are kept as logarithms instead, so T, which is at
+    most 2 height, is finite; otherwise T is the plain formula.  Where even p log(height + 1) is past the float range, every weight is
+    its index to the float and T is max(a, b) - c to the float, as at
+    p = inf."""
+    if p == math.inf or not math.isfinite(p * math.log(height + 1)):
         return lambda a, b, c: (np.maximum(a, b) - c).astype(float)
     q = math.inf if p == 1 else p / (p - 1)
     w = np.arange(height + 2) ** (1.0 / q)
-    S = np.concatenate([[0.0], np.cumsum(w[1:height + 1] ** p)])
     gap, x = np.indices((height + 1, height + 1))
     # G[d, x + 1] = G_d(x); entries with x + d > height are never read
-    g = np.abs(w[x + 1] - w[np.minimum(x + 1 + gap, height + 1)]) ** p
-    G = np.concatenate([np.zeros((height + 1, 1)), np.cumsum(g, axis=1)], axis=1)
+    diff = np.abs(w[x + 1] - w[np.minimum(x + 1 + gap, height + 1)])
+    S = np.concatenate([[0.0], np.cumsum(w[1:height + 1] ** p)])
+    G = np.concatenate([np.zeros((height + 1, 1)), np.cumsum(diff ** p, axis=1)], axis=1)
+    if np.isfinite(G.max() + S[-1] + S[-1]):  # no sum of T^p overflows
+        def profile(a, b, c):
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            return (G[hi - lo, lo + 1] - G[hi - lo, lo - c]
+                    + S[lo - c] + S[hi - c]) ** (1.0 / p)
+        return profile
+    with np.errstate(divide="ignore"):  # the log of a zero term is -inf
+        S = np.concatenate([[-np.inf], np.logaddexp.accumulate(p * np.log(w[1:height + 1]))])
+        G = np.concatenate([np.full((height + 1, 1), -np.inf),
+                            np.logaddexp.accumulate(p * np.log(diff), axis=1)], axis=1)
 
-    @np.errstate(over="ignore", invalid="ignore")
-    def profile(a, b, c):
+    @np.errstate(divide="ignore", invalid="ignore")
+    def log_profile(a, b, c):
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-        total = G[hi - lo, lo + 1] - G[hi - lo, lo - c] + S[lo - c] + S[hi - c]
-        return np.where(np.isnan(total), np.inf, total) ** (1.0 / p)
-    return profile
+        top, base = G[hi - lo, lo + 1], G[hi - lo, lo - c]
+        # log(G_d(a) - G_d(a - c - 1)), -inf where every term is 0 (d = 0)
+        window = np.where(top > -np.inf, top + np.log1p(-np.exp(base - top)), -np.inf)
+        return np.exp(np.logaddexp(window, np.logaddexp(S[lo - c], S[hi - c])) / p)
+    return log_profile
 
 
 def bourgain_embed(spec: TreeSpec, p: float = 2.0, variant: str = "lp") -> ProfileMap:
@@ -169,7 +184,10 @@ def compression_integral(rho, p: float, T: float) -> float:
         for a, b in zip(cuts, cuts[1:]):
             v = rho(a)
             if v:
-                total += v ** p * (a ** (-p) - b ** (-p)) / p
+                try:
+                    total += v ** p * (a ** (-p) - b ** (-p)) / p
+                except OverflowError:  # v^p past the float range: scale by t
+                    total += ((v / a) ** p - (v / b) ** p) / p
         return total
     from scipy import integrate
     val, _ = integrate.quad(lambda t: (rho(t) / t) ** p / t, 1.0, T,

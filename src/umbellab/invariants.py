@@ -21,7 +21,8 @@ value per class; the pair plan expands each class into its vertex pairs.
 Which classes a tree has is one rule, `_realised`: the class plan refuses a
 side with a class the tree lacks, and a ProfileMap scans the realised ones.
 `evaluate` is the one kernel: a gather of pair distances, a reduceat per
-segment and the weighted combination of the groups.  The cotype and
+segment (`_segments`) and the weighted combination of the groups (`_join`,
+which the search scorer shares with it).  The cotype and
 tessera right-hand sides are Lipschitz constants: on a tree every geodesic
 is a path of edges, so into a metric target that is the largest image edge
 length, one "max" segment over the edges; other targets also scan every
@@ -447,29 +448,49 @@ def _pow(x: np.ndarray, p: float) -> np.ndarray:
     return np.array(out).reshape(x.shape)
 
 
-def evaluate(plan: Plan, d: np.ndarray, p: float) -> np.ndarray:
-    """The functional for each row of pair distances d (shape rows x pairs,
-    columns in plan order)."""
+def _segments(plan: Plan, d: np.ndarray, p: float) -> np.ndarray:
+    """Each segment's value for each row of pair distances d (shape rows x
+    pairs, columns in plan order): the p-th power of its extreme distance,
+    or its weighted sum of p-th powers."""
     if plan.reduce == "sum":
-        seg = np.add.reduceat(plan.weights * d ** p, plan.starts, axis=1)
-    else:
-        extreme = np.minimum if plan.reduce == "min" else np.maximum
-        seg = _pow(extreme.reduceat(d, plan.starts, axis=1), p)
-    join = np.minimum if plan.outer == "min" else np.add
-    total = np.zeros(len(d))
-    for (lo, hi), s in zip(plan.groups, plan.scales):
-        acc = seg[:, lo]
-        for c in range(lo + 1, hi):
-            acc = join(acc, seg[:, c])
-        if plan.outer == "mean":
-            acc = acc / (hi - lo)
+        return np.add.reduceat(plan.weights * d ** p, plan.starts, axis=1)
+    extreme = np.minimum if plan.reduce == "min" else np.maximum
+    return _pow(extreme.reduceat(d, plan.starts, axis=1), p)
+
+
+def _divisors(plan: Plan, p: float) -> list:
+    """The divisor 2^(s p) of each group, s its scale."""
+    out = []
+    for s in plan.scales:
         try:
-            scale = 2 ** (s * p)
+            out.append(2 ** (s * p))
         except OverflowError:
             raise InvariantError(f"exponent p = {p} is too large: the scale "
                                  f"2^({s} p) is past the float range") from None
-        total = total + acc / scale
+    return out
+
+
+def _join(plan: Plan, seg: np.ndarray, divs: list) -> np.ndarray:
+    """The functional from the segment values seg (rows x segments): each
+    group's segments joined in order, divided by its divisor from
+    `_divisors`, and the groups added in order to a +0.0 total, which
+    drops the sign of a -0.0 segment."""
+    step = np.minimum if plan.outer == "min" else np.add
+    total = np.zeros(len(seg))
+    for (lo, hi), div in zip(plan.groups, divs):
+        acc = seg[:, lo]
+        for c in range(lo + 1, hi):
+            acc = step(acc, seg[:, c])
+        if plan.outer == "mean":
+            acc = acc / (hi - lo)
+        total = total + acc / div
     return total
+
+
+def evaluate(plan: Plan, d: np.ndarray, p: float) -> np.ndarray:
+    """The functional for each row of pair distances d (shape rows x pairs,
+    columns in plan order)."""
+    return _join(plan, _segments(plan, d, p), _divisors(plan, p))
 
 
 _PLAN_CAP = 2 ** 26  # the most vertex pairs a pair plan is built with

@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .invariants import (InvariantId, TreeMap, _check_exponent, compile_plan,
-                         evaluate)
+from .invariants import (InvariantId, TreeMap, _check_exponent, _divisors,
+                         _join, _pow, compile_plan)
 from .spaces import FiniteMatrixSpace, SpaceError, is_int
 from .trees import TreeSpec, Vertex, tree_graph
 
@@ -92,36 +92,60 @@ NO_FEASIBLE = SearchResult(False, None, -math.inf)
 
 class _Scorer:
     """lhs/rhs ratios of batches of assignment arrays (rows of A), nan where
-    rhs <= 0.  The two plans are compiled, and the exponent checked, once.
-    A block reads both plans' pairs, lhs first, in one gather from the flat
-    table: entries of A are point indices, so a * n + b is in range."""
+    rhs <= 0.  Plans, exponent check, group divisors and power tables are
+    built once.  Entries of A are point indices, so a * n + b indexes the
+    flat table; a block forms both plans' indices, lhs first, at once, and
+    one gather serves both sides when they read one table.  A sum side
+    gathers pw, the numpy power `evaluate` takes of each distance.  A min or
+    max side reduces the ranks of the distances among the distinct entries,
+    which keep their order, and reads spw, the scalar power `evaluate` takes
+    of the extreme distance.  (-0.0 ranks with 0.0; the join, `evaluate`'s
+    own, drops the sign of a zero.)  So every ratio has `evaluate`'s bits."""
 
     def __init__(self, problem: SearchProblem):
         self.problem = problem
+        p = problem.exponent
         self.plans = tuple(compile_plan(problem.invariant, problem.spec, side)
                            for side in ("lhs", "rhs"))
-        _check_exponent(problem.exponent)
+        _check_exponent(p)
+        self.divisors = [_divisors(plan, p) for plan in self.plans]
         graph = tree_graph(problem.spec)
         self.index, self.verts = graph.index, graph.vertices
         lhs, rhs = self.plans
         self.u, self.v = np.concatenate([lhs.u, rhs.u]), np.concatenate([lhs.v, rhs.v])
         self.cut, self.n = len(lhs.u), problem.target.n
-        self.flat = problem.target.table.ravel()
+        flat = problem.target.table.ravel()
+        vals = np.unique(flat)
+        rank = np.searchsorted(vals, flat)
+        with np.errstate(over="ignore"):  # powers past the float range are inf
+            pw = flat ** p
+        self.spw = _pow(vals, p)
+        self.tables = [pw if plan.reduce == "sum" else rank for plan in self.plans]
         self.rows = max(1, _BATCH // len(self.u))
+
+    def _segments(self, plan, g: np.ndarray) -> np.ndarray:
+        """Segment values from the gathered table entries g of a side."""
+        if plan.reduce == "sum":
+            return np.add.reduceat(plan.weights * g, plan.starts, axis=1)
+        extreme = np.minimum if plan.reduce == "min" else np.maximum
+        return self.spw.take(extreme.reduceat(g, plan.starts, axis=1))
 
     @np.errstate(over="ignore", invalid="ignore")
     def __call__(self, A: np.ndarray) -> np.ndarray:
-        p, (lhs, rhs) = self.problem.exponent, self.plans
-        out = np.empty(len(A))
+        (lhs, rhs), (ldivs, rdivs), cut = self.plans, self.divisors, self.cut
+        ltable, rtable = self.tables
+        out = np.full(len(A), np.nan)
         for lo in range(0, len(A), self.rows):
             block = A[lo:lo + self.rows]
-            d = self.flat.take(block.take(self.u, axis=1) * self.n
-                               + block.take(self.v, axis=1))
-            left = evaluate(lhs, d[:, :self.cut], p)
-            right = evaluate(rhs, d[:, self.cut:], p)
-            ok = right > 0
-            out[lo:lo + self.rows] = np.where(ok, left / np.where(ok, right, 1.0),
-                                              np.nan)
+            idx = (block * self.n).take(self.u, axis=1) + block.take(self.v, axis=1)
+            if ltable is rtable:  # one gather serves both sides
+                g = ltable.take(idx)
+                gl, gr = g[:, :cut], g[:, cut:]
+            else:
+                gl, gr = ltable.take(idx[:, :cut]), rtable.take(idx[:, cut:])
+            left = _join(lhs, self._segments(lhs, gl), ldivs)
+            right = _join(rhs, self._segments(rhs, gr), rdivs)
+            np.divide(left, right, out=out[lo:lo + self.rows], where=right > 0)
         return out
 
     def array(self, assignment: dict) -> np.ndarray:

@@ -469,7 +469,17 @@ def koranyi_norm_rows(a: np.ndarray, p: float, lam: float) -> np.ndarray:
     s = np.abs(a[..., -1])
     if p == math.inf:
         return np.maximum(xn, lam * np.sqrt(s))
-    return (xn ** (2 * p) + lam * s ** p) ** (1.0 / (2 * p))
+    with np.errstate(over="ignore"):  # an inf sum is recomputed below
+        total = xn ** (2 * p) + lam * s ** p
+    norms = total ** (1.0 / (2 * p))
+    # the l_{2p} norm of (xn, lam^(1/(2p)) sqrt(s)), scaled where the sum
+    # overflows while both terms' bases are finite
+    if total.max(initial=0.0) == math.inf:
+        redo = (total == math.inf) & np.isfinite(xn) & np.isfinite(s)
+        norms = np.asarray(norms)
+        norms[redo] = _scaled_norms(np.stack(
+            [xn[redo], lam ** (1.0 / (2 * p)) * np.sqrt(s[redo])], axis=-1), 2 * p)
+    return norms
 
 
 @dataclass(frozen=True)

@@ -105,9 +105,9 @@ def eager_bourgain(spec, p: float = 2.0, variant: str = "lp") -> TreeMap:
 
 @np.errstate(over="ignore")
 def bourgain_profile(height: int, p: float) -> np.ndarray:
-    """The Bourgain map's (depth, depth, lcp) distance table, one lp_norm of
-    the explicit coordinate differences per triple: the loop that the
-    library's prefix sums replaced."""
+    """The Bourgain map's (depth, depth, lcp) distance table, one lp norm of
+    the explicit coordinate differences per triple (scaled where its sum
+    overflows): the loop that the library's prefix sums replaced."""
     q = 1.0 if p == math.inf else math.inf if p == 1 else p / (p - 1)
 
     def weight(m):
@@ -120,8 +120,18 @@ def bourgain_profile(height: int, p: float) -> np.ndarray:
                 diff = [weight(a - i + 1) - weight(b - i + 1) for i in range(c + 1)]
                 diff += [weight(m) for m in range(1, a - c + 1)]
                 diff += [weight(m) for m in range(1, b - c + 1)]
-                T[a, b, c] = T[b, a, c] = pointwise_oracle.lp_norm(diff, p)
+                T[a, b, c] = T[b, a, c] = _unscaled_or_scaled_norm(diff, p)
     return T
+
+
+def _unscaled_or_scaled_norm(x, p: float) -> float:
+    """The lp norm of x by its formula, or, where that sum of p-th powers is
+    past the float range, with the largest |x_i| factored out."""
+    norm = pointwise_oracle.lp_norm(x, p)
+    if norm == math.inf:
+        m = max(map(abs, x))
+        norm = m * pointwise_oracle.lp_norm([v / m for v in x], p)
+    return norm
 
 
 @functools.lru_cache(maxsize=2)

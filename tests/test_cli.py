@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import umbellab as U
+from umbellab import embeddings
 from umbellab.cli import (_HANDLERS, _OPTIONS, SCHEMA, _options, _read_table,
                           build_parser, main, parse_args)
 
@@ -770,8 +771,13 @@ def test_top_level_help_and_errors_keep_their_exit_codes(capsys, argv, code):
 
 
 @pytest.mark.parametrize("csv", [False, True])
-def test_embed_writes_no_csv_when_the_document_fails(tmp_path, capsys, csv):
-    # p = 1e300 puts inf in the moduli and the compression integral
+def test_embed_writes_no_csv_when_the_document_fails(tmp_path, capsys, csv,
+                                                    monkeypatch):
+    # a compression integral past the float range makes the document fail;
+    # no Bourgain map reaches one (every distance is at most 2h, at any p),
+    # so the integral is forced to inf
+    monkeypatch.setattr(embeddings, "compression_integral",
+                        lambda *args: math.inf)
     path = tmp_path / "moduli.csv"
     argv = ["embed", "--tree", "inc:h=2,b=2", "--p", "1e300"]
     with warnings.catch_warnings():

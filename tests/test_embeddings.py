@@ -1,4 +1,7 @@
+import decimal
+import json
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -222,15 +225,48 @@ def test_bourgain_profile_by_prefix_sums_equals_the_loop(p):
                                        rtol=1e-13, atol=0, err_msg=str(h))
 
 
-def test_bourgain_profile_overflow_is_inf_not_nan():
-    # plain differences of the prefix sums would give inf - inf = nan at
-    # 8 of these triples; the oracle's 444 nan entries are the c > min(a, b)
-    defined, triples = profile_triples(8)
-    slow = oracle.bourgain_profile(8, 400.0)
-    T = _bourgain_profile(8, 400.0)(*triples)
-    assert (~defined).sum() == np.isnan(slow).sum() == 444
-    assert not np.isnan(T).any() and np.isinf(T).any()
-    assert np.array_equal(np.isinf(T), np.isinf(slow[defined]))
+def _decimal_norm(x, p) -> float:
+    """The lp norm of a list of floats to 60 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        total = sum(decimal.Decimal(abs(v)) ** decimal.Decimal(p) for v in x if v)
+        return float(total ** (1 / decimal.Decimal(p))) if total else 0.0
+
+
+@pytest.mark.parametrize("p", [400.0, 700.0])
+def test_bourgain_profile_past_the_power_range_is_finite(p):
+    # at these p the largest weight's p-th power on h = 8 is past the float
+    # range, so the unscaled prefix sums overflow, and plain differences of
+    # them gave inf, or inf - inf, at some triples; the sums kept as
+    # logarithms give every distance within 4 ulps of its 60-digit value
+    h, q = 8, p / (p - 1)
+    assert math.log((h + 1) ** (1 / q)) * p > math.log(sys.float_info.max)
+    _, triples = profile_triples(h)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        T = _bourgain_profile(h, p)(*triples)
+    for a, b, c, got in zip(*triples, T.tolist()):
+        diff = [(a - i + 1) ** (1 / q) - (b - i + 1) ** (1 / q) for i in range(c + 1)]
+        diff += [m ** (1 / q) for m in range(1, a - c + 1)]
+        diff += [m ** (1 / q) for m in range(1, b - c + 1)]
+        want = _decimal_norm(diff, p)
+        assert abs(got - want) <= 4 * math.ulp(want), (a, b, c, got, want)
+
+
+@pytest.mark.parametrize("tree,p", [("inc:h=8,b=10", "400"), ("inc:h=2,b=2", "1e300"),
+                                    ("inc:h=8,b=10", "1e308")])
+def test_embed_past_the_power_range(capsys, tmp_path, tree, p):
+    # every Bourgain distance is at most 2h, so the moduli, distortion and
+    # compression integral are finite at any p: at 1e308, p log(h + 1) is
+    # past the float range too, and T is max(a, b) - c
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["embed", "--tree", tree, "--p", p,
+                     "--csv", str(tmp_path / "moduli.csv")])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert 1 <= doc["lip"] < 1.01 and doc["distortion"] >= doc["colip"] >= 1
+    assert 0 < doc["compression_integral"] < math.inf
 
 
 def test_bourgain_reports_past_the_cap_build_no_table(monkeypatch):

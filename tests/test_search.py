@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import umbellab as U
-from umbellab import search
+from umbellab import invariants, search
 from umbellab.invariants import compile_plan, evaluate
 from umbellab.search import (BudgetExceeded, NO_FEASIBLE, SearchError,
                              canonical_start, pins_from_json)
@@ -241,6 +241,97 @@ def test_scorer_equals_per_side_evaluation(tree, inv, blocks, monkeypatch):
             want[~(right > 0)] = np.nan
             assert right[0] == 0 and (right[1:] > 0).all()
             assert score(A).tobytes() == want.tobytes(), (seed, p)
+
+
+# targets whose distances tie, vanish off the diagonal, carry signed zeros
+# (0.0 and -0.0 rank alike, and (-0.0) ** 3 is -0.0) or have p-th powers
+# past the float range; the random one has distances whose scalar and numpy
+# powers differ in the last bit
+TABLE_TARGETS = {
+    "path": path_target(3),
+    "star": U.FiniteMatrixSpace([[0.0, 2.0, 2.0, 1.0], [2.0, 0.0, 2.0, 1.0],
+                                 [2.0, 2.0, 0.0, 1.0], [1.0, 1.0, 1.0, 0.0]]),
+    "zeros": U.FiniteMatrixSpace([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0],
+                                  [1.0, 1.0, 0.0]]),
+    "signed-zeros": U.FiniteMatrixSpace([[-0.0, 0.0, 1.0], [-0.0, 0.0, 1.0],
+                                         [1.0, 1.0, -0.0]]),
+    "huge": U.FiniteMatrixSpace([[0.0, 1e308, 1e308], [1e308, 0.0, 1.0],
+                                 [1e308, 1.0, 0.0]]),
+    "random": random_target(11),
+}
+
+
+def table_mismatches():
+    """The (tree, id, target, p) cases where the scorer's ratios differ in
+    any bit from evaluate's on the gathered distances (row 0 is the
+    constant map)."""
+    bad = []
+    for tree, inv in LOCKSTEP_CASES:
+        spec = U.parse_tree_spec(tree)
+        plans = [compile_plan(inv, spec, side) for side in ("lhs", "rhs")]
+        for name, target in TABLE_TARGETS.items():
+            A = np.random.default_rng(len(name)).integers(
+                target.n, size=(48, len(U.vertices(spec))))
+            A[0] = 0
+            for p in (1.0, 1.5, 2.0, 3.0):
+                score = search._Scorer(U.SearchProblem(spec, target, inv, p))
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    left, right = (evaluate(plan, target.table[A[:, plan.u], A[:, plan.v]], p)
+                                   for plan in plans)
+                    want = left / right
+                want[~(right > 0)] = np.nan
+                assert not np.signbit(left).any()  # the join's +0.0 total
+                if score(A).tobytes() != want.tobytes():
+                    bad.append((tree, inv.value, name, p))
+    return bad
+
+
+def test_scorer_tables_equal_evaluation_on_ties_zeros_and_overflow():
+    assert table_mismatches() == []
+
+
+def test_scorer_with_numpy_min_max_powers_differs(monkeypatch):
+    # the mutant powers the distinct distances of min and max sides with
+    # numpy's vectorised power instead of the scalar one evaluate applies
+    # (markov-directed has sum sides alone, so it cannot differ)
+    @np.errstate(over="ignore")
+    def numpy_pow(x, p):
+        return x ** p
+
+    vals = np.unique(TABLE_TARGETS["random"].table)
+    if all(numpy_pow(vals, p).tobytes() == invariants._pow(vals, p).tobytes()
+           for p in (1.5, 3.0)):
+        pytest.skip("numpy's power is the scalar power here: no mutant")
+
+    monkeypatch.setattr(search, "_pow", numpy_pow)
+    bad = table_mismatches()
+    assert bad and all(inv != "markov-directed" for _, inv, _, _ in bad)
+
+
+def test_local_search_powers_the_table_once_per_scorer(monkeypatch):
+    # every p-th power of a min or max side is taken when the scorer is
+    # built, none per scored batch
+    counts = {"pow": 0, "batches": 0}
+    scalar_pow, scored = invariants._pow, search._Scorer.__call__
+
+    def pow_spy(x, p):
+        counts["pow"] += 1
+        return scalar_pow(x, p)
+
+    def call_spy(self, A):
+        counts["batches"] += 1
+        return scored(self, A)
+
+    for module in (invariants, search):
+        monkeypatch.setattr(module, "_pow", pow_spy)
+    monkeypatch.setattr(search._Scorer, "__call__", call_spy)
+    for tree, inv in LOCKSTEP_CASES:
+        problem = U.SearchProblem(U.parse_tree_spec(tree), random_target(1), inv,
+                                  2.0, {(): 0})
+        for restarts, steps in ((0, 1), (5, 3)):
+            counts.update(pow=0, batches=0)
+            U.local_search_max(problem, restarts, steps, 3)
+            assert counts["pow"] == 1 and counts["batches"] > 1, (inv, counts)
 
 
 def test_lockstep_climbs_on_an_infeasible_problem():

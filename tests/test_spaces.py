@@ -73,6 +73,55 @@ def test_lp_norm_rows_against_a_decimal_oracle(p):
     assert (past > 0) == (p >= 1100)  # rows whose sum overflows are checked
 
 
+
+def _decimal_koranyi(row, p, lam):
+    """(the Koranyi norm ((sum x_i^2)^p + lam |t|^p)^(1/(2p)) of a row
+    (x..., t) to 60 digits, whether its sum is past the float range, whether
+    it is below the smallest normal float)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        D = decimal.Decimal
+        total = (sum(D(x) * D(x) for x in row[:-1]) ** D(p)
+                 + D(lam) * abs(D(row[-1])) ** D(p))
+        return (float(total ** (1 / (2 * D(p)))),
+                total > D(sys.float_info.max), total < D(sys.float_info.min))
+
+
+@pytest.mark.parametrize("lam", [1.0, 3.0])
+@pytest.mark.parametrize("p", [2, 3, 7.5, 200, 600, 1100, 1e4])
+def test_koranyi_norm_rows_against_a_decimal_oracle(p, lam):
+    # a row whose sum overflows is recomputed as the scaled l_{2p} norm of
+    # (|x|, lam^(1/(2p)) sqrt|t|); every other row keeps the plain formula's
+    # bits.  A sum below the smallest normal float is not recomputed, so
+    # those rows are left out of the ulp check
+    rng = np.random.default_rng(11)
+    rows = (10.0 ** rng.uniform(-3, math.log10(2), (300, 3))
+            * rng.choice([-1.0, 1.0], (300, 3)))
+    got = U.parse_space(f"heis:dim=2,p={p},lambda={lam}").norm_rows(rows)
+    with np.errstate(over="ignore"):
+        xn = np.sqrt((rows[:, :2] * rows[:, :2]).sum(axis=-1))
+        total = xn ** (2 * p) + lam * np.abs(rows[:, 2]) ** p
+    kept = total < math.inf
+    assert got[kept].tobytes() == (total[kept] ** (1 / (2 * p))).tobytes()
+    past = 0
+    for row, norm in zip(rows.tolist(), got.tolist()):
+        want, overflows, underflows = _decimal_koranyi(row, p, lam)
+        if not underflows:
+            assert abs(norm - want) <= 4 * math.ulp(want), (row, norm, want)
+        past += overflows
+    assert (past > 0) == (p >= 600)  # rows whose sum overflows are checked
+
+
+def test_koranyi_distance_past_the_power_range(capsys):
+    space = U.parse_space("heis:dim=2,p=600")
+    with np.errstate(over="raise"):
+        assert space.distance_rows(np.array([[1.0, 0.0, 0.0]]),
+                                   np.array([[-1.0, 0.0, 0.0]])).tolist() == [2.0]
+    code = cli.main(["certify", "--space", "heis:dim=2,p=600", "--inequality",
+                     "tripod", "--samples", "2000"])
+    assert code in (0, 1)
+    assert json.loads(capsys.readouterr().out)["n"] == 2000
+
 def test_lp_distance_does_not_underflow():
     zero = np.zeros((1, 2))
     assert U.LpSpace(2, 500).distance_rows(np.array([[0.1, 0.0]]), zero) == 0.1
