@@ -50,9 +50,7 @@ def cmd_invariant(args) -> int:
     f = invariants.named_map(args.map, spec, target)
     rep = invariants.report(invariants.InvariantId(args.invariant), f, args.p,
                             j_min=args.j_min)
-    obj = json.loads(rep.to_json())
-    obj["seed"] = args.seed
-    _emit(obj, args.out)
+    _emit({**rep.to_dict(), "seed": args.seed}, args.out)
     return EXIT_OK
 
 
@@ -64,7 +62,7 @@ def cmd_certify(args) -> int:
                                      args.K, args.C, args.slack)
     sampler = pointwise.ball_sampler(space, ineq, args.xs_count)
     rep = pointwise.certify(space, ineq, cfg, sampler, args.samples, args.seed)
-    _emit(json.loads(rep.to_json()), args.out)
+    _emit(rep.to_dict(), args.out)
     return EXIT_OK if rep.violations == 0 else EXIT_VIOLATED
 
 
@@ -114,10 +112,10 @@ def cmd_search(args) -> int:
                                              args.seed)
     except search.BudgetExceeded as exc:
         return _fail(exc, EXIT_BUDGET)
-    obj = json.loads(result.to_json())
-    obj.update({"mode": args.mode, "seed": args.seed, "tree": args.tree,
-                "invariant": args.invariant, "p": args.p})
-    line = json.dumps({"schema": SCHEMA, **obj}, allow_nan=False)
+    line = json.dumps({"schema": SCHEMA, **result.to_dict(), "mode": args.mode,
+                       "seed": args.seed, "tree": args.tree,
+                       "invariant": args.invariant, "p": args.p},
+                      allow_nan=False)
     if args.out:
         with open(args.out, "a") as fh:
             fh.write(line + "\n")
@@ -143,8 +141,7 @@ def cmd_lift(args) -> int:
         g = invariants.TreeMap.from_json(fh.read(), target_space)
     h = embeddings.lift_map(g, oracle)
     ok = embeddings.verify_lift(g, h, oracle)
-    _emit({"verified": ok,
-           "lift": json.loads(h.to_json())}, args.out)
+    _emit({"verified": ok, "lift": h.to_dict()}, args.out)
     return EXIT_OK if ok else EXIT_VIOLATED
 
 

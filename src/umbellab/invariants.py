@@ -181,12 +181,14 @@ class TreeMap:
         return [[list(v), sp.jsonable(p)]
                 for v, p in zip(tree_graph(self.spec).vertices, self.points())]
 
+    def to_dict(self) -> dict:
+        """The map document as a JSON-ready dict."""
+        return {"spec": format_tree_spec(self.spec),
+                "target": self.target.describe(),
+                "assignment": self.assignment_json()}
+
     def to_json(self) -> str:
-        return json.dumps({
-            "spec": format_tree_spec(self.spec),
-            "target": self.target.describe(),
-            "assignment": self.assignment_json(),
-        })
+        return json.dumps(self.to_dict())
 
     @staticmethod
     def from_json(text: str, target=None) -> "TreeMap":
@@ -637,18 +639,21 @@ def class_plan(inv: InvariantId, spec: TreeSpec, side: str,
     distances at an integer p, a zero map).  It is not capped."""
     k, j_min = _plan_args(inv, spec, side, j_min)
     reduce, outer, groups = _classes(inv, side, k)
-    segments = [seg for segs, _ in groups for seg in segs]
-    if not all(_realised(spec, *cls, j_min)
-               for classes, _ in segments for cls in classes):
-        raise InvariantError(_NO_CONFIGURATION)
-    bounds = np.cumsum([0] + [len(segs) for segs, _ in groups]).tolist()
+    classes, starts, weights, bounds = [], [], [], [0]
+    for segments, _ in groups:
+        for seg, w in segments:
+            starts.append(len(classes))
+            for cls in seg:
+                if not _realised(spec, *cls, j_min):
+                    raise InvariantError(_NO_CONFIGURATION)
+                if reduce == "sum":
+                    weights.append(_pair_count(spec, *cls) * w)
+            classes += seg
+        bounds.append(len(starts))
     return Plan(
-        classes=np.array([cls for classes, _ in segments for cls in classes],
-                         dtype=np.intp),
-        starts=np.cumsum([0] + [len(classes) for classes, _ in segments[:-1]]),
-        reduce=reduce, outer=outer,
-        weights=None if reduce != "sum" else np.array(
-            [_pair_count(spec, *cls) * w for classes, w in segments for cls in classes]),
+        classes=np.array(classes, dtype=np.intp),
+        starts=np.array(starts), reduce=reduce, outer=outer,
+        weights=np.array(weights) if reduce == "sum" else None,
         groups=tuple(zip(bounds[:-1], bounds[1:])),
         scales=tuple(scale for _, scale in groups))
 
@@ -725,14 +730,18 @@ class InvariantReport:
     params: dict
     lipschitz_flag: Optional[bool] = None
 
-    def to_json(self) -> str:
-        # values past the float range (huge map points) have no number
+    def to_dict(self) -> dict:
+        """The report as a JSON-ready dict; values past the float range
+        (huge map points) have no number."""
         obj = {"invariant": self.invariant, "exponent": self.exponent,
                "lhs": _finite(self.lhs), "rhs": _finite(self.rhs),
                "params": self.params, "lipschitz_flag": self.lipschitz_flag}
         if self.ratio_root is not None:
             obj["ratio_root"] = _finite(self.ratio_root)
-        return json.dumps(obj)
+        return obj
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
 
 def _finite(x: float) -> Optional[float]:

@@ -104,8 +104,9 @@ class CampaignReport:
     worst_margin: float
     worst_witness: tuple
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def to_dict(self) -> dict:
+        """The report as a JSON-ready dict."""
+        return {
             "id": self.inequality,
             "config": self.config,
             "n": self.n,
@@ -115,7 +116,10 @@ class CampaignReport:
             "worst_margin": (self.worst_margin
                              if math.isfinite(self.worst_margin) else None),
             "worst_witness": sp.jsonable(self.worst_witness),
-        })
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
 
 # ---------------------------------------------------------------------------

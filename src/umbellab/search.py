@@ -77,14 +77,18 @@ class SearchResult:
     evaluations: int = 0           # assignments scored
     feasible_evaluations: int = 0  # of which rhs > 0
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """The result as a JSON-ready dict."""
         ratio = self.best_ratio if math.isfinite(self.best_ratio) else None
         obj = {"feasible": self.feasible, "best_ratio": ratio,
                "evaluations": self.evaluations,
                "feasible_evaluations": self.feasible_evaluations}
         if self.best_map is not None:
             obj["assignment"] = self.best_map.assignment_json()
-        return json.dumps(obj, allow_nan=False)
+        return obj
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), allow_nan=False)
 
 
 NO_FEASIBLE = SearchResult(False, None, -math.inf)

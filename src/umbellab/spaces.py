@@ -84,12 +84,21 @@ def lp_norm_rows(v: np.ndarray, p: float) -> np.ndarray:
         else:
             s = (np.abs(v) ** p).sum(axis=-1)
             norms = s ** (1.0 / p)
-    redo = (s < _TINY) | (s == math.inf)
-    if redo.any():
-        redo &= np.isfinite(v).all(axis=-1)  # an inf entry gives an inf norm
-        norms = np.asarray(norms)
-        norms[redo] = _scaled_norms(v[redo], p)
+    if not _in_range(s):
+        redo = (s < _TINY) | (s == math.inf)
+        if redo.any():
+            redo &= np.isfinite(v).all(axis=-1)  # an inf entry gives an inf norm
+            norms = np.asarray(norms)
+            norms[redo] = _scaled_norms(v[redo], p)
     return norms
+
+
+def _in_range(s: np.ndarray) -> bool:
+    """Whether every sum is a normal float below inf, so that no row needs
+    `_scaled_norms`: one min and one max instead of a mask.  A nan sum
+    makes the min nan and the answer False, so the mask is built then, and
+    a row below the range in the same batch is still found."""
+    return s.min(initial=math.inf) >= _TINY and s.max(initial=0.0) < math.inf
 
 
 def _scaled_norms(v: np.ndarray, p: float) -> np.ndarray:
@@ -473,12 +482,15 @@ def koranyi_norm_rows(a: np.ndarray, p: float, lam: float) -> np.ndarray:
         total = xn ** (2 * p) + lam * s ** p
     norms = total ** (1.0 / (2 * p))
     # the l_{2p} norm of (xn, lam^(1/(2p)) sqrt(s)), scaled where the sum
-    # overflows while both terms' bases are finite
-    if total.max(initial=0.0) == math.inf:
-        redo = (total == math.inf) & np.isfinite(xn) & np.isfinite(s)
-        norms = np.asarray(norms)
-        norms[redo] = _scaled_norms(np.stack(
-            [xn[redo], lam ** (1.0 / (2 * p)) * np.sqrt(s[redo])], axis=-1), 2 * p)
+    # overflows while both terms' bases are finite, or falls below the
+    # smallest normal float while a base is nonzero
+    if not _in_range(total):
+        redo = (((total == math.inf) & np.isfinite(xn) & np.isfinite(s))
+                | ((total < _TINY) & ((xn > 0) | (s > 0))))
+        if redo.any():
+            norms = np.asarray(norms)
+            norms[redo] = _scaled_norms(np.stack(
+                [xn[redo], lam ** (1.0 / (2 * p)) * np.sqrt(s[redo])], axis=-1), 2 * p)
     return norms
 
 

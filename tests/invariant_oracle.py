@@ -7,10 +7,11 @@ vector built up front and its distance
 profile computed by one lp norm per triple, the lift that made one
 scalar `distance` call per (vertex, domain point), the constant map's
 point chosen class by class, a Monte Carlo estimate of the
-directed-walk expectation over coupled walk pairs, and the identity's sum
-sides as exact fractions.  They walk the displays
-of each functional directly and serve as the test oracle for the compiled
-plans, the scan, the on-demand points and the lift on rows; nothing in the
+directed-walk expectation over coupled walk pairs, the identity's sum
+sides as exact fractions, and the class plan built from flattened lists.
+They walk the displays of each functional directly and serve as the test
+oracle for the compiled plans, the scan, the on-demand points and the lift
+on rows; nothing in the
 library imports them.  The tree distance, level edges and map distance
 `dist` below take one vertex pair at a time, where the library reads rows
 of its TreeGraph."""
@@ -26,9 +27,11 @@ import numpy as np
 
 from umbellab import trees
 from umbellab.embeddings import EmbeddingError, ModulusCurve, QuotientOracle
-from umbellab.invariants import (InvariantError, InvariantId, TreeMap,
-                                 _COTYPE_IDS, _check_exponent, _height_range,
-                                 _power, _validate, compile_plan)
+from umbellab.invariants import (InvariantError, InvariantId, Plan, TreeMap,
+                                 _COTYPE_IDS, _NO_CONFIGURATION,
+                                 _check_exponent, _classes, _height_range,
+                                 _pair_count, _plan_args, _power, _realised,
+                                 _validate, compile_plan)
 from umbellab.trees import Vertex, tree_graph, vertices_at_height
 from umbellab import spaces as sp
 from umbellab.spaces import HPoint, LpSpace, _apsp
@@ -468,6 +471,32 @@ def assert_reports_agree(got, want, spec, exact: bool, case) -> None:
     for rep in (got, want):
         assert rep.ratio_root == (_power(rep.lhs / rep.rhs, 1 / rep.exponent)
                                   if rep.rhs > 0 else None), case
+
+
+# ---------------------------------------------------------------------------
+# Class plans built from lists of segments
+
+
+def class_plan(inv: InvariantId, spec, side, j_min: Optional[int] = None):
+    """The class plan of a side as the library built it from flattened
+    lists: every class checked by `_realised` before any pair count, then
+    the starts and group bounds as np.cumsum over Python lists."""
+    k, j_min = _plan_args(inv, spec, side, j_min)
+    reduce, outer, groups = _classes(inv, side, k)
+    segments = [seg for segs, _ in groups for seg in segs]
+    if not all(_realised(spec, *cls, j_min)
+               for classes, _ in segments for cls in classes):
+        raise InvariantError(_NO_CONFIGURATION)
+    bounds = np.cumsum([0] + [len(segs) for segs, _ in groups]).tolist()
+    return Plan(
+        classes=np.array([cls for classes, _ in segments for cls in classes],
+                         dtype=np.intp),
+        starts=np.cumsum([0] + [len(classes) for classes, _ in segments[:-1]]),
+        reduce=reduce, outer=outer,
+        weights=None if reduce != "sum" else np.array(
+            [_pair_count(spec, *cls) * w for classes, w in segments for cls in classes]),
+        groups=tuple(zip(bounds[:-1], bounds[1:])),
+        scales=tuple(scale for _, scale in groups))
 
 
 # ---------------------------------------------------------------------------

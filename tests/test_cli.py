@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import math
@@ -786,3 +787,145 @@ def test_embed_writes_no_csv_when_the_document_fails(tmp_path, capsys, csv,
     out, err = capsys.readouterr()
     assert code == 2 and out == "" and not path.exists()
     assert "not JSON compliant" in json.loads(err)["error"]
+
+
+# ---------------------------------------------------------------------------
+# Documents built from one dict and encoded once
+
+
+def _old_emit(obj) -> str:
+    """What `_emit` prints for obj."""
+    return json.dumps({"schema": SCHEMA, **obj}, indent=2, allow_nan=False) + "\n"
+
+
+def _old_invariant(rep, seed):
+    obj = json.loads(rep.to_json())
+    obj["seed"] = seed
+    return _old_emit(obj)
+
+
+def _old_search(result, mode, seed, tree, invariant, p):
+    obj = json.loads(result.to_json())
+    obj.update({"mode": mode, "seed": seed, "tree": tree,
+                "invariant": invariant, "p": p})
+    return json.dumps({"schema": SCHEMA, **obj}, allow_nan=False) + "\n"
+
+
+def _document_cases(tmp_path):
+    """(argv, the library call whose result the document holds, the
+    document as the command printed it by decoding that result's to_json,
+    the texts of the command's input files) of each command of a family:
+    invariant on every id, certify on every inequality and on a Heisenberg
+    space, search in both modes, infeasible too, and lift."""
+    from umbellab import invariants, pointwise, search
+    cases = []
+    for inv in U.InvariantId:
+        tree = ("inc:h=4,b=5" if inv in invariants._INCREASING_IDS
+                else "bin:h=4")
+        cases.append((["invariant", "--tree", tree, "--invariant", inv.value,
+                       "--p", "2", "--seed", "3"], (invariants, "report"),
+                      lambda rep: _old_invariant(rep, 3), ()))
+    cases.append((["invariant", "--tree", "inc:h=4,b=6", "--invariant",
+                   "umbel-cotype", "--p", "1.5", "--map", "constant",
+                   "--target", "heis:dim=2,p=2", "--j-min", "2"],
+                  (invariants, "report"), lambda rep: _old_invariant(rep, 0), ()))
+    for ineq in U.InequalityId:
+        space = {"parallelogram": "heis:dim=2,p=2"}.get(ineq.value, "l2:dim=2")
+        cases.append((["certify", "--space", space, "--inequality", ineq.value,
+                       "--samples", "50", "--seed", "2"],
+                      (pointwise, "certify"),
+                      lambda rep: _old_emit(json.loads(rep.to_json())), ()))
+    cases.append((["certify", "--space", "heis:dim=2,p=600", "--inequality",
+                   "tripod", "--samples", "20", "--q", "3"],
+                  (pointwise, "certify"),
+                  lambda rep: _old_emit(json.loads(rep.to_json())), ()))
+    target = tmp_path / "path.json"
+    target.write_text(json.dumps({"n": 3, "d": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}))
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"n": 2, "d": [[0.0, 0.0], [0.0, 0.0]]}))
+    pins = tmp_path / "pins.json"
+    pins.write_text(json.dumps({"pins": [[[], 0]]}))
+    for mode, name, path, extra in [
+            ("exhaustive", "exhaustive_max", target, []),
+            ("local", "local_search_max", target, ["--pins-file", str(pins)]),
+            ("exhaustive", "exhaustive_max", zero, [])]:
+        argv = ["search", "--tree", "bin:h=2", "--invariant", "markov-directed",
+                "--p", "2", "--target-file", str(path), "--mode", mode,
+                "--seed", "5", "--restarts", "2", "--steps", "3", *extra]
+        cases.append((argv, (search, name),
+                      functools.partial(_old_search, mode=mode, seed=5,
+                                        tree="bin:h=2", p=2.0,
+                                        invariant="markov-directed"),
+                      (path.read_text(), pins.read_text())))
+    d = [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
+    oracle = tmp_path / "oracle.json"
+    oracle.write_text(json.dumps({"domain": {"d": d}, "target": {"d": d},
+                                  "values": [0, 1, 2], "C": 2.0, "K": 0.0}))
+    spec = U.parse_tree_spec("bin:h=2")
+    g = U.TreeMap(spec, U.FiniteMatrixSpace(np.array(d)),
+                  {v: len(v) % 3 for v in U.vertices(spec)})
+    map_file = tmp_path / "map.json"
+    map_file.write_text(g.to_json())
+    cases.append((["lift", "--map-file", str(map_file), "--oracle-file",
+                   str(oracle)], (embeddings, "lift_map"),
+                  lambda h: _old_emit({"verified": True,
+                                       "lift": json.loads(h.to_json())}),
+                  (oracle.read_text(), map_file.read_text())))
+    return cases
+
+
+def _recorded(monkeypatch, module, name) -> list:
+    """The results of every call of module.name, which it keeps returning."""
+    results, real = [], getattr(module, name)
+
+    def record(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, record)
+    return results
+
+
+def test_documents_equal_the_decoded_to_json_path(tmp_path, capsys, monkeypatch):
+    for argv, (module, name), old, _ in _document_cases(tmp_path):
+        with monkeypatch.context() as patch:
+            results = _recorded(patch, module, name)
+            code, out = run(capsys, *argv)
+        assert code in (0, 1) and len(results) == 1, argv
+        assert out == old(results[0]), argv
+
+
+def test_certify_document_with_a_nan_margin(capsys, monkeypatch):
+    # a nan margin is a violation whose worst_margin has no number
+    from umbellab import pointwise
+    real = pointwise.batch_margins
+
+    def with_nan(*args):
+        margins = real(*args)
+        margins[[1, 4]] = np.nan
+        return margins
+
+    monkeypatch.setattr(pointwise, "batch_margins", with_nan)
+    results = _recorded(monkeypatch, pointwise, "certify")
+    code, out = run(capsys, "certify", "--space", "heis:dim=2,p=2",
+                    "--inequality", "tripod", "--samples", "10")
+    assert code == 1 and json.loads(out)["worst_margin"] is None
+    assert "worst_witness" in out and '"s": ' in out  # Heisenberg points
+    assert out == _old_emit(json.loads(results[0].to_json()))
+
+
+def test_documents_are_not_decoded(tmp_path, capsys, monkeypatch):
+    # json.loads reads the input files and nothing else
+    real = json.loads
+    for argv, _, _, inputs in _document_cases(tmp_path):
+        read = []
+
+        def loads(s, **kwargs):
+            read.append(s)
+            return real(s, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(json, "loads", loads)
+            code, _ = run(capsys, *argv)
+        assert code in (0, 1), argv
+        assert all(text in inputs for text in read), argv

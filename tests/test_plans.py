@@ -259,6 +259,38 @@ def test_class_plans_expand_to_the_oracle_pairs(tree):
                     assert plan.weights is None
 
 
+PLAN_TREES = [f"bin:h={h}" for h in (2, 4, 8, 16)] + \
+             [f"inc:h={h},b={h + 1}" for h in (4, 8, 16)]
+
+
+@pytest.mark.parametrize("tree", PLAN_TREES)
+def test_class_plans_equal_the_list_built_plans(tree):
+    # the one-pass class plan has the arrays, dtypes, groups and refusals
+    # of the plan built from flattened lists and np.cumsum
+    spec = U.parse_tree_spec(tree)
+    cases = [(inv, side) for inv in InvariantId for side in ("lhs", "rhs")]
+    cases += [(InvariantId.MARKOV_DIRECTED, walk) for walk in [(0, 1), (1, 2), (1, 4)]]
+    refused = 0
+    for (inv, side), j_min in itertools.product(cases, [None, 1, spec.branching]):
+        got = outcome(invariants.class_plan, inv, spec, side, j_min)
+        want = outcome(oracle.class_plan, inv, spec, side, j_min)
+        key = (inv.value, side, j_min)
+        if isinstance(want, str):
+            assert got == want, key
+            refused += 1
+            continue
+        for name in ("classes", "starts", "weights"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None) == (b is None), (key, name)
+            if b is not None:
+                assert (a.dtype, a.shape, a.tobytes()) == \
+                    (b.dtype, b.shape, b.tobytes()), (key, name)
+        assert (got.reduce, got.outer, got.groups, got.scales, got.u, got.v) == \
+            (want.reduce, want.outer, want.groups, want.scales, None, None), key
+        assert all(type(x) is int for bound in got.groups for x in bound), key
+    assert 0 < refused < 3 * len(cases)
+
+
 def oracle_lcp(u: tuple, v: tuple) -> int:
     return next((i for i, (a, b) in enumerate(zip(u, v)) if a != b),
                 min(len(u), len(v)))

@@ -90,10 +90,9 @@ def _decimal_koranyi(row, p, lam):
 @pytest.mark.parametrize("lam", [1.0, 3.0])
 @pytest.mark.parametrize("p", [2, 3, 7.5, 200, 600, 1100, 1e4])
 def test_koranyi_norm_rows_against_a_decimal_oracle(p, lam):
-    # a row whose sum overflows is recomputed as the scaled l_{2p} norm of
-    # (|x|, lam^(1/(2p)) sqrt|t|); every other row keeps the plain formula's
-    # bits.  A sum below the smallest normal float is not recomputed, so
-    # those rows are left out of the ulp check
+    # a row whose sum overflows, or falls below the smallest normal float, is
+    # recomputed as the scaled l_{2p} norm of (|x|, lam^(1/(2p)) sqrt|t|);
+    # every other row keeps the plain formula's bits
     rng = np.random.default_rng(11)
     rows = (10.0 ** rng.uniform(-3, math.log10(2), (300, 3))
             * rng.choice([-1.0, 1.0], (300, 3)))
@@ -101,15 +100,16 @@ def test_koranyi_norm_rows_against_a_decimal_oracle(p, lam):
     with np.errstate(over="ignore"):
         xn = np.sqrt((rows[:, :2] * rows[:, :2]).sum(axis=-1))
         total = xn ** (2 * p) + lam * np.abs(rows[:, 2]) ** p
-    kept = total < math.inf
+    kept = (total >= sys.float_info.min) & (total < math.inf)
     assert got[kept].tobytes() == (total[kept] ** (1 / (2 * p))).tobytes()
-    past = 0
+    past = below = 0
     for row, norm in zip(rows.tolist(), got.tolist()):
         want, overflows, underflows = _decimal_koranyi(row, p, lam)
-        if not underflows:
-            assert abs(norm - want) <= 4 * math.ulp(want), (row, norm, want)
+        assert abs(norm - want) <= 4 * math.ulp(want), (row, norm, want)
         past += overflows
+        below += underflows
     assert (past > 0) == (p >= 600)  # rows whose sum overflows are checked
+    assert (below > 0) == (p >= 200)  # and rows whose sum underflows
 
 
 def test_koranyi_distance_past_the_power_range(capsys):
@@ -121,6 +121,43 @@ def test_koranyi_distance_past_the_power_range(capsys):
                      "tripod", "--samples", "2000"])
     assert code in (0, 1)
     assert json.loads(capsys.readouterr().out)["n"] == 2000
+
+def test_koranyi_distance_does_not_underflow():
+    zero = np.zeros((1, 3))
+    for p in (200, 600, 1e4):
+        space = U.parse_space(f"heis:dim=2,p={p}")
+        assert space.distance_rows(np.array([[0.1, 0.0, 0.0]]), zero) == 0.1
+        assert space.distance_rows(np.array([[0.0, 0.0, 0.01]]), zero) == 0.1
+    assert U.parse_space("heis:dim=2,p=600").distance_rows(zero, zero) == 0.0
+
+
+def _ungated_lp_norm_rows(v, p):
+    """lp_norm_rows with its range mask built on every call."""
+    s = (v * v if p == 2 else np.abs(v) ** p).sum(axis=-1)
+    norms = np.sqrt(s) if p == 2 else s ** (1.0 / p)
+    redo = (s < sys.float_info.min) | (s == math.inf)
+    if redo.any():
+        redo &= np.isfinite(v).all(axis=-1)
+        norms = np.asarray(norms)
+        norms[redo] = U.spaces._scaled_norms(v[redo], p)
+    return norms
+
+
+@pytest.mark.parametrize("p", [2, 3, 500])
+def test_lp_norm_rows_gate_keeps_the_ungated_norms(p):
+    # the mask is built only when a sum is out of the normal range or nan;
+    # a nan row must not hide a row below the range in the same batch
+    rows = np.array([[math.nan, 1.0, 0.0], [1e-160, 0.0, 0.0], [0.5, 0.25, 1.0],
+                     [1e200, 0.0, 0.0], [0.0, 0.0, 0.0], [math.inf, 1.0, 0.0]])
+    space = U.LpSpace(3, p)
+    for batch in (rows, rows[1:], rows[2:3], rows[:0], rows[::-1], rows[:1],
+                  rows[1]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _ungated_lp_norm_rows(batch, p)
+            got = space.norm_rows(batch)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), batch
+
 
 def test_lp_distance_does_not_underflow():
     zero = np.zeros((1, 2))
