@@ -473,26 +473,27 @@ def _divisors(plan: Plan, p: float) -> list:
 
 
 def _join(plan: Plan, seg: np.ndarray, divs: list) -> np.ndarray:
-    """The functional from the segment values seg (rows x segments): each
-    group's segments joined in order, divided by its divisor from
-    `_divisors`, and the groups added in order to a +0.0 total, which
-    drops the sign of a -0.0 segment."""
+    """The functional from the segment values seg (segments x rows): each
+    group's segments joined position by position in order, divided by its
+    divisor from `_divisors`, and the groups added in order to a +0.0
+    total, which drops the sign of a -0.0 segment.  A mean over one segment
+    and a divisor of 1 change no bit and are skipped."""
     step = np.minimum if plan.outer == "min" else np.add
-    total = np.zeros(len(seg))
+    total = np.zeros(seg.shape[1])
     for (lo, hi), div in zip(plan.groups, divs):
-        acc = seg[:, lo]
+        acc = seg[lo]
         for c in range(lo + 1, hi):
-            acc = step(acc, seg[:, c])
-        if plan.outer == "mean":
+            acc = step(acc, seg[c])
+        if plan.outer == "mean" and hi - lo > 1:
             acc = acc / (hi - lo)
-        total = total + acc / div
+        total = total + (acc if div == 1 else acc / div)
     return total
 
 
 def evaluate(plan: Plan, d: np.ndarray, p: float) -> np.ndarray:
     """The functional for each row of pair distances d (shape rows x pairs,
     columns in plan order)."""
-    return _join(plan, _segments(plan, d, p), _divisors(plan, p))
+    return _join(plan, _segments(plan, d, p).T, _divisors(plan, p))
 
 
 _PLAN_CAP = 2 ** 26  # the most vertex pairs a pair plan is built with
@@ -639,19 +640,19 @@ def class_plan(inv: InvariantId, spec: TreeSpec, side: str,
     distances at an integer p, a zero map).  It is not capped."""
     k, j_min = _plan_args(inv, spec, side, j_min)
     reduce, outer, groups = _classes(inv, side, k)
-    classes, starts, weights, bounds = [], [], [], [0]
+    flat, starts, weights, bounds = [], [], [], [0]  # flat: the classes' ints
     for segments, _ in groups:
         for seg, w in segments:
-            starts.append(len(classes))
+            starts.append(len(flat) // 3)
             for cls in seg:
                 if not _realised(spec, *cls, j_min):
                     raise InvariantError(_NO_CONFIGURATION)
                 if reduce == "sum":
                     weights.append(_pair_count(spec, *cls) * w)
-            classes += seg
+                flat += cls
         bounds.append(len(starts))
     return Plan(
-        classes=np.array(classes, dtype=np.intp),
+        classes=np.array(flat, dtype=np.intp).reshape(-1, 3),
         starts=np.array(starts), reduce=reduce, outer=outer,
         weights=np.array(weights) if reduce == "sum" else None,
         groups=tuple(zip(bounds[:-1], bounds[1:])),

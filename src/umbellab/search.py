@@ -21,6 +21,7 @@ from .trees import TreeSpec, Vertex, tree_graph
 
 _EXHAUSTIVE_BUDGET = 10 ** 7
 _BATCH = 1 << 20  # gathered distances per scored batch
+_STRIDED_SUM = 1 << 19  # the most gathered entries a sum side reduces column-major
 
 
 class SearchError(ValueError):
@@ -97,14 +98,18 @@ NO_FEASIBLE = SearchResult(False, None, -math.inf)
 class _Scorer:
     """lhs/rhs ratios of batches of assignment arrays (rows of A), nan where
     rhs <= 0.  Plans, exponent check, group divisors and power tables are
-    built once.  Entries of A are point indices, so a * n + b indexes the
-    flat table; a block forms both plans' indices, lhs first, at once, and
-    one gather serves both sides when they read one table.  A sum side
-    gathers pw, the numpy power `evaluate` takes of each distance.  A min or
-    max side reduces the ranks of the distances among the distinct entries,
-    which keep their order, and reads spw, the scalar power `evaluate` takes
-    of the extreme distance.  (-0.0 ranks with 0.0; the join, `evaluate`'s
-    own, drops the sign of a zero.)  So every ratio has `evaluate`'s bits."""
+    built once.  A batch is scored column-major, as its (vertices x rows)
+    transpose, which is a view when A is the .T of a C-contiguous batch:
+    each gathered plan column and each segment value is then a contiguous
+    run over the rows.  Entries of A are point indices, so a * n + b indexes
+    the flat table; a block forms both plans' indices, lhs first, at once,
+    and one gather serves both sides when they read one table.  A sum side
+    gathers pw, the numpy power `evaluate` takes of each distance.  A min
+    or max side reduces the ranks of the distances among the distinct
+    entries, which keep their order, and reads spw, the scalar power
+    `evaluate` takes of the extreme distance.  (-0.0 ranks with 0.0; the
+    join, `evaluate`'s own, drops the sign of a zero.)  So every ratio has
+    `evaluate`'s bits."""
 
     def __init__(self, problem: SearchProblem):
         self.problem = problem
@@ -128,25 +133,35 @@ class _Scorer:
         self.rows = max(1, _BATCH // len(self.u))
 
     def _segments(self, plan, g: np.ndarray) -> np.ndarray:
-        """Segment values from the gathered table entries g of a side."""
+        """Segment values (segments x rows) from the gathered table entries
+        g (columns x rows) of a side.  reduceat gives the same bits in
+        either layout.  Past _STRIDED_SUM entries a column-major sum reduce,
+        which walks each segment a row apart, falls out of the cache and
+        costs up to twice a row-major one, so a larger sum side is
+        multiplied into a row-major array and reduced along its rows."""
         if plan.reduce == "sum":
-            return np.add.reduceat(plan.weights * g, plan.starts, axis=1)
+            if g.size <= _STRIDED_SUM:
+                return np.add.reduceat(plan.weights[:, None] * g, plan.starts, axis=0)
+            terms = np.empty(g.shape[::-1])
+            np.multiply(plan.weights[:, None], g, out=terms.T)
+            return np.add.reduceat(terms, plan.starts, axis=1).T
         extreme = np.minimum if plan.reduce == "min" else np.maximum
-        return self.spw.take(extreme.reduceat(g, plan.starts, axis=1))
+        return self.spw.take(extreme.reduceat(g, plan.starts, axis=0))
 
     @np.errstate(over="ignore", invalid="ignore")
     def __call__(self, A: np.ndarray) -> np.ndarray:
         (lhs, rhs), (ldivs, rdivs), cut = self.plans, self.divisors, self.cut
         ltable, rtable = self.tables
-        out = np.full(len(A), np.nan)
-        for lo in range(0, len(A), self.rows):
-            block = A[lo:lo + self.rows]
-            idx = (block * self.n).take(self.u, axis=1) + block.take(self.v, axis=1)
+        AT = np.ascontiguousarray(A.T)
+        out = np.full(AT.shape[1], np.nan)
+        for lo in range(0, len(out), self.rows):
+            block = AT[:, lo:lo + self.rows]
+            idx = (block * self.n).take(self.u, axis=0) + block.take(self.v, axis=0)
             if ltable is rtable:  # one gather serves both sides
                 g = ltable.take(idx)
-                gl, gr = g[:, :cut], g[:, cut:]
+                gl, gr = g[:cut], g[cut:]
             else:
-                gl, gr = ltable.take(idx[:, :cut]), rtable.take(idx[:, cut:])
+                gl, gr = ltable.take(idx[:cut]), rtable.take(idx[cut:])
             left = _join(lhs, self._segments(lhs, gl), ldivs)
             right = _join(rhs, self._segments(rhs, gr), rdivs)
             np.divide(left, right, out=out[lo:lo + self.rows], where=right > 0)
@@ -178,16 +193,16 @@ def exhaustive_max(problem: SearchProblem,
     best, feasible = NO_FEASIBLE, 0
     for lo in range(0, total, score.rows):
         combos = np.arange(lo, min(lo + score.rows, total))
-        A = np.repeat(base[None], len(combos), axis=0)
+        A = np.repeat(base[:, None], len(combos), axis=1)  # one column a row
         if cols:
-            A[:, cols] = np.stack(np.unravel_index(combos, (n,) * len(cols)), axis=1)
-        ratios = score(A)
+            A[cols] = np.unravel_index(combos, (n,) * len(cols))
+        ratios = score(A.T)
         ok = ~np.isnan(ratios)
         feasible += int(ok.sum())
         if ok.any():
             i = int(np.argmax(np.where(ok, ratios, -math.inf)))
             if ratios[i] > best.best_ratio:
-                best = score.result(A[i], float(ratios[i]))
+                best = score.result(A[:, i], float(ratios[i]))
     return dataclasses.replace(best, evaluations=total,
                                feasible_evaluations=feasible)
 
@@ -234,22 +249,26 @@ def local_search_max(problem: SearchProblem, restarts: int, steps: int,
     best_ratio, best_row = -math.inf, None
     evaluations = feasible = 0
     for first in range(0, restarts + 1, group):
-        A = np.repeat(start[None], min(group, restarts + 1 - first), axis=0)
-        drawn = A[1 if first == 0 else 0:]
-        drawn[:, cols] = rng.integers(n, size=(len(drawn), len(cols)))
-        current = [None if math.isnan(r) else r for r in score(A).tolist()]
-        evaluations += len(A)
+        # the group's climbs are the columns of A, so a vertex's points are
+        # one row
+        A = np.repeat(start[:, None], min(group, restarts + 1 - first), axis=1)
+        drawn = A[:, 1 if first == 0 else 0:]
+        drawn[cols] = rng.integers(n, size=(drawn.shape[1], len(cols))).T
+        current = [None if math.isnan(r) else r for r in score(A.T).tolist()]
+        evaluations += len(current)
         feasible += sum(r is not None for r in current)
-        active = range(len(A))
-        points = np.tile(np.arange(n), len(A))
+        active = range(len(current))
+        points = np.tile(np.arange(n), len(current))
         for _ in range(steps):
             improved = set()
             for i in cols:
-                candidates = np.repeat(A[active], n, axis=0)
-                candidates[:, i] = points[:len(candidates)]
-                ratios = score(candidates).tolist()
+                climbs = A if len(active) == A.shape[1] else A[:, active]
+                candidates = np.repeat(climbs, n, axis=1)
+                candidates[i] = points[:candidates.shape[1]]
+                ratios = score(candidates.T).tolist()
+                row = A[i].tolist()
                 for k, j in enumerate(active):
-                    old, r_now = int(A[j, i]), current[j]
+                    old, r_now = row[j], current[j]
                     for pt, r in enumerate(ratios[k * n:(k + 1) * n]):
                         if pt == old:
                             continue
@@ -261,12 +280,13 @@ def local_search_max(problem: SearchProblem, restarts: int, steps: int,
                             r_now = r
                             old = pt
                             improved.add(j)
-                    A[j, i] = old
+                    row[j] = old
                     current[j] = r_now
+                A[i] = row
             active = [j for j in active if j in improved]
             if not active:
                 break
-        for r, a in zip(current, A):
+        for r, a in zip(current, A.T):
             if r is not None and r > best_ratio:
                 best_ratio, best_row = r, a
     best = NO_FEASIBLE if best_row is None else score.result(best_row, best_ratio)

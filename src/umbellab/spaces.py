@@ -181,8 +181,9 @@ class LpSpace(RowSpace):
 
     def onto_ball(self, x: np.ndarray) -> np.ndarray:
         """Points x of the cube [-1, 1]^dim, scaled onto the sphere when
-        outside the unit ball."""
-        return x / np.maximum(self.norm_rows(x), 1.0)[..., None]
+        outside the unit ball, in x's memory layout and x / norms' dtype."""
+        norms = np.maximum(self.norm_rows(x), 1.0)[..., None]
+        return np.divide(x, norms, out=np.empty_like(x, dtype=np.result_type(x, norms)))
 
     def point(self, row: np.ndarray) -> tuple:
         return tuple(row.tolist())
@@ -231,6 +232,9 @@ class TableSpace(RowSpace):
         return np.asarray(points, dtype=np.intp)
 
 
+_TRIANGLE_BLOCK = 1 << 14  # path sums a block of the triangle check holds
+
+
 @dataclass(frozen=True)
 class FiniteMatrixSpace(TableSpace):
     """A finite metric space given by its distance matrix; points are indices."""
@@ -245,7 +249,8 @@ class FiniteMatrixSpace(TableSpace):
             raise SpaceError("matrix must be square")
         if not np.isfinite(m).all():
             raise SpaceError("distances must be finite")
-        if not np.allclose(m, m.T, rtol=REL_TOL, atol=ABS_TOL):
+        # np.allclose's own test, exact on finite entries
+        if not (np.abs(m - m.T) <= ABS_TOL + REL_TOL * np.abs(m.T)).all():
             raise SpaceError("matrix must be symmetric")
         if np.abs(np.diagonal(m)).max(initial=0.0) > ABS_TOL:
             raise SpaceError("diagonal must be zero")
@@ -253,10 +258,13 @@ class FiniteMatrixSpace(TableSpace):
             raise SpaceError("distances must be nonnegative")
         n = m.shape[0]
         slack = REL_TOL * (m.max(initial=0.0) + 1.0)
+        # m[i, j] against m[i, mid] + m[mid, j] for a block of midpoints at
+        # once, at most _TRIANGLE_BLOCK entries unless one midpoint is more;
         # a path sum past the float range is inf, which no entry exceeds
+        step = max(1, _TRIANGLE_BLOCK // max(1, n * n))
         with np.errstate(over="ignore"):
-            for mid in range(n):
-                via = m[:, mid][:, None] + m[mid, :][None, :]
+            for lo in range(0, n, step):
+                via = m.T[lo:lo + step, :, None] + m[lo:lo + step, None, :]
                 if (m > via + slack).any():
                     raise SpaceError("triangle inequality fails")
 
@@ -464,9 +472,11 @@ def h_mul_rows(sp: HeisenbergSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def h_dilate_rows(t, a: np.ndarray) -> np.ndarray:
-    """Dilate each row of `a` by the matching entry of `t` (or by scalar t)."""
+    """Dilate each row of `a` by the matching entry of `t` (or by scalar t),
+    in a's memory layout; a and t broadcast as in a * t."""
     t = np.asarray(t, dtype=float)[..., None]
-    out = a * t
+    out = np.multiply(a, t, out=np.empty_like(a, dtype=float,
+                                              shape=np.broadcast(a, t).shape))
     out[..., -1:] = a[..., -1:] * (t * t)
     return out
 

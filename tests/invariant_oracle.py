@@ -8,7 +8,8 @@ profile computed by one lp norm per triple, the lift that made one
 scalar `distance` call per (vertex, domain point), the constant map's
 point chosen class by class, a Monte Carlo estimate of the
 directed-walk expectation over coupled walk pairs, the identity's sum
-sides as exact fractions, and the class plan built from flattened lists.
+sides as exact fractions, the class plan built from flattened lists and
+the join of its segment values one segment column at a time.
 They walk the displays of each functional directly and serve as the test
 oracle for the compiled plans, the scan, the on-demand points and the lift
 on rows; nothing in the
@@ -497,6 +498,23 @@ def class_plan(inv: InvariantId, spec, side, j_min: Optional[int] = None):
             [_pair_count(spec, *cls) * w for classes, w in segments for cls in classes]),
         groups=tuple(zip(bounds[:-1], bounds[1:])),
         scales=tuple(scale for _, scale in groups))
+
+
+def join(plan: Plan, seg: np.ndarray, divs: list) -> np.ndarray:
+    """invariants._join as the library wrote it on rows x segments values,
+    one segment column at a time: each group's segments joined in order,
+    divided by its divisor, and the groups added in order to a +0.0
+    total."""
+    step = np.minimum if plan.outer == "min" else np.add
+    total = np.zeros(len(seg))
+    for (lo, hi), div in zip(plan.groups, divs):
+        acc = seg[:, lo]
+        for c in range(lo + 1, hi):
+            acc = step(acc, seg[:, c])
+        if plan.outer == "mean":
+            acc = acc / (hi - lo)
+        total = total + acc / div
+    return total
 
 
 # ---------------------------------------------------------------------------

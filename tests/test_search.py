@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import umbellab as U
 from umbellab import invariants, search
-from umbellab.invariants import compile_plan, evaluate
+from umbellab.invariants import InvariantError, Plan, compile_plan, evaluate
 from umbellab.search import (BudgetExceeded, NO_FEASIBLE, SearchError,
                              canonical_start, pins_from_json)
 
+import invariant_oracle
 from search_oracle import sequential_local_search_max
 
 
@@ -243,6 +246,26 @@ def test_scorer_equals_per_side_evaluation(tree, inv, blocks, monkeypatch):
             assert score(A).tobytes() == want.tobytes(), (seed, p)
 
 
+SUM_CASES = [(tree, inv) for tree, inv in SCORER_CASES
+             if inv in (U.InvariantId.TESSERA, U.InvariantId.MARKOV_DIRECTED)]
+
+
+@pytest.mark.parametrize("tree,inv", SUM_CASES,
+                         ids=[f"{tree}-{inv.value}" for tree, inv in SUM_CASES])
+def test_scorer_row_major_sum_reduce_has_the_same_bits(tree, inv, monkeypatch):
+    # every sum side reduced row-major, as sides of more than _STRIDED_SUM
+    # gathered entries are, gives the column-major reduce's bits
+    spec = U.parse_tree_spec(tree)
+    target = random_target(5)
+    A = np.random.default_rng(5).integers(target.n, size=(24, len(U.vertices(spec))))
+    for p in (1.0, 1.5, 3.0):
+        problem = U.SearchProblem(spec, target, inv, p)
+        want = search._Scorer(problem)(A).tobytes()
+        with monkeypatch.context() as m:
+            m.setattr(search, "_STRIDED_SUM", 0)
+            assert search._Scorer(problem)(A).tobytes() == want, p
+
+
 # targets whose distances tie, vanish off the diagonal, carry signed zeros
 # (0.0 and -0.0 rank alike, and (-0.0) ** 3 is -0.0) or have p-th powers
 # past the float range; the random one has distances whose scalar and numpy
@@ -362,3 +385,102 @@ def test_exhaustive_rejects_a_negative_budget():
         U.exhaustive_max(problem, budget=-1)
     assert not isinstance(info.value, BudgetExceeded)
     assert U.exhaustive_max(problem, budget=3 ** 6).evaluations == 3 ** 6
+
+
+def test_search_scores_transposed_views_of_c_contiguous_batches(monkeypatch):
+    # local and exhaustive search build each batch as (vertices x rows) and
+    # hand the scorer its .T, which the scorer reads back without a copy
+    seen = []
+    scored = search._Scorer.__call__
+
+    def spy(self, A):
+        seen.append((A.T.flags.c_contiguous, not A.flags.owndata,
+                     np.shares_memory(np.ascontiguousarray(A.T), A)))
+        return scored(self, A)
+
+    monkeypatch.setattr(search._Scorer, "__call__", spy)
+    for tree, inv in LOCKSTEP_CASES[::3]:
+        problem = U.SearchProblem(U.parse_tree_spec(tree), random_target(2), inv,
+                                  2.0, {(): 0})
+        U.local_search_max(problem, 5, 3, 1)
+    problem = U.SearchProblem(U.parse_tree_spec("bin:h=2"), path_target(3),
+                              U.InvariantId.MARKOV_DIRECTED, 2.0, {(): 0})
+    monkeypatch.setattr(search, "_BATCH", 16 * 100)  # 16 columns: 100 rows a batch
+    before = len(seen)
+    assert U.exhaustive_max(problem).evaluations == 3 ** 6
+    assert len(seen) - before == 8 and all(all(flags) for flags in seen), seen
+
+
+# the tree workload's jobs (perfbench/workloads.py): the identity map's
+# class plans
+TREE_JOB_PLANS = ([(tree, inv) for tree in ("inc:h=8,b=10", "inc:h=8,b=12")
+                   for inv in (U.InvariantId.UMBEL_CONVEXITY,
+                               U.InvariantId.RELAXED_UMBEL,
+                               U.InvariantId.UMBEL_COTYPE)]
+                  + [("bin:h=8", inv) for inv in (
+                      U.InvariantId.FORK_CONVEXITY, U.InvariantId.FORK_COTYPE,
+                      U.InvariantId.TESSERA, U.InvariantId.MARKOV_DIRECTED)])
+
+
+def join_plans():
+    """Plans whose groups the join is checked on: groups of one size, of
+    one segment, of unequal sizes, one group and none, under each outer
+    join, with divisors of 1 and of 2^(s p); then every class plan of the
+    tree workload's jobs and every pair plan of SCORER_CASES."""
+    plans = []
+    for sizes in ([2, 2, 2], [3, 3, 3, 3], [4, 4], [1, 1, 1], [3, 1, 2], [5], [1], []):
+        bounds = np.cumsum([0] + sizes).tolist()
+        for outer in ("sum", "mean", "min"):
+            for scales in ([0] * len(sizes), list(range(len(sizes)))):
+                plans.append(Plan(starts=np.arange(bounds[-1]), reduce="sum",
+                                  weights=None, outer=outer,
+                                  groups=tuple(zip(bounds[:-1], bounds[1:])),
+                                  scales=tuple(scales)))
+    for tree, inv in TREE_JOB_PLANS:
+        for side in ("lhs", "rhs"):
+            try:
+                plans.append(invariants.class_plan(inv, U.parse_tree_spec(tree), side))
+            except InvariantError:  # a side the tree does not realise
+                pass
+    plans += [compile_plan(inv, U.parse_tree_spec(tree), side)
+              for tree, inv in SCORER_CASES for side in ("lhs", "rhs")]
+    return plans
+
+
+def join_mismatches(join):
+    """The (plan, p, rows) cases where `join` on the segments x rows values,
+    C-contiguous and as the .T of rows x segments, differs in any bit from
+    the per-segment oracle.  Values span six decades, so the order of the
+    additions shows, with signed zeros, nan and inf among them."""
+    rng = np.random.default_rng(37)
+    special = np.array([0.0, -0.0, np.nan, np.inf])
+    bad = []
+    for k, plan in enumerate(join_plans()):
+        for p in (1.0, 2.0, 3.0):
+            divs = invariants._divisors(plan, p)
+            for rows in (1, 2, 24):
+                seg = rng.random((rows, len(plan.starts))) * 10.0 ** rng.integers(
+                    -3, 3, size=(rows, len(plan.starts)))
+                hit = rng.random(seg.shape) < 0.1
+                seg[hit] = rng.choice(special, size=int(hit.sum()))
+                want = invariant_oracle.join(plan, seg, divs).tobytes()
+                for view in (seg.T, np.ascontiguousarray(seg.T)):
+                    if join(plan, view, divs).tobytes() != want:
+                        bad.append((k, p, rows))
+    return bad
+
+
+def test_join_equals_the_per_segment_join():
+    assert join_mismatches(invariants._join) == []
+
+
+def test_join_adding_the_groups_in_reverse_differs():
+    # the mutant joins each group as the library does but adds the groups
+    # last to first: the cases above tell the two orders apart
+    def reversed_join(plan, seg, divs):
+        total = np.zeros(seg.shape[1])
+        for group, div in reversed(list(zip(plan.groups, divs))):
+            total = total + invariants._join(replace(plan, groups=(group,)), seg, [div])
+        return total
+
+    assert join_mismatches(reversed_join)

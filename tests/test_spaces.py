@@ -12,9 +12,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import umbellab as U
 from umbellab import cli
-from umbellab.spaces import SpaceError, close
+from umbellab.spaces import ABS_TOL, REL_TOL, SpaceError, close
 
 import pointwise_oracle as oracle
+import spaces_oracle
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
 vec2 = st.tuples(finite, finite)
@@ -236,6 +237,53 @@ def test_finite_matrix_space_validation():
     for bad in (math.inf, math.nan):
         with pytest.raises(SpaceError, match="finite"):
             U.FiniteMatrixSpace(np.array([[0.0, bad], [bad, 0.0]]))
+
+
+def near_metric_matrices(rng, n: int):
+    """Matrices on which the checks are close calls: a metric from points
+    whose one entry (and, mostly, its mirror) moves by a few multiples of
+    the triangle slack or the symmetry tolerance, or past the float
+    range."""
+    pts = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-2, 3)
+    m = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1))
+    yield m
+    if n < 2:
+        return
+    slack = REL_TOL * (m.max() + 1.0)
+    for _ in range(6):
+        i, j = rng.choice(n, size=2, replace=False)
+        mid = rng.integers(n)
+        bent = m.copy()
+        # the path through mid, plus a few slacks either way
+        bent[i, j] = m[i, mid] + m[mid, j] + rng.choice([-2, -1, 0, 0.5, 1, 1.5, 3]) * slack
+        bent[j, i] = bent[i, j] + rng.choice([0.0, 0.0, 0.5, 2.0]) * (
+            ABS_TOL + REL_TOL * bent[i, j])
+        yield bent
+    huge = m.copy()
+    huge[rng.integers(n), :] = huge[:, rng.integers(n)] = 1e308
+    np.fill_diagonal(huge, 0.0)
+    yield huge  # path sums past the float range are inf
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 6, 40, 150])
+def test_finite_matrix_checks_equal_the_per_midpoint_loop(n):
+    # 40 points span 4 blocks of 10 midpoints, 150 one midpoint a block
+    assert U.spaces._TRIANGLE_BLOCK // 40 ** 2 == 10
+    rng = np.random.default_rng(n)
+    verdicts = set()
+    for _ in range(3 if n >= 150 else 20):
+        for m in near_metric_matrices(rng, n):
+            want = spaces_oracle.matrix_error(m)
+            try:
+                U.FiniteMatrixSpace(m)
+                got = None
+            except SpaceError as exc:
+                got = str(exc)
+            assert got == want, (n, m)
+            verdicts.add(want)
+    if n > 2:  # two points meet the triangle inequality
+        assert verdicts >= {None, "triangle inequality fails",
+                            "matrix must be symmetric"}, verdicts
 
 
 def test_finite_matrix_json_round_trip():
@@ -476,6 +524,44 @@ def test_sample_batch_is_the_c_order_draw_put_onto_the_ball(text, tmp_path):
     assert np.ascontiguousarray(batch).tobytes() == want.tobytes()
     if space.width < 8:  # each coordinate of each point is one column
         assert batch.strides[0] == batch.itemsize
+
+
+@pytest.mark.parametrize("text", ["l2:dim=8", "lp:p=3,dim=16", "lp:p=inf,dim=9",
+                                  "heis:dim=8", "heis:dim=16,p=3"])
+def test_wide_sample_batches_stay_coordinate_major(text):
+    # batches of 8 or more columns keep the coordinate-major draw's layout,
+    # with the values of the ball maps written as plain expressions
+    space = U.parse_space(text)
+    m, k = 300, 4
+    batch = space.sample_batch(np.random.default_rng(9), m, k)
+    x = np.ascontiguousarray(np.random.default_rng(9).uniform(
+        -1.0, 1.0, (m, k, space.width)).transpose(1, 2, 0)).transpose(2, 0, 1)
+    scale = np.maximum(space.norm_rows(x), 1.0)[..., None]
+    if isinstance(space, U.LpSpace):
+        want = x / scale
+    else:  # the Heisenberg dilation by 1 / scale
+        want = x * (1.0 / scale)
+        want[..., -1:] = x[..., -1:] * ((1.0 / scale) * (1.0 / scale))
+    assert batch.strides == (8, space.width * m * 8, m * 8)
+    assert np.ascontiguousarray(batch).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_ball_maps_keep_the_plain_expressions_dtype_and_broadcasting(dtype):
+    # onto_ball has x / norms' dtype in either layout; h_dilate_rows gives
+    # floats for integer rows and broadcasts t against a as a * t does
+    space = U.LpSpace(3, 2.0)
+    x = np.random.default_rng(5).uniform(-1.0, 1.0, (6, 3)).astype(dtype) * 2
+    for rows in (x, np.asfortranarray(x)):
+        want = rows / np.maximum(space.norm_rows(rows), 1.0)[..., None]
+        got = space.onto_ball(rows)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    a = np.array([[1, 2, 3]])
+    t = np.array([1.0, 0.5, 3.0])
+    got = U.spaces.h_dilate_rows(t, a)
+    assert got.dtype == np.float64
+    assert got.tolist() == [[1.0, 2.0, 3.0], [0.5, 1.0, 0.75], [3.0, 6.0, 27.0]]
+    assert U.spaces.h_dilate_rows(2, a).tolist() == [[2.0, 4.0, 12.0]]
 
 
 def test_product_rows_keep_points_whole():
