@@ -22,6 +22,7 @@ from .trees import TreeSpec, Vertex, tree_graph
 _EXHAUSTIVE_BUDGET = 10 ** 7
 _BATCH = 1 << 20  # gathered distances per scored batch
 _STRIDED_SUM = 1 << 19  # the most gathered entries a sum side reduces column-major
+_WINDOW = 1 << 13  # the most gathered entries of a multi-vertex local-search window
 
 
 class SearchError(ValueError):
@@ -75,7 +76,7 @@ class SearchResult:
     feasible: bool
     best_map: Optional[TreeMap]
     best_ratio: float
-    evaluations: int = 0           # assignments scored
+    evaluations: int = 0           # candidates the climbs compared (exhaustive: all)
     feasible_evaluations: int = 0  # of which rhs > 0
 
     def to_dict(self) -> dict:
@@ -221,6 +222,35 @@ def canonical_start(problem: SearchProblem) -> dict:
     return assignment
 
 
+def _accept(ratios: list, lo: int, n: int, active, row: list, current: list,
+            improved: set) -> tuple[int, int, bool]:
+    """One free vertex's acceptances.  From ratios[lo] on, each active climb
+    j has its n candidates in point order; it accepts each one, in order,
+    that beats current[j] by more than 1e-15 (any ratio when current[j] is
+    None: no ratio is -inf), and row[j] and current[j] follow.  Its own
+    point is skipped until it moves.  Returns the candidates compared, how
+    many of them have a ratio, and whether any climb accepted."""
+    skipped = nans = 0
+    accepted = False
+    for j in active:
+        old, r_now = row[j], current[j]
+        bar = -math.inf if r_now is None else r_now + 1e-15
+        for pt, r in enumerate(ratios[lo:lo + n]):
+            if pt == old:
+                skipped += 1
+            elif r > bar:
+                r_now, old, bar = r, pt, r + 1e-15
+                accepted = True
+                improved.add(j)
+            elif r != r:  # nan: rhs <= 0
+                nans += 1
+        row[j] = old
+        current[j] = r_now
+        lo += n
+    compared = n * len(active) - skipped
+    return compared, compared - nans, accepted
+
+
 def local_search_max(problem: SearchProblem, restarts: int, steps: int,
                      seed: int) -> SearchResult:
     """Hill-climbing over single-vertex reassignments with random restarts.
@@ -236,7 +266,15 @@ def local_search_max(problem: SearchProblem, restarts: int, steps: int,
     sweep that does not improve.  A climb's map changes only when its ratio
     rises, so its final state is its best.  Scoring is row-independent and
     climbing draws no random numbers, so the result is that of the climbs
-    run one after another: the first maximum in climb order."""
+    run one after another: the first maximum in climb order.
+
+    A sweep that has passed q free vertices since a climb last accepted
+    scores the batches of the next q vertices in one call (a window), while
+    they fit in one scorer block and _WINDOW gathered entries, about one
+    call's fixed cost.  The batches are walked in vertex order, and those
+    after the first vertex at which a climb accepts are dropped and scored
+    again from the new maps.  The walked batches are those one call a
+    vertex scores, so are the ratios and counts."""
     if restarts < 0 or steps < 0:
         raise SearchError(f"restarts and steps must be >= 0, got {restarts} and {steps}")
     free = problem.free_vertices()
@@ -261,28 +299,32 @@ def local_search_max(problem: SearchProblem, restarts: int, steps: int,
         points = np.tile(np.arange(n), len(current))
         for _ in range(steps):
             improved = set()
-            for i in cols:
-                climbs = A if len(active) == A.shape[1] else A[:, active]
-                candidates = np.repeat(climbs, n, axis=1)
-                candidates[i] = points[:candidates.shape[1]]
-                ratios = score(candidates.T).tolist()
+            m = len(active) * n  # a vertex's candidates
+            most = max(1, min(score.rows // m, _WINDOW // (m * len(score.u))))
+            ratios, lo, quiet = [], 0, 0
+            for s, i in enumerate(cols):
+                if lo == len(ratios):  # score the next window
+                    window = cols[s:s + min(max(quiet, 1), most)]
+                    climbs = A if len(active) == A.shape[1] else A[:, active]
+                    candidates = climbs.repeat(n, axis=1)
+                    if len(window) == 1:
+                        candidates[i] = points[:m]
+                    else:  # each vertex's candidates, side by side
+                        candidates = np.tile(candidates, len(window))
+                        candidates.reshape(len(candidates), len(window), m)[
+                            window, range(len(window))] = points[:m]
+                    ratios, lo = score(candidates.T).tolist(), 0
                 row = A[i].tolist()
-                for k, j in enumerate(active):
-                    old, r_now = row[j], current[j]
-                    for pt, r in enumerate(ratios[k * n:(k + 1) * n]):
-                        if pt == old:
-                            continue
-                        evaluations += 1
-                        if math.isnan(r):
-                            continue
-                        feasible += 1
-                        if r_now is None or r > r_now + 1e-15:
-                            r_now = r
-                            old = pt
-                            improved.add(j)
-                    row[j] = old
-                    current[j] = r_now
+                compared, ok, accepted = _accept(ratios, lo, n, active, row,
+                                                 current, improved)
+                evaluations += compared
+                feasible += ok
                 A[i] = row
+                if accepted:  # the rest of the window is stale
+                    ratios, lo, quiet = [], 0, 0
+                else:
+                    lo += m
+                    quiet += 1
             active = [j for j in active if j in improved]
             if not active:
                 break

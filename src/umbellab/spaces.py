@@ -70,7 +70,11 @@ def lp_norm_rows(v: np.ndarray, p: float) -> np.ndarray:
     when it is contiguous, so a longer one is made contiguous first.  A row
     whose sum of p-th powers falls below the smallest normal float, or past
     the largest while its largest |v_i| is finite, is recomputed by
-    `_scaled_norms`; every other row is the plain formula."""
+    `_scaled_norms`; every other row is the plain formula.  Rows that are
+    not float are taken as float64: an integer sum has no inf for the range
+    check to compare with."""
+    if v.dtype.kind != "f":
+        v = v.astype(np.float64)
     if v.shape[-1] >= 8:
         v = np.ascontiguousarray(v)
     if p == math.inf:

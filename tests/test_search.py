@@ -169,10 +169,18 @@ LOCKSTEP_CASES = ([("bin:h=4", inv) for inv in (
         U.InvariantId.UMBEL_COTYPE)])
 
 
-def check_lockstep(tree, inv, target, cap, monkeypatch):
+# window budgets of local search, in gathered entries: every window one
+# vertex (one scorer call a vertex), or only the quiet run and the scorer
+# block as limits
+WINDOWS = {"one-vertex": 0, "whole-sweep": 1 << 62}
+
+
+def check_lockstep(tree, inv, target, cap, monkeypatch, window=None):
     spec = U.parse_tree_spec(tree)
     problem = U.SearchProblem(spec, target, inv, 2.0, {(): 0})
     sizes = []
+    if window is not None:
+        monkeypatch.setattr(search, "_WINDOW", window)
     if cap is not None:
         # scorer batches of cap * n rows: climbs run cap at a time
         pairs = sum(len(compile_plan(inv, spec, side).u) for side in ("lhs", "rhs"))
@@ -199,6 +207,70 @@ def check_lockstep(tree, inv, target, cap, monkeypatch):
                          ids=[inv.value for _, inv in LOCKSTEP_CASES])
 def test_lockstep_climbs_equal_sequential_climbs(tree, inv, cap, monkeypatch):
     check_lockstep(tree, inv, random_target(len(inv.value)), cap, monkeypatch)
+
+
+@pytest.mark.parametrize("cap", [None, 2], ids=["one-group", "groups-of-2"])
+@pytest.mark.parametrize("window", WINDOWS)
+@pytest.mark.parametrize("tree,inv", LOCKSTEP_CASES,
+                         ids=[inv.value for _, inv in LOCKSTEP_CASES])
+def test_lockstep_windows_equal_sequential_climbs(tree, inv, window, cap, monkeypatch):
+    check_lockstep(tree, inv, random_target(len(inv.value)), cap, monkeypatch,
+                   WINDOWS[window])
+
+
+def scorer_batches(problem, restarts, steps, seed, monkeypatch):
+    """The shape of every batch a local search hands the scorer."""
+    shapes = []
+    scored = search._Scorer.__call__
+
+    def spy(self, A):
+        shapes.append(A.shape)
+        return scored(self, A)
+
+    monkeypatch.setattr(search._Scorer, "__call__", spy)
+    U.local_search_max(problem, restarts, steps, seed)
+    return shapes
+
+
+def test_windows_cut_the_scorer_calls_of_a_quiet_sweep(monkeypatch):
+    # fork-cotype rarely accepts: one call for the starts and one for each
+    # of the 30 free vertices would be 31
+    problem = U.SearchProblem(U.parse_tree_spec("bin:h=4"), random_target(21),
+                              U.InvariantId.FORK_COTYPE, 2.0, {(): 0})
+    assert len(scorer_batches(problem, 3, 1, 5, monkeypatch)) < 31
+
+
+@pytest.mark.parametrize("window", [None, WINDOWS["whole-sweep"]],
+                         ids=["default", "whole-sweep"])
+def test_a_sweep_that_accepts_at_every_vertex_scores_one_vertex_a_call(window,
+                                                                      monkeypatch):
+    # markov-directed accepts at every free vertex here: no quiet run, so
+    # no window, whatever the budget
+    if window is not None:
+        monkeypatch.setattr(search, "_WINDOW", window)
+    problem = U.SearchProblem(U.parse_tree_spec("bin:h=4"), random_target(1),
+                              U.InvariantId.MARKOV_DIRECTED, 2.0, {(): 0})
+    assert scorer_batches(problem, 3, 1, 1, monkeypatch) == [(4, 31)] + [(24, 31)] * 30
+
+
+def test_windows_that_keep_rows_after_an_acceptance_differ(monkeypatch):
+    # the mutant walks on through a window after a climb accepted, reading
+    # rows scored from the map that climb has left
+    accept = search._accept
+
+    def keep_rows(*args):
+        return (*accept(*args)[:2], False)
+
+    monkeypatch.setattr(search, "_WINDOW", WINDOWS["whole-sweep"])
+    for inv in (U.InvariantId.FORK_CONVEXITY, U.InvariantId.TESSERA,
+                U.InvariantId.MARKOV_DIRECTED):
+        problem = U.SearchProblem(U.parse_tree_spec("bin:h=4"), random_target(1),
+                                  inv, 2.0, {(): 0})
+        want = sequential_local_search_max(problem, 5, 3, 1).to_json()
+        with monkeypatch.context() as m:
+            m.setattr(search, "_accept", keep_rows)
+            assert U.local_search_max(problem, 5, 3, 1).to_json() != want, inv
+        assert U.local_search_max(problem, 5, 3, 1).to_json() == want, inv
 
 
 @pytest.mark.parametrize("n", [2, 7])
@@ -311,6 +383,18 @@ def table_mismatches():
 
 def test_scorer_tables_equal_evaluation_on_ties_zeros_and_overflow():
     assert table_mismatches() == []
+
+
+@pytest.mark.parametrize("window", [None, *WINDOWS.values()],
+                         ids=["default", *WINDOWS])
+@pytest.mark.parametrize("name", ["path", "star", "zeros", "signed-zeros", "huge"])
+@pytest.mark.parametrize("tree,inv", LOCKSTEP_CASES,
+                         ids=[inv.value for _, inv in LOCKSTEP_CASES])
+def test_lockstep_climbs_on_ties_zeros_and_overflow(tree, inv, name, window,
+                                                    monkeypatch):
+    # ties, nan ratios and inf powers decide acceptances here, and a window's
+    # larger batches raise no warning
+    check_lockstep(tree, inv, TABLE_TARGETS[name], None, monkeypatch, window)
 
 
 def test_scorer_with_numpy_min_max_powers_differs(monkeypatch):

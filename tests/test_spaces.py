@@ -181,6 +181,25 @@ def test_lp_distance_past_the_power_range_is_the_scaled_norm():
         assert U.LpSpace(2, 2).distance_rows(big, zero).tolist() == [math.inf] * 2
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_lp_norms_of_integer_rows_are_those_of_the_float_rows(p):
+    # an integer sum of powers has no inf to range-check against, and an
+    # integer p = 1 or p = inf norm would stay integer
+    space = U.LpSpace(3, p)
+    a, b = np.array([[0, 0, 0], [4, -1, 7]]), np.array([[1, 2, 2], [-3, 5, 0]])
+    fa, fb = a.astype(float), b.astype(float)
+    cases = [(space.distance_rows(a, b), space.distance_rows(fa, fb)),
+             (space.norm_rows(b), space.norm_rows(fb)),
+             (space.onto_ball(b), space.onto_ball(fb))]
+    for got, want in cases:
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    assert space.distance_rows(a, b)[0] == space.distance((0, 0, 0), (1, 2, 2))
+    if p == 2:
+        assert space.distance_rows(a, b)[0] == 3.0
+    half = np.array([[0.5, -0.25, 1.0]], dtype=np.float32)
+    assert space.norm_rows(half).dtype == np.float32
+
+
 small = st.floats(min_value=-2, max_value=2, allow_nan=False)
 
 
