@@ -303,9 +303,11 @@ def main(argv=None) -> int:
         return _HANDLERS[args.command](args)
     except (ValueError, OSError, KeyError, ArithmeticError) as exc:
         return _fail(exc, EXIT_VALIDATION)
+    except MemoryError as exc:  # an input too large to hold, such as a huge dim
+        return _fail(f"out of memory: {str(exc) or 'an allocation failed'}", EXIT_VALIDATION)
 
 
-def _fail(exc: Exception, code: int) -> int:
+def _fail(exc: Exception | str, code: int) -> int:
     print(json.dumps({"schema": SCHEMA, "error": str(exc)}, allow_nan=False),
           file=sys.stderr)
     return code

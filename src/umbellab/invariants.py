@@ -20,9 +20,10 @@ column per class, which a ProfileMap reads, as its image distance is one
 value per class; the pair plan expands each class into its vertex pairs.
 Which classes a tree has is one rule, `_realised`: the class plan refuses a
 side with a class the tree lacks, and a ProfileMap scans the realised ones.
-`evaluate` is the one kernel: a gather of pair distances, a reduceat per
-segment (`_segments`) and the weighted combination of the groups (`_join`,
-which the search scorer shares with it).  The cotype and
+`evaluate` is the one kernel: pair distances as (pairs x rows), a reduceat
+per segment (`_segments`) and the weighted combination of the groups
+(`_join`); the search scorer reduces its gathered (columns x rows) table
+entries with the same two.  The cotype and
 tessera right-hand sides are Lipschitz constants: on a tree every geodesic
 is a path of edges, so into a metric target that is the largest image edge
 length, one "max" segment over the edges; other targets also scan every
@@ -148,10 +149,10 @@ class TreeMap:
     def plan_distances(self, inv: "InvariantId", side: str,
                        j_min: Optional[int] = None) -> tuple["Plan", np.ndarray]:
         """The plan of one side of a functional on this map's tree and its
-        distances, one row in plan order: the pair plan and the image
+        distances, one column in plan order: the pair plan and the image
         distances of its pairs."""
         plan = compile_plan(inv, self.spec, side, j_min)
-        return plan, self.pair_distances(plan.u, plan.v)[None]
+        return plan, self.pair_distances(plan.u, plan.v)[:, None]
 
     def edge_distances(self) -> np.ndarray:
         """Image distances whose maximum is the largest image of an edge:
@@ -263,7 +264,7 @@ class ProfileMap(TreeMap):
         """Every side takes its class plan, one profile value a column, built
         from the spec alone."""
         plan = class_plan(inv, self.spec, side, j_min)
-        return plan, self.profile(*plan.classes.T)[None]
+        return plan, self.profile(*plan.classes.T)[:, None]
 
     def edge_distances(self) -> np.ndarray:
         """One value per edge class (a - 1, a, a - 1)."""
@@ -450,14 +451,27 @@ def _pow(x: np.ndarray, p: float) -> np.ndarray:
     return np.array(out).reshape(x.shape)
 
 
-def _segments(plan: Plan, d: np.ndarray, p: float) -> np.ndarray:
-    """Each segment's value for each row of pair distances d (shape rows x
-    pairs, columns in plan order): the p-th power of its extreme distance,
-    or its weighted sum of p-th powers."""
+_STRIDED_SUM = 1 << 19  # the most gathered entries a sum side reduces column-major
+
+
+def _segments(plan: Plan, g: np.ndarray, finish: Callable) -> np.ndarray:
+    """Segment values (segments x rows) from a side's gathered entries g
+    (columns x rows, columns in plan order).  A sum side's entries are the
+    p-th powers of its distances, weighed and added.  A min or max side's
+    entries are order keys of its distances, and `finish` maps each
+    segment's extreme key to the p-th power of its distance.  reduceat gives
+    the same bits in either layout.  Past _STRIDED_SUM entries a
+    column-major sum reduce, which walks each segment a row apart, falls out
+    of the cache and costs up to twice a row-major one, so a larger sum side
+    is multiplied into a row-major array and reduced along its rows."""
     if plan.reduce == "sum":
-        return np.add.reduceat(plan.weights * d ** p, plan.starts, axis=1)
+        if g.size <= _STRIDED_SUM:
+            return np.add.reduceat(plan.weights[:, None] * g, plan.starts, axis=0)
+        terms = np.empty(g.shape[::-1])
+        np.multiply(plan.weights[:, None], g, out=terms.T)
+        return np.add.reduceat(terms, plan.starts, axis=1).T
     extreme = np.minimum if plan.reduce == "min" else np.maximum
-    return _pow(extreme.reduceat(d, plan.starts, axis=1), p)
+    return finish(extreme.reduceat(g, plan.starts, axis=0))
 
 
 def _divisors(plan: Plan, p: float) -> list:
@@ -491,9 +505,11 @@ def _join(plan: Plan, seg: np.ndarray, divs: list) -> np.ndarray:
 
 
 def evaluate(plan: Plan, d: np.ndarray, p: float) -> np.ndarray:
-    """The functional for each row of pair distances d (shape rows x pairs,
-    columns in plan order)."""
-    return _join(plan, _segments(plan, d, p).T, _divisors(plan, p))
+    """The functional for each row of pair distances d (shape pairs x rows,
+    pairs in plan order): a sum side powers the distances, and a min or max
+    side orders them and powers its extremes by the scalar power."""
+    g = d ** p if plan.reduce == "sum" else d
+    return _join(plan, _segments(plan, g, lambda x: _pow(x, p)), _divisors(plan, p))
 
 
 _PLAN_CAP = 2 ** 26  # the most vertex pairs a pair plan is built with

@@ -566,45 +566,3 @@ def modulus_beta(space: LpSpace, t: float, m: int = 3, grid: int = 12) -> Modulu
     pts = _circle_points(space, grid)
     cand = np.concatenate([pts * 0.5, pts, np.zeros((1, 2))])
     return _tripod_modulus(space, t, m, grid, cand)
-
-
-# ---------------------------------------------------------------------------
-# Finite Ramsey refinement
-
-
-def ramsey_refine(points, p: float, K: float, N: int, m: int,
-                  space=None, anchors=None) -> tuple[int, ...]:
-    """Find m indices whose pairwise values d(x_i,x_j)^p / K^p (and unary
-    anchor values, when anchors=(w, z) are given) each fall inside a single
-    width-1/N bucket, by brute-force clique search.  The points become rows
-    once; their pair distances take one `distance_rows` call and each
-    anchor's distances one more, bucketed by the scalar power."""
-    if m > 5:
-        raise PointwiseError("m is capped at 5 (clique search is exponential)")
-    if N < 1:
-        raise PointwiseError("N must be >= 1")
-    if len(points) < m:
-        raise PointwiseError("not enough points")
-    if space is None:
-        space = LpSpace(len(points[0]), 2.0)
-    n, rows = len(points), space.rows(points)
-
-    def bucket(v: float) -> int:
-        return int(math.floor(v * N))
-
-    if anchors is not None:
-        w, z = (space.distance_rows(space.rows([a]), rows).tolist() for a in anchors)
-        unary = [(bucket(dw ** p / 2 ** p), bucket(0.5 * dz ** p))
-                 for dw, dz in zip(w, z)]
-    else:
-        unary = [()] * n
-    d = space.distance_rows(rows[:, None], rows[None]).tolist()
-    color = {(i, j): bucket(d[i][j] ** p / K ** p)
-             for i, j in itertools.combinations(range(n), 2)}
-    for combo in itertools.combinations(range(n), m):
-        if len({unary[i] for i in combo}) > 1:
-            continue
-        pair_colors = {color[i, j] for i, j in itertools.combinations(combo, 2)}
-        if len(pair_colors) <= 1:
-            return combo
-    raise PointwiseError("no monochromatic subset of the requested size")

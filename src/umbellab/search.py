@@ -15,13 +15,12 @@ from typing import Optional
 import numpy as np
 
 from .invariants import (InvariantId, TreeMap, _check_exponent, _divisors,
-                         _join, _pow, compile_plan)
+                         _join, _pow, _segments, compile_plan)
 from .spaces import FiniteMatrixSpace, SpaceError, is_int
 from .trees import TreeSpec, Vertex, tree_graph
 
 _EXHAUSTIVE_BUDGET = 10 ** 7
 _BATCH = 1 << 20  # gathered distances per scored batch
-_STRIDED_SUM = 1 << 19  # the most gathered entries a sum side reduces column-major
 _WINDOW = 1 << 13  # the most gathered entries of a multi-vertex local-search window
 
 
@@ -97,20 +96,19 @@ NO_FEASIBLE = SearchResult(False, None, -math.inf)
 
 
 class _Scorer:
-    """lhs/rhs ratios of batches of assignment arrays (rows of A), nan where
-    rhs <= 0.  Plans, exponent check, group divisors and power tables are
-    built once.  A batch is scored column-major, as its (vertices x rows)
-    transpose, which is a view when A is the .T of a C-contiguous batch:
-    each gathered plan column and each segment value is then a contiguous
-    run over the rows.  Entries of A are point indices, so a * n + b indexes
-    the flat table; a block forms both plans' indices, lhs first, at once,
-    and one gather serves both sides when they read one table.  A sum side
-    gathers pw, the numpy power `evaluate` takes of each distance.  A min
-    or max side reduces the ranks of the distances among the distinct
-    entries, which keep their order, and reads spw, the scalar power
-    `evaluate` takes of the extreme distance.  (-0.0 ranks with 0.0; the
-    join, `evaluate`'s own, drops the sign of a zero.)  So every ratio has
-    `evaluate`'s bits."""
+    """lhs/rhs ratios of batches of assignment arrays (columns of a C-contiguous
+    (vertices x rows) array A), nan where rhs <= 0.  Plans, exponent check,
+    group divisors and power tables are built once.  Each gathered plan
+    column and each segment value is a contiguous run over the rows.
+    Entries of A are point indices, so a * n + b indexes the flat table; a
+    block forms both plans' indices, lhs first, at once, and one gather
+    serves both sides when they read one table.  A sum side gathers pw, the
+    numpy power `evaluate` takes of each distance.  A min or max side
+    reduces the ranks of the distances among the distinct entries, which
+    keep their order, and reads spw, the scalar power `evaluate` takes of
+    the extreme distance.  (-0.0 ranks with 0.0; the join, `evaluate`'s
+    own, drops the sign of a zero.)  `evaluate`'s `_segments` and `_join`
+    reduce them, so every ratio has `evaluate`'s bits."""
 
     def __init__(self, problem: SearchProblem):
         self.problem = problem
@@ -133,38 +131,21 @@ class _Scorer:
         self.tables = [pw if plan.reduce == "sum" else rank for plan in self.plans]
         self.rows = max(1, _BATCH // len(self.u))
 
-    def _segments(self, plan, g: np.ndarray) -> np.ndarray:
-        """Segment values (segments x rows) from the gathered table entries
-        g (columns x rows) of a side.  reduceat gives the same bits in
-        either layout.  Past _STRIDED_SUM entries a column-major sum reduce,
-        which walks each segment a row apart, falls out of the cache and
-        costs up to twice a row-major one, so a larger sum side is
-        multiplied into a row-major array and reduced along its rows."""
-        if plan.reduce == "sum":
-            if g.size <= _STRIDED_SUM:
-                return np.add.reduceat(plan.weights[:, None] * g, plan.starts, axis=0)
-            terms = np.empty(g.shape[::-1])
-            np.multiply(plan.weights[:, None], g, out=terms.T)
-            return np.add.reduceat(terms, plan.starts, axis=1).T
-        extreme = np.minimum if plan.reduce == "min" else np.maximum
-        return self.spw.take(extreme.reduceat(g, plan.starts, axis=0))
-
     @np.errstate(over="ignore", invalid="ignore")
     def __call__(self, A: np.ndarray) -> np.ndarray:
         (lhs, rhs), (ldivs, rdivs), cut = self.plans, self.divisors, self.cut
         ltable, rtable = self.tables
-        AT = np.ascontiguousarray(A.T)
-        out = np.full(AT.shape[1], np.nan)
+        out = np.full(A.shape[1], np.nan)
         for lo in range(0, len(out), self.rows):
-            block = AT[:, lo:lo + self.rows]
+            block = A[:, lo:lo + self.rows]
             idx = (block * self.n).take(self.u, axis=0) + block.take(self.v, axis=0)
             if ltable is rtable:  # one gather serves both sides
                 g = ltable.take(idx)
                 gl, gr = g[:cut], g[cut:]
             else:
                 gl, gr = ltable.take(idx[:cut]), rtable.take(idx[cut:])
-            left = _join(lhs, self._segments(lhs, gl), ldivs)
-            right = _join(rhs, self._segments(rhs, gr), rdivs)
+            left = _join(lhs, _segments(lhs, gl, self.spw.take), ldivs)
+            right = _join(rhs, _segments(rhs, gr, self.spw.take), rdivs)
             np.divide(left, right, out=out[lo:lo + self.rows], where=right > 0)
         return out
 
@@ -197,7 +178,7 @@ def exhaustive_max(problem: SearchProblem,
         A = np.repeat(base[:, None], len(combos), axis=1)  # one column a row
         if cols:
             A[cols] = np.unravel_index(combos, (n,) * len(cols))
-        ratios = score(A.T)
+        ratios = score(A)
         ok = ~np.isnan(ratios)
         feasible += int(ok.sum())
         if ok.any():
@@ -292,7 +273,7 @@ def local_search_max(problem: SearchProblem, restarts: int, steps: int,
         A = np.repeat(start[:, None], min(group, restarts + 1 - first), axis=1)
         drawn = A[:, 1 if first == 0 else 0:]
         drawn[cols] = rng.integers(n, size=(drawn.shape[1], len(cols))).T
-        current = [None if math.isnan(r) else r for r in score(A.T).tolist()]
+        current = [None if math.isnan(r) else r for r in score(A).tolist()]
         evaluations += len(current)
         feasible += sum(r is not None for r in current)
         active = range(len(current))
@@ -313,7 +294,7 @@ def local_search_max(problem: SearchProblem, restarts: int, steps: int,
                         candidates = np.tile(candidates, len(window))
                         candidates.reshape(len(candidates), len(window), m)[
                             window, range(len(window))] = points[:m]
-                    ratios, lo = score(candidates.T).tolist(), 0
+                    ratios, lo = score(candidates).tolist(), 0
                 row = A[i].tolist()
                 compared, ok, accepted = _accept(ratios, lo, n, active, row,
                                                  current, improved)

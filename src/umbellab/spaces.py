@@ -549,23 +549,6 @@ class HeisenbergMetricSpace(RowSpace):
         return f"heis:dim={self.space.dim},metric=koranyi,p={p},lambda={self.lam:g}"
 
 
-def horizontal_length(sp: HeisenbergSpace, samples) -> tuple[float, float]:
-    """Polygonal horizontal length of a sampled curve of (x, z) pairs and its
-    discrete horizontality defect max |dz - omega(x, dx)| over grid cells."""
-    if len(samples) < 2:
-        raise SpaceError("need at least 2 samples")
-    x = np.array([x for x, _ in samples], dtype=float)
-    z = np.array([z for _, z in samples], dtype=float)
-    dx = np.diff(x, axis=0)
-    defects = np.abs(np.diff(z) - sp.omega_rows(x[:-1], dx))
-    # summed left to right and maxed past NaN defects, as the per-cell loop
-    # did, so the bits match (a builtin sum is compensated from Python 3.12)
-    length = 0.0
-    for step in lp_norm_rows(dx, 2).tolist():
-        length += step
-    return length, max(0.0, *defects.tolist())
-
-
 _TRIPLES_CHUNK = 1 << 14
 
 

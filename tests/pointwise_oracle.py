@@ -254,19 +254,6 @@ def quasi_constant_estimate(space, n: int, seed: int) -> float:
     return best
 
 
-def horizontal_length(sp, samples) -> tuple[float, float]:
-    """spaces.horizontal_length as the per-cell loop it replaced."""
-    if len(samples) < 2:
-        raise SpaceError("need at least 2 samples")
-    length = 0.0
-    residual = 0.0
-    for (x0, z0), (x1, z1) in zip(samples, samples[1:]):
-        dx = np.asarray(x1, float) - np.asarray(x0, float)
-        length += lp_norm(dx, 2)
-        residual = max(residual, abs((z1 - z0) - omega(sp, x0, dx)))
-    return length, residual
-
-
 def modulus_delta_tilde(space: LpSpace, eps: float, grid: int = 24) -> ModulusEstimate:
     """Tripod variant of the convexity modulus:
     inf over ||z||,||x1||,||x2|| <= 1 with ||x1-x2|| >= eps of
@@ -340,41 +327,3 @@ def modulus_beta(space: LpSpace, t: float, m: int = 3, grid: int = 12) -> Modulu
     x0 = np.concatenate([z0] + list(xs0))
     polish, polished = _polish(obj, cons, x0)
     return ModulusEstimate(t, max(min(best, polish), 0.0), grid, count, polished)
-
-
-def ramsey_refine(points, p: float, K: float, N: int, m: int,
-                  space=None, anchors=None) -> tuple[int, ...]:
-    """pointwise.ramsey_refine with one scalar `space.distance` call per
-    point pair and per (anchor, point)."""
-    if m > 5:
-        raise PointwiseError("m is capped at 5 (clique search is exponential)")
-    if N < 1:
-        raise PointwiseError("N must be >= 1")
-    if len(points) < m:
-        raise PointwiseError("not enough points")
-    if space is None:
-        space = LpSpace(len(points[0]), 2.0)
-    d = space.distance
-
-    def bucket(v: float) -> int:
-        return int(math.floor(v * N))
-
-    if anchors is not None:
-        w, z = anchors
-        unary = [
-            (bucket(d(w, x) ** p / 2 ** p), bucket(0.5 * d(z, x) ** p))
-            for x in points
-        ]
-    else:
-        unary = [() for _ in points]
-    n = len(points)
-    color = {}
-    for i, j in itertools.combinations(range(n), 2):
-        color[i, j] = bucket(d(points[i], points[j]) ** p / K ** p)
-    for combo in itertools.combinations(range(n), m):
-        if len({unary[i] for i in combo}) > 1:
-            continue
-        pair_colors = {color[i, j] for i, j in itertools.combinations(combo, 2)}
-        if len(pair_colors) <= 1:
-            return combo
-    raise PointwiseError("no monochromatic subset of the requested size")

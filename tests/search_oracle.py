@@ -27,7 +27,7 @@ def sequential_local_search_max(problem: SearchProblem, restarts: int,
 
     def climb(a: np.ndarray) -> None:
         nonlocal best, evaluations, feasible
-        r = float(score(a[None])[0])
+        r = float(score(a[:, None])[0])
         evaluations += 1
         current = None if math.isnan(r) else r
         if current is not None:
@@ -37,8 +37,8 @@ def sequential_local_search_max(problem: SearchProblem, restarts: int,
         for _ in range(steps):
             improved = False
             for i in cols:
-                candidates = np.repeat(a[None], n, axis=0)
-                candidates[:, i] = np.arange(n)
+                candidates = np.repeat(a[:, None], n, axis=1)
+                candidates[i] = np.arange(n)
                 ratios = score(candidates).tolist()
                 old = int(a[i])
                 for pt, r in enumerate(ratios):

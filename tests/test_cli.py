@@ -340,6 +340,30 @@ def run_strict(capsys, *argv):
     return code, captured.out, err
 
 
+@pytest.mark.parametrize("message,want", [
+    ("Unable to allocate 29.1 TiB for an array with shape (100000000000, 3) "
+     "and data type float64",
+     "out of memory: Unable to allocate 29.1 TiB for an array with shape "
+     "(100000000000, 3) and data type float64"),
+    ("", "out of memory: an allocation failed")])
+def test_an_allocation_past_memory_exits_two(capsys, monkeypatch, message, want):
+    # a huge dim asks numpy for terabytes; the handler here fails as numpy
+    # does, without allocating anything
+    def handler(args):
+        raise MemoryError(message)
+
+    for command in ("certify", "invariant"):
+        monkeypatch.setitem(_HANDLERS, command, handler)
+    for argv in (["certify", "--space", "l2:dim=100000000000", "--inequality",
+                  "tripod", "--samples", "10"],
+                 ["invariant", "--tree", "bin:h=4", "--invariant", "tessera",
+                  "--p", "2", "--map", "constant", "--target",
+                  "l2:dim=100000000000"]):
+        code, out, err = run_strict(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == {"schema": SCHEMA, "error": want}
+
+
 @pytest.mark.parametrize("p", ["nan", "inf", "-1", "0"])
 def test_invariant_bad_exponent_exit_two(capsys, p):
     code, out, err = run_strict(capsys, "invariant", "--tree", "bin:h=4",

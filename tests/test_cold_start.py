@@ -107,20 +107,21 @@ def test_cli_runs_without_scipy(tmp_path):
 # the names `umbellab` exported when it imported every module up front,
 # less those deleted since (search.identity_report; trees.tree_distance,
 # level_edges, diamond_graph and laakso_graph; spaces.h_mul, h_inv,
-# h_dilate, koranyi_norm and koranyi_dist)
+# h_dilate, koranyi_norm, koranyi_dist and horizontal_length;
+# pointwise.ramsey_refine)
 EXPORTS = {
     "trees": ["TreeSpec", "parse_tree_spec", "vertices", "vertices_at_height",
               "binary_to_increasing", "check_star_property"],
     "spaces": ["LpSpace", "FiniteMatrixSpace", "GraphMetricSpace",
                "ProductSpace", "HeisenbergSpace", "HeisenbergMetricSpace",
-               "HPoint", "horizontal_length", "quasi_constant_estimate",
+               "HPoint", "quasi_constant_estimate",
                "standard_symplectic", "parse_space"],
     "pointwise": ["InequalityId", "InequalityConfig", "CheckReport",
                   "CampaignReport", "ModulusEstimate", "NoSolution",
                   "check_inequality", "check_parallelogram", "certify",
                   "ball_sampler", "min_feasible_K", "solve_umbel_K",
                   "alpha_sequence", "modulus_delta", "modulus_delta_tilde",
-                  "modulus_beta", "ramsey_refine", "parallelogram_constants"],
+                  "modulus_beta", "parallelogram_constants"],
     "invariants": ["InvariantId", "InvariantReport", "TreeMap", "lhs", "rhs",
                    "report", "lipschitz_constant",
                    "markov_pair_expectation_exact", "named_map"],
@@ -222,13 +223,13 @@ def test_an_unknown_attribute_raises_attribute_error(name):
 
 def test_an_export_reads_its_module_binding_each_time(monkeypatch):
     # an export read while its function is patched must not keep the patch
-    original = U.spaces.horizontal_length
+    original = U.spaces.quasi_constant_estimate
 
     def patched(*args):
         return original(*args)
 
     with monkeypatch.context() as m:
-        m.setattr(U.spaces, "horizontal_length", patched)
-        assert U.horizontal_length is patched
-    assert U.horizontal_length is original
-    assert "horizontal_length" not in vars(U)
+        m.setattr(U.spaces, "quasi_constant_estimate", patched)
+        assert U.quasi_constant_estimate is patched
+    assert U.quasi_constant_estimate is original
+    assert "quasi_constant_estimate" not in vars(U)

@@ -125,7 +125,7 @@ def test_identity_sum_sides_equal_the_exact_fractions(k):
             assert got == want, case
             if k < 4:
                 plan = compile_plan(inv, spec, side)
-                d = f.pair_distances(plan.u, plan.v)[None]
+                d = f.pair_distances(plan.u, plan.v)[:, None]
                 assert invariants.evaluate(plan, d, float(p))[0] == want, case
 
 
@@ -751,13 +751,15 @@ def test_evaluate_is_row_independent(tree, inv):
     pts = rng.normal(size=(6, 3))
     target = U.FiniteMatrixSpace(
         np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1)))
-    A = rng.integers(6, size=(9, len(U.vertices(spec))))
-    A[0] = 0  # the constant map: every distance 0
+    A = rng.integers(6, size=(9, len(U.vertices(spec)))).T.copy()
+    A[:, 0] = 0  # the constant map: every distance 0
     for side in ("lhs", "rhs"):
         plan = compile_plan(inv, spec, side)
-        d = target.distance_rows(A[:, plan.u], A[:, plan.v])
+        d = target.distance_rows(A[plan.u], A[plan.v])  # pairs x rows
         for p in (1.0, 1.5, 2.0, 3.0):
-            rows = [invariants.evaluate(plan, d[r:r + 1], p) for r in range(len(d))]
+            # each row as plan_distances gives it: one contiguous column
+            rows = [invariants.evaluate(plan, d[:, r:r + 1].copy(), p)
+                    for r in range(d.shape[1])]
             assert invariants.evaluate(plan, d, p).tobytes() == \
                 np.concatenate(rows).tobytes()
 

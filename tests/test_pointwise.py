@@ -1,5 +1,4 @@
 import functools
-import itertools
 import json
 import math
 import tracemalloc
@@ -643,62 +642,6 @@ def test_alpha_sequence_rejects_z_equal_m():
     sp = U.LpSpace(2, 2.0)
     with pytest.raises(Exception):
         U.alpha_sequence(sp, (0.0, 0.0), (2.0, 0.0), (1.0, 0.0), (1.0, 0.0), 3)
-
-
-def test_ramsey_refine_finds_monochromatic_clique():
-    rng = np.random.default_rng(1)
-    pts = [tuple(rng.uniform(-1, 1, 2)) for _ in range(24)]
-    idx = U.ramsey_refine(pts, p=2.0, K=2.0, N=4, m=3, space=U.LpSpace(2, 2.0))
-    assert len(idx) == 3
-    assert len(set(idx)) == 3
-    # every pair's d^p / K^p falls in one width-1/N bucket
-    buckets = {math.floor(math.dist(pts[i], pts[j]) ** 2 / 2.0 ** 2 * 4)
-               for i, j in itertools.combinations(idx, 2)}
-    assert len(buckets) == 1
-
-
-def test_ramsey_refine_anchors_share_unary_buckets():
-    rng = np.random.default_rng(2)
-    pts = [tuple(rng.uniform(-1, 1, 2)) for _ in range(24)]
-    w, z = (0.0, 0.0), (0.5, 0.5)
-    idx = U.ramsey_refine(pts, p=2.0, K=2.0, N=4, m=3, anchors=(w, z))
-    assert len(set(idx)) == 3
-    unary = {(math.floor(math.dist(w, pts[i]) ** 2 / 2 ** 2 * 4),
-              math.floor(0.5 * math.dist(z, pts[i]) ** 2 * 4)) for i in idx}
-    assert len(unary) == 1
-
-
-def test_ramsey_refine_table_points_must_be_indices():
-    with pytest.raises(U.spaces.SpaceError, match="^-1 is not an index"):
-        U.ramsey_refine([-1, 0, 1, 2], 2.0, 1.0, 1, 2, space=STAR4)
-
-
-def _ramsey_outcome(refine, *args, **kw):
-    try:
-        return refine(*args, **kw)
-    except pointwise.PointwiseError as exc:
-        return str(exc)
-
-
-RAMSEY_SPACES = {"l2": U.LpSpace(2, 2.0), "l1": U.LpSpace(2, 1.0),
-                 "linf": U.LpSpace(3, math.inf),
-                 "heis": U.parse_space("heis:dim=2,p=2"), "star": STAR4}
-
-
-@pytest.mark.parametrize("name", RAMSEY_SPACES)
-def test_ramsey_refine_equals_the_scalar_loop(name):
-    space, outcomes = RAMSEY_SPACES[name], set()
-    for seed in range(30):
-        rng = np.random.default_rng(seed)
-        pts = [space.point(r) for r in space.sample_batch(rng, 1, 14)[0]]
-        w, z = (space.point(r) for r in space.sample_batch(rng, 1, 2)[0])
-        for anchors in (None, (w, z)):
-            args = (pts, 2.5, 1.5, 8, 3)
-            got = _ramsey_outcome(U.ramsey_refine, *args, space=space, anchors=anchors)
-            assert got == _ramsey_outcome(oracle.ramsey_refine, *args, space=space,
-                                          anchors=anchors), (seed, anchors)
-            outcomes.add(got)
-    assert len(outcomes) >= 25, outcomes  # the seeds reach many cliques
 
 
 @pytest.mark.parametrize("q", [math.inf, math.nan, 0.0, -2.0])

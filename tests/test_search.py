@@ -188,7 +188,7 @@ def check_lockstep(tree, inv, target, cap, monkeypatch, window=None):
         scored = search._Scorer.__call__
 
         def spy(self, A):
-            sizes.append(len(A))
+            sizes.append(A.shape[1])
             return scored(self, A)
 
         monkeypatch.setattr(search._Scorer, "__call__", spy)
@@ -219,7 +219,8 @@ def test_lockstep_windows_equal_sequential_climbs(tree, inv, window, cap, monkey
 
 
 def scorer_batches(problem, restarts, steps, seed, monkeypatch):
-    """The shape of every batch a local search hands the scorer."""
+    """The (vertices, rows) shape of every batch a local search hands the
+    scorer."""
     shapes = []
     scored = search._Scorer.__call__
 
@@ -250,7 +251,7 @@ def test_a_sweep_that_accepts_at_every_vertex_scores_one_vertex_a_call(window,
         monkeypatch.setattr(search, "_WINDOW", window)
     problem = U.SearchProblem(U.parse_tree_spec("bin:h=4"), random_target(1),
                               U.InvariantId.MARKOV_DIRECTED, 2.0, {(): 0})
-    assert scorer_batches(problem, 3, 1, 1, monkeypatch) == [(4, 31)] + [(24, 31)] * 30
+    assert scorer_batches(problem, 3, 1, 1, monkeypatch) == [(31, 4)] + [(31, 24)] * 30
 
 
 def test_windows_that_keep_rows_after_an_acceptance_differ(monkeypatch):
@@ -303,13 +304,12 @@ def test_scorer_equals_per_side_evaluation(tree, inv, blocks, monkeypatch):
     for seed in range(4):
         target = random_target(seed)
         A = np.random.default_rng(seed).integers(
-            target.n, size=(batch, len(U.vertices(spec))))
-        A[0] = 0
+            target.n, size=(batch, len(U.vertices(spec)))).T.copy()
+        A[:, 0] = 0
         for p in (1.0, 1.5, 2.0, 3.0):
             score = search._Scorer(U.SearchProblem(spec, target, inv, p))
             assert -(-batch // score.rows) == blocks
-            left, right = (evaluate(plan, target.distance_rows(A[:, plan.u],
-                                                               A[:, plan.v]), p)
+            left, right = (evaluate(plan, target.distance_rows(A[plan.u], A[plan.v]), p)
                            for plan in plans)
             with np.errstate(divide="ignore", invalid="ignore"):
                 want = left / right
@@ -326,16 +326,29 @@ SUM_CASES = [(tree, inv) for tree, inv in SCORER_CASES
                          ids=[f"{tree}-{inv.value}" for tree, inv in SUM_CASES])
 def test_scorer_row_major_sum_reduce_has_the_same_bits(tree, inv, monkeypatch):
     # every sum side reduced row-major, as sides of more than _STRIDED_SUM
-    # gathered entries are, gives the column-major reduce's bits
+    # gathered entries are, gives the column-major reduce's bits: in the
+    # scorer, and in evaluate on pair plans (the image distances of plain
+    # maps) and on class plans, one row and many
     spec = U.parse_tree_spec(tree)
     target = random_target(5)
-    A = np.random.default_rng(5).integers(target.n, size=(24, len(U.vertices(spec))))
+    rng = np.random.default_rng(5)
+    A = rng.integers(target.n, size=(24, len(U.vertices(spec)))).T.copy()
+    cases = [(plan, target.table[A[plan.u], A[plan.v]])
+             for plan in (compile_plan(inv, spec, side) for side in ("lhs", "rhs"))]
+    for side in ("lhs", "rhs"):
+        plan = invariants.class_plan(inv, spec, side)
+        cases.append((plan, rng.random((len(plan.classes), 24)) * 10.0))
+
+    def values(p, strided_sum):
+        monkeypatch.setattr(invariants, "_STRIDED_SUM", strided_sum)
+        out = [search._Scorer(U.SearchProblem(spec, target, inv, p))(A)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for plan, d in cases:
+                out += [evaluate(plan, d, p), evaluate(plan, d[:, :1].copy(), p)]
+        return [x.tobytes() for x in out]
+
     for p in (1.0, 1.5, 3.0):
-        problem = U.SearchProblem(spec, target, inv, p)
-        want = search._Scorer(problem)(A).tobytes()
-        with monkeypatch.context() as m:
-            m.setattr(search, "_STRIDED_SUM", 0)
-            assert search._Scorer(problem)(A).tobytes() == want, p
+        assert values(p, 0) == values(p, 1 << 62), p
 
 
 # targets whose distances tie, vanish off the diagonal, carry signed zeros
@@ -366,12 +379,12 @@ def table_mismatches():
         plans = [compile_plan(inv, spec, side) for side in ("lhs", "rhs")]
         for name, target in TABLE_TARGETS.items():
             A = np.random.default_rng(len(name)).integers(
-                target.n, size=(48, len(U.vertices(spec))))
-            A[0] = 0
+                target.n, size=(48, len(U.vertices(spec)))).T.copy()
+            A[:, 0] = 0
             for p in (1.0, 1.5, 2.0, 3.0):
                 score = search._Scorer(U.SearchProblem(spec, target, inv, p))
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    left, right = (evaluate(plan, target.table[A[:, plan.u], A[:, plan.v]], p)
+                    left, right = (evaluate(plan, target.table[A[plan.u], A[plan.v]], p)
                                    for plan in plans)
                     want = left / right
                 want[~(right > 0)] = np.nan
@@ -471,15 +484,15 @@ def test_exhaustive_rejects_a_negative_budget():
     assert U.exhaustive_max(problem, budget=3 ** 6).evaluations == 3 ** 6
 
 
-def test_search_scores_transposed_views_of_c_contiguous_batches(monkeypatch):
-    # local and exhaustive search build each batch as (vertices x rows) and
-    # hand the scorer its .T, which the scorer reads back without a copy
+def test_search_scores_its_own_c_contiguous_batches(monkeypatch):
+    # local and exhaustive search build each batch as a C-contiguous
+    # (vertices x rows) array and hand the scorer that array itself, not a
+    # transposed view, so the scorer gathers whole rows of it with no copy
     seen = []
     scored = search._Scorer.__call__
 
     def spy(self, A):
-        seen.append((A.T.flags.c_contiguous, not A.flags.owndata,
-                     np.shares_memory(np.ascontiguousarray(A.T), A)))
+        seen.append((A.flags.c_contiguous, A.shape[0] == len(self.verts)))
         return scored(self, A)
 
     monkeypatch.setattr(search._Scorer, "__call__", spy)

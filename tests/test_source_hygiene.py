@@ -124,13 +124,11 @@ def test_every_public_name_is_read():
 # step of the paper on its own, and the tests check it
 PAPER_STEPS = {
     "alpha_sequence": "the alpha_k of the non-negative curvature characterisation",
-    "horizontal_length": "the horizontal length of Heisenberg curves",
     "markov_pair_expectation_exact": "one term E[d(f(W_t), f(W~_t(t - 2^s)))^q] "
                                      "of Markov convexity",
     "modulus_beta": "the asymptotic modulus behind Rolewicz's property (beta)",
     "modulus_delta": "the modulus of uniform convexity",
     "modulus_delta_tilde": "the tripod modulus",
-    "ramsey_refine": "the Ramsey refinement of the umbel cotype proof",
 }
 
 
@@ -145,3 +143,46 @@ def test_every_export_is_read_outside_the_tests():
     assert sorted(unread - set(PAPER_STEPS)) == []
     # a paper step that gains a reader, or leaves the exports, leaves the list
     assert sorted(set(PAPER_STEPS) - unread) == []
+
+
+# math notation in README.md's code spans that reads like a call: the
+# paper's G_d, a partial sum of the Bourgain profile
+README_MATH = {"G_d"}
+
+
+def _readme_names(text: str) -> set:
+    """The Python names README.md's code spans speak of: each name called,
+    `name(`, each part of a dotted name, `module.name`, and each span that
+    is one name with an underscore, `snake_case`; file names aside."""
+    out = set()
+    for span in re.findall(r"`([^`\n]+)`", text):
+        span = re.sub(r"[\w./-]*\.(?:py|toml|md|json|csv)\b", "", span)
+        out.update(re.findall(r"([A-Za-z_]\w*)\(", span))
+        for dotted in re.findall(r"(?<![\w.])[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", span):
+            out.update(dotted.split("."))
+        if re.fullmatch(r"\w*_\w*", span) and not span[0].isdigit():
+            out.add(span)
+    return out
+
+
+def test_readme_names_are_names_of_the_code():
+    # a name the README speaks of that no code defines or reads is left
+    # over from a deletion or a rename; this module's strings name deleted
+    # names on purpose
+    known = set()
+    for folder in READERS:
+        for path in (REPO / folder).rglob("*.py"):
+            if path.resolve() == pathlib.Path(__file__).resolve():
+                continue
+            tree = ast.parse(path.read_text(), str(path))
+            known |= _names_read(tree) | {path.stem}
+            known.update(node.name for node in ast.walk(tree) if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
+    unknown = _readme_names((REPO / "README.md").read_text()) - known - README_MATH
+    assert sorted(unknown) == []
+
+
+def test_readme_names_catch_a_deleted_name():
+    assert _readme_names("a `ramsey_refine`'s points, `x.no_such`, `gone(1)` "
+                         "and `max_i (1 - t)`, `demos/01_a.py`") == {
+        "ramsey_refine", "x", "no_such", "gone"}

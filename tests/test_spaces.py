@@ -430,36 +430,6 @@ def test_quasi_constant_estimate_errors():
         U.quasi_constant_estimate(point, n=10, seed=0)
 
 
-def test_horizontal_length_of_horizontal_segment():
-    h = U.standard_symplectic(2)
-    # a straight horizontal segment: z increments match the area form
-    pts = []
-    z = 0.0
-    prev = np.zeros(2)
-    for i in range(11):
-        x = np.array([i / 10.0, 0.0])
-        z += float(prev @ h.omega_matrix @ (x - prev))
-        pts.append((tuple(x), z))
-        prev = x
-    length, defect = U.horizontal_length(h, pts)
-    assert length == pytest.approx(1.0, rel=1e-9)
-    assert defect <= 1e-12
-
-
-@pytest.mark.parametrize("dim", [2, 4])
-def test_horizontal_length_equals_the_per_cell_loop(dim):
-    h = U.standard_symplectic(dim)
-    rng = np.random.default_rng(dim)
-    for _ in range(150):
-        k, scale = int(rng.integers(2, 40)), 10.0 ** rng.uniform(-3, 3)
-        xs, zs = rng.normal(size=(k, dim)) * scale, rng.normal(size=k) * scale ** 2
-        samples = [(tuple(x), float(z)) for x, z in zip(xs, zs)]
-        assert U.horizontal_length(h, samples) == oracle.horizontal_length(h, samples)
-    # a NaN defect is passed over, as the loop's max did
-    samples = [((0.0,) * dim, 0.0), ((1.0,) * dim, math.nan), ((2.0,) * dim, 5.0)]
-    assert U.horizontal_length(h, samples) == oracle.horizontal_length(h, samples)
-
-
 @pytest.mark.parametrize("space", [
     U.LpSpace(3, 2.0), U.LpSpace(3, 3.0), U.LpSpace(2, 1.0),
     U.LpSpace(2, math.inf),
