@@ -11,11 +11,11 @@ import numpy as np
 import umbellab as U
 from umbellab.spaces import h_dilate_rows, h_mul_rows, koranyi_norm_rows
 
-h = U.standard_symplectic(2)
+hs = U.HeisenbergMetricSpace(U.standard_symplectic(2), p=2.0)
 a = np.array([1.0, 0.0, 0.0])
 b = np.array([0.0, 1.0, 0.0])
-ab = h_mul_rows(h, a, b)
-ba = h_mul_rows(h, b, a)
+ab = h_mul_rows(hs, a, b)
+ba = h_mul_rows(hs, b, a)
 print(f"a*b vertical part: {ab[-1]:+.3f}, b*a vertical part: {ba[-1]:+.3f} "
       "(non-commutative)")
 
@@ -27,7 +27,6 @@ print(f"after dilation by 3: {koranyi_norm_rows(h_dilate_rows(3.0, ab), 2.0, 1.0
 K, lam = U.parallelogram_constants(2.0, 1.0)
 print(f"parallelogram constants at p=2, C=1: K={K:.6f}, lambda={lam:.6f}")
 
-hs = U.HeisenbergMetricSpace(h, p=2.0)
 cfg = U.InequalityConfig(exponent=2.0, C=1.0)
 rep = U.certify(hs, U.InequalityId.HEISENBERG_PARALLELOGRAM, cfg,
                 U.ball_sampler(hs, U.InequalityId.HEISENBERG_PARALLELOGRAM),

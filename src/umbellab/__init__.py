@@ -16,11 +16,11 @@ _EXPORTS = {name: module for module, names in (
     ("trees", "TreeSpec parse_tree_spec vertices vertices_at_height "
               "binary_to_increasing check_star_property"),
     ("spaces", "LpSpace FiniteMatrixSpace GraphMetricSpace ProductSpace "
-               "HeisenbergSpace HeisenbergMetricSpace HPoint quasi_constant_estimate "
+               "HeisenbergMetricSpace HPoint quasi_constant_estimate "
                "standard_symplectic parse_space"),
     ("pointwise", "InequalityId InequalityConfig CheckReport CampaignReport "
                   "ModulusEstimate NoSolution check_inequality "
-                  "check_parallelogram certify ball_sampler min_feasible_K "
+                  "certify ball_sampler min_feasible_K "
                   "solve_umbel_K alpha_sequence modulus_delta "
                   "modulus_delta_tilde modulus_beta parallelogram_constants"),
     ("invariants", "InvariantId InvariantReport TreeMap lhs rhs report "

@@ -131,8 +131,7 @@ def cmd_lift(args) -> int:
                                    target=dict, values=list, C=numbers.Real,
                                    K=numbers.Real)
     domain_space, target_space = (
-        spaces.FiniteMatrixSpace(np.asarray(
-            spaces.load_document(obj[key], f"lift oracle {key}", d=list)["d"]))
+        spaces.FiniteMatrixSpace(spaces.read_matrix(obj[key], f"lift oracle {key}"))
         for key in ("domain", "target"))
     oracle = embeddings.QuotientOracle(
         domain_space, tuple(range(domain_space.n)), target_space,
@@ -236,11 +235,6 @@ def _parsers():
         for flags, _, kwargs in _options(name):
             parser.add_argument(*flags, **kwargs)
     return top, sub.choices
-
-
-def build_parser():
-    """The argparse parser of every subcommand."""
-    return _parsers()[0]
 
 
 def _read_table(argv: list) -> types.SimpleNamespace:

@@ -304,7 +304,7 @@ def _point_from_json(p, target):
     if isinstance(target, LpSpace):
         return tuple(p) if _reals(p, target.dim) else None
     if isinstance(target, sp.HeisenbergMetricSpace):
-        if isinstance(p, dict) and _reals(p.get("x"), target.space.dim) \
+        if isinstance(p, dict) and _reals(p.get("x"), target.dim) \
                 and _reals([p.get("s")], 1):
             return HPoint(tuple(p["x"]), p["s"])
         return None
@@ -756,9 +756,6 @@ class InvariantReport:
         if self.ratio_root is not None:
             obj["ratio_root"] = _finite(self.ratio_root)
         return obj
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def _finite(x: float) -> Optional[float]:

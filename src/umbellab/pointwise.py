@@ -13,14 +13,13 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import spaces as sp
-from .spaces import HPoint, LpSpace
+from .spaces import LpSpace
 
 
 class PointwiseError(ValueError):
@@ -118,9 +117,6 @@ class CampaignReport:
             "worst_witness": sp.jsonable(self.worst_witness),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 # ---------------------------------------------------------------------------
 # Inequality evaluation
@@ -153,22 +149,12 @@ def parallelogram_constants(p: float, C: float) -> tuple[float, float]:
     return K, lam
 
 
-def _parallelogram_setup(hsp, p: float, C: float) -> tuple[float, float]:
+def _parallelogram_setup(space, p: float, C: float) -> tuple[float, float]:
     if p < 2:
         raise PointwiseError("p must be >= 2")
-    if hsp.operator_norm() > 1 + sp.REL_TOL:
+    if space.operator_norm() > 1 + sp.REL_TOL:
         raise PointwiseError("omega operator norm must be <= 1 (rescale the form)")
     return parallelogram_constants(p, C)
-
-
-def check_parallelogram(hsp, p: float, C: float, a: HPoint, b: HPoint,
-                        slack: float = 0.0) -> CheckReport:
-    """Parallelogram inequality on a Heisenberg group: with N = N_{p,lambda},
-    N(d_half_b)^{2p} + K^{-2p} N((d_half_b)^{ -1} a)^{2p}
-      <= (N(a)^{2p} + N(b^{-1} a)^{2p}) / 2."""
-    return check_inequality(InequalityId.HEISENBERG_PARALLELOGRAM,
-                            InequalityConfig(exponent=p, C=C, slack=slack),
-                            (a, b), sp.HeisenbergMetricSpace(hsp))
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +200,13 @@ def margin_parts(ineq: InequalityId, cfg: InequalityConfig, space,
     if ineq in UMBEL_FAMILY:
         return _umbel_parts(ineq, q, d, pts.shape[1] - 2)
     if ineq is InequalityId.HEISENBERG_PARALLELOGRAM:
-        K, lam = _parallelogram_setup(space.space, q, cfg.C)
+        K, lam = _parallelogram_setup(space, q, cfg.C)
         n = lambda v: sp.koranyi_norm_rows(v, q, lam) ** (2 * q)
         a, b = pts[:, 0], pts[:, 1]
         half_b = sp.h_dilate_rows(0.5, b)
-        rhs = 0.5 * n(a) + 0.5 * n(sp.h_mul_rows(space.space, -b, a))
+        rhs = 0.5 * n(a) + 0.5 * n(sp.h_mul_rows(space, -b, a))
         return (rhs - n(half_b),
-                n(sp.h_mul_rows(space.space, -half_b, a)) / K ** (2 * q), 0.0)
+                n(sp.h_mul_rows(space, -half_b, a)) / K ** (2 * q), 0.0)
     if ineq is InequalityId.P_UNIFORM_CONVEXITY:
         n = lambda v: space.norm_rows(v) ** q
         x, y = pts[:, 0], pts[:, 1]

@@ -7,7 +7,6 @@ functional's two compiled plans, which the scorer holds."""
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -87,9 +86,6 @@ class SearchResult:
         if self.best_map is not None:
             obj["assignment"] = self.best_map.assignment_json()
         return obj
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), allow_nan=False)
 
 
 NO_FEASIBLE = SearchResult(False, None, -math.inf)

@@ -133,8 +133,8 @@ def _float_rows(make, width: int) -> np.ndarray:
 
 
 class RowSpace:
-    """A space that speaks numeric rows: its scalar `distance` and `sample`
-    are the one-row cases of `distance_rows` and `sample_batch`."""
+    """A space that speaks numeric rows: its scalar `distance` is the one-row
+    case of `distance_rows`."""
 
     @np.errstate(over="raise")
     def sample_batch(self, rng: np.random.Generator, m: int, k: int) -> np.ndarray:
@@ -153,9 +153,6 @@ class RowSpace:
 
     def distance(self, a, b) -> float:
         return float(self.distance_rows(self.rows([a]), self.rows([b]))[0])
-
-    def sample(self, rng: np.random.Generator):
-        return self.point(self.sample_batch(rng, 1, 1)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -236,6 +233,23 @@ class TableSpace(RowSpace):
         return np.asarray(points, dtype=np.intp)
 
 
+def read_matrix(doc, name: str) -> np.ndarray:
+    """The 'd' entry of a matrix document (its text, or a value parsed from
+    it) as a float array; SpaceError names the document unless it is rows of
+    one length of JSON numbers, where a float conversion would read a string,
+    a bool or null as a number, and fail with TypeError on an object."""
+    d = load_document(doc, name, d=list)["d"]
+    bad = [x for row in d for x in (row if type(row) is list else (row,))
+           if type(x) not in (int, float)]
+    if bad:
+        raise SpaceError(f"the {name} document's entry {json.dumps(bad[0])} "
+                         f"is not a real number")
+    try:
+        return np.asarray(d, dtype=float)
+    except ValueError as exc:
+        raise SpaceError(f"the {name} document's rows differ in length") from exc
+
+
 _TRIANGLE_BLOCK = 1 << 14  # path sums a block of the triangle check holds
 
 
@@ -283,7 +297,7 @@ class FiniteMatrixSpace(TableSpace):
     @classmethod
     def from_json(cls, text: str) -> "FiniteMatrixSpace":
         obj = load_document(text, "matrix", n=object, d=list)
-        m = np.asarray(obj["d"], dtype=float)
+        m = read_matrix(obj, "matrix")
         if m.shape != (obj["n"], obj["n"]):
             raise SpaceError("matrix shape disagrees with n")
         return cls(m)
@@ -423,55 +437,24 @@ class HPoint:
     s: float
 
 
-@dataclass(frozen=True)
-class HeisenbergSpace:
-    """Heisenberg group over R^dim with antisymmetric form omega(x,y) = x^T O y,
-    computed from the upper triangle as the sum over i < j of
-    O_ij (x_i y_j - x_j y_i): each term is antisymmetric in floating point
-    too, so omega(x, x) is exactly 0."""
-
-    omega_matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.omega_matrix, dtype=float)
-        object.__setattr__(self, "omega_matrix", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise SpaceError("omega matrix must be square")
-        if not np.allclose(m, -m.T, rtol=REL_TOL, atol=ABS_TOL):
-            raise SpaceError("omega matrix must be antisymmetric")
-        i, j = np.nonzero(np.triu(m, 1))
-        object.__setattr__(self, "_terms", (i, j, m[i, j]))
-
-    @property
-    def dim(self) -> int:
-        return self.omega_matrix.shape[0]
-
-    def omega_rows(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """omega of every pair of vectors along the last axes of x and y."""
-        i, j, w = self._terms
-        return ((x[..., i] * y[..., j] - x[..., j] * y[..., i]) * w).sum(axis=-1)
-
-    def operator_norm(self) -> float:
-        return float(np.linalg.norm(self.omega_matrix, 2))
-
-
-def standard_symplectic(dim: int = 2) -> HeisenbergSpace:
+def standard_symplectic(dim: int = 2) -> np.ndarray:
+    """The matrix of the standard symplectic form on R^dim."""
     if dim % 2:
         raise SpaceError("symplectic form needs even dimension")
     half = dim // 2
     m = np.zeros((dim, dim))
     m[:half, half:] = np.eye(half)
     m[half:, :half] = -np.eye(half)
-    return HeisenbergSpace(m)
+    return m
 
 
 # The group law, dilation and Koranyi norm on rows whose last axis holds
 # (x, s); the inverse of such a row is its negation.
 
 
-def h_mul_rows(sp: HeisenbergSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def h_mul_rows(space: HeisenbergMetricSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = a + b
-    out[..., -1] += sp.omega_rows(a[..., :-1], b[..., :-1])
+    out[..., -1] += space.omega_rows(a[..., :-1], b[..., :-1])
     return out
 
 
@@ -510,28 +493,51 @@ def koranyi_norm_rows(a: np.ndarray, p: float, lam: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HeisenbergMetricSpace(RowSpace):
-    """Heisenberg group with a Koranyi quasi-metric d_{p,lambda}."""
+    """Heisenberg group over R^dim with a Koranyi quasi-metric d_{p,lambda}
+    and antisymmetric form omega(x,y) = x^T O y, computed from the upper
+    triangle as the sum over i < j of O_ij (x_i y_j - x_j y_i): each term is
+    antisymmetric in floating point too, so omega(x, x) is exactly 0."""
 
-    space: HeisenbergSpace
+    omega_matrix: np.ndarray = field(repr=False)
     p: float = math.inf
     lam: float = 1.0
     quasi_constant: ClassVar[float] = 2.0  # empirical bound, refine with quasi_constant_estimate
 
     def __post_init__(self):
+        m = np.asarray(self.omega_matrix, dtype=float)
+        object.__setattr__(self, "omega_matrix", m)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise SpaceError("omega matrix must be square")
+        if not np.allclose(m, -m.T, rtol=REL_TOL, atol=ABS_TOL):
+            raise SpaceError("omega matrix must be antisymmetric")
+        i, j = np.nonzero(np.triu(m, 1))
+        object.__setattr__(self, "_terms", (i, j, m[i, j]))
         if not self.p > 0:  # also rejects nan; inf is allowed
             raise SpaceError("p must be positive")
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise SpaceError("lambda must be finite and positive")
 
+    @property
+    def dim(self) -> int:
+        return self.omega_matrix.shape[0]
+
+    def omega_rows(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """omega of every pair of vectors along the last axes of x and y."""
+        i, j, w = self._terms
+        return ((x[..., i] * y[..., j] - x[..., j] * y[..., i]) * w).sum(axis=-1)
+
+    def operator_norm(self) -> float:
+        return float(np.linalg.norm(self.omega_matrix, 2))
+
     def norm_rows(self, a: np.ndarray) -> np.ndarray:
         return koranyi_norm_rows(a, self.p, self.lam)
 
     def distance_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.norm_rows(h_mul_rows(self.space, -b, a))
+        return self.norm_rows(h_mul_rows(self, -b, a))
 
     @property
     def width(self) -> int:
-        return self.space.dim + 1
+        return self.dim + 1
 
     def onto_ball(self, x: np.ndarray) -> np.ndarray:
         """(x, s) rows of the cube [-1, 1]^(dim + 1), dilated onto the sphere
@@ -546,7 +552,7 @@ class HeisenbergMetricSpace(RowSpace):
 
     def describe(self) -> str:
         p = "inf" if self.p == math.inf else f"{self.p:g}"
-        return f"heis:dim={self.space.dim},metric=koranyi,p={p},lambda={self.lam:g}"
+        return f"heis:dim={self.dim},metric=koranyi,p={p},lambda={self.lam:g}"
 
 
 _TRIPLES_CHUNK = 1 << 14
@@ -556,7 +562,7 @@ def quasi_constant_estimate(space, n: int, seed: int) -> float:
     """Max over n sampled triples (a, b, c) of d(a,b) / (d(a,c) + d(c,b)),
     skipping triples whose denominator is at most ABS_TOL.  The triples are
     `sample_batch` rows drawn in chunks from one generator: those of 3n
-    successive `sample` calls."""
+    successive one-point draws, `sample_batch(rng, 1, 1)`."""
     if n < 1:
         raise SpaceError("n must be >= 1")
     rng = np.random.default_rng(seed)

@@ -596,7 +596,7 @@ def origin(target):
     if isinstance(target, LpSpace):
         return (0.0,) * target.dim
     if isinstance(target, sp.HeisenbergMetricSpace):
-        return HPoint((0.0,) * target.space.dim, 0.0)
+        return HPoint((0.0,) * target.dim, 0.0)
     if isinstance(target, sp.ProductSpace):
         return tuple(origin(c) for c in target.components)
     return 0

@@ -28,6 +28,8 @@ from umbellab.pointwise import (FOUR_POINT, UMBEL_FAMILY, CampaignReport,
 from umbellab.spaces import (ABS_TOL, HeisenbergMetricSpace, HPoint, LpSpace,
                              ProductSpace, SpaceError)
 
+from spaces_oracle import sample
+
 
 def lp_norm(x, p: float) -> float:
     """The lp norm of one vector, by the formula of each exponent."""
@@ -45,22 +47,22 @@ def lp_norm(x, p: float) -> float:
 # h_dilate_rows and koranyi_norm_rows.
 
 
-def omega(hsp, x, y) -> float:
+def omega(hs, x, y) -> float:
     """x^T O y as the sum over i < j of O_ij (x_i y_j - x_j y_i), one term at
     a time, without `omega_rows`."""
-    m = hsp.omega_matrix
+    m = hs.omega_matrix
     total = 0.0
-    for i, j in itertools.combinations(range(hsp.dim), 2):
+    for i, j in itertools.combinations(range(hs.dim), 2):
         if m[i, j]:
             total += (x[i] * y[j] - x[j] * y[i]) * m[i, j]
     return float(total)
 
 
-def h_mul(hsp, a: HPoint, b: HPoint) -> HPoint:
-    if len(a.x) != hsp.dim or len(b.x) != hsp.dim:
+def h_mul(hs, a: HPoint, b: HPoint) -> HPoint:
+    if len(a.x) != hs.dim or len(b.x) != hs.dim:
         raise SpaceError("dimension mismatch")
     x = tuple(float(u + v) for u, v in zip(a.x, b.x))
-    return HPoint(x, a.s + b.s + omega(hsp, a.x, b.x))
+    return HPoint(x, a.s + b.s + omega(hs, a.x, b.x))
 
 
 def h_inv(a: HPoint) -> HPoint:
@@ -78,8 +80,8 @@ def koranyi_norm(a: HPoint, p: float, lam: float) -> float:
     return (xn ** (2 * p) + lam * abs(a.s) ** p) ** (1.0 / (2 * p))
 
 
-def koranyi_dist(hsp, a: HPoint, b: HPoint, p: float, lam: float) -> float:
-    return koranyi_norm(h_mul(hsp, h_inv(b), a), p, lam)
+def koranyi_dist(hs, a: HPoint, b: HPoint, p: float, lam: float) -> float:
+    return koranyi_norm(h_mul(hs, h_inv(b), a), p, lam)
 
 
 def distance(space, a, b) -> float:
@@ -88,7 +90,7 @@ def distance(space, a, b) -> float:
     lp norm of the factors' distances on a product, and `space.distance`
     otherwise (a table lookup on table spaces)."""
     if isinstance(space, HeisenbergMetricSpace):
-        return koranyi_dist(space.space, a, b, space.p, space.lam)
+        return koranyi_dist(space, a, b, space.p, space.lam)
     if isinstance(space, LpSpace):
         av, bv = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         if av.shape != (space.dim,) or bv.shape != (space.dim,):
@@ -160,7 +162,7 @@ def check_inequality(ineq: InequalityId, cfg: InequalityConfig, points, space) -
         if len(points) != 2:
             raise PointwiseError("parallelogram takes 2 HPoints")
         check_space(space, ineq)
-        return check_parallelogram(space.space, cfg.exponent, cfg.C,
+        return check_parallelogram(space, cfg.exponent, cfg.C,
                                    points[0], points[1], slack=cfg.slack)
     else:  # pragma: no cover
         raise PointwiseError(f"unknown inequality {ineq}")
@@ -174,31 +176,31 @@ def _four(points):
     return points
 
 
-def check_parallelogram(hsp, p: float, C: float, a: HPoint, b: HPoint,
+def check_parallelogram(hs, p: float, C: float, a: HPoint, b: HPoint,
                         slack: float = 0.0) -> CheckReport:
     """Parallelogram inequality on a Heisenberg group: with N = N_{p,lambda},
     N(d_half_b)^{2p} + K^{-2p} N((d_half_b)^{ -1} a)^{2p}
       <= (N(a)^{2p} + N(b^{-1} a)^{2p}) / 2."""
-    K, lam = _parallelogram_setup(hsp, p, C)
+    K, lam = _parallelogram_setup(hs, p, C)
     n = lambda pt: koranyi_norm(pt, p, lam)
     half_b = h_dilate(0.5, b)
-    lhs = n(half_b) ** (2 * p) + n(h_mul(hsp, h_inv(half_b), a)) ** (2 * p) / K ** (2 * p)
-    rhs = 0.5 * n(a) ** (2 * p) + 0.5 * n(h_mul(hsp, h_inv(b), a)) ** (2 * p)
+    lhs = n(half_b) ** (2 * p) + n(h_mul(hs, h_inv(half_b), a)) ** (2 * p) / K ** (2 * p)
+    rhs = 0.5 * n(a) ** (2 * p) + 0.5 * n(h_mul(hs, h_inv(b), a)) ** (2 * p)
     margin = rhs - lhs
     return CheckReport(margin >= -slack, margin, (a, b))
 
 
 def ball_draw(space, ineq: InequalityId, xs_count: int = 4):
-    """One configuration per call `draw(rng)`, from successive scalar
-    `space.sample` calls: the same points, in the same order, as
+    """One configuration per call `draw(rng)`, from successive one-point
+    draws `spaces_oracle.sample`: the same points, in the same order, as
     `pointwise.ball_sampler` draws in rows."""
     k = 4 if ineq in FOUR_POINT else 2
 
     def draw(rng):
         if ineq in UMBEL_FAMILY:
-            return (space.sample(rng), space.sample(rng),
-                    tuple(space.sample(rng) for _ in range(xs_count)))
-        return tuple(space.sample(rng) for _ in range(k))
+            return (sample(space, rng), sample(space, rng),
+                    tuple(sample(space, rng) for _ in range(xs_count)))
+        return tuple(sample(space, rng) for _ in range(k))
 
     return draw
 
@@ -236,14 +238,14 @@ def certify(space, ineq: InequalityId, cfg: InequalityConfig, draw,
 
 def quasi_constant_estimate(space, n: int, seed: int) -> float:
     """Max over n triples of d(a,b) / (d(a,c) + d(c,b)), one triple of
-    successive `space.sample` calls at a time."""
+    successive one-point draws at a time."""
     if n < 1:
         raise SpaceError("n must be >= 1")
     rng = np.random.default_rng(seed)
     best = 0.0
     seen = False
     for _ in range(n):
-        a, b, c = space.sample(rng), space.sample(rng), space.sample(rng)
+        a, b, c = sample(space, rng), sample(space, rng), sample(space, rng)
         denom = distance(space, a, c) + distance(space, c, b)
         if denom <= ABS_TOL:
             continue

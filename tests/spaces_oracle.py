@@ -2,7 +2,8 @@
 the symmetry test was written out and the triangle check compared blocks of
 midpoints at once: np.allclose against the transpose, then one midpoint at
 a time.  It serves as the test oracle for those checks; nothing in the
-library imports it."""
+library imports it.  `sample` is the one-point draw the spaces had before
+they drew only in batches."""
 
 from __future__ import annotations
 
@@ -11,6 +12,12 @@ from typing import Optional
 import numpy as np
 
 from umbellab.spaces import ABS_TOL, REL_TOL
+
+
+def sample(space, rng: np.random.Generator):
+    """One point of the space's ball: the one-point case of `sample_batch`,
+    so successive calls draw the points of one batch in order."""
+    return space.point(space.sample_batch(rng, 1, 1)[0, 0])
 
 
 def matrix_error(matrix) -> Optional[str]:

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import umbellab as U
 from umbellab import embeddings
-from umbellab.cli import (_HANDLERS, _OPTIONS, SCHEMA, _options, _read_table,
-                          build_parser, main, parse_args)
+from umbellab.cli import (_HANDLERS, _OPTIONS, SCHEMA, _options, _parsers,
+                          _read_table, main, parse_args)
 
 
 def run(capsys, *argv):
@@ -623,6 +623,59 @@ def test_matrix_document_must_be_an_object(tmp_path, capsys):
     assert "matrix document" in err["error"]
 
 
+def _matrix_reading_argv(tmp_path, d):
+    """(document name, argv) of each command that reads a matrix document,
+    with the distance table d."""
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps({"n": 2, "d": d}))
+    lift = _lift_files(tmp_path, [0, 1], 0)
+    oracle = json.loads((tmp_path / "oracle.json").read_text())
+    oracle["domain"]["d"] = d
+    (tmp_path / "oracle.json").write_text(json.dumps(oracle))
+    return [
+        ("matrix", ["certify", "--space", f"matrix:file={matrix}",
+                    "--inequality", "tripod", "--samples", "10"]),
+        ("matrix", ["search", "--tree", "bin:h=4", "--invariant", "fork-cotype",
+                    "--p", "2", "--target-file", str(matrix)]),
+        ("matrix", ["invariant", "--tree", "bin:h=4", "--map", "constant",
+                    "--invariant", "fork-cotype", "--p", "2",
+                    "--target", f"matrix:file={matrix}"]),
+        ("lift oracle domain", lift),
+    ]
+
+
+@pytest.mark.parametrize("entry", [{}, "1", True, None, [1]],
+                         ids=["object", "string", "bool", "null", "list"])
+@pytest.mark.parametrize("command", ["certify", "search", "invariant", "lift"])
+def test_matrix_entry_not_a_number_exit_two(tmp_path, capsys, entry, command):
+    # a float conversion would fail on {} and read "1" and true as 1
+    runs = dict((argv[0], (name, argv)) for name, argv
+                in _matrix_reading_argv(tmp_path, [[0, entry], [1, 0]]))
+    name, argv = runs[command]
+    code, out, err = run_strict(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err["error"] == (f"the {name} document's entry {json.dumps(entry)} "
+                            "is not a real number")
+
+
+def test_matrix_rows_of_other_lengths_exit_two(tmp_path, capsys):
+    for name, argv in _matrix_reading_argv(tmp_path, [[0, 1], [1]]):
+        code, out, err = run_strict(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err["error"] == f"the {name} document's rows differ in length"
+
+
+def test_numeric_matrix_documents_read_as_before(tmp_path, capsys):
+    # ints, floats and ints past the int64 range, as a float conversion reads them
+    d = [[0, 1.5], [1.5, 0]]
+    for name, argv in _matrix_reading_argv(tmp_path, d):
+        assert main(argv) in (0, 1), argv
+    capsys.readouterr()
+    big = {"n": 2, "d": [[0, 10 ** 20], [10 ** 20, 0.0]]}
+    m = U.FiniteMatrixSpace.from_json(json.dumps(big))
+    assert m.matrix.tolist() == [[0.0, 1e20], [1e20, 0.0]]
+
+
 # one argv per subcommand, every option of it given
 SUBCOMMAND_ARGV = [
     ["invariant", "--tree", "bin:h=4", "--map", "constant", "--invariant",
@@ -644,7 +697,7 @@ SUBCOMMAND_ARGV = [
 
 @pytest.mark.parametrize("argv", SUBCOMMAND_ARGV, ids=lambda a: a[0])
 def test_one_subcommand_parser_parses_as_the_full_parser(argv):
-    assert vars(parse_args(argv)) == vars(build_parser().parse_args(argv))
+    assert vars(parse_args(argv)) == vars(_parsers()[0].parse_args(argv))
 
 
 def _parse_outcome(capsys, parse, argv):
@@ -668,7 +721,7 @@ _EXITING_ARGV = [argv for name, bad in _BAD_VALUE.items()
 
 @pytest.mark.parametrize("argv", _EXITING_ARGV, ids=" ".join)
 def test_one_subcommand_parser_helps_and_fails_as_the_full_parser(capsys, argv):
-    full = _parse_outcome(capsys, build_parser().parse_args, argv)
+    full = _parse_outcome(capsys, _parsers()[0].parse_args, argv)
     assert _parse_outcome(capsys, parse_args, argv) == full
     assert main(argv) == (2 if full[2] else 0)
     assert capsys.readouterr() == full[:2]
@@ -680,7 +733,7 @@ def _typed_vars(args):
     return {key: (type(value), repr(value)) for key, value in vars(args).items()}
 
 
-_FULL_PARSER = build_parser()  # parses many argv, one after another
+_FULL_PARSER = _parsers()[0]  # parses many argv, one after another
 
 
 def _full_vars(argv):
@@ -822,14 +875,19 @@ def _old_emit(obj) -> str:
     return json.dumps({"schema": SCHEMA, **obj}, indent=2, allow_nan=False) + "\n"
 
 
+def _decoded(report):
+    """The report's `to_dict()` encoded as JSON and decoded again."""
+    return json.loads(json.dumps(report.to_dict()))
+
+
 def _old_invariant(rep, seed):
-    obj = json.loads(rep.to_json())
+    obj = _decoded(rep)
     obj["seed"] = seed
     return _old_emit(obj)
 
 
 def _old_search(result, mode, seed, tree, invariant, p):
-    obj = json.loads(result.to_json())
+    obj = _decoded(result)
     obj.update({"mode": mode, "seed": seed, "tree": tree,
                 "invariant": invariant, "p": p})
     return json.dumps({"schema": SCHEMA, **obj}, allow_nan=False) + "\n"
@@ -837,10 +895,10 @@ def _old_search(result, mode, seed, tree, invariant, p):
 
 def _document_cases(tmp_path):
     """(argv, the library call whose result the document holds, the
-    document as the command printed it by decoding that result's to_json,
-    the texts of the command's input files) of each command of a family:
-    invariant on every id, certify on every inequality and on a Heisenberg
-    space, search in both modes, infeasible too, and lift."""
+    document as the command printed it by decoding that result's encoded
+    to_dict(), the texts of the command's input files) of each command of
+    a family: invariant on every id, certify on every inequality and on a
+    Heisenberg space, search in both modes, infeasible too, and lift."""
     from umbellab import invariants, pointwise, search
     cases = []
     for inv in U.InvariantId:
@@ -858,11 +916,11 @@ def _document_cases(tmp_path):
         cases.append((["certify", "--space", space, "--inequality", ineq.value,
                        "--samples", "50", "--seed", "2"],
                       (pointwise, "certify"),
-                      lambda rep: _old_emit(json.loads(rep.to_json())), ()))
+                      lambda rep: _old_emit(_decoded(rep)), ()))
     cases.append((["certify", "--space", "heis:dim=2,p=600", "--inequality",
                    "tripod", "--samples", "20", "--q", "3"],
                   (pointwise, "certify"),
-                  lambda rep: _old_emit(json.loads(rep.to_json())), ()))
+                  lambda rep: _old_emit(_decoded(rep)), ()))
     target = tmp_path / "path.json"
     target.write_text(json.dumps({"n": 3, "d": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}))
     zero = tmp_path / "zero.json"
@@ -935,7 +993,7 @@ def test_certify_document_with_a_nan_margin(capsys, monkeypatch):
                     "--inequality", "tripod", "--samples", "10")
     assert code == 1 and json.loads(out)["worst_margin"] is None
     assert "worst_witness" in out and '"s": ' in out  # Heisenberg points
-    assert out == _old_emit(json.loads(results[0].to_json()))
+    assert out == _old_emit(_decoded(results[0]))
 
 
 def test_documents_are_not_decoded(tmp_path, capsys, monkeypatch):

@@ -107,18 +107,19 @@ def test_cli_runs_without_scipy(tmp_path):
 # the names `umbellab` exported when it imported every module up front,
 # less those deleted since (search.identity_report; trees.tree_distance,
 # level_edges, diamond_graph and laakso_graph; spaces.h_mul, h_inv,
-# h_dilate, koranyi_norm, koranyi_dist and horizontal_length;
-# pointwise.ramsey_refine)
+# h_dilate, koranyi_norm, koranyi_dist, horizontal_length and
+# HeisenbergSpace, folded into HeisenbergMetricSpace;
+# pointwise.ramsey_refine and check_parallelogram)
 EXPORTS = {
     "trees": ["TreeSpec", "parse_tree_spec", "vertices", "vertices_at_height",
               "binary_to_increasing", "check_star_property"],
     "spaces": ["LpSpace", "FiniteMatrixSpace", "GraphMetricSpace",
-               "ProductSpace", "HeisenbergSpace", "HeisenbergMetricSpace",
+               "ProductSpace", "HeisenbergMetricSpace",
                "HPoint", "quasi_constant_estimate",
                "standard_symplectic", "parse_space"],
     "pointwise": ["InequalityId", "InequalityConfig", "CheckReport",
                   "CampaignReport", "ModulusEstimate", "NoSolution",
-                  "check_inequality", "check_parallelogram", "certify",
+                  "check_inequality", "certify",
                   "ball_sampler", "min_feasible_K", "solve_umbel_K",
                   "alpha_sequence", "modulus_delta", "modulus_delta_tilde",
                   "modulus_beta", "parallelogram_constants"],

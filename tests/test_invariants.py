@@ -14,6 +14,7 @@ from umbellab.spaces import SpaceError, close
 
 import invariant_oracle as oracle
 from invariant_oracle import _min_branch_pair
+from spaces_oracle import sample
 
 L3 = U.LpSpace(3, 2.0)
 
@@ -451,7 +452,7 @@ def test_map_json_round_trip_of_product_points():
     spec = U.parse_tree_spec("bin:h=2")
     target = U.parse_space("prod:p=2;l2:dim=2;heis:dim=2,p=2")
     rng = np.random.default_rng(2)
-    f = U.TreeMap(spec, target, {v: target.sample(rng) for v in U.vertices(spec)})
+    f = U.TreeMap(spec, target, {v: sample(target, rng) for v in U.vertices(spec)})
     obj = json.loads(U.TreeMap.constant(spec, target).to_json())
     assert obj["assignment"][0][1] == [[0.0, 0.0], {"x": [0.0, 0.0], "s": 0.0}]
     assert U.TreeMap.from_json(f.to_json()).assignment == f.assignment
@@ -603,7 +604,7 @@ def test_lipschitz_edge_maximum_matches_edge_walk(target):
         f = rand_map(spec, rng)
     else:
         space = U.parse_space("heis:dim=2,p=inf")
-        f = U.TreeMap(spec, space, {v: space.sample(rng) for v in U.vertices(spec)})
+        f = U.TreeMap(spec, space, {v: sample(space, rng) for v in U.vertices(spec)})
     walked = max(oracle.dist(f, u, v) for level in range(1, spec.height + 1)
                  for u, v in oracle.level_edges(spec, level))
     dtree, dimg = oracle.distance_tables(f)
@@ -617,7 +618,7 @@ def test_lipschitz_edge_maximum_matches_edge_walk(target):
 def test_report_json():
     spec = U.parse_tree_spec("bin:h=4")
     rep = U.report(U.InvariantId.FORK_COTYPE, U.TreeMap.identity(spec), 1.0)
-    obj = json.loads(rep.to_json())
+    obj = json.loads(json.dumps(rep.to_dict()))
     assert obj["invariant"] == "fork-cotype"
     assert obj["lhs"] == pytest.approx(2.0)
 
@@ -634,10 +635,10 @@ def test_report_past_the_float_range_prints_null(target):
             warnings.simplefilter("error")
             rep = U.report(U.InvariantId(inv), f, 2.0)
         assert (rep.lhs, rep.rhs, rep.ratio_root) == (0.0, math.inf, 0.0)
-        obj = json.loads(rep.to_json())
+        obj = json.loads(json.dumps(rep.to_dict()))
         assert (obj["lhs"], obj["rhs"], obj["ratio_root"]) == (0.0, None, 0.0)
     rep = U.InvariantReport("tessera", 2.0, math.inf, math.inf, math.nan, {})
-    obj = json.loads(rep.to_json())
+    obj = json.loads(json.dumps(rep.to_dict()))
     assert (obj["lhs"], obj["rhs"], obj["ratio_root"]) == (None, None, None)
 
 
@@ -655,7 +656,7 @@ def test_exponent_must_be_finite_and_positive(p):
 def test_report_json_carries_lipschitz_flag():
     spec = U.parse_tree_spec("bin:h=4")
     ident = U.TreeMap.identity(spec)
-    obj = json.loads(U.report(U.InvariantId.FORK_COTYPE, ident, 2.0).to_json())
-    assert obj["lipschitz_flag"] is False
-    obj = json.loads(U.report(U.InvariantId.MARKOV_DIRECTED, ident, 2.0).to_json())
-    assert obj["lipschitz_flag"] is None
+    for inv, flag in ((U.InvariantId.FORK_COTYPE, False),
+                      (U.InvariantId.MARKOV_DIRECTED, None)):
+        obj = json.loads(json.dumps(U.report(inv, ident, 2.0).to_dict()))
+        assert obj["lipschitz_flag"] is flag

@@ -17,6 +17,7 @@ from umbellab.invariants import InvariantError, InvariantId, compile_plan
 from umbellab.search import canonical_start
 
 import invariant_oracle as oracle
+from spaces_oracle import sample
 
 BINARY_IDS = [InvariantId.FORK_CONVEXITY, InvariantId.FORK_COTYPE,
               InvariantId.TESSERA, InvariantId.MARKOV_DIRECTED]
@@ -44,7 +45,7 @@ def random_map(kind: str, spec, rng):
     if kind in ("heis", "prod"):
         space = U.parse_space({"heis": "heis:dim=2,p=2",
                                "prod": "prod:p=2;l2:dim=2;lp:p=inf,dim=2"}[kind])
-        return U.TreeMap(spec, space, {v: space.sample(rng) for v in verts})
+        return U.TreeMap(spec, space, {v: sample(space, rng) for v in verts})
     p = {"l1": 1.0, "l2": 2.0, "linf": math.inf, "l3": 3.0}[kind]
     return U.TreeMap(spec, U.LpSpace(3, p),
                      {v: tuple(rng.uniform(-1, 1, 3)) for v in verts})
@@ -596,7 +597,7 @@ def test_quasi_metric_targets_take_the_pair_scan(kind, pair_scans):
                                         for v in U.vertices(spec)})
     else:
         space, rng = U.parse_space(kind), np.random.default_rng(6)
-        f = U.TreeMap(spec, space, {v: space.sample(rng) for v in U.vertices(spec)})
+        f = U.TreeMap(spec, space, {v: sample(space, rng) for v in U.vertices(spec)})
     lip, flag = oracle.lipschitz_constant(f)
     assert flag is (kind == "squared")
     for inv in LIPSCHITZ_IDS[trees.BINARY]:

@@ -118,7 +118,7 @@ def test_certify_is_seed_deterministic():
 def test_campaign_report_json_fields():
     rep = U.certify(L2, U.InequalityId.Q_TRIPOD, cfg(),
                     U.ball_sampler(L2, U.InequalityId.Q_TRIPOD), n=100, seed=0)
-    obj = json.loads(rep.to_json())
+    obj = json.loads(json.dumps(rep.to_dict()))
     for key in ("id", "config", "n", "seed", "violations", "worst_margin",
                 "worst_witness"):
         assert key in obj
@@ -506,9 +506,10 @@ def test_parallelogram_constants_p2_c1():
 def test_parallelogram_worked_pair():
     hs = U.HeisenbergMetricSpace(U.standard_symplectic(2), p=2.0)
     a = U.HPoint((1.0, 0.0), 0.0)
-    rep = U.check_parallelogram(hs.space, 2.0, 1.0, a, a)
+    rep = U.check_inequality(U.InequalityId.HEISENBERG_PARALLELOGRAM,
+                             U.InequalityConfig(2.0, C=1.0), (a, a), hs)
     assert rep.holds
-    want = oracle.check_parallelogram(hs.space, 2.0, 1.0, a, a)
+    want = oracle.check_parallelogram(hs, 2.0, 1.0, a, a)
     assert rep.margin == pytest.approx(want.margin, rel=0, abs=1e-12)
     assert rep.witness == want.witness == (a, a)
 
@@ -519,8 +520,9 @@ def test_parallelogram_worked_pair():
 def test_parallelogram_matches_scalar_oracle(a, b, p, C):
     hs = U.HeisenbergMetricSpace(U.standard_symplectic(2), p=p)
     pa, pb = U.HPoint(a[:2], a[2]), U.HPoint(b[:2], b[2])
-    got = U.check_parallelogram(hs.space, p, C, pa, pb, slack=1e-3)
-    want = oracle.check_parallelogram(hs.space, p, C, pa, pb, slack=1e-3)
+    got = U.check_inequality(U.InequalityId.HEISENBERG_PARALLELOGRAM,
+                             U.InequalityConfig(p, C=C, slack=1e-3), (pa, pb), hs)
+    want = oracle.check_parallelogram(hs, p, C, pa, pb, slack=1e-3)
     assert abs(got.margin - want.margin) <= 1e-12
     assert got.witness == want.witness == (pa, pb)
     if abs(want.margin + 1e-3) > 1e-12:
@@ -530,8 +532,9 @@ def test_parallelogram_matches_scalar_oracle(a, b, p, C):
 def test_parallelogram_requires_p_at_least_two():
     hs = U.HeisenbergMetricSpace(U.standard_symplectic(2), p=2.0)
     a = U.HPoint((1.0, 0.0), 0.0)
-    with pytest.raises(Exception):
-        U.check_parallelogram(hs.space, 1.5, 1.0, a, a)
+    with pytest.raises(pointwise.PointwiseError, match="p must be >= 2"):
+        U.check_inequality(U.InequalityId.HEISENBERG_PARALLELOGRAM,
+                           U.InequalityConfig(1.5, C=1.0), (a, a), hs)
 
 
 # solver
@@ -676,7 +679,7 @@ def test_nan_margin_is_a_violation_with_witness_batched(monkeypatch):
     assert rep.violations == 2
     assert math.isnan(rep.worst_margin)
     assert rep.worst_witness == configs[3]
-    assert json.loads(rep.to_json())["worst_margin"] is None
+    assert json.loads(json.dumps(rep.to_dict()))["worst_margin"] is None
 
 
 def test_nan_point_is_a_violation_with_witness():

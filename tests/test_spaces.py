@@ -331,7 +331,7 @@ def test_quasi_constant_is_a_class_constant():
     assert (U.LpSpace.quasi_constant, U.FiniteMatrixSpace.quasi_constant,
             U.HeisenbergMetricSpace.quasi_constant) == (1.0, 1.0, 2.0)
     with pytest.raises(TypeError):
-        U.HeisenbergMetricSpace(hs.space, 2.0, 1.0, 1.0)
+        U.HeisenbergMetricSpace(hs.omega_matrix, 2.0, 1.0, 1.0)
     prod = U.parse_space("prod:p=2;l2:dim=2;heis:dim=2,p=2")
     assert prod.quasi_constant == 2.0
 
@@ -347,8 +347,8 @@ def test_product_space_distance():
 
 def test_standard_symplectic_antisymmetric():
     h = U.standard_symplectic(2)
-    assert np.allclose(h.omega_matrix, -h.omega_matrix.T)
-    assert close(h.operator_norm(), 1.0)
+    assert np.allclose(h, -h.T)
+    assert close(U.HeisenbergMetricSpace(h).operator_norm(), 1.0)
 
 
 # the group law, dilation and Koranyi norm on (x, s) rows, the inverse of a
@@ -356,7 +356,7 @@ def test_standard_symplectic_antisymmetric():
 
 
 def test_group_law_inverse_and_identity():
-    h = U.standard_symplectic(2)
+    h = U.HeisenbergMetricSpace(U.standard_symplectic(2))
     a = np.array([1.0, 2.0, 0.5])
     e = np.zeros(3)
     assert U.spaces.h_mul_rows(h, a, -a)[-1] == pytest.approx(0.0)
@@ -365,7 +365,7 @@ def test_group_law_inverse_and_identity():
 
 @given(vec2, vec2, vec2, finite, finite, finite)
 def test_group_law_associative(x, y, z, s, t, u):
-    h = U.standard_symplectic(2)
+    h = U.HeisenbergMetricSpace(U.standard_symplectic(2))
     a, b, c = np.array([x + (s,), y + (t,), z + (u,)])
     mul = functools.partial(U.spaces.h_mul_rows, h)
     lhs = mul(mul(a, b), c)
@@ -387,8 +387,8 @@ def test_koranyi_distance_left_invariant(x, y, z, s, t, u):
     hs = U.HeisenbergMetricSpace(U.standard_symplectic(2), p=2.0, lam=1.0)
     a, b, g = np.array([x + (s,), y + (t,), z + (u,)])
     d0 = hs.distance_rows(a, b)
-    d1 = hs.distance_rows(U.spaces.h_mul_rows(hs.space, g, a),
-                          U.spaces.h_mul_rows(hs.space, g, b))
+    d1 = hs.distance_rows(U.spaces.h_mul_rows(hs, g, a),
+                          U.spaces.h_mul_rows(hs, g, b))
     assert d1 == pytest.approx(d0, rel=1e-6, abs=1e-6)
 
 
@@ -396,7 +396,7 @@ def test_heisenberg_metric_space_quasi_triangle():
     hs = U.HeisenbergMetricSpace(U.standard_symplectic(2), p=2.0)
     rng = np.random.default_rng(0)
     for _ in range(200):
-        a, b, c = (hs.sample(rng) for _ in range(3))
+        a, b, c = (spaces_oracle.sample(hs, rng) for _ in range(3))
         assert hs.distance(a, c) <= hs.quasi_constant * (
             hs.distance(a, b) + hs.distance(b, c)) + 1e-9
 
@@ -443,10 +443,10 @@ def test_quasi_constant_estimate_errors():
         np.array([[0.0, 1.0], [1.0, 0.0]]))), math.inf),
 ], ids=lambda sp: sp.describe())
 def test_sample_batch_equals_successive_samples(space):
-    # the batch holds bit for bit what m * k successive sample calls return
+    # the batch holds bit for bit what m * k successive one-point draws return
     m, k = 7, 3
     rng = np.random.default_rng(11)
-    one_by_one = [space.sample(rng) for _ in range(m * k)]
+    one_by_one = [spaces_oracle.sample(space, rng) for _ in range(m * k)]
     batch = space.sample_batch(np.random.default_rng(11), m, k)
     assert batch.shape[:2] == (m, k)
     rows = [space.point(v) for v in batch.reshape(m * k, *batch.shape[2:])]
@@ -556,7 +556,7 @@ def test_ball_maps_keep_the_plain_expressions_dtype_and_broadcasting(dtype):
 def test_product_rows_keep_points_whole():
     prod = U.parse_space("prod:p=2;l2:dim=2;lp:p=inf,dim=2")
     rng = np.random.default_rng(4)
-    pts = [prod.sample(rng) for _ in range(5)]
+    pts = [spaces_oracle.sample(prod, rng) for _ in range(5)]
     rows = prod.rows(pts)
     assert rows.shape == (5, 4) and rows.dtype == np.float64
     assert [prod.point(r) for r in rows] == pts
@@ -578,7 +578,7 @@ def test_product_distance_rows_equal_the_scalar_oracle(name):
     # the row path against the lp norm of the factors' scalar distances
     prod = ORACLE_PRODUCTS[name]
     rng = np.random.default_rng(9)
-    pts = [prod.sample(rng) for _ in range(40)]
+    pts = [spaces_oracle.sample(prod, rng) for _ in range(40)]
     rows = prod.rows(pts)
     got = prod.distance_rows(rows[:, None], rows[None, :])
     want = np.array([[oracle.distance(prod, a, b) for b in pts] for a in pts])
@@ -592,10 +592,11 @@ def test_product_distance_rows_equal_the_scalar_oracle(name):
                                   "prod:p=1;heis:dim=2,p=0.5,lambda=0.5;l2:dim=1"])
 def test_product_batch_holds_the_factors_successive_samples(text):
     # lp and Heisenberg factors draw their coordinates in order, so a product
-    # batch holds what m * k rounds of one sample call per factor return
+    # batch holds what m * k rounds of one draw per factor return
     prod = U.parse_space(text)
     rng = np.random.default_rng(5)
-    want = [tuple(c.sample(rng) for c in prod.components) for _ in range(6 * 4)]
+    want = [tuple(spaces_oracle.sample(c, rng) for c in prod.components)
+            for _ in range(6 * 4)]
     batch = prod.sample_batch(np.random.default_rng(5), 6, 4)
     assert repr([prod.point(r) for r in batch.reshape(24, -1)]) == repr(want)
 
@@ -736,7 +737,7 @@ def test_has_points_is_the_per_point_rule(point):
 
 
 def test_row_wise_heisenberg_ops_match_scalar():
-    h = U.standard_symplectic(4)
+    h = U.HeisenbergMetricSpace(U.standard_symplectic(4))
     rng = np.random.default_rng(3)
     rows = rng.uniform(-1, 1, (50, 2, 5))
     prods = U.spaces.h_mul_rows(h, -rows[:, 1], rows[:, 0])
@@ -759,7 +760,7 @@ def test_heisenberg_distance_of_a_point_to_itself_is_zero(dim, p):
 
 @pytest.mark.parametrize("dim", [2, 4, 6])
 def test_omega_is_exactly_antisymmetric_and_the_bilinear_form(dim):
-    h = U.standard_symplectic(dim)
+    h = U.HeisenbergMetricSpace(U.standard_symplectic(dim))
     rng = np.random.default_rng(6)
     x, y = rng.normal(size=(2, 300, dim))
     got = h.omega_rows(x, y)
@@ -771,7 +772,7 @@ def test_omega_is_exactly_antisymmetric_and_the_bilinear_form(dim):
 
 def test_heisenberg_dim2_product_rounds_its_one_term():
     # omega on the standard dim-2 form is the single term x0 y1 - x1 y0
-    h = U.standard_symplectic(2)
+    h = U.HeisenbergMetricSpace(U.standard_symplectic(2))
     a, b = np.random.default_rng(8).normal(size=(2, 1000, 3))
     want = a[:, 2] + b[:, 2] + (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
     assert (U.spaces.h_mul_rows(h, a, b)[:, 2] == want).all()
@@ -811,7 +812,8 @@ def test_product_and_heisenberg_jobs_make_no_scalar_distance_calls(monkeypatch, 
     capsys.readouterr()
     space, spec = U.parse_space(text), U.parse_tree_spec("bin:h=6")
     rng = np.random.default_rng(1)
-    f = U.TreeMap(spec, space, {v: space.sample(rng) for v in U.vertices(spec)})
+    f = U.TreeMap(spec, space, {v: spaces_oracle.sample(space, rng)
+                              for v in U.vertices(spec)})
     U.moduli(f)
     U.lipschitz_constant(f)
     assert calls == []
