@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -51,6 +52,10 @@ class SearchProblem:
                 self.target.rows([pt])
             except SpaceError as exc:
                 raise SearchError(f"a pinned point: {exc}") from exc
+
+    def __hash__(self):  # pins is a dict
+        return hash((self.spec, self.target, self.invariant, self.exponent,
+                     frozenset(self.pins.items())))
 
     def free_vertices(self) -> list[Vertex]:
         return [v for v in tree_graph(self.spec).vertices if v not in self.pins]
@@ -129,9 +134,11 @@ class _Scorer:
 
     @np.errstate(over="ignore", invalid="ignore")
     def __call__(self, A: np.ndarray) -> np.ndarray:
+        """The ratios of the columns of A; self.sides keeps their (lhs, rhs)."""
         (lhs, rhs), (ldivs, rdivs), cut = self.plans, self.divisors, self.cut
         ltable, rtable = self.tables
         out = np.full(A.shape[1], np.nan)
+        self.sides = None
         for lo in range(0, len(out), self.rows):
             block = A[:, lo:lo + self.rows]
             idx = (block * self.n).take(self.u, axis=0) + block.take(self.v, axis=0)
@@ -143,6 +150,8 @@ class _Scorer:
             left = _join(lhs, _segments(lhs, gl, self.spw.take), ldivs)
             right = _join(rhs, _segments(rhs, gr, self.spw.take), rdivs)
             np.divide(left, right, out=out[lo:lo + self.rows], where=right > 0)
+            self.sides = (left, right) if lo == 0 else tuple(
+                map(np.concatenate, zip(self.sides, (left, right))))
         return out
 
     def array(self, assignment: dict) -> np.ndarray:
@@ -152,6 +161,134 @@ class _Scorer:
         return SearchResult(True, TreeMap(self.problem.spec, self.problem.target,
                                           dict(zip(self.verts, a.tolist()))),
                             ratio)
+
+
+def _gamma(m: int) -> float:
+    """gamma_m = m u / (1 - m u), u = 2^-53: a sum of nonnegative terms, each
+    through at most m roundings, lies within gamma_m of its exact value
+    (Higham, Accuracy and Stability of Numerical Algorithms, lemma 3.1)."""
+    return m * 2.0 ** -53 / (1 - m * 2.0 ** -53)
+
+
+def _touch_index(inv: InvariantId, spec: TreeSpec) -> tuple:
+    """The plan columns (lhs then rhs, side by side as the scorer holds
+    them) that touch each vertex, as CSR arrays (ptr, other, second,
+    weights, group): for each entry, the column's other end, whether the
+    vertex is its second end, its weight on each side (2 x entries, 0 on
+    the other side) and the index of its group among lhs's groups then
+    rhs's; then each side's gamma_(m+2) (`_Delta`) and the least weight.
+    Kept beside the plans on tree_graph's entry for the tree."""
+    tg = tree_graph(spec)
+    key = (inv, "touch")
+    if key not in tg.plans:
+        plans = [compile_plan(inv, spec, side) for side in ("lhs", "rhs")]
+        u, v = (np.concatenate([getattr(plan, end) for plan in plans])
+                for end in ("u", "v"))
+        sizes = []
+        for plan in plans:  # each group's column count
+            ends = [*plan.starts.tolist(), len(plan.u)]
+            sizes += [ends[hi] - ends[lo] for lo, hi in plan.groups]
+        cut = len(plans[0].u)
+        weights = np.zeros((2, len(u)))
+        weights[0, :cut], weights[1, cut:] = plans[0].weights, plans[1].weights
+        order = np.argsort(np.concatenate([u, v]), kind="stable")
+        column = order % len(u)
+        ptr = np.concatenate([[0], np.cumsum(np.bincount(u, minlength=tg.n)
+                                             + np.bincount(v, minlength=tg.n))])
+        gammas = np.array([[_gamma(plan.u.size + plan.starts.size + len(plan.groups) + 4)]
+                           for plan in plans])
+        tg.plans[key] = (ptr.tolist(), np.concatenate([v, u])[order], order >= len(u),
+                         weights[:, column], np.repeat(np.arange(len(sizes)), sizes)[column],
+                         gammas, float(np.concatenate([p.weights for p in plans]).min()))
+    return tg.plans[key]
+
+
+_TINY, _HUGE = 2.0 ** -900, 2.0 ** 1000  # the side values a delta vouches for
+_SIGNS = np.array([-1.0, 1.0])[:, None, None]
+
+
+class _Delta:
+    """Bounds on the ratios of one free vertex's candidates from their
+    climbs' sides, for plans whose sides are weighted sums joined by sums
+    (markov-directed).  A side is then the sum of its terms w d^p / 2^(s p),
+    every term >= 0, and a candidate changes only the terms of the columns
+    that touch its vertex: its side is its climb's base B, less the old
+    terms, plus the new ones, each sum one gather and one small matmul
+    over the vertex's entries of `_touch_index`.
+
+    A base carries an error e: its side's exact sum lies within e of B.
+    The scorer's float for a side lies within gamma_m of the exact sum, m =
+    columns + segments + groups + 2 (each term's roundings), so a base
+    read from it takes e = gamma_(m+2) B.  A new term passes through at
+    most 2 roundings (its weight, its product) and k - 1 additions, k the
+    vertex's entries, so a delta side (B - c_old) + c_new lies within
+    e + gamma_(2k+8) (B + c_old + c_new) of its exact sum, which covers the
+    roundings of the two sums, the two updates and of the bound itself.  A
+    ratio's bounds widen its sides' by both scorer gammas and 16 roundings.
+    A rhs is vouched for only in [_TINY, _HUGE] and a lhs below _HUGE:
+    there underflow costs less than one rounding and no sum overflows; a
+    lhs that may fall below _TINY bounds the ratio below by 0.  A weight
+    below the normal range (a large p) would break the bounds, so such
+    plans get no delta."""
+
+    def __init__(self, score: _Scorer, ptr: list, other, second, weights, group,
+                 gammas, least: float):
+        divisors = np.array(score.divisors[0] + score.divisors[1])
+        n = score.n
+        P = score.tables[0].reshape(n, n)
+        # row a: the candidates' p-th powers against point a, as first end
+        # of a column (rows < n) or second
+        self.table = np.concatenate([P.T, P])
+        self.ptr, self.other, self.off, self.n = ptr, other, (second * n)[:, None], n
+        self.weights, self.gammas = weights / divisors[group], gammas
+        widen = float(2 * gammas.sum()) + 2.0 ** -49
+        self.widen = np.array([[[1 - widen]], [[1 + widen]]])
+        self.ok = least / divisors.max() >= sys.float_info.min
+
+    @staticmethod
+    def of(score: _Scorer) -> Optional["_Delta"]:
+        """The scorer's delta, or None unless both its sides are sums joined
+        by sums with normal weights."""
+        if not all(plan.reduce == plan.outer == "sum" for plan in score.plans):
+            return None
+        delta = _Delta(score, *_touch_index(score.problem.invariant, score.problem.spec))
+        return delta if delta.ok else None
+
+    def based(self, sides) -> np.ndarray:
+        """Bases and errors (4 x climbs) from the scorer's (lhs, rhs)."""
+        B = np.array(sides)
+        return np.concatenate([B, self.gammas * B])
+
+    def __call__(self, climbs: np.ndarray, i: int, BE: np.ndarray, span: np.ndarray
+                 ) -> tuple:
+        """For the climbs (the columns of climbs, with BE their bases and
+        errors, a (4 x climbs) array: B then E, lhs first; span their
+        positions) and each point at vertex i: bounds on the scorer's ratio
+        as a (2 x climbs x n) array, lower then upper, nan where a side is
+        not vouched for, and the bases and errors the candidate would
+        carry (4 x climbs x n)."""
+        lo, hi, n = self.ptr[i], self.ptr[i + 1], self.n
+        g = self.table.take(climbs[self.other[lo:hi]] + self.off[lo:hi], axis=0)
+        c = (self.weights[:, lo:hi] @ g.reshape(hi - lo, -1)).reshape(2, -1, n)
+        old = c[:, span, climbs[i]]
+        # (B - old) and (B + old) with the new terms added: the candidates'
+        # sides and the sums their errors grow by; then the errors
+        xe = (BE[:2] + _SIGNS * old)[..., None] + c
+        xe[1] *= _gamma(2 * (hi - lo) + 8)
+        xe[1] += BE[2:, :, None]
+        lh = xe[0] + _SIGNS[:, None] * xe[1]  # lower and upper sides
+        bounds = lh[:, 0] / lh[::-1, 1]
+        bounds *= self.widen
+        low, high = lh
+        if not (low.min() >= _TINY and high.max() <= _HUGE):
+            # a lhs that may vanish or underflow bounds the ratio below by
+            # 0 and above with _TINY added, far past its underflow error
+            small = low[0] < _TINY
+            bounds[0][small] = 0.0
+            bounds[1][small] = (high[0][small] + _TINY) / low[1][small] * self.widen[1, 0, 0]
+            unsure = ~((low[1] >= _TINY) & (high.max(axis=0) <= _HUGE))
+            bounds[:, unsure] = math.nan
+        return bounds, xe.reshape(4, -1, n)
 
 
 def exhaustive_max(problem: SearchProblem,
@@ -228,6 +365,132 @@ def _accept(ratios: list, lo: int, n: int, active, row: list, current: list,
     return compared, compared - nans, accepted
 
 
+def _accept_bounded(los: list, his: list, n: int, active, row: list, now_lo: list,
+                    now_hi: list, improved: set) -> tuple[int, list, list]:
+    """`_accept` from bounds on the ratios: los[c] and his[c] bound the
+    ratios of the n candidates of active climb c in point order (nan where
+    a candidate is not vouched for, so that it may have no ratio), and
+    now_lo[j] and now_hi[j] bound climb j's current ratio (-inf: none).  A
+    candidate whose lower bound passes now_hi[j] + 1e-15 beats it by more
+    than 1e-15; one whose upper bound stays within now_lo[j] + 1e-15 does
+    not; any other leaves the climb undecided, with its state kept.
+    Returns the candidates the decided climbs compared (each has a ratio),
+    the positions in `active` of the climbs that accepted and the climbs
+    left undecided."""
+    compared = 0
+    moved, fall = [], []
+    for c, (j, lo_c, hi_c) in enumerate(zip(active, los, his)):
+        old, lo, hi = row[j], now_lo[j], now_hi[j]
+        bar_lo, bar_hi = lo + 1e-15, hi + 1e-15
+        skipped = 0
+        for pt, (r_lo, r_hi) in enumerate(zip(lo_c, hi_c)):
+            if pt == old:
+                skipped += 1
+            elif r_lo > bar_hi:
+                old, lo, hi, bar_lo, bar_hi = pt, r_lo, r_hi, r_lo + 1e-15, r_hi + 1e-15
+            elif not r_hi <= bar_lo:  # nan: not vouched for
+                fall.append(j)
+                break
+        else:
+            compared += n - skipped
+            if old != row[j]:
+                row[j], now_lo[j], now_hi[j] = old, lo, hi
+                moved.append(c)
+                improved.add(j)
+    return compared, moved, fall
+
+
+def _window_sweep(score: _Scorer, A: np.ndarray, cols: list, active, current: list,
+                  improved: set) -> tuple[int, int]:
+    """One sweep of the active climbs, scored in windows.  Returns the
+    candidates compared and how many of them have a ratio."""
+    n = score.n
+    m = len(active) * n  # a vertex's candidates
+    most = max(1, min(score.rows // m, _WINDOW // (m * len(score.u))))
+    points = np.tile(np.arange(n), len(active))
+    ratios, lo, quiet = [], 0, 0
+    evaluations = feasible = 0
+    for s, i in enumerate(cols):
+        if lo == len(ratios):  # score the next window
+            window = cols[s:s + min(max(quiet, 1), most)]
+            climbs = A if len(active) == A.shape[1] else A[:, active]
+            candidates = climbs.repeat(n, axis=1)
+            if len(window) == 1:
+                candidates[i] = points
+            else:  # each vertex's candidates, side by side
+                candidates = np.tile(candidates, len(window))
+                candidates.reshape(len(candidates), len(window), m)[
+                    window, range(len(window))] = points
+            ratios, lo = score(candidates).tolist(), 0
+        row = A[i].tolist()
+        compared, ok, accepted = _accept(ratios, lo, n, active, row, current, improved)
+        evaluations += compared
+        feasible += ok
+        A[i] = row
+        if accepted:  # the rest of the window is stale
+            ratios, lo, quiet = [], 0, 0
+        else:
+            lo += m
+            quiet += 1
+    return evaluations, feasible
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _delta_sweep(score: _Scorer, delta: _Delta, A: np.ndarray, cols: list, active,
+                 current: list, improved: set, BE: np.ndarray) -> tuple[int, int]:
+    """One sweep of the active climbs by deltas, as `_window_sweep`.  BE
+    holds each climb's sides and their errors (`_Delta.based`), exact at the
+    start and at the end.  A climb that accepts carries its candidate's
+    bounded sides and ratio on.  At a vertex where some climbs' candidates
+    fall between their bars, those climbs' candidates are scored in full
+    and walked exactly, which also reads their current ratios exactly (the
+    own point's candidate is the current map).  At the end one call scores
+    the maps of the climbs that still carry bounds."""
+    n = score.n
+    now_lo = [-math.inf if r is None else r for r in current]
+    now_hi = list(now_lo)
+    bounded = set()
+    whole = len(active) == A.shape[1]
+    span = np.arange(len(active))
+    evaluations = feasible = 0
+    for i in cols:
+        if whole:
+            bounds, xe = delta(A, i, BE, span)
+        else:
+            bounds, xe = delta(A.take(active, axis=1), i, BE.take(active, axis=1), span)
+        row = A[i].tolist()
+        compared, moved, fall = _accept_bounded(*bounds.tolist(), n, active, row,
+                                                now_lo, now_hi, improved)
+        evaluations += compared
+        feasible += compared
+        for c in moved:
+            j = active[c]
+            BE[:, j] = xe[:, c, row[j]]
+            bounded.add(j)
+        if fall:
+            candidates = A[:, fall].repeat(n, axis=1)
+            candidates[i] = np.tile(np.arange(n), len(fall))
+            ratios = score(candidates).tolist()
+            for c, j in enumerate(fall):  # the own point's candidate is the map
+                r = ratios[c * n + row[j]]
+                current[j] = None if r != r else r
+            compared, ok, _ = _accept(ratios, 0, n, fall, row, current, improved)
+            evaluations += compared
+            feasible += ok
+            at = [c * n + row[j] for c, j in enumerate(fall)]
+            BE[:, fall] = delta.based([side[at] for side in score.sides])
+            for j in fall:
+                now_lo[j] = now_hi[j] = -math.inf if current[j] is None else current[j]
+            bounded.difference_update(fall)
+        A[i] = row
+    if bounded:
+        rest = sorted(bounded)
+        for j, r in zip(rest, score(A.take(rest, axis=1)).tolist()):
+            current[j] = None if r != r else r
+        BE[:, rest] = delta.based(score.sides)
+    return evaluations, feasible
+
+
 def local_search_max(problem: SearchProblem, restarts: int, steps: int,
                      seed: int) -> SearchResult:
     """Hill-climbing over single-vertex reassignments with random restarts.
@@ -251,13 +514,19 @@ def local_search_max(problem: SearchProblem, restarts: int, steps: int,
     call's fixed cost.  The batches are walked in vertex order, and those
     after the first vertex at which a climb accepts are dropped and scored
     again from the new maps.  The walked batches are those one call a
-    vertex scores, so are the ratios and counts."""
+    vertex scores, so are the ratios and counts.
+
+    Plans whose sides are sums joined by sums sweep by deltas instead
+    (`_Delta`, `_delta_sweep`): a candidate is decided from bounds on its
+    ratio wherever they settle it, and scored in full where they do not,
+    so every decision, count and ratio is the one full scoring makes."""
     if restarts < 0 or steps < 0:
         raise SearchError(f"restarts and steps must be >= 0, got {restarts} and {steps}")
     free = problem.free_vertices()
     n = problem.target.n
     rng = np.random.default_rng(seed)
     score = _Scorer(problem)
+    delta = _Delta.of(score)
     cols = [score.index[v] for v in free]
     start = score.array(canonical_start(problem))
     group = max(1, score.rows // n)
@@ -272,36 +541,18 @@ def local_search_max(problem: SearchProblem, restarts: int, steps: int,
         current = [None if math.isnan(r) else r for r in score(A).tolist()]
         evaluations += len(current)
         feasible += sum(r is not None for r in current)
+        if delta is not None:
+            BE = delta.based(score.sides)
         active = range(len(current))
-        points = np.tile(np.arange(n), len(current))
         for _ in range(steps):
             improved = set()
-            m = len(active) * n  # a vertex's candidates
-            most = max(1, min(score.rows // m, _WINDOW // (m * len(score.u))))
-            ratios, lo, quiet = [], 0, 0
-            for s, i in enumerate(cols):
-                if lo == len(ratios):  # score the next window
-                    window = cols[s:s + min(max(quiet, 1), most)]
-                    climbs = A if len(active) == A.shape[1] else A[:, active]
-                    candidates = climbs.repeat(n, axis=1)
-                    if len(window) == 1:
-                        candidates[i] = points[:m]
-                    else:  # each vertex's candidates, side by side
-                        candidates = np.tile(candidates, len(window))
-                        candidates.reshape(len(candidates), len(window), m)[
-                            window, range(len(window))] = points[:m]
-                    ratios, lo = score(candidates).tolist(), 0
-                row = A[i].tolist()
-                compared, ok, accepted = _accept(ratios, lo, n, active, row,
-                                                 current, improved)
-                evaluations += compared
-                feasible += ok
-                A[i] = row
-                if accepted:  # the rest of the window is stale
-                    ratios, lo, quiet = [], 0, 0
-                else:
-                    lo += m
-                    quiet += 1
+            if delta is None:
+                counts = _window_sweep(score, A, cols, active, current, improved)
+            else:
+                counts = _delta_sweep(score, delta, A, cols, active, current,
+                                      improved, BE)
+            evaluations += counts[0]
+            feasible += counts[1]
             active = [j for j in active if j in improved]
             if not active:
                 break

@@ -11,7 +11,7 @@ import itertools
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
@@ -36,12 +36,14 @@ def is_int(x) -> bool:
 
 def load_document(doc, name: str, **kinds) -> dict:
     """A JSON input document (its text, or a value parsed from it): an
-    object holding each key of `kinds` with a value of that type."""
+    object holding each key of `kinds` with a value of that type.  JSON's
+    true and false are no numbers here, though Python's bools are ints."""
     obj = json.loads(doc) if isinstance(doc, str) else doc
     if not isinstance(obj, dict):
         raise SpaceError(f"the {name} document is not a JSON object")
     for key, kind in kinds.items():
-        if key not in obj or not isinstance(obj[key], kind):
+        if key not in obj or not isinstance(obj[key], kind) or (
+                isinstance(obj[key], bool) and kind not in (bool, object)):
             raise SpaceError(f"the {name} document needs a {key!r} entry of "
                              f"type {kind.__name__}")
     return obj
@@ -200,6 +202,24 @@ class LpSpace(RowSpace):
         return f"lp:p={p},dim={self.dim}"
 
 
+class _ArrayValued:
+    """Value equality and a hash for a frozen dataclass that holds arrays,
+    declared with eq=False: its compared fields as one tuple, each array as
+    its shape and bytes (numpy's == on arrays is elementwise, and arrays do
+    not hash)."""
+
+    def _key(self) -> tuple:
+        values = (getattr(self, f.name) for f in fields(self) if f.compare)
+        return tuple((v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+                     for v in values)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+
 class TableSpace(RowSpace):
     """Sampling and row-wise distances of a finite space whose points are the
     indices 0..n-1 of a distance table."""
@@ -253,8 +273,8 @@ def read_matrix(doc, name: str) -> np.ndarray:
 _TRIANGLE_BLOCK = 1 << 14  # path sums a block of the triangle check holds
 
 
-@dataclass(frozen=True)
-class FiniteMatrixSpace(TableSpace):
+@dataclass(frozen=True, eq=False)
+class FiniteMatrixSpace(_ArrayValued, TableSpace):
     """A finite metric space given by its distance matrix; points are indices."""
 
     matrix: np.ndarray = field(repr=False)
@@ -491,8 +511,8 @@ def koranyi_norm_rows(a: np.ndarray, p: float, lam: float) -> np.ndarray:
     return norms
 
 
-@dataclass(frozen=True)
-class HeisenbergMetricSpace(RowSpace):
+@dataclass(frozen=True, eq=False)
+class HeisenbergMetricSpace(_ArrayValued, RowSpace):
     """Heisenberg group over R^dim with a Koranyi quasi-metric d_{p,lambda}
     and antisymmetric form omega(x,y) = x^T O y, computed from the upper
     triangle as the sum over i < j of O_ij (x_i y_j - x_j y_i): each term is

@@ -576,6 +576,29 @@ def test_lift_good_points_verified(tmp_path, capsys):
     assert code == 0 and json.loads(out)["verified"] is True
 
 
+@pytest.mark.parametrize("key", ["C", "K"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_lift_oracle_bool_constant_exit_two(tmp_path, capsys, key, flag):
+    # JSON's true and false are no numbers, though Python's bools are ints
+    argv = _lift_files(tmp_path, [0, 1], 1)
+    oracle = tmp_path / "oracle.json"
+    doc = json.loads(oracle.read_text())
+    doc[key] = flag
+    oracle.write_text(json.dumps(doc))
+    code, out, err = run_strict(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"lift oracle document needs a {key!r} entry" in err["error"]
+
+
+@pytest.mark.parametrize("C,K", [(2, 0), (2.0, 0.0), (3, 0.5)])
+def test_lift_oracle_numeric_constants_still_read(tmp_path, capsys, C, K):
+    argv = _lift_files(tmp_path, [0, 1], 1)
+    oracle = tmp_path / "oracle.json"
+    oracle.write_text(json.dumps({**json.loads(oracle.read_text()), "C": C, "K": K}))
+    code, out, _ = run_strict(capsys, *argv)
+    assert code == 0 and json.loads(out)["verified"] is True
+
+
 @pytest.mark.parametrize("target", [None, "l2:dim=2", "heis:dim=2,p=2",
                                     "prod:p=2;l2:dim=2;heis:dim=2,p=inf"])
 def test_invariant_constant_map_into_any_target(capsys, target):

@@ -183,27 +183,36 @@ WINDOWS = {"one-vertex": 0, "whole-sweep": 1 << 62}
 def check_lockstep(tree, inv, target, cap, monkeypatch, window=None):
     spec = U.parse_tree_spec(tree)
     problem = U.SearchProblem(spec, target, inv, 2.0, {(): 0})
-    sizes = []
+    sizes, widths = [], []
     if window is not None:
         monkeypatch.setattr(search, "_WINDOW", window)
     if cap is not None:
         # scorer batches of cap * n rows: climbs run cap at a time
         pairs = sum(len(compile_plan(inv, spec, side).u) for side in ("lhs", "rhs"))
         monkeypatch.setattr(search, "_BATCH", cap * target.n * pairs)
-        scored = search._Scorer.__call__
+        scored, stepped = search._Scorer.__call__, search._Delta.__call__
 
         def spy(self, A):
             sizes.append(A.shape[1])
             return scored(self, A)
 
+        def delta_spy(self, climbs, *args):
+            widths.append(climbs.shape[1])
+            return stepped(self, climbs, *args)
+
         monkeypatch.setattr(search._Scorer, "__call__", spy)
+        monkeypatch.setattr(search._Delta, "__call__", delta_spy)
     for steps in (0, 1, 3, 100):
         for restarts in (0, 1, 5):
             seed = 10 * steps + restarts
             got = U.local_search_max(problem, restarts, steps, seed)
             want = sequential_local_search_max(problem, restarts, steps, seed)
             assert _doc(got) == _doc(want), (steps, restarts)
-    if cap is not None:
+    if cap is not None and widths:
+        # a delta sweep scores in full only where its bounds do not decide,
+        # so the group shows in the climbs each vertex's delta reads
+        assert max(widths) == cap and max(sizes) <= cap * target.n
+    elif cap is not None:
         assert max(sizes) == cap * target.n
 
 
@@ -250,13 +259,14 @@ def test_windows_cut_the_scorer_calls_of_a_quiet_sweep(monkeypatch):
                          ids=["default", "whole-sweep"])
 def test_a_sweep_that_accepts_at_every_vertex_scores_one_vertex_a_call(window,
                                                                       monkeypatch):
-    # markov-directed accepts at every free vertex here: no quiet run, so
-    # no window, whatever the budget
+    # some tessera climb of 32 accepts at every free vertex here: no quiet
+    # run, so no window, whatever the budget (markov-directed, which
+    # accepts at nearly every vertex, sweeps by deltas)
     if window is not None:
         monkeypatch.setattr(search, "_WINDOW", window)
-    problem = U.SearchProblem(U.parse_tree_spec("bin:h=4"), random_target(1),
-                              U.InvariantId.MARKOV_DIRECTED, 2.0, {(): 0})
-    assert scorer_batches(problem, 3, 1, 1, monkeypatch) == [(31, 4)] + [(31, 24)] * 30
+    problem = U.SearchProblem(U.parse_tree_spec("bin:h=4"), random_target(2),
+                              U.InvariantId.TESSERA, 2.0, {(): 0})
+    assert scorer_batches(problem, 31, 1, 2, monkeypatch) == [(31, 32)] + [(31, 192)] * 30
 
 
 def test_windows_that_keep_rows_after_an_acceptance_differ(monkeypatch):
@@ -268,8 +278,7 @@ def test_windows_that_keep_rows_after_an_acceptance_differ(monkeypatch):
         return (*accept(*args)[:2], False)
 
     monkeypatch.setattr(search, "_WINDOW", WINDOWS["whole-sweep"])
-    for inv in (U.InvariantId.FORK_CONVEXITY, U.InvariantId.TESSERA,
-                U.InvariantId.MARKOV_DIRECTED):
+    for inv in (U.InvariantId.FORK_CONVEXITY, U.InvariantId.TESSERA):
         problem = U.SearchProblem(U.parse_tree_spec("bin:h=4"), random_target(1),
                                   inv, 2.0, {(): 0})
         want = _doc(sequential_local_search_max(problem, 5, 3, 1))
@@ -413,6 +422,109 @@ def test_lockstep_climbs_on_ties_zeros_and_overflow(tree, inv, name, window,
     # ties, nan ratios and inf powers decide acceptances here, and a window's
     # larger batches raise no warning
     check_lockstep(tree, inv, TABLE_TARGETS[name], None, monkeypatch, window)
+
+
+def delta_search(problem, restarts, steps, seed, monkeypatch):
+    """A local search's document, its full scorer calls and the vertices at
+    which it fell back to full scoring (on the delta path `_accept` walks
+    only those)."""
+    counts = {"calls": 0, "fallbacks": 0}
+    scored, accept = search._Scorer.__call__, search._accept
+
+    def spy(self, A):
+        counts["calls"] += 1
+        return scored(self, A)
+
+    def accept_spy(*args):
+        counts["fallbacks"] += 1
+        return accept(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(search._Scorer, "__call__", spy)
+        m.setattr(search, "_accept", accept_spy)
+        doc = _doc(U.local_search_max(problem, restarts, steps, seed))
+    return doc, counts
+
+
+def test_delta_search_scores_in_full_only_where_bounds_do_not_decide(monkeypatch):
+    # one call for the starts, one at the sweep's end and one a fallback
+    # vertex, where a vertex a call would make 31
+    spec = U.parse_tree_spec("bin:h=4")
+    for seed in range(8):
+        problem = U.SearchProblem(spec, random_target(100 + seed),
+                                  U.InvariantId.MARKOV_DIRECTED, 2.0, {(): 0})
+        doc, counts = delta_search(problem, 3, 1, seed, monkeypatch)
+        assert doc == _doc(sequential_local_search_max(problem, 3, 1, seed))
+        assert counts["calls"] <= 2 + counts["fallbacks"] and counts["calls"] < 8, counts
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("name", ["path", "star", "zeros", "signed-zeros", "huge"])
+def test_delta_search_falls_back_on_ties_zeros_and_overflow(name, p, monkeypatch):
+    # tied ratios, sides that vanish and sums or powers past the float range
+    # (inf / inf has no ratio) leave candidates between the bars; those
+    # vertices are scored in full
+    problem = U.SearchProblem(U.parse_tree_spec("bin:h=4"), TABLE_TARGETS[name],
+                              U.InvariantId.MARKOV_DIRECTED, p, {(): 0})
+    fallbacks = 0
+    for restarts, steps in ((0, 3), (5, 100)):
+        doc, counts = delta_search(problem, restarts, steps, 7, monkeypatch)
+        assert doc == _doc(sequential_local_search_max(problem, restarts, steps, 7))
+        fallbacks += counts["fallbacks"]
+    assert fallbacks > 0
+
+
+@pytest.mark.parametrize("p", [500.0, 510.0])
+def test_delta_search_needs_weights_in_the_normal_range(p):
+    # on bin:h=4 the least weight is 2^-7 and the largest divisor 2^(2 p):
+    # past p = 507.5 a weight would fall below the normal range, where a
+    # rounding is no longer relative, so the search keeps the full scorer
+    problem = U.SearchProblem(U.parse_tree_spec("bin:h=4"), random_target(3),
+                              U.InvariantId.MARKOV_DIRECTED, p, {(): 0})
+    assert (search._Delta.of(search._Scorer(problem)) is None) == (p > 507.5)
+    assert _doc(U.local_search_max(problem, 3, 3, 1)) == \
+        _doc(sequential_local_search_max(problem, 3, 3, 1))
+
+
+def test_delta_search_on_bin_h8_equals_sequential_climbs():
+    problem = U.SearchProblem(U.parse_tree_spec("bin:h=8"), random_target(8),
+                              U.InvariantId.MARKOV_DIRECTED, 2.0, {(): 0})
+    assert _doc(U.local_search_max(problem, 0, 1, 0)) == \
+        _doc(sequential_local_search_max(problem, 0, 1, 0))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("name", list(TABLE_TARGETS))
+def test_delta_bounds_hold_the_scorer(name, p):
+    # along random walks of 6 climbs that carry each chosen candidate's
+    # bounded sides on, every bound the delta vouches for holds the
+    # scorer's ratio, and every carried side lies within its error (and
+    # the scorer's gamma) of the scorer's side
+    target = TABLE_TARGETS[name]
+    rng = np.random.default_rng(len(name))
+    for tree in ("bin:h=2", "bin:h=4"):
+        spec = U.parse_tree_spec(tree)
+        score = search._Scorer(U.SearchProblem(spec, target, U.InvariantId.MARKOV_DIRECTED, p))
+        delta = search._Delta.of(score)
+        A = rng.integers(target.n, size=(len(U.vertices(spec)), 6))
+        score(A)
+        BE, span, n, vouched = delta.based(score.sides), np.arange(6), target.n, 0
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for i in rng.integers(len(A), size=40):
+                bounds, xe = delta(A, i, BE, span)
+                lo, hi = bounds.reshape(2, -1)
+                candidates = A.repeat(n, axis=1)
+                candidates[i] = np.tile(np.arange(n), 6)
+                ratios, sides = score(candidates), np.array(score.sides)
+                sure = ~np.isnan(lo)
+                assert (lo[sure] <= ratios[sure]).all() and (ratios[sure] <= hi[sure]).all()
+                x, err = xe[:2].reshape(2, -1), xe[2:].reshape(2, -1)
+                slack = err + delta.gammas * (x + err)
+                assert (np.abs(sides - x) <= slack)[:, sure].all()
+                vouched += sure.sum()
+                pts = rng.integers(n, size=6)
+                A[i], BE = pts, xe[:, span, pts]
+        assert vouched > 0 or name in ("zeros", "signed-zeros", "huge"), tree
 
 
 def test_scorer_with_numpy_min_max_powers_differs(monkeypatch):

@@ -233,6 +233,34 @@ def test_space_descriptions_parse_back():
         assert U.parse_space(described).describe() == described
 
 
+def test_spaces_holding_arrays_compare_and_hash_by_value():
+    # equal descriptors give equal spaces with one hash, so they can key a
+    # dict; numpy's == on the arrays they hold is elementwise, and arrays
+    # do not hash
+    for text in ("heis:dim=2,p=2,lambda=3", "heis:dim=4",
+                 "prod:p=2;l2:dim=2;heis:dim=2,p=inf;lp:p=1,dim=3"):
+        a, b = U.parse_space(text), U.parse_space(text)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1, text
+    assert U.parse_space("heis:dim=2,p=2") != U.parse_space("heis:dim=2,p=3")
+    assert U.parse_space("heis:dim=2") != U.parse_space("heis:dim=4")
+    m = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    a, b = U.FiniteMatrixSpace(m), U.FiniteMatrixSpace(np.array(m, dtype=float))
+    other = U.FiniteMatrixSpace([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    assert a == b and hash(a) == hash(b) and a != other
+    assert a != U.FiniteMatrixSpace([[0, 1], [1, 0]])  # another shape
+    heis = U.parse_space("heis:dim=2")
+    prod = U.ProductSpace((a, heis), 2.0)
+    assert prod == U.ProductSpace((b, U.parse_space("heis:dim=2")), 2.0)
+    assert hash(prod) == hash(U.ProductSpace((b, heis), 2.0))
+    assert prod != U.ProductSpace((other, heis), 2.0)
+    spec = U.parse_tree_spec("bin:h=2")
+    problem = U.SearchProblem(spec, a, U.InvariantId.MARKOV_DIRECTED, 2.0, {(): 0})
+    twin = U.SearchProblem(spec, b, U.InvariantId.MARKOV_DIRECTED, 2.0, {(): 0})
+    assert problem == twin and hash(problem) == hash(twin)
+    assert problem != U.SearchProblem(spec, other, U.InvariantId.MARKOV_DIRECTED, 2.0,
+                                      {(): 0})
+
+
 def test_parse_space_rejects_garbage():
     with pytest.raises((SpaceError, ValueError)):
         U.parse_space("l2:dim=0")
