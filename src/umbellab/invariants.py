@@ -451,25 +451,14 @@ def _pow(x: np.ndarray, p: float) -> np.ndarray:
     return np.array(out).reshape(x.shape)
 
 
-_STRIDED_SUM = 1 << 19  # the most gathered entries a sum side reduces column-major
-
-
 def _segments(plan: Plan, g: np.ndarray, finish: Callable) -> np.ndarray:
     """Segment values (segments x rows) from a side's gathered entries g
     (columns x rows, columns in plan order).  A sum side's entries are the
     p-th powers of its distances, weighed and added.  A min or max side's
     entries are order keys of its distances, and `finish` maps each
-    segment's extreme key to the p-th power of its distance.  reduceat gives
-    the same bits in either layout.  Past _STRIDED_SUM entries a
-    column-major sum reduce, which walks each segment a row apart, falls out
-    of the cache and costs up to twice a row-major one, so a larger sum side
-    is multiplied into a row-major array and reduced along its rows."""
+    segment's extreme key to the p-th power of its distance."""
     if plan.reduce == "sum":
-        if g.size <= _STRIDED_SUM:
-            return np.add.reduceat(plan.weights[:, None] * g, plan.starts, axis=0)
-        terms = np.empty(g.shape[::-1])
-        np.multiply(plan.weights[:, None], g, out=terms.T)
-        return np.add.reduceat(terms, plan.starts, axis=1).T
+        return np.add.reduceat(plan.weights[:, None] * g, plan.starts, axis=0)
     extreme = np.minimum if plan.reduce == "min" else np.maximum
     return finish(extreme.reduceat(g, plan.starts, axis=0))
 

@@ -316,7 +316,7 @@ class FiniteMatrixSpace(_ArrayValued, TableSpace):
 
     @classmethod
     def from_json(cls, text: str) -> "FiniteMatrixSpace":
-        obj = load_document(text, "matrix", n=object, d=list)
+        obj = load_document(text, "matrix", n=int, d=list)
         m = read_matrix(obj, "matrix")
         if m.shape != (obj["n"], obj["n"]):
             raise SpaceError("matrix shape disagrees with n")

@@ -646,11 +646,11 @@ def test_matrix_document_must_be_an_object(tmp_path, capsys):
     assert "matrix document" in err["error"]
 
 
-def _matrix_reading_argv(tmp_path, d):
+def _matrix_reading_argv(tmp_path, d, n=2):
     """(document name, argv) of each command that reads a matrix document,
-    with the distance table d."""
+    with the distance table d (and the matrix document's entry n)."""
     matrix = tmp_path / "m.json"
-    matrix.write_text(json.dumps({"n": 2, "d": d}))
+    matrix.write_text(json.dumps({"n": n, "d": d}))
     lift = _lift_files(tmp_path, [0, 1], 0)
     oracle = json.loads((tmp_path / "oracle.json").read_text())
     oracle["domain"]["d"] = d
@@ -686,6 +686,18 @@ def test_matrix_rows_of_other_lengths_exit_two(tmp_path, capsys):
         code, out, err = run_strict(capsys, *argv)
         assert code == 2 and out == ""
         assert err["error"] == f"the {name} document's rows differ in length"
+
+
+@pytest.mark.parametrize("n,d", [(True, [[0]]), (2.0, [[0, 1], [1, 0]]),
+                                 ("2", [[0, 1], [1, 0]])],
+                         ids=["bool", "float", "string"])
+@pytest.mark.parametrize("command", ["certify", "search", "invariant"])
+def test_matrix_n_not_an_int_exit_two(tmp_path, capsys, n, d, command):
+    # true and 2.0 compare equal to the side of the table they come with
+    runs = {argv[0]: argv for _, argv in _matrix_reading_argv(tmp_path, d, n)}
+    code, out, err = run_strict(capsys, *runs[command])
+    assert code == 2 and out == ""
+    assert err["error"] == "the matrix document needs a 'n' entry of type int"
 
 
 def test_numeric_matrix_documents_read_as_before(tmp_path, capsys):
