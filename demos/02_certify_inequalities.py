@@ -26,7 +26,7 @@ check = U.check_inequality(U.InequalityId.Q_TRIPOD, cfg, (0, 1, 2, 3), star)
 print(f"tripod on the unit star: holds={check.holds}, margin={check.margin}")
 
 # the least K certifying the inequality on a sample, solved in one pass over
-# its margins and confirmed by one certify run
+# its margins and checked on the margin parts that pass keeps
 sampler = U.ball_sampler(L2, U.InequalityId.Q_TRIPOD)
 K = U.min_feasible_K(L2, U.InequalityId.Q_TRIPOD, cfg, sampler,
                      n=5_000, seed=7, bracket=(0.25, 16.0))

@@ -431,15 +431,6 @@ class Plan:
     classes: Optional[np.ndarray] = None
 
 
-def _power(a: float, p: float) -> float:
-    """a ** p for a float a >= 0, inf where the power is past the float range
-    (Python raises there)."""
-    try:
-        return a ** p
-    except OverflowError:
-        return math.inf
-
-
 def _pow(x: np.ndarray, p: float) -> np.ndarray:
     """x ** p by the scalar power, whose last bit numpy's vectorised power
     does not always reproduce; powers past the float range are inf."""
@@ -447,7 +438,7 @@ def _pow(x: np.ndarray, p: float) -> np.ndarray:
     try:
         out = [a ** p for a in flat]
     except OverflowError:
-        out = [_power(a, p) for a in flat]
+        out = [sp.power(a, p) for a in flat]
     return np.array(out).reshape(x.shape)
 
 
@@ -718,7 +709,7 @@ def _rhs(inv: InvariantId, f: TreeMap, p: float) -> tuple[float, Optional[bool]]
     if inv in _LIPSCHITZ_IDS:
         _validate(inv, f.spec)
         lip, flag = lipschitz_constant(f)
-        return _power(lip, p), flag
+        return sp.power(lip, p), flag
     return _evaluate_map(inv, "rhs", f, p), None
 
 
@@ -756,7 +747,7 @@ def report(inv: InvariantId, f: TreeMap, p: float,
     k = _validate(inv, f.spec)
     left = lhs(inv, f, p, j_min)
     right, flag = _rhs(inv, f, p)
-    ratio_root = _power(left / right, 1 / p) if right > 0 else None
+    ratio_root = sp.power(left / right, 1 / p) if right > 0 else None
     params = {"k": k, "height": f.spec.height, "liminf_j_min": j_min,
               "chain": "directed" if inv is InvariantId.MARKOV_DIRECTED else None}
     if f.spec.kind == INCREASING:

@@ -14,7 +14,7 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -231,7 +231,13 @@ def batch_margins(ineq: InequalityId, cfg: InequalityConfig, space,
                   pts: np.ndarray) -> np.ndarray:
     """Margins RHS - LHS of every configuration in `pts`."""
     rest, b, e = margin_parts(ineq, cfg, space, pts)
-    return rest - b / cfg.K ** e
+    return _margins(rest, b, e, cfg.K)
+
+
+@np.errstate(invalid="ignore")  # B = K^e = 0: a NaN margin, a violation
+def _margins(rest: np.ndarray, b: np.ndarray, e: float, K: float) -> np.ndarray:
+    """rest - B / K^e, with K^e past the float range taken as inf."""
+    return rest - b / sp.power(K, e)
 
 
 # ---------------------------------------------------------------------------
@@ -314,24 +320,39 @@ def _worse(margin: float, worst: float) -> bool:
 @np.errstate(over="ignore", divide="ignore")
 def _holds(rest: np.ndarray, b: np.ndarray, e: float, K: float,
            slack: float) -> bool:
-    """Whether every margin rest - b / K^e, in batch_margins' arithmetic, is
-    >= -slack."""
-    return bool((rest - b / K ** e >= -slack).all())
+    """Whether every margin at K, in batch_margins' arithmetic, is >= -slack."""
+    return bool((_margins(rest, b, e, K) >= -slack).all())
+
+
+def _least_positive_power(e: float) -> float:
+    """The least float x with x ** e > 0, by bisection over the bit patterns
+    of the floats in [0, 1], which are ordered as the floats are."""
+    lo, hi = 0, int(np.float64(1.0).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if float(np.int64(mid).view(np.float64)) ** e > 0:
+            hi = mid
+        else:
+            lo = mid
+    return float(np.int64(hi).view(np.float64))
 
 
 def min_feasible_K(space, ineq: InequalityId, cfg: InequalityConfig, sampler,
                    n: int, seed: int, bracket: tuple[float, float]) -> float:
     """Smallest K in the bracket with zero sampled violations, from one pass
-    over the samples of `certify(..., n, seed)`, confirmed by a certify run.
+    over the samples of `certify(..., n, seed)` that keeps their parts.
 
     A configuration holds at K exactly when K^e >= B / (R - A + slack) (see
     margin_parts), and keeps holding as K grows.  K starts at lo; a chunk
     that fails at K raises it to the chunk's largest such bound, stepped up
     an ulp at a time while the chunk, in batch_margins' arithmetic, still
-    fails.  It raises when no K serves: B > 0 with R - A + slack <= 0, or
-    B = 0 with R - A + slack < 0, or a NaN part, or a failed certify at hi.
-    Midpoint curvature has no K and the parallelogram derives its K from C,
-    so neither has one to fit."""
+    fails.  Where K^e is 0 every margin fails, and K moves first to the
+    least float with K^e > 0.  The pass skips chunks that held at a smaller
+    K, and float K ** e need not be monotone, so the answer is K, else a
+    finite hi, checked on every kept part.  It raises when no K serves:
+    B > 0 with R - A + slack <= 0, or B = 0 with R - A + slack < 0, or a
+    NaN part, or a failed check at hi.  Midpoint curvature has no K and the
+    parallelogram derives its K from C, so neither has one to fit."""
     if ineq in (InequalityId.MIDPOINT_CURVATURE,
                 InequalityId.HEISENBERG_PARALLELOGRAM):
         raise PointwiseError(f"{ineq.value} does not depend on K")
@@ -340,8 +361,10 @@ def min_feasible_K(space, ineq: InequalityId, cfg: InequalityConfig, sampler,
         raise PointwiseError(f"the bracket ({lo}, {hi}) needs 0 < lo <= hi")
     infeasible = PointwiseError("upper bracket is still infeasible")
     K = lo
+    parts = []
     for pts in _draws(space, ineq, sampler, n, seed):
         rest, b, e = margin_parts(ineq, cfg, space, pts)
+        parts.append((rest, b))
         room = rest + cfg.slack
         pos = b > 0
         if (np.isnan(rest).any() or np.isnan(b).any()
@@ -349,18 +372,16 @@ def min_feasible_K(space, ineq: InequalityId, cfg: InequalityConfig, sampler,
             raise infeasible
         if _holds(rest, b, e, K, cfg.slack):
             continue
+        if sp.power(K, e) == 0:
+            K = _least_positive_power(e)
         with np.errstate(over="ignore"):
-            K = max(K, float(np.max(b[pos] / room[pos]) ** (1 / e)))
+            K = max(K, float(np.max(b[pos] / room[pos], initial=0.0) ** (1 / e)))
         while K < hi and not _holds(rest, b, e, K, cfg.slack):
             K = math.nextafter(K, math.inf)
-
-    def feasible(k: float) -> bool:
-        return certify(space, ineq, replace(cfg, K=k), sampler, n, seed).violations == 0
-
-    if K < hi and feasible(K):
-        return K
-    if feasible(hi):
-        return hi
+    for k in (K, hi) if K < hi else (hi,):
+        if math.isfinite(k) and all(_holds(rest, b, e, k, cfg.slack)
+                                    for rest, b in parts):
+            return k
     raise infeasible
 
 

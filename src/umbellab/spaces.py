@@ -29,6 +29,15 @@ def close(a: float, b: float) -> bool:
     return abs(a - b) <= max(REL_TOL * max(abs(a), abs(b)), ABS_TOL)
 
 
+def power(a: float, p: float) -> float:
+    """a ** p for a float a >= 0, inf where the power is past the float range
+    (Python raises there)."""
+    try:
+        return a ** p
+    except OverflowError:
+        return math.inf
+
+
 def is_int(x) -> bool:
     """Whether x is a Python or numpy integer, and not a bool."""
     return type(x) is int or isinstance(x, np.integer)

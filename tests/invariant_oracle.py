@@ -31,7 +31,7 @@ from umbellab.embeddings import EmbeddingError, ModulusCurve, QuotientOracle
 from umbellab.invariants import (InvariantError, InvariantId, Plan, TreeMap,
                                  _COTYPE_IDS, _NO_CONFIGURATION,
                                  _check_exponent, _classes, _height_range,
-                                 _pair_count, _plan_args, _power, _realised,
+                                 _pair_count, _plan_args, _realised,
                                  _validate, compile_plan)
 from umbellab.trees import Vertex, tree_graph, vertices_at_height
 from umbellab import spaces as sp
@@ -470,7 +470,7 @@ def assert_reports_agree(got, want, spec, exact: bool, case) -> None:
         else:
             assert a == b, (case, side)
     for rep in (got, want):
-        assert rep.ratio_root == (_power(rep.lhs / rep.rhs, 1 / rep.exponent)
+        assert rep.ratio_root == (sp.power(rep.lhs / rep.rhs, 1 / rep.exponent)
                                   if rep.rhs > 0 else None), case
 
 

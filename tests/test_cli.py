@@ -49,6 +49,19 @@ def test_certify_holds_exit_zero(capsys):
     assert obj["violations"] == 0
 
 
+@pytest.mark.parametrize("q,K,worst", [("300", "1000", 2.8751359408604892e-111),
+                                        ("200", "100", 1.6128431394477913e-74)])
+def test_certify_K_power_past_the_float_range(capsys, q, K, worst):
+    # K^q overflows the float range: it is inf, and B / K^q is 0
+    code, out = run(capsys, "certify", "--space", "l2:dim=3",
+                    "--inequality", "tripod", "--samples", "2000",
+                    "--seed", "1", "--q", q, "--K", K)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["violations"] == 0
+    assert obj["worst_margin"] == worst
+
+
 def test_certify_violated_exit_one(capsys):
     # the sampler draws m of midpoint-curvature independently of x and y, so
     # m is not their midpoint and the campaign on l2 can find violations

@@ -141,10 +141,10 @@ def test_min_feasible_K_tripod():
 ], ids=["midpoint-curvature", "parallelogram"])
 def test_min_feasible_K_rejects_inequalities_without_K(ineq, space, monkeypatch):
     # midpoint curvature ignores K and the parallelogram derives it from C:
-    # there is nothing to bisect, so no certify pass may run
+    # there is nothing to fit, so nothing is drawn and no certify pass runs
     monkeypatch.setattr(pointwise, "certify", None)
     with pytest.raises(pointwise.PointwiseError, match="does not depend on K"):
-        U.min_feasible_K(space, ineq, cfg(exponent=2.0), U.ball_sampler(space, ineq),
+        U.min_feasible_K(space, ineq, cfg(exponent=2.0), None,
                          n=100, seed=0, bracket=(0.5, 64.0))
 
 
@@ -156,24 +156,27 @@ K_FAMILIES = [(ineq, L2, 2.0) for ineq in (
     (U.InequalityId.P_UNIFORM_CONVEXITY, U.parse_space("lp:p=3,dim=2"), 3.0)]
 
 
-@pytest.fixture
-def certify_passes(monkeypatch):
-    """The number of certify runs made so far."""
-    passes = []
-    real = pointwise.certify
-
-    def counted(*args, **kwargs):
-        passes.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(pointwise, "certify", counted)
-    return passes
+def refuse_certify(*args, **kwargs):
+    raise AssertionError("the fit ran a certify pass")
 
 
 def fit(ineq, space, q, bracket, n=300, seed=7, sampler=None):
-    return U.min_feasible_K(space, ineq, cfg(exponent=q),
-                            sampler or U.ball_sampler(space, ineq),
-                            n=n, seed=seed, bracket=bracket)
+    """min_feasible_K's answer, after checking that the fit is one pass: it
+    draws each chunk of the sample once and runs no certify pass."""
+    draw = sampler or U.ball_sampler(space, ineq)
+    draws = []
+
+    def counted(rng, m):
+        draws.append(m)
+        return draw(rng, m)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pointwise, "certify", refuse_certify)
+        try:
+            return U.min_feasible_K(space, ineq, cfg(exponent=q), counted,
+                                    n=n, seed=seed, bracket=bracket)
+        finally:
+            assert len(draws) == math.ceil(n / pointwise._CHUNK)
 
 
 def violations(ineq, space, q, K, n=300, seed=7):
@@ -183,32 +186,28 @@ def violations(ineq, space, q, K, n=300, seed=7):
 
 @pytest.mark.parametrize("ineq,space,q", K_FAMILIES,
                          ids=[f[0].value for f in K_FAMILIES])
-def test_min_feasible_K_is_the_sampled_minimum(ineq, space, q, certify_passes):
-    for seed, lo in ((7, 1e-3), (8, 1e-3), (7, 1.2)):
-        del certify_passes[:]
-        K = fit(ineq, space, q, (lo, 1e3), seed=seed)
-        assert len(certify_passes) <= 2
+def test_min_feasible_K_is_the_sampled_minimum(ineq, space, q):
+    # 9000 samples are three chunks, each drawn once
+    for seed, lo, n in ((7, 1e-3, 300), (8, 1e-3, 300), (7, 1.2, 300),
+                        (9, 1e-3, 9000)):
+        K = fit(ineq, space, q, (lo, 1e3), n=n, seed=seed)
         assert lo <= K < 1e3
-        assert violations(ineq, space, q, K, seed=seed) == 0
+        assert violations(ineq, space, q, K, n=n, seed=seed) == 0
         if K != lo:
-            assert violations(ineq, space, q, K * (1 - 2e-6), seed=seed) > 0
+            assert violations(ineq, space, q, K * (1 - 2e-6), n=n, seed=seed) > 0
 
 
 @pytest.mark.parametrize("ineq,space,q", K_FAMILIES,
                          ids=[f[0].value for f in K_FAMILIES])
-def test_min_feasible_K_bracket_ends(ineq, space, q, certify_passes):
+def test_min_feasible_K_bracket_ends(ineq, space, q):
     K = fit(ineq, space, q, (1e-3, 1e3))
-    # lo certifies: it is the answer, in one certify pass
+    # lo holds: it is the answer
     for lo in (K, 2 * K):
-        del certify_passes[:]
         assert fit(ineq, space, q, (lo, 1e3)) == lo
-        assert len(certify_passes) == 1
-    # hi below the sampled minimum: one certify pass at hi, then an error
-    del certify_passes[:]
+    # hi below the sampled minimum fails the final check: an error
     with pytest.raises(pointwise.PointwiseError, match="upper bracket"):
         fit(ineq, space, q, (1e-3, K * (1 - 2e-6)))
-    assert len(certify_passes) == 1
-    # a NaN configuration fails at every K, before any certify pass
+    # a NaN configuration fails at every K, in the pass
     draw = U.ball_sampler(space, ineq)
 
     def nan_draw(rng, m):
@@ -216,27 +215,93 @@ def test_min_feasible_K_bracket_ends(ineq, space, q, certify_passes):
         pts[m // 2, 0, 0] = math.nan
         return pts
 
-    del certify_passes[:]
     with pytest.raises(pointwise.PointwiseError, match="upper bracket"):
         fit(ineq, space, q, (1e-3, 1e3), sampler=nan_draw)
-    assert certify_passes == []
 
 
 @pytest.mark.parametrize("ineq,space,q", K_FAMILIES,
                          ids=[f[0].value for f in K_FAMILIES])
-def test_min_feasible_K_returns_hi_at_the_sampled_minimum(ineq, space, q,
-                                                          certify_passes):
-    # hi is the sampled minimum: the pass climbs to hi, which certifies in one
-    # pass; a bracket of one feasible point returns that point
+def test_min_feasible_K_returns_hi_at_the_sampled_minimum(ineq, space, q):
+    # hi is the sampled minimum: the pass climbs to hi, which holds; a
+    # bracket of one feasible point returns that point
     K = fit(ineq, space, q, (1e-3, 1e3))
     assert K > 1e-3
     for lo in (1e-3, K):
-        del certify_passes[:]
         assert fit(ineq, space, q, (lo, K)) == K
-        assert len(certify_passes) == 1
 
 
-def test_min_feasible_K_infeasible_at_every_K(certify_passes):
+def test_min_feasible_K_checks_its_answer_on_every_configuration(monkeypatch):
+    # a pass whose steps accept every K ends at lo, below the sampled
+    # minimum; the final check over the kept parts refuses lo and answers
+    # hi, or refuses hi too
+    holds, draws = pointwise._holds, pointwise._draws
+    drawing = []
+
+    def flagged_draws(*args):
+        drawing.append(True)
+        yield from draws(*args)
+        drawing.clear()
+
+    monkeypatch.setattr(pointwise, "_draws", flagged_draws)
+    monkeypatch.setattr(pointwise, "_holds",
+                        lambda *args: bool(drawing) or holds(*args))
+    ineq = U.InequalityId.Q_TRIPOD
+    K = fit(ineq, L2, 2.0, (1e-3, 1e3), n=9000)
+    assert K == 1e3
+    assert violations(ineq, L2, 2.0, 1e-3, n=9000) > 0
+    with pytest.raises(pointwise.PointwiseError, match="upper bracket"):
+        fit(ineq, L2, 2.0, (1e-3, 1e-2), n=9000)
+    # an infinite hi is no answer
+    with pytest.raises(pointwise.PointwiseError, match="upper bracket"):
+        fit(ineq, L2, 2.0, (1e-3, math.inf), n=9000)
+
+
+@pytest.mark.parametrize("ineq", [U.InequalityId.Q_TRIPOD,
+                                  U.InequalityId.P_UNIFORM_CONVEXITY])
+def test_min_feasible_K_with_K_power_past_the_float_range(ineq):
+    # 1e3 ** 300 overflows the float range; B / K^e is then 0
+    assert fit(ineq, L2, 300.0, (1e3, 1e5), seed=3) == 1e3
+
+
+# the least float with K ** 300 > 0
+K300 = 0.08342749088562715
+
+
+def test_least_positive_power():
+    for e in (300.0, 40.0, 1075.5):
+        x = pointwise._least_positive_power(e)
+        assert x ** e > 0 and math.nextafter(x, 0) ** e == 0
+    assert pointwise._least_positive_power(300.0) == K300
+    assert pointwise._least_positive_power(0.5) == 5e-324
+
+
+def test_min_feasible_K_with_K_power_below_the_float_range():
+    # at lo = 1e-5, K^300 is 0 and some B are 0: 0 / 0 raises no warning
+    assert fit(U.InequalityId.P_UMBEL, L2, 300.0, (1e-5, 1e5),
+               seed=3) == 0.8313290310814383
+
+
+@pytest.mark.parametrize("ineq,scale,bracket", [
+    (U.InequalityId.Q_TRIPOD, 0.01, (1e-5, 1e5)),
+    (U.InequalityId.Q_FORK, 0.05, (0.01, 10.0)),
+], ids=["tripod", "fork"])
+def test_min_feasible_K_where_every_B_is_0(ineq, scale, bracket):
+    # every B underflows to 0: a margin fails only where K^300 is 0 too
+    # (0 / 0), so the least K is the least float with K^300 > 0, reached
+    # without stepping through the floats below it
+    draw = U.ball_sampler(L2, ineq)
+
+    def small(rng, m):
+        return draw(rng, m) * scale
+
+    assert fit(ineq, L2, 300.0, bracket, seed=3, sampler=small) == K300
+    # certify agrees: it counts the 0 / 0 margins as violations
+    for K, count in ((K300, 0), (math.nextafter(K300, 0), 300)):
+        rep = U.certify(L2, ineq, cfg(exponent=300.0, K=K), small, 300, 3)
+        assert rep.violations == count
+
+
+def test_min_feasible_K_infeasible_at_every_K():
     # on the unit star a leg triple with the hub as z has R - A = 0 < B: no
     # K makes the tripod hold
     star = U.FiniteMatrixSpace(np.array([
@@ -244,14 +309,15 @@ def test_min_feasible_K_infeasible_at_every_K(certify_passes):
         [2.0, 2.0, 0.0, 1.0], [1.0, 1.0, 1.0, 0.0]]))
     with pytest.raises(pointwise.PointwiseError, match="upper bracket"):
         fit(U.InequalityId.Q_TRIPOD, star, 2.0, (0.5, 1e6), n=500)
-    assert certify_passes == []
 
 
 @pytest.mark.parametrize("bracket", [(2.0, 1.0), (0.0, 1.0), (-1.0, 1.0),
                                      (math.nan, 1.0)])
 def test_min_feasible_K_rejects_bad_brackets(bracket):
+    # before anything is drawn
     with pytest.raises(pointwise.PointwiseError, match="bracket"):
-        fit(U.InequalityId.Q_TRIPOD, L2, 2.0, bracket)
+        U.min_feasible_K(L2, U.InequalityId.Q_TRIPOD, cfg(exponent=2.0), None,
+                         n=300, seed=7, bracket=bracket)
 
 
 # certification against the per-sample oracle loop
