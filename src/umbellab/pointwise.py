@@ -234,9 +234,12 @@ def batch_margins(ineq: InequalityId, cfg: InequalityConfig, space,
     return _margins(rest, b, e, cfg.K)
 
 
-@np.errstate(invalid="ignore")  # B = K^e = 0: a NaN margin, a violation
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _margins(rest: np.ndarray, b: np.ndarray, e: float, K: float) -> np.ndarray:
-    """rest - B / K^e, with K^e past the float range taken as inf."""
+    """rest - B / K^e, with K^e past the float range taken as inf.  Where
+    K^e is 0 or so small that B / K^e passes the float range, B / K^e is
+    inf and the margin -inf, a violation; B = K^e = 0 gives a NaN margin,
+    a violation too.  Neither warns."""
     return rest - b / sp.power(K, e)
 
 
@@ -317,7 +320,6 @@ def _worse(margin: float, worst: float) -> bool:
     return margin < worst or (math.isnan(margin) and not math.isnan(worst))
 
 
-@np.errstate(over="ignore", divide="ignore")
 def _holds(rest: np.ndarray, b: np.ndarray, e: float, K: float,
            slack: float) -> bool:
     """Whether every margin at K, in batch_margins' arithmetic, is >= -slack."""

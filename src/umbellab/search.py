@@ -176,8 +176,10 @@ def _touch_index(inv: InvariantId, spec: TreeSpec) -> tuple:
     weights, group): for each entry, the column's other end, whether the
     vertex is its second end, its weight on each side (2 x entries, 0 on
     the other side) and the index of its group among lhs's groups then
-    rhs's; then each side's gamma_(m+2) (`_Delta`) and the least weight.
-    Kept beside the plans on tree_graph's entry for the tree."""
+    rhs's; then `_Delta`'s factors in its row order (lhs-low, lhs-high,
+    rhs-high, rhs-low): 1 -+ each entry's slack (4 x entries) and each
+    row's reset factor (4 x 1); and the least weight.  Kept beside the
+    plans on tree_graph's entry for the tree."""
     tg = tree_graph(spec)
     key = (inv, "touch")
     if key not in tg.plans:
@@ -193,46 +195,68 @@ def _touch_index(inv: InvariantId, spec: TreeSpec) -> tuple:
         weights[0, :cut], weights[1, cut:] = plans[0].weights, plans[1].weights
         order = np.argsort(np.concatenate([u, v]), kind="stable")
         column = order % len(u)
-        ptr = np.concatenate([[0], np.cumsum(np.bincount(u, minlength=tg.n)
-                                             + np.bincount(v, minlength=tg.n))])
-        gammas = np.array([[_gamma(plan.u.size + plan.starts.size + len(plan.groups) + 4)]
-                           for plan in plans])
-        tg.plans[key] = (ptr.tolist(), np.concatenate([v, u])[order], order >= len(u),
+        counts = np.bincount(u, minlength=tg.n) + np.bincount(v, minlength=tg.n)
+        rnd = 2.0 ** -53  # the unit roundoff
+        sigma = np.array([[_gamma(plan.u.size + plan.starts.size + len(plan.groups) + 2)]
+                          for plan in plans])
+        h = sigma + (4 * tg.n + 2) * rnd
+        s = h + np.repeat([_gamma(k + 2) for k in counts.tolist()], counts) + 2 * rnd
+        a, b = 1 - (h + sigma + 3 * rnd), 1 + (h + 2 * sigma + 4 * rnd)
+        tg.plans[key] = (np.concatenate([[0], np.cumsum(counts)]).tolist(),
+                         np.concatenate([v, u])[order], order >= len(u),
                          weights[:, column], np.repeat(np.arange(len(sizes)), sizes)[column],
-                         gammas, float(np.concatenate([p.weights for p in plans]).min()))
+                         np.array([1 - s[0], 1 + s[0], 1 + s[1], 1 - s[1]]),
+                         np.array([a[0], b[0], b[1], a[1]]),
+                         float(np.concatenate([p.weights for p in plans]).min()))
     return tg.plans[key]
 
 
 _TINY, _HUGE = 2.0 ** -900, 2.0 ** 1000  # the side values a delta vouches for
-_SIGNS = np.array([-1.0, 1.0])[:, None, None]
 
 
 class _Delta:
     """Bounds on the ratios of one free vertex's candidates from their
     climbs' sides, for plans whose sides are weighted sums joined by sums
-    (markov-directed).  A side is then the sum of its terms w d^p / 2^(s p),
-    every term >= 0, and a candidate changes only the terms of the columns
-    that touch its vertex: its side is its climb's base B, less the old
-    terms, plus the new ones, each sum one gather and one small matmul
-    over the vertex's entries of `_touch_index`.
+    (markov-directed).  A side is then the sum S of its terms w d^p /
+    2^(s p), every term >= 0, and a candidate changes only the terms of the
+    columns that touch its vertex: its side is its climb's, less the old
+    terms, plus the new ones, one gather and one small matmul over the
+    vertex's k entries of `_touch_index`.
 
-    A base carries an error e: its side's exact sum lies within e of B.
-    The scorer's float for a side lies within gamma_m of the exact sum, m =
-    columns + segments + groups + 2 (each term's roundings), so a base
-    read from it takes e = gamma_(m+2) B.  A new term passes through at
-    most 2 roundings (its weight, its product) and k - 1 additions, k the
-    vertex's entries, so a delta side (B - c_old) + c_new lies within
-    e + gamma_(2k+8) (B + c_old + c_new) of its exact sum, which covers the
-    roundings of the two sums, the two updates and of the bound itself.  A
-    ratio's bounds widen its sides' by both scorer gammas and 16 roundings.
-    A rhs is vouched for only in [_TINY, _HUGE] and a lhs below _HUGE:
-    there underflow costs less than one rounding and no sum overflows; a
-    lhs that may fall below _TINY bounds the ratio below by 0.  A weight
-    below the normal range (a large p) would break the bounds, so such
-    plans get no delta."""
+    Each climb carries, per side, an interval [L, H] with room h to spare:
+    L <= S (1 - h) and H >= S (1 + h), with u = 2^-53.  The scorer's float
+    F lies within sigma = gamma_m of S, m = columns + segments + groups + 2
+    (each term's roundings; Higham, Accuracy and Stability of Numerical
+    Algorithms, lemma 3.1), so a reset [F (1 - h - sigma - 3u),
+    F (1 + h + 2 sigma + 4u)] covers F's error and the roundings of its
+    factor and product.  A step takes the candidates' p-th powers through four weight
+    rows (lhs-low, lhs-high, rhs-high, rhs-low), w / 2^(s p) times 1 -+ s
+    with s = h + gamma_(k+2) + 2u: an entry takes 2 roundings, a row's sum
+    lies within gamma_k of its terms in any order, with or without FMA
+    (lemma 3.1), and 2u covers the rounding of 1 -+ s, so a low row sums to
+    at most (1 - h) times its exact terms and a high row to at least (1 + h)
+    times.  A candidate's end is its climb's, less the old terms' opposite
+    end (the own point's entry of the swapped rows), plus its new terms'
+    end.  That offset and add cost at most 3u (S' + room + the terms' room),
+    and the terms' room h (old + new) carries the climb's room over to the
+    new side S', so a move spends at most 4u S'.  A climb moves at most once
+    per free vertex between resets, so with h = sigma + (4V + 2)u, V the
+    tree's vertices, every end keeps (sigma + 2u) S to spare: L <= F <= H on
+    each side, and as rounding is monotone, L_lhs / H_rhs and H_lhs / L_rhs
+    in floats bound the scorer's ratio with no widening.
+
+    Ends are vouched for only in [_TINY, _HUGE], where an underflow costs
+    far below u of an end and no sum overflows.  A lhs whose low end may
+    fall below _TINY bounds the ratio below by 0 and above by (H_lhs +
+    _TINY) / L_rhs, whose add the last u covers; any other end out of range
+    leaves the ratio nan, which falls back.  A weight below the normal
+    range (a large p) would break the bounds, so such plans get no delta.
+    Every slack is below 2^-20 for any plan that fits in memory, so the
+    products of two slacks dropped above stay below the u / 2 that each
+    constant leaves spare."""
 
     def __init__(self, score: _Scorer, ptr: list, other, second, weights, group,
-                 gammas, least: float):
+                 factors, reset, least: float):
         divisors = np.array(score.divisors[0] + score.divisors[1])
         n = score.n
         P = score.tables[0].reshape(n, n)
@@ -240,9 +264,8 @@ class _Delta:
         # of a column (rows < n) or second
         self.table = np.concatenate([P.T, P])
         self.ptr, self.other, self.off, self.n = ptr, other, (second * n)[:, None], n
-        self.weights, self.gammas = weights / divisors[group], gammas
-        widen = float(2 * gammas.sum()) + 2.0 ** -49
-        self.widen = np.array([[[1 - widen]], [[1 + widen]]])
+        self.rows = (weights / divisors[group])[[0, 0, 1, 1]] * factors
+        self.reset = reset
         self.ok = least / divisors.max() >= sys.float_info.min
 
     @staticmethod
@@ -255,40 +278,35 @@ class _Delta:
         return delta if delta.ok else None
 
     def based(self, sides) -> np.ndarray:
-        """Bases and errors (4 x climbs) from the scorer's (lhs, rhs)."""
-        B = np.array(sides)
-        return np.concatenate([B, self.gammas * B])
+        """Carried ends (4 x climbs: L and H of lhs, H and L of rhs) reset
+        from the scorer's (lhs, rhs)."""
+        return np.array(sides)[[0, 0, 1, 1]] * self.reset
 
-    def __call__(self, climbs: np.ndarray, i: int, BE: np.ndarray, span: np.ndarray
+    def own(self, climbs: int) -> np.ndarray:
+        """Flat indices into a step's (4 x climbs x n) ends of each climb's
+        point 0 in the pairwise swapped rows: plus its point, its old terms'
+        opposite ends."""
+        return (np.array([[1], [0], [3], [2]]) * climbs + np.arange(climbs)) * self.n
+
+    def __call__(self, climbs: np.ndarray, i: int, LH: np.ndarray, own: np.ndarray
                  ) -> tuple:
-        """For the climbs (the columns of climbs, with BE their bases and
-        errors, a (4 x climbs) array: B then E, lhs first; span their
-        positions) and each point at vertex i: bounds on the scorer's ratio
-        as a (2 x climbs x n) array, lower then upper, nan where a side is
-        not vouched for, and the bases and errors the candidate would
-        carry (4 x climbs x n)."""
-        lo, hi, n = self.ptr[i], self.ptr[i + 1], self.n
-        g = self.table.take(climbs[self.other[lo:hi]] + self.off[lo:hi], axis=0)
-        c = (self.weights[:, lo:hi] @ g.reshape(hi - lo, -1)).reshape(2, -1, n)
-        old = c[:, span, climbs[i]]
-        # (B - old) and (B + old) with the new terms added: the candidates'
-        # sides and the sums their errors grow by; then the errors
-        xe = (BE[:2] + _SIGNS * old)[..., None] + c
-        xe[1] *= _gamma(2 * (hi - lo) + 8)
-        xe[1] += BE[2:, :, None]
-        lh = xe[0] + _SIGNS[:, None] * xe[1]  # lower and upper sides
-        bounds = lh[:, 0] / lh[::-1, 1]
-        bounds *= self.widen
-        low, high = lh
-        if not (low.min() >= _TINY and high.max() <= _HUGE):
-            # a lhs that may vanish or underflow bounds the ratio below by
-            # 0 and above with _TINY added, far past its underflow error
-            small = low[0] < _TINY
+        """For the climbs (the columns of climbs, with LH their carried ends
+        from `based`, own from `own`) and each point at vertex i: bounds on
+        the scorer's ratio as a (2 x climbs x n) array, lower then upper,
+        nan where a side is not vouched for, and the ends the candidate
+        would carry (4 x climbs x n)."""
+        lo, hi = self.ptr[i], self.ptr[i + 1]
+        g = self.table.take(climbs.take(self.other[lo:hi], axis=0) + self.off[lo:hi], axis=0)
+        ends = (self.rows[:, lo:hi] @ g.reshape(hi - lo, -1)).reshape(4, -1, self.n)
+        ends += (LH - ends.take(own + climbs[i]))[..., None]
+        bounds = ends[:2] / ends[2:]
+        if not (ends.min() >= _TINY and ends.max() <= _HUGE):  # every end in range
+            small = ends[0] < _TINY
             bounds[0][small] = 0.0
-            bounds[1][small] = (high[0][small] + _TINY) / low[1][small] * self.widen[1, 0, 0]
-            unsure = ~((low[1] >= _TINY) & (high.max(axis=0) <= _HUGE))
+            bounds[1][small] = (ends[1][small] + _TINY) / ends[3][small]
+            unsure = ~((ends[3] >= _TINY) & (ends[1:3].max(axis=0) <= _HUGE))
             bounds[:, unsure] = math.nan
-        return bounds, xe.reshape(4, -1, n)
+        return bounds, ends
 
 
 def exhaustive_max(problem: SearchProblem,
@@ -437,27 +455,27 @@ def _window_sweep(score: _Scorer, A: np.ndarray, cols: list, active, current: li
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _delta_sweep(score: _Scorer, delta: _Delta, A: np.ndarray, cols: list, active,
-                 current: list, improved: set, BE: np.ndarray) -> tuple[int, int]:
-    """One sweep of the active climbs by deltas, as `_window_sweep`.  BE
-    holds each climb's sides and their errors (`_Delta.based`), exact at the
-    start and at the end.  A climb that accepts carries its candidate's
-    bounded sides and ratio on.  At a vertex where some climbs' candidates
-    fall between their bars, those climbs' candidates are scored in full
-    and walked exactly, which also reads their current ratios exactly (the
-    own point's candidate is the current map).  At the end one call scores
-    the maps of the climbs that still carry bounds."""
+                 current: list, improved: set, LH: np.ndarray) -> tuple[int, int]:
+    """One sweep of the active climbs by deltas, as `_window_sweep`.  LH
+    holds each climb's carried ends (`_Delta.based`), reset from the scorer
+    at the start and at the end.  A climb that accepts carries its
+    candidate's ends and ratio bounds on.  At a vertex where some climbs'
+    candidates fall between their bars, those climbs' candidates are scored
+    in full and walked exactly, which also reads their current ratios
+    exactly (the own point's candidate is the current map).  At the end one
+    call scores the maps of the climbs that still carry bounds."""
     n = score.n
     now_lo = [-math.inf if r is None else r for r in current]
     now_hi = list(now_lo)
     bounded = set()
     whole = len(active) == A.shape[1]
-    span = np.arange(len(active))
+    own = delta.own(len(active))
     evaluations = feasible = 0
     for i in cols:
         if whole:
-            bounds, xe = delta(A, i, BE, span)
+            bounds, ends = delta(A, i, LH, own)
         else:
-            bounds, xe = delta(A.take(active, axis=1), i, BE.take(active, axis=1), span)
+            bounds, ends = delta(A.take(active, axis=1), i, LH.take(active, axis=1), own)
         row = A[i].tolist()
         compared, moved, fall = _accept_bounded(*bounds.tolist(), n, active, row,
                                                 now_lo, now_hi, improved)
@@ -465,7 +483,7 @@ def _delta_sweep(score: _Scorer, delta: _Delta, A: np.ndarray, cols: list, activ
         feasible += compared
         for c in moved:
             j = active[c]
-            BE[:, j] = xe[:, c, row[j]]
+            LH[:, j] = ends[:, c, row[j]]
             bounded.add(j)
         if fall:
             candidates = A[:, fall].repeat(n, axis=1)
@@ -478,7 +496,7 @@ def _delta_sweep(score: _Scorer, delta: _Delta, A: np.ndarray, cols: list, activ
             evaluations += compared
             feasible += ok
             at = [c * n + row[j] for c, j in enumerate(fall)]
-            BE[:, fall] = delta.based([side[at] for side in score.sides])
+            LH[:, fall] = delta.based([side[at] for side in score.sides])
             for j in fall:
                 now_lo[j] = now_hi[j] = -math.inf if current[j] is None else current[j]
             bounded.difference_update(fall)
@@ -487,7 +505,7 @@ def _delta_sweep(score: _Scorer, delta: _Delta, A: np.ndarray, cols: list, activ
         rest = sorted(bounded)
         for j, r in zip(rest, score(A.take(rest, axis=1)).tolist()):
             current[j] = None if r != r else r
-        BE[:, rest] = delta.based(score.sides)
+        LH[:, rest] = delta.based(score.sides)
     return evaluations, feasible
 
 
@@ -542,7 +560,7 @@ def local_search_max(problem: SearchProblem, restarts: int, steps: int,
         evaluations += len(current)
         feasible += sum(r is not None for r in current)
         if delta is not None:
-            BE = delta.based(score.sides)
+            LH = delta.based(score.sides)
         active = range(len(current))
         for _ in range(steps):
             improved = set()
@@ -550,7 +568,7 @@ def local_search_max(problem: SearchProblem, restarts: int, steps: int,
                 counts = _window_sweep(score, A, cols, active, current, improved)
             else:
                 counts = _delta_sweep(score, delta, A, cols, active, current,
-                                      improved, BE)
+                                      improved, LH)
             evaluations += counts[0]
             feasible += counts[1]
             active = [j for j in active if j in improved]

@@ -62,6 +62,20 @@ def test_certify_K_power_past_the_float_range(capsys, q, K, worst):
     assert obj["worst_margin"] == worst
 
 
+@pytest.mark.parametrize("ineq,K,samples", [("tripod", "0.01", "2000"),
+                                            ("p-uniform-convexity", "0.09", "200")])
+def test_certify_K_power_below_the_float_range(capsys, ineq, K, samples):
+    # K^300 is 0 (tripod) or so small that B / K^300 overflows (p-uniform
+    # convexity): B / K^300 is inf, so every margin is -inf, a violation
+    code, out = run(capsys, "certify", "--space", "l2:dim=3",
+                    "--inequality", ineq, "--samples", samples,
+                    "--seed", "1", "--q", "300", "--K", K)
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["violations"] == int(samples)
+    assert obj["worst_margin"] is None
+
+
 def test_certify_violated_exit_one(capsys):
     # the sampler draws m of midpoint-curvature independently of x and y, so
     # m is not their midpoint and the campaign on l2 can find violations

@@ -1,5 +1,7 @@
 import json
+import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -465,37 +467,96 @@ def test_delta_search_on_bin_h8_equals_sequential_climbs():
         _doc(sequential_local_search_max(problem, 0, 1, 0))
 
 
-@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def _halves(x):
+    """x as hi + lo, each with at most 27 significant bits (Veltkamp's
+    split), so that the product of two halves is exact."""
+    c = 134217729.0 * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def exact_sides(score, A):
+    """Each side of each column of A, as Fractions within 2^-53 of the
+    exact sum of its terms w d^p / 2^(s p): a group's products w d^p are
+    split into exact products of halves and added by math.fsum, which
+    rounds once, and the groups are divided and added exactly.  A column
+    whose halves overflow (d^p near the float range) adds its products as
+    Fractions."""
+    out = []
+    for plan, divs in zip(score.plans, score.divisors):
+        g = score.tables[0][A[plan.u] * score.n + A[plan.v]]
+        w = np.broadcast_to(plan.weights[:, None], g.shape)
+        (wh, wl), (gh, gl) = _halves(w), _halves(g)
+        parts = np.stack([wh * gh, wh * gl, wl * gh, wl * gl], axis=-1)
+        ends = [*plan.starts.tolist(), len(plan.u)]
+        sides = []
+        for c in range(A.shape[1]):
+            side = Fraction(0)
+            for (lo, hi), div in zip(plan.groups, divs):
+                a, b = ends[lo], ends[hi]
+                if np.isfinite(parts[a:b, c]).all():
+                    group = Fraction(math.fsum(parts[a:b, c].ravel()))
+                else:
+                    group = sum(Fraction(x) * Fraction(y) for x, y in zip(w[a:b, c], g[a:b, c]))
+                side += group / Fraction(div)
+            sides.append(side)
+        out.append(sides)
+    return out
+
+
+DELTA_WALKS = [("bin:h=2", 40, 1), ("bin:h=4", 40, 1), ("bin:h=8", 256, 64)]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 500.0])
 @pytest.mark.parametrize("name", list(TABLE_TARGETS))
 def test_delta_bounds_hold_the_scorer(name, p):
-    # along random walks of 6 climbs that carry each chosen candidate's
-    # bounded sides on, every bound the delta vouches for holds the
-    # scorer's ratio, and every carried side lies within its error (and
-    # the scorer's gamma) of the scorer's side
+    # along random walks of 6 climbs that carry each chosen candidate's ends
+    # on, with no reset, every ratio bound the delta vouches for holds the
+    # scorer's ratio, and each vouched side's carried interval holds the
+    # scorer's side and keeps sigma + u of the exact side to spare
+    # (`_Delta`; checked against `exact_sides` at every fourth check); p =
+    # 500 sits next to the normal-range cut of bin:h=4 (p = 507.5), and the
+    # 256 moves on bin:h=8, checked every 64, are where the ends grow the
+    # most
     target = TABLE_TARGETS[name]
     rng = np.random.default_rng(len(name))
-    for tree in ("bin:h=2", "bin:h=4"):
+    u = 2.0 ** -53
+    for tree, moves, every in DELTA_WALKS if p < 500 else DELTA_WALKS[1:2]:
         spec = U.parse_tree_spec(tree)
         score = search._Scorer(U.SearchProblem(spec, target, U.InvariantId.MARKOV_DIRECTED, p))
         delta = search._Delta.of(score)
+        sigma = [Fraction(search._gamma(plan.u.size + plan.starts.size + len(plan.groups) + 2))
+                 for plan in score.plans]
         A = rng.integers(target.n, size=(len(U.vertices(spec)), 6))
         score(A)
-        BE, span, n, vouched = delta.based(score.sides), np.arange(6), target.n, 0
+        LH, own, n, vouched = delta.based(score.sides), delta.own(6), target.n, 0
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for i in rng.integers(len(A), size=40):
-                bounds, xe = delta(A, i, BE, span)
-                lo, hi = bounds.reshape(2, -1)
-                candidates = A.repeat(n, axis=1)
-                candidates[i] = np.tile(np.arange(n), 6)
-                ratios, sides = score(candidates), np.array(score.sides)
-                sure = ~np.isnan(lo)
-                assert (lo[sure] <= ratios[sure]).all() and (ratios[sure] <= hi[sure]).all()
-                x, err = xe[:2].reshape(2, -1), xe[2:].reshape(2, -1)
-                slack = err + delta.gammas * (x + err)
-                assert (np.abs(sides - x) <= slack)[:, sure].all()
-                vouched += sure.sum()
+            for step, i in enumerate(rng.integers(len(A), size=moves)):
+                bounds, ends = delta(A, i, LH, own)
+                if step % every == every - 1:
+                    lo, hi = bounds.reshape(2, -1)
+                    candidates = A.repeat(n, axis=1)
+                    candidates[i] = np.tile(np.arange(n), 6)
+                    ratios, sides = score(candidates), np.array(score.sides)
+                    sure = ~np.isnan(lo)
+                    assert (lo[sure] <= ratios[sure]).all() and (ratios[sure] <= hi[sure]).all()
+                    low, high = ends[::3].reshape(2, -1), ends[1:3].reshape(2, -1)
+                    # a lhs low end below _TINY is not vouched for, and its
+                    # high end holds the side with _TINY added
+                    vouch = sure & (low >= search._TINY)
+                    assert (low <= sides)[vouch].all() and (sides <= high)[vouch].all()
+                    assert (sides <= high + search._TINY)[:, sure].all()
+                    if (step + 1) % (4 * every) == 0:  # every fourth check
+                        exact = exact_sides(score, candidates[:, sure])
+                        for side, room in enumerate(sigma):
+                            for x, L, H, ok in zip(exact[side], low[side][sure],
+                                                   high[side][sure], vouch[side][sure]):
+                                if ok:
+                                    assert Fraction(L) <= x * (1 - room - u) / (1 - u)
+                                    assert Fraction(H) >= x * (1 + room + u) / (1 + u)
+                    vouched += sure.sum()
                 pts = rng.integers(n, size=6)
-                A[i], BE = pts, xe[:, span, pts]
+                A[i], LH = pts, ends[:, np.arange(6), pts]
         assert vouched > 0 or name in ("zeros", "signed-zeros", "huge"), tree
 
 
