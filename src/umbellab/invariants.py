@@ -135,10 +135,9 @@ class TreeMap:
         value pair for many vertex pairs."""
         tg = tree_graph(self.spec)
         n = tg.n
-        # at most about _LIPSCHITZ_BLOCK pairs a block, and at most n/8 rows,
-        # as the k^2/2 pairs a block computes below the diagonal are thrown
-        # away
-        step = max(1, min(_LIPSCHITZ_BLOCK // n, n // 8))
+        # at most about sp.BLOCK pairs a block, and at most n/8 rows, as the
+        # k^2/2 pairs a block computes below the diagonal are thrown away
+        step = max(1, min(sp.BLOCK // n, n // 8))
         for lo in range(0, n - 1, step):
             u = np.arange(lo, min(lo + step, n - 1))[:, None]
             v = np.arange(lo, n)[None, :]
@@ -342,9 +341,6 @@ def named_map(name: str, spec: TreeSpec, target=None) -> TreeMap:
 # The pair scan and Lipschitz constants
 
 
-_LIPSCHITZ_BLOCK = 1 << 20  # vertex pairs per row block of the pair scan
-
-
 def _is_metric(target) -> bool:
     """Whether `target` obeys the triangle inequality (its pair and edge
     Lipschitz maxima on a tree agree)."""
@@ -524,9 +520,11 @@ def _walk_run(window: int, t: int) -> tuple:
     """The segment of E[d(f(W_t), f(W'_t))^q] for the directed walk and a
     copy branching `window` steps before time t: the classes (t, t, c),
     t - window <= c < t, of the height-t pairs that agree before the branch
-    time, each weighted P(diverge at step l) 2^-l times 2^-c over the common
-    prefix and 4^-(window - l) over the two tails: 2^(1 - window - t)."""
-    return [(t, t, c) for c in range(t - window, t)], 2.0 ** (1 - window - t)
+    time.  Each pair weighs P(diverge at step l) 2^-l times 2^-c over the
+    common prefix and 4^-(window - l) over the two tails, 2^(1 - window - t),
+    so the class's 2^(2t - c - 2) pairs weigh 2^(t - c - 1 - window)."""
+    cs = range(t - window, t)
+    return [(t, t, c) for c in cs], [t - c - 1 - window for c in cs]
 
 
 def _edge_pairs(tg: TreeGraph, level: Optional[int] = None):
@@ -542,11 +540,12 @@ _NO_CONFIGURATION = "no admissible configuration (branching too small)"
 
 def _classes(inv: InvariantId, side: str | tuple, k: int) -> tuple:
     """A side as (reduce, outer, groups); groups holds (segments, scale)
-    pairs, and a segment is (classes, weight): the (depth, depth, lcp)
-    classes of its pairs, class after class, and the weight of each pair,
-    None in a min or max.  (h, h, c) holds the pairs of height-h vertices
-    whose longest common prefix has length exactly c, (l - 1, l, l - 1) the
-    edges into height l.  A sum over every pair of height-h vertices
+    pairs, and a segment is (classes, exponents): the (depth, depth, lcp)
+    classes of its pairs, class after class, and in a sum the exponent e of
+    each class's weight 2^e, the sum of its pairs' weights (None in a min or
+    max).  (h, h, c) holds the pairs of height-h vertices whose longest
+    common prefix has length exactly c, (l - 1, l, l - 1) the edges into
+    height l.  A sum over every pair of height-h vertices
     sharing their length-ell prefix is the classes (h, h, c), ell <= c < h.
     A side (s, t) is the walk's term E[d(f(W_t), f(W~_t(t - 2^s)))^q]."""
     if side not in ("lhs", "rhs"):
@@ -559,8 +558,8 @@ def _classes(inv: InvariantId, side: str | tuple, k: int) -> tuple:
         if inv in (InvariantId.UMBEL_CONVEXITY, InvariantId.FORK_CONVEXITY):
             # the mean over the 2^k levels
             return "max", "mean", [([([edge], None) for edge in edges], 0)]
-        # markov-directed: the edges into height t weigh 2^-t
-        return "sum", "sum", [([([edge], 2.0 ** -edge[1]) for edge in edges], 0)]
+        # markov-directed: the 2^t edges into height t weigh 2^-t each
+        return "sum", "sum", [([([edge], [0]) for edge in edges], 0)]
     if inv in (InvariantId.UMBEL_COTYPE, InvariantId.RELAXED_UMBEL):
         return "min", "sum", [([([(top, top, top - 2 ** s)], None)], s)
                               for s in range(1, k)]
@@ -577,12 +576,13 @@ def _classes(inv: InvariantId, side: str | tuple, k: int) -> tuple:
     if inv is InvariantId.TESSERA:
         # each term averages d^q over the ordered pairs of the 2^w-vertex
         # blocks of height ell + w sharing a length-ell prefix (the diagonal
-        # is 0): weight 2 on each unordered pair
+        # is 0): weight 2 on each unordered pair, 2^(1 - ell - 2w), and
+        # 2^(ell - c - 1) on the 2^(2 ell + 2w - c - 2) pairs of a class
         groups = []
         for s in range(k):
             w = 2 ** s
             segments = [([(ell + w, ell + w, c) for c in range(ell, ell + w)],
-                          2.0 ** (1 - ell - 2 * w))
+                          [ell - c - 1 for c in range(ell, ell + w)])
                         for ell in range(w + 1, top - w + 1)]
             if segments:  # an empty index range makes the term vacuous
                 groups.append((segments, s))
@@ -626,10 +626,11 @@ def class_plan(inv: InvariantId, spec: TreeSpec, side: str,
                j_min: Optional[int] = None) -> Plan:
     """The class plan of a side of `_classes`, from the spec alone: its
     segments and groups, each holding each of its classes once as an
-    (a, b, c) row, and in a sum each class's pair count times the per-pair
-    weight: exact, as sum sides exist only on binary trees, where both are
-    powers of two within 2^+-32.  A side with a class the tree does not
-    realise (`_realised`) is refused.  On a ProfileMap every pair of a
+    (a, b, c) row, and in a sum each class's weight 2^e (its pair count
+    times its per-pair weight), formed from e alone: exact, even where the
+    count or the per-pair weight is past the float range (bin:h=1024).  A
+    side with a class the tree does not realise (`_realised`) is refused.
+    On a ProfileMap every pair of a
     class has the one image distance profile(a, b, c), so a min or max
     side equals the pair plan's bit for bit, and a sum equals the pair
     plan's float where all terms and partial sums are exact (integer
@@ -638,14 +639,14 @@ def class_plan(inv: InvariantId, spec: TreeSpec, side: str,
     reduce, outer, groups = _classes(inv, side, k)
     flat, starts, weights, bounds = [], [], [], [0]  # flat: the classes' ints
     for segments, _ in groups:
-        for seg, w in segments:
+        for seg, exponents in segments:
             starts.append(len(flat) // 3)
             for cls in seg:
                 if not _realised(spec, *cls, j_min):
                     raise InvariantError(_NO_CONFIGURATION)
-                if reduce == "sum":
-                    weights.append(_pair_count(spec, *cls) * w)
                 flat += cls
+            if reduce == "sum":
+                weights += [math.ldexp(1.0, e) for e in exponents]
         bounds.append(len(starts))
     return Plan(
         classes=np.array(flat, dtype=np.intp).reshape(-1, 3),

@@ -62,12 +62,22 @@ SPACE_NEEDED = {
 }
 
 
+def _is_linear(space) -> bool:
+    """Whether `space` is an lp space or an lp product of such spaces, where
+    (x + y) / 2 is a midpoint of x and y."""
+    return isinstance(space, LpSpace) or (isinstance(space, sp.ProductSpace)
+                                          and all(map(_is_linear, space.components)))
+
+
 def check_space(space, ineq: InequalityId) -> None:
     """Raise PointwiseError unless `ineq` can be evaluated on `space`."""
     need = SPACE_NEEDED.get(ineq)
     if need is not None and not isinstance(space, need):
         raise PointwiseError(
             f"{ineq.value} needs a {need.__name__}, not a {type(space).__name__}")
+    if ineq is InequalityId.MIDPOINT_CURVATURE and not _is_linear(space):
+        raise PointwiseError(f"{ineq.value} needs an lp space or a product of lp "
+                             f"spaces, not a {type(space).__name__}")
 
 
 @dataclass(frozen=True)
@@ -191,7 +201,8 @@ def margin_parts(ineq: InequalityId, cfg: InequalityConfig, space,
     constant K is (R - A) - B / K^e: K enters every inequality only there,
     so cfg.K is not read.  The parallelogram takes its K from C, so its B
     is already divided by K^(2q) and its e is 0; midpoint curvature has
-    B = 0."""
+    B = 0, and its R - A is raised by `_midpoint_bound`, so it is negative
+    only where the exact margin at the exact midpoint is."""
     q = cfg.exponent
 
     def d(i, j, e=q):
@@ -213,8 +224,11 @@ def margin_parts(ineq: InequalityId, cfg: InequalityConfig, space,
         return (n(x + y) + n(x - y)) / 2 - n(x), n(y), q
     if ineq is InequalityId.MIDPOINT_CURVATURE:     # points x, y, z, m
         lhs = d(2, 0, 2) + d(2, 1, 2)
-        rhs = 2 * d(2, 3, 2) + d(0, 1, 2) / 2
-        return rhs - lhs, np.zeros(len(lhs)), 0.0
+        dzm = space.distance_rows(pts[:, 2], pts[:, 3])
+        rhs = 2 * dzm ** 2 + d(0, 1, 2) / 2
+        norm = space.distance_rows(pts[:, 3], np.zeros_like(pts[:, 3]))
+        return (rhs - lhs + _midpoint_bound(space, lhs + rhs, dzm, norm),
+                np.zeros(len(lhs)), 0.0)
     if ineq is InequalityId.Q_TRIPOD:               # points w, x, y, z
         rhs = 0.5 * d(3, 0) + 0.25 * d(3, 1) + 0.25 * d(3, 2)
         return rhs - (d(0, 1) + d(0, 2)) / 2 ** (q + 1), d(1, 2) / 4 ** q, q
@@ -224,6 +238,43 @@ def margin_parts(ineq: InequalityId, cfg: InequalityConfig, space,
     else:
         rhs = np.maximum(np.maximum(d(3, 0), d(3, 1)), d(3, 2))
     return rhs - np.minimum(d(0, 1), d(0, 2)) / 2 ** q, d(1, 2) / 4 ** q, q
+
+
+def _distance_roundings(space) -> float:
+    """a such that each distance of an lp space, or of an lp product of such
+    spaces, is computed within a factor [(1 - u)^a, (1 + u)^a] of the exact
+    one.  An lp norm of `count` entries, each within `inner` roundings (a
+    coordinate difference: 1; a factor's distance: its own a), is within
+    inner + 5 + (count + 2) / p: the p-th powers, by a pow within 1 ulp
+    (3 roundings), are within p inner + 3, their sum adds count - 1, and the
+    root divides by p and adds 3; a row rescaled by its largest entry
+    (`spaces._scaled_norms`) adds a quotient and a product.  The p = 1, 2
+    and inf formulas round less.  It assumes no intermediate leaves the
+    normal float range."""
+    if isinstance(space, LpSpace):
+        inner, count = 1, space.dim
+    else:
+        inner, count = max(map(_distance_roundings, space.components)), len(space.components)
+    return inner + 5 + (count + 2) / space.p
+
+
+def _midpoint_bound(space, sides, dzm, norm):
+    """A bound on how far the computed midpoint-curvature margin
+    2 d(z,m)^2 + d(x,y)^2 / 2 - d(z,x)^2 - d(z,y)^2 lies from the exact
+    margin at the exact midpoint of x and y, from the computed `sides`
+    (the sum of the four terms), d(z, m) and |m|.
+    - Each distance is within a roundings (`_distance_roundings`), so its
+      square is within 2a + 1 and off the exact square by at most
+      gamma_(2a+1) of itself (`spaces.gamma`).  The margin's three rounded
+      additions, and one rounding for this bound and the addition that
+      takes it, make gamma_(2a+4) of the sides.
+    - m = fl(x + y) / 2 lies within delta = u |m| of the midpoint, which
+      moves 2 d(z,m)^2 by at most 2 delta (2 d(z,m) + delta).  Each
+      computed distance is at least half the exact one, so
+      16 u |m| d(z,m) + 8 u^2 |m|^2 bounds that."""
+    u = sp.UNIT_ROUNDOFF
+    return (sp.gamma(2 * _distance_roundings(space) + 4) * sides
+            + 16 * u * norm * dzm + 8 * u ** 2 * norm ** 2)
 
 
 @np.errstate(over="raise", divide="raise")
@@ -261,11 +312,21 @@ def _points_per_config(ineq: InequalityId, xs_count: int) -> int:
 def ball_sampler(space, ineq: InequalityId, xs_count: int = 4):
     """Default configuration sampler: `draw(rng, m)` returns m configurations
     of points of the space's ball as the rows of `space.sample_batch`, with
-    w, z, x_1 .. x_xs_count for the umbel family, xs_count at most _XS_CAP."""
+    w, z, x_1 .. x_xs_count for the umbel family, xs_count at most _XS_CAP.
+    Midpoint curvature draws x, y and z and takes m = (x + y) / 2, the
+    midpoint on the lp spaces and products `check_space` lets it run on."""
     if ineq in UMBEL_FAMILY and xs_count > _XS_CAP:
         raise PointwiseError(f"xs_count {xs_count} is more than the {_XS_CAP} "
                              f"points an umbel configuration draws")
+    if ineq is InequalityId.MIDPOINT_CURVATURE:
+        return functools.partial(_midpoint_draw, space)
     return functools.partial(space.sample_batch, k=_points_per_config(ineq, xs_count))
+
+
+def _midpoint_draw(space, rng: np.random.Generator, m: int) -> np.ndarray:
+    """m configurations (x, y, z, (x + y) / 2) of three drawn points."""
+    pts = space.sample_batch(rng, m, 3)
+    return np.concatenate([pts, (pts[:, :1] + pts[:, 1:2]) / 2], axis=1)
 
 
 def _witness(ineq: InequalityId, space, row: np.ndarray) -> tuple:

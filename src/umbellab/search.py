@@ -16,11 +16,11 @@ import numpy as np
 
 from .invariants import (InvariantId, TreeMap, _check_exponent, _divisors,
                          _join, _pow, _segments, compile_plan)
+from . import spaces as sp
 from .spaces import FiniteMatrixSpace, SpaceError, is_int
 from .trees import TreeSpec, Vertex, tree_graph
 
 _EXHAUSTIVE_BUDGET = 10 ** 7
-_BATCH = 1 << 20  # gathered distances per scored batch
 _WINDOW = 1 << 13  # the most gathered entries of a multi-vertex local-search window
 
 
@@ -130,7 +130,7 @@ class _Scorer:
             pw = flat ** p
         self.spw = _pow(vals, p)
         self.tables = [pw if plan.reduce == "sum" else rank for plan in self.plans]
-        self.rows = max(1, _BATCH // len(self.u))
+        self.rows = max(1, sp.BLOCK // len(self.u))
 
     @np.errstate(over="ignore", invalid="ignore")
     def __call__(self, A: np.ndarray) -> np.ndarray:
@@ -163,13 +163,6 @@ class _Scorer:
                             ratio)
 
 
-def _gamma(m: int) -> float:
-    """gamma_m = m u / (1 - m u), u = 2^-53: a sum of nonnegative terms, each
-    through at most m roundings, lies within gamma_m of its exact value
-    (Higham, Accuracy and Stability of Numerical Algorithms, lemma 3.1)."""
-    return m * 2.0 ** -53 / (1 - m * 2.0 ** -53)
-
-
 def _touch_index(inv: InvariantId, spec: TreeSpec) -> tuple:
     """The plan columns (lhs then rhs, side by side as the scorer holds
     them) that touch each vertex, as CSR arrays (ptr, other, second,
@@ -196,11 +189,11 @@ def _touch_index(inv: InvariantId, spec: TreeSpec) -> tuple:
         order = np.argsort(np.concatenate([u, v]), kind="stable")
         column = order % len(u)
         counts = np.bincount(u, minlength=tg.n) + np.bincount(v, minlength=tg.n)
-        rnd = 2.0 ** -53  # the unit roundoff
-        sigma = np.array([[_gamma(plan.u.size + plan.starts.size + len(plan.groups) + 2)]
+        rnd = sp.UNIT_ROUNDOFF
+        sigma = np.array([[sp.gamma(plan.u.size + plan.starts.size + len(plan.groups) + 2)]
                           for plan in plans])
         h = sigma + (4 * tg.n + 2) * rnd
-        s = h + np.repeat([_gamma(k + 2) for k in counts.tolist()], counts) + 2 * rnd
+        s = h + np.repeat([sp.gamma(k + 2) for k in counts.tolist()], counts) + 2 * rnd
         a, b = 1 - (h + sigma + 3 * rnd), 1 + (h + 2 * sigma + 4 * rnd)
         tg.plans[key] = (np.concatenate([[0], np.cumsum(counts)]).tolist(),
                          np.concatenate([v, u])[order], order >= len(u),

@@ -19,6 +19,10 @@ import numpy as np
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
 _TINY = np.finfo(float).tiny  # the smallest normal float
+# The most float entries a blocked scan holds at once; each scan reads it
+# at call time.  pointwise._CHUNK is not one: it fixes a campaign's seeded
+# substreams, so its documents.  Nor is search._WINDOW, a speed heuristic.
+BLOCK = 1 << 20
 
 
 class SpaceError(ValueError):
@@ -27,6 +31,17 @@ class SpaceError(ValueError):
 
 def close(a: float, b: float) -> bool:
     return abs(a - b) <= max(REL_TOL * max(abs(a), abs(b)), ABS_TOL)
+
+
+UNIT_ROUNDOFF = 2.0 ** -53  # u of a float64
+
+
+def gamma(m: float) -> float:
+    """gamma_m = m u / (1 - m u): a value, or a sum of nonnegative terms,
+    each through at most m roundings, lies within gamma_m of its exact
+    value (Higham, Accuracy and Stability of Numerical Algorithms,
+    lemma 3.1)."""
+    return m * UNIT_ROUNDOFF / (1 - m * UNIT_ROUNDOFF)
 
 
 def power(a: float, p: float) -> float:
@@ -279,9 +294,6 @@ def read_matrix(doc, name: str) -> np.ndarray:
         raise SpaceError(f"the {name} document's rows differ in length") from exc
 
 
-_TRIANGLE_BLOCK = 1 << 14  # path sums a block of the triangle check holds
-
-
 @dataclass(frozen=True, eq=False)
 class FiniteMatrixSpace(_ArrayValued, TableSpace):
     """A finite metric space given by its distance matrix; points are indices."""
@@ -306,9 +318,9 @@ class FiniteMatrixSpace(_ArrayValued, TableSpace):
         n = m.shape[0]
         slack = REL_TOL * (m.max(initial=0.0) + 1.0)
         # m[i, j] against m[i, mid] + m[mid, j] for a block of midpoints at
-        # once, at most _TRIANGLE_BLOCK entries unless one midpoint is more;
-        # a path sum past the float range is inf, which no entry exceeds
-        step = max(1, _TRIANGLE_BLOCK // max(1, n * n))
+        # once, at most BLOCK path sums unless one midpoint is more; a path
+        # sum past the float range is inf, which no entry exceeds
+        step = max(1, BLOCK // max(1, n * n))
         with np.errstate(over="ignore"):
             for lo in range(0, n, step):
                 via = m.T[lo:lo + step, :, None] + m[lo:lo + step, None, :]
@@ -541,6 +553,7 @@ class HeisenbergMetricSpace(_ArrayValued, RowSpace):
             raise SpaceError("omega matrix must be antisymmetric")
         i, j = np.nonzero(np.triu(m, 1))
         object.__setattr__(self, "_terms", (i, j, m[i, j]))
+        object.__setattr__(self, "_operator_norm", float(np.linalg.norm(m, 2)))
         if not self.p > 0:  # also rejects nan; inf is allowed
             raise SpaceError("p must be positive")
         if not (math.isfinite(self.lam) and self.lam > 0):
@@ -556,7 +569,7 @@ class HeisenbergMetricSpace(_ArrayValued, RowSpace):
         return ((x[..., i] * y[..., j] - x[..., j] * y[..., i]) * w).sum(axis=-1)
 
     def operator_norm(self) -> float:
-        return float(np.linalg.norm(self.omega_matrix, 2))
+        return self._operator_norm
 
     def norm_rows(self, a: np.ndarray) -> np.ndarray:
         return koranyi_norm_rows(a, self.p, self.lam)
@@ -584,20 +597,18 @@ class HeisenbergMetricSpace(_ArrayValued, RowSpace):
         return f"heis:dim={self.dim},metric=koranyi,p={p},lambda={self.lam:g}"
 
 
-_TRIPLES_CHUNK = 1 << 14
-
-
 def quasi_constant_estimate(space, n: int, seed: int) -> float:
     """Max over n sampled triples (a, b, c) of d(a,b) / (d(a,c) + d(c,b)),
     skipping triples whose denominator is at most ABS_TOL.  The triples are
-    `sample_batch` rows drawn in chunks from one generator: those of 3n
+    `sample_batch` rows drawn in blocks from one generator: those of 3n
     successive one-point draws, `sample_batch(rng, 1, 1)`."""
     if n < 1:
         raise SpaceError("n must be >= 1")
     rng = np.random.default_rng(seed)
     best = -math.inf
-    for lo in range(0, n, _TRIPLES_CHUNK):
-        rows = space.sample_batch(rng, min(_TRIPLES_CHUNK, n - lo), 3)
+    step = max(1, BLOCK // (3 * space.width))
+    for lo in range(0, n, step):
+        rows = space.sample_batch(rng, min(step, n - lo), 3)
         a, b, c = np.moveaxis(rows, 1, 0)
         denom = space.distance_rows(a, c) + space.distance_rows(c, b)
         keep = denom > ABS_TOL

@@ -31,7 +31,7 @@ from umbellab.embeddings import EmbeddingError, ModulusCurve, QuotientOracle
 from umbellab.invariants import (InvariantError, InvariantId, Plan, TreeMap,
                                  _COTYPE_IDS, _NO_CONFIGURATION,
                                  _check_exponent, _classes, _height_range,
-                                 _pair_count, _plan_args, _realised,
+                                 _plan_args, _realised,
                                  _validate, compile_plan)
 from umbellab.trees import Vertex, tree_graph, vertices_at_height
 from umbellab import spaces as sp
@@ -495,7 +495,7 @@ def class_plan(inv: InvariantId, spec, side, j_min: Optional[int] = None):
         starts=np.cumsum([0] + [len(classes) for classes, _ in segments[:-1]]),
         reduce=reduce, outer=outer,
         weights=None if reduce != "sum" else np.array(
-            [_pair_count(spec, *cls) * w for classes, w in segments for cls in classes]),
+            [2.0 ** e for _, exponents in segments for e in exponents]),
         groups=tuple(zip(bounds[:-1], bounds[1:])),
         scales=tuple(scale for _, scale in groups))
 

@@ -147,8 +147,13 @@ def check_inequality(ineq: InequalityId, cfg: InequalityConfig, points, space) -
         rhs = max(d(z, w) ** q, d(z, x) ** q, d(z, y) ** q)
     elif ineq is InequalityId.MIDPOINT_CURVATURE:
         x, y, z, m = _four(points)
+        check_space(space, ineq)
         lhs = d(z, x) ** 2 + d(z, y) ** 2
         rhs = 2 * d(z, m) ** 2 + d(x, y) ** 2 / 2
+        # raised by the library's rounding bound, in its order
+        margin = rhs - lhs + pointwise._midpoint_bound(
+            space, lhs + rhs, d(z, m), d(m, _origin(space)))
+        return CheckReport(margin >= -cfg.slack, margin, tuple(points))
     elif ineq is InequalityId.P_UNIFORM_CONVEXITY:
         if len(points) != 2:
             raise PointwiseError("uniform convexity takes 2 vectors")
@@ -168,6 +173,20 @@ def check_inequality(ineq: InequalityId, cfg: InequalityConfig, points, space) -
         raise PointwiseError(f"unknown inequality {ineq}")
     margin = rhs - lhs
     return CheckReport(margin >= -cfg.slack, margin, tuple(points))
+
+
+def _origin(space):
+    """The zero point of an lp space, or of an lp product of such spaces."""
+    if isinstance(space, LpSpace):
+        return (0.0,) * space.dim
+    return tuple(map(_origin, space.components))
+
+
+def midpoint(a, b):
+    """(a + b) / 2 of two lp points, or factor by factor of product points."""
+    if a and isinstance(a[0], tuple):
+        return tuple(map(midpoint, a, b))
+    return tuple((u + v) / 2 for u, v in zip(a, b))
 
 
 def _four(points):
@@ -193,13 +212,17 @@ def check_parallelogram(hs, p: float, C: float, a: HPoint, b: HPoint,
 def ball_draw(space, ineq: InequalityId, xs_count: int = 4):
     """One configuration per call `draw(rng)`, from successive one-point
     draws `spaces_oracle.sample`: the same points, in the same order, as
-    `pointwise.ball_sampler` draws in rows."""
+    `pointwise.ball_sampler` draws in rows; midpoint curvature draws x, y
+    and z and takes m = (x + y) / 2."""
     k = 4 if ineq in FOUR_POINT else 2
 
     def draw(rng):
         if ineq in UMBEL_FAMILY:
             return (sample(space, rng), sample(space, rng),
                     tuple(sample(space, rng) for _ in range(xs_count)))
+        if ineq is InequalityId.MIDPOINT_CURVATURE:
+            x, y, z = (sample(space, rng) for _ in range(3))
+            return x, y, z, midpoint(x, y)
         return tuple(sample(space, rng) for _ in range(k))
 
     return draw

@@ -76,15 +76,35 @@ def test_certify_K_power_below_the_float_range(capsys, ineq, K, samples):
     assert obj["worst_margin"] is None
 
 
-def test_certify_violated_exit_one(capsys):
-    # the sampler draws m of midpoint-curvature independently of x and y, so
-    # m is not their midpoint and the campaign on l2 can find violations
-    code, out = run(capsys, "certify", "--space", "l2:dim=3",
-                    "--inequality", "midpoint-curvature",
+def test_certify_violated_exit_one(tmp_path, capsys):
+    # the tripod on the 4-point star, as the campaign benchmark runs it: the
+    # configuration (0, 1, 2, 3) violates it
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps(STAR_MATRIX))
+    code, out = run(capsys, "certify", "--space", f"matrix:file={path}",
+                    "--inequality", "tripod", "--q", "2", "--K", "1",
                     "--samples", "400", "--seed", "1")
-    assert code in (0, 1)
-    obj = json.loads(out)
-    assert (code == 1) == (obj["violations"] > 0)
+    assert code == 1
+    assert json.loads(out)["violations"] > 0
+
+
+def test_certify_midpoint_curvature_at_the_midpoint(tmp_path, capsys):
+    # m is (x + y) / 2: l2 meets the inequality with equality, so within the
+    # rounding bound every draw holds; lp at p = 3 and 1.5 violate it about
+    # half the time; spaces without that midpoint are refused
+    argv = ["certify", "--inequality", "midpoint-curvature", "--samples", "20000",
+            "--seed", "1", "--space"]
+    code, out = run(capsys, *argv, "l2:dim=3")
+    assert code == 0 and json.loads(out)["violations"] == 0
+    for space in ("lp:p=3,dim=2", "lp:p=1.5,dim=2"):
+        code, out = run(capsys, *argv, space)
+        assert code == 1 and 6000 < json.loads(out)["violations"] < 14000
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps(STAR_MATRIX))
+    for space in ("heis:dim=2,p=2", f"matrix:file={path}"):
+        code, out, err = run_strict(capsys, *argv, space)
+        assert code == 2 and out == ""
+        assert err["error"].startswith("midpoint-curvature needs an lp space")
 
 
 def test_embed_writes_csv(tmp_path, capsys):

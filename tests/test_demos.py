@@ -1,8 +1,10 @@
 """Every demo script runs to completion, with no warning, against the
-sources in src/."""
+sources in src/, and the README tables that name a demo print as it does."""
 
+import functools
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -12,11 +14,30 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_runs(demo):
+@functools.cache
+def run_demo(demo: pathlib.Path) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=ROOT, env=env,
+    return subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=600)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo):
+    proc = run_demo(demo)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_search_table_is_what_demo_06_prints():
+    # the best ratio and evaluation count of each binary id on bin:h=8, as
+    # README's "Extremal search and K fits" table gives them; times vary
+    proc = run_demo(ROOT / "demos" / "06_search_and_lift.py")
+    assert proc.returncode == 0, proc.stderr
+    printed = dict((inv, (ratio, int(evals))) for inv, ratio, evals in re.findall(
+        r"^bin:h=8 (\S+) +best ratio ([\d.]+), (\d+) evaluations", proc.stdout, re.M))
+    section = (ROOT / "README.md").read_text().split("## Extremal search and K fits")[1]
+    table = section.split("| id | best ratio | evaluations | time |")[1].split("\n\n")[0]
+    rows = dict((inv, (ratio, int(evals.replace(",", "")))) for inv, ratio, evals in
+                re.findall(r"^\| (\S+) \| ([\d.]+) \| ([\d,]+) \|", table, re.M))
+    assert len(rows) == 4 and rows == printed

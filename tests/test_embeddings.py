@@ -295,6 +295,16 @@ def test_bourgain_reports_past_the_cap_build_no_table(monkeypatch):
     assert peak < 2 << 20 and calls == []
 
 
+def test_tessera_reports_on_a_binary_bourgain_map_of_height_1024():
+    # class weights past the float range as a pair count times a pair weight
+    # are formed from their exponents, so the sum side reports a finite value
+    f = ProfileMap(U.parse_tree_spec("bin:h=1024"), LpSpace(1, 2.0), None,
+                   _bourgain_profile(1024, 2.0))
+    rep = U.report(U.InvariantId.TESSERA, f, 2.0)
+    assert all(map(math.isfinite, (rep.lhs, rep.rhs, rep.ratio_root)))
+    assert rep.lhs > 0 and rep.rhs > 0
+
+
 def test_bourgain_report_builds_no_vectors():
     # the 1013 dense vectors of this tree take about 8 MB
     spec = U.parse_tree_spec("inc:h=8,b=10")

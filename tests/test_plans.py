@@ -2,6 +2,7 @@
 (tests/invariant_oracle.py), and search through plans against a search
 that scores every assignment through the oracle."""
 
+from fractions import Fraction
 import itertools
 import math
 import tracemalloc
@@ -336,7 +337,7 @@ def test_sum_class_plans_are_the_pair_plan_classes(tree, inv, side):
 def test_sum_segment_classes_are_the_runs_they_replace(tree, inv, side):
     # each sum segment's classes, expanded by the oracle, hold exactly the
     # pairs of its run, each once, and the class plan holds each class once,
-    # weighing its pair count times the segment's per-pair weight
+    # weighing 2^e, its pair count times the run's per-pair weight
     spec = U.parse_tree_spec(tree)
     plan = outcome(invariants.class_plan, inv, spec, side)
     if isinstance(plan, str):  # tessera on bin:h=2: refused, no segment
@@ -348,8 +349,8 @@ def test_sum_segment_classes_are_the_runs_they_replace(tree, inv, side):
     runs = [run for _, run in oracle.sum_runs(inv, side, k)]
     assert reduce == "sum" and len(segments) == len(runs)
     rows, weights = [], []
-    for (classes, weight), run in zip(segments, runs):
-        assert weight > 0
+    for (classes, exponents), run in zip(segments, runs):
+        assert len(exponents) == len(classes)
         parts = [oracle_class_pairs(tg, *cls, None) for cls in classes]
         got = [pair for u, v in parts for pair in zip(u.tolist(), v.tolist())]
         if len(run) == 2:
@@ -359,9 +360,61 @@ def test_sum_segment_classes_are_the_runs_they_replace(tree, inv, side):
                     for e in oracle.level_edges(spec, run[0])}
         assert len(got) == len(set(got)) and set(got) == want, (classes, run)
         rows += [list(cls) for cls in classes]
-        weights += [len(u) * weight for u, _ in parts]
+        weights += [len(u) * pair_weight(inv, run, c)
+                    for (u, _), (_, _, c) in zip(parts, classes)]
     assert plan.classes.tolist() == rows
-    assert plan.weights.tolist() == weights
+    assert list(map(Fraction, plan.weights.tolist())) == weights
+
+
+def pair_weight(inv, run, c: int) -> Fraction:
+    """The display's weight on one pair of class (., ., c) of a sum run:
+    2^-level on an edge into that level, else `oracle.pair_weight`."""
+    return Fraction(1, 2 ** run[0]) if len(run) == 1 else oracle.pair_weight(inv, *run, c)
+
+
+def sum_pair_weights(inv, side, plan, k: int, picked=None) -> list:
+    """The per-pair weight of each class of a sum side's class plan (or of
+    the picked ones), from the run of the segment that holds it."""
+    runs = [run for _, run in oracle.sum_runs(inv, side, k)]
+    picked = np.arange(len(plan.classes)) if picked is None else np.array(picked)
+    segment = np.searchsorted(plan.starts, picked, side="right") - 1
+    return [pair_weight(inv, runs[s], c)
+            for s, c in zip(segment.tolist(), plan.classes[picked, 2].tolist())]
+
+
+@pytest.mark.parametrize("h", [2, 4, 8, 16])
+def test_sum_weights_keep_the_bits_of_count_times_pair_weight(h):
+    # formed as 2^e from its exponent, a class's weight has the bits of the
+    # product the plans took before, its pair count (an int) times the
+    # per-pair weight (a float); min and max sides weigh nothing
+    spec = U.parse_tree_spec(f"bin:h={h}")
+    k = h.bit_length() - 1
+    for inv in BINARY_IDS:
+        for side in ("lhs", "rhs"):
+            plan = outcome(invariants.class_plan, inv, spec, side)
+            if isinstance(plan, str):  # no admissible configuration
+                assert h == 2
+            elif (inv, side) not in oracle.SUM_SIDES:
+                assert plan.weights is None
+            else:
+                want = np.array([
+                    invariants._pair_count(spec, *cls) * float(w) for cls, w in
+                    zip(plan.classes.tolist(), sum_pair_weights(inv, side, plan, k))])
+                assert plan.weights.tobytes() == want.tobytes(), (inv, side)
+
+
+@pytest.mark.parametrize("inv", [InvariantId.MARKOV_DIRECTED, InvariantId.TESSERA],
+                         ids=lambda inv: inv.value)
+def test_sum_class_plans_build_at_height_1024(inv):
+    # a class's pair count reaches 2^2046 and its pair weight 2^-2047, past
+    # the float range both; the weight 2^e is each class's exact power, here
+    # checked on every 997th class and the least
+    spec = U.parse_tree_spec("bin:h=1024")
+    plan = invariants.class_plan(inv, spec, "lhs")
+    picked = sorted({*range(0, len(plan.classes), 997), int(plan.weights.argmin())})
+    for i, w in zip(picked, sum_pair_weights(inv, "lhs", plan, 10, picked)):
+        count = invariants._pair_count(spec, *plan.classes[i].tolist())
+        assert Fraction(plan.weights[i].item()) == count * w, i
 
 
 def test_oversized_plans_are_refused_before_they_are_built():
@@ -534,7 +587,7 @@ class Squared(U.spaces.RowSpace):
 
 @pytest.mark.parametrize("block", [50, 1 << 20])
 def test_lipschitz_in_row_blocks_matches_full_buffer(block, monkeypatch):
-    monkeypatch.setattr(U.invariants, "_LIPSCHITZ_BLOCK", block)
+    monkeypatch.setattr(U.spaces, "BLOCK", block)
     spec = U.parse_tree_spec("bin:h=3")
     squared = U.TreeMap(spec, Squared(), {v: sum(v) for v in U.vertices(spec)})
     maps = [random_map(kind, U.parse_tree_spec(tree), np.random.default_rng(8))

@@ -191,7 +191,7 @@ def check_lockstep(tree, inv, target, cap, monkeypatch, window=None):
     if cap is not None:
         # scorer batches of cap * n rows: climbs run cap at a time
         pairs = sum(len(compile_plan(inv, spec, side).u) for side in ("lhs", "rhs"))
-        monkeypatch.setattr(search, "_BATCH", cap * target.n * pairs)
+        monkeypatch.setattr(U.spaces, "BLOCK", cap * target.n * pairs)
         scored, stepped = search._Scorer.__call__, search._Delta.__call__
 
         def spy(self, A):
@@ -320,7 +320,7 @@ def test_scorer_equals_per_side_evaluation(tree, inv, batch, blocks, monkeypatch
     spec = U.parse_tree_spec(tree)
     plans = [compile_plan(inv, spec, side) for side in ("lhs", "rhs")]
     if blocks > 1:
-        monkeypatch.setattr(search, "_BATCH", -(-batch // blocks)
+        monkeypatch.setattr(U.spaces, "BLOCK", -(-batch // blocks)
                             * sum(len(plan.u) for plan in plans))
     for seed in range(4):
         target = random_target(seed)
@@ -525,7 +525,7 @@ def test_delta_bounds_hold_the_scorer(name, p):
         spec = U.parse_tree_spec(tree)
         score = search._Scorer(U.SearchProblem(spec, target, U.InvariantId.MARKOV_DIRECTED, p))
         delta = search._Delta.of(score)
-        sigma = [Fraction(search._gamma(plan.u.size + plan.starts.size + len(plan.groups) + 2))
+        sigma = [Fraction(U.spaces.gamma(plan.u.size + plan.starts.size + len(plan.groups) + 2))
                  for plan in score.plans]
         A = rng.integers(target.n, size=(len(U.vertices(spec)), 6))
         score(A)
@@ -651,7 +651,7 @@ def test_search_scores_its_own_c_contiguous_batches(monkeypatch):
         U.local_search_max(problem, 5, 3, 1)
     problem = U.SearchProblem(U.parse_tree_spec("bin:h=2"), path_target(3),
                               U.InvariantId.MARKOV_DIRECTED, 2.0, {(): 0})
-    monkeypatch.setattr(search, "_BATCH", 16 * 100)  # 16 columns: 100 rows a batch
+    monkeypatch.setattr(U.spaces, "BLOCK", 16 * 100)  # 16 columns: 100 rows a batch
     before = len(seen)
     assert U.exhaustive_max(problem).evaluations == 3 ** 6
     assert len(seen) - before == 8 and all(all(flags) for flags in seen), seen

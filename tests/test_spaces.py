@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import fractions
 import functools
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import umbellab as U
-from umbellab import cli
+from umbellab import cli, search
 from umbellab.spaces import ABS_TOL, REL_TOL, SpaceError, close
 
 import pointwise_oracle as oracle
@@ -313,9 +314,10 @@ def near_metric_matrices(rng, n: int):
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 6, 40, 150])
-def test_finite_matrix_checks_equal_the_per_midpoint_loop(n):
-    # 40 points span 4 blocks of 10 midpoints, 150 one midpoint a block
-    assert U.spaces._TRIANGLE_BLOCK // 40 ** 2 == 10
+def test_finite_matrix_checks_equal_the_per_midpoint_loop(n, monkeypatch):
+    # blocks of 2^14 path sums: 40 points span 4 blocks of 10 midpoints, 150
+    # one midpoint a block
+    monkeypatch.setattr(U.spaces, "BLOCK", 1 << 14)
     rng = np.random.default_rng(n)
     verdicts = set()
     for _ in range(3 if n >= 150 else 20):
@@ -379,6 +381,24 @@ def test_standard_symplectic_antisymmetric():
     assert close(U.HeisenbergMetricSpace(h).operator_norm(), 1.0)
 
 
+def test_operator_norm_is_taken_once_per_space(monkeypatch):
+    # the SVD runs in __post_init__, outside the dataclass fields: == and
+    # hash read the same fields, and campaigns and checks take no SVD
+    rng = np.random.default_rng(2)
+    a = rng.normal(size=(4, 4))
+    omega = (a - a.T) / 8
+    hs = U.HeisenbergMetricSpace(omega, p=2.0)
+    assert hs.operator_norm() == float(np.linalg.norm(omega, 2))
+    assert "_operator_norm" not in {f.name for f in dataclasses.fields(hs)}
+    twin = U.HeisenbergMetricSpace(omega.copy(), p=2.0)
+    assert twin == hs and hash(twin) == hash(hs)
+    assert twin != U.HeisenbergMetricSpace(omega, p=3.0)
+    monkeypatch.setattr(np.linalg, "norm", None)
+    ineq = U.InequalityId.HEISENBERG_PARALLELOGRAM
+    U.certify(hs, ineq, U.InequalityConfig(2.0), U.ball_sampler(hs, ineq), 300, 1)
+    U.check_inequality(ineq, U.InequalityConfig(2.0), (U.HPoint((0.1,) * 4, 0.0),) * 2, hs)
+
+
 # the group law, dilation and Koranyi norm on (x, s) rows, the inverse of a
 # row being its negation
 
@@ -440,14 +460,77 @@ def test_quasi_constant_estimate_small():
 @pytest.mark.parametrize("lam", [0.5, 1.0])
 def test_quasi_constant_estimate_equals_the_per_triple_loop(dim, p, lam, monkeypatch):
     hs = U.HeisenbergMetricSpace(U.standard_symplectic(dim), p=p, lam=lam)
-    # small chunks make 700 triples cross chunk boundaries
-    monkeypatch.setattr(U.spaces, "_TRIPLES_CHUNK", 256)
+    # blocks of 256 triples make 700 triples cross block boundaries
+    monkeypatch.setattr(U.spaces, "BLOCK", 256 * 3 * hs.width)
     got = U.quasi_constant_estimate(hs, n=700, seed=3)
     want = oracle.quasi_constant_estimate(hs, n=700, seed=3)
     if p == math.inf:
         assert got == want
     else:
         assert abs(got - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("items", [1, 3, 1 << 40], ids=["one", "few", "past"])
+def test_blocked_scans_keep_their_bits_at_every_block(items, monkeypatch):
+    # every memory-bounded scan sizes its blocks from spaces.BLOCK at call
+    # time: BLOCK set to `items` of a scan's items (a scorer row, a pair-scan
+    # row, a triangle midpoint, a triple), or past its input, gives the
+    # default block's bits
+    rng = np.random.default_rng(7)
+    pts = rng.normal(size=(12, 3))
+    table = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1))
+    bent = table.copy()
+    bent[0, 1] = bent[1, 0] = table[0, 5] + table[5, 1] + 1.0
+    spec = U.parse_tree_spec("bin:h=4")  # 31 vertices: pair-scan rows capped at 3
+    verts = U.vertices(spec)
+    f = U.TreeMap(spec, U.LpSpace(3, 2.0), {v: tuple(rng.normal(size=3)) for v in verts})
+    problem = U.SearchProblem(spec, U.FiniteMatrixSpace(table[:6, :6]),
+                              U.InvariantId.TESSERA, 2.0)
+    A = rng.integers(6, size=(len(verts), 10))
+    hs = U.HeisenbergMetricSpace(U.standard_symplectic(2), p=2.0)
+    draws = []
+    sample_batch = U.HeisenbergMetricSpace.sample_batch
+
+    def spy(self, rng, m, k):
+        draws.append(m)
+        return sample_batch(self, rng, m, k)
+
+    monkeypatch.setattr(U.HeisenbergMetricSpace, "sample_batch", spy)
+
+    def scorer():
+        score = search._Scorer(problem)
+        return score(A).tobytes(), -(-A.shape[1] // score.rows)
+
+    def pair_scan():
+        blocks = list(f.pair_scan())
+        return [np.concatenate(side).tobytes() for side in zip(*blocks)], len(blocks)
+
+    def triangle():
+        verdicts = []
+        for m in (table, bent):
+            try:
+                verdicts.append(U.FiniteMatrixSpace(m).n)
+            except SpaceError as exc:
+                verdicts.append(str(exc))
+        return verdicts, None
+
+    def triples():
+        draws.clear()
+        return U.quasi_constant_estimate(hs, n=50, seed=3).hex(), len(draws)
+
+    # each scan, the entries of one of its items and its block count
+    scans = [(scorer, len(search._Scorer(problem).u), -(-10 // items)),
+             (pair_scan, len(verts), -(-30 // min(items, 3))),
+             (triangle, len(table) ** 2, None),
+             (triples, 3 * hs.width, -(-50 // items))]
+    default = U.spaces.BLOCK
+    for scan, entries, blocks in scans:
+        want, _ = scan()
+        monkeypatch.setattr(U.spaces, "BLOCK", items * entries)
+        got, count = scan()
+        monkeypatch.setattr(U.spaces, "BLOCK", default)
+        assert (got, count) == (want, blocks), scan.__name__
+    assert triangle()[0] == [12, "triangle inequality fails"]
 
 
 def test_quasi_constant_estimate_errors():
