@@ -7,6 +7,14 @@ amount, so the k-scale ratio comes out at exactly 2 (k-1)^(1/p).
 
 import umbellab as U
 
+# the worked values of the directed random walk on bin:h=2: one term
+# E[d(f(W_t), f(W~_t(t - 2^s)))^q] of Markov convexity on the identity map
+f = U.TreeMap.identity(U.parse_tree_spec("bin:h=2"))
+for s, t, q in ((0, 1, 1), (1, 2, 2)):
+    print(f"markov pair expectation on bin:h=2 at s={s}, t={t}, q={q}: "
+          f"E = {U.markov_pair_expectation_exact(f, s, t, q):g}")
+print()
+
 for k in (2, 3):
     for p in (1.0, 2.0):
         spec = U.parse_tree_spec(f"inc:h={2 ** k},b={2 ** k + 2}")

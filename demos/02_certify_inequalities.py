@@ -1,7 +1,9 @@
 """Randomized certification of pointwise metric inequalities.
 
 The tripod inequality holds in Hilbert space with K = 1 but fails on the
-unit star graph: three legs of length one glued at a hub.
+unit star graph: three legs of length one glued at a hub.  The alpha_k of
+the non-negative curvature characterisation are 2 on a Hilbert space and
+leave 2 on lp spaces with p != 2.
 """
 
 import numpy as np
@@ -34,3 +36,14 @@ print(f"least feasible K on R^3 sample: {K:.6f}")
 
 # the self-improvement constant for the umbel inequality
 print(f"solve_umbel_K(p=2, c=1) = {U.solve_umbel_K(2.0, 1.0):.9f}")
+
+# alpha_k d(z_k,m)^2 = d(z_k,x)^2 + d(z_k,y)^2 - d(x,y)^2/2 at the midpoint m
+# of x and y, with z_k = m + (z - m) / 2^k, over seeded midpoint draws
+MID = U.InequalityId.MIDPOINT_CURVATURE
+print()
+print("alpha_k, k = 0..10, over 2000 midpoint draws (seed 1):")
+for name in ("l2:dim=3", "lp:p=1.5,dim=3", "lp:p=3,dim=3", "lp:p=4,dim=3"):
+    space = U.parse_space(name)
+    pts = U.ball_sampler(space, MID)(np.random.default_rng(1), 2000)
+    alpha = U.alpha_rows(space, pts, 10)
+    print(f"  {name}: min {alpha.min():.6f}, max {alpha.max():.6f}")

@@ -21,7 +21,7 @@ _EXPORTS = {name: module for module, names in (
     ("pointwise", "InequalityId InequalityConfig CheckReport CampaignReport "
                   "ModulusEstimate NoSolution check_inequality "
                   "certify ball_sampler min_feasible_K "
-                  "solve_umbel_K alpha_sequence modulus_delta "
+                  "solve_umbel_K alpha_rows modulus_delta "
                   "modulus_delta_tilde modulus_beta parallelogram_constants"),
     ("invariants", "InvariantId InvariantReport TreeMap lhs rhs report "
                    "lipschitz_constant markov_pair_expectation_exact "

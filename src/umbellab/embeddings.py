@@ -213,6 +213,11 @@ class QuotientOracle:
     K: float
 
     def __post_init__(self):
+        for name, least in (("C", 1), ("K", 0)):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= least):
+                raise EmbeddingError(f"the oracle constant {name} must be a finite "
+                                     f"number >= {least}, not {value}")
         if len(self.values) != len(self.domain):
             raise EmbeddingError("values must align with the domain")
         for space, pts, name in ((self.domain_space, self.domain, "domain"),

@@ -430,12 +430,7 @@ class Plan:
 def _pow(x: np.ndarray, p: float) -> np.ndarray:
     """x ** p by the scalar power, whose last bit numpy's vectorised power
     does not always reproduce; powers past the float range are inf."""
-    flat = x.ravel().tolist()
-    try:
-        out = [a ** p for a in flat]
-    except OverflowError:
-        out = [sp.power(a, p) for a in flat]
-    return np.array(out).reshape(x.shape)
+    return np.array([sp.power(a, p) for a in x.ravel().tolist()]).reshape(x.shape)
 
 
 def _segments(plan: Plan, g: np.ndarray, finish: Callable) -> np.ndarray:

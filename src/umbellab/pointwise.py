@@ -488,24 +488,19 @@ def solve_umbel_K(p: float, c: float) -> float:
 # Midpoint curvature iteration
 
 
-def alpha_sequence(space, x, y, z, m, n: int) -> list[float]:
-    """alpha_k solving alpha_k d(z_k, m)^2 = d(z_k,x)^2 + d(z_k,y)^2 - d(x,y)^2/2
-    with z_k on the segment from m toward z at distance d(m,z)/2^k (z_0 = z)."""
+def alpha_rows(space, pts: np.ndarray, n: int) -> np.ndarray:
+    """alpha_k, k = 0..n, of every configuration (x, y, z, m) in `pts`, laid
+    out as `ball_sampler(space, midpoint-curvature)` draws them, one row per
+    configuration: alpha_k d(z_k,m)^2 = d(z_k,x)^2 + d(z_k,y)^2 - d(x,y)^2/2
+    with z_k = m + (z - m) / 2^k on the segment from m toward z (z_0 = z)."""
     if not isinstance(space, LpSpace) or not (1 < space.p < math.inf):
         raise PointwiseError("needs a geodesic space with interpolation (Lp, 1<p<inf)")
-    xv, yv, zv, mv = (np.asarray(v, float) for v in (x, y, z, m))
-    if space.distance(z, m) <= sp.ABS_TOL:
+    x, y, z, m = (pts[:, i, None] for i in range(4))
+    if (space.distance_rows(z, m) <= sp.ABS_TOL).any():
         raise PointwiseError("z = m: the iteration is undefined")
-    dxy2 = space.distance(x, y) ** 2
-
-    def norm2(v) -> float:
-        return float(space.norm_rows(v)) ** 2
-
-    out = []
-    for k_ in range(n + 1):
-        zk = mv + (zv - mv) / 2 ** k_
-        out.append((norm2(zk - xv) + norm2(zk - yv) - dxy2 / 2) / norm2(zk - mv))
-    return out
+    zk = m + (z - m) / 2.0 ** np.arange(n + 1)[:, None]
+    d2 = lambda a, b: space.distance_rows(a, b) ** 2
+    return (d2(zk, x) + d2(zk, y) - d2(x, y) / 2) / d2(zk, m)
 
 
 # ---------------------------------------------------------------------------

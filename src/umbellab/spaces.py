@@ -549,6 +549,8 @@ class HeisenbergMetricSpace(_ArrayValued, RowSpace):
         object.__setattr__(self, "omega_matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise SpaceError("omega matrix must be square")
+        if not np.isfinite(m).all():  # allclose takes equal infinities as close
+            raise SpaceError("omega matrix entries must be finite")
         if not np.allclose(m, -m.T, rtol=REL_TOL, atol=ABS_TOL):
             raise SpaceError("omega matrix must be antisymmetric")
         i, j = np.nonzero(np.triu(m, 1))

@@ -1,7 +1,8 @@
 """The scalar evaluation of every pointwise inequality, the per-sample
 certification loop that `umbellab.pointwise` ran before each configuration
 became the one-row case of `batch_margins`, the per-triple loop of the
-quasi-triangle estimate and the per-cell loop of the horizontal length.
+quasi-triangle estimate, the per-cell loop of the horizontal length and
+the per-k loop of the midpoint-curvature alpha_k.
 They evaluate one configuration at a time through the scalar `distance`
 below and serve as the test oracle for the batched kernels; nothing in the
 library imports them.  That distance takes lp vectors through their own
@@ -277,6 +278,27 @@ def quasi_constant_estimate(space, n: int, seed: int) -> float:
     if not seen:
         raise SpaceError("sampler produced only degenerate triples")
     return best
+
+
+def alpha_sequence(space, x, y, z, m, n: int) -> list[float]:
+    """alpha_k solving alpha_k d(z_k, m)^2 = d(z_k,x)^2 + d(z_k,y)^2 - d(x,y)^2/2
+    with z_k on the segment from m toward z at distance d(m,z)/2^k (z_0 = z),
+    one k and one scalar norm at a time."""
+    if not isinstance(space, LpSpace) or not (1 < space.p < math.inf):
+        raise PointwiseError("needs a geodesic space with interpolation (Lp, 1<p<inf)")
+    xv, yv, zv, mv = (np.asarray(v, float) for v in (x, y, z, m))
+    if space.distance(z, m) <= ABS_TOL:
+        raise PointwiseError("z = m: the iteration is undefined")
+    dxy2 = space.distance(x, y) ** 2
+
+    def norm2(v) -> float:
+        return float(space.norm_rows(v)) ** 2
+
+    out = []
+    for k_ in range(n + 1):
+        zk = mv + (zv - mv) / 2 ** k_
+        out.append((norm2(zk - xv) + norm2(zk - yv) - dxy2 / 2) / norm2(zk - mv))
+    return out
 
 
 def modulus_delta_tilde(space: LpSpace, eps: float, grid: int = 24) -> ModulusEstimate:

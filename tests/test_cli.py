@@ -646,6 +646,21 @@ def test_lift_oracle_numeric_constants_still_read(tmp_path, capsys, C, K):
     assert code == 0 and json.loads(out)["verified"] is True
 
 
+@pytest.mark.parametrize("key,value", [("C", 0.5), ("C", math.nan), ("K", -1.0),
+                                       ("K", math.nan), ("C", math.inf),
+                                       ("K", math.inf)])
+def test_lift_oracle_constant_off_its_range_exit_two(tmp_path, capsys, key, value):
+    # the JSON NaN and Infinity tokens are read as numbers; C below 1, NaN
+    # or K below 0 failed with the misleading "farther than K" error, and
+    # an infinite constant printed a vacuous "verified": true
+    argv = _lift_files(tmp_path, [0, 1], 1)
+    oracle = tmp_path / "oracle.json"
+    oracle.write_text(json.dumps({**json.loads(oracle.read_text()), key: value}))
+    code, out, err = run_strict(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"oracle constant {key} must be a finite number" in err["error"]
+
+
 @pytest.mark.parametrize("target", [None, "l2:dim=2", "heis:dim=2,p=2",
                                     "prod:p=2;l2:dim=2;heis:dim=2,p=inf"])
 def test_invariant_constant_map_into_any_target(capsys, target):

@@ -121,7 +121,7 @@ EXPORTS = {
                   "CampaignReport", "ModulusEstimate", "NoSolution",
                   "check_inequality", "certify",
                   "ball_sampler", "min_feasible_K", "solve_umbel_K",
-                  "alpha_sequence", "modulus_delta", "modulus_delta_tilde",
+                  "alpha_rows", "modulus_delta", "modulus_delta_tilde",
                   "modulus_beta", "parallelogram_constants"],
     "invariants": ["InvariantId", "InvariantReport", "TreeMap", "lhs", "rhs",
                    "report", "lipschitz_constant",

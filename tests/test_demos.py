@@ -41,3 +41,27 @@ def test_readme_search_table_is_what_demo_06_prints():
     rows = dict((inv, (ratio, int(evals.replace(",", "")))) for inv, ratio, evals in
                 re.findall(r"^\| (\S+) \| ([\d.]+) \| ([\d,]+) \|", table, re.M))
     assert len(rows) == 4 and rows == printed
+
+
+def test_readme_alpha_table_is_what_demo_02_prints():
+    # the min and max of alpha_k per space, as README's Certification table
+    # gives them
+    proc = run_demo(ROOT / "demos" / "02_certify_inequalities.py")
+    assert proc.returncode == 0, proc.stderr
+    printed = re.findall(r"^  (\S+): min ([\d.]+), max ([\d.]+)$", proc.stdout, re.M)
+    section = (ROOT / "README.md").read_text().split("## Certification")[1]
+    table = section.split("| space | min α_k | max α_k |")[1].split("\n\n")[0]
+    rows = re.findall(r"^\| `(\S+)` \| ([\d.]+) \| ([\d.]+) \|$", table, re.M)
+    assert len(rows) == 4 and rows == printed
+
+
+def test_readme_worked_markov_values_are_what_demo_01_prints():
+    # README's "E = 1 at s=0, t=1, q=1" against demo 01's lines
+    proc = run_demo(ROOT / "demos" / "01_invariants_identity.py")
+    assert proc.returncode == 0, proc.stderr
+    printed = re.findall(r"^markov pair expectation on bin:h=2 at s=(\d+), t=(\d+), "
+                         r"q=(\d+): E = (\S+)$", proc.stdout, re.M)
+    notes = (ROOT / "README.md").read_text().split("## Notes on the random-walk functional")[1]
+    worked = re.findall(r"`E = (\S+)` at\s+`s=(\d+), t=(\d+), q=(\d+)`", notes)
+    assert len(worked) == 2
+    assert [(s, t, q, e) for e, s, t, q in worked] == printed

@@ -580,21 +580,24 @@ def test_lift_on_rows_equals_the_scalar_loop(kind):
     assert 0 < lifted < len(got), lifted  # both outcomes are reached
 
 
-@pytest.mark.parametrize("g_points,C,K,want", [
+@pytest.mark.parametrize("g_points,s,K,want", [
     # d(f(0), g(root)) = 1 + 5e-10 > K + tol >= d(g(root), f(0)) = 1
     ((1, 1, 1), 1.0, 1.0 - 0.8e-9, [1, 1, 1]),
-    # d(h(root), 0) = 1 <= C (r + K) + tol < d(0, h(root)) = 1 + 5e-10
+    # d(h(root), 0) = 1 <= s r + K + tol < d(0, h(root)) = 1 + 5e-10
     ((1, 0, 0), 1.0 - 0.8e-9, 0.0, [1, 0, 0]),
-    # C d(g(root), g(v)) + tol < 1 <= C d(g(v), g(root)) + tol
+    # s d(g(root), g(v)) + tol < 1 <= s d(g(v), g(root)) + tol
     ((1, 0, 0), 1.0 - 1.25e-9, 0.0, None),
 ], ids=["values", "domain", "edge"])
-def test_lift_keeps_the_order_of_each_distance(g_points, C, K, want):
+def test_lift_keeps_the_order_of_each_distance(g_points, s, K, want):
     # a table asymmetric within the symmetry check: swapping the arguments
-    # of one of the three distances changes each outcome
-    space = U.FiniteMatrixSpace(np.array([[0.0, 1.0 + 5e-10], [1.0, 0.0]]))
+    # of one of the three distances changes each outcome.  The target is
+    # that table scaled by s, so at C = 1 a target distance is s times the
+    # table's
+    table = np.array([[0.0, 1.0 + 5e-10], [1.0, 0.0]])
+    space, target = U.FiniteMatrixSpace(table), U.FiniteMatrixSpace(s * table)
     spec = U.parse_tree_spec("bin:h=1")
-    g = U.TreeMap(spec, space, dict(zip(U.vertices(spec), g_points)))
-    q = U.QuotientOracle(space, (0, 1), space, (0, 1), C, K)
+    g = U.TreeMap(spec, target, dict(zip(U.vertices(spec), g_points)))
+    q = U.QuotientOracle(space, (0, 1), target, (0, 1), 1.0, K)
     got = lift_outcome(U.lift_map, g, q)
     assert got == lift_outcome(oracle.lift_map, g, q)
     if want is None:

@@ -792,21 +792,90 @@ def test_polish_reports_an_infeasible_constraint_set():
 # misc helpers
 
 
-def test_alpha_sequence_shrinks_toward_midpoint():
-    sp = U.LpSpace(2, 2.0)
-    x, y, z = (0.0, 0.0), (2.0, 0.0), (1.0, 3.0)
-    m = (1.0, 0.0)
-    seq = U.alpha_sequence(sp, x, y, z, m, 6)
-    assert len(seq) == 7
-    # in Hilbert space every alpha equals 2 exactly
-    for a in seq:
-        assert a == pytest.approx(2.0, rel=1e-9)
+def alpha_terms(space, pts, n):
+    """The terms alpha_rows reads, in its arithmetic: d(z_k,x)^2 + d(z_k,y)^2
+    + d(x,y)^2 / 2 and d(z_k,m)^2 for k = 0..n, with d(z_k,m) and |m|."""
+    x, y, z, m = (pts[:, i, None] for i in range(4))
+    zk = m + (z - m) / 2.0 ** np.arange(n + 1)[:, None]
+    d = space.distance_rows
+    dzm = d(zk, m)
+    return (d(zk, x) ** 2 + d(zk, y) ** 2 + d(x, y) ** 2 / 2, dzm ** 2, dzm,
+            d(m, 0 * m))
 
 
-def test_alpha_sequence_rejects_z_equal_m():
-    sp = U.LpSpace(2, 2.0)
-    with pytest.raises(Exception):
-        U.alpha_sequence(sp, (0.0, 0.0), (2.0, 0.0), (1.0, 0.0), (1.0, 0.0), 3)
+def midpoint_draws(name, count, seed=1):
+    space = U.parse_space(name)
+    return space, U.ball_sampler(space, MIDPOINT)(np.random.default_rng(seed), count)
+
+
+def hilbert_alpha_bound(space, pts, n):
+    """How far a computed alpha_k may lie from 2 where the exact margin at
+    the exact midpoint is 0, as on l2.  The numerator's two additions and
+    the terms' roundings put it within B = _midpoint_bound of 2 d(z_k,m)^2
+    (B spends gamma_(2a+3) of its gamma_(2a+4) on them), and the division
+    rounds once more: |alpha_k - 2| <= (1 + u) B / D + 2u, D = d(z_k,m)^2."""
+    s, dd, dzm, norm = alpha_terms(space, pts, n)
+    u = U.spaces.UNIT_ROUNDOFF
+    return (1 + u) * pointwise._midpoint_bound(space, s + 2 * dd, dzm, norm) / dd + 2 * u
+
+
+@pytest.mark.parametrize("name", ["lp:p=1.5,dim=3", "lp:p=3,dim=3", "lp:p=4,dim=2",
+                                  "l2:dim=3", "lp:p=3,dim=9"])
+def test_alpha_rows_match_the_scalar_oracle(name):
+    # Each distance lies within a = _distance_roundings roundings of the
+    # exact one, and a square within r = 2a + 3 (the oracle's Python pow
+    # within 1 ulp takes 3).  The numerator's two additions and the
+    # quotient's one leave either computation within
+    # gamma_(r+1) |alpha| + gamma_(2r+3) S / D of the exact alpha_k, S the
+    # sum of the numerator's three terms; computed S, D and alpha for the
+    # exact ones cost one more rounding, so the two lie within
+    # 2 gamma_(2r+4) (|alpha| + S / D) of each other.  They do differ in
+    # the last bits: the oracle squares by Python's pow, which need not
+    # round as a product does, and an lp norm's array power need not have
+    # the bits of the one-vector power.
+    n = 10
+    space, pts = midpoint_draws(name, 200)
+    got = U.alpha_rows(space, pts, n)
+    assert got.shape == (200, n + 1)
+    s, dd, _, _ = alpha_terms(space, pts, n)
+    r = 2 * pointwise._distance_roundings(space) + 3
+    bound = 2 * U.spaces.gamma(2 * r + 4) * (np.abs(got) + s / dd)
+    want = np.array([oracle.alpha_sequence(space, *map(tuple, row), n) for row in pts])
+    assert (np.abs(got - want) <= bound).all()
+
+
+def test_alpha_rows_stay_within_rounding_of_two_on_l2():
+    space, pts = midpoint_draws("l2:dim=3", 2000)
+    alpha = U.alpha_rows(space, pts, 10)
+    assert (np.abs(alpha - 2) <= hilbert_alpha_bound(space, pts, 10)).all()
+
+
+@pytest.mark.parametrize("name", ["lp:p=1.5,dim=3", "lp:p=3,dim=3", "lp:p=4,dim=3"])
+def test_alpha_rows_leave_two_off_hilbert(name):
+    space, pts = midpoint_draws(name, 200)
+    alpha = U.alpha_rows(space, pts, 10)
+    # past every rounding that keeps an l2 alpha_k at 2
+    assert (np.abs(alpha - 2) > hilbert_alpha_bound(space, pts, 10)).any()
+
+
+def test_alpha_rows_refuse_z_equal_m():
+    space, pts = midpoint_draws("l2:dim=2", 5)
+    pts[3, 2] = pts[3, 3]
+    with pytest.raises(pointwise.PointwiseError, match="z = m"):
+        U.alpha_rows(space, pts, 3)
+    with pytest.raises(pointwise.PointwiseError, match="z = m"):
+        oracle.alpha_sequence(space, *map(tuple, pts[3]), 3)
+
+
+@pytest.mark.parametrize("name", ["lp:p=1,dim=2", "lp:p=inf,dim=2",
+                                  "prod:p=2;l2:dim=1;l2:dim=1", "heis:dim=2,p=2"])
+def test_alpha_rows_refuse_spaces_without_interpolation(name):
+    space = U.parse_space(name)
+    pts = space.sample_batch(np.random.default_rng(0), 3, 4)
+    with pytest.raises(pointwise.PointwiseError, match="geodesic"):
+        U.alpha_rows(space, pts, 3)
+    with pytest.raises(pointwise.PointwiseError, match="geodesic"):
+        oracle.alpha_sequence(space, *map(space.point, pts[0]), 3)
 
 
 @pytest.mark.parametrize("q", [math.inf, math.nan, 0.0, -2.0])

@@ -123,9 +123,6 @@ def test_every_public_name_is_read():
 # exports no library module, demo or perfbench job reads: each computes a
 # step of the paper on its own, and the tests check it
 PAPER_STEPS = {
-    "alpha_sequence": "the alpha_k of the non-negative curvature characterisation",
-    "markov_pair_expectation_exact": "one term E[d(f(W_t), f(W~_t(t - 2^s)))^q] "
-                                     "of Markov convexity",
     "modulus_beta": "the asymptotic modulus behind Rolewicz's property (beta)",
     "modulus_delta": "the modulus of uniform convexity",
     "modulus_delta_tilde": "the tripod modulus",

@@ -381,6 +381,16 @@ def test_standard_symplectic_antisymmetric():
     assert close(U.HeisenbergMetricSpace(h).operator_norm(), 1.0)
 
 
+@pytest.mark.parametrize("omega", [
+    [[0.0, math.inf], [-math.inf, 0.0]], [[0.0, math.nan], [math.nan, 0.0]],
+    [[0.0, 1.0], [-1.0, math.nan]]], ids=["inf", "nan", "nan-diagonal"])
+def test_heisenberg_refuses_a_non_finite_omega(omega):
+    # equal infinities pass allclose as antisymmetric, and the operator
+    # norm then is nan, which passes the parallelogram's norm check
+    with pytest.raises(U.spaces.SpaceError, match="omega matrix entries must be finite"):
+        U.HeisenbergMetricSpace(np.array(omega))
+
+
 def test_operator_norm_is_taken_once_per_space(monkeypatch):
     # the SVD runs in __post_init__, outside the dataclass fields: == and
     # hash read the same fields, and campaigns and checks take no SVD
