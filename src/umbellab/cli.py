@@ -148,6 +148,8 @@ def cmd_morphism(args) -> int:
     from . import trees
     if args.j_const is not None:
         J = lambda m, n: args.j_const
+    elif args.j_max < 1:
+        raise ValueError(f"--j-max must be >= 1, got {args.j_max}")
     else:
         rng = np.random.default_rng(args.seed)
         cache = {}

@@ -614,6 +614,8 @@ def _plan_args(inv: InvariantId, spec: TreeSpec, side: str,
     k = _validate(inv, spec)
     if j_min is not None and inv not in _INCREASING_IDS:
         raise InvariantError(f"{inv.value} has no liminf over j: j_min does not apply")
+    if j_min is not None and j_min < 1:  # labels start at 1
+        raise InvariantError(f"j_min must be >= 1, got {j_min}")
     return k, None if side == "rhs" else j_min
 
 

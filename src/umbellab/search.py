@@ -18,7 +18,7 @@ from .invariants import (InvariantId, TreeMap, _check_exponent, _divisors,
                          _join, _pow, _segments, compile_plan)
 from . import spaces as sp
 from .spaces import FiniteMatrixSpace, SpaceError, is_int
-from .trees import TreeSpec, Vertex, tree_graph
+from .trees import TreeSpec, tree_graph
 
 _EXHAUSTIVE_BUDGET = 10 ** 7
 _WINDOW = 1 << 13  # the most gathered entries of a multi-vertex local-search window
@@ -43,10 +43,10 @@ class SearchProblem:
     def __post_init__(self):
         if self.target.n < 2:
             raise SearchError("target needs at least 2 points")
-        index = tree_graph(self.spec).index
         for v, pt in self.pins.items():
             # (1.0,) == (1,): float labels would pass the membership test
-            if not (isinstance(v, tuple) and all(map(is_int, v)) and v in index):
+            if not (isinstance(v, tuple) and all(map(is_int, v))
+                    and v in tree_graph(self.spec).index):
                 raise SearchError(f"pinned vertex {v!r} not in the tree")
             try:
                 self.target.rows([pt])
@@ -56,9 +56,6 @@ class SearchProblem:
     def __hash__(self):  # pins is a dict
         return hash((self.spec, self.target, self.invariant, self.exponent,
                      frozenset(self.pins.items())))
-
-    def free_vertices(self) -> list[Vertex]:
-        return [v for v in tree_graph(self.spec).vertices if v not in self.pins]
 
 
 def pins_from_json(obj) -> dict:
@@ -109,7 +106,10 @@ class _Scorer:
     keep their order, and reads spw, the scalar power `evaluate` takes of
     the extreme distance.  (-0.0 ranks with 0.0; the join, `evaluate`'s
     own, drops the sign of a zero.)  `evaluate`'s `_segments` and `_join`
-    reduce them, so every ratio has `evaluate`'s bits."""
+    reduce them, so every ratio has `evaluate`'s bits.  start, the canonical
+    map, carries each pinned point down to its unpinned descendants (the
+    root defaults to point 0), and free lists the unpinned vertices' indices.
+    """
 
     def __init__(self, problem: SearchProblem):
         self.problem = problem
@@ -119,7 +119,12 @@ class _Scorer:
         _check_exponent(p)
         self.divisors = [_divisors(plan, p) for plan in self.plans]
         graph = tree_graph(problem.spec)
-        self.index, self.verts = graph.index, graph.vertices
+        pinned = {graph.index[v]: pt for v, pt in problem.pins.items()}
+        start = [0] * graph.n
+        for i, j in enumerate(graph.parent.tolist()):  # parents come first
+            start[i] = pinned.get(i, start[j])
+        self.start = np.array(start, dtype=np.intp)
+        self.free = [i for i in range(graph.n) if i not in pinned]
         lhs, rhs = self.plans
         self.u, self.v = np.concatenate([lhs.u, rhs.u]), np.concatenate([lhs.v, rhs.v])
         self.cut, self.n = len(lhs.u), problem.target.n
@@ -154,36 +159,30 @@ class _Scorer:
                 map(np.concatenate, zip(self.sides, (left, right))))
         return out
 
-    def array(self, assignment: dict) -> np.ndarray:
-        return np.array([assignment[v] for v in self.verts], dtype=np.intp)
-
     def result(self, a: np.ndarray, ratio: float) -> SearchResult:
-        return SearchResult(True, TreeMap(self.problem.spec, self.problem.target,
-                                          dict(zip(self.verts, a.tolist()))),
-                            ratio)
+        spec = self.problem.spec
+        return SearchResult(True, TreeMap(spec, self.problem.target, dict(
+            zip(tree_graph(spec).vertices, a.tolist()))), ratio)
 
 
-def _touch_index(inv: InvariantId, spec: TreeSpec) -> tuple:
-    """The plan columns (lhs then rhs, side by side as the scorer holds
-    them) that touch each vertex, as CSR arrays (ptr, other, second,
-    weights, group): for each entry, the column's other end, whether the
-    vertex is its second end, its weight on each side (2 x entries, 0 on
-    the other side) and the index of its group among lhs's groups then
-    rhs's; then `_Delta`'s factors in its row order (lhs-low, lhs-high,
-    rhs-high, rhs-low): 1 -+ each entry's slack (4 x entries) and each
-    row's reset factor (4 x 1); and the least weight.  Kept beside the
-    plans on tree_graph's entry for the tree."""
-    tg = tree_graph(spec)
-    key = (inv, "touch")
+def _touch_index(score: _Scorer) -> tuple:
+    """The scorer's plan columns (lhs then rhs, side by side) that touch
+    each vertex, as CSR arrays (ptr, other, second, weights, group): for
+    each entry, the column's other end, whether the vertex is its second
+    end, its weight on each side (2 x entries, 0 on the other side) and the
+    index of its group among lhs's groups then rhs's; then `_Delta`'s
+    factors in its row order (lhs-low, lhs-high, rhs-high, rhs-low): 1 -+
+    each entry's slack (4 x entries) and each row's reset factor (4 x 1);
+    and the least weight.  Kept beside the plans on tree_graph's entry for
+    the tree."""
+    tg = tree_graph(score.problem.spec)
+    key = (score.problem.invariant, "touch")
     if key not in tg.plans:
-        plans = [compile_plan(inv, spec, side) for side in ("lhs", "rhs")]
-        u, v = (np.concatenate([getattr(plan, end) for plan in plans])
-                for end in ("u", "v"))
+        plans, u, v, cut = score.plans, score.u, score.v, score.cut
         sizes = []
         for plan in plans:  # each group's column count
             ends = [*plan.starts.tolist(), len(plan.u)]
             sizes += [ends[hi] - ends[lo] for lo, hi in plan.groups]
-        cut = len(plans[0].u)
         weights = np.zeros((2, len(u)))
         weights[0, :cut], weights[1, cut:] = plans[0].weights, plans[1].weights
         order = np.argsort(np.concatenate([u, v]), kind="stable")
@@ -267,7 +266,7 @@ class _Delta:
         by sums with normal weights."""
         if not all(plan.reduce == plan.outer == "sum" for plan in score.plans):
             return None
-        delta = _Delta(score, *_touch_index(score.problem.invariant, score.problem.spec))
+        delta = _Delta(score, *_touch_index(score))
         return delta if delta.ok else None
 
     def based(self, sides) -> np.ndarray:
@@ -308,20 +307,18 @@ def exhaustive_max(problem: SearchProblem,
     the first maximum in itertools.product order."""
     if budget < 0:
         raise SearchError(f"the budget must be >= 0, got {budget}")
-    free = problem.free_vertices()
-    n = problem.target.n
-    total = n ** len(free)
+    n, free = problem.target.n, tree_graph(problem.spec).n - len(problem.pins)
+    total = n ** free
     if total > budget:
-        raise BudgetExceeded(f"{total} assignments exceed the exhaustive budget")
+        raise BudgetExceeded(f"{n}^{free} assignments exceed the exhaustive "
+                             f"budget of {budget}")
     score = _Scorer(problem)
-    base = score.array(canonical_start(problem))  # free columns are overwritten
-    cols = [score.index[v] for v in free]
     best, feasible = NO_FEASIBLE, 0
     for lo in range(0, total, score.rows):
         combos = np.arange(lo, min(lo + score.rows, total))
-        A = np.repeat(base[:, None], len(combos), axis=1)  # one column a row
-        if cols:
-            A[cols] = np.unravel_index(combos, (n,) * len(cols))
+        A = np.repeat(score.start[:, None], len(combos), axis=1)  # one column a row
+        if free:  # overwrite the start's free entries
+            A[score.free] = np.unravel_index(combos, (n,) * free)
         ratios = score(A)
         ok = ~np.isnan(ratios)
         feasible += int(ok.sum())
@@ -331,20 +328,6 @@ def exhaustive_max(problem: SearchProblem,
                 best = score.result(A[:, i], float(ratios[i]))
     return dataclasses.replace(best, evaluations=total,
                                feasible_evaluations=feasible)
-
-
-def canonical_start(problem: SearchProblem) -> dict:
-    """Default start: propagate each pinned image down to unpinned
-    descendants (root defaults to point 0)."""
-    assignment = {}
-    for v in tree_graph(problem.spec).vertices:
-        if v in problem.pins:
-            assignment[v] = problem.pins[v]
-        elif v:
-            assignment[v] = assignment[v[:-1]]
-        else:
-            assignment[v] = 0
-    return assignment
 
 
 def _accept(ratios: list, lo: int, n: int, active, row: list, current: list,
@@ -505,7 +488,7 @@ def _delta_sweep(score: _Scorer, delta: _Delta, A: np.ndarray, cols: list, activ
 def local_search_max(problem: SearchProblem, restarts: int, steps: int,
                      seed: int) -> SearchResult:
     """Hill-climbing over single-vertex reassignments with random restarts.
-    The first climb starts from the canonical pin-propagated map; each
+    The first climb starts from the scorer's canonical start; each
     restart draws the free vertices uniformly, in vertex order.
 
     The climbs run in lockstep, in groups of at most rows // n climbs whose
@@ -533,13 +516,11 @@ def local_search_max(problem: SearchProblem, restarts: int, steps: int,
     so every decision, count and ratio is the one full scoring makes."""
     if restarts < 0 or steps < 0:
         raise SearchError(f"restarts and steps must be >= 0, got {restarts} and {steps}")
-    free = problem.free_vertices()
     n = problem.target.n
     rng = np.random.default_rng(seed)
     score = _Scorer(problem)
     delta = _Delta.of(score)
-    cols = [score.index[v] for v in free]
-    start = score.array(canonical_start(problem))
+    cols, start = score.free, score.start
     group = max(1, score.rows // n)
     best_ratio, best_row = -math.inf, None
     evaluations = feasible = 0

@@ -480,6 +480,8 @@ class HPoint:
 
 def standard_symplectic(dim: int = 2) -> np.ndarray:
     """The matrix of the standard symplectic form on R^dim."""
+    if dim < 2:
+        raise SpaceError(f"symplectic form needs dimension >= 2, got {dim}")
     if dim % 2:
         raise SpaceError("symplectic form needs even dimension")
     half = dim // 2

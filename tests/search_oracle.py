@@ -11,17 +11,15 @@ import math
 
 import numpy as np
 
-from umbellab.search import (NO_FEASIBLE, SearchProblem, SearchResult, _Scorer,
-                             canonical_start)
+from umbellab.search import NO_FEASIBLE, SearchProblem, SearchResult, _Scorer
 
 
 def sequential_local_search_max(problem: SearchProblem, restarts: int,
                                 steps: int, seed: int) -> SearchResult:
-    free = problem.free_vertices()
     n = problem.target.n
     rng = np.random.default_rng(seed)
     score = _Scorer(problem)
-    cols = [score.index[v] for v in free]
+    cols = score.free
     best = NO_FEASIBLE
     evaluations = feasible = 0
 
@@ -58,11 +56,11 @@ def sequential_local_search_max(problem: SearchProblem, restarts: int,
             if not improved:
                 break
 
-    climb(score.array(canonical_start(problem)))
+    climb(score.start.copy())
     for _ in range(restarts):
-        assignment = dict(problem.pins)
-        for v in free:
-            assignment[v] = int(rng.integers(n))
-        climb(score.array(assignment))
+        a = score.start.copy()
+        for i in cols:
+            a[i] = int(rng.integers(n))
+        climb(a)
     return dataclasses.replace(best, evaluations=evaluations,
                                feasible_evaluations=feasible)

@@ -186,6 +186,19 @@ def test_search_negative_counts_exit_two(tmp_path, capsys, option):
     assert "restarts and steps must be >= 0" in err["error"]
 
 
+def test_search_budget_refusal_names_its_count(tmp_path, capsys):
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"n": 6, "d": (1.0 - np.eye(6)).tolist()}))
+    for h, count in [(10, "6^2047"), (12, "6^8191"), (16, "6^131071")]:
+        code, out, err = run_strict(capsys, "search", "--tree", f"bin:h={h}",
+                                    "--invariant", "fork-cotype", "--p", "2",
+                                    "--target-file", str(target),
+                                    "--mode", "exhaustive")
+        assert code == 3 and out == ""
+        assert err["error"] == (f"{count} assignments exceed the exhaustive "
+                                "budget of 10000000")
+
+
 def test_search_negative_budget_exit_two(tmp_path, capsys):
     target = tmp_path / "path.json"
     target.write_text(json.dumps({"n": 3, "d": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}))

@@ -267,6 +267,25 @@ REFUSED_SAMPLING = [["certify", "--space", "heis:dim=2,p=1e-300", "--inequality"
 EXPECTED.update({tuple(argv): (2, error) for argv, error in zip(REFUSED_SAMPLING, [
     "overflow encountered in power",
     "xs_count 100000 is more than the 128"])})
+# values below their range, refused by name, and an exhaustive count of
+# 3^8191 assignments, whose 3909 digits are not printed
+BELOW_RANGE = [["heisenberg", "--dim", "0", "--samples", "10"],
+               ["certify", "--space", "heis:dim=0", "--inequality", "tripod",
+                "--samples", "10"],
+               ["invariant", "--tree", "inc:h=4,b=5", "--invariant",
+                "umbel-cotype", "--p", "2", "--j-min", "-3"],
+               ["morphism", "--k", "2", "--j-max", "0"],
+               ["morphism", "--k", "0", "--j-max", "-1"],  # J is never called
+               ["search", "--tree", "bin:h=12", "--invariant", "fork-cotype",
+                "--p", "2", "--target-file", "{dir}/path3.json",
+                "--mode", "exhaustive"]]
+EXPECTED.update({tuple(argv): (code, error) for argv, (code, error) in zip(BELOW_RANGE, [
+    (2, "symplectic form needs dimension >= 2, got 0"),
+    (2, "symplectic form needs dimension >= 2, got 0"),
+    (2, "j_min must be >= 1, got -3"),
+    (2, "--j-max must be >= 1, got 0"),
+    (2, "--j-max must be >= 1, got -1"),
+    (3, "3^8191 assignments exceed the exhaustive budget")])})
 
 
 def _graph_certify(name):
@@ -346,6 +365,12 @@ EXPECTED.update({tuple(argv): (2, error) for argv, error in zip(BAD_GRAPHS, [
 @example(argv=BAD_GRAPHS[3])
 @example(argv=REFUSED_SAMPLING[0])
 @example(argv=REFUSED_SAMPLING[1])
+@example(argv=BELOW_RANGE[0])
+@example(argv=BELOW_RANGE[1])
+@example(argv=BELOW_RANGE[2])
+@example(argv=BELOW_RANGE[3])
+@example(argv=BELOW_RANGE[4])
+@example(argv=BELOW_RANGE[5])
 def test_cli_fuzz(fixture_dir, argv):
     expected = EXPECTED.get(tuple(argv))
     argv = [a.replace("{dir}", str(fixture_dir)) for a in argv]

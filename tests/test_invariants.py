@@ -389,6 +389,17 @@ def test_j_min_is_refused_where_there_is_no_liminf(inv, capsys):
     assert out == "" and "no liminf" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("inv", sorted(i.value for i in invariants._INCREASING_IDS))
+def test_j_min_below_one_is_refused(inv):
+    # labels start at 1: j_min <= 0 would read the classes no j_min reads
+    f = U.TreeMap.identity(U.parse_tree_spec("inc:h=4,b=5"))
+    for j_min in (0, -3):
+        for call in (U.lhs, U.report):
+            with pytest.raises(InvariantError, match=f"j_min must be >= 1, got {j_min}"):
+                call(U.InvariantId(inv), f, 2.0, j_min=j_min)
+    assert U.lhs(U.InvariantId(inv), f, 2.0, j_min=1) == U.lhs(U.InvariantId(inv), f, 2.0)
+
+
 def test_identity_map_refuses_a_target(capsys):
     spec = U.parse_tree_spec("bin:h=4")
     with pytest.raises(InvariantError, match="identity map takes no target"):

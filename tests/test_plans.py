@@ -15,7 +15,7 @@ import umbellab as U
 from umbellab import invariants, trees
 from umbellab.embeddings import EmbeddingError
 from umbellab.invariants import InvariantError, InvariantId, compile_plan
-from umbellab.search import canonical_start
+from umbellab.search import _Scorer
 
 import invariant_oracle as oracle
 from spaces_oracle import sample
@@ -829,11 +829,18 @@ def oracle_ratio(problem, assignment):
     return oracle.lhs(problem.invariant, f, problem.exponent) / denom
 
 
+def start_and_free(problem):
+    """The scorer's start as a {vertex: point} dict, and its free vertices."""
+    score = _Scorer(problem)
+    verts = U.vertices(problem.spec)
+    return dict(zip(verts, score.start.tolist())), [verts[i] for i in score.free]
+
+
 def oracle_exhaustive(problem):
-    free = problem.free_vertices()
+    start, free = start_and_free(problem)
     best = -math.inf
     for combo in itertools.product(range(problem.target.n), repeat=len(free)):
-        assignment = dict(problem.pins)
+        assignment = dict(start)
         assignment.update(zip(free, combo))
         r = oracle_ratio(problem, assignment)
         if r is not None and r > best:
@@ -844,7 +851,7 @@ def oracle_exhaustive(problem):
 def oracle_local(problem, restarts, steps, seed):
     """The hill climb of search.local_search_max, one oracle call per
     candidate."""
-    free = problem.free_vertices()
+    start, free = start_and_free(problem)
     rng = np.random.default_rng(seed)
     best = -math.inf
 
@@ -872,9 +879,9 @@ def oracle_local(problem, restarts, steps, seed):
             if not improved:
                 break
 
-    climb(canonical_start(problem))
+    climb(dict(start))
     for _ in range(restarts):
-        assignment = dict(problem.pins)
+        assignment = dict(start)
         for v in free:
             assignment[v] = int(rng.integers(problem.target.n))
         climb(assignment)
@@ -906,7 +913,7 @@ def test_search_matches_oracle_search(inv):
         assert res.feasible == (want > -math.inf)
         if res.feasible:
             assert res.best_ratio == pytest.approx(want, rel=1e-12)
-        assert res.evaluations == 3 ** len(problem.free_vertices())
+        assert res.evaluations == 3 ** len(start_and_free(problem)[1])
 
         problem = seeded_problem(inv, seed)
         res = U.local_search_max(problem, restarts=2, steps=2, seed=seed)

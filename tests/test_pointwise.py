@@ -676,6 +676,19 @@ def test_parallelogram_worked_pair():
     assert rep.witness == want.witness == (a, a)
 
 
+def test_parallelogram_reads_only_the_group_law_of_its_space():
+    # N_{q,lambda} comes from parallelogram_constants(q, C), not from the
+    # descriptor's p and lambda (README's Certification section)
+    pair = (U.HPoint((0.3, -0.2), 0.1), U.HPoint((0.1, 0.4), -0.2))
+    margins = {U.check_inequality(U.InequalityId.HEISENBERG_PARALLELOGRAM,
+                                  U.InequalityConfig(2.0), pair,
+                                  U.parse_space(text)).margin
+               for text in ["heis:dim=2,p=2", "heis:dim=2,p=7,lambda=3",
+                            "heis:dim=2,p=inf,lambda=0.5"]}
+    assert len(margins) == 1
+    assert margins.pop() == pytest.approx(0.21607178768680965, rel=1e-12)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.tuples(unit, unit, unit), st.tuples(unit, unit, unit),
        st.sampled_from([2.0, 3.0]), st.sampled_from([1.0, 2.0]))

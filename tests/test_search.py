@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 import umbellab as U
-from umbellab import invariants, search
+from umbellab import invariants, search, trees
 from umbellab.invariants import InvariantError, Plan, compile_plan, evaluate
-from umbellab.search import (BudgetExceeded, NO_FEASIBLE, SearchError,
-                             canonical_start, pins_from_json)
+from umbellab.search import BudgetExceeded, NO_FEASIBLE, SearchError, pins_from_json
 
 import invariant_oracle
 from search_oracle import sequential_local_search_max
@@ -69,6 +68,22 @@ def test_budget_exceeded():
         U.exhaustive_max(prob, budget=10 ** 6)
 
 
+@pytest.mark.parametrize("h,free", [(10, 2047), (16, 131071)])
+def test_budget_refusal_names_its_count_before_any_plan(monkeypatch, h, free):
+    # 6^131071 has 101,994 digits, past Python's int-to-str limit
+    def unused(*args):
+        raise AssertionError("read past the budget check")
+
+    monkeypatch.setattr(search, "compile_plan", unused)
+    monkeypatch.setattr(trees.TreeGraph, "index", property(unused))
+    prob = U.SearchProblem(U.parse_tree_spec(f"bin:h={h}"), path_target(6),
+                           U.InvariantId.FORK_COTYPE, 2.0)
+    with pytest.raises(BudgetExceeded) as info:
+        U.exhaustive_max(prob)
+    assert str(info.value) == (f"6^{free} assignments exceed the exhaustive "
+                               "budget of 10000000")
+
+
 def test_local_search_matches_exhaustive():
     spec = U.parse_tree_spec("bin:h=2")
     prob = U.SearchProblem(spec=spec, target=path_target(3),
@@ -93,16 +108,40 @@ def test_local_search_seed_deterministic():
     assert a.best_ratio == b.best_ratio
 
 
+def _dict_start(problem):
+    """The canonical start by a walk over vertex tuples: each vertex takes
+    its pin, else its parent's point; the root defaults to point 0."""
+    start = {}
+    for v in U.vertices(problem.spec):
+        start[v] = problem.pins.get(v, start[v[:-1]] if v else 0)
+    return start
+
+
 def test_canonical_start_propagates_pins():
     spec = U.parse_tree_spec("bin:h=2")
     prob = U.SearchProblem(spec=spec, target=path_target(3),
                            invariant=U.InvariantId.MARKOV_DIRECTED,
                            exponent=2.0, pins={(): 2, (1,): 1})
-    start = canonical_start(prob)
+    score = search._Scorer(prob)
+    verts = U.vertices(spec)
+    start = dict(zip(verts, score.start.tolist()))
+    assert start == _dict_start(prob)
     assert start[()] == 2
     assert start[(1,)] == 1
     assert start[(1, 1)] == 1
     assert start[(-1,)] == 2
+    assert [verts[i] for i in score.free] == [v for v in verts if v not in prob.pins]
+    spec = U.parse_tree_spec("bin:h=4")
+    verts = U.vertices(spec)
+    rng = np.random.default_rng(3)
+    for count in (0, 1, 5, 12, len(verts)):
+        chosen = rng.choice(len(verts), count, replace=False)
+        pins = {verts[i]: int(rng.integers(3)) for i in chosen}
+        prob = U.SearchProblem(spec, path_target(3), U.InvariantId.TESSERA, 2.0, pins)
+        score = search._Scorer(prob)
+        assert score.start.dtype == np.intp
+        assert dict(zip(verts, score.start.tolist())) == _dict_start(prob)
+        assert score.free == sorted(set(range(len(verts))) - set(chosen.tolist()))
 
 
 def test_pins_validated():
@@ -641,7 +680,7 @@ def test_search_scores_its_own_c_contiguous_batches(monkeypatch):
     scored = search._Scorer.__call__
 
     def spy(self, A):
-        seen.append((A.flags.c_contiguous, A.shape[0] == len(self.verts)))
+        seen.append((A.flags.c_contiguous, A.shape[0] == len(self.start)))
         return scored(self, A)
 
     monkeypatch.setattr(search._Scorer, "__call__", spy)

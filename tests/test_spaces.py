@@ -381,6 +381,14 @@ def test_standard_symplectic_antisymmetric():
     assert close(U.HeisenbergMetricSpace(h).operator_norm(), 1.0)
 
 
+@pytest.mark.parametrize("dim", [0, -2, -3])
+def test_standard_symplectic_refuses_a_dimension_below_two(dim):
+    with pytest.raises(SpaceError, match=f"dimension >= 2, got {dim}"):
+        U.standard_symplectic(dim)
+    with pytest.raises(SpaceError, match=f"dimension >= 2, got {dim}"):
+        U.parse_space(f"heis:dim={dim}")
+
+
 @pytest.mark.parametrize("omega", [
     [[0.0, math.inf], [-math.inf, 0.0]], [[0.0, math.nan], [math.nan, 0.0]],
     [[0.0, 1.0], [-1.0, math.nan]]], ids=["inf", "nan", "nan-diagonal"])
