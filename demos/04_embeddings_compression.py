@@ -1,8 +1,10 @@
 """Explicit low-distortion tree embeddings and compression moduli.
 
-The weighted prefix-sum embedding sends an increasing tree into l2 with
-distortion O(sqrt(log h)); the compression modulus rho and expansion
-modulus omega bound how the embedding treats each tree scale.
+The weighted prefix-sum embedding sends an increasing or binary tree into
+l2 with distortion O(sqrt(log h)); the compression modulus rho and
+expansion modulus omega bound how the embedding treats each tree scale.
+On binary trees its ratios test the local invariants: Markov and fork
+convexity, fork cotype and tessera.
 """
 
 import math
@@ -28,3 +30,11 @@ I = U.compression_integral(rho, 2.0, 2.0 ** 2)
 lhsv = U.lhs(U.InvariantId.UMBEL_COTYPE, f, 2.0)
 bound = (2 ** 2 - 1) / 2 * lhsv * omega(1.0) ** 2
 print(f"compression integral: {I:.6f} <= invariant bound {bound:.6f}")
+
+print()
+print("ratio_root of the binary ids on the embedding of bin:h=H, q = P = 2:")
+ids = ("markov-directed", "fork-convexity", "fork-cotype", "tessera")
+for h in (4, 8, 16):
+    f = U.bourgain_embed(U.parse_tree_spec(f"bin:h={h}"), p=2.0)
+    ratios = [U.report(U.InvariantId(inv), f, 2.0).ratio_root for inv in ids]
+    print(f"  H={h}: " + ", ".join(f"{inv} {r:.4f}" for inv, r in zip(ids, ratios)))

@@ -10,7 +10,7 @@ import numpy as np
 
 from .invariants import ProfileMap, TreeMap
 from .spaces import LpSpace, SpaceError
-from .trees import TreeSpec, INCREASING, _check_size, tree_graph
+from .trees import TreeSpec, tree_graph
 
 
 class EmbeddingError(ValueError):
@@ -68,7 +68,7 @@ def _bourgain_profile(height: int, p: float):
 
 
 def bourgain_embed(spec: TreeSpec, p: float = 2.0, variant: str = "lp") -> ProfileMap:
-    """Embed an increasing tree into lp by
+    """Embed a binary or increasing tree into lp by
     f(n_1..n_j) = sum_{i=0}^{j} (j - i + 1)^{1/q} e_{Phi(n_1..n_i)},
     with 1/p + 1/q = 1 and one standard basis coordinate per vertex (prefix).
     The coordinate enumeration Phi follows vertex order offset by 2*height,
@@ -76,8 +76,6 @@ def bourgain_embed(spec: TreeSpec, p: float = 2.0, variant: str = "lp") -> Profi
 
     The "l1" variant drops the weights (all equal to 1) and targets l1; the
     "linf" variant uses weights (j - i + 1) and targets l-infinity."""
-    if spec.kind != INCREASING:
-        raise EmbeddingError("the embedding is defined on increasing trees")
     if variant == "l1":
         p, q = 1.0, math.inf
     elif variant == "linf":
@@ -88,7 +86,7 @@ def bourgain_embed(spec: TreeSpec, p: float = 2.0, variant: str = "lp") -> Profi
         raise EmbeddingError("p must lie in (1, inf)")
     else:
         q = p / (p - 1)
-    _check_size(spec)  # as a map of the tree's vertices
+    n = tree_graph(spec).n  # the vertex cap
 
     def point_at(i: int) -> tuple:
         # coordinate Phi(v[:l]) - 2k, reindexed to 0, is v's length-l prefix
@@ -98,7 +96,7 @@ def bourgain_embed(spec: TreeSpec, p: float = 2.0, variant: str = "lp") -> Profi
         vec[graph.anc[i, :j + 1]] = [(j - l + 1) ** (1.0 / q) for l in range(j + 1)]
         return tuple(vec)
 
-    return ProfileMap(spec, LpSpace(spec.vertex_count(), p), point_at,
+    return ProfileMap(spec, LpSpace(n, p), point_at,
                       _bourgain_profile(spec.height, p))
 
 
@@ -175,7 +173,10 @@ def moduli(f: TreeMap) -> tuple[ModulusCurve, ModulusCurve]:
 
 def compression_integral(rho, p: float, T: float) -> float:
     """Integral of (rho(t)/t)^p dt/t over [1, T].  Step curves are integrated
-    in closed form piece by piece; callables go through adaptive quadrature."""
+    in closed form piece by piece; callables go through adaptive quadrature.
+    The exponent p must be a finite positive number."""
+    if not (math.isfinite(p) and p > 0):
+        raise EmbeddingError(f"the exponent p must be a finite positive number, not {p}")
     if T <= 1:
         raise EmbeddingError("T must exceed 1")
     if isinstance(rho, ModulusCurve):

@@ -13,11 +13,12 @@ optional j_min knob restricts the range further).  This lower-bounds the
 countably-branching value, which is the conservative direction for
 certifying lower bounds on the invariants.
 
-Every side is written once (`_classes`) as min, max or weighted sum
-segments, each a list of the (depth, depth, lcp) classes of its pairs,
-grouped and scaled.  Its class plan, built from the spec alone, has one
-column per class, which a ProfileMap reads, as its image distance is one
-value per class; the pair plan expands each class into its vertex pairs.
+Every side is written once (`_classes`) as one flat list of min, max or
+weighted sum segments, each a row of the (depth, depth, lcp) classes of
+its pairs and its scale; a run of one scale is a group.  Its class plan,
+built from the spec alone, has one column per class, which a ProfileMap
+reads, as its image distance is one value per class; the pair plan
+expands each class into its vertex pairs.
 Which classes a tree has is one rule, `_realised`: the class plan refuses a
 side with a class the tree lacks, and a ProfileMap scans the realised ones.
 `evaluate` is the one kernel: pair distances as (pairs x rows), a reduceat
@@ -45,7 +46,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .trees import (BINARY, INCREASING, TreeGraph, TreeSpec, Vertex,
-                    _check_size, parse_tree_spec, format_tree_spec, tree_graph)
+                    parse_tree_spec, format_tree_spec, tree_graph)
 from . import spaces as sp
 from .spaces import FiniteMatrixSpace, HPoint, LpSpace, parse_space
 
@@ -166,7 +167,7 @@ class TreeMap:
 
     @staticmethod
     def constant(spec: TreeSpec, target=None) -> "ProfileMap":
-        _check_size(spec)  # as a map of the tree's vertices
+        tree_graph(spec)  # the vertex cap
         if target is None:
             target = FiniteMatrixSpace(np.zeros((1, 1)))
         origin = _origin(target)
@@ -534,58 +535,50 @@ _NO_CONFIGURATION = "no admissible configuration (branching too small)"
 
 
 def _classes(inv: InvariantId, side: str | tuple, k: int) -> tuple:
-    """A side as (reduce, outer, groups); groups holds (segments, scale)
-    pairs, and a segment is (classes, exponents): the (depth, depth, lcp)
-    classes of its pairs, class after class, and in a sum the exponent e of
-    each class's weight 2^e, the sum of its pairs' weights (None in a min or
-    max).  (h, h, c) holds the pairs of height-h vertices whose longest
-    common prefix has length exactly c, (l - 1, l, l - 1) the edges into
-    height l.  A sum over every pair of height-h vertices
-    sharing their length-ell prefix is the classes (h, h, c), ell <= c < h.
-    A side (s, t) is the walk's term E[d(f(W_t), f(W~_t(t - 2^s)))^q]."""
+    """A side as (reduce, outer, segments); a segment is one row (classes,
+    exponents, scale): the (depth, depth, lcp) classes of its pairs, class
+    after class, in a sum the exponent e of each class's weight 2^e, the sum
+    of its pairs' weights (None in a min or max), and its scale s.  The
+    consecutive segments of one scale form a group, divided by 2^(s p);
+    scales never decrease, so no two groups share one.  (h, h, c) holds the
+    pairs of height-h vertices whose longest common prefix has length
+    exactly c, (l - 1, l, l - 1) the edges into height l.  A sum over every
+    pair of height-h vertices sharing their length-ell prefix is the
+    classes (h, h, c), ell <= c < h.  A side (s, t) is the walk's term
+    E[d(f(W_t), f(W~_t(t - 2^s)))^q]."""
     if side not in ("lhs", "rhs"):
-        return "sum", "sum", [([_walk_run(2 ** side[0], side[1])], 0)]
+        return "sum", "sum", [(*_walk_run(2 ** side[0], side[1]), 0)]
     top = 2 ** k
     if side == "rhs":
         edges = [(level - 1, level, level - 1) for level in range(1, top + 1)]
         if inv in _LIPSCHITZ_IDS:  # the largest edge: exact on metric targets
-            return "max", "sum", [([(edges, None)], 0)]
+            return "max", "sum", [(edges, None, 0)]
         if inv in (InvariantId.UMBEL_CONVEXITY, InvariantId.FORK_CONVEXITY):
             # the mean over the 2^k levels
-            return "max", "mean", [([([edge], None) for edge in edges], 0)]
+            return "max", "mean", [([edge], None, 0) for edge in edges]
         # markov-directed: the 2^t edges into height t weigh 2^-t each
-        return "sum", "sum", [([([edge], [0]) for edge in edges], 0)]
+        return "sum", "sum", [([edge], [0], 0) for edge in edges]
     if inv in (InvariantId.UMBEL_COTYPE, InvariantId.RELAXED_UMBEL):
-        return "min", "sum", [([([(top, top, top - 2 ** s)], None)], s)
+        return "min", "sum", [([(top, top, top - 2 ** s)], None, s)
                               for s in range(1, k)]
     if inv is InvariantId.FORK_COTYPE:
-        return "min", "min", [([([(h, h, h - 2 ** s)], None)
-                                 for h in range(2 ** s, top + 1)], s)
-                               for s in range(1, k)]
+        return "min", "min", [([(h, h, h - 2 ** s)], None, s)
+                              for s in range(1, k) for h in range(2 ** s, top + 1)]
     if inv in (InvariantId.UMBEL_CONVEXITY, InvariantId.FORK_CONVEXITY):
         # the mean over the 2^(k - 1 - s) heights of scale s: the multiples
         # of 2^(s + 1) up to 2^k
-        return "min", "mean", [([([(h, h, h - 2 ** s)], None) for h in
-                                 range(2 ** (s + 1), top + 1, 2 ** (s + 1))], s)
-                               for s in range(1, k)]
+        return "min", "mean", [([(h, h, h - 2 ** s)], None, s) for s in range(1, k)
+                               for h in range(2 ** (s + 1), top + 1, 2 ** (s + 1))]
     if inv is InvariantId.TESSERA:
         # each term averages d^q over the ordered pairs of the 2^w-vertex
-        # blocks of height ell + w sharing a length-ell prefix (the diagonal
-        # is 0): weight 2 on each unordered pair, 2^(1 - ell - 2w), and
-        # 2^(ell - c - 1) on the 2^(2 ell + 2w - c - 2) pairs of a class
-        groups = []
-        for s in range(k):
-            w = 2 ** s
-            segments = [([(ell + w, ell + w, c) for c in range(ell, ell + w)],
-                          [ell - c - 1 for c in range(ell, ell + w)])
-                        for ell in range(w + 1, top - w + 1)]
-            if segments:  # an empty index range makes the term vacuous
-                groups.append((segments, s))
-        return "sum", "min", groups
+        # blocks of height t = ell + w sharing a length-ell prefix, ell > w
+        # (the diagonal is 0): 2^(1 - ell - 2w) = 2^(1 - w - t) on each
+        # unordered pair, as in the walk run (w, t); a scale with no t has no row
+        return "sum", "min", [(*_walk_run(2 ** s, t), s) for s in range(k)
+                              for t in range(2 ** (s + 1) + 1, top + 1)]
     # markov-directed
-    return "sum", "sum", [([_walk_run(min(2 ** s, t), t)
-                            for t in range(1, top + 1)], s)
-                          for s in range(k + 1)]
+    return "sum", "sum", [(*_walk_run(min(2 ** s, t), t), s)
+                          for s in range(k + 1) for t in range(1, top + 1)]
 
 
 def _pair_count(spec: TreeSpec, a: int, b: int, c: int) -> int:
@@ -621,36 +614,37 @@ def _plan_args(inv: InvariantId, spec: TreeSpec, side: str,
 
 def class_plan(inv: InvariantId, spec: TreeSpec, side: str,
                j_min: Optional[int] = None) -> Plan:
-    """The class plan of a side of `_classes`, from the spec alone: its
-    segments and groups, each holding each of its classes once as an
-    (a, b, c) row, and in a sum each class's weight 2^e (its pair count
-    times its per-pair weight), formed from e alone: exact, even where the
-    count or the per-pair weight is past the float range (bin:h=1024).  A
-    side with a class the tree does not realise (`_realised`) is refused.
-    On a ProfileMap every pair of a
+    """The class plan of a side of `_classes`, from the spec alone, in one
+    pass over its segment rows: each segment holds each of its classes once
+    as an (a, b, c) row, in a sum with each class's weight 2^e (its pair
+    count times its per-pair weight), formed from e alone: exact, even where
+    the count or the per-pair weight is past the float range (bin:h=1024),
+    and each scale run is a group.  A side with a class the tree does not
+    realise (`_realised`) is refused.  On a ProfileMap every pair of a
     class has the one image distance profile(a, b, c), so a min or max
     side equals the pair plan's bit for bit, and a sum equals the pair
     plan's float where all terms and partial sums are exact (integer
     distances at an integer p, a zero map).  It is not capped."""
     k, j_min = _plan_args(inv, spec, side, j_min)
-    reduce, outer, groups = _classes(inv, side, k)
-    flat, starts, weights, bounds = [], [], [], [0]  # flat: the classes' ints
-    for segments, _ in groups:
-        for seg, exponents in segments:
-            starts.append(len(flat) // 3)
-            for cls in seg:
-                if not _realised(spec, *cls, j_min):
-                    raise InvariantError(_NO_CONFIGURATION)
-                flat += cls
-            if reduce == "sum":
-                weights += [math.ldexp(1.0, e) for e in exponents]
-        bounds.append(len(starts))
+    reduce, outer, segments = _classes(inv, side, k)
+    flat, starts, weights, bounds, scales = [], [], [], [], []  # flat: the classes' ints
+    for i, (seg, exponents, scale) in enumerate(segments):
+        if not scales or scale != scales[-1]:  # a scale run opens a group
+            bounds.append(i)
+            scales.append(scale)
+        starts.append(len(flat) // 3)
+        for cls in seg:
+            if not _realised(spec, *cls, j_min):
+                raise InvariantError(_NO_CONFIGURATION)
+            flat += cls
+        if reduce == "sum":
+            weights += [math.ldexp(1.0, e) for e in exponents]
+    bounds.append(len(segments))
     return Plan(
         classes=np.array(flat, dtype=np.intp).reshape(-1, 3),
         starts=np.array(starts), reduce=reduce, outer=outer,
         weights=np.array(weights) if reduce == "sum" else None,
-        groups=tuple(zip(bounds[:-1], bounds[1:])),
-        scales=tuple(scale for _, scale in groups))
+        groups=tuple(zip(bounds[:-1], bounds[1:])), scales=tuple(scales))
 
 
 def compile_plan(inv: InvariantId, spec: TreeSpec, side: str,

@@ -20,6 +20,7 @@ of its TreeGraph."""
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 from typing import Optional
@@ -481,23 +482,25 @@ def assert_reports_agree(got, want, spec, exact: bool, case) -> None:
 def class_plan(inv: InvariantId, spec, side, j_min: Optional[int] = None):
     """The class plan of a side as the library built it from flattened
     lists: every class checked by `_realised` before any pair count, then
-    the starts and group bounds as np.cumsum over Python lists."""
+    the starts and group bounds as np.cumsum over Python lists, a group
+    being a run of segment rows of one scale (itertools.groupby)."""
     k, j_min = _plan_args(inv, spec, side, j_min)
-    reduce, outer, groups = _classes(inv, side, k)
-    segments = [seg for segs, _ in groups for seg in segs]
+    reduce, outer, segments = _classes(inv, side, k)
     if not all(_realised(spec, *cls, j_min)
-               for classes, _ in segments for cls in classes):
+               for classes, _, _ in segments for cls in classes):
         raise InvariantError(_NO_CONFIGURATION)
-    bounds = np.cumsum([0] + [len(segs) for segs, _ in groups]).tolist()
+    runs = [(scale, len(list(run))) for scale, run in
+            itertools.groupby(scale for _, _, scale in segments)]
+    bounds = np.cumsum([0] + [size for _, size in runs]).tolist()
     return Plan(
-        classes=np.array([cls for classes, _ in segments for cls in classes],
+        classes=np.array([cls for classes, _, _ in segments for cls in classes],
                          dtype=np.intp),
-        starts=np.cumsum([0] + [len(classes) for classes, _ in segments[:-1]]),
+        starts=np.cumsum([0] + [len(classes) for classes, _, _ in segments[:-1]]),
         reduce=reduce, outer=outer,
         weights=None if reduce != "sum" else np.array(
-            [2.0 ** e for _, exponents in segments for e in exponents]),
+            [2.0 ** e for _, exponents, _ in segments for e in exponents]),
         groups=tuple(zip(bounds[:-1], bounds[1:])),
-        scales=tuple(scale for _, scale in groups))
+        scales=tuple(scale for scale, _ in runs))
 
 
 def join(plan: Plan, seg: np.ndarray, divs: list) -> np.ndarray:

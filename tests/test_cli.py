@@ -142,6 +142,22 @@ def test_embed_p1_requires_l1_variant(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("p", ["-3", "0"])
+def test_embed_refuses_a_compression_exponent_that_is_not_positive(capsys, p):
+    # the l1 variant ignores --p, which only the compression integral reads
+    code, out, err = run_strict(capsys, "embed", "--tree", "inc:h=4,b=6", "--p", p,
+                                "--variant", "l1")
+    assert (code, out) == (2, "")
+    assert err["error"] == f"the exponent p must be a finite positive number, not {float(p)}"
+
+
+def test_embed_on_a_binary_tree(tmp_path, capsys):
+    code, out, err = run_strict(capsys, "embed", "--tree", "bin:h=4", "--p", "2",
+                                "--csv", str(tmp_path / "moduli.csv"))
+    assert (code, err) == (0, None)
+    assert json.loads(out)["distortion"] == 2.116690435118209
+
+
 def test_search_exhaustive_and_jsonl_out(tmp_path, capsys):
     mat = np.abs(np.subtract.outer(np.arange(3), np.arange(3))).astype(float)
     target = tmp_path / "target.json"

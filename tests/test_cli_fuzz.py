@@ -301,6 +301,16 @@ EXPECTED.update({tuple(argv): (2, error) for argv, error in zip(BAD_GRAPHS, [
     "the graph document's edges are not [u, v] lists",
     "graph edges must be pairs of vertex ids 0..1"])})
 
+# Bourgain's map on a binary tree, and compression exponents the l1
+# variant passes through that are not finite positive numbers
+EMBEDS = [["embed", "--tree", "bin:h=4", "--p", "2"],
+          ["embed", "--tree", "inc:h=4,b=6", "--p", "-3", "--variant", "l1"],
+          ["embed", "--tree", "inc:h=4,b=6", "--p", "0", "--variant", "l1"]]
+EMBEDS = [argv + ["--csv", "{dir}/out.csv"] for argv in EMBEDS]
+EXPECTED[tuple(EMBEDS[0])] = (0, None)
+EXPECTED.update({tuple(argv): (2, f"exponent p must be a finite positive number, not {p}")
+                 for argv, p in zip(EMBEDS[1:], ["-3.0", "0.0"])})
+
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(ARGV)
@@ -371,6 +381,9 @@ EXPECTED.update({tuple(argv): (2, error) for argv, error in zip(BAD_GRAPHS, [
 @example(argv=BELOW_RANGE[3])
 @example(argv=BELOW_RANGE[4])
 @example(argv=BELOW_RANGE[5])
+@example(argv=EMBEDS[0])
+@example(argv=EMBEDS[1])
+@example(argv=EMBEDS[2])
 def test_cli_fuzz(fixture_dir, argv):
     expected = EXPECTED.get(tuple(argv))
     argv = [a.replace("{dir}", str(fixture_dir)) for a in argv]

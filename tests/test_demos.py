@@ -65,3 +65,21 @@ def test_readme_worked_markov_values_are_what_demo_01_prints():
     worked = re.findall(r"`E = (\S+)` at\s+`s=(\d+), t=(\d+), q=(\d+)`", notes)
     assert len(worked) == 2
     assert [(s, t, q, e) for e, s, t, q in worked] == printed
+
+
+def test_readme_binary_bourgain_table_is_what_demo_04_prints():
+    # the ratio_root of the four binary ids on Bourgain's map of bin:h=H,
+    # as README's "Tree geometry" table gives them
+    proc = run_demo(ROOT / "demos" / "04_embeddings_compression.py")
+    assert proc.returncode == 0, proc.stderr
+    ids = ["markov-directed", "fork-convexity", "fork-cotype", "tessera"]
+    printed = []
+    for h, rest in re.findall(r"^  H=(\d+): (.*)$", proc.stdout, re.M):
+        names, ratios = zip(*re.findall(r"(\S+) ([\d.]+)", rest))
+        assert list(names) == ids
+        printed.append((h, *ratios))
+    section = (ROOT / "README.md").read_text().split("## Tree geometry")[1]
+    table = section.split(f"| H | {' | '.join(ids)} |")[1].split("\n\n")[0]
+    rows = re.findall(r"^\| (\d+) \| ([\d.]+) \| ([\d.]+) \| ([\d.]+) \| ([\d.]+) \|$",
+                      table, re.M)
+    assert len(rows) == 3 and rows == printed

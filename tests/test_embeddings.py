@@ -125,6 +125,44 @@ def test_bourgain_closed_form_distortion_and_moduli_h8():
                                    rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("h,p,variant", [case for case in BOURGAIN_CASES
+                                          if case[0] < 8 or case[1] in (1.0, 2.0, math.inf)])
+def test_binary_bourgain_map_is_the_eager_map(h, p, variant):
+    # the coordinates of a binary vertex are its prefixes, as on an
+    # increasing tree; cdist at a generic p over the 511 coordinates of
+    # bin:h=8 takes seconds, so that tree runs at p = 1, 2 and inf
+    spec = U.parse_tree_spec(f"bin:h={h}")
+    f = U.bourgain_embed(spec, p, variant=variant)
+    eager = oracle.eager_bourgain(spec, p, variant)
+    assert f.target == eager.target and f.points() == eager.points()
+    np.testing.assert_allclose(f.pair_distances(*grid(tree_graph(spec).n)),
+                               _pairwise(eager.target, eager.points()),
+                               rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("q", [1.5, 2.0, 4.0])
+def test_binary_bourgain_fork_convexity_is_umbel_convexity(k, q):
+    # both ids read the classes (h, h, h - 2^s) and the edge levels, and the
+    # two trees realise them all, so the sides agree bit for bit
+    h = 2 ** k
+    fork = U.bourgain_embed(U.parse_tree_spec(f"bin:h={h}"), q)
+    umbel = U.bourgain_embed(U.parse_tree_spec(f"inc:h={h},b={h + 1}"), q)
+    for P in (1.5, 2.0, 3.0):
+        for side in (U.lhs, U.rhs):
+            assert side(U.InvariantId.FORK_CONVEXITY, fork, P).hex() == \
+                side(U.InvariantId.UMBEL_CONVEXITY, umbel, P).hex(), (side, P)
+
+
+@pytest.mark.parametrize("h,want", [(4, 2.116690435118209), (8, 2.345297636204241)])
+def test_binary_bourgain_distortion_is_the_increasing_maps(h, want):
+    # both trees realise every (depth, depth, lcp) triple with c < a, or
+    # c = a < b, so the moduli read the same profile values
+    got = [U.distortion(U.bourgain_embed(U.parse_tree_spec(tree), 2.0))[2]
+           for tree in (f"bin:h={h}", f"inc:h={h},b={h + 1}")]
+    assert got == [want, want]
+
+
 def test_embed_scans_the_pairs_once(monkeypatch, tmp_path):
     # a ProfileMap's scan is one block over its realised (depth, depth,
     # lcp) triples, read off its profile without any pair gather
@@ -416,6 +454,15 @@ def test_compression_integral_step_curve_closed_form():
     # integral of rho(t)^p t^{-p} dt/t with p=2 over [1, 4]
     expected = (1.0 * (1 - 2 ** -2.0) / 2.0) + (4.0 * (2 ** -2.0 - 4 ** -2.0) / 2.0)
     assert U.compression_integral(curve, 2.0, 4.0) == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("p", [-3.0, -0.0, 0.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("rho", [U.ModulusCurve((1.0, 2.0), (1.0, 2.0)), lambda t: t],
+                         ids=["curve", "callable"])
+def test_compression_integral_refuses_an_exponent_that_is_not_positive(rho, p):
+    with pytest.raises(EmbeddingError, match=f"exponent p must be a finite "
+                                             f"positive number, not {p}"):
+        U.compression_integral(rho, p, 4.0)
 
 
 def test_compression_chain_against_umbel_lhs():

@@ -293,6 +293,20 @@ def test_class_plans_equal_the_list_built_plans(tree):
     assert 0 < refused < 3 * len(cases)
 
 
+def test_segment_scales_never_decrease():
+    # a group is a run of consecutive segments of one scale, so a side whose
+    # scales went back to an earlier one would split that scale's term in
+    # two; a walk side (s, t) reads no k, so those of k = 10 cover k <= 10
+    for k in range(1, 11):
+        for inv, side in itertools.product(InvariantId, ("lhs", "rhs")):
+            scales = [scale for *_, scale in invariants._classes(inv, side, k)[2]]
+            assert scales == sorted(scales), (inv.value, side, k)
+    for s in range(11):
+        for t in range(2 ** s, 2 ** 10 + 1):
+            walk = invariants._classes(InvariantId.MARKOV_DIRECTED, (s, t), 10)[2]
+            assert [scale for *_, scale in walk] == [0], (s, t)
+
+
 def oracle_lcp(u: tuple, v: tuple) -> int:
     return next((i for i, (a, b) in enumerate(zip(u, v)) if a != b),
                 min(len(u), len(v)))
@@ -336,21 +350,21 @@ def test_sum_class_plans_are_the_pair_plan_classes(tree, inv, side):
                          ids=lambda x: getattr(x, "value", x))
 def test_sum_segment_classes_are_the_runs_they_replace(tree, inv, side):
     # each sum segment's classes, expanded by the oracle, hold exactly the
-    # pairs of its run, each once, and the class plan holds each class once,
-    # weighing 2^e, its pair count times the run's per-pair weight
+    # pairs of its run, each once, its scale is the run's, and the class
+    # plan holds each class once, weighing 2^e, its pair count times the
+    # run's per-pair weight
     spec = U.parse_tree_spec(tree)
     plan = outcome(invariants.class_plan, inv, spec, side)
     if isinstance(plan, str):  # tessera on bin:h=2: refused, no segment
         assert plan == outcome(compile_plan, inv, spec, side)
         return
     tg, k = trees.tree_graph(spec), spec.height.bit_length() - 1
-    reduce, _, groups = invariants._classes(inv, side, k)
-    segments = [seg for segs, _ in groups for seg in segs]
-    runs = [run for _, run in oracle.sum_runs(inv, side, k)]
+    reduce, _, segments = invariants._classes(inv, side, k)
+    runs = oracle.sum_runs(inv, side, k)
     assert reduce == "sum" and len(segments) == len(runs)
     rows, weights = [], []
-    for (classes, exponents), run in zip(segments, runs):
-        assert len(exponents) == len(classes)
+    for (classes, exponents, scale), (s, run) in zip(segments, runs):
+        assert len(exponents) == len(classes) and scale == s
         parts = [oracle_class_pairs(tg, *cls, None) for cls in classes]
         got = [pair for u, v in parts for pair in zip(u.tolist(), v.tolist())]
         if len(run) == 2:
