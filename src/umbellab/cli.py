@@ -85,7 +85,7 @@ def cmd_embed(args) -> int:
         obj.update({"lip": 1.0, "colip": 1.0, "distortion": 1.0})
         csv = None
     text = _document(obj)  # before the CSV, so a failed document writes none
-    if csv is not None:
+    if csv is not None and args.csv:
         _write(csv, args.csv)
     _write(text, args.out)
     return EXIT_OK

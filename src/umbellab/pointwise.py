@@ -365,8 +365,7 @@ def certify(space, ineq: InequalityId, cfg: InequalityConfig, sampler,
     for pts in _draws(space, ineq, sampler, n, seed):
         margins = batch_margins(ineq, cfg, space, pts)
         violations += int(np.count_nonzero(~(margins >= -cfg.slack)))
-        nan = np.isnan(margins)
-        i = int(np.argmax(nan) if nan.any() else np.argmin(margins))
+        i = int(np.argmin(margins))  # the first NaN, else the first minimum
         if _worse(float(margins[i]), worst):
             worst, witness = float(margins[i]), _witness(ineq, space, pts[i])
     return CampaignReport(ineq.value,
@@ -406,16 +405,16 @@ def min_feasible_K(space, ineq: InequalityId, cfg: InequalityConfig, sampler,
     over the samples of `certify(..., n, seed)` that keeps their parts.
 
     A configuration holds at K exactly when K^e >= B / (R - A + slack) (see
-    margin_parts), and keeps holding as K grows.  K starts at lo; a chunk
-    that fails at K raises it to the chunk's largest such bound, stepped up
-    an ulp at a time while the chunk, in batch_margins' arithmetic, still
-    fails.  Where K^e is 0 every margin fails, and K moves first to the
-    least float with K^e > 0.  The pass skips chunks that held at a smaller
-    K, and float K ** e need not be monotone, so the answer is K, else a
-    finite hi, checked on every kept part.  It raises when no K serves:
-    B > 0 with R - A + slack <= 0, or B = 0 with R - A + slack < 0, or a
-    NaN part, or a failed check at hi.  Midpoint curvature has no K and the
-    parallelogram derives its K from C, so neither has one to fit."""
+    margin_parts), and keeps holding as K grows.  The fit reads the parts of
+    every configuration as one (R - A, B) pair.  K is lo if every margin
+    holds there.  Otherwise K starts at the largest such bound, or at the
+    least float with K^e > 0 where lo^e is 0, and steps up an ulp at a time,
+    clipped at hi, while some margin, in batch_margins' arithmetic, fails.
+    Every step tests every configuration, so the answer is the first finite
+    K at which all of them hold.  It raises when no K serves: B > 0 with
+    R - A + slack <= 0, or B = 0 with R - A + slack < 0, or a NaN part, or
+    a failure at hi.  Midpoint curvature has no K and the parallelogram
+    derives its K from C, so neither has one to fit."""
     if ineq in (InequalityId.MIDPOINT_CURVATURE,
                 InequalityId.HEISENBERG_PARALLELOGRAM):
         raise PointwiseError(f"{ineq.value} does not depend on K")
@@ -423,29 +422,23 @@ def min_feasible_K(space, ineq: InequalityId, cfg: InequalityConfig, sampler,
     if not 0 < lo <= hi:
         raise PointwiseError(f"the bracket ({lo}, {hi}) needs 0 < lo <= hi")
     infeasible = PointwiseError("upper bracket is still infeasible")
+    rests, bs, es = zip(*(margin_parts(ineq, cfg, space, pts)
+                          for pts in _draws(space, ineq, sampler, n, seed)))
+    rest, b, e = np.concatenate(rests), np.concatenate(bs), es[0]
+    room = rest + cfg.slack
+    pos = b > 0
+    if (np.isnan(rest).any() or np.isnan(b).any()
+            or (pos & ~(room > 0)).any() or (~pos & (room < 0)).any()):
+        raise infeasible
+    with np.errstate(over="ignore"):
+        start = max(lo if sp.power(lo, e) > 0 else _least_positive_power(e),
+                    float(np.max(b[pos] / room[pos], initial=0.0) ** (1 / e)))
     K = lo
-    parts = []
-    for pts in _draws(space, ineq, sampler, n, seed):
-        rest, b, e = margin_parts(ineq, cfg, space, pts)
-        parts.append((rest, b))
-        room = rest + cfg.slack
-        pos = b > 0
-        if (np.isnan(rest).any() or np.isnan(b).any()
-                or (pos & ~(room > 0)).any() or (~pos & (room < 0)).any()):
+    while not (math.isfinite(K) and _holds(rest, b, e, K, cfg.slack)):
+        if K >= hi:
             raise infeasible
-        if _holds(rest, b, e, K, cfg.slack):
-            continue
-        if sp.power(K, e) == 0:
-            K = _least_positive_power(e)
-        with np.errstate(over="ignore"):
-            K = max(K, float(np.max(b[pos] / room[pos], initial=0.0) ** (1 / e)))
-        while K < hi and not _holds(rest, b, e, K, cfg.slack):
-            K = math.nextafter(K, math.inf)
-    for k in (K, hi) if K < hi else (hi,):
-        if math.isfinite(k) and all(_holds(rest, b, e, k, cfg.slack)
-                                    for rest, b in parts):
-            return k
-    raise infeasible
+        K = min(hi, max(start, math.nextafter(K, math.inf)))
+    return K
 
 
 # ---------------------------------------------------------------------------

@@ -335,14 +335,14 @@ def _accept(ratios: list, lo: int, n: int, active, row: list, current: list,
     """One free vertex's acceptances.  From ratios[lo] on, each active climb
     j has its n candidates in point order; it accepts each one, in order,
     that beats current[j] by more than 1e-15 (any ratio when current[j] is
-    None: no ratio is -inf), and row[j] and current[j] follow.  Its own
+    -inf, no ratio), and row[j] and current[j] follow.  Its own
     point is skipped until it moves.  Returns the candidates compared, how
     many of them have a ratio, and whether any climb accepted."""
     skipped = nans = 0
     accepted = False
     for j in active:
         old, r_now = row[j], current[j]
-        bar = -math.inf if r_now is None else r_now + 1e-15
+        bar = r_now + 1e-15
         for pt, r in enumerate(ratios[lo:lo + n]):
             if pt == old:
                 skipped += 1
@@ -441,7 +441,7 @@ def _delta_sweep(score: _Scorer, delta: _Delta, A: np.ndarray, cols: list, activ
     exactly (the own point's candidate is the current map).  At the end one
     call scores the maps of the climbs that still carry bounds."""
     n = score.n
-    now_lo = [-math.inf if r is None else r for r in current]
+    now_lo = list(current)
     now_hi = list(now_lo)
     bounded = set()
     whole = len(active) == A.shape[1]
@@ -467,20 +467,20 @@ def _delta_sweep(score: _Scorer, delta: _Delta, A: np.ndarray, cols: list, activ
             ratios = score(candidates).tolist()
             for c, j in enumerate(fall):  # the own point's candidate is the map
                 r = ratios[c * n + row[j]]
-                current[j] = None if r != r else r
+                current[j] = -math.inf if r != r else r
             compared, ok, _ = _accept(ratios, 0, n, fall, row, current, improved)
             evaluations += compared
             feasible += ok
             at = [c * n + row[j] for c, j in enumerate(fall)]
             LH[:, fall] = delta.based([side[at] for side in score.sides])
             for j in fall:
-                now_lo[j] = now_hi[j] = -math.inf if current[j] is None else current[j]
+                now_lo[j] = now_hi[j] = current[j]
             bounded.difference_update(fall)
         A[i] = row
     if bounded:
         rest = sorted(bounded)
         for j, r in zip(rest, score(A.take(rest, axis=1)).tolist()):
-            current[j] = None if r != r else r
+            current[j] = -math.inf if r != r else r
         LH[:, rest] = delta.based(score.sides)
     return evaluations, feasible
 
@@ -530,9 +530,9 @@ def local_search_max(problem: SearchProblem, restarts: int, steps: int,
         A = np.repeat(start[:, None], min(group, restarts + 1 - first), axis=1)
         drawn = A[:, 1 if first == 0 else 0:]
         drawn[cols] = rng.integers(n, size=(drawn.shape[1], len(cols))).T
-        current = [None if math.isnan(r) else r for r in score(A).tolist()]
+        current = [-math.inf if math.isnan(r) else r for r in score(A).tolist()]
         evaluations += len(current)
-        feasible += sum(r is not None for r in current)
+        feasible += sum(r > -math.inf for r in current)
         if delta is not None:
             LH = delta.based(score.sides)
         active = range(len(current))
@@ -549,7 +549,7 @@ def local_search_max(problem: SearchProblem, restarts: int, steps: int,
             if not active:
                 break
         for r, a in zip(current, A.T):
-            if r is not None and r > best_ratio:
+            if r > best_ratio:
                 best_ratio, best_row = r, a
     best = NO_FEASIBLE if best_row is None else score.result(best_row, best_ratio)
     return dataclasses.replace(best, evaluations=evaluations,

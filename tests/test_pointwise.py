@@ -305,29 +305,43 @@ def test_min_feasible_K_returns_hi_at_the_sampled_minimum(ineq, space, q):
 
 
 def test_min_feasible_K_checks_its_answer_on_every_configuration(monkeypatch):
-    # a pass whose steps accept every K ends at lo, below the sampled
-    # minimum; the final check over the kept parts refuses lo and answers
-    # hi, or refuses hi too
-    holds, draws = pointwise._holds, pointwise._draws
-    drawing = []
+    # every K the fit tests is tested on all n configurations, and the
+    # answer is a K that such a test passed
+    holds = pointwise._holds
+    calls = []
 
-    def flagged_draws(*args):
-        drawing.append(True)
-        yield from draws(*args)
-        drawing.clear()
+    def spy(rest, b, e, K, slack):
+        calls.append((len(rest), len(b), K, holds(rest, b, e, K, slack)))
+        return calls[-1][-1]
 
-    monkeypatch.setattr(pointwise, "_draws", flagged_draws)
-    monkeypatch.setattr(pointwise, "_holds",
-                        lambda *args: bool(drawing) or holds(*args))
+    monkeypatch.setattr(pointwise, "_holds", spy)
     ineq = U.InequalityId.Q_TRIPOD
     K = fit(ineq, L2, 2.0, (1e-3, 1e3), n=9000)
-    assert K == 1e3
-    assert violations(ineq, L2, 2.0, 1e-3, n=9000) > 0
-    with pytest.raises(pointwise.PointwiseError, match="upper bracket"):
-        fit(ineq, L2, 2.0, (1e-3, 1e-2), n=9000)
-    # an infinite hi is no answer
-    with pytest.raises(pointwise.PointwiseError, match="upper bracket"):
-        fit(ineq, L2, 2.0, (1e-3, math.inf), n=9000)
+    assert (9000, 9000, K, True) in calls
+    assert violations(ineq, L2, 2.0, K, n=9000) == 0
+    assert fit(ineq, L2, 2.0, (1e-3, math.inf), n=9000) == K
+    # a hi below the sampled minimum fails at hi, and an infinite hi is no
+    # answer, though every margin holds there
+    for bracket in ((1e-3, K * (1 - 2e-6)), (math.inf, math.inf)):
+        with pytest.raises(pointwise.PointwiseError, match="upper bracket"):
+            fit(ineq, L2, 2.0, bracket, n=9000)
+    assert calls and all(call[:2] == (9000, 9000) for call in calls)
+
+
+@pytest.mark.parametrize("ineq,space,q", K_FAMILIES,
+                         ids=[f[0].value for f in K_FAMILIES])
+def test_min_feasible_K_does_not_depend_on_chunk_order(ineq, space, q, monkeypatch):
+    # the fit reads the set of configurations: the same 9000 draws, cut
+    # into other chunks and read in reverse order, give the same K bits
+    K = fit(ineq, space, q, (1e-3, 1e3), n=9000, seed=9)
+    draws = pointwise._draws
+
+    def reordered(*args):
+        pts = np.concatenate(list(draws(*args)))
+        yield from reversed(np.array_split(pts, 7))
+
+    monkeypatch.setattr(pointwise, "_draws", reordered)
+    assert fit(ineq, space, q, (1e-3, 1e3), n=9000, seed=9).hex() == K.hex()
 
 
 @pytest.mark.parametrize("ineq", [U.InequalityId.Q_TRIPOD,
