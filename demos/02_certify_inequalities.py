@@ -3,7 +3,8 @@
 The tripod inequality holds in Hilbert space with K = 1 but fails on the
 unit star graph: three legs of length one glued at a hub.  The alpha_k of
 the non-negative curvature characterisation are 2 on a Hilbert space and
-leave 2 on lp spaces with p != 2.
+leave 2 on lp spaces with p != 2.  The convexity moduli delta, the tripod
+delta~ and the (beta) surrogate come from one search over circle grids.
 """
 
 import numpy as np
@@ -47,3 +48,16 @@ for name in ("l2:dim=3", "lp:p=1.5,dim=3", "lp:p=3,dim=3", "lp:p=4,dim=3"):
     pts = U.ball_sampler(space, MID)(np.random.default_rng(1), 2000)
     alpha = U.alpha_rows(space, pts, 10)
     print(f"  {name}: min {alpha.min():.6f}, max {alpha.max():.6f}")
+
+# the moduli at their default grids, beta with pairs (m = 2) on the 12-point
+# grid; the l4 beta column is not monotone in t (ROADMAP item 6)
+print()
+print("convexity moduli on lp:p=2,dim=2 and lp:p=4,dim=2:")
+MODULI = [(U.modulus_delta, (0.5, 1.0, 1.5), {}),
+          (U.modulus_delta_tilde, (0.5, 1.0, 1.5), {}),
+          (U.modulus_beta, (0.1, 0.2, 0.3, 0.4), {"m": 2, "grid": 12})]
+for modulus, args, kwargs in MODULI:
+    for arg in args:
+        values = [modulus(U.parse_space(f"lp:p={p},dim=2"), arg, **kwargs).value
+                  for p in (2, 4)]
+        print(f"  {modulus.__name__}({arg:g}): " + " ".join(f"{v:.6g}" for v in values))

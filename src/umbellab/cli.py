@@ -8,6 +8,7 @@ with schema "umbel-lab/1".  Exit codes: 0 success / inequality holds,
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import sys
 import types
@@ -58,8 +59,7 @@ def cmd_certify(args) -> int:
     from . import pointwise, spaces
     space = spaces.parse_space(args.space)
     ineq = pointwise.InequalityId(args.inequality)
-    cfg = pointwise.InequalityConfig(args.q if args.q is not None else args.p,
-                                     args.K, args.C, args.slack)
+    cfg = pointwise.InequalityConfig(args.q, args.K, args.C, args.slack)
     sampler = pointwise.ball_sampler(space, ineq, args.xs_count)
     rep = pointwise.certify(space, ineq, cfg, sampler, args.samples, args.seed)
     _emit(rep.to_dict(), args.out)
@@ -67,11 +67,11 @@ def cmd_certify(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    from . import embeddings, spaces, trees
+    from . import embeddings, trees
     spec = trees.parse_tree_spec(args.tree)
-    if args.p <= 1 and args.variant != "l1":
-        raise spaces.SpaceError("p <= 1 needs --variant l1")
-    f = embeddings.bourgain_embed(spec, args.p, variant=args.variant)
+    # --variant l1 and linf name the map's exponent; lp takes --p
+    p = {"l1": 1.0, "linf": math.inf}.get(args.variant, args.p)
+    f = embeddings.bourgain_embed(spec, p)
     obj = {"tree": args.tree, "p": args.p, "seed": args.seed}
     if spec.height > 0:
         rho, omega = embeddings.moduli(f)
@@ -193,7 +193,7 @@ _OPTIONS = {
         "--j-min": {"type": int}},
     "certify": {
         "--space": _REQUIRED, "--inequality": _REQUIRED,
-        "--p": {"type": float, "default": 2.0}, "--q": {"type": float},
+        ("--q", "--p"): {"type": float, "default": 2.0},
         "--K": {"type": float, "default": 1.0},
         "--C": {"type": float, "default": 1.0},
         "--samples": {"type": int, "required": True},

@@ -21,6 +21,11 @@ class EmbeddingError(ValueError):
 # Bourgain-style embedding
 
 
+def _conjugate(p: float) -> float:
+    """q with 1/p + 1/q = 1, for p in [1, inf]."""
+    return math.inf if p == 1 else 1.0 if p == math.inf else p / (p - 1)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _bourgain_profile(height: int, p: float):
     """The function T(a, b, c) of broadcastable int arrays: the lp distance
@@ -30,17 +35,17 @@ def _bourgain_profile(height: int, p: float):
     the rest one image's weights alone.  By prefix sums of the p-th powers,
     with a <= b and d = b - a,
         T(a, b, c)^p = G_d(a) - G_d(a - c - 1) + S(a - c) + S(b - c),
-    S(m) the sum of w(k)^p over k = 1..m and G_d(x) that of
-    |w(y + 1) - w(y + 1 + d)|^p over y = 0..x; at p = inf (w(m) = m)
+    S(m) the sum of w(k)^p over k = 1..m, w(k) = k^(1/q) for the conjugate
+    exponent q, and G_d(x) that of |w(y + 1) - w(y + 1 + d)|^p over
+    y = 0..x; at p = inf (w(m) = m)
     T = max(a, b) - c.  Where a sum of T^p could pass the float range (huge
     p), the prefix sums are kept as logarithms instead, so T, which is at
-    most 2 height, is finite; otherwise T is the plain formula.  Where even p log(height + 1) is past the float range, every weight is
-    its index to the float and T is max(a, b) - c to the float, as at
-    p = inf."""
+    most 2 height, is finite; otherwise T is the plain formula.  Where even
+    p log(height + 1) is past the float range, every weight is its index to
+    the float and T is max(a, b) - c to the float, as at p = inf."""
     if p == math.inf or not math.isfinite(p * math.log(height + 1)):
         return lambda a, b, c: (np.maximum(a, b) - c).astype(float)
-    q = math.inf if p == 1 else p / (p - 1)
-    w = np.arange(height + 2) ** (1.0 / q)
+    w = np.arange(height + 2) ** (1.0 / _conjugate(p))
     gap, x = np.indices((height + 1, height + 1))
     # G[d, x + 1] = G_d(x); entries with x + d > height are never read
     diff = np.abs(w[x + 1] - w[np.minimum(x + 1 + gap, height + 1)])
@@ -67,25 +72,16 @@ def _bourgain_profile(height: int, p: float):
     return log_profile
 
 
-def bourgain_embed(spec: TreeSpec, p: float = 2.0, variant: str = "lp") -> ProfileMap:
-    """Embed a binary or increasing tree into lp by
+def bourgain_embed(spec: TreeSpec, p: float = 2.0) -> ProfileMap:
+    """Embed a binary or increasing tree into lp, 1 <= p <= inf, by
     f(n_1..n_j) = sum_{i=0}^{j} (j - i + 1)^{1/q} e_{Phi(n_1..n_i)},
-    with 1/p + 1/q = 1 and one standard basis coordinate per vertex (prefix).
+    with 1/p + 1/q = 1 and one standard basis coordinate per vertex (prefix):
+    at p = 1 every weight is 1, at p = inf the weight is j - i + 1.
     The coordinate enumeration Phi follows vertex order offset by 2*height,
-    which is inert for disjointly supported basis vectors.
-
-    The "l1" variant drops the weights (all equal to 1) and targets l1; the
-    "linf" variant uses weights (j - i + 1) and targets l-infinity."""
-    if variant == "l1":
-        p, q = 1.0, math.inf
-    elif variant == "linf":
-        p, q = math.inf, 1.0
-    elif variant != "lp":
-        raise EmbeddingError(f"unknown variant {variant!r}: use lp, l1 or linf")
-    elif not 1 < p < math.inf:
-        raise EmbeddingError("p must lie in (1, inf)")
-    else:
-        q = p / (p - 1)
+    which is inert for disjointly supported basis vectors."""
+    if not 1 <= p <= math.inf:
+        raise EmbeddingError(f"p must lie in [1, inf], not {p}")
+    q = _conjugate(p)
     n = tree_graph(spec).n  # the vertex cap
 
     def point_at(i: int) -> tuple:

@@ -531,7 +531,15 @@ def _edge_pairs(tg: TreeGraph, level: Optional[int] = None):
     return tg.parent[child], child
 
 
-_NO_CONFIGURATION = "no admissible configuration (branching too small)"
+def _no_configuration(spec: TreeSpec, cls, j_min: int) -> InvariantError:
+    """The refusal of a side with the class (a, b, c) that `_realised` finds
+    no pair of.  Every class of a tree that passes `_validate` is realised
+    without j_min, so it is j_min that passed the largest next label."""
+    a, b, c = cls
+    return InvariantError(
+        f"no admissible configuration: j_min {j_min} is past the largest next "
+        f"label B - a + c + 1 = {spec.branching - a + c + 1} of the class "
+        f"(a, b, c) = ({a}, {b}, {c})")
 
 
 def _classes(inv: InvariantId, side: str | tuple, k: int) -> tuple:
@@ -635,7 +643,7 @@ def class_plan(inv: InvariantId, spec: TreeSpec, side: str,
         starts.append(len(flat) // 3)
         for cls in seg:
             if not _realised(spec, *cls, j_min):
-                raise InvariantError(_NO_CONFIGURATION)
+                raise _no_configuration(spec, cls, j_min)
             flat += cls
         if reduce == "sum":
             weights += [math.ldexp(1.0, e) for e in exponents]

@@ -386,17 +386,25 @@ def _holds(rest: np.ndarray, b: np.ndarray, e: float, K: float,
     return bool((_margins(rest, b, e, K) >= -slack).all())
 
 
-def _least_positive_power(e: float) -> float:
-    """The least float x with x ** e > 0, by bisection over the bit patterns
-    of the floats in [0, 1], which are ordered as the floats are."""
-    lo, hi = 0, int(np.float64(1.0).view(np.int64))
+def _least_float(holds, lo: float, hi: float) -> float:
+    """The float x in (lo, hi], 0 <= lo < hi, that ends a bisection over
+    the bit patterns of the floats between, which are ordered as the floats
+    are: holds(x) and not holds(the float below x), for a holds false at lo
+    and true at hi.  For a monotone holds, x is the least float in (lo, hi]
+    with holds(x)."""
+    lo, hi = (int(np.float64(x).view(np.int64)) for x in (lo, hi))
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if float(np.int64(mid).view(np.float64)) ** e > 0:
+        if holds(float(np.int64(mid).view(np.float64))):
             hi = mid
         else:
             lo = mid
     return float(np.int64(hi).view(np.float64))
+
+
+def _least_positive_power(e: float) -> float:
+    """The least float x with x ** e > 0."""
+    return _least_float(lambda x: x ** e > 0, 0.0, 1.0)
 
 
 def min_feasible_K(space, ineq: InequalityId, cfg: InequalityConfig, sampler,
@@ -445,12 +453,9 @@ def min_feasible_K(space, ineq: InequalityId, cfg: InequalityConfig, sampler,
 # Constant solving
 
 
-_K_REL_TOL = 1e-9  # the relative width at which solve_umbel_K's bisection stops
-
-
 def solve_umbel_K(p: float, c: float) -> float:
-    """Least K >= 2c with
-    (1/2^p) (2c/K + (2 - (2c/K)^p)^{1/p})^p + 2^{p+1}/K <= 1."""
+    """Least float K >= 2c with g(K) <= 1, where
+    g(K) = (1/2^p) (2c/K + (2 - (2c/K)^p)^{1/p})^p + 2^{p+1}/K."""
     if p <= 1:
         raise NoSolution("no feasible K exists for p <= 1")
     if c <= 0:
@@ -460,7 +465,7 @@ def solve_umbel_K(p: float, c: float) -> float:
         u = 2 * c / k
         return (u + (2 - u ** p) ** (1 / p)) ** p / 2 ** p + 2 ** (p + 1) / k
 
-    lo = 2 * c
+    lo = 2 * c  # g(2c) = 1 + 2^p / c > 1
     hi = 2 * lo
     for _ in range(200):
         if g(hi) <= 1:
@@ -468,13 +473,7 @@ def solve_umbel_K(p: float, c: float) -> float:
         lo, hi = hi, 2 * hi
     else:
         raise NoSolution("condition stays infeasible")
-    while (hi - lo) > _K_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if g(mid) <= 1:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _least_float(lambda k: g(k) <= 1, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +485,7 @@ def alpha_rows(space, pts: np.ndarray, n: int) -> np.ndarray:
     out as `ball_sampler(space, midpoint-curvature)` draws them, one row per
     configuration: alpha_k d(z_k,m)^2 = d(z_k,x)^2 + d(z_k,y)^2 - d(x,y)^2/2
     with z_k = m + (z - m) / 2^k on the segment from m toward z (z_0 = z)."""
-    if not isinstance(space, LpSpace) or not (1 < space.p < math.inf):
-        raise PointwiseError("needs a geodesic space with interpolation (Lp, 1<p<inf)")
+    check_space(space, InequalityId.MIDPOINT_CURVATURE)
     x, y, z, m = (pts[:, i, None] for i in range(4))
     if (space.distance_rows(z, m) <= sp.ABS_TOL).any():
         raise PointwiseError("z = m: the iteration is undefined")
@@ -546,61 +544,46 @@ def _polish(objective, constraints, x0) -> tuple[float, bool]:
 
 def modulus_delta(space: LpSpace, eps: float, grid: int = 64) -> ModulusEstimate:
     """Two-point modulus of uniform convexity
-    delta(eps) = inf { 1 - ||(x+y)/2|| : ||x||,||y|| <= 1, ||x-y|| >= eps }."""
+    delta(eps) = inf { 1 - ||(x+y)/2|| : ||x||,||y|| <= 1, ||x-y|| >= eps },
+    over the circle: the base-free case of `_separated_modulus`."""
     _check_eps(eps, grid)
-    pts = _circle_points(space, grid)
-    ok = space.norm_rows(pts[None] - pts[:, None]) >= eps
-    vals = np.where(ok, 1 - space.norm_rows((pts[:, None] + pts[None]) / 2), math.inf)
-    count = int(ok.sum())
-    # the first minimum of the (x, y) pairs in row-major order
-    i, j = np.unravel_index(np.argmin(vals), vals.shape)
-    best = float(vals[i, j])
-    polished = False
-    if ok.any():
-        def obj(v):
-            return 1 - space.norm_rows((v[:2] + v[2:]) / 2)
-        cons = _in_ball(space, 2) + [
-            {"type": "ineq", "fun": lambda v: space.norm_rows(v[:2] - v[2:]) - eps}]
-        polish, polished = _polish(obj, cons, np.concatenate([pts[i], pts[j]]))
-        best = min(best, polish)
-    return ModulusEstimate(eps, max(best, 0.0), grid, count, polished)
+    return _separated_modulus(space, eps, 2, grid, _circle_points(space, grid), False)
 
 
-def _tripod_modulus(space: LpSpace, sep: float, m: int, grid: int,
-                    cand: np.ndarray) -> ModulusEstimate:
-    """min over z and x_1..x_m among the candidate points, with the x_i
-    pairwise at least `sep` apart, of max_i (1 - ||(z - x_i)/2||): the
-    first minimum of the (z, family) configurations in row-major order, the
-    families in itertools.combinations order, polished by SLSQP over the
-    unit ball.  With no separated family the estimate is infinite, as in
-    modulus_delta."""
-    diffs = cand[:, None] - cand[None]
-    far = space.norm_rows(diffs) >= sep
+def _separated_modulus(space: LpSpace, sep: float, m: int, grid: int,
+                       cand: np.ndarray, based: bool) -> ModulusEstimate:
+    """min over the families x_1..x_m of candidate points pairwise at least
+    `sep` apart of 1 - ||(x_1 + x_2)/2|| (m = 2), or, `based`, over z among
+    the candidates too of max_i (1 - ||(z - x_i)/2||): the first minimum of
+    the (z, family) configurations in row-major order, the families in
+    itertools.combinations order, polished by SLSQP over the unit ball.
+    With no separated family the estimate is infinite."""
+    far = space.norm_rows(cand[:, None] - cand[None]) >= sep
     families = np.fromiter(itertools.chain.from_iterable(
         itertools.combinations(range(len(cand)), m)), np.intp).reshape(-1, m)
     for i, j in itertools.combinations(range(m), 2):
         families = families[far[families[:, i], families[:, j]]]
     if not len(families):
         return ModulusEstimate(sep, math.inf, grid, 0, False)
-    # vals[z, i] = 1 - ||(z - x_i) / 2||; vmax[z, family] is its largest
-    vals = 1 - space.norm_rows(diffs / 2)
-    vmax = vals[:, families[:, 0]]
-    for k in range(1, m):
-        np.maximum(vmax, vals[:, families[:, k]], out=vmax)
-    zi, j = np.unravel_index(np.argmin(vmax), vmax.shape)
+    zs = cand if based else np.zeros((1, 0))
 
-    def x(v, i):
-        return v[2 + 2 * i:4 + 2 * i]
+    def value(z, xs):  # z and the x_i as broadcast point arrays
+        if not based:
+            return 1 - space.norm_rows((xs[0] + xs[1]) / 2)
+        return functools.reduce(np.maximum, (1 - space.norm_rows((z - x) / 2) for x in xs))
 
-    def obj(v):
-        return max(1 - space.norm_rows((v[:2] - x(v, i)) / 2) for i in range(m))
-
-    cons = _in_ball(space, m + 1) + [
-        {"type": "ineq", "fun": lambda v, i=i, j=j: space.norm_rows(x(v, i) - x(v, j)) - sep}
+    vals = np.reshape(value(zs[:, None], [cand[families[:, i]] for i in range(m)]),
+                      (len(zs), -1))
+    zi, j = np.unravel_index(np.argmin(vals), vals.shape)
+    w = zs.shape[1]
+    xs = lambda v: [v[w + 2 * i:w + 2 * i + 2] for i in range(m)]
+    cons = _in_ball(space, m + w // 2) + [
+        {"type": "ineq", "fun": lambda v, i=i, j=j: space.norm_rows(xs(v)[i] - xs(v)[j]) - sep}
         for i, j in itertools.combinations(range(m), 2)]
-    polish, polished = _polish(obj, cons, np.concatenate([cand[zi], *cand[families[j]]]))
-    best = min(float(vmax[zi, j]), polish)
-    return ModulusEstimate(sep, max(best, 0.0), grid, vmax.size, polished)
+    polish, polished = _polish(lambda v: value(v[:w], xs(v)), cons,
+                               np.concatenate([zs[zi], *cand[families[j]]]))
+    best = min(float(vals[zi, j]), polish)
+    return ModulusEstimate(sep, max(best, 0.0), grid, vals.size, polished)
 
 
 def modulus_delta_tilde(space: LpSpace, eps: float, grid: int = 24) -> ModulusEstimate:
@@ -609,7 +592,7 @@ def modulus_delta_tilde(space: LpSpace, eps: float, grid: int = 24) -> ModulusEs
     max_i (1 - ||(z - x_i)/2||), over the half circle and the circle."""
     _check_eps(eps, grid)
     pts = _circle_points(space, grid)
-    return _tripod_modulus(space, eps, 2, grid, np.concatenate([pts * 0.5, pts]))
+    return _separated_modulus(space, eps, 2, grid, np.concatenate([pts * 0.5, pts]), True)
 
 
 def modulus_beta(space: LpSpace, t: float, m: int = 3, grid: int = 12) -> ModulusEstimate:
@@ -623,4 +606,4 @@ def modulus_beta(space: LpSpace, t: float, m: int = 3, grid: int = 12) -> Modulu
         raise PointwiseError("m must be >= 2")
     pts = _circle_points(space, grid)
     cand = np.concatenate([pts * 0.5, pts, np.zeros((1, 2))])
-    return _tripod_modulus(space, t, m, grid, cand)
+    return _separated_modulus(space, t, m, grid, cand, True)

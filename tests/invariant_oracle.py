@@ -30,7 +30,7 @@ import numpy as np
 from umbellab import trees
 from umbellab.embeddings import EmbeddingError, ModulusCurve, QuotientOracle
 from umbellab.invariants import (InvariantError, InvariantId, Plan, TreeMap,
-                                 _COTYPE_IDS, _NO_CONFIGURATION,
+                                 _COTYPE_IDS, _no_configuration,
                                  _check_exponent, _classes, _height_range,
                                  _plan_args, _realised,
                                  _validate, compile_plan)
@@ -86,15 +86,15 @@ def _pairwise(target, pts) -> np.ndarray:
     return out
 
 
-def eager_bourgain(spec, p: float = 2.0, variant: str = "lp") -> TreeMap:
+def bourgain_name(p: float) -> str:
+    """Bourgain's map at exponent p as test ids name it: l1, linf or lp."""
+    return {1.0: "l1", math.inf: "linf"}.get(p, "lp")
+
+
+def eager_bourgain(spec, p: float = 2.0) -> TreeMap:
     """bourgain_embed's points, every vector built up front as one dense
     tuple per vertex, in a plain TreeMap."""
-    if variant == "l1":
-        p, q = 1.0, math.inf
-    elif variant == "linf":
-        p, q = math.inf, 1.0
-    else:
-        q = p / (p - 1)
+    q = math.inf if p == 1 else 1.0 if p == math.inf else p / (p - 1)
     verts = trees.vertices(spec)
     coord = {v: i for i, v in enumerate(verts)}
     dim = len(verts)
@@ -234,7 +234,7 @@ def _min_branch_pair(f: TreeMap, height: int, lcp: int, p: float,
         dmat = _pairwise(f.target, [f.assignment[v] for v in members])
         best = min(best, float(np.min(dmat[admissible]) ** p))
     if best is math.inf:
-        raise InvariantError("no admissible configuration (branching too small)")
+        raise _no_configuration(f.spec, (height, height, lcp), j_min)
     return best
 
 
@@ -486,9 +486,10 @@ def class_plan(inv: InvariantId, spec, side, j_min: Optional[int] = None):
     being a run of segment rows of one scale (itertools.groupby)."""
     k, j_min = _plan_args(inv, spec, side, j_min)
     reduce, outer, segments = _classes(inv, side, k)
-    if not all(_realised(spec, *cls, j_min)
-               for classes, _, _ in segments for cls in classes):
-        raise InvariantError(_NO_CONFIGURATION)
+    missing = [cls for classes, _, _ in segments for cls in classes
+               if not _realised(spec, *cls, j_min)]
+    if missing:
+        raise _no_configuration(spec, missing[0], j_min)
     runs = [(scale, len(list(run))) for scale, run in
             itertools.groupby(scale for _, _, scale in segments)]
     bounds = np.cumsum([0] + [size for _, size in runs]).tolist()
@@ -552,7 +553,7 @@ def branch_pairs(tg, h: int, lcp: int, j_min: Optional[int] = None):
                             tg.label[tg.anc[v, lcp + 1]])
         keep &= labels >= j_min
     if not keep.any():
-        raise InvariantError("no admissible configuration (branching too small)")
+        raise _no_configuration(tg.spec, (h, h, lcp), j_min)
     return u[keep], v[keep], None
 
 

@@ -283,21 +283,18 @@ def quasi_constant_estimate(space, n: int, seed: int) -> float:
 def alpha_sequence(space, x, y, z, m, n: int) -> list[float]:
     """alpha_k solving alpha_k d(z_k, m)^2 = d(z_k,x)^2 + d(z_k,y)^2 - d(x,y)^2/2
     with z_k on the segment from m toward z at distance d(m,z)/2^k (z_0 = z),
-    one k and one scalar norm at a time."""
-    if not isinstance(space, LpSpace) or not (1 < space.p < math.inf):
-        raise PointwiseError("needs a geodesic space with interpolation (Lp, 1<p<inf)")
-    xv, yv, zv, mv = (np.asarray(v, float) for v in (x, y, z, m))
-    if space.distance(z, m) <= ABS_TOL:
+    one k and one scalar `distance` at a time, on the spaces midpoint
+    curvature runs on; the points are the space's points."""
+    check_space(space, InequalityId.MIDPOINT_CURVATURE)
+    if distance(space, z, m) <= ABS_TOL:
         raise PointwiseError("z = m: the iteration is undefined")
-    dxy2 = space.distance(x, y) ** 2
-
-    def norm2(v) -> float:
-        return float(space.norm_rows(v)) ** 2
-
+    xv, yv, zv, mv = space.rows([x, y, z, m])
+    d2 = lambda a, b: distance(space, space.point(a), space.point(b)) ** 2
+    dxy2 = distance(space, x, y) ** 2
     out = []
     for k_ in range(n + 1):
         zk = mv + (zv - mv) / 2 ** k_
-        out.append((norm2(zk - xv) + norm2(zk - yv) - dxy2 / 2) / norm2(zk - mv))
+        out.append((d2(zk, xv) + d2(zk, yv) - dxy2 / 2) / d2(zk, mv))
     return out
 
 

@@ -132,14 +132,30 @@ def test_embed_single_vertex_tree_writes_no_csv(tmp_path, capsys):
     assert not csv.exists()
 
 
-def test_embed_p1_requires_l1_variant(capsys):
-    code = main(["embed", "--tree", "inc:h=4,b=6", "--p", "1"])
-    capsys.readouterr()
-    assert code == 2
-    code = main(["embed", "--tree", "inc:h=4,b=6", "--p", "1",
-                 "--variant", "l1"])
-    capsys.readouterr()
+def test_embed_p1_runs_the_l1_map(capsys):
+    # --p picks the map's exponent unless --variant does: at p = 1 both
+    # name Bourgain's l1 map
+    code, out = run(capsys, "embed", "--tree", "inc:h=4,b=6", "--p", "1")
     assert code == 0
+    assert run(capsys, "embed", "--tree", "inc:h=4,b=6", "--p", "1",
+               "--variant", "l1") == (code, out)
+    code, out, err = run_strict(capsys, "embed", "--tree", "inc:h=4,b=6", "--p", "0.5")
+    assert (code, out) == (2, "")
+    assert err["error"] == "p must lie in [1, inf], not 0.5"
+
+
+def test_invariant_j_min_refusal_names_j_min(capsys):
+    # b = 5 passes the validation, and every class is realised without
+    # j_min; the class (4, 4, 2) has next labels up to 5 - 4 + 2 + 1 = 4
+    argv = ["invariant", "--tree", "inc:h=4,b=5", "--invariant", "umbel-cotype",
+            "--p", "2"]
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run_strict(capsys, *argv, "--j-min", "5")
+    assert (code, out) == (2, "")
+    assert err["error"] == ("no admissible configuration: j_min 5 is past the "
+                            "largest next label B - a + c + 1 = 4 of the class "
+                            "(a, b, c) = (4, 4, 2)")
+    assert run(capsys, *argv, "--j-min", "4")[0] == 0
 
 
 @pytest.mark.parametrize("p", ["-3", "0"])
@@ -946,6 +962,18 @@ def test_table_path_reads_argv_as_the_full_parser(argv):
 @pytest.mark.parametrize("argv", SUBCOMMAND_ARGV, ids=lambda a: a[0])
 def test_every_subcommand_argv_is_read_from_the_table(argv):
     assert _table_vars(argv) is not None
+
+
+@pytest.mark.parametrize("order", [("--p", "--q"), ("--q", "--p")], ids=["p-q", "q-p"])
+def test_certify_exponent_takes_the_last_spelling_given(order, capsys):
+    # --q and --p are one option: a repeated option keeps its last value
+    first, last = order
+    argv = ["certify", "--space", "l2:dim=3", "--inequality", "tripod",
+            "--samples", "10", first, "3", last, "2"]
+    assert _table_vars(argv) == _full_vars(argv)
+    assert parse_args(argv).q == 2.0
+    code, out = run(capsys, *argv)
+    assert json.loads(out)["config"]["exponent"] == 2.0
 
 
 @pytest.mark.parametrize("argv", SUBCOMMAND_ARGV, ids=lambda a: a[0])

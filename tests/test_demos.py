@@ -55,6 +55,19 @@ def test_readme_alpha_table_is_what_demo_02_prints():
     assert len(rows) == 4 and rows == printed
 
 
+def test_readme_moduli_table_is_what_demo_02_prints():
+    # delta, delta~ and beta on l2 and l4, as README's "Convexity moduli"
+    # table gives them
+    proc = run_demo(ROOT / "demos" / "02_certify_inequalities.py")
+    assert proc.returncode == 0, proc.stderr
+    printed = re.findall(r"^  (modulus_\w+)\(([\d.]+)\): (\S+) (\S+)$", proc.stdout, re.M)
+    section = (ROOT / "README.md").read_text().split("## Convexity moduli")[1]
+    table = section.split("| modulus | argument | `lp:p=2,dim=2` | `lp:p=4,dim=2` |")[1]
+    rows = re.findall(r"^\| `(\w+)` \| ([\d.]+) \| (\S+) \| (\S+) \|$",
+                      table.split("\n\n")[0], re.M)
+    assert len(rows) == 10 and rows == printed
+
+
 def test_readme_worked_markov_values_are_what_demo_01_prints():
     # README's "E = 1 at s=0, t=1, q=1" against demo 01's lines
     proc = run_demo(ROOT / "demos" / "01_invariants_identity.py")

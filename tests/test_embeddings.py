@@ -38,20 +38,24 @@ def test_bourgain_is_injective_and_finite_distortion():
 
 
 def test_bourgain_variants():
+    # the l1 map (p = 1, every weight 1) and the linf map (p = inf)
     spec = U.parse_tree_spec("inc:h=4,b=6")
-    f1 = U.bourgain_embed(spec, variant="l1")
-    fi = U.bourgain_embed(spec, variant="linf")
+    f1 = U.bourgain_embed(spec, 1.0)
+    fi = U.bourgain_embed(spec, math.inf)
+    assert set(f1.point((1, 2))) == {0.0, 1.0}
+    assert max(fi.point((1, 2))) == 3.0
     assert U.distortion(f1)[2] >= 1.0
     assert U.distortion(fi)[2] >= 1.0
-    with pytest.raises(Exception):
-        U.bourgain_embed(spec, p=1.0, variant="lp")
+    for p in (0.5, -1.0, math.nan, -math.inf):
+        with pytest.raises(EmbeddingError, match=r"p must lie in \[1, inf\]"):
+            U.bourgain_embed(spec, p)
 
 
 @pytest.mark.parametrize("variant", ["l2", "LINF", ""])
-def test_bourgain_rejects_unknown_variant(variant):
-    spec = U.parse_tree_spec("inc:h=2,b=4")
-    with pytest.raises(EmbeddingError, match="lp, l1 or linf"):
-        U.bourgain_embed(spec, 2.0, variant=variant)
+def test_bourgain_rejects_unknown_variant(variant, capsys):
+    # the variant names the map's exponent on the command line alone
+    assert main(["embed", "--tree", "inc:h=2,b=4", "--p", "2", "--variant", variant]) == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_distortion_rejects_constant_map():
@@ -64,9 +68,8 @@ def test_distortion_rejects_constant_map():
 # closed-form Bourgain geometry against the dense vectors
 
 H8_DISTORTION = 2.3452976362042404
-BOURGAIN_CASES = ([(h, p, "lp") for h in (1, 2, 4, 8) for p in (1.5, 2.0, 3.0)]
-                  + [(h, 1.0, "l1") for h in (1, 2, 4, 8)]
-                  + [(h, math.inf, "linf") for h in (1, 2, 4, 8)])
+BOURGAIN_CASES = [pytest.param(h, p, id=f"{h}-{p}-{oracle.bourgain_name(p)}")
+                  for h in (1, 2, 4, 8) for p in (1.5, 2.0, 3.0, 1.0, math.inf)]
 
 
 def dense_copy(f: TreeMap) -> TreeMap:
@@ -90,10 +93,10 @@ def triple_representatives(spec) -> np.ndarray:
     return np.stack(np.unravel_index(first, key.shape), axis=1)
 
 
-@pytest.mark.parametrize("h,p,variant", BOURGAIN_CASES)
-def test_bourgain_closed_form_matches_dense(h, p, variant):
+@pytest.mark.parametrize("h,p", BOURGAIN_CASES)
+def test_bourgain_closed_form_matches_dense(h, p):
     spec = U.parse_tree_spec(f"inc:h={h},b={h + 2}")
-    f = U.bourgain_embed(spec, p, variant=variant)
+    f = U.bourgain_embed(spec, p)
     assert isinstance(f, ProfileMap)
     closed = f.pair_distances(*grid(len(f.assignment)))
     if h == 8 and p not in (1.0, 2.0, math.inf):
@@ -125,15 +128,15 @@ def test_bourgain_closed_form_distortion_and_moduli_h8():
                                    rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("h,p,variant", [case for case in BOURGAIN_CASES
-                                          if case[0] < 8 or case[1] in (1.0, 2.0, math.inf)])
-def test_binary_bourgain_map_is_the_eager_map(h, p, variant):
+@pytest.mark.parametrize("h,p", [case for case in BOURGAIN_CASES if case.values[0] < 8
+                                 or case.values[1] in (1.0, 2.0, math.inf)])
+def test_binary_bourgain_map_is_the_eager_map(h, p):
     # the coordinates of a binary vertex are its prefixes, as on an
     # increasing tree; cdist at a generic p over the 511 coordinates of
     # bin:h=8 takes seconds, so that tree runs at p = 1, 2 and inf
     spec = U.parse_tree_spec(f"bin:h={h}")
-    f = U.bourgain_embed(spec, p, variant=variant)
-    eager = oracle.eager_bourgain(spec, p, variant)
+    f = U.bourgain_embed(spec, p)
+    eager = oracle.eager_bourgain(spec, p)
     assert f.target == eager.target and f.points() == eager.points()
     np.testing.assert_allclose(f.pair_distances(*grid(tree_graph(spec).n)),
                                _pairwise(eager.target, eager.points()),
@@ -218,12 +221,12 @@ def test_realised_triples_match_enumeration(h, extra):
 
 
 @pytest.mark.parametrize("h", [1, 2, 4])
-@pytest.mark.parametrize("p,variant", [(1.5, "lp"), (2.0, "lp"), (3.0, "lp"),
-                                       (1.0, "l1"), (math.inf, "linf")])
-def test_lazy_points_equal_the_eager_construction(h, p, variant):
+@pytest.mark.parametrize("p", [pytest.param(p, id=f"{p}-{oracle.bourgain_name(p)}")
+                               for p in (1.5, 2.0, 3.0, 1.0, math.inf)])
+def test_lazy_points_equal_the_eager_construction(h, p):
     spec = U.parse_tree_spec(f"inc:h={h},b={h + 2}")
-    f = U.bourgain_embed(spec, p, variant=variant)
-    eager = oracle.eager_bourgain(spec, p, variant)
+    f = U.bourgain_embed(spec, p)
+    eager = oracle.eager_bourgain(spec, p)
     assert f.target == eager.target
     assert list(f.assignment) == list(eager.assignment)
     assert f.points() == eager.points()

@@ -243,9 +243,9 @@ def test_class_plans_expand_to_the_oracle_pairs(tree):
                 segments = np.split(np.arange(len(a)), classes.starts[1:])
                 expanded = [[pairs(a[i], b[i], c[i], j_min if side == "lhs" else None)
                              for i in seg] for seg in segments]
-                errors = {x for seg in expanded for x in seg if isinstance(x, str)}
-                if errors:
-                    assert got == want == min(errors), key
+                errors = [x for seg in expanded for x in seg if isinstance(x, str)]
+                if errors:  # the refusal names the first class with no pair
+                    assert got == want == errors[0], key
                     continue
                 assert not isinstance(got, str) and not isinstance(want, str), key
                 assert np.array_equal(got.classes, classes.classes), key
@@ -463,8 +463,8 @@ def profile_maps(spec) -> dict:
             "constant-heis": U.TreeMap.constant(spec, U.parse_space("heis:dim=2,p=2"))}
     if spec.kind == trees.INCREASING:
         maps.update({"bourgain-lp": U.bourgain_embed(spec, 3.0),
-                     "bourgain-l1": U.bourgain_embed(spec, variant="l1"),
-                     "bourgain-linf": U.bourgain_embed(spec, variant="linf")})
+                     "bourgain-l1": U.bourgain_embed(spec, 1.0),
+                     "bourgain-linf": U.bourgain_embed(spec, math.inf)})
     return maps
 
 
@@ -752,12 +752,11 @@ def test_moduli_and_distortion_match_the_table_oracle(tree, kind):
                             else pytest.approx(w, rel=1e-12, abs=0) for w in want)
 
 
-@pytest.mark.parametrize("h,p,variant",
-                         [(h, p, "lp") for h in (1, 2, 4, 8) for p in (1.5, 2.0, 3.0)]
-                         + [(h, 1.0, "l1") for h in (1, 2, 4, 8)]
-                         + [(h, math.inf, "linf") for h in (1, 2, 4, 8)])
-def test_bourgain_moduli_and_distortion_equal_the_table_oracle(h, p, variant):
-    f = U.bourgain_embed(U.parse_tree_spec(f"inc:h={h},b={h + 2}"), p, variant)
+@pytest.mark.parametrize("h,p", [pytest.param(h, p, id=f"{h}-{p}-{oracle.bourgain_name(p)}")
+                                 for h in (1, 2, 4, 8)
+                                 for p in (1.5, 2.0, 3.0, 1.0, math.inf)])
+def test_bourgain_moduli_and_distortion_equal_the_table_oracle(h, p):
+    f = U.bourgain_embed(U.parse_tree_spec(f"inc:h={h},b={h + 2}"), p)
     assert scan_numbers(f, U) == scan_numbers(f, oracle)
 
 

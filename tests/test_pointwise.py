@@ -740,6 +740,20 @@ def test_solve_umbel_K_frozen_value():
     assert lhs <= 1.0 + 1e-9
 
 
+@pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 3.0, 10.0])
+def test_solve_umbel_K_is_the_least_float_meeting_the_condition(p):
+    c = 1.0
+
+    def g(k):
+        u = 2 * c / k
+        return (u + (2 - u ** p) ** (1 / p)) ** p / 2 ** p + 2 ** (p + 1) / k
+
+    K = U.solve_umbel_K(p, c)
+    assert g(K) <= 1 < g(math.nextafter(K, 0))
+    if p == 2.0:
+        assert K == 18.820430619388112
+
+
 def test_solve_umbel_K_no_solution_at_p1():
     with pytest.raises(NoSolution):
         U.solve_umbel_K(1.0, 1.0)
@@ -847,7 +861,8 @@ def hilbert_alpha_bound(space, pts, n):
 
 
 @pytest.mark.parametrize("name", ["lp:p=1.5,dim=3", "lp:p=3,dim=3", "lp:p=4,dim=2",
-                                  "l2:dim=3", "lp:p=3,dim=9"])
+                                  "l2:dim=3", "lp:p=3,dim=9", "lp:p=1,dim=2",
+                                  "lp:p=inf,dim=2", "prod:p=2;l2:dim=1;l2:dim=1"])
 def test_alpha_rows_match_the_scalar_oracle(name):
     # Each distance lies within a = _distance_roundings roundings of the
     # exact one, and a square within r = 2a + 3 (the oracle's Python pow
@@ -867,14 +882,16 @@ def test_alpha_rows_match_the_scalar_oracle(name):
     s, dd, _, _ = alpha_terms(space, pts, n)
     r = 2 * pointwise._distance_roundings(space) + 3
     bound = 2 * U.spaces.gamma(2 * r + 4) * (np.abs(got) + s / dd)
-    want = np.array([oracle.alpha_sequence(space, *map(tuple, row), n) for row in pts])
+    want = np.array([oracle.alpha_sequence(space, *map(space.point, row), n) for row in pts])
     assert (np.abs(got - want) <= bound).all()
 
 
 def test_alpha_rows_stay_within_rounding_of_two_on_l2():
-    space, pts = midpoint_draws("l2:dim=3", 2000)
-    alpha = U.alpha_rows(space, pts, 10)
-    assert (np.abs(alpha - 2) <= hilbert_alpha_bound(space, pts, 10)).all()
+    # the l2 product of two planes is l2 of dimension 4
+    for name in ("l2:dim=3", "prod:p=2;l2:dim=2;l2:dim=2"):
+        space, pts = midpoint_draws(name, 2000)
+        alpha = U.alpha_rows(space, pts, 10)
+        assert (np.abs(alpha - 2) <= hilbert_alpha_bound(space, pts, 10)).all(), name
 
 
 @pytest.mark.parametrize("name", ["lp:p=1.5,dim=3", "lp:p=3,dim=3", "lp:p=4,dim=3"])
@@ -894,14 +911,14 @@ def test_alpha_rows_refuse_z_equal_m():
         oracle.alpha_sequence(space, *map(tuple, pts[3]), 3)
 
 
-@pytest.mark.parametrize("name", ["lp:p=1,dim=2", "lp:p=inf,dim=2",
-                                  "prod:p=2;l2:dim=1;l2:dim=1", "heis:dim=2,p=2"])
+@pytest.mark.parametrize("name", ["heis:dim=2,p=2", "prod:p=2;l2:dim=1;heis:dim=2,p=2"])
 def test_alpha_rows_refuse_spaces_without_interpolation(name):
+    # the spaces midpoint curvature refuses: (x + y) / 2 is no midpoint there
     space = U.parse_space(name)
     pts = space.sample_batch(np.random.default_rng(0), 3, 4)
-    with pytest.raises(pointwise.PointwiseError, match="geodesic"):
+    with pytest.raises(pointwise.PointwiseError, match="needs an lp space"):
         U.alpha_rows(space, pts, 3)
-    with pytest.raises(pointwise.PointwiseError, match="geodesic"):
+    with pytest.raises(pointwise.PointwiseError, match="needs an lp space"):
         oracle.alpha_sequence(space, *map(space.point, pts[0]), 3)
 
 

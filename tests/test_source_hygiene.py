@@ -120,15 +120,6 @@ def test_every_public_name_is_read():
     assert not unread, unread
 
 
-# exports no library module, demo or perfbench job reads: each computes a
-# step of the paper on its own, and the tests check it
-PAPER_STEPS = {
-    "modulus_beta": "the asymptotic modulus behind Rolewicz's property (beta)",
-    "modulus_delta": "the modulus of uniform convexity",
-    "modulus_delta_tilde": "the tripod modulus",
-}
-
-
 def test_every_export_is_read_outside_the_tests():
     paths = [path for path in SOURCES if path.name != "__init__.py"]
     for folder in ("demos", "perfbench"):
@@ -136,10 +127,7 @@ def test_every_export_is_read_outside_the_tests():
     read = set()
     for path in paths:
         read |= _names_read(ast.parse(path.read_text(), str(path)))
-    unread = set(umbellab._EXPORTS) - read
-    assert sorted(unread - set(PAPER_STEPS)) == []
-    # a paper step that gains a reader, or leaves the exports, leaves the list
-    assert sorted(set(PAPER_STEPS) - unread) == []
+    assert sorted(set(umbellab._EXPORTS) - read) == []
 
 
 # math notation in README.md's code spans that reads like a call: the
