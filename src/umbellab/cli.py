@@ -51,7 +51,7 @@ def cmd_invariant(args) -> int:
     f = invariants.named_map(args.map, spec, target)
     rep = invariants.report(invariants.InvariantId(args.invariant), f, args.p,
                             j_min=args.j_min)
-    _emit({**rep.to_dict(), "seed": args.seed}, args.out)
+    _emit(rep.to_dict(), args.out)
     return EXIT_OK
 
 
@@ -69,10 +69,12 @@ def cmd_certify(args) -> int:
 def cmd_embed(args) -> int:
     from . import embeddings, trees
     spec = trees.parse_tree_spec(args.tree)
+    # --p is the compression exponent on every tree, a one-vertex one too
+    embeddings.check_compression_exponent(args.p)
     # --variant l1 and linf name the map's exponent; lp takes --p
     p = {"l1": 1.0, "linf": math.inf}.get(args.variant, args.p)
     f = embeddings.bourgain_embed(spec, p)
-    obj = {"tree": args.tree, "p": args.p, "seed": args.seed}
+    obj = {"tree": args.tree, "p": args.p}
     if spec.height > 0:
         rho, omega = embeddings.moduli(f)
         lip, colip, dist = embeddings.distortion_from_moduli(rho, omega)
@@ -182,7 +184,8 @@ def cmd_heisenberg(args) -> int:
 
 _REQUIRED = {"required": True}
 _REQUIRED_FLOAT = {"type": float, "required": True}
-_COMMON = {"--seed": {"type": int, "default": 0}, "--out": {}}
+_SEED = {"type": int, "default": 0}  # only the subcommands that draw take it
+_COMMON = {"--out": {}}
 
 # the options of each subcommand besides _COMMON: flags (or a tuple of flag
 # and aliases) -> add_argument keywords
@@ -198,7 +201,7 @@ _OPTIONS = {
         "--C": {"type": float, "default": 1.0},
         "--samples": {"type": int, "required": True},
         "--xs-count": {"type": int, "default": 4},
-        "--slack": {"type": float, "default": 0.0}},
+        "--slack": {"type": float, "default": 0.0}, "--seed": _SEED},
     "embed": {
         "--tree": _REQUIRED, "--p": _REQUIRED_FLOAT,
         "--variant": {"choices": ["lp", "l1", "linf"], "default": "lp"},
@@ -208,15 +211,16 @@ _OPTIONS = {
         "--target-file": _REQUIRED, "--pins-file": {},
         "--mode": {"choices": ["exhaustive", "local"], "default": "local"},
         "--restarts": {"type": int, "default": 8},
-        "--steps": {"type": int, "default": 100}, "--budget": {"type": int}},
+        "--steps": {"type": int, "default": 100}, "--budget": {"type": int},
+        "--seed": _SEED},
     "lift": {"--map-file": _REQUIRED, "--oracle-file": _REQUIRED},
     "morphism": {
         "--k": {"type": int, "required": True}, "--j-const": {"type": int},
-        "--j-max": {"type": int, "default": 8}},
+        "--j-max": {"type": int, "default": 8}, "--seed": _SEED},
     "heisenberg": {
         "--dim": {"type": int, "default": 2}, "--p": {"default": "inf"},
         ("--lam", "--lambda"): {"dest": "lam", "type": float, "default": 1.0},
-        "--samples": {"type": int, "default": 10000}},
+        "--samples": {"type": int, "default": 10000}, "--seed": _SEED},
 }
 
 

@@ -167,12 +167,17 @@ def moduli(f: TreeMap) -> tuple[ModulusCurve, ModulusCurve]:
     return rho, omega
 
 
+def check_compression_exponent(p: float) -> None:
+    """Refuse a compression exponent p that is not a finite positive number."""
+    if not (math.isfinite(p) and p > 0):
+        raise EmbeddingError(f"the exponent p must be a finite positive number, not {p}")
+
+
 def compression_integral(rho, p: float, T: float) -> float:
     """Integral of (rho(t)/t)^p dt/t over [1, T].  Step curves are integrated
     in closed form piece by piece; callables go through adaptive quadrature.
     The exponent p must be a finite positive number."""
-    if not (math.isfinite(p) and p > 0):
-        raise EmbeddingError(f"the exponent p must be a finite positive number, not {p}")
+    check_compression_exponent(p)
     if T <= 1:
         raise EmbeddingError("T must exceed 1")
     if isinstance(rho, ModulusCurve):

@@ -324,7 +324,7 @@ def _reals(x, n: int) -> bool:
 
 def named_map(name: str, spec: TreeSpec, target=None) -> TreeMap:
     """Built-in maps: "identity" (into the tree, so `target` must be None),
-    "constant", or "file:<path>"."""
+    "constant", or "file:<path>", a map document on the tree `spec`."""
     if name == "identity":
         if target is not None:
             raise InvariantError("the identity map takes no target: it maps "
@@ -334,7 +334,11 @@ def named_map(name: str, spec: TreeSpec, target=None) -> TreeMap:
         return TreeMap.constant(spec, target)
     if name.startswith("file:"):
         with open(name[5:]) as fh:
-            return TreeMap.from_json(fh.read(), target)
+            f = TreeMap.from_json(fh.read(), target)
+        if f.spec != spec:
+            raise InvariantError(f"the map document is on {format_tree_spec(f.spec)}, "
+                                 f"not on the tree {format_tree_spec(spec)}")
+        return f
     raise InvariantError(f"unknown map {name!r}")
 
 
@@ -627,30 +631,33 @@ def class_plan(inv: InvariantId, spec: TreeSpec, side: str,
     as an (a, b, c) row, in a sum with each class's weight 2^e (its pair
     count times its per-pair weight), formed from e alone: exact, even where
     the count or the per-pair weight is past the float range (bin:h=1024),
-    and each scale run is a group.  A side with a class the tree does not
-    realise (`_realised`) is refused.  On a ProfileMap every pair of a
+    and each scale run is a group.  Every class of a tree that passes
+    `_validate` is realised, so only under j_min are the classes checked
+    (`_realised`), all at once, and a side with one the tree does not
+    realise is refused at the first.  On a ProfileMap every pair of a
     class has the one image distance profile(a, b, c), so a min or max
     side equals the pair plan's bit for bit, and a sum equals the pair
     plan's float where all terms and partial sums are exact (integer
     distances at an integer p, a zero map).  It is not capped."""
     k, j_min = _plan_args(inv, spec, side, j_min)
     reduce, outer, segments = _classes(inv, side, k)
-    flat, starts, weights, bounds, scales = [], [], [], [], []  # flat: the classes' ints
+    rows, starts, weights, bounds, scales = [], [], [], [], []
     for i, (seg, exponents, scale) in enumerate(segments):
         if not scales or scale != scales[-1]:  # a scale run opens a group
             bounds.append(i)
             scales.append(scale)
-        starts.append(len(flat) // 3)
-        for cls in seg:
-            if not _realised(spec, *cls, j_min):
-                raise _no_configuration(spec, cls, j_min)
-            flat += cls
+        starts.append(len(rows))
+        rows += seg
         if reduce == "sum":
             weights += [math.ldexp(1.0, e) for e in exponents]
     bounds.append(len(segments))
+    classes = np.array(rows, dtype=np.intp).reshape(-1, 3)
+    if j_min is not None:
+        realised = _realised(spec, *classes.T, j_min)
+        if not realised.all():
+            raise _no_configuration(spec, rows[realised.argmin()], j_min)
     return Plan(
-        classes=np.array(flat, dtype=np.intp).reshape(-1, 3),
-        starts=np.array(starts), reduce=reduce, outer=outer,
+        classes=classes, starts=np.array(starts), reduce=reduce, outer=outer,
         weights=np.array(weights) if reduce == "sum" else None,
         groups=tuple(zip(bounds[:-1], bounds[1:])), scales=tuple(scales))
 

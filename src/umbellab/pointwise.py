@@ -572,8 +572,11 @@ def _separated_modulus(space: LpSpace, sep: float, m: int, grid: int,
             return 1 - space.norm_rows((xs[0] + xs[1]) / 2)
         return functools.reduce(np.maximum, (1 - space.norm_rows((z - x) / 2) for x in xs))
 
-    vals = np.reshape(value(zs[:, None], [cand[families[:, i]] for i in range(m)]),
-                      (len(zs), -1))
+    if based:  # one (z, x) table: a family's value is the max of its columns
+        table = value(zs[:, None], [cand])
+        vals = functools.reduce(np.maximum, (table[:, families[:, i]] for i in range(m)))
+    else:
+        vals = value(zs, [cand[families[:, i]] for i in range(m)])[None]
     zi, j = np.unravel_index(np.argmin(vals), vals.shape)
     w = zs.shape[1]
     xs = lambda v: [v[w + 2 * i:w + 2 * i + 2] for i in range(m)]

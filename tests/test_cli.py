@@ -132,6 +132,15 @@ def test_embed_single_vertex_tree_writes_no_csv(tmp_path, capsys):
     assert not csv.exists()
 
 
+@pytest.mark.parametrize("p", ["inf", "nan", "0", "-3"])
+def test_embed_single_vertex_tree_checks_the_compression_exponent(capsys, p):
+    # --p is refused by the compression integral's rule on every tree, also
+    # where no integral is taken
+    code, out, err = run_strict(capsys, "embed", "--tree", "inc:h=0,b=0", "--p", p)
+    assert (code, out) == (2, "")
+    assert err["error"] == f"the exponent p must be a finite positive number, not {float(p)}"
+
+
 def test_embed_p1_runs_the_l1_map(capsys):
     # --p picks the map's exponent unless --variant does: at p = 1 both
     # name Bourgain's l1 map
@@ -639,6 +648,19 @@ def _map_reading_runs(tmp_path):
     return (tmp_path / "map.json", lift), (l2_map, invariant)
 
 
+def test_file_map_on_another_tree_exit_two(tmp_path, capsys):
+    # a map document is read on --tree, never on the tree it names instead
+    path = tmp_path / "map.json"
+    spec = U.parse_tree_spec("inc:h=4,b=5")
+    path.write_text(U.named_map("constant", spec, U.LpSpace(1, 2.0)).to_json())
+    argv = ["invariant", "--invariant", "umbel-cotype", "--p", "2",
+            "--map", f"file:{path}", "--tree"]
+    assert run(capsys, *argv, "inc:h=4,b=5")[0] == 0
+    code, out, err = run_strict(capsys, *argv, "bin:h=4")
+    assert (code, out) == (2, "")
+    assert err["error"] == "the map document is on inc:h=4,b=5, not on the tree bin:h=4"
+
+
 def test_map_label_not_a_vertex_exit_two(tmp_path, capsys):
     for path, argv in _map_reading_runs(tmp_path):
         doc = json.loads(path.read_text())
@@ -822,18 +844,20 @@ def test_numeric_matrix_documents_read_as_before(tmp_path, capsys):
 SUBCOMMAND_ARGV = [
     ["invariant", "--tree", "bin:h=4", "--map", "constant", "--invariant",
      "tessera", "--p", "2", "--target", "l2:dim=2", "--j-min", "3",
-     "--seed", "4", "--out", "o.json"],
+     "--out", "o.json"],
     ["certify", "--space", "l2:dim=2", "--inequality", "tripod", "--p", "3",
      "--q", "2", "--K", "2", "--C", "1.5", "--samples", "10", "--xs-count",
-     "5", "--slack", "0.1"],
+     "5", "--slack", "0.1", "--seed", "4"],
     ["embed", "--tree", "inc:h=2,b=3", "--p", "2", "--variant", "linf",
      "--csv", "m.csv"],
     ["search", "--tree", "bin:h=2", "--invariant", "tessera", "--p", "2",
      "--target-file", "t.json", "--pins-file", "p.json", "--mode",
-     "exhaustive", "--restarts", "2", "--steps", "3", "--budget", "9"],
+     "exhaustive", "--restarts", "2", "--steps", "3", "--budget", "9",
+     "--seed", "4"],
     ["lift", "--map-file", "m.json", "--oracle-file", "o.json"],
-    ["morphism", "--k", "3", "--j-const", "2", "--j-max", "5"],
-    ["heisenberg", "--dim", "4", "--p", "2", "--lambda", "0.5", "--samples", "7"],
+    ["morphism", "--k", "3", "--j-const", "2", "--j-max", "5", "--seed", "4"],
+    ["heisenberg", "--dim", "4", "--p", "2", "--lambda", "0.5", "--samples", "7",
+     "--seed", "4"],
 ]
 
 
@@ -851,7 +875,8 @@ def _parse_outcome(capsys, parse, argv):
 
 
 # per subcommand: its help, a missing required option (heisenberg has none),
-# an option without its value and a value its type= rejects
+# an option without its value and a value its type= rejects (lift has no
+# typed option: a flag it lacks, with its required options missing)
 _BAD_VALUE = {"invariant": ["--p", "x"], "certify": ["--samples", "2.5"],
               "embed": ["--p", "x"], "search": ["--restarts", "x"],
               "lift": ["--seed", "x"], "morphism": ["--k", "x"],
@@ -986,6 +1011,15 @@ def test_unrecognized_arguments_are_reported_with_the_subcommand_usage(capsys, a
                         "--threads 2\n")
 
 
+@pytest.mark.parametrize("argv", [a for a in SUBCOMMAND_ARGV
+                                  if a[0] in ("invariant", "embed", "lift")],
+                         ids=lambda a: a[0])
+def test_subcommands_that_draw_nothing_take_no_seed(capsys, argv):
+    assert main(argv + ["--seed", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith("error: unrecognized arguments: --seed 3\n")
+
+
 def test_every_subcommand_has_an_argv():
     assert [argv[0] for argv in SUBCOMMAND_ARGV] == list(_HANDLERS)
 
@@ -1034,12 +1068,6 @@ def _decoded(report):
     return json.loads(json.dumps(report.to_dict()))
 
 
-def _old_invariant(rep, seed):
-    obj = _decoded(rep)
-    obj["seed"] = seed
-    return _old_emit(obj)
-
-
 def _old_search(result, mode, seed, tree, invariant, p):
     obj = _decoded(result)
     obj.update({"mode": mode, "seed": seed, "tree": tree,
@@ -1059,12 +1087,12 @@ def _document_cases(tmp_path):
         tree = ("inc:h=4,b=5" if inv in invariants._INCREASING_IDS
                 else "bin:h=4")
         cases.append((["invariant", "--tree", tree, "--invariant", inv.value,
-                       "--p", "2", "--seed", "3"], (invariants, "report"),
-                      lambda rep: _old_invariant(rep, 3), ()))
+                       "--p", "2"], (invariants, "report"),
+                      lambda rep: _old_emit(_decoded(rep)), ()))
     cases.append((["invariant", "--tree", "inc:h=4,b=6", "--invariant",
                    "umbel-cotype", "--p", "1.5", "--map", "constant",
                    "--target", "heis:dim=2,p=2", "--j-min", "2"],
-                  (invariants, "report"), lambda rep: _old_invariant(rep, 0), ()))
+                  (invariants, "report"), lambda rep: _old_emit(_decoded(rep)), ()))
     for ineq in U.InequalityId:
         space = {"parallelogram": "heis:dim=2,p=2"}.get(ineq.value, "l2:dim=2")
         cases.append((["certify", "--space", space, "--inequality", ineq.value,

@@ -293,6 +293,50 @@ def test_class_plans_equal_the_list_built_plans(tree):
     assert 0 < refused < 3 * len(cases)
 
 
+def _validated_sides(spec):
+    """(id, side) of every side the tree passes `_validate` for: the lhs,
+    the rhs and, for markov-directed, every walk side (s, t)."""
+    for inv in InvariantId:
+        try:
+            k = invariants._validate(inv, spec)
+        except InvariantError:
+            continue
+        yield from ((inv, side) for side in ("lhs", "rhs"))
+        if inv is InvariantId.MARKOV_DIRECTED:
+            yield from ((inv, (s, t)) for s in range(k + 1)
+                        for t in range(2 ** s, 2 ** k + 1))
+
+
+@pytest.mark.parametrize("k", range(11))
+def test_validated_trees_realise_every_class_of_their_plans(k):
+    # class_plan checks realisation only under j_min: every class of a tree
+    # that passes _validate is realised without it
+    h = 2 ** k
+    for tree in [f"bin:h={h}", f"inc:h={h},b={h + 1}", f"inc:h={h},b={h + 3}"]:
+        spec = U.parse_tree_spec(tree)
+        for inv, side in _validated_sides(spec):
+            classes = invariants.class_plan(inv, spec, side).classes
+            assert invariants._realised(spec, *classes.T).all(), (tree, inv, side)
+
+
+@pytest.mark.parametrize("tree", [f"inc:h=4,b={b}" for b in range(5, 10)]
+                         + [f"inc:h=8,b={b}" for b in range(9, 13)])
+def test_j_min_refusals_name_the_first_unrealised_class(tree):
+    # the one check of the whole class array refuses at the class the
+    # class-by-class check of the list-built plan refuses at
+    spec = U.parse_tree_spec(tree)
+    refused = 0
+    for inv, j_min in itertools.product(INCREASING_IDS, range(1, 13)):
+        want = outcome(oracle.class_plan, inv, spec, "lhs", j_min)
+        got = outcome(invariants.class_plan, inv, spec, "lhs", j_min)
+        if isinstance(want, str):
+            assert got == want, (inv, j_min)
+            refused += 1
+        else:
+            assert got.classes.tobytes() == want.classes.tobytes(), (inv, j_min)
+    assert refused > 0
+
+
 def test_segment_scales_never_decrease():
     # a group is a run of consecutive segments of one scale, so a side whose
     # scales went back to an earlier one would split that scale's term in

@@ -1,10 +1,10 @@
 """Source hygiene of the library, read with the standard `ast` module: every
 import in a module of `umbellab` is used in that module, every module-level
 private name is read somewhere in the package, and every public function,
-class and method is read somewhere in the repository's code, and every
-exported name is read outside the tests unless it computes a step of the
-paper on its own.  Deletions leave such names behind; this test finds
-them."""
+class and method is read somewhere in the repository's code, every
+exported name is read outside the tests, and every option of a CLI
+subcommand is read by its handler, not only echoed into its document.
+Deletions leave such names behind; this test finds them."""
 
 import ast
 import pathlib
@@ -13,6 +13,7 @@ import re
 import pytest
 
 import umbellab
+from umbellab import cli
 
 SOURCES = sorted(pathlib.Path(umbellab.__file__).parent.glob("*.py"))
 TREES = {path.stem: ast.parse(path.read_text(), str(path)) for path in SOURCES}
@@ -128,6 +129,27 @@ def test_every_export_is_read_outside_the_tests():
     for path in paths:
         read |= _names_read(ast.parse(path.read_text(), str(path)))
     assert sorted(set(umbellab._EXPORTS) - read) == []
+
+
+def _args_read(function: ast.FunctionDef) -> set:
+    """The attributes a CLI handler reads off its parsed `args`, other than
+    as a value of a dict display: a value only echoed into the document."""
+    echoed = {id(value) for node in ast.walk(function) if isinstance(node, ast.Dict)
+              for value in node.values}
+    return {node.attr for node in ast.walk(function)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "args" and id(node) not in echoed}
+
+
+@pytest.mark.parametrize("name", cli._HANDLERS)
+def test_every_option_is_read_by_its_handler(name):
+    # an option its subcommand's handler never reads, or only echoes into
+    # its document, drives nothing: a dead flag
+    handlers = {node.name: node for node in TREES["cli"].body
+                if isinstance(node, ast.FunctionDef)}
+    read = _args_read(handlers[cli._HANDLERS[name].__name__])
+    unread = [flags for flags, dest, _ in cli._options(name) if dest not in read]
+    assert unread == []
 
 
 # math notation in README.md's code spans that reads like a call: the
