@@ -1,7 +1,9 @@
 """Batch command-line front end.
 
-Every subcommand prints a JSON document (moduli additionally as CSV) tagged
-with schema "umbel-lab/1".  Exit codes: 0 success / inequality holds,
+Every subcommand writes its document one way: one line of strict JSON tagged
+with schema "umbel-lab/1", printed, or with --out FILE appended to FILE, so
+repeated runs build a JSON Lines file (embed --csv also writes the moduli
+CSV, which replaces its file).  Exit codes: 0 success / inequality holds,
 1 inequality violated, 2 validation error, 3 budget exceeded.
 """
 
@@ -26,22 +28,20 @@ EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 
 
-def _document(obj) -> str:
-    """obj as a strict JSON document with the schema tag; raises ValueError
-    on non-finite values."""
-    return json.dumps({"schema": SCHEMA, **obj}, indent=2, allow_nan=False)
-
-
-def _write(text: str, out: str | None) -> None:
+def _emit(obj, out: str | None, csv: tuple | None = None) -> None:
+    """Writes obj as one line of strict JSON with the schema tag: printed, or
+    appended to the file `out`.  The line is encoded first, so a non-finite
+    value (ValueError) writes nothing, neither the line nor `csv`, a
+    (path, text) pair whose text replaces the file."""
+    line = json.dumps({"schema": SCHEMA, **obj}, allow_nan=False)
+    if csv:
+        with open(csv[0], "w") as fh:
+            fh.write(csv[1] + "\n")
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        with open(out, "a") as fh:
+            fh.write(line + "\n")
     else:
-        print(text)
-
-
-def _emit(obj, out: str | None) -> None:
-    _write(_document(obj), out)
+        print(line)
 
 
 def cmd_invariant(args) -> int:
@@ -74,22 +74,20 @@ def cmd_embed(args) -> int:
     # --variant l1 and linf name the map's exponent; lp takes --p
     p = {"l1": 1.0, "linf": math.inf}.get(args.variant, args.p)
     f = embeddings.bourgain_embed(spec, p)
-    obj = {"tree": args.tree, "p": args.p}
+    obj, csv = {"tree": args.tree, "p": args.p}, None
     if spec.height > 0:
         rho, omega = embeddings.moduli(f)
         lip, colip, dist = embeddings.distortion_from_moduli(rho, omega)
         obj.update({"lip": lip, "colip": colip, "distortion": dist,
                     "compression_integral": embeddings.compression_integral(
                         rho, args.p, 2 * spec.height)})
-        rows = zip(rho.breakpoints, rho.values, omega.values)
-        csv = "\n".join(["t,rho,omega"] + [f"{t},{r},{w}" for t, r, w in rows])
+        if args.csv:
+            rows = zip(rho.breakpoints, rho.values, omega.values)
+            csv = args.csv, "\n".join(
+                ["t,rho,omega"] + [f"{t},{r},{w}" for t, r, w in rows])
     else:
         obj.update({"lip": 1.0, "colip": 1.0, "distortion": 1.0})
-        csv = None
-    text = _document(obj)  # before the CSV, so a failed document writes none
-    if csv is not None and args.csv:
-        _write(csv, args.csv)
-    _write(text, args.out)
+    _emit(obj, args.out, csv)
     return EXIT_OK
 
 
@@ -114,15 +112,9 @@ def cmd_search(args) -> int:
                                              args.seed)
     except search.BudgetExceeded as exc:
         return _fail(exc, EXIT_BUDGET)
-    line = json.dumps({"schema": SCHEMA, **result.to_dict(), "mode": args.mode,
-                       "seed": args.seed, "tree": args.tree,
-                       "invariant": args.invariant, "p": args.p},
-                      allow_nan=False)
-    if args.out:
-        with open(args.out, "a") as fh:
-            fh.write(line + "\n")
-    else:
-        print(line)
+    _emit({**result.to_dict(), "mode": args.mode, "seed": args.seed,
+           "tree": args.tree, "invariant": args.invariant, "p": args.p},
+          args.out)
     return EXIT_OK
 
 

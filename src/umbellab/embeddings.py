@@ -131,6 +131,8 @@ class ModulusCurve:
         bps = self.breakpoints
         if any(b != b for b in bps) or any(a >= b for a, b in zip(bps, bps[1:])):
             raise EmbeddingError("breakpoints must increase")  # nan does not
+        if any(v != v for v in self.values):
+            raise EmbeddingError("values must be numbers, not nan")
         if any(a > b for a, b in zip(self.values, self.values[1:])):
             raise EmbeddingError("values must be nondecreasing")
 
@@ -178,8 +180,8 @@ def compression_integral(rho, p: float, T: float) -> float:
     in closed form piece by piece; callables go through adaptive quadrature.
     The exponent p must be a finite positive number."""
     check_compression_exponent(p)
-    if T <= 1:
-        raise EmbeddingError("T must exceed 1")
+    if not T > 1:  # nan too
+        raise EmbeddingError(f"T must exceed 1, not {T}")
     if isinstance(rho, ModulusCurve):
         cuts = sorted({1.0, T} | {b for b in rho.breakpoints if 1.0 < b < T})
         total = 0.0

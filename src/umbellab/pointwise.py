@@ -277,7 +277,6 @@ def _midpoint_bound(space, sides, dzm, norm):
             + 16 * u * norm * dzm + 8 * u ** 2 * norm ** 2)
 
 
-@np.errstate(over="raise", divide="raise")
 def batch_margins(ineq: InequalityId, cfg: InequalityConfig, space,
                   pts: np.ndarray) -> np.ndarray:
     """Margins RHS - LHS of every configuration in `pts`."""

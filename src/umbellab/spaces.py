@@ -123,6 +123,11 @@ def lp_norm_rows(v: np.ndarray, p: float) -> np.ndarray:
     return norms
 
 
+def _all_close(a: np.ndarray, b: np.ndarray) -> bool:
+    """np.allclose(a, b, REL_TOL, ABS_TOL) on finite arrays, written out."""
+    return bool((np.abs(a - b) <= ABS_TOL + REL_TOL * np.abs(b)).all())
+
+
 def _in_range(s: np.ndarray) -> bool:
     """Whether every sum is a normal float below inf, so that no row needs
     `_scaled_norms`: one min and one max instead of a mask.  A nan sum
@@ -308,8 +313,7 @@ class FiniteMatrixSpace(_ArrayValued, TableSpace):
             raise SpaceError("matrix must be square")
         if not np.isfinite(m).all():
             raise SpaceError("distances must be finite")
-        # np.allclose's own test, exact on finite entries
-        if not (np.abs(m - m.T) <= ABS_TOL + REL_TOL * np.abs(m.T)).all():
+        if not _all_close(m, m.T):
             raise SpaceError("matrix must be symmetric")
         if np.abs(np.diagonal(m)).max(initial=0.0) > ABS_TOL:
             raise SpaceError("diagonal must be zero")
@@ -551,9 +555,9 @@ class HeisenbergMetricSpace(_ArrayValued, RowSpace):
         object.__setattr__(self, "omega_matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise SpaceError("omega matrix must be square")
-        if not np.isfinite(m).all():  # allclose takes equal infinities as close
+        if not np.isfinite(m).all():
             raise SpaceError("omega matrix entries must be finite")
-        if not np.allclose(m, -m.T, rtol=REL_TOL, atol=ABS_TOL):
+        if not _all_close(m, -m.T):
             raise SpaceError("omega matrix must be antisymmetric")
         i, j = np.nonzero(np.triu(m, 1))
         object.__setattr__(self, "_terms", (i, j, m[i, j]))

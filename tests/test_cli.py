@@ -1059,8 +1059,8 @@ def test_embed_writes_no_csv_when_the_document_fails(tmp_path, capsys, csv,
 
 
 def _old_emit(obj) -> str:
-    """What `_emit` prints for obj."""
-    return json.dumps({"schema": SCHEMA, **obj}, indent=2, allow_nan=False) + "\n"
+    """What `_emit` prints for obj: one compact line."""
+    return json.dumps({"schema": SCHEMA, **obj}, allow_nan=False) + "\n"
 
 
 def _decoded(report):
@@ -1193,3 +1193,48 @@ def test_documents_are_not_decoded(tmp_path, capsys, monkeypatch):
             code, _ = run(capsys, *argv)
         assert code in (0, 1), argv
         assert all(text in inputs for text in read), argv
+
+
+# ---------------------------------------------------------------------------
+# One writer: every document is one line, printed or appended to --out
+
+
+def _runnable_argv(tmp_path, name):
+    """An argv of subcommand `name` that runs, its input files in tmp_path."""
+    argvs = {argv[0]: argv for argv, *_ in _document_cases(tmp_path)}
+    argvs.update({"embed": ["embed", "--tree", "inc:h=2,b=3", "--p", "2"],
+                  "morphism": ["morphism", "--k", "3", "--seed", "4"],
+                  "heisenberg": ["heisenberg", "--samples", "50", "--seed", "4"]})
+    return argvs[name]
+
+
+@pytest.mark.parametrize("name", _HANDLERS)
+def test_every_subcommand_prints_one_line_of_strict_json(tmp_path, capsys, name):
+    code, out, err = run_strict(capsys, *_runnable_argv(tmp_path, name))
+    assert code in (0, 1) and err is None
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert json.loads(out, parse_constant=_reject_constant)["schema"] == SCHEMA
+
+
+@pytest.mark.parametrize("name", _HANDLERS)
+def test_out_appends_one_line_per_run(tmp_path, capsys, name):
+    argv = _runnable_argv(tmp_path, name)
+    _, printed = run(capsys, *argv)
+    path = tmp_path / "documents.jsonl"
+    for _ in range(2):
+        code, out = run(capsys, *argv, "--out", str(path))
+        assert code in (0, 1) and out == ""
+    assert path.read_text() == printed + printed
+
+
+def test_embed_csv_is_replaced_on_every_run(tmp_path, capsys):
+    # the document is appended to --out; the CSV replaces its file, so two
+    # runs leave one header
+    csv = tmp_path / "moduli.csv"
+    argv = ["embed", "--tree", "inc:h=2,b=3", "--p", "2", "--csv", str(csv)]
+    _, printed = run(capsys, *argv)
+    once = csv.read_text()
+    for _ in range(2):
+        assert run(capsys, *argv, "--out", str(tmp_path / "embed.jsonl")) == (0, "")
+    assert csv.read_text() == once and once.count("t,rho,omega") == 1
+    assert (tmp_path / "embed.jsonl").read_text() == printed + printed

@@ -447,6 +447,21 @@ def test_embed_csv_reads_the_curve_values(monkeypatch, tmp_path):
     assert reads == len(rho.breakpoints) - 1
 
 
+@pytest.mark.parametrize("values", [(math.nan, 1.0), (1.0, math.nan), (math.nan,)])
+def test_modulus_curve_refuses_a_nan_value(values):
+    # a comparison with nan is false, so the nondecreasing check alone
+    # would pass it
+    with pytest.raises(EmbeddingError, match="values must be numbers, not nan"):
+        U.ModulusCurve((1.0, 2.0)[:len(values)], values)
+
+
+@pytest.mark.parametrize("rho", [U.ModulusCurve((1.0, 2.0, 3.0), (0.5, 1.0, 2.0)),
+                                 lambda t: t], ids=["step", "callable"])
+def test_compression_integral_refuses_a_nan_horizon(rho):
+    with pytest.raises(EmbeddingError, match="T must exceed 1, not nan"):
+        U.compression_integral(rho, 2.0, math.nan)
+
+
 def test_compression_integral_identity_curve():
     assert U.compression_integral(lambda t: t, 2.0, math.e) == pytest.approx(
         1.0, rel=1e-9)

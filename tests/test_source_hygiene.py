@@ -4,7 +4,8 @@ private name is read somewhere in the package, and every public function,
 class and method is read somewhere in the repository's code, every
 exported name is read outside the tests, and every option of a CLI
 subcommand is read by its handler, not only echoed into its document.
-Deletions leave such names behind; this test finds them."""
+Deletions leave such names behind; this test finds them.  It also keeps the
+CLI to one document writer: no handler encodes or prints on its own."""
 
 import ast
 import pathlib
@@ -150,6 +151,22 @@ def test_every_option_is_read_by_its_handler(name):
     read = _args_read(handlers[cli._HANDLERS[name].__name__])
     unread = [flags for flags, dest, _ in cli._options(name) if dest not in read]
     assert unread == []
+
+
+def _calls(function: ast.FunctionDef) -> set:
+    """The names and dotted attributes a function calls: `print`, `json.dumps`."""
+    return {ast.unparse(node.func) for node in ast.walk(function)
+            if isinstance(node, ast.Call)}
+
+
+def test_no_handler_writes_its_document_itself():
+    # every document leaves the CLI through cli._emit, one compact line
+    # printed or appended to --out; a handler's own json.dumps or print is
+    # a second writer
+    writers = [f"{node.name}: {call}" for node in TREES["cli"].body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")
+               for call in sorted(_calls(node) & {"json.dumps", "print"})]
+    assert writers == []
 
 
 # math notation in README.md's code spans that reads like a call: the

@@ -335,6 +335,30 @@ def test_finite_matrix_checks_equal_the_per_midpoint_loop(n, monkeypatch):
                             "matrix must be symmetric"}, verdicts
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["symmetric", "antisymmetric"])
+def test_matrix_checks_accept_as_allclose_decides(sign):
+    # pairs a float step or a factor either side of the tolerance
+    # ABS_TOL + REL_TOL |b|: FiniteMatrixSpace (m = m^T) and the Heisenberg
+    # omega (m = -m^T) accept exactly what np.allclose accepts
+    make = U.FiniteMatrixSpace if sign > 0 else U.HeisenbergMetricSpace
+    verdicts = set()
+    for b in (0.0, 1e-6, 0.3, 1.0, 7.5, 3e3, 1e12):
+        tol = ABS_TOL + REL_TOL * b
+        for gap in (0.5 * tol, np.nextafter(tol, 0), tol, np.nextafter(tol, 1),
+                    2 * tol):
+            m = np.array([[0.0, sign * b + gap], [b, 0.0]])
+            want = np.allclose(m, sign * m.T, rtol=REL_TOL, atol=ABS_TOL)
+            try:
+                make(m)
+                got = True
+            except SpaceError as exc:
+                assert "symmetric" in str(exc), (b, gap)
+                got = False
+            assert got == want, (b, gap)
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
 def test_finite_matrix_json_round_trip():
     m = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 1.5], [1.0, 1.5, 0.0]])
     sp = U.FiniteMatrixSpace(m)
@@ -393,8 +417,9 @@ def test_standard_symplectic_refuses_a_dimension_below_two(dim):
     [[0.0, math.inf], [-math.inf, 0.0]], [[0.0, math.nan], [math.nan, 0.0]],
     [[0.0, 1.0], [-1.0, math.nan]]], ids=["inf", "nan", "nan-diagonal"])
 def test_heisenberg_refuses_a_non_finite_omega(omega):
-    # equal infinities pass allclose as antisymmetric, and the operator
-    # norm then is nan, which passes the parallelogram's norm check
+    # each is refused by name before the antisymmetry test: the operator
+    # norm of such an omega is nan, which passes the parallelogram's norm
+    # check
     with pytest.raises(U.spaces.SpaceError, match="omega matrix entries must be finite"):
         U.HeisenbergMetricSpace(np.array(omega))
 
